@@ -3,8 +3,9 @@
 Given a finite category as a composition table, the library determines
 whether every diagram of that shape admits a cocone in every category with
 the amalgamation property (and joint embedding property), returning either a
-replayable forest decomposition certificate with a constructive cocone
-builder, or a concrete finite-sets diagram verified to have no cocone.
+replayable forest decomposition certificate, under which the colimit oracle
+completes every concrete diagram, or a concrete finite-sets diagram verified
+to have no cocone.
 """
 
 from .decide import CertificateEvidence, RefutationEvidence, Verdict, decide, explain
@@ -17,10 +18,8 @@ from .diagram import (
     ShapeAnalysis,
     ZigzagWord,
     analyze_shape,
-    build_cocone_forest,
     colimit_set,
     has_cocone,
-    pushout_inj,
     shrink_witness,
     validate_diagram,
     witness_no_cocone,
@@ -55,7 +54,6 @@ from .poset import (
     FinPoset,
     ForestCertificate,
     NonForestWitness,
-    brute_force_tree_like,
     components,
     is_forest_like,
     replay_certificate,

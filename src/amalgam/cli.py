@@ -16,13 +16,10 @@ from pathlib import Path
 from . import corpus, gen, serialize
 from .decide import decide, explain
 from .diagram import (
-    CertificateMismatch,
     DiagramError,
     NotApplicable,
-    build_cocone_forest,
+    analyze_shape,
     has_cocone,
-    poset_of_shape,
-    shrink_witness,
     witness_no_cocone,
 )
 from .fincat import CategoryError
@@ -37,7 +34,6 @@ class RunConfig:
     out: str | None
     seed: int
     max_size: int
-    verify: bool
     format: str
 
     @classmethod
@@ -50,7 +46,6 @@ class RunConfig:
             out=args.out,
             seed=args.seed,
             max_size=args.max_size,
-            verify=args.verify,
             format=args.format,
         )
 
@@ -88,8 +83,6 @@ def cmd_witness(config: RunConfig) -> int:
     except NotApplicable as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 1
-    if config.verify and has_cocone(diagram):
-        raise DiagramError("witness verification failed")
     _emit(config, serialize.dump(serialize.diagram_to_doc(diagram)))
     return 0
 
@@ -102,12 +95,17 @@ def cmd_cocone(config: RunConfig) -> int:
     )
     if diagram.shape != shape:
         raise ParseError("diagram shape does not match the given shape")
-    cert = is_forest_like(poset_of_shape(shape))
-    if not isinstance(cert, ForestCertificate):
-        print("not applicable: shape is not forest-like", file=sys.stderr)
+    if not analyze_shape(shape).usc:
+        print("not applicable: shape is not upward-simply-connected", file=sys.stderr)
         return 1
-    cocone = build_cocone_forest(diagram, cert)
-    _emit(config, serialize.dump(serialize.cocone_to_doc(diagram, cocone)))
+    answer = has_cocone(diagram)
+    if not answer:
+        col = answer.collision
+        raise DiagramError(
+            "colimit collision on a certified shape: elements "
+            f"{col.x} and {col.y} of {shape.objects[col.obj]} are glued"
+        )
+    _emit(config, serialize.dump(serialize.cocone_to_doc(diagram, answer.cocone)))
     return 0
 
 
@@ -158,8 +156,12 @@ def cmd_gen(config: RunConfig) -> int:
         if len(config.inputs) < 2:
             raise ParseError("gen diagram expects a shape path or corpus name")
         shape = _load_shape(config.inputs[1])
-        poset = poset_of_shape(shape)
-        diagram = gen.random_diagram_over_poset(poset, rng, shape=shape)
+        analysis = analyze_shape(shape)
+        if analysis.skeleton is None:
+            raise DiagramError("gen diagram: the monic reflection is not a preorder")
+        diagram = gen.random_diagram_over_poset(
+            analysis.skeleton, rng, shape=shape, element_of=analysis.skeleton_map
+        )
         _emit(config, serialize.dump(serialize.diagram_to_doc(diagram)))
         return 0
     size = int(config.inputs[1]) if len(config.inputs) > 1 else 5
@@ -212,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-size", type=int, default=64, help="bound for generated instances"
     )
-    parser.add_argument(
-        "--verify",
-        dest="verify",
-        action="store_true",
-        default=True,
-        help="re-check emitted evidence against the oracle (default)",
-    )
-    parser.add_argument("--no-verify", dest="verify", action="store_false")
     parser.add_argument(
         "--format",
         choices=("text", "structured"),

@@ -26,12 +26,17 @@ def path(name: str) -> Path:
 
 
 def resolve(ref: str) -> Path:
-    """Interpret a CLI argument as a filesystem path or a corpus name."""
+    """Interpret a CLI argument as a filesystem path or a corpus name.
+
+    Only a bare name (no path separator, no ``.json`` suffix) may name a
+    corpus entry, so a missing file is never swapped for a bundled one.
+    """
     p = Path(ref)
     if p.is_file():
         return p
-    stem = Path(ref).stem
-    try:
-        return path(stem)
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such file or corpus entry: {ref}") from None
+    if p.name == ref and p.suffix != ".json":
+        try:
+            return path(ref)
+        except FileNotFoundError:
+            pass
+    raise FileNotFoundError(f"no such file or corpus entry: {ref}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import (
-    Cocone,
     Collision,
     FinInjDiagram,
     ShapeAnalysis,
@@ -29,7 +28,6 @@ from .poset import ForestCertificate, NonForestWitness
 class CertificateEvidence:
     analysis: ShapeAnalysis
     certificate: ForestCertificate
-    demo_cocone: Cocone | None = None
 
 
 @dataclass

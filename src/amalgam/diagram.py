@@ -2,10 +2,12 @@
 
 The cocone oracle computes the set-level colimit as a union-find quotient of
 the disjoint sum of carriers: a diagram can be completed exactly when every
-canonical map into that quotient stays injective.  For forest-like poset
-shapes a cocone is also built constructively by iterated pushouts, and for
-shapes that fail the decomposition a concrete cocone-free counterexample
-diagram is synthesized and re-verified against the oracle.
+canonical map into that quotient stays injective, and the quotient is then
+the cocone.  Every diagram of injections factors through the monic
+reflection and the skeleton of its shape, so over an upward-simply-connected
+shape this colimit always completes the diagram.  For shapes that fail the
+decomposition a concrete cocone-free counterexample diagram is synthesized
+and re-verified against the oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from .fincat import (
     FinCategory,
     FunctorMap,
-    NotAPreorder,
     is_preorder,
     monic_reflection,
     skeleton_poset,
@@ -27,7 +28,6 @@ from .poset import (
     ForestCertificate,
     NonForestWitness,
     is_forest_like,
-    verify_certificate,
 )
 
 
@@ -48,10 +48,6 @@ class CarrierMismatch(DiagramError):
 
 
 class IllFormedWord(DiagramError):
-    pass
-
-
-class CertificateMismatch(DiagramError):
     pass
 
 
@@ -373,145 +369,6 @@ def zigzag_action(diagram: FinInjDiagram, word: ZigzagWord) -> PartialInjection:
             arrow = arrow.inverse()
         result = arrow.after(result)
     return result
-
-
-@dataclass
-class Pushout:
-    apex: tuple[str, ...]
-    left: PartialInjection
-    right: PartialInjection
-
-
-def pushout_inj(f: PartialInjection, g: PartialInjection) -> Pushout:
-    """Pushout of two total injections with a common source.
-
-    The apex is the disjoint union of the targets with f(a) glued to g(a);
-    both legs are injective and agree on the image of the common source.
-    """
-    if set(f.source) != set(g.source):
-        raise CarrierMismatch("pushout requires a common source carrier")
-    if not (f.is_total and g.is_total):
-        raise CarrierMismatch("pushout requires total injections")
-    nodes = [("l", b) for b in f.target] + [("r", c) for c in g.target]
-    index = {node: k for k, node in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in f.source:
-        i, j = find(index[("l", f(a))]), find(index[("r", g(a))])
-        if i != j:
-            parent[max(i, j)] = min(i, j)
-
-    groups: dict[int, list[int]] = {}
-    for k in range(len(nodes)):
-        groups.setdefault(find(k), []).append(k)
-    label_of: dict[int, str] = {}
-    labels = []
-    for members in sorted(groups.values(), key=min):
-        side, elem = nodes[members[0]]
-        label = f"{side}:{elem}"
-        labels.append(label)
-        for k in members:
-            label_of[k] = label
-    left = PartialInjection(
-        f.target, labels, {b: label_of[index[("l", b)]] for b in f.target}
-    )
-    right = PartialInjection(
-        g.target, labels, {c: label_of[index[("r", c)]] for c in g.target}
-    )
-    return Pushout(tuple(labels), left, right)
-
-
-def poset_of_shape(shape: FinCategory) -> FinPoset:
-    """Interpret a poset-shaped category as a FinPoset over its objects."""
-    if not is_preorder(shape):
-        raise CertificateMismatch("shape has parallel morphisms")
-    pairs = [(m.dom, m.cod) for m in shape.morphisms]
-    try:
-        return FinPoset(shape.objects, pairs)
-    except Exception as exc:
-        raise CertificateMismatch(f"shape is not a poset: {exc}") from exc
-
-
-def _hom_single(shape: FinCategory, x: int, y: int) -> int:
-    hom = shape.hom(x, y)
-    if len(hom) != 1:
-        raise CertificateMismatch(
-            f"expected exactly one morphism {shape.objects[x]} -> {shape.objects[y]}"
-        )
-    return hom[0]
-
-
-def build_cocone_forest(diagram: FinInjDiagram, cert: ForestCertificate) -> Cocone:
-    """Constructive cocone over a certified forest-like poset shape.
-
-    Tree nodes are amalgamated bottom-up: the carriers of the children's
-    cocones are glued over the carrier of the adjoined point by iterated
-    binary pushouts, then trees are combined by disjoint union.  The result
-    is validated against the diagram before it is returned.
-    """
-    shape = diagram.shape
-    poset = poset_of_shape(shape)
-    if not verify_certificate(poset, cert):
-        raise CertificateMismatch("certificate does not replay to the shape poset")
-
-    def build(node):
-        x = node.point
-        apex = list(diagram.carrier(x))
-        anchor = PartialInjection.identity(apex)
-        child_embeddings: list[PartialInjection] = []
-        child_legs: list[dict[int, dict[str, str]]] = []
-        for k, (child, upset) in enumerate(zip(node.children, node.upsets)):
-            sub_apex, sub_legs = build(child)
-            rep = min(upset)
-            step = diagram.action(_hom_single(shape, x, rep))
-            attach = PartialInjection(
-                diagram.carrier(x),
-                sub_apex,
-                {e: sub_legs[rep][step[e]] for e in diagram.carrier(x)},
-            )
-            if k == 0:
-                apex = list(sub_apex)
-                anchor = attach
-                child_embeddings.append(PartialInjection.identity(sub_apex))
-            else:
-                po = pushout_inj(anchor, attach)
-                apex = list(po.apex)
-                anchor = po.left.after(anchor)
-                child_embeddings = [
-                    po.left.after(emb) for emb in child_embeddings
-                ]
-                child_embeddings.append(po.right)
-            child_legs.append(sub_legs)
-        legs = {x: dict(anchor.mapping)}
-        for emb, sub_legs in zip(child_embeddings, child_legs):
-            for obj, leg in sub_legs.items():
-                legs[obj] = {e: emb(v) for e, v in leg.items()}
-        return tuple(apex), legs
-
-    apex_labels: list[str] = []
-    legs_by_obj: dict[int, dict[str, str]] = {}
-    for t, root in enumerate(cert.roots):
-        sub_apex, sub_legs = build(root)
-        tag = {a: f"t{t}:{a}" for a in sub_apex}
-        apex_labels.extend(tag[a] for a in sub_apex)
-        for obj, leg in sub_legs.items():
-            legs_by_obj[obj] = {e: tag[v] for e, v in leg.items()}
-
-    rename = {a: f"c{k}" for k, a in enumerate(sorted(apex_labels))}
-    apex = tuple(rename[a] for a in sorted(apex_labels))
-    legs = tuple(
-        {e: rename[v] for e, v in legs_by_obj.get(obj, {}).items()}
-        for obj in range(len(shape.objects))
-    )
-    cocone = Cocone(apex, legs)
-    validate_cocone(diagram, cocone)
-    return cocone
 
 
 @dataclass

@@ -178,16 +178,21 @@ def random_diagram_over_poset(
     poset: FinPoset,
     rng: random.Random,
     shape: FinCategory | None = None,
+    element_of=None,
     max_extra: int = 2,
 ) -> FinInjDiagram:
-    """Random valid diagram over a poset shape.
+    """Random valid diagram over a shape that maps onto a poset.
 
     Monotone subsets of a universe give functorial inclusions, which are then
-    conjugated by per-element relabelings so the actions are nontrivial maps.
-    Empty carriers occur naturally.
+    conjugated by per-object relabelings so the actions are nontrivial maps.
+    Empty carriers occur naturally.  ``element_of`` sends each shape object to
+    the poset element it lies over (identity by default); every morphism
+    must go up in the poset, as a shape's skeleton map does.
     """
     if shape is None:
         shape = category_from_poset(poset)
+    if element_of is None:
+        element_of = range(len(shape.objects))
     n = len(poset)
     subset: list[set[str]] = [set() for _ in range(n)]
     counter = 0
@@ -199,19 +204,19 @@ def random_diagram_over_poset(
             subset[b].add(f"u{counter}")
             counter += 1
     relabel: list[dict[str, str]] = []
-    for e in range(n):
-        members = sorted(subset[e])
+    for obj, name in enumerate(shape.objects):
+        members = sorted(subset[element_of[obj]])
         rng.shuffle(members)
         relabel.append(
-            {u: f"{poset.elements[e]}_{k}" for k, u in enumerate(members)}
+            {u: f"{name}_{k}" for k, u in enumerate(members)}
         )
     carriers = [
-        tuple(sorted(relabel[e].values())) for e in range(n)
+        tuple(sorted(r.values())) for r in relabel
     ]
     actions = []
     for m in shape.morphisms:
         actions.append(
-            {relabel[m.dom][u]: relabel[m.cod][u] for u in subset[m.dom]}
+            {relabel[m.dom][u]: relabel[m.cod][u] for u in relabel[m.dom]}
         )
     return validate_diagram(shape, carriers, actions)
 

@@ -6,8 +6,6 @@ forward as 2g and inverted as 2g+1.
 
 from __future__ import annotations
 
-import time
-
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of an integer matrix."""
@@ -134,21 +132,14 @@ class _CosetTable:
                     queue.append((self.find(back), a))
 
 
-def enumerate_cosets(
-    ngens: int,
-    relators,
-    *,
-    max_cosets: int = 20000,
-    time_limit: float = 5.0,
-):
+def enumerate_cosets(ngens: int, relators, *, max_cosets: int = 20000):
     """Bounded enumeration of the cosets of the trivial subgroup.
 
-    Returns the group order when the enumeration closes within the bounds,
-    otherwise None.
+    Returns the group order when the enumeration closes within ``max_cosets``
+    cosets, otherwise None.
     """
     table = _CosetTable(2 * ngens)
     table.add()
-    deadline = time.monotonic() + time_limit
     relators = [tuple(word) for word in relators]
 
     c = 0
@@ -156,8 +147,6 @@ def enumerate_cosets(
         if table.find(c) != c:
             c += 1
             continue
-        if time.monotonic() > deadline:
-            return None
         for word in relators:
             if not word:
                 continue

@@ -25,10 +25,6 @@ class NotAPartialOrder(PosetError):
     pass
 
 
-class TooLarge(PosetError):
-    pass
-
-
 class FinPoset:
     """Finite partial order over indexed, named elements.
 
@@ -400,39 +396,6 @@ def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:
     return len(components(poset, region)) == 1
 
 
-def brute_force_tree_like(poset: FinPoset, bound: int = 8) -> bool:
-    """Existential tree test: some minimal element must decompose the poset.
-
-    Independent of is_forest_like's fixed least-index choice; exponential,
-    so restricted to connected posets of at most ``bound`` elements.
-    """
-    n = len(poset)
-    if n > bound:
-        raise TooLarge(f"{n} elements exceeds bound {bound}")
-    if n == 0 or len(components(poset, range(n))) != 1:
-        raise ValueError("input must be a nonempty connected poset")
-    memo: dict[frozenset[int], bool] = {}
-
-    def tree(region: frozenset[int]) -> bool:
-        if len(region) == 1:
-            return True
-        if region in memo:
-            return memo[region]
-        answer = False
-        for x in poset.minimal(region):
-            up_x = poset.up(x)
-            for part in components(poset, region - {x}):
-                if len(components(poset, part & up_x)) != 1 or not tree(part):
-                    break
-            else:
-                answer = True
-                break
-        memo[region] = answer
-        return answer
-
-    return tree(frozenset(range(n)))
-
-
 def _component_presentation(poset: FinPoset, comp: list[int]):
     """Edge-path group presentation of one component's order complex.
 
@@ -473,9 +436,7 @@ def _component_presentation(poset: FinPoset, comp: list[int]):
     return len(edges), relators
 
 
-def simply_connected_bounded(
-    poset: FinPoset, *, max_cosets: int = 20000, time_limit: float = 5.0
-):
+def simply_connected_bounded(poset: FinPoset, *, max_cosets: int = 20000):
     """Bounded test for simple-connectedness of the order complex.
 
     Returns True / False / None (unknown).  Each component is presented by a
@@ -497,9 +458,7 @@ def simply_connected_bounded(
             rows.append(row)
         if not groups.abelianization_is_trivial(rows, ngens):
             return False
-        order = groups.enumerate_cosets(
-            ngens, relators, max_cosets=max_cosets, time_limit=time_limit
-        )
+        order = groups.enumerate_cosets(ngens, relators, max_cosets=max_cosets)
         if order is None:
             unknown = True
         elif order > 1:

@@ -5,7 +5,6 @@ import random
 from amalgam import corpus, serialize
 from amalgam.decide import RefutationEvidence, decide
 from amalgam.diagram import (
-    build_cocone_forest,
     colimit_set,
     has_cocone,
     validate_cocone,
@@ -22,7 +21,6 @@ from amalgam.gen import (
 from amalgam.invcat import is_monic_morphism, validate_inverse, wagner_preston
 from amalgam.poset import (
     ForestCertificate,
-    brute_force_tree_like,
     components,
     is_forest_like,
     simply_connected_bounded,
@@ -31,6 +29,8 @@ import conftest
 from conftest import (
     ACCEPTANCE_LINES,
     boat_poset,
+    brute_force_tree_like,
+    build_cocone_forest,
     partition_is_congruence,
     quotient_is_monic,
     set_partitions,
@@ -74,8 +74,10 @@ def test_criterion_2_boat_separates_simple_connectedness():
 
 
 def test_criterion_3_forest_iff_every_diagram_completes():
-    """Exhaustive posets up to 6 elements: certificates yield validated cocones
-    on 50 seeded diagrams each; refuted shapes yield oracle-failing witnesses."""
+    """Exhaustive posets up to 6 elements: on 50 seeded diagrams each, the
+    colimit cocone and the iterated-pushout builder both complete every
+    diagram over a certified shape, with apexes of one size; refuted shapes
+    yield oracle-failing witnesses."""
     posets = all_posets(6)
     n_forest = n_refuted = 0
     for n in range(0, 7):
@@ -89,6 +91,9 @@ def test_criterion_3_forest_iff_every_diagram_completes():
                     diagram = random_diagram_over_poset(poset, rng, shape=shape)
                     cocone = build_cocone_forest(diagram, cert)
                     validate_cocone(diagram, cocone)
+                    answer = has_cocone(diagram)
+                    assert answer, (poset, diagram)
+                    assert len(answer.cocone.apex) == len(cocone.apex)
             else:
                 n_refuted += 1
                 witness = witness_no_cocone(shape)

@@ -4,18 +4,14 @@ import pytest
 
 from amalgam.diagram import (
     CarrierMismatch,
-    CertificateMismatch,
     FunctorialityViolation,
     HasCocone,
     NotApplicable,
     NotInjective,
     ZigzagWord,
     analyze_shape,
-    build_cocone_forest,
     colimit_set,
     has_cocone,
-    poset_of_shape,
-    pushout_inj,
     shrink_witness,
     validate_cocone,
     validate_diagram,
@@ -26,7 +22,16 @@ from amalgam.fincat import category, category_from_poset
 from amalgam.gen import random_diagram_over_poset
 from amalgam.pinj import PartialInjection
 from amalgam.poset import FinPoset, is_forest_like
-from conftest import boat_poset, bowtie_cat, parallel_pair_cat, span_poset
+from conftest import (
+    CertificateMismatch,
+    boat_poset,
+    bowtie_cat,
+    build_cocone_forest,
+    parallel_pair_cat,
+    poset_of_shape,
+    pushout_inj,
+    span_poset,
+)
 
 
 def bowtie_diagram(h_target="0", k_target="1"):

@@ -5,8 +5,6 @@ from amalgam.poset import (
     ForestCertificate,
     NonForestWitness,
     NotAPartialOrder,
-    TooLarge,
-    brute_force_tree_like,
     components,
     is_forest_like,
     replay_certificate,
@@ -15,7 +13,14 @@ from amalgam.poset import (
     verify_certificate,
     verify_witness,
 )
-from conftest import boat_poset, bowtie_poset, crown_poset, span_poset
+from conftest import (
+    TooLarge,
+    boat_poset,
+    bowtie_poset,
+    brute_force_tree_like,
+    crown_poset,
+    span_poset,
+)
 
 
 def chain(n):
@@ -145,7 +150,12 @@ def test_simply_connected_disjoint_chains():
 
 def test_simply_connected_unknown_when_budget_exhausted():
     # an exhausted budget must answer in-band, never guess
-    assert simply_connected_bounded(boat_poset(), time_limit=0.0) is None
+    p = FinPoset.from_covers(
+        [f"e{i}" for i in range(6)],
+        [(0, 2), (0, 4), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)],
+    )
+    assert simply_connected_bounded(p, max_cosets=2) is None
+    assert simply_connected_bounded(p) is True
 
 
 def test_witness_region_refutes_simple_connectedness():

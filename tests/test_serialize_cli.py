@@ -1,11 +1,27 @@
 import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from amalgam import corpus, serialize
+from amalgam import cli, corpus, serialize
 from amalgam.cli import main
 from amalgam.decide import decide
+from amalgam.diagram import Cocone, validate_cocone
 from amalgam.serialize import ParseError
+
+# corpus shapes that `check` accepts, posets and inverse categories alike
+AMALGAMABLE = (
+    "chain3",
+    "chain5",
+    "cospan",
+    "fan",
+    "inverse_iso_pair",
+    "inverse_null",
+    "inverse_pinj2",
+    "span",
+)
 
 
 def test_corpus_round_trips():
@@ -106,6 +122,40 @@ def test_cli_cocone_on_generated_diagram(tmp_path, capsys):
     assert set(doc["legs"]) == {"p", "a", "b"}
 
 
+@pytest.mark.parametrize("name", AMALGAMABLE)
+def test_cli_cocone_on_every_amalgamable_corpus_shape(name, tmp_path, capsys):
+    diagram_path = tmp_path / "diagram.json"
+    for seed in range(3):
+        assert main(["gen", "diagram", name, "--seed", str(seed),
+                     "--out", str(diagram_path)]) == 0
+        assert main(["cocone", name, str(diagram_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        diagram = serialize.load_diagram(diagram_path)
+        legs = tuple(
+            dict(map(tuple, doc["legs"][obj])) for obj in diagram.shape.objects
+        )
+        validate_cocone(diagram, Cocone(tuple(doc["apex"]), legs))
+
+
+def test_check_accepts_exactly_the_amalgamable_corpus_shapes(capsys):
+    shapes = [
+        name for name in corpus.names()
+        if serialize.load_document(corpus.path(name))["type"] != "diagram"
+    ]
+    assert tuple(n for n in shapes if main(["check", n]) == 0) == AMALGAMABLE
+    capsys.readouterr()
+
+
+def test_cli_cocone_collision_on_certified_shape_is_an_error(monkeypatch, capsys):
+    """A colimit collision under a certificate contradicts the theorem: the
+    command fails loudly and names the glued elements, with no fallback."""
+    monkeypatch.setattr(cli, "analyze_shape", lambda shape: SimpleNamespace(usc=True))
+    assert main(["cocone", "bowtie", "bowtie_diagram"]) == 2
+    err = capsys.readouterr().err
+    assert "collision" in err
+    assert "elements 0 and 1 of B" in err
+
+
 def test_cli_cocone_not_applicable_on_bowtie(tmp_path, capsys):
     diagram_path = tmp_path / "d.json"
     # hand-build a valid diagram over the bowtie shape
@@ -153,4 +203,16 @@ def test_cli_explain(capsys):
 
 def test_cli_unknown_path(capsys):
     assert main(["check", "definitely_missing.json"]) == 2
-    capsys.readouterr()
+    # a missing file is never swapped for the corpus entry of the same stem
+    assert main(["check", "/no/such/dir/span.json"]) == 2
+    assert main(["check", "span.json"]) == 2
+    assert "no such file or corpus entry" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert "amalgamability report" in capsys.readouterr().out
