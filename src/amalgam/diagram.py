@@ -428,11 +428,7 @@ def witness_no_cocone(
         refl = analysis.reflection
         proj = analysis.projection
         a = refl.morphisms[analysis.parallel_pair[0]].dom
-        hom_from_a = [
-            tuple(g for g in range(len(refl.morphisms)) if refl.morphisms[g].dom == a
-                  and refl.morphisms[g].cod == x)
-            for x in range(len(refl.objects))
-        ]
+        hom_from_a = [refl.hom(a, x) for x in range(len(refl.objects))]
         carriers = [
             tuple(refl.morphisms[g].name for g in hom_from_a[x])
             for x in range(len(refl.objects))
@@ -491,9 +487,8 @@ def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
     seeds = set(answer.collision.nodes)
     keep: list[set[str]] = [set() for _ in shape.objects]
     for obj, elem in seeds:
-        for i, m in enumerate(shape.morphisms):
-            if m.dom == obj:
-                keep[m.cod].add(diagram.action(i)[elem])
+        for i in shape.hom_out[obj]:
+            keep[shape.morphisms[i].cod].add(diagram.action(i)[elem])
     carriers = [
         tuple(e for e in diagram.carrier(obj) if e in keep[obj])
         for obj in range(len(shape.objects))

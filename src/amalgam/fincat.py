@@ -7,6 +7,7 @@ construction time, so every FinCategory in circulation is valid.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .poset import FinPoset
@@ -52,7 +53,13 @@ class Morphism:
 
 
 class FinCategory:
-    """Validated finite category: objects, morphisms, identities, composition table."""
+    """Validated finite category: objects, morphisms, identities, composition table.
+
+    Indexed once, after the endpoint check: ``hom_out[x]`` and ``hom_in[x]``
+    list the morphisms out of and into object x, and ``hom_sets`` maps each
+    non-empty (dom, cod) to its morphisms, all in ascending index order.
+    Every scan over composable pairs and triples runs over these lists.
+    """
 
     def __init__(self, objects, morphisms, identity, table):
         self.objects = tuple(objects)
@@ -62,6 +69,14 @@ class FinCategory:
         self.obj_index = {name: i for i, name in enumerate(self.objects)}
         self.mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
         self._identity_set = frozenset(self.identity)
+        _check_presentation(self)
+        self.hom_out: list[list[int]] = [[] for _ in self.objects]
+        self.hom_in: list[list[int]] = [[] for _ in self.objects]
+        self.hom_sets: dict[tuple[int, int], list[int]] = {}
+        for i, m in enumerate(self.morphisms):
+            self.hom_out[m.dom].append(i)
+            self.hom_in[m.cod].append(i)
+            self.hom_sets.setdefault((m.dom, m.cod), []).append(i)
         _check_axioms(self)
 
     def compose(self, g: int, f: int) -> int:
@@ -72,9 +87,7 @@ class FinCategory:
         return m in self._identity_set
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
-        return tuple(
-            i for i, m in enumerate(self.morphisms) if m.dom == x and m.cod == y
-        )
+        return tuple(self.hom_sets.get((x, y), ()))
 
     def non_identities(self) -> tuple[int, ...]:
         return tuple(
@@ -82,12 +95,13 @@ class FinCategory:
         )
 
     def parallel_pairs(self):
-        """All index pairs (f, g) with f < g, equal dom and equal cod."""
+        """All index pairs (f, g) with f < g, equal dom and equal cod,
+        by ascending g, then ascending f."""
         for g, mg in enumerate(self.morphisms):
-            for f in range(g):
-                mf = self.morphisms[f]
-                if mf.dom == mg.dom and mf.cod == mg.cod:
-                    yield f, g
+            for f in self.hom_sets[(mg.dom, mg.cod)]:
+                if f == g:
+                    break
+                yield f, g
 
     def __eq__(self, other):
         if not isinstance(other, FinCategory):
@@ -106,29 +120,39 @@ class FinCategory:
         )
 
 
-def _check_axioms(cat: FinCategory) -> None:
+def _check_presentation(cat: FinCategory) -> None:
     n_obj = len(cat.objects)
-    n_mor = len(cat.morphisms)
     if len(set(cat.objects)) != n_obj:
         raise PresentationError("object names must be distinct")
-    if len(cat.mor_index) != n_mor:
+    if len(cat.mor_index) != len(cat.morphisms):
         raise PresentationError("morphism names must be distinct")
     if len(cat.identity) != n_obj:
         raise PresentationError("one identity per object required")
     for m in cat.morphisms:
         if not (0 <= m.dom < n_obj and 0 <= m.cod < n_obj):
             raise PresentationError(f"morphism {m.name} references unknown objects")
+
+
+def _check_axioms(cat: FinCategory) -> None:
+    """Exhaustive axiom check over the composable pairs and triples only.
+
+    Pairs are visited as f, then g in hom_out[cod f]; triples as f, then g,
+    then h in hom_out[cod g]: the order of a scan over all morphisms, so a
+    table with several faults reports the same first one.
+    """
+    n_mor = len(cat.morphisms)
+    morphisms, table, hom_out = cat.morphisms, cat.table, cat.hom_out
     for x, i in enumerate(cat.identity):
-        m = cat.morphisms[i]
+        m = morphisms[i]
         if m.dom != x or m.cod != x:
             raise IdentityViolation(
                 f"identity of {cat.objects[x]} has endpoints "
                 f"{cat.objects[m.dom]} -> {cat.objects[m.cod]}"
             )
-    for (g, f), r in cat.table.items():
+    for (g, f), r in table.items():
         if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= r < n_mor):
             raise PresentationError(f"composition entry ({g}, {f}) out of range")
-        mg, mf, mr = cat.morphisms[g], cat.morphisms[f], cat.morphisms[r]
+        mg, mf, mr = morphisms[g], morphisms[f], morphisms[r]
         if mf.cod != mg.dom:
             raise DomCodMismatch(
                 f"({mg.name}, {mf.name}) is not composable: "
@@ -138,36 +162,37 @@ def _check_axioms(cat: FinCategory) -> None:
             raise DomCodMismatch(
                 f"({mg.name}, {mf.name}, {mr.name}): composite endpoints do not match"
             )
-    for f, mf in enumerate(cat.morphisms):
-        for g, mg in enumerate(cat.morphisms):
-            if mf.cod == mg.dom and (g, f) not in cat.table:
+    for f, mf in enumerate(morphisms):
+        for g in hom_out[mf.cod]:
+            if (g, f) not in table:
                 raise MissingComposite(
-                    f"no entry for ({mg.name}, {mf.name})"
+                    f"no entry for ({morphisms[g].name}, {mf.name})"
                 )
-    for f, mf in enumerate(cat.morphisms):
-        left = cat.table[(cat.identity[mf.cod], f)]
-        right = cat.table[(f, cat.identity[mf.dom])]
+    for f, mf in enumerate(morphisms):
+        left = table[(cat.identity[mf.cod], f)]
+        right = table[(f, cat.identity[mf.dom])]
         if left != f:
             raise IdentityViolation(
                 f"(id_{cat.objects[mf.cod]}, {mf.name}, "
-                f"{cat.morphisms[left].name}) breaks the left identity law"
+                f"{morphisms[left].name}) breaks the left identity law"
             )
         if right != f:
             raise IdentityViolation(
                 f"({mf.name}, id_{cat.objects[mf.dom]}, "
-                f"{cat.morphisms[right].name}) breaks the right identity law"
+                f"{morphisms[right].name}) breaks the right identity law"
             )
-    for f, mf in enumerate(cat.morphisms):
-        for g, mg in enumerate(cat.morphisms):
-            if mf.cod != mg.dom:
+    # post[x][k] is h∘x for the k-th h in hom_out[cod x]; since cod(g∘f) =
+    # cod g, the triple (h, g, f) compares post[g∘f][k] with post[g][k]∘f.
+    post = [[table[(h, f)] for h in hom_out[mf.cod]] for f, mf in enumerate(morphisms)]
+    for f, mf in enumerate(morphisms):
+        for g, gf in zip(hom_out[mf.cod], post[f]):
+            if post[gf] == [table[(hg, f)] for hg in post[g]]:
                 continue
-            gf = cat.table[(g, f)]
-            for h, mh in enumerate(cat.morphisms):
-                if mg.cod != mh.dom:
-                    continue
-                if cat.table[(h, gf)] != cat.table[(cat.table[(h, g)], f)]:
+            for h, hgf, hg in zip(hom_out[morphisms[g].cod], post[gf], post[g]):
+                if hgf != table[(hg, f)]:
                     raise AssociativityViolation(
-                        f"({mh.name}, {mg.name}, {mf.name}) is not associative"
+                        f"({morphisms[h].name}, {morphisms[g].name}, {mf.name}) "
+                        "is not associative"
                     )
 
 
@@ -322,32 +347,39 @@ def _find(parent: list[int], a: int) -> int:
 
 
 def is_congruence(cat: FinCategory, cong: Congruence) -> bool:
-    """Check the parallel and compatibility conditions exhaustively."""
-    for cl in cong.classes:
-        doms = {cat.morphisms[m].dom for m in cl}
-        cods = {cat.morphisms[m].cod for m in cl}
-        if len(doms) != 1 or len(cods) != 1:
+    """Check the parallel and compatibility conditions exhaustively.
+
+    The relation is an equivalence, so it is enough that each morphism is
+    parallel to its class's least member and composes like it on either side.
+    """
+    rep = [min(cl) for cl in cong.classes]
+    class_of, table = cong.class_of, cat.table
+    for f, mf in enumerate(cat.morphisms):
+        r = rep[class_of[f]]
+        if r == f:
+            continue
+        mr = cat.morphisms[r]
+        if mf.dom != mr.dom or mf.cod != mr.cod:
             return False
-    n = len(cat.morphisms)
-    for f in range(n):
-        for f2 in range(n):
-            if not cong.related(f, f2):
-                continue
-            for g in range(n):
-                if cat.morphisms[g].dom == cat.morphisms[f].cod:
-                    if not cong.related(cat.table[(g, f)], cat.table[(g, f2)]):
-                        return False
-                if cat.morphisms[g].cod == cat.morphisms[f].dom:
-                    if not cong.related(cat.table[(f, g)], cat.table[(f2, g)]):
-                        return False
+        for g in cat.hom_out[mf.cod]:
+            if class_of[table[(g, f)]] != class_of[table[(g, r)]]:
+                return False
+        for g in cat.hom_in[mf.dom]:
+            if class_of[table[(f, g)]] != class_of[table[(r, g)]]:
+                return False
     return True
 
 
 def congruence_close(cat: FinCategory, seeds) -> Congruence:
-    """Least congruence containing the seed pairs of parallel morphisms."""
-    n = len(cat.morphisms)
-    parent = list(range(n))
-    pending: list[tuple[int, int]] = []
+    """Least congruence containing the seed pairs of parallel morphisms.
+
+    Congruence closure in the style of Downey, Sethi and Tarjan (JACM 1980):
+    each merge (a, b) is queued once and propagated only to the composites
+    that use a, through hom_out[cod a] and hom_in[dom a].
+    """
+    parent = list(range(len(cat.morphisms)))
+    table = cat.table
+    pending: deque[tuple[int, int]] = deque()
 
     def union(a: int, b: int) -> None:
         ra, rb = _find(parent, a), _find(parent, b)
@@ -363,13 +395,12 @@ def congruence_close(cat: FinCategory, seeds) -> Congruence:
             raise NonParallelSeed(f"({ma.name}, {mb.name}) are not parallel")
         union(a, b)
     while pending:
-        a, b = pending.pop(0)
+        a, b = pending.popleft()
         ma = cat.morphisms[a]
-        for g, mg in enumerate(cat.morphisms):
-            if mg.dom == ma.cod:
-                union(cat.table[(g, a)], cat.table[(g, b)])
-            if mg.cod == ma.dom:
-                union(cat.table[(a, g)], cat.table[(b, g)])
+        for g in cat.hom_out[ma.cod]:
+            union(table[(g, a)], table[(g, b)])
+        for g in cat.hom_in[ma.dom]:
+            union(table[(a, g)], table[(b, g)])
     return Congruence.from_parent(parent)
 
 
@@ -419,8 +450,13 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
     """Quotient by a congruence, with the projection functor.
 
     Class representatives are least-index members, which keeps each identity
-    the representative (and the name) of its class.
+    the representative (and the name) of its class.  A discrete congruence
+    returns the category itself with the identity functor.
     """
+    if len(cong.classes) == len(cat.morphisms):
+        return cat, FunctorMap(
+            cat, cat, range(len(cat.objects)), range(len(cat.morphisms))
+        )
     if not is_congruence(cat, cong):
         raise PresentationError("partition is not a congruence")
     reps = [min(cl) for cl in cong.classes]
@@ -431,8 +467,9 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
     identity = tuple(cong.class_of[i] for i in cat.identity)
     table = {}
     for gi, g in enumerate(reps):
-        for fi, f in enumerate(reps):
-            if cat.morphisms[f].cod == cat.morphisms[g].dom:
+        for f in cat.hom_in[cat.morphisms[g].dom]:
+            fi = cong.class_of[f]
+            if reps[fi] == f:
                 table[(gi, fi)] = cong.class_of[cat.table[(g, f)]]
     quotient = FinCategory(cat.objects, morphisms, identity, table)
     projection = FunctorMap(
@@ -445,23 +482,26 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
 def monic_reflection(cat: FinCategory) -> tuple[FinCategory, FunctorMap]:
     """Quotient by the least congruence whose quotient is monic.
 
-    Iterates: whenever two parallel morphisms become indistinguishable under
-    every left composition, merge them, re-close, and repeat to a fixpoint.
+    Iterates: each round groups every hom-set by the class of h∘f, for each
+    h out of its codomain; the members of one group are indistinguishable
+    under h, so they are merged, the congruence is re-closed, and the rounds
+    repeat to a fixpoint.
     """
     pairs: list[tuple[int, int]] = []
     cong = congruence_close(cat, [])
+    table = cat.table
     while True:
+        class_of = cong.class_of
         fresh = []
-        for f, g in cat.parallel_pairs():
-            if cong.related(f, g):
+        for (_, cod), homs in cat.hom_sets.items():
+            if len(homs) < 2:
                 continue
-            dom_target = cat.morphisms[f].cod
-            for h, mh in enumerate(cat.morphisms):
-                if mh.dom != dom_target:
-                    continue
-                if cong.related(cat.table[(h, f)], cat.table[(h, g)]):
-                    fresh.append((f, g))
-                    break
+            for h in cat.hom_out[cod]:
+                leader: dict[int, int] = {}
+                for f in homs:
+                    first = leader.setdefault(class_of[table[(h, f)]], f)
+                    if class_of[first] != class_of[f]:
+                        fresh.append((first, f))
         if not fresh:
             break
         pairs.extend(fresh)
@@ -470,24 +510,20 @@ def monic_reflection(cat: FinCategory) -> tuple[FinCategory, FunctorMap]:
 
 
 def is_monic(cat: FinCategory) -> bool:
-    """Exhaustive left-cancellation check over the composition table."""
-    for f, g in cat.parallel_pairs():
-        cod = cat.morphisms[f].cod
-        for h, mh in enumerate(cat.morphisms):
-            if mh.dom == cod and cat.table[(h, f)] == cat.table[(h, g)]:
+    """Exhaustive left-cancellation check: every h out of a hom-set's
+    codomain is injective on that hom-set."""
+    for (_, cod), homs in cat.hom_sets.items():
+        if len(homs) < 2:
+            continue
+        for h in cat.hom_out[cod]:
+            if len({cat.table[(h, f)] for f in homs}) < len(homs):
                 return False
     return True
 
 
 def is_preorder(cat: FinCategory) -> bool:
     """At most one morphism between any ordered pair of objects."""
-    seen: set[tuple[int, int]] = set()
-    for m in cat.morphisms:
-        key = (m.dom, m.cod)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return len(cat.hom_sets) == len(cat.morphisms)
 
 
 def skeleton_poset(cat: FinCategory) -> tuple[FinPoset, tuple[int, ...]]:

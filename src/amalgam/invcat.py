@@ -48,9 +48,8 @@ def validate_inverse(cat: FinCategory) -> FinInverseCategory:
     for f, mf in enumerate(cat.morphisms):
         candidates = [
             g
-            for g, mg in enumerate(cat.morphisms)
-            if mg.dom == mf.cod and mg.cod == mf.dom
-            and cat.compose(f, cat.compose(g, f)) == f
+            for g in cat.hom(mf.cod, mf.dom)
+            if cat.compose(f, cat.compose(g, f)) == f
             and cat.compose(g, cat.compose(f, g)) == g
         ]
         if not candidates:
@@ -65,16 +64,10 @@ def validate_inverse(cat: FinCategory) -> FinInverseCategory:
 
 
 def is_monic_morphism(cat: FinCategory, f: int) -> bool:
-    dom_f = cat.morphisms[f].dom
-    for g, mg in enumerate(cat.morphisms):
-        if mg.cod != dom_f:
-            continue
-        for h, mh in enumerate(cat.morphisms):
-            if mh.dom != mg.dom or mh.cod != mg.cod or h == g:
-                continue
-            if cat.compose(f, g) == cat.compose(f, h):
-                return False
-    return True
+    """Whether f∘g = f∘h forces g = h.  Such g and h lie in hom_in[dom f]
+    and are parallel, since f∘g has the domain of g."""
+    into = cat.hom_in[cat.morphisms[f].dom]
+    return len({cat.compose(f, g) for g in into}) == len(into)
 
 
 def check_inverse_laws(inv: FinInverseCategory) -> list[str]:
@@ -152,19 +145,15 @@ def wagner_preston(inv: FinInverseCategory) -> PInjRepresentation:
     def label(g: int) -> str:
         return f"{cat.objects[cat.morphisms[g].dom]}:{cat.morphisms[g].name}"
 
-    hom_into = [
-        tuple(g for g, mg in enumerate(cat.morphisms) if mg.cod == x)
-        for x in range(len(cat.objects))
-    ]
     carriers = tuple(
-        tuple(label(g) for g in hom_into[x]) for x in range(len(cat.objects))
+        tuple(label(g) for g in cat.hom_in[x]) for x in range(len(cat.objects))
     )
     maps = []
     for f, mf in enumerate(cat.morphisms):
         fixer = cat.compose(pinv[f], f)
         mapping = {
             label(g): label(cat.compose(f, g))
-            for g in hom_into[mf.dom]
+            for g in cat.hom_in[mf.dom]
             if cat.compose(fixer, g) == g
         }
         maps.append(

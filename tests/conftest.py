@@ -12,7 +12,15 @@ from amalgam.diagram import (
     FinInjDiagram,
     validate_cocone,
 )
-from amalgam.fincat import FinCategory, is_preorder
+from amalgam.fincat import (
+    AssociativityViolation,
+    DomCodMismatch,
+    FinCategory,
+    IdentityViolation,
+    MissingComposite,
+    PresentationError,
+    is_preorder,
+)
 from amalgam.pinj import PartialInjection
 from amalgam.poset import (
     FinPoset,
@@ -120,6 +128,28 @@ def empty_map_monoid_cat():
     return category(["X"], [("z", "X", "X")], [("z", "z", "z")])
 
 
+def cyclic_cat(n: int):
+    """Z_n as a one-object category with arrows r1..r(n-1)."""
+    names = ["id_X"] + [f"r{k}" for k in range(1, n)]
+    return category(
+        ["X"],
+        [(names[k], "X", "X") for k in range(1, n)],
+        [
+            (names[a], names[b], names[(a + b) % n])
+            for a in range(1, n)
+            for b in range(1, n)
+        ],
+    )
+
+
+def left_zero_monoid_cat(k: int):
+    """k left zeros (g∘f = g) and the identity."""
+    names = [f"z{i}" for i in range(k)]
+    return category(
+        ["X"], [(m, "X", "X") for m in names], [(g, f, g) for g in names for f in names]
+    )
+
+
 def small_category_suite():
     """Categories with at most 8 morphisms, monic and not."""
     return [
@@ -148,6 +178,74 @@ def set_partitions(items):
         for k in range(len(partition)):
             yield partition[:k] + [[head] + partition[k]] + partition[k + 1:]
         yield [[head]] + partition
+
+
+def naive_check_axioms(objects, morphisms, identity, table) -> None:
+    """Reference category check: every loop runs over all morphisms.
+
+    Raises the exception the library's indexed check must raise, with the
+    same message, on the same presentation.
+    """
+    n_obj = len(objects)
+    n_mor = len(morphisms)
+    if len(set(objects)) != n_obj:
+        raise PresentationError("object names must be distinct")
+    if len({m.name for m in morphisms}) != n_mor:
+        raise PresentationError("morphism names must be distinct")
+    if len(identity) != n_obj:
+        raise PresentationError("one identity per object required")
+    for m in morphisms:
+        if not (0 <= m.dom < n_obj and 0 <= m.cod < n_obj):
+            raise PresentationError(f"morphism {m.name} references unknown objects")
+    for x, i in enumerate(identity):
+        m = morphisms[i]
+        if m.dom != x or m.cod != x:
+            raise IdentityViolation(
+                f"identity of {objects[x]} has endpoints "
+                f"{objects[m.dom]} -> {objects[m.cod]}"
+            )
+    for (g, f), r in table.items():
+        if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= r < n_mor):
+            raise PresentationError(f"composition entry ({g}, {f}) out of range")
+        mg, mf, mr = morphisms[g], morphisms[f], morphisms[r]
+        if mf.cod != mg.dom:
+            raise DomCodMismatch(
+                f"({mg.name}, {mf.name}) is not composable: "
+                f"cod {objects[mf.cod]} != dom {objects[mg.dom]}"
+            )
+        if mr.dom != mf.dom or mr.cod != mg.cod:
+            raise DomCodMismatch(
+                f"({mg.name}, {mf.name}, {mr.name}): composite endpoints do not match"
+            )
+    for f, mf in enumerate(morphisms):
+        for g, mg in enumerate(morphisms):
+            if mf.cod == mg.dom and (g, f) not in table:
+                raise MissingComposite(f"no entry for ({mg.name}, {mf.name})")
+    for f, mf in enumerate(morphisms):
+        left = table[(identity[mf.cod], f)]
+        right = table[(f, identity[mf.dom])]
+        if left != f:
+            raise IdentityViolation(
+                f"(id_{objects[mf.cod]}, {mf.name}, "
+                f"{morphisms[left].name}) breaks the left identity law"
+            )
+        if right != f:
+            raise IdentityViolation(
+                f"({mf.name}, id_{objects[mf.dom]}, "
+                f"{morphisms[right].name}) breaks the right identity law"
+            )
+    for f, mf in enumerate(morphisms):
+        for g, mg in enumerate(morphisms):
+            if mf.cod != mg.dom:
+                continue
+            gf = table[(g, f)]
+            for h, mh in enumerate(morphisms):
+                if mg.cod != mh.dom:
+                    continue
+                if table[(h, gf)] != table[(table[(h, g)], f)]:
+                    raise AssociativityViolation(
+                        f"({mh.name}, {mg.name}, {mf.name}) is not associative"
+                    )
 
 
 def partition_is_congruence(cat, blocks) -> bool:

@@ -1,9 +1,15 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgam.fincat import (
     AssociativityViolation,
+    CategoryError,
     Congruence,
     DomCodMismatch,
+    FinCategory,
     FunctorMap,
     IdentityViolation,
     MissingComposite,
@@ -22,9 +28,13 @@ from amalgam.fincat import (
     skeleton_poset,
     validate_category,
 )
+from amalgam.gen import all_posets
 from conftest import (
     bowtie_cat,
     collapsing_pair_cat,
+    cyclic_cat,
+    left_zero_monoid_cat,
+    naive_check_axioms,
     null_monoid_cat,
     parallel_pair_cat,
     partition_is_congruence,
@@ -310,3 +320,154 @@ def test_validate_category_raw_roundtrip():
     }
     cat = validate_category(raw)
     assert cat.morphisms[cat.mor_index["a"]].dom == cat.obj_index["A"]
+
+
+# -- the indexed core against its naive references -----------------------------
+
+AXIOM_SUITE = (
+    [category_from_poset(p) for ps in all_posets(4).values() for p in ps]
+    + small_category_suite()
+    + [cyclic_cat(n) for n in range(1, 7)]
+    + [left_zero_monoid_cat(3)]
+)
+
+
+def _check_outcome(check, cat, table):
+    try:
+        check(cat.objects, cat.morphisms, cat.identity, table)
+    except CategoryError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_valid_tables_accepted_by_both_checks():
+    for cat in AXIOM_SUITE:
+        assert _check_outcome(naive_check_axioms, cat, cat.table) is None
+        assert _check_outcome(FinCategory, cat, cat.table) is None
+
+
+def test_every_single_entry_corruption_matches_naive_oracle():
+    """Each entry deleted, or redirected to each other morphism, raises the
+    same exception class and message as the all-morphism scan."""
+    for cat in AXIOM_SUITE:
+        for key, value in cat.table.items():
+            for target in [None] + [r for r in range(len(cat.morphisms)) if r != value]:
+                table = dict(cat.table)
+                if target is None:
+                    del table[key]
+                else:
+                    table[key] = target
+                expected = _check_outcome(naive_check_axioms, cat, table)
+                assert _check_outcome(FinCategory, cat, table) == expected
+
+
+def test_every_two_arrow_monoid_table_matches_naive_oracle():
+    """All 81 ways to fill the products of a, b in {id, a, b}: some fail
+    associativity first on the last arrow, some are monoids."""
+    cat = category(["X"], [("a", "X", "X"), ("b", "X", "X")],
+                   [(g, f, "a") for g in "ab" for f in "ab"])
+    for values in itertools.product(range(3), repeat=4):
+        table = dict(cat.table)
+        table.update(zip([(1, 1), (1, 2), (2, 1), (2, 2)], values))
+        expected = _check_outcome(naive_check_axioms, cat, table)
+        assert _check_outcome(FinCategory, cat, table) == expected
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A suite category with two or three table entries deleted or redirected."""
+    cat = draw(st.sampled_from([c for c in AXIOM_SUITE if c.table]))
+    table = dict(cat.table)
+    keys = sorted(table)
+    for _ in range(draw(st.integers(2, 3))):
+        key = draw(st.sampled_from(keys))
+        target = draw(st.none() | st.integers(0, len(cat.morphisms) - 1))
+        if target is None:
+            table.pop(key, None)
+        else:
+            table[key] = target
+    return cat, table
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_tables())
+def test_axiom_check_matches_naive_oracle(case):
+    """With several faults, the first one reported is the naive scan's."""
+    cat, table = case
+    expected = _check_outcome(naive_check_axioms, cat, table)
+    assert _check_outcome(FinCategory, cat, table) == expected
+
+
+@st.composite
+def labelled_partitions(draw):
+    """A suite category and a partition of its morphisms into at most three
+    labels, kept within hom-sets half of the time so that congruences occur."""
+    cat = draw(st.sampled_from(AXIOM_SUITE))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(cat.morphisms),
+                           max_size=len(cat.morphisms)))
+    if draw(st.booleans()):
+        labels = [(m.dom, m.cod, k) for m, k in zip(cat.morphisms, labels)]
+    blocks: dict = {}
+    for i, k in enumerate(labels):
+        blocks.setdefault(k, []).append(i)
+    return cat, list(blocks.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_partitions())
+def test_is_congruence_matches_definition(case):
+    cat, blocks = case
+    parent = [0] * len(cat.morphisms)
+    for block in blocks:
+        for i in block:
+            parent[i] = min(block)
+    cong = Congruence.from_parent(parent)
+    assert is_congruence(cat, cong) == partition_is_congruence(cat, blocks)
+
+
+def test_monic_reflection_of_poset_is_the_shape_itself():
+    for ps in all_posets(5).values():
+        for p in ps:
+            cat = category_from_poset(p)
+            refl, proj = monic_reflection(cat)
+            assert refl is cat
+            assert proj.source is cat and proj.target is cat
+            assert proj.obj_map == tuple(range(len(cat.objects)))
+            assert proj.mor_map == tuple(range(len(cat.morphisms)))
+
+
+def test_monic_reflection_collapses_left_zero_monoid():
+    refl, proj = monic_reflection(left_zero_monoid_cat(3))
+    assert len(refl.morphisms) == 1
+    assert set(proj.mor_map) == {0}
+
+
+def test_parallel_pairs_match_double_loop():
+    for cat in AXIOM_SUITE:
+        ms = cat.morphisms
+        expected = [
+            (f, g)
+            for g in range(len(ms))
+            for f in range(g)
+            if (ms[f].dom, ms[f].cod) == (ms[g].dom, ms[g].cod)
+        ]
+        assert list(cat.parallel_pairs()) == expected
+
+
+def test_hom_and_is_monic_match_scans():
+    for cat in AXIOM_SUITE:
+        for x in range(len(cat.objects)):
+            for y in range(len(cat.objects)):
+                assert cat.hom(x, y) == tuple(
+                    i for i, m in enumerate(cat.morphisms) if (m.dom, m.cod) == (x, y)
+                )
+        ms = cat.morphisms
+        monic = all(
+            cat.compose(h, f) != cat.compose(h, g)
+            for g in range(len(ms))
+            for f in range(g)
+            if (ms[f].dom, ms[f].cod) == (ms[g].dom, ms[g].cod)
+            for h in range(len(ms))
+            if ms[h].dom == ms[f].cod
+        )
+        assert is_monic(cat) == monic
