@@ -11,6 +11,7 @@ to have no cocone.
 from .decide import CertificateEvidence, RefutationEvidence, Verdict, decide, explain
 from .diagram import (
     Cocone,
+    CoconeFreeDiagram,
     CoconeResult,
     Collision,
     ColimitResult,

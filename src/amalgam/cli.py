@@ -171,7 +171,8 @@ def cmd_gen(config: RunConfig) -> int:
         poset = gen.random_poset(size, rng)
     elif kind == "forest":
         poset = gen.random_forest(size, rng)
-        assert isinstance(is_forest_like(poset), ForestCertificate)
+        if not isinstance(is_forest_like(poset), ForestCertificate):
+            raise PosetError("gen forest drew a poset that is not forest-like")
     elif kind == "nonforest":
         poset = gen.random_nonforest(size, rng)
     else:

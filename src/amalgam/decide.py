@@ -17,7 +17,6 @@ from .diagram import (
     FinInjDiagram,
     ShapeAnalysis,
     analyze_shape,
-    has_cocone,
     witness_no_cocone,
 )
 from .fincat import FinCategory, connected_components
@@ -92,9 +91,6 @@ def decide(shape: FinCategory) -> Verdict:
         trace.append("verdict: amalgamable (certificate attached)")
     else:
         diagram = witness_no_cocone(shape, analysis)
-        answer = has_cocone(diagram)
-        if answer:
-            raise RuntimeError("witness verification failed")
         reason = "parallel-pair" if not analysis.preorder else "non-forest-poset"
         evidence = RefutationEvidence(
             analysis,
@@ -102,7 +98,7 @@ def decide(shape: FinCategory) -> Verdict:
             analysis.parallel_pair,
             analysis.forest if analysis.preorder else None,
             diagram,
-            answer.collision,
+            diagram.collision,
         )
         usc = False
         trace.append("verdict: not amalgamable (cocone-free diagram attached)")

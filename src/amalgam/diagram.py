@@ -371,6 +371,14 @@ def zigzag_action(diagram: FinInjDiagram, word: ZigzagWord) -> PartialInjection:
     return result
 
 
+class CoconeFreeDiagram(FinInjDiagram):
+    """A diagram with no cocone, with the colimit collision that shows it."""
+
+    def __init__(self, diagram: FinInjDiagram, collision: Collision):
+        super().__init__(diagram.shape, diagram.carriers, diagram.actions)
+        self.collision = collision
+
+
 @dataclass
 class ShapeAnalysis:
     """Everything the verdict pipeline learns about a shape."""
@@ -407,7 +415,7 @@ def analyze_shape(shape: FinCategory) -> ShapeAnalysis:
 
 def witness_no_cocone(
     shape: FinCategory, analysis: ShapeAnalysis | None = None
-) -> FinInjDiagram:
+) -> CoconeFreeDiagram:
     """Synthesize a diagram over the shape that has no cocone.
 
     Applicable exactly when the shape is not upward-simply-connected.  When
@@ -417,7 +425,8 @@ def witness_no_cocone(
     a non-forest witness (x, K): x carries one point sent to 0 over one piece
     of K's up-set and to 1 over the others, K and the rest of the up-set
     carry {0, 1} with identity actions, everything else is empty.  The output
-    is re-verified to be cocone-free before being returned.
+    is re-verified to be cocone-free before being returned, together with
+    the oracle's collision.
     """
     if analysis is None:
         analysis = analyze_shape(shape)
@@ -472,9 +481,10 @@ def witness_no_cocone(
                 actions.append({"0": "0", "1": "1"})
         witness = validate_diagram(shape, carriers, actions)
 
-    if has_cocone(witness):
+    answer = has_cocone(witness)
+    if answer:
         raise DiagramError("synthesized witness unexpectedly has a cocone")
-    return witness
+    return CoconeFreeDiagram(witness, answer.collision)
 
 
 def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:

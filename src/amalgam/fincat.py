@@ -534,23 +534,17 @@ def skeleton_poset(cat: FinCategory) -> tuple[FinPoset, tuple[int, ...]]:
     """
     if not is_preorder(cat):
         raise NotAPreorder("category has parallel morphisms")
-    n = len(cat.objects)
-    reach = [[False] * n for _ in range(n)]
-    for m in cat.morphisms:
-        reach[m.dom][m.cod] = True
-    classes: list[list[int]] = []
-    class_of = [-1] * n
-    for x in range(n):
+    class_of = [-1] * len(cat.objects)
+    elements: list[str] = []
+    for x in range(len(cat.objects)):
         if class_of[x] >= 0:
             continue
-        members = [
-            y for y in range(n) if reach[x][y] and reach[y][x]
-        ]
-        for y in members:
-            class_of[y] = len(classes)
-        classes.append(members)
-    elements = [cat.objects[min(cl)] for cl in classes]
-    pairs = [
-        (class_of[m.dom], class_of[m.cod]) for m in cat.morphisms
-    ]
-    return FinPoset(elements, pairs), tuple(class_of)
+        for i in cat.hom_out[x]:
+            y = cat.morphisms[i].cod
+            if (y, x) in cat.hom_sets:
+                class_of[y] = len(elements)
+        elements.append(cat.objects[x])
+    up = [0] * len(elements)
+    for m in cat.morphisms:
+        up[class_of[m.dom]] |= 1 << class_of[m.cod]
+    return FinPoset(elements, up_masks=up), tuple(class_of)

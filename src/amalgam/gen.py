@@ -7,19 +7,15 @@ from itertools import permutations
 
 from .diagram import FinInjDiagram, ZigzagWord, validate_diagram
 from .fincat import FinCategory, category_from_poset
-from .poset import FinPoset, ForestCertificate, is_forest_like, upward_closure
+from .poset import FinPoset, ForestCertificate, closed_masks, is_forest_like
 
 
-def _canonical(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical form of a poset given as up-set bitmasks, via iterated
+def _canonical(poset: FinPoset) -> tuple[int, ...]:
+    """Canonical form of a poset as up-set bitmasks, via iterated
     degree-refinement and minimization over class-preserving relabelings."""
+    up, down = poset.up_masks, poset.down_masks
     n = len(up)
-    if n == 0:
-        return ()
-    down = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
-    inv = [
-        (bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)
-    ]
+    inv = [(bin(u).count("1"), bin(d).count("1")) for u, d in zip(up, down)]
     for _ in range(n):
         refined = []
         for i in range(n):
@@ -63,48 +59,28 @@ def _class_perms(classes):
             yield [list(perm)] + rest
 
 
-def _poset_from_upmasks(up: tuple[int, ...]) -> FinPoset:
-    n = len(up)
-    pairs = [(a, b) for a in range(n) for b in range(n) if up[a] >> b & 1]
-    return FinPoset([f"e{i}" for i in range(n)], pairs)
-
-
-def _ideals(up: tuple[int, ...]) -> list[int]:
-    """Down-closed subsets as bitmasks."""
-    n = len(up)
-    down = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
-    out = []
-    for mask in range(1 << n):
-        if all(down[i] & ~mask == 0 for i in range(n) if mask >> i & 1):
-            out.append(mask)
-    return out
-
-
 def all_posets(max_size: int) -> dict[int, list[FinPoset]]:
     """All posets with at most max_size elements, one per isomorphism class.
 
     Built by repeatedly adjoining a maximal element above each order ideal
     and deduplicating by canonical form.
     """
-    by_size: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    by_size: dict[int, list[FinPoset]] = {0: [FinPoset([], [])]}
     for n in range(1, max_size + 1):
+        names = [f"e{i}" for i in range(n)]
+        top = 1 << (n - 1)
         seen: set[tuple[int, ...]] = set()
-        fresh: list[tuple[int, ...]] = []
-        for up in by_size[n - 1]:
-            for ideal in _ideals(up):
-                new_up = tuple(
-                    up[i] | ((1 << (n - 1)) if ideal >> i & 1 else 0)
-                    for i in range(n - 1)
-                ) + (1 << (n - 1),)
-                canon = _canonical(new_up)
+        fresh: list[FinPoset] = []
+        for poset in by_size[n - 1]:
+            for ideal in closed_masks(poset.down_masks):
+                up = [mask | top * (ideal >> i & 1) for i, mask in enumerate(poset.up_masks)]
+                candidate = FinPoset(names, up_masks=up + [top])
+                canon = _canonical(candidate)
                 if canon not in seen:
                     seen.add(canon)
-                    fresh.append(new_up)
+                    fresh.append(candidate)
         by_size[n] = fresh
-    return {
-        n: [_poset_from_upmasks(up) for up in ups]
-        for n, ups in by_size.items()
-    }
+    return by_size
 
 
 def random_poset(size: int, rng: random.Random, density: float = 0.35) -> FinPoset:
@@ -197,9 +173,8 @@ def random_diagram_over_poset(
     subset: list[set[str]] = [set() for _ in range(n)]
     counter = 0
     for b in sorted(range(n), key=lambda e: len(poset.down(e))):
-        for a in range(n):
-            if a != b and poset.leq(a, b):
-                subset[b] |= subset[a]
+        for a in poset.down(b):
+            subset[b] |= subset[a]
         for _ in range(rng.randint(0, max_extra)):
             subset[b].add(f"u{counter}")
             counter += 1
@@ -252,10 +227,3 @@ def random_endo_word(
     if at != source:
         steps.extend((i, not forward) for i, forward in reversed(steps))
     return ZigzagWord(source, tuple(steps))
-
-
-def random_upward_closed(
-    poset: FinPoset, rng: random.Random
-) -> frozenset[int]:
-    seeds = [e for e in range(len(poset)) if rng.random() < 0.5]
-    return upward_closure(poset, seeds)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
 
 from . import groups
 
@@ -25,62 +26,107 @@ class NotAPartialOrder(PosetError):
     pass
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending, read off its binary digits."""
+    return compress(count(), map("1".__eq__, bin(mask)[:1:-1]))
+
+
+def _mask(subset) -> int:
+    mask = 0
+    for i in subset:
+        mask |= 1 << i
+    return mask
+
+
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(_bits(mask))
+
+
+def closed_masks(masks) -> list[int]:
+    """Every subset, as an increasing bitmask, that contains ``masks[i]`` with
+    each of its members i: up-sets give upward-closed sets, down-sets ideals."""
+    return [s for s in range(1 << len(masks)) if not any(masks[i] & ~s for i in _bits(s))]
+
+
 class FinPoset:
     """Finite partial order over indexed, named elements.
 
-    The relation is stored as up-sets (``up[i]`` contains ``i``).
-    Reflexivity, antisymmetry and transitivity are validated on
-    construction.
+    The relation is stored as int bitmasks: bit j of ``up_masks[i]`` is set
+    when i <= j, and bit j of ``down_masks[i]`` when j <= i.  Reflexivity,
+    antisymmetry and transitivity are validated on construction.
     """
 
-    def __init__(self, elements, pairs):
-        """Build from the complete list of related pairs (reflexive pairs optional)."""
+    def __init__(self, elements, pairs=(), *, up_masks=None):
+        """Build from the complete list of related pairs (reflexive pairs
+        optional), added to the up-set bitmasks ``up_masks`` when given."""
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
             raise NotAPartialOrder("element names must be distinct")
         n = len(self.elements)
-        up = [set() for _ in range(n)]
+        up = [0] * n if up_masks is None else list(up_masks)
+        if len(up) != n or not all(0 <= mask < 1 << n for mask in up):
+            raise NotAPartialOrder("one up-set mask within range per element required")
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise NotAPartialOrder(f"pair ({a}, {b}) out of range")
-            up[a].add(b)
+            up[a] |= 1 << b
         for i in range(n):
-            up[i].add(i)
+            up[i] |= 1 << i
+        down = [0] * n
         for a in range(n):
-            for b in up[a]:
-                if a != b and a in up[b]:
-                    raise NotAPartialOrder(
-                        f"antisymmetry fails on {self.elements[a]}, {self.elements[b]}"
-                    )
-                for c in up[b]:
-                    if c not in up[a]:
-                        raise NotAPartialOrder(
-                            "transitivity fails on "
-                            f"{self.elements[a]} <= {self.elements[b]} <= {self.elements[c]}"
-                        )
-        self._up = tuple(frozenset(s) for s in up)
+            bit, reach = 1 << a, 0
+            for b in _bits(up[a]):
+                down[b] |= bit
+                reach |= up[b]
+            extra = reach & ~up[a]
+            if extra:
+                b = next(b for b in _bits(up[a]) if up[b] & extra)
+                c = next(_bits(up[b] & extra))
+                raise NotAPartialOrder(
+                    "transitivity fails on "
+                    f"{self.elements[a]} <= {self.elements[b]} <= {self.elements[c]}"
+                )
+        for a in range(n):
+            twins = up[a] & down[a] & ~(1 << a)
+            if twins:
+                b = next(_bits(twins))
+                raise NotAPartialOrder(
+                    f"antisymmetry fails on {self.elements[a]}, {self.elements[b]}"
+                )
+        self.up_masks = tuple(up)
+        self.down_masks = tuple(down)
 
     @classmethod
     def from_covers(cls, elements, covers) -> "FinPoset":
-        """Build from Hasse-style edges; the reflexive-transitive closure is taken."""
+        """Build from Hasse-style edges; the reflexive-transitive closure is
+        taken in depth-first post-order, on an explicit stack."""
         elements = tuple(elements)
         n = len(elements)
-        up = [set([i]) for i in range(n)]
+        succ = [0] * n
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise NotAPartialOrder(f"cover ({a}, {b}) out of range")
-            up[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for a in range(n):
-                extra = set()
-                for b in up[a]:
-                    extra |= up[b]
-                if not extra <= up[a]:
-                    up[a] |= extra
-                    changed = True
-        return cls(elements, [(a, b) for a in range(n) for b in up[a]])
+            if a != b:
+                succ[a] |= 1 << b
+        up = [0] * n  # 0 until the element's closure is complete
+        started = 0
+        for root in range(n):
+            stack = [root]
+            while stack:
+                a = stack.pop()
+                if not started >> a & 1:
+                    started |= 1 << a
+                    stack.append(a)
+                    stack.extend(_bits(succ[a] & ~started))
+                elif not up[a]:
+                    up[a] = 1 << a
+                    for b in _bits(succ[a]):
+                        if not up[b]:  # b is still open, so it reaches a: a cycle
+                            raise NotAPartialOrder(
+                                f"antisymmetry fails on {elements[b]}, {elements[a]}"
+                            )
+                        up[a] |= up[b]
+        return cls(elements, up_masks=up)
 
     def __len__(self):
         return len(self.elements)
@@ -88,105 +134,99 @@ class FinPoset:
     def __eq__(self, other):
         if not isinstance(other, FinPoset):
             return NotImplemented
-        return self.elements == other.elements and self._up == other._up
+        return self.elements == other.elements and self.up_masks == other.up_masks
 
     def __repr__(self):
-        rel = sorted(
-            (self.elements[a], self.elements[b])
-            for a in range(len(self))
-            for b in self._up[a]
-            if a != b
-        )
+        names = self.elements
+        rel = sorted((names[a], names[b]) for a, b in self.relation_pairs() if a != b)
         return f"FinPoset({list(self.elements)}, {rel})"
 
     def leq(self, a: int, b: int) -> bool:
-        return b in self._up[a]
+        return bool(self.up_masks[a] >> b & 1)
 
     def up(self, a: int) -> frozenset[int]:
-        return self._up[a]
+        return _members(self.up_masks[a])
 
     def down(self, a: int) -> frozenset[int]:
-        return frozenset(b for b in range(len(self)) if a in self._up[b])
+        return _members(self.down_masks[a])
 
     def comparable(self, a: int, b: int) -> bool:
-        return b in self._up[a] or a in self._up[b]
+        return bool((self.up_masks[a] | self.down_masks[a]) >> b & 1)
 
     def relation_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (a, b) for a in range(len(self)) for b in self._up[a]
-        )
+        return frozenset((a, b) for a, mask in enumerate(self.up_masks) for b in _bits(mask))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Hasse edges: a < b with nothing strictly between."""
-        covers = []
-        for a in range(len(self)):
-            for b in self._up[a]:
-                if a == b:
-                    continue
-                if not any(
-                    c != a and c != b and c in self._up[a] and b in self._up[c]
-                    for c in range(len(self))
-                ):
-                    covers.append((a, b))
-        return covers
+        """Hasse edges: a < b with nothing strictly between, in increasing order."""
+        return [
+            (a, b)
+            for a in range(len(self))
+            for b in self.minimal(_bits(self.up_masks[a] & ~(1 << a)))
+        ]
 
     def minimal(self, subset=None) -> list[int]:
-        region = set(range(len(self))) if subset is None else set(subset)
-        return sorted(
-            a for a in region
-            if not any(b != a and a in self._up[b] for b in region)
-        )
+        region = (1 << len(self)) - 1 if subset is None else _mask(subset)
+        return [a for a in _bits(region) if self.down_masks[a] & region == 1 << a]
 
     def restrict(self, subset) -> tuple["FinPoset", dict[int, int]]:
         """Induced subposet on the given elements; returns it with the old->new index map."""
         old = sorted(set(subset))
         index = {o: i for i, o in enumerate(old)}
-        pairs = [
-            (index[a], index[b])
-            for a in old
-            for b in self._up[a]
-            if b in index
-        ]
-        return FinPoset([self.elements[o] for o in old], pairs), index
+        region = _mask(old)
+        up = [_mask(index[b] for b in _bits(self.up_masks[o] & region)) for o in old]
+        return FinPoset([self.elements[o] for o in old], up_masks=up), index
 
     def upward_closed_subsets(self) -> list[frozenset[int]]:
         """All upward-closed subsets, smallest first (exponential; small posets only)."""
-        n = len(self)
-        out = []
-        for mask in range(1 << n):
-            members = {i for i in range(n) if mask >> i & 1}
-            if all(self._up[i] <= members for i in members):
-                out.append(frozenset(members))
+        out = [_members(s) for s in closed_masks(self.up_masks)]
         return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def upward_closure(poset: FinPoset, subset) -> frozenset[int]:
     """Everything lying above some member of the subset (members included)."""
-    out: set[int] = set()
+    out = 0
     for a in subset:
-        out |= poset.up(a)
-    return frozenset(out)
+        out |= poset.up_masks[a]
+    return _members(out)
+
+
+def _component_masks(poset: FinPoset, region: int) -> list[int]:
+    """Comparability components of the region, ordered by least element."""
+    up, down = poset.up_masks, poset.down_masks
+    parts = []
+    while region:
+        comp = frontier = region & -region
+        while frontier and comp != region:
+            reach = 0
+            for a in _bits(frontier):
+                reach |= up[a] | down[a]
+            frontier = reach & region & ~comp
+            comp |= frontier
+        parts.append(comp)
+        region &= ~comp
+    return parts
 
 
 def components(poset: FinPoset, subset) -> tuple[frozenset[int], ...]:
     """Connected components of the comparability graph induced on the subset."""
-    region = set(subset)
-    seen: set[int] = set()
-    parts = []
-    for start in sorted(region):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b in sorted(region - comp):
-                if poset.comparable(a, b):
-                    comp.add(b)
-                    queue.append(b)
-        seen |= comp
-        parts.append(frozenset(comp))
-    return tuple(parts)
+    return tuple(_members(c) for c in _component_masks(poset, _mask(subset)))
+
+
+def _bfs_parents(poset: FinPoset, region: int, root: int) -> dict[int, int]:
+    """Breadth-first comparability tree inside region, neighbours in increasing
+    order: each reached element -> its parent (the root -> itself)."""
+    up, down = poset.up_masks, poset.down_masks
+    parent = {root: root}
+    seen = 1 << root
+    queue = deque([root])
+    while queue:
+        a = queue.popleft()
+        fresh = (up[a] | down[a]) & region & ~seen
+        seen |= fresh
+        for b in _bits(fresh):
+            parent[b] = a
+            queue.append(b)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -198,9 +238,12 @@ class DecompositionNode:
     upsets: tuple[frozenset[int], ...]
 
     def elements(self) -> frozenset[int]:
-        out = {self.point}
-        for child in self.children:
-            out |= child.elements()
+        out = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.add(node.point)
+            stack.extend(node.children)
         return frozenset(out)
 
 
@@ -236,21 +279,12 @@ class NonForestWitness:
     region: frozenset[int]
 
 
-def _zigzag_path(poset: FinPoset, region: frozenset[int], u: int, v: int) -> tuple[int, ...]:
+def _zigzag_path(poset: FinPoset, region: int, u: int, v: int) -> tuple[int, ...]:
     """Shortest comparability path u..v inside region, compressed to alternate."""
-    prev: dict[int, int] = {u: u}
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        if a == v:
-            break
-        for b in sorted(region):
-            if b not in prev and poset.comparable(a, b):
-                prev[b] = a
-                queue.append(b)
+    parent = _bfs_parents(poset, region, u)
     path = [v]
     while path[-1] != u:
-        path.append(prev[path[-1]])
+        path.append(parent[path[-1]])
     path.reverse()
     # merge consecutive steps in the same direction (transitivity)
     out = [path[0]]
@@ -265,37 +299,49 @@ def _zigzag_path(poset: FinPoset, region: frozenset[int], u: int, v: int) -> tup
     return tuple(out)
 
 
-def _decompose(poset: FinPoset, region: frozenset[int]):
-    """Recursive tree test on a connected region: node or witness."""
-    x = min(poset.minimal(region))
-    rest = region - {x}
-    parts = components(poset, rest)
-    up_x = poset.up(x) & region
-    children = []
-    upsets = []
-    for part in parts:
+def _decompose(poset: FinPoset, region: int):
+    """Tree test on a connected region: node or witness.
+
+    Frames [x, up-set of x, parts of the region minus x, children, up-sets]
+    sit on an explicit stack; each part's up-set is checked just before its
+    subtree is walked, the order of a recursive descent.
+    """
+    up, down = poset.up_masks, poset.down_masks
+
+    def frame(region: int) -> list:
+        x = next(a for a in _bits(region) if down[a] & region == 1 << a)
+        return [x, up[x] & region, _component_masks(poset, region & ~(1 << x)), [], []]
+
+    stack = [frame(region)]
+    while True:
+        x, up_x, parts, children, upsets = stack[-1]
+        if len(children) == len(parts):
+            stack.pop()
+            node = DecompositionNode(
+                x, tuple(children), tuple(_members(u) for u in upsets)
+            )
+            if not stack:
+                return node
+            stack[-1][3].append(node)
+            continue
+        part = parts[len(children)]
         upset = part & up_x
-        upset_parts = components(poset, upset)
+        upset_parts = _component_masks(poset, upset)
         # a component of a connected region always meets the up-set of its minimum
-        assert upset_parts, (region, x, part)
+        assert upset_parts, (x, part)
         if len(upset_parts) != 1:
-            u = min(upset_parts[0])
-            v = min(upset_parts[1])
+            u, v = (next(_bits(piece)) for piece in upset_parts[:2])
             return NonForestWitness(
                 x=x,
-                component=part,
-                upset_components=upset_parts,
+                component=_members(part),
+                upset_components=tuple(_members(p) for p in upset_parts),
                 u=u,
                 v=v,
                 zigzag=_zigzag_path(poset, part, u, v),
-                region=frozenset({x} | part | up_x),
+                region=_members(1 << x | part | up_x),
             )
-        result = _decompose(poset, part)
-        if isinstance(result, NonForestWitness):
-            return result
-        children.append(result)
         upsets.append(upset)
-    return DecompositionNode(x, tuple(children), tuple(upsets))
+        stack.append(frame(part))
 
 
 def is_forest_like(poset: FinPoset):
@@ -306,7 +352,7 @@ def is_forest_like(poset: FinPoset):
     meet every remaining component in one connected piece.
     """
     roots = []
-    for part in components(poset, range(len(poset))):
+    for part in _component_masks(poset, (1 << len(poset)) - 1):
         result = _decompose(poset, part)
         if isinstance(result, NonForestWitness):
             return result
@@ -315,29 +361,26 @@ def is_forest_like(poset: FinPoset):
 
 
 def replay_certificate(cert: ForestCertificate) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
-    """Rebuild (elements, relation pairs) by replaying the decomposition rule."""
+    """Rebuild (elements, relation pairs) by replaying the decomposition rule.
 
-    def replay(node: DecompositionNode):
-        elems = {node.point}
-        pairs = {(node.point, node.point)}
-        below: set[int] = set()
-        for child, upset in zip(node.children, node.upsets):
-            celems, cpairs = replay(child)
-            elems |= celems
-            pairs |= cpairs
-            below |= upset
-        for b in below:
-            pairs.add((node.point, b))
-        return frozenset(elems), frozenset(pairs)
-
+    Each node's point lies below itself and below every element of its
+    up-sets; a child is replayed only when it is paired with an up-set.
+    """
     elems: set[int] = set()
     pairs: set[tuple[int, int]] = set()
     for root in cert.roots:
-        relems, rpairs = replay(root)
+        relems = set()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            relems.add(node.point)
+            pairs.add((node.point, node.point))
+            for child, upset in zip(node.children, node.upsets):
+                pairs.update((node.point, b) for b in upset)
+                stack.append(child)
         if elems & relems:
             raise PosetError("certificate components overlap")
         elems |= relems
-        pairs |= rpairs
     return frozenset(elems), frozenset(pairs)
 
 
@@ -351,8 +394,11 @@ def verify_certificate(poset: FinPoset, cert: ForestCertificate) -> bool:
         return False
     if pairs != poset.relation_pairs():
         return False
-
-    def nodes_ok(node: DecompositionNode) -> bool:
+    stack = list(cert.roots)
+    while stack:
+        node = stack.pop()
+        if len(node.children) != len(node.upsets):
+            return False
         for child, upset in zip(node.children, node.upsets):
             celems = child.elements()
             if not upset or not upset <= celems:
@@ -361,11 +407,8 @@ def verify_certificate(poset: FinPoset, cert: ForestCertificate) -> bool:
                 return False
             if upward_closure(poset, upset) & celems != upset:
                 return False
-            if not nodes_ok(child):
-                return False
-        return len(node.children) == len(node.upsets)
-
-    return all(nodes_ok(root) for root in cert.roots)
+            stack.append(child)
+    return True
 
 
 def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:
@@ -403,36 +446,22 @@ def _component_presentation(poset: FinPoset, comp: list[int]):
     one per chain of three.  Returns (generator count, relator words) with a
     word encoding generator g forward as 2g and backward as 2g+1.
     """
-    edges = []
-    for i, a in enumerate(comp):
-        for b in comp[i + 1:]:
-            if poset.leq(a, b):
-                edges.append((a, b))
-            elif poset.leq(b, a):
-                edges.append((b, a))
-    edges.sort()
+    region = _mask(comp)
+    above = {a: poset.up_masks[a] & region & ~(1 << a) for a in comp}
+    edges = [(a, b) for a in comp for b in _bits(above[a])]
     index = {e: k for k, e in enumerate(edges)}
-
-    tree_edges = set()
-    seen = {comp[0]}
-    queue = deque([comp[0]])
-    while queue:
-        a = queue.popleft()
-        for b in sorted(comp):
-            if b not in seen and poset.comparable(a, b):
-                seen.add(b)
-                tree_edges.add((a, b) if poset.leq(a, b) else (b, a))
-                queue.append(b)
-
-    relators = [(2 * index[e],) for e in sorted(tree_edges)]
+    tree_edges = sorted(
+        (a, b) if poset.leq(a, b) else (b, a)
+        for b, a in _bfs_parents(poset, region, comp[0]).items()
+        if a != b
+    )
+    relators = [(2 * index[e],) for e in tree_edges]
     for a in comp:
-        for b in comp:
-            if a != b and poset.leq(a, b):
-                for c in comp:
-                    if b != c and a != c and poset.leq(b, c):
-                        relators.append(
-                            (2 * index[(a, b)], 2 * index[(b, c)], 2 * index[(a, c)] + 1)
-                        )
+        for b in _bits(above[a]):
+            for c in _bits(above[b]):
+                relators.append(
+                    (2 * index[(a, b)], 2 * index[(b, c)], 2 * index[(a, c)] + 1)
+                )
     return len(edges), relators
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from amalgam import category, category_from_poset
@@ -23,8 +24,10 @@ from amalgam.fincat import (
 )
 from amalgam.pinj import PartialInjection
 from amalgam.poset import (
+    DecompositionNode,
     FinPoset,
     ForestCertificate,
+    NonForestWitness,
     PosetError,
     components,
     verify_certificate,
@@ -344,6 +347,79 @@ def brute_force_tree_like(poset: FinPoset, bound: int = 8) -> bool:
         return answer
 
     return tree(frozenset(range(n)))
+
+
+def recursive_forest_like(poset: FinPoset):
+    """The forest decomposition as a recursive descent over frozensets, with
+    components found by scanning ``leq``: the reference that ``is_forest_like``
+    must reproduce node for node and witness for witness (small posets only).
+    """
+
+    def comparable(a: int, b: int) -> bool:
+        return poset.leq(a, b) or poset.leq(b, a)
+
+    def parts(region) -> tuple[frozenset[int], ...]:
+        out, left = [], sorted(region)
+        while left:
+            comp, queue = {left[0]}, deque([left[0]])
+            while queue:
+                a = queue.popleft()
+                for b in left:
+                    if b not in comp and comparable(a, b):
+                        comp.add(b)
+                        queue.append(b)
+            out.append(frozenset(comp))
+            left = [b for b in left if b not in comp]
+        return tuple(out)
+
+    def zigzag(region, u: int, v: int) -> tuple[int, ...]:
+        prev, queue = {u: u}, deque([u])
+        while queue:
+            a = queue.popleft()
+            for b in sorted(region):
+                if b not in prev and comparable(a, b):
+                    prev[b] = a
+                    queue.append(b)
+        path = [v]
+        while path[-1] != u:
+            path.append(prev[path[-1]])
+        path.reverse()
+        out, directions = [path[0]], []
+        for b in path[1:]:
+            direction = poset.leq(out[-1], b)
+            if directions and directions[-1] == direction:
+                out[-1] = b
+            else:
+                out.append(b)
+                directions.append(direction)
+        return tuple(out)
+
+    def decompose(region: frozenset[int]):
+        x = min(a for a in region if not any(b != a and poset.leq(b, a) for b in region))
+        up_x = frozenset(b for b in region if poset.leq(x, b))
+        children, upsets = [], []
+        for part in parts(region - {x}):
+            upset = part & up_x
+            pieces = parts(upset)
+            if len(pieces) != 1:
+                u, v = min(pieces[0]), min(pieces[1])
+                return NonForestWitness(
+                    x, part, pieces, u, v, zigzag(part, u, v), frozenset({x}) | part | up_x
+                )
+            result = decompose(part)
+            if isinstance(result, NonForestWitness):
+                return result
+            children.append(result)
+            upsets.append(upset)
+        return DecompositionNode(x, tuple(children), tuple(upsets))
+
+    roots = []
+    for part in parts(range(len(poset))):
+        result = decompose(part)
+        if isinstance(result, NonForestWitness):
+            return result
+        roots.append(result)
+    return ForestCertificate(tuple(roots))
 
 
 class CertificateMismatch(DiagramError):

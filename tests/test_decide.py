@@ -1,8 +1,9 @@
+from amalgam import diagram
 from amalgam.decide import CertificateEvidence, RefutationEvidence, decide, explain
 from amalgam.diagram import has_cocone
 from amalgam.fincat import category, category_from_poset
 from amalgam.poset import verify_certificate
-from conftest import boat_poset, bowtie_cat, parallel_pair_cat, span_poset
+from conftest import boat_poset, bowtie_cat, cyclic_cat, parallel_pair_cat, span_poset
 
 
 def test_decide_bowtie():
@@ -92,3 +93,22 @@ def test_explain_empty_convention():
     text = explain(decide(category([])))
     assert "empty" in text
     assert "joint embedding" in text
+
+
+def test_refutation_computes_one_colimit(monkeypatch):
+    """The witness is checked by the oracle once, and decide reuses that
+    check's collision."""
+    calls = []
+    colimit_set = diagram.colimit_set
+
+    def counted(d):
+        calls.append(d)
+        return colimit_set(d)
+
+    monkeypatch.setattr(diagram, "colimit_set", counted)
+    for shape in (bowtie_cat(), parallel_pair_cat(), cyclic_cat(4)):
+        calls.clear()
+        v = decide(shape)
+        assert isinstance(v.evidence, RefutationEvidence)
+        assert len(calls) == 1
+        assert v.evidence.collision == colimit_set(v.evidence.diagram).collision

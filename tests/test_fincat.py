@@ -29,6 +29,7 @@ from amalgam.fincat import (
     validate_category,
 )
 from amalgam.gen import all_posets
+from amalgam.poset import FinPoset
 from conftest import (
     bowtie_cat,
     collapsing_pair_cat,
@@ -471,3 +472,29 @@ def test_hom_and_is_monic_match_scans():
             if ms[h].dom == ms[f].cod
         )
         assert is_monic(cat) == monic
+
+
+def _reference_skeleton(cat):
+    """Skeleton from the reachability relation, class by least object."""
+    reach = {(m.dom, m.cod) for m in cat.morphisms}
+    reps, class_of = [], []
+    for x in range(len(cat.objects)):
+        rep = next(r for r in range(x + 1) if (r, x) in reach and (x, r) in reach)
+        if rep == x:
+            reps.append(x)
+        class_of.append(reps.index(rep))
+    pairs = {(class_of[a], class_of[b]) for a, b in reach}
+    return FinPoset([cat.objects[r] for r in reps], pairs), tuple(class_of)
+
+
+def test_skeleton_poset_matches_reachability_reference():
+    loop = category(
+        ["X", "Y", "Z"],
+        [("s", "X", "Y"), ("t", "Y", "X"), ("u", "Y", "Z"), ("v", "X", "Z")],
+        [("t", "s", "id_X"), ("s", "t", "id_Y"), ("u", "s", "v"), ("v", "t", "u")],
+    )
+    cats = AXIOM_SUITE + [monic_reflection(c)[0] for c in AXIOM_SUITE] + [loop]
+    preorders = [c for c in cats if is_preorder(c)]
+    assert len(preorders) > 30
+    for cat in preorders:
+        assert skeleton_poset(cat) == _reference_skeleton(cat)

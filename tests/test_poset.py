@@ -1,6 +1,14 @@
-import pytest
+import random
+import sys
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amalgam.gen import all_posets
 from amalgam.poset import (
+    DecompositionNode,
     FinPoset,
     ForestCertificate,
     NonForestWitness,
@@ -19,6 +27,7 @@ from conftest import (
     bowtie_poset,
     brute_force_tree_like,
     crown_poset,
+    recursive_forest_like,
     span_poset,
 )
 
@@ -192,3 +201,197 @@ def test_upward_closed_subsets_of_span():
     assert frozenset({top_p}) not in subs  # p is below a and b
     assert frozenset({top_p, a, b}) in subs
     assert len(subs) == 5
+
+
+def test_mask_constructor_validates():
+    FinPoset(["a", "b"], up_masks=[0b10, 0])
+    with pytest.raises(NotAPartialOrder):
+        FinPoset(["a", "b"], up_masks=[0b10])  # one mask per element
+    with pytest.raises(NotAPartialOrder):
+        FinPoset(["a", "b"], up_masks=[0b100, 0])  # bit beyond the last element
+    with pytest.raises(NotAPartialOrder):
+        FinPoset(["a", "b"], up_masks=[0b10, 0b01])  # antisymmetry
+    with pytest.raises(NotAPartialOrder):
+        FinPoset(["a", "b", "c"], up_masks=[0b010, 0b100, 0])  # transitivity
+
+
+def test_from_covers_rejects_cycles_and_keeps_loops():
+    with pytest.raises(NotAPartialOrder):
+        FinPoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(NotAPartialOrder):
+        FinPoset.from_covers(["a", "b"], [(0, 2)])
+    assert FinPoset.from_covers(["a", "b"], [(0, 0), (0, 1)]) == FinPoset(["a", "b"], [(0, 1)])
+
+
+def _closure(n, covers):
+    rel = {(i, i) for i in range(n)} | set(covers)
+    while True:
+        more = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+        if not more:
+            return rel
+        rel |= more
+
+
+def _reference_components(n, rel, subset):
+    parts = []
+    left = sorted(subset)
+    while left:
+        comp, frontier = {left[0]}, [left[0]]
+        while frontier:
+            a = frontier.pop()
+            for b in left:
+                if b not in comp and ((a, b) in rel or (b, a) in rel):
+                    comp.add(b)
+                    frontier.append(b)
+        parts.append(frozenset(comp))
+        left = [b for b in left if b not in comp]
+    return tuple(parts)
+
+
+def check_against_pairs(p, rel, subset):
+    """Every mask-backed query agrees with its definition over the pair set."""
+    n = len(p)
+    assert p.relation_pairs() == rel
+    covers = sorted(
+        (a, b) for a, b in rel
+        if a != b and not any(c not in (a, b) and (a, c) in rel and (c, b) in rel for c in range(n))
+    )
+    assert p.cover_pairs() == covers
+    for a in range(n):
+        assert p.up(a) == {b for b in range(n) if (a, b) in rel}
+        assert p.down(a) == {b for b in range(n) if (b, a) in rel}
+        for b in range(n):
+            assert p.leq(a, b) == ((a, b) in rel)
+            assert p.comparable(a, b) == ((a, b) in rel or (b, a) in rel)
+    assert p.minimal(subset) == sorted(
+        a for a in subset if not any(b != a and (b, a) in rel for b in subset)
+    )
+    assert p.minimal() == p.minimal(range(n))
+    assert components(p, subset) == _reference_components(n, rel, subset)
+    assert upward_closure(p, subset) == {b for a in subset for b in range(n) if (a, b) in rel}
+    if n <= 8:
+        closed = [
+            frozenset(s)
+            for k in range(n + 1)
+            for s in combinations(range(n), k)
+            if all((a, b) not in rel or b in s for a in s for b in range(n))
+        ]
+        assert p.upward_closed_subsets() == sorted(closed, key=lambda s: (len(s), sorted(s)))
+
+
+@st.composite
+def dags(draw, max_size=12):
+    """(poset, covers, subset): a random DAG whose index order is shuffled."""
+    n = draw(st.integers(0, max_size))
+    order = draw(st.permutations(range(n)))
+    edges = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3 * n))
+    covers = [(order[a], order[b]) for a, b in edges if a < b < n]
+    subset = draw(st.frozensets(st.integers(0, n - 1), max_size=n)) if n else frozenset()
+    return FinPoset.from_covers([f"e{i}" for i in range(n)], covers), covers, subset
+
+
+@settings(max_examples=150, deadline=None)
+@given(dags())
+def test_mask_queries_match_the_pair_set(case):
+    p, covers, subset = case
+    check_against_pairs(p, _closure(len(p), covers), subset)
+    assert FinPoset(p.elements, p.relation_pairs()) == p
+    assert is_forest_like(p) == recursive_forest_like(p)
+
+
+def test_decomposition_matches_the_recursive_reference_on_all_posets_of_six():
+    for posets in all_posets(6).values():
+        for p in posets:
+            assert is_forest_like(p) == recursive_forest_like(p), p
+
+
+def _forged_bowtie():
+    """A certificate for the bowtie p, q < a, b that replays its relation
+    exactly, though the up-set {a, b} below p is disconnected."""
+    p = FinPoset.from_covers(["p", "q", "a", "b"], [(0, 2), (0, 3), (1, 2), (1, 3)])
+    leaf_a, leaf_b = DecompositionNode(2, (), ()), DecompositionNode(3, (), ())
+    q = DecompositionNode(1, (leaf_a, leaf_b), (frozenset({2}), frozenset({3})))
+    return p, DecompositionNode(0, (q,), (frozenset({2, 3}),))
+
+
+def test_forged_certificates_are_rejected():
+    bowtie, root = _forged_bowtie()
+    cert = ForestCertificate((root,))
+    assert replay_certificate(cert)[1] == bowtie.relation_pairs()
+    assert not verify_certificate(bowtie, cert)
+    # the same forgery one level down, below a new least element r
+    cone = FinPoset.from_covers(["r", "p", "q", "a", "b"], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    shift = {0: 1, 1: 2, 2: 3, 3: 4}
+
+    def moved(node):
+        return DecompositionNode(
+            shift[node.point],
+            tuple(moved(c) for c in node.children),
+            tuple(frozenset(shift[e] for e in u) for u in node.upsets),
+        )
+
+    cert = ForestCertificate((DecompositionNode(0, (moved(root),), (frozenset({1, 2, 3, 4}),)),))
+    assert replay_certificate(cert)[1] == cone.relation_pairs()
+    assert not verify_certificate(cone, cert)
+    # subtrees sharing c: the up-set {b} of the first is not upward-closed in {b, c}
+    chain3 = chain(3)
+    leaf_c = DecompositionNode(2, (), ())
+    b = DecompositionNode(1, (leaf_c,), (frozenset({2}),))
+    cert = ForestCertificate((DecompositionNode(0, (b, leaf_c), (frozenset({1}), frozenset({2}))),))
+    assert replay_certificate(cert) == (frozenset(range(3)), chain3.relation_pairs())
+    assert not verify_certificate(chain3, cert)
+
+
+def test_mask_queries_match_the_pair_set_on_all_posets_of_five():
+    rng = random.Random(5)
+    for posets in all_posets(5).values():
+        for p in posets:
+            subset = {a for a in range(len(p)) if rng.random() < 0.5}
+            check_against_pairs(p, set(p.relation_pairs()), subset)
+
+
+def _relabeled(p, perm):
+    """The same order with element i moved to index perm[i]."""
+    names = [None] * len(p)
+    for i, j in enumerate(perm):
+        names[j] = p.elements[i]
+    return FinPoset(names, [(perm[a], perm[b]) for a, b in p.relation_pairs()])
+
+
+def _check_verdict_relabeled(p, perm):
+    q = _relabeled(p, perm)
+    before, after = is_forest_like(p), is_forest_like(q)
+    assert type(before) is type(after)
+    if isinstance(after, ForestCertificate):
+        assert verify_certificate(q, after)
+    else:
+        assert verify_witness(q, after)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dags(), st.randoms(use_true_random=False))
+def test_forest_verdict_is_invariant_under_relabeling(case, rnd):
+    p = case[0]
+    perm = list(range(len(p)))
+    rnd.shuffle(perm)
+    _check_verdict_relabeled(p, perm)
+
+
+def test_forest_verdict_is_invariant_under_relabeling_on_all_posets_of_five():
+    rng = random.Random(7)
+    for posets in all_posets(5).values():
+        for p in posets:
+            perm = list(range(len(p)))
+            rng.shuffle(perm)
+            _check_verdict_relabeled(p, perm)
+
+
+def test_chain_longer_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    p = chain(n)
+    cert = is_forest_like(p)
+    assert isinstance(cert, ForestCertificate)
+    assert verify_certificate(p, cert)
+    elems, pairs = replay_certificate(cert)
+    assert elems == frozenset(range(n))
+    assert len(pairs) == n * (n + 1) // 2

@@ -180,6 +180,16 @@ def test_cli_gen_reproducible(tmp_path):
     assert not isinstance(is_forest_like(p), ForestCertificate)
 
 
+def test_cli_gen_forest_checks_its_draw(monkeypatch, capsys):
+    """A non-forest draw from the forest generator is an error (exit 2),
+    also under ``python -O``."""
+    from amalgam import gen
+
+    monkeypatch.setattr(gen, "random_forest", gen.random_nonforest)
+    assert main(["gen", "forest", "6"]) == 2
+    assert "not forest-like" in capsys.readouterr().err
+
+
 def test_cli_gen_bounds(capsys):
     assert main(["gen", "poset", "100"]) == 2
     assert "error" in capsys.readouterr().err
