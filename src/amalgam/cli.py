@@ -8,6 +8,7 @@ Exit codes: 0 = positive outcome (amalgamable / cocone exists / valid),
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from dataclasses import dataclass
@@ -61,8 +62,12 @@ def _load_shape(ref: str):
     return serialize.load_shape(corpus.resolve(ref))
 
 
+def _load_decidable(ref: str):
+    return serialize.load_decidable(corpus.resolve(ref))
+
+
 def cmd_check(config: RunConfig) -> int:
-    verdict = decide(_load_shape(config.inputs[0]))
+    verdict = decide(_load_decidable(config.inputs[0]))
     if config.format == "structured":
         _emit(config, serialize.dump(serialize.verdict_to_doc(verdict)))
     else:
@@ -71,7 +76,7 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_explain(config: RunConfig) -> int:
-    verdict = decide(_load_shape(config.inputs[0]))
+    verdict = decide(_load_decidable(config.inputs[0]))
     _emit(config, explain(verdict) + "\n")
     return 0 if verdict.amalgamable_ap_jep else 1
 
@@ -192,7 +197,9 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="amalgam",
         description=(

@@ -20,7 +20,7 @@ from .diagram import (
     witness_no_cocone,
 )
 from .fincat import FinCategory, connected_components
-from .poset import ForestCertificate, NonForestWitness
+from .poset import FinPoset, ForestCertificate, NonForestWitness, _component_masks
 
 
 @dataclass
@@ -49,20 +49,34 @@ class Verdict:
     trace: tuple[str, ...]
 
 
-def decide(shape: FinCategory) -> Verdict:
-    """Decide amalgamability of the shape, with evidence."""
-    trace = [
-        f"shape: {len(shape.objects)} objects, {len(shape.morphisms)} morphisms"
-    ]
-    parts = connected_components(shape)
-    connected = len(parts) == 1
-    trace.append(f"connected components: {len(parts)}")
+def _sizes(shape: FinCategory | FinPoset) -> tuple[int, int, int]:
+    """Objects, morphisms and connected components.  A poset has one
+    morphism per related pair, so its sizes are read off the masks."""
+    if isinstance(shape, FinPoset):
+        n = len(shape)
+        morphisms = sum(mask.bit_count() for mask in shape.up_masks)
+        return n, morphisms, len(_component_masks(shape, (1 << n) - 1))
+    return len(shape.objects), len(shape.morphisms), len(connected_components(shape))
+
+
+def decide(shape: FinCategory | FinPoset) -> Verdict:
+    """Decide amalgamability of the shape, with evidence.
+
+    A FinPoset is decided on its masks; its category is built only when a
+    refutation needs a witness diagram.
+    """
+    objects, morphisms, parts = _sizes(shape)
+    trace = [f"shape: {objects} objects, {morphisms} morphisms"]
+    connected = parts == 1
+    trace.append(f"connected components: {parts}")
 
     analysis = analyze_shape(shape)
-    trace.append(
-        "monic reflection: "
-        f"{len(shape.morphisms)} -> {len(analysis.reflection.morphisms)} morphisms"
+    reflected = (
+        morphisms
+        if analysis.reflection is shape
+        else len(analysis.reflection.morphisms)
     )
+    trace.append(f"monic reflection: {morphisms} -> {reflected} morphisms")
     if analysis.preorder:
         trace.append(
             f"reflection is a preorder; skeleton poset has "
@@ -113,13 +127,20 @@ def decide(shape: FinCategory) -> Verdict:
     )
 
 
-def _describe_node(node, poset, indent: int) -> list[str]:
-    pad = "  " * indent
-    lines = [f"{pad}adjoin {poset.elements[node.point]}"]
-    for child, upset in zip(node.children, node.upsets):
-        names = ", ".join(sorted(poset.elements[e] for e in upset))
-        lines.append(f"{pad}  below upward-closed set {{{names}}}:")
-        lines.extend(_describe_node(child, poset, indent + 2))
+def _describe_tree(root, poset, indent: int) -> list[str]:
+    """Narrate a decomposition tree in pre-order, on an explicit stack; each
+    child carries the line that introduces its subtree."""
+    lines = []
+    stack = [(root, indent, None)]
+    while stack:
+        node, depth, header = stack.pop()
+        if header is not None:
+            lines.append(header)
+        pad = "  " * depth
+        lines.append(f"{pad}adjoin {poset.elements[node.point]}")
+        for child, upset in reversed(list(zip(node.children, node.upsets))):
+            names = ", ".join(sorted(poset.elements[e] for e in upset))
+            stack.append((child, depth + 2, f"{pad}  below upward-closed set {{{names}}}:"))
     return lines
 
 
@@ -128,20 +149,19 @@ def explain(verdict: Verdict) -> str:
     lines = ["amalgamability report", "=" * 21, ""]
     lines.extend(f"- {step}" for step in verdict.trace)
     lines.append("")
-    shape = verdict.evidence.analysis.shape
-    if not shape.objects:
-        lines.append(
-            "The shape is empty: the empty diagram is completed by any object, "
-            "so a category needs the joint embedding property (hence an object) "
-            "but not the amalgamation property alone."
-        )
     if isinstance(verdict.evidence, CertificateEvidence):
         cert = verdict.evidence.certificate
         poset = verdict.evidence.analysis.skeleton
-        if cert.roots:
+        if not cert.roots:  # one tree per component: only the empty shape has none
+            lines.append(
+                "The shape is empty: the empty diagram is completed by any object, "
+                "so a category needs the joint embedding property (hence an object) "
+                "but not the amalgamation property alone."
+            )
+        else:
             lines.append("decomposition (innermost steps first applied):")
             for root in cert.roots:
-                lines.extend(_describe_node(root, poset, 1))
+                lines.extend(_describe_tree(root, poset, 1))
     else:
         ev = verdict.evidence
         if ev.reason == "parallel-pair":
@@ -167,7 +187,7 @@ def explain(verdict: Verdict) -> str:
         col = ev.collision
         lines.append(
             f"Oracle: elements {col.x} and {col.y} of "
-            f"{shape.objects[col.obj]} are glued in the colimit, so no leg "
+            f"{ev.diagram.shape.objects[col.obj]} are glued in the colimit, so no leg "
             "can stay injective."
         )
     flags = (

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .fincat import (
     FinCategory,
     FunctorMap,
+    category_from_poset,
     is_preorder,
     monic_reflection,
     skeleton_poset,
@@ -381,11 +382,15 @@ class CoconeFreeDiagram(FinInjDiagram):
 
 @dataclass
 class ShapeAnalysis:
-    """Everything the verdict pipeline learns about a shape."""
+    """Everything the verdict pipeline learns about a shape.
 
-    shape: FinCategory
-    reflection: FinCategory
-    projection: FunctorMap
+    A shape given as a FinPoset is its own reflection and skeleton, with no
+    projection and the identity as skeleton map.
+    """
+
+    shape: FinCategory | FinPoset
+    reflection: FinCategory | FinPoset
+    projection: FunctorMap | None
     preorder: bool
     parallel_pair: tuple[int, int] | None
     skeleton: FinPoset | None
@@ -398,8 +403,17 @@ class ShapeAnalysis:
         return self.preorder and isinstance(self.forest, ForestCertificate)
 
 
-def analyze_shape(shape: FinCategory) -> ShapeAnalysis:
-    """Run monic reflection, preorder detection and the forest decomposition."""
+def analyze_shape(shape: FinCategory | FinPoset) -> ShapeAnalysis:
+    """Run monic reflection, preorder detection and the forest decomposition.
+
+    A poset category is monic and skeletal, so a FinPoset goes straight to
+    the decomposition, and no composition table is built for it.
+    """
+    if isinstance(shape, FinPoset):
+        identity = tuple(range(len(shape)))
+        return ShapeAnalysis(
+            shape, shape, None, True, None, shape, identity, is_forest_like(shape)
+        )
     reflection, projection = monic_reflection(shape)
     if not is_preorder(reflection):
         pair = next(iter(reflection.parallel_pairs()))
@@ -414,7 +428,7 @@ def analyze_shape(shape: FinCategory) -> ShapeAnalysis:
 
 
 def witness_no_cocone(
-    shape: FinCategory, analysis: ShapeAnalysis | None = None
+    shape: FinCategory | FinPoset, analysis: ShapeAnalysis | None = None
 ) -> CoconeFreeDiagram:
     """Synthesize a diagram over the shape that has no cocone.
 
@@ -426,12 +440,15 @@ def witness_no_cocone(
     of K's up-set and to 1 over the others, K and the rest of the up-set
     carry {0, 1} with identity actions, everything else is empty.  The output
     is re-verified to be cocone-free before being returned, together with
-    the oracle's collision.
+    the oracle's collision.  A diagram needs the composition table, so a
+    shape given as a FinPoset is turned into its category here.
     """
     if analysis is None:
         analysis = analyze_shape(shape)
     if analysis.usc:
         raise NotApplicable("every diagram over this shape has a cocone")
+    if isinstance(shape, FinPoset):
+        shape = category_from_poset(shape)
 
     if not analysis.preorder:
         refl = analysis.reflection

@@ -196,6 +196,13 @@ def _check_axioms(cat: FinCategory) -> None:
                     )
 
 
+def _describe(objects, morphisms, i: int) -> str:
+    m = morphisms[i]
+    if i < len(objects):
+        return f"the identity of '{objects[m.dom]}'"
+    return f"the arrow '{objects[m.dom]}' -> '{objects[m.cod]}'"
+
+
 def validate_category(raw: dict) -> FinCategory:
     """Build a FinCategory from a raw name-based presentation.
 
@@ -219,9 +226,16 @@ def validate_category(raw: dict) -> FinCategory:
         if dom not in obj_index or cod not in obj_index:
             raise PresentationError(f"morphism {name} references unknown objects")
         morphisms.append(Morphism(name, obj_index[dom], obj_index[cod]))
-    mor_index = {m.name: i for i, m in enumerate(morphisms)}
-    if len(mor_index) != len(morphisms):
-        raise PresentationError("morphism names must be distinct (id_* is reserved)")
+    mor_index: dict[str, int] = {}
+    for i, m in enumerate(morphisms):
+        first = mor_index.setdefault(m.name, i)
+        if first != i:
+            raise PresentationError(
+                f"morphism name '{m.name}' is given to both "
+                f"{_describe(objects, morphisms, first)} and "
+                f"{_describe(objects, morphisms, i)}"
+                + (" (id_<object> names the identities)" if first < len(objects) else "")
+            )
 
     identity = tuple(range(len(objects)))
     table: dict[tuple[int, int], int] = {}

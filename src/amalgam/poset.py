@@ -385,30 +385,41 @@ def replay_certificate(cert: ForestCertificate) -> tuple[frozenset[int], frozens
 
 
 def verify_certificate(poset: FinPoset, cert: ForestCertificate) -> bool:
-    """Soundness check: the replayed relation reconstructs the poset exactly."""
-    try:
-        elems, pairs = replay_certificate(cert)
-    except PosetError:
-        return False
-    if elems != frozenset(range(len(poset))):
-        return False
-    if pairs != poset.relation_pairs():
-        return False
-    stack = list(cert.roots)
+    """Soundness check: every element is adjoined exactly once, every up-set
+    is connected and lies in its child, and the replayed up-set masks are
+    the poset's.
+
+    Each up-set below a point a is then up(a) restricted to its child, which
+    is upward-closed in the child.  One post-order walk on an explicit stack;
+    ``below`` holds the element mask of each finished subtree.
+    """
+    n, up = len(poset), poset.up_masks
+    replayed = [0] * n
+    seen = 0
+    below: dict[int, int] = {}
+    stack = [(root, False) for root in cert.roots]
     while stack:
-        node = stack.pop()
-        if len(node.children) != len(node.upsets):
+        node, ready = stack.pop()
+        if not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+            continue
+        p = node.point
+        if not 0 <= p < n or seen >> p & 1 or len(node.children) != len(node.upsets):
             return False
+        seen |= 1 << p
+        elems = rel = 1 << p
         for child, upset in zip(node.children, node.upsets):
-            celems = child.elements()
-            if not upset or not upset <= celems:
+            if min(upset, default=0) < 0:
                 return False
-            if len(components(poset, upset)) != 1:
+            u, celems = _mask(upset), below[id(child)]
+            if u & ~celems or len(_component_masks(poset, u)) != 1:
                 return False
-            if upward_closure(poset, upset) & celems != upset:
-                return False
-            stack.append(child)
-    return True
+            rel |= u
+            elems |= celems
+        replayed[p] = rel
+        below[id(node)] = elems
+    return replayed == list(up)  # also shows every element was adjoined
 
 
 def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:

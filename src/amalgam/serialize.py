@@ -8,6 +8,7 @@ ParseError with the offending field.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .decide import CertificateEvidence, Verdict
@@ -128,6 +129,15 @@ def load_shape(path: str | Path) -> FinCategory:
     return shape_from_doc(load_document(path))
 
 
+def load_decidable(path: str | Path) -> FinCategory | FinPoset:
+    """A shape for ``decide``: a poset document stays a FinPoset, so deciding
+    it builds no composition table; any other document loads as a shape."""
+    doc = load_document(path)
+    if doc.get("type") == "poset":
+        return poset_from_doc(doc)
+    return shape_from_doc(doc)
+
+
 # -- inverse categories ----------------------------------------------------
 
 def inverse_from_doc(doc: dict) -> FinInverseCategory:
@@ -243,14 +253,27 @@ def cocone_to_doc(diagram: FinInjDiagram, cocone: Cocone) -> dict:
     }
 
 
-def _node_to_doc(node: DecompositionNode, poset: FinPoset) -> dict:
-    return {
-        "point": poset.elements[node.point],
-        "upsets": [
-            sorted(poset.elements[e] for e in upset) for upset in node.upsets
-        ],
-        "children": [_node_to_doc(c, poset) for c in node.children],
-    }
+def _node_to_doc(root: DecompositionNode, poset: FinPoset) -> dict:
+    """The nested tree document, built top-down on an explicit stack: each
+    node's document is made empty of children and filled in from below."""
+    name = poset.elements
+
+    def shell(node: DecompositionNode) -> dict:
+        return {
+            "point": name[node.point],
+            "upsets": [sorted(name[e] for e in upset) for upset in node.upsets],
+            "children": [],
+        }
+
+    doc = shell(root)
+    stack = [(root, doc)]
+    while stack:
+        node, out = stack.pop()
+        for child in node.children:
+            child_doc = shell(child)
+            out["children"].append(child_doc)
+            stack.append((child, child_doc))
+    return doc
 
 
 def certificate_to_doc(cert: ForestCertificate, poset: FinPoset) -> dict:
@@ -311,5 +334,24 @@ def verdict_to_doc(verdict: Verdict) -> dict:
     return doc
 
 
+def _nesting(doc) -> int:
+    """Levels of lists and objects nested in a JSON value."""
+    depth, level = 0, [doc]
+    while level:
+        level = [v for v in level if isinstance(v, (dict, list))]
+        depth += bool(level)
+        level = [w for v in level for w in (v.values() if isinstance(v, dict) else v)]
+    return depth
+
+
 def dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Indented JSON.  The indenting encoder recurses once per level, so a
+    document nested past the recursion limit raises ValueError, naming its
+    depth."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except RecursionError:
+        raise ValueError(
+            f"cannot write a document nested {_nesting(doc)} levels deep as JSON "
+            f"(recursion limit {sys.getrecursionlimit()})"
+        ) from None

@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from hypothesis import strategies as st
+
 from amalgam import category, category_from_poset
 from amalgam.diagram import (
     CarrierMismatch,
@@ -57,6 +59,21 @@ def bowtie_poset():
     return FinPoset.from_covers(
         ["A", "B", "C", "D"], [(2, 0), (2, 1), (3, 0), (3, 1)]
     )
+
+
+def chain(n):
+    return FinPoset.from_covers([f"c{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+@st.composite
+def dags(draw, max_size=12):
+    """(poset, covers, subset): a random DAG whose index order is shuffled."""
+    n = draw(st.integers(0, max_size))
+    order = draw(st.permutations(range(n)))
+    edges = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3 * n))
+    covers = [(order[a], order[b]) for a, b in edges if a < b < n]
+    subset = draw(st.frozensets(st.integers(0, n - 1), max_size=n)) if n else frozenset()
+    return FinPoset.from_covers([f"e{i}" for i in range(n)], covers), covers, subset
 
 
 def boat_poset():

@@ -1,9 +1,12 @@
-from amalgam import diagram
+from hypothesis import given, settings
+
+from amalgam import corpus, diagram, serialize
 from amalgam.decide import CertificateEvidence, RefutationEvidence, decide, explain
 from amalgam.diagram import has_cocone
 from amalgam.fincat import category, category_from_poset
+from amalgam.gen import all_posets
 from amalgam.poset import verify_certificate
-from conftest import boat_poset, bowtie_cat, cyclic_cat, parallel_pair_cat, span_poset
+from conftest import boat_poset, bowtie_cat, cyclic_cat, dags, parallel_pair_cat, span_poset
 
 
 def test_decide_bowtie():
@@ -112,3 +115,43 @@ def test_refutation_computes_one_colimit(monkeypatch):
         assert isinstance(v.evidence, RefutationEvidence)
         assert len(calls) == 1
         assert v.evidence.collision == colimit_set(v.evidence.diagram).collision
+
+
+def _outputs(verdict):
+    return serialize.dump(serialize.verdict_to_doc(verdict)), explain(verdict)
+
+
+def _decided_like_its_category(p):
+    """Deciding the poset on its masks writes what deciding its category writes."""
+    assert _outputs(decide(p)) == _outputs(decide(category_from_poset(p))), p
+
+
+def test_poset_is_decided_like_its_category_on_all_posets_of_six():
+    for posets in all_posets(6).values():
+        for p in posets:
+            _decided_like_its_category(p)
+
+
+def test_poset_is_decided_like_its_category_on_the_corpus():
+    docs = [serialize.load_document(corpus.path(name)) for name in corpus.names()]
+    posets = [serialize.poset_from_doc(doc) for doc in docs if doc["type"] == "poset"]
+    assert len(posets) >= 5
+    for p in posets:
+        _decided_like_its_category(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dags())
+def test_poset_is_decided_like_its_category(case):
+    _decided_like_its_category(case[0])
+
+
+def test_poset_analysis_is_its_own_reflection_and_skeleton():
+    p = boat_poset()
+    analysis = diagram.analyze_shape(p)
+    assert analysis.reflection is p and analysis.skeleton is p
+    assert analysis.projection is None
+    assert analysis.skeleton_map == tuple(range(len(p)))
+    v = decide(p)
+    assert v.evidence.analysis.shape is p
+    assert v.evidence.diagram.shape == category_from_poset(p)

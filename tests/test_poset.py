@@ -26,14 +26,12 @@ from conftest import (
     boat_poset,
     bowtie_poset,
     brute_force_tree_like,
+    chain,
     crown_poset,
+    dags,
     recursive_forest_like,
     span_poset,
 )
-
-
-def chain(n):
-    return FinPoset.from_covers([f"c{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
 def test_poset_validation():
@@ -279,17 +277,6 @@ def check_against_pairs(p, rel, subset):
         assert p.upward_closed_subsets() == sorted(closed, key=lambda s: (len(s), sorted(s)))
 
 
-@st.composite
-def dags(draw, max_size=12):
-    """(poset, covers, subset): a random DAG whose index order is shuffled."""
-    n = draw(st.integers(0, max_size))
-    order = draw(st.permutations(range(n)))
-    edges = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3 * n))
-    covers = [(order[a], order[b]) for a, b in edges if a < b < n]
-    subset = draw(st.frozensets(st.integers(0, n - 1), max_size=n)) if n else frozenset()
-    return FinPoset.from_covers([f"e{i}" for i in range(n)], covers), covers, subset
-
-
 @settings(max_examples=150, deadline=None)
 @given(dags())
 def test_mask_queries_match_the_pair_set(case):
@@ -340,6 +327,53 @@ def test_forged_certificates_are_rejected():
     cert = ForestCertificate((DecompositionNode(0, (b, leaf_c), (frozenset({1}), frozenset({2}))),))
     assert replay_certificate(cert) == (frozenset(range(3)), chain3.relation_pairs())
     assert not verify_certificate(chain3, cert)
+
+
+def test_certificates_that_adjoin_an_element_twice_are_rejected():
+    span = span_poset()  # p < a, b
+    p, a, b = (span.elements.index(x) for x in "pab")
+    leaf_a, leaf_b = DecompositionNode(a, (), ()), DecompositionNode(b, (), ())
+    good = DecompositionNode(p, (leaf_a, leaf_b), (frozenset({a}), frozenset({b})))
+    assert verify_certificate(span, ForestCertificate((good,)))
+    # a second tree repeating a
+    assert not verify_certificate(span, ForestCertificate((good, leaf_a)))
+    # p adjoined again inside its own child: every up-set is connected and
+    # upward-closed in its child, and the replayed order is the poset's
+    again = DecompositionNode(p, (leaf_a,), (frozenset({a}),))
+    root = DecompositionNode(p, (again, leaf_b), (frozenset({p, a}), frozenset({b})))
+    assert replay_certificate(ForestCertificate((root,)))[1] == span.relation_pairs()
+    assert not verify_certificate(span, ForestCertificate((root,)))
+
+
+def test_certificates_of_another_order_are_rejected():
+    antichain = FinPoset(["x", "y"])
+    below = ForestCertificate((DecompositionNode(0, (DecompositionNode(1, (), ()),), (frozenset({1}),)),))
+    apart = ForestCertificate((DecompositionNode(0, (), ()), DecompositionNode(1, (), ())))
+    assert verify_certificate(chain(2), below) and verify_certificate(antichain, apart)
+    assert not verify_certificate(antichain, below)
+    assert not verify_certificate(chain(2), apart)
+
+
+def test_certificates_with_misplaced_upsets_are_rejected():
+    span = span_poset()  # p < a, b
+    p, a, b = (span.elements.index(x) for x in "pab")
+    leaf_a, leaf_b = DecompositionNode(a, (), ()), DecompositionNode(b, (), ())
+    # the up-sets swapped: each lies in the other child, and the replayed order is right
+    swapped = DecompositionNode(p, (leaf_a, leaf_b), (frozenset({b}), frozenset({a})))
+    assert replay_certificate(ForestCertificate((swapped,)))[1] == span.relation_pairs()
+    assert not verify_certificate(span, ForestCertificate((swapped,)))
+    # one up-set more than there are children
+    extra = DecompositionNode(0, (DecompositionNode(1, (), ()),), (frozenset({1}), frozenset({1})))
+    assert not verify_certificate(chain(2), ForestCertificate((extra,)))
+
+
+@pytest.mark.parametrize("member", [-1, 2, 5])
+def test_certificates_naming_unknown_elements_are_rejected(member):
+    leaf = DecompositionNode(1, (), ())
+    for upset in ({member}, {1, member}, {member, member + 1}):
+        cert = ForestCertificate((DecompositionNode(0, (leaf,), (frozenset(upset),)),))
+        assert not verify_certificate(chain(2), cert)
+    assert not verify_certificate(chain(2), ForestCertificate((DecompositionNode(member, (), ()),)))
 
 
 def test_mask_queries_match_the_pair_set_on_all_posets_of_five():

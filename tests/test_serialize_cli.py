@@ -1,15 +1,20 @@
 import json
 import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from amalgam import cli, corpus, serialize
+from amalgam import cli, corpus, fincat, serialize
 from amalgam.cli import main
-from amalgam.decide import decide
+from amalgam.decide import decide, explain
 from amalgam.diagram import Cocone, validate_cocone
+from amalgam.fincat import PresentationError, category
+from amalgam.gen import all_posets
+from amalgam.poset import ForestCertificate, is_forest_like
 from amalgam.serialize import ParseError
+from conftest import chain
 
 # corpus shapes that `check` accepts, posets and inverse categories alike
 AMALGAMABLE = (
@@ -226,3 +231,130 @@ def test_readme_library_example_runs(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert "amalgamability report" in capsys.readouterr().out
+
+
+def test_check_builds_a_category_only_for_a_refuted_poset(monkeypatch, tmp_path):
+    """A positive poset is decided on its masks; a refuted one builds its
+    category once, for the witness diagram."""
+    built = []
+    init = fincat.FinCategory.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fincat.FinCategory, "__init__", counted)
+    out = str(tmp_path / "out")
+    for name, code, categories in (("span", 0, 0), ("chain5", 0, 0), ("boat", 1, 1)):
+        for argv in (["check"], ["check", "--format", "structured"], ["explain"]):
+            built.clear()
+            assert main([argv[0], name, *argv[1:], "--out", out]) == code
+            assert len(built) == categories, (name, argv)
+    built.clear()
+    assert main(["check", "bowtie", "--out", out]) == 1  # a category document
+    assert len(built) == 1
+
+
+def _write_chain(path: Path, n: int) -> None:
+    names = [f"c{i}" for i in range(n)]
+    doc = {"type": "poset", "elements": names, "covers": [list(p) for p in zip(names, names[1:])]}
+    path.write_text(json.dumps(doc))
+
+
+def test_check_and_explain_a_chain_longer_than_the_recursion_limit(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 100
+    path, out = tmp_path / "chain.json", tmp_path / "out.txt"
+    _write_chain(path, n)
+    for command in ("check", "explain"):
+        assert main([command, str(path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert sum(1 for line in lines if line.lstrip().startswith("adjoin")) == n
+        assert lines[-3].strip() == f"adjoin c{n - 1}"
+    # Indented JSON nests once per level: the nested certificate is refused
+    # with its depth, not a traceback.
+    assert main(["check", str(path), "--format", "structured", "--out", str(out)]) == 2
+    assert f"nested {2 * n + 4} levels deep" in capsys.readouterr().err
+
+
+def test_deep_certificate_document_is_built_without_recursion():
+    n = sys.getrecursionlimit() + 100
+    doc = serialize.verdict_to_doc(decide(chain(n)))
+    node, depth = doc["evidence"]["certificate"]["trees"][0], 1
+    while node["children"]:
+        assert node["upsets"] == [sorted(f"c{i}" for i in range(depth, n))]
+        node, depth = node["children"][0], depth + 1
+    assert depth == n and node["point"] == f"c{n - 1}"
+    with pytest.raises(ValueError, match=f"nested {2 * n + 4} levels deep"):
+        serialize.dump(doc)
+
+
+def _recursive_node_doc(node, names):
+    return {
+        "point": names[node.point],
+        "upsets": [sorted(names[e] for e in u) for u in node.upsets],
+        "children": [_recursive_node_doc(c, names) for c in node.children],
+    }
+
+
+def test_certificate_document_matches_the_recursive_layout():
+    for posets in all_posets(6).values():
+        for p in posets:
+            cert = is_forest_like(p)
+            if isinstance(cert, ForestCertificate):
+                trees = [_recursive_node_doc(root, p.elements) for root in cert.roots]
+                assert serialize.certificate_to_doc(cert, p)["trees"] == trees
+
+
+def _recursive_narrative(node, names, indent):
+    pad = "  " * indent
+    lines = [f"{pad}adjoin {names[node.point]}"]
+    for child, upset in zip(node.children, node.upsets):
+        lines.append(f"{pad}  below upward-closed set {{{', '.join(sorted(names[e] for e in upset))}}}:")
+        lines.extend(_recursive_narrative(child, names, indent + 2))
+    return lines
+
+
+def test_explain_narrates_the_certificate_in_the_recursive_order():
+    for posets in all_posets(6).values():
+        for p in posets:
+            cert = is_forest_like(p)
+            if isinstance(cert, ForestCertificate) and cert.roots:
+                text = explain(decide(p))
+                steps = [line for root in cert.roots
+                         for line in _recursive_narrative(root, p.elements, 1)]
+                assert "decomposition (innermost steps first applied):\n" + "\n".join(steps) in text
+
+
+def test_dump_names_the_depth_of_any_document_too_deep_to_write():
+    n = sys.getrecursionlimit() + 100
+    deep = 0
+    for _ in range(n):
+        deep = [deep]
+    with pytest.raises(ValueError, match=f"nested {n + 1} levels deep"):
+        serialize.dump({"value": deep})
+
+
+def test_shallow_structured_verdict_is_plain_indented_json():
+    doc = serialize.verdict_to_doc(decide(chain(200)))
+    assert serialize.dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_morphism_name_collision(tmp_path, capsys):
+    """The arrow id_p -> q of this poset and the identity of its element
+    p->q share the name id_p->q.  check decides the order without naming
+    arrows; the commands that build the category name both morphisms."""
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(
+        {"type": "poset", "elements": ["p->q", "id_p", "q"], "covers": [["id_p", "q"]]}
+    ))
+    assert main(["check", str(path)]) == 0
+    assert main(["check", str(path), "--format", "structured"]) == 0
+    assert main(["explain", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["witness", str(path)], ["validate", str(path)], ["gen", "diagram", str(path)]):
+        assert main(argv) == 2
+        assert ("morphism name 'id_p->q' is given to both the identity of 'p->q' "
+                "and the arrow 'id_p' -> 'q'") in capsys.readouterr().err
+    with pytest.raises(PresentationError, match="'a' is given to both the arrow 'X' -> 'Y' "
+                                                "and the arrow 'Y' -> 'X'"):
+        category(["X", "Y"], [("a", "X", "Y"), ("a", "Y", "X")])
