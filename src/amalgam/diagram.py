@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import (
     FinCategory,
@@ -61,27 +62,38 @@ class HasCocone(DiagramError):
 
 
 class FinInjDiagram:
-    """A functor from a finite shape into finite sets and injections."""
+    """A functor from a finite shape into finite sets and injections.
 
-    def __init__(self, shape: FinCategory, carriers, actions):
+    Carriers are tuples of distinct labels, and ``index[obj]`` sends each
+    label of an object's carrier to its position.  An action is stored as
+    ``maps[mor]``: the positions in the target carrier of the images of the
+    domain carrier's elements, in carrier order.  Label dicts are built only
+    on demand.
+    """
+
+    def __init__(self, shape: FinCategory, carriers, maps, index):
         self.shape = shape
-        self.carriers = tuple(tuple(c) for c in carriers)
-        self.actions = tuple(dict(a) for a in actions)
+        self.carriers = carriers
+        self.maps = maps
+        self.index = index
 
     def carrier(self, obj: int) -> tuple[str, ...]:
         return self.carriers[obj]
 
     def action(self, mor: int) -> dict[str, str]:
-        return self.actions[mor]
+        m = self.shape.morphisms[mor]
+        target = self.carriers[m.cod]
+        return dict(zip(self.carriers[m.dom], map(target.__getitem__, self.maps[mor])))
+
+    @property
+    def actions(self) -> tuple[dict[str, str], ...]:
+        return tuple(map(self.action, range(len(self.maps))))
 
     def as_pinj(self, mor: int) -> PartialInjection:
         m = self.shape.morphisms[mor]
         return PartialInjection(
-            self.carriers[m.dom], self.carriers[m.cod], self.actions[mor]
+            self.carriers[m.dom], self.carriers[m.cod], self.action(mor)
         )
-
-    def total_elements(self) -> int:
-        return sum(len(c) for c in self.carriers)
 
     def __eq__(self, other):
         if not isinstance(other, FinInjDiagram):
@@ -89,7 +101,7 @@ class FinInjDiagram:
         return (
             self.shape == other.shape
             and self.carriers == other.carriers
-            and self.actions == other.actions
+            and self.maps == other.maps
         )
 
     def __repr__(self):
@@ -100,45 +112,57 @@ class FinInjDiagram:
 
 
 def validate_diagram(shape: FinCategory, carriers, actions) -> FinInjDiagram:
-    """Exhaustively check totality, injectivity and functoriality."""
-    carriers = [tuple(c) for c in carriers]
-    actions = [dict(a) for a in actions]
+    """Exhaustively check totality, injectivity and functoriality.
+
+    Each carrier's labels are interned once; each action, a mapping of
+    labels, becomes the row of its images' positions, and every law is
+    checked over those rows.
+    """
+    carriers = tuple(map(tuple, carriers))
+    actions = [a if isinstance(a, dict) else dict(a) for a in actions]
     if len(carriers) != len(shape.objects):
         raise CarrierMismatch("one carrier per object required")
     if len(actions) != len(shape.morphisms):
         raise CarrierMismatch("one action per morphism required")
+    index = tuple(dict(zip(c, range(len(c)))) for c in carriers)
     for i, c in enumerate(carriers):
-        if len(set(c)) != len(c):
+        if len(index[i]) != len(c):
             raise CarrierMismatch(
                 f"carrier of {shape.objects[i]} has duplicate labels"
             )
-    for i, m in enumerate(shape.morphisms):
-        act = actions[i]
-        dom, cod = set(carriers[m.dom]), set(carriers[m.cod])
-        if set(act) != dom:
+    maps = []
+    for m, act in zip(shape.morphisms, actions):
+        source = carriers[m.dom]
+        if len(act) != len(source) or not all(map(act.__contains__, source)):
             raise CarrierMismatch(
                 f"action of {m.name} is not defined on exactly its carrier"
             )
-        if not set(act.values()) <= cod:
+        try:
+            row = tuple(map(index[m.cod].__getitem__, map(act.__getitem__, source)))
+        except KeyError:
             raise CarrierMismatch(
                 f"action of {m.name} leaves the target carrier"
-            )
-        if len(set(act.values())) != len(act):
+            ) from None
+        if len(set(row)) != len(row):
             raise NotInjective(f"action of {m.name} is not injective")
+        maps.append(row)
     for x, i in enumerate(shape.identity):
-        if any(actions[i][e] != e for e in carriers[x]):
+        if maps[i] != tuple(range(len(carriers[x]))):
             raise FunctorialityViolation(
                 f"identity of {shape.objects[x]} does not act as the identity"
             )
+    # Composites with an identity commute once the identities act as such.
     for (g, f), r in shape.table.items():
-        af, ag, ar = actions[f], actions[g], actions[r]
-        for e in carriers[shape.morphisms[f].dom]:
-            if ag[af[e]] != ar[e]:
-                raise FunctorialityViolation(
-                    f"({shape.morphisms[g].name}, {shape.morphisms[f].name}) "
-                    f"does not commute at element {e}"
-                )
-    return FinInjDiagram(shape, carriers, actions)
+        if shape.is_identity(g) or shape.is_identity(f):
+            continue
+        af, ag, ar = maps[f], maps[g], maps[r]
+        if tuple(map(ag.__getitem__, af)) != ar:
+            p = next(p for p, q in enumerate(af) if ag[q] != ar[p])
+            raise FunctorialityViolation(
+                f"({shape.morphisms[g].name}, {shape.morphisms[f].name}) "
+                f"does not commute at element {carriers[shape.morphisms[f].dom][p]}"
+            )
+    return FinInjDiagram(shape, carriers, tuple(maps), index)
 
 
 @dataclass(frozen=True)
@@ -156,12 +180,47 @@ class Collision:
         return ZigzagWord(self.obj, self.steps)
 
 
+class ColimitClasses:
+    """The classes of a colimit as frozensets of (object, label) nodes, in
+    class order.  Their number is known at once; the sets are built on the
+    first access to one of them."""
+
+    def __init__(self, colimit: "ColimitResult"):
+        self._colimit = colimit
+
+    def __len__(self) -> int:
+        return self._colimit.count
+
+    def __getitem__(self, k):
+        return self._sets[k]
+
+    def __iter__(self):
+        return iter(self._sets)
+
+    @cached_property
+    def _sets(self) -> tuple[frozenset[tuple[int, str]], ...]:
+        members: list[list[tuple[int, str]]] = [[] for _ in range(len(self))]
+        ids, offsets = self._colimit.class_ids, self._colimit.offsets
+        for obj, carrier in enumerate(self._colimit.diagram.carriers):
+            for e, k in zip(carrier, ids[offsets[obj]:]):
+                members[k].append((obj, e))
+        return tuple(map(frozenset, members))
+
+
 @dataclass
 class ColimitResult:
-    """Union-find quotient of the disjoint sum of carriers."""
+    """Union-find quotient of the disjoint sum of carriers.
 
-    classes: tuple[frozenset[tuple[int, str]], ...]
-    class_of: dict[tuple[int, str], int]
+    Node ``offsets[obj] + p`` is the p-th element of the object's carrier;
+    ``class_ids[node]`` is its class, and classes are numbered in the order
+    of their first nodes.  The frozenset ``classes`` and the label-keyed
+    ``class_of`` are built only when asked for.
+    """
+
+    diagram: FinInjDiagram
+    offsets: tuple[int, ...]
+    class_ids: list[int]
+    count: int
     injective: tuple[bool, ...]
     collision: Collision | None
 
@@ -169,135 +228,154 @@ class ColimitResult:
     def all_injective(self) -> bool:
         return all(self.injective)
 
+    @cached_property
+    def classes(self) -> ColimitClasses:
+        return ColimitClasses(self)
+
+    @cached_property
+    def class_of(self) -> dict[tuple[int, str], int]:
+        return {node: k for k, cl in enumerate(self.classes) for node in cl}
+
     def iota(self, obj: int, elem: str) -> int:
-        return self.class_of[(obj, elem)]
+        return self.class_ids[self.offsets[obj] + self.diagram.index[obj][elem]]
 
 
 def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
-    """Quotient the disjoint sum of carriers by x ~ action(x) for every morphism."""
-    shape = diagram.shape
-    nodes = [
-        (obj, e)
-        for obj in range(len(shape.objects))
-        for e in diagram.carrier(obj)
-    ]
-    index = {node: k for k, node in enumerate(nodes)}
-    parent = list(range(len(nodes)))
+    """Quotient the disjoint sum of carriers by x ~ action(x) for every morphism.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    Union-find over integer nodes; a union keeps the smaller root, so every
+    node's parent precedes it and each root is its class's first node.
+    """
+    shape, carriers, maps = diagram.shape, diagram.carriers, diagram.maps
+    offsets = []
+    total = 0
+    for c in carriers:
+        offsets.append(total)
+        total += len(c)
+    parent = list(range(total))
     for i, m in enumerate(shape.morphisms):
         if shape.is_identity(i):
             continue
-        for e in diagram.carrier(m.dom):
-            a = find(index[(m.dom, e)])
-            b = find(index[(m.cod, diagram.action(i)[e])])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+        base = offsets[m.cod]
+        for a, q in enumerate(maps[i], offsets[m.dom]):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            b = base + q
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
 
-    groups: dict[int, list[int]] = {}
-    for k in range(len(nodes)):
-        groups.setdefault(find(k), []).append(k)
-    classes = tuple(
-        frozenset(nodes[k] for k in members)
-        for members in sorted(groups.values(), key=min)
-    )
-    class_of = {}
-    for ci, cl in enumerate(classes):
-        for node in cl:
-            class_of[node] = ci
+    class_ids = parent  # rewritten in place: a node's parent comes first
+    count = 0
+    for k, p in enumerate(parent):
+        if p == k:
+            class_ids[k] = count
+            count += 1
+        else:
+            class_ids[k] = class_ids[p]
 
     injective = []
-    collision_at = None
-    for obj in range(len(shape.objects)):
-        seen: dict[int, str] = {}
-        ok = True
-        for e in diagram.carrier(obj):
-            ci = class_of[(obj, e)]
-            if ci in seen:
-                ok = False
-                if collision_at is None:
-                    collision_at = (obj, seen[ci], e)
-                break
-            seen[ci] = e
-        injective.append(ok)
-
     collision = None
-    if collision_at is not None:
-        obj, x, y = collision_at
-        nodes_path, steps = _element_zigzag(diagram, (obj, x), (obj, y))
-        collision = Collision(obj, x, y, nodes_path, steps)
-    return ColimitResult(classes, class_of, tuple(injective), collision)
+    for obj, c in enumerate(carriers):
+        ids = class_ids[offsets[obj]:offsets[obj] + len(c)]
+        injective.append(len(set(ids)) == len(ids))
+        if collision is None and not injective[-1]:
+            first: dict[int, int] = {}
+            for y, k in enumerate(ids):
+                x = first.setdefault(k, y)
+                if x != y:
+                    break
+            nodes, steps = _element_zigzag(
+                diagram, offsets, class_ids, obj, offsets[obj] + x, offsets[obj] + y
+            )
+            collision = Collision(obj, c[x], c[y], nodes, steps)
+    return ColimitResult(
+        diagram, tuple(offsets), class_ids, count, tuple(injective), collision
+    )
 
 
-def _element_zigzag(diagram, start, goal):
-    """BFS over single-merge edges from start to goal in the element graph."""
-    shape = diagram.shape
-    adj: dict[tuple[int, str], list] = {}
+def _element_zigzag(diagram, offsets, class_ids, obj, start, goal):
+    """A shortest zigzag between two nodes of the object's carrier: BFS over
+    the single action steps between the nodes of their class."""
+    shape, maps = diagram.shape, diagram.maps
+    target = class_ids[start]
+    adj: dict[int, list[tuple[int, int, bool]]] = {}
     for i, m in enumerate(shape.morphisms):
         if shape.is_identity(i):
             continue
-        for e in diagram.carrier(m.dom):
-            a = (m.dom, e)
-            b = (m.cod, diagram.action(i)[e])
-            adj.setdefault(a, []).append((b, (i, True)))
-            adj.setdefault(b, []).append((a, (i, False)))
-    prev: dict = {start: None}
+        base = offsets[m.cod]
+        for a, q in enumerate(maps[i], offsets[m.dom]):
+            if class_ids[a] == target:
+                adj.setdefault(a, []).append((base + q, i, True))
+                adj.setdefault(base + q, []).append((a, i, False))
+    prev: dict[int, tuple[int, int, bool] | None] = {start: None}
     queue = deque([start])
-    while queue:
+    while queue and goal not in prev:
         node = queue.popleft()
-        if node == goal:
-            break
-        for nxt, step in sorted(adj.get(node, []), key=str):
+        for nxt, i, forward in adj.get(node, ()):
             if nxt not in prev:
-                prev[nxt] = (node, step)
+                prev[nxt] = (node, i, forward)
                 queue.append(nxt)
     if goal not in prev:
         raise DiagramError("no zigzag found for a colimit collision")
-    nodes_path = [goal]
-    steps = []
-    while prev[nodes_path[-1]] is not None:
-        node, step = prev[nodes_path[-1]]
-        nodes_path.append(node)
-        steps.append(step)
-    nodes_path.reverse()
+    path, steps = [goal], []
+    while prev[path[-1]] is not None:
+        node, i, forward = prev[path[-1]]
+        path.append(node)
+        steps.append((i, forward))
+    path.reverse()
     steps.reverse()
-    return tuple(nodes_path), tuple(steps)
+    objs = [obj]
+    for i, forward in steps:
+        m = shape.morphisms[i]
+        objs.append(m.cod if forward else m.dom)
+    nodes = [(o, diagram.carriers[o][k - offsets[o]]) for o, k in zip(objs, path)]
+    return tuple(nodes), tuple(steps)
 
 
 @dataclass
 class Cocone:
-    """Apex carrier and one injective leg per object, commuting with all actions."""
+    """Apex carrier and one injective leg per object, commuting with all actions.
+
+    ``legs[obj][p]`` is the apex position of the p-th element of the object's
+    carrier.
+    """
 
     apex: tuple[str, ...]
-    legs: tuple[dict[str, str], ...]
+    legs: tuple[tuple[int, ...], ...]
 
 
 def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
+    """Check that every leg is total, stays inside the apex, is injective and
+    commutes with every action, all over carrier and apex positions."""
     shape = diagram.shape
-    apex = set(cocone.apex)
-    if len(cocone.legs) != len(shape.objects):
+    legs = cocone.legs
+    if len(legs) != len(shape.objects):
         raise CarrierMismatch("one leg per object required")
-    for obj in range(len(shape.objects)):
-        leg = cocone.legs[obj]
-        if set(leg) != set(diagram.carrier(obj)):
+    for obj, leg in enumerate(legs):
+        if len(leg) != len(diagram.carriers[obj]):
             raise CarrierMismatch(
                 f"leg of {shape.objects[obj]} is not total on its carrier"
             )
-        if not set(leg.values()) <= apex:
+        if leg and not (0 <= min(leg) and max(leg) < len(cocone.apex)):
             raise CarrierMismatch(f"leg of {shape.objects[obj]} leaves the apex")
-        if len(set(leg.values())) != len(leg):
+        if len(set(leg)) != len(leg):
             raise NotInjective(f"leg of {shape.objects[obj]} is not injective")
     for i, m in enumerate(shape.morphisms):
-        for e in diagram.carrier(m.dom):
-            if cocone.legs[m.dom][e] != cocone.legs[m.cod][diagram.action(i)[e]]:
-                raise FunctorialityViolation(
-                    f"leg does not commute with {m.name} at element {e}"
-                )
+        if shape.is_identity(i):
+            continue
+        row, source, target = diagram.maps[i], tuple(legs[m.dom]), legs[m.cod]
+        if tuple(map(target.__getitem__, row)) != source:
+            p = next(p for p, q in enumerate(row) if target[q] != source[p])
+            raise FunctorialityViolation(
+                f"leg does not commute with {m.name} at element "
+                f"{diagram.carriers[m.dom][p]}"
+            )
 
 
 @dataclass
@@ -314,16 +392,19 @@ class CoconeResult:
 
 
 def has_cocone(diagram: FinInjDiagram) -> CoconeResult:
-    """Oracle: a cocone exists iff all canonical maps to the colimit are injective."""
+    """Oracle: a cocone exists iff all canonical maps to the colimit are injective.
+
+    The colimit is the cocone: apex ``q{k}`` for class k, and each leg the
+    slice of class ids over the object's carrier."""
     colim = colimit_set(diagram)
     if not colim.all_injective:
         return CoconeResult(False, None, colim.collision, colim)
-    apex = tuple(f"q{k}" for k in range(len(colim.classes)))
+    ids, offsets = colim.class_ids, colim.offsets
     legs = tuple(
-        {e: apex[colim.iota(obj, e)] for e in diagram.carrier(obj)}
-        for obj in range(len(diagram.shape.objects))
+        tuple(ids[offsets[obj]:offsets[obj] + len(c)])
+        for obj, c in enumerate(diagram.carriers)
     )
-    cocone = Cocone(apex, legs)
+    cocone = Cocone(tuple(map("q{}".format, range(colim.count))), legs)
     validate_cocone(diagram, cocone)
     return CoconeResult(True, cocone, None, colim)
 
@@ -376,7 +457,7 @@ class CoconeFreeDiagram(FinInjDiagram):
     """A diagram with no cocone, with the colimit collision that shows it."""
 
     def __init__(self, diagram: FinInjDiagram, collision: Collision):
-        super().__init__(diagram.shape, diagram.carriers, diagram.actions)
+        super().__init__(diagram.shape, diagram.carriers, diagram.maps, diagram.index)
         self.collision = collision
 
 
@@ -511,20 +592,19 @@ def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
     if answer:
         raise HasCocone("diagram has a cocone; nothing to shrink")
     shape = diagram.shape
-    seeds = set(answer.collision.nodes)
-    keep: list[set[str]] = [set() for _ in shape.objects]
-    for obj, elem in seeds:
+    keep: list[set[int]] = [set() for _ in shape.objects]
+    for obj, elem in answer.collision.nodes:
+        p = diagram.index[obj][elem]
         for i in shape.hom_out[obj]:
-            keep[shape.morphisms[i].cod].add(diagram.action(i)[elem])
+            keep[shape.morphisms[i].cod].add(diagram.maps[i][p])
     carriers = [
-        tuple(e for e in diagram.carrier(obj) if e in keep[obj])
-        for obj in range(len(shape.objects))
+        tuple(e for p, e in enumerate(c) if p in keep[obj])
+        for obj, c in enumerate(diagram.carriers)
     ]
-    actions = [
-        {e: v for e, v in diagram.action(i).items()
-         if e in keep[shape.morphisms[i].dom]}
-        for i in range(len(shape.morphisms))
-    ]
+    actions = []
+    for m, row in zip(shape.morphisms, diagram.maps):
+        source, target = diagram.carriers[m.dom], diagram.carriers[m.cod]
+        actions.append({source[p]: target[row[p]] for p in keep[m.dom]})
     shrunk = validate_diagram(shape, carriers, actions)
     if has_cocone(shrunk):
         raise DiagramError("shrunk witness unexpectedly has a cocone")

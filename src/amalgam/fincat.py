@@ -89,11 +89,6 @@ class FinCategory:
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return tuple(self.hom_sets.get((x, y), ()))
 
-    def non_identities(self) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(len(self.morphisms)) if not self.is_identity(i)
-        )
-
     def parallel_pairs(self):
         """All index pairs (f, g) with f < g, equal dom and equal cod,
         by ascending g, then ascending f."""
@@ -348,9 +343,6 @@ class Congruence:
             for i in cl:
                 class_of[i] = k
         return cls(classes, tuple(class_of))
-
-    def related(self, a: int, b: int) -> bool:
-        return self.class_of[a] == self.class_of[b]
 
 
 def _find(parent: list[int], a: int) -> int:

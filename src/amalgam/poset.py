@@ -48,6 +48,41 @@ def closed_masks(masks) -> list[int]:
     return [s for s in range(1 << len(masks)) if not any(masks[i] & ~s for i in _bits(s))]
 
 
+def _sparse_bits(mask: int):
+    """Indices of the set bits of mask, ascending, split off one at a time:
+    cheaper than ``_bits`` on a long mask with few bits set."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure(succ: list[int], elements) -> tuple[int, ...]:
+    """Reflexive-transitive closure of the edge masks ``succ``, taken in
+    depth-first post-order on an explicit stack; a cycle raises
+    NotAPartialOrder."""
+    n = len(succ)
+    closed = [0] * n  # 0 until the element's closure is complete
+    started = 0
+    for root in range(n):
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            if not started >> a & 1:
+                started |= 1 << a
+                stack.append(a)
+                stack.extend(_sparse_bits(succ[a] & ~started))
+            elif not closed[a]:
+                closed[a] = 1 << a
+                for b in _sparse_bits(succ[a]):
+                    if not closed[b]:  # b is still open, so it reaches a: a cycle
+                        raise NotAPartialOrder(
+                            f"antisymmetry fails on {elements[b]}, {elements[a]}"
+                        )
+                    closed[a] |= closed[b]
+    return tuple(closed)
+
+
 class FinPoset:
     """Finite partial order over indexed, named elements.
 
@@ -98,35 +133,24 @@ class FinPoset:
 
     @classmethod
     def from_covers(cls, elements, covers) -> "FinPoset":
-        """Build from Hasse-style edges; the reflexive-transitive closure is
-        taken in depth-first post-order, on an explicit stack."""
+        """Build from Hasse-style edges.  The closures up and down the covers
+        are a partial order once they are acyclic, so beyond the cycle check
+        only the names are validated."""
         elements = tuple(elements)
         n = len(elements)
-        succ = [0] * n
+        succ, pred = [0] * n, [0] * n
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise NotAPartialOrder(f"cover ({a}, {b}) out of range")
             if a != b:
                 succ[a] |= 1 << b
-        up = [0] * n  # 0 until the element's closure is complete
-        started = 0
-        for root in range(n):
-            stack = [root]
-            while stack:
-                a = stack.pop()
-                if not started >> a & 1:
-                    started |= 1 << a
-                    stack.append(a)
-                    stack.extend(_bits(succ[a] & ~started))
-                elif not up[a]:
-                    up[a] = 1 << a
-                    for b in _bits(succ[a]):
-                        if not up[b]:  # b is still open, so it reaches a: a cycle
-                            raise NotAPartialOrder(
-                                f"antisymmetry fails on {elements[b]}, {elements[a]}"
-                            )
-                        up[a] |= up[b]
-        return cls(elements, up_masks=up)
+                pred[b] |= 1 << a
+        up, down = _closure(succ, elements), _closure(pred, elements)
+        if len(set(elements)) != n:
+            raise NotAPartialOrder("element names must be distinct")
+        poset = cls.__new__(cls)
+        poset.elements, poset.up_masks, poset.down_masks = elements, up, down
+        return poset
 
     def __len__(self):
         return len(self.elements)

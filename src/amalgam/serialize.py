@@ -181,32 +181,46 @@ def diagram_from_doc(doc: dict, base_dir: Path | None = None) -> FinInjDiagram:
     carriers_field = doc.get("carriers", {})
     if not isinstance(carriers_field, dict):
         raise ParseError("diagram: carriers must map object names to element lists")
-    for name in carriers_field:
+    for name, labels in carriers_field.items():
         if name not in shape.obj_index:
             raise ParseError(f"diagram: carrier for unknown object '{name}'")
-    carriers = [
-        list(carriers_field.get(name, [])) for name in shape.objects
-    ]
+        if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
+            raise ParseError(
+                f"diagram: carrier of '{name}' must be a list of string labels"
+            )
+    carriers = [carriers_field.get(name, ()) for name in shape.objects]
     actions_field = doc.get("actions", {})
     if not isinstance(actions_field, dict):
         raise ParseError("diagram: actions must map morphism names to pair lists")
     for name in actions_field:
         if name not in shape.mor_index:
             raise ParseError(f"diagram: action for unknown morphism '{name}'")
+
     def as_mapping(name, pairs):
+        """The pairs as a dict; each must be a list [x, y], each x once."""
+        malformed = f"diagram: action of '{name}' must be a list of [x, y] pairs"
+        if not isinstance(pairs, list) or not set(map(type, pairs)) <= {list}:
+            raise ParseError(malformed)
         try:
-            return {x: y for x, y in pairs}
+            action = dict(pairs)
         except (TypeError, ValueError):
-            raise ParseError(
-                f"diagram: action of '{name}' must be a list of [x, y] pairs"
-            ) from None
+            raise ParseError(malformed) from None
+        if len(action) != len(pairs):
+            seen = set()
+            for x, _ in pairs:
+                if x in seen:
+                    raise ParseError(
+                        f"diagram: action of '{name}' lists source {x!r} twice"
+                    )
+                seen.add(x)
+        return action
 
     actions = []
     for i, m in enumerate(shape.morphisms):
         if shape.is_identity(i):
             pairs = actions_field.get(m.name)
             action = (
-                {e: e for e in carriers[m.dom]}
+                dict(zip(carriers[m.dom], carriers[m.dom]))
                 if pairs is None
                 else as_mapping(m.name, pairs)
             )
@@ -227,8 +241,8 @@ def diagram_to_doc(diagram: FinInjDiagram) -> dict:
             shape.objects[i]: list(c) for i, c in enumerate(diagram.carriers)
         },
         "actions": {
-            shape.morphisms[i].name: sorted([x, y] for x, y in a.items())
-            for i, a in enumerate(diagram.actions)
+            shape.morphisms[i].name: sorted(map(list, diagram.action(i).items()))
+            for i in range(len(shape.morphisms))
             if not shape.is_identity(i)
         },
     }
@@ -242,12 +256,16 @@ def load_diagram(path: str | Path) -> FinInjDiagram:
 # -- cocones, certificates, witnesses, verdicts ------------------------------
 
 def cocone_to_doc(diagram: FinInjDiagram, cocone: Cocone) -> dict:
-    shape = diagram.shape
+    """The legs as [element, apex label] pairs: the only place the position
+    rows of a cocone are turned into labels."""
+    shape, apex = diagram.shape, cocone.apex
     return {
         "type": "cocone",
-        "apex": list(cocone.apex),
+        "apex": list(apex),
         "legs": {
-            shape.objects[i]: sorted([x, y] for x, y in leg.items())
+            shape.objects[i]: sorted(
+                map(list, zip(diagram.carriers[i], map(apex.__getitem__, leg)))
+            )
             for i, leg in enumerate(cocone.legs)
         },
     }
@@ -345,11 +363,11 @@ def _nesting(doc) -> int:
 
 
 def dump(doc: dict) -> str:
-    """Indented JSON.  The indenting encoder recurses once per level, so a
-    document nested past the recursion limit raises ValueError, naming its
-    depth."""
+    """One line of compact JSON with sorted keys, written by the C encoder.
+    The encoder recurses once per level, so a document nested past the
+    recursion limit raises ValueError, naming its depth."""
     try:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     except RecursionError:
         raise ValueError(
             f"cannot write a document nested {_nesting(doc)} levels deep as JSON "

@@ -13,6 +13,8 @@ from amalgam.diagram import (
     Cocone,
     DiagramError,
     FinInjDiagram,
+    FunctorialityViolation,
+    NotInjective,
     validate_cocone,
 )
 from amalgam.fincat import (
@@ -36,6 +38,15 @@ from amalgam.poset import (
 )
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def total_elements(diagram: FinInjDiagram) -> int:
+    return sum(len(c) for c in diagram.carriers)
+
+
+def related(cong, a: int, b: int) -> bool:
+    """Whether a congruence puts morphisms a and b in one class."""
+    return cong.class_of[a] == cong.class_of[b]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -578,6 +589,160 @@ def build_cocone_forest(diagram: FinInjDiagram, cert: ForestCertificate) -> Coco
         {e: rename[v] for e, v in legs_by_obj.get(obj, {}).items()}
         for obj in range(len(shape.objects))
     )
-    cocone = Cocone(apex, legs)
+    cocone = cocone_from_labels(diagram, apex, legs)
     validate_cocone(diagram, cocone)
     return cocone
+
+
+def cocone_from_labels(diagram: FinInjDiagram, apex, legs) -> Cocone:
+    """A cocone given by label dicts, as the position rows of ``Cocone``.  An
+    element a leg misses is left out of its row and a label outside the apex
+    becomes position len(apex), so ``validate_cocone`` still sees the fault."""
+    apex = tuple(apex)
+    slot = {a: k for k, a in enumerate(apex)}
+    rows = tuple(
+        tuple(slot.get(leg[e], len(apex)) for e in diagram.carrier(obj) if e in leg)
+        for obj, leg in enumerate(legs)
+    )
+    return Cocone(apex, rows)
+
+
+# -- label-keyed references for the integer-indexed diagram layer ------------
+
+def reference_validate_diagram(shape: FinCategory, carriers, actions) -> None:
+    """The checks of ``validate_diagram`` over label sets and dicts, in the
+    same order: it raises the same exception for the same first fault."""
+    carriers = [tuple(c) for c in carriers]
+    actions = [dict(a) for a in actions]
+    if len(carriers) != len(shape.objects):
+        raise CarrierMismatch("one carrier per object required")
+    if len(actions) != len(shape.morphisms):
+        raise CarrierMismatch("one action per morphism required")
+    for i, c in enumerate(carriers):
+        if len(set(c)) != len(c):
+            raise CarrierMismatch(f"carrier of {shape.objects[i]} has duplicate labels")
+    for i, m in enumerate(shape.morphisms):
+        act = actions[i]
+        dom, cod = set(carriers[m.dom]), set(carriers[m.cod])
+        if set(act) != dom:
+            raise CarrierMismatch(f"action of {m.name} is not defined on exactly its carrier")
+        if not set(act.values()) <= cod:
+            raise CarrierMismatch(f"action of {m.name} leaves the target carrier")
+        if len(set(act.values())) != len(act):
+            raise NotInjective(f"action of {m.name} is not injective")
+    for x, i in enumerate(shape.identity):
+        if any(actions[i][e] != e for e in carriers[x]):
+            raise FunctorialityViolation(
+                f"identity of {shape.objects[x]} does not act as the identity"
+            )
+    for (g, f), r in shape.table.items():
+        af, ag, ar = actions[f], actions[g], actions[r]
+        for e in carriers[shape.morphisms[f].dom]:
+            if ag[af[e]] != ar[e]:
+                raise FunctorialityViolation(
+                    f"({shape.morphisms[g].name}, {shape.morphisms[f].name}) "
+                    f"does not commute at element {e}"
+                )
+
+
+@dataclass
+class ReferenceColimit:
+    classes: tuple[frozenset[tuple[int, str]], ...]
+    injective: tuple[bool, ...]
+    collision: tuple[int, str, str] | None
+    zigzag: tuple[tuple[tuple[int, str], ...], tuple[tuple[int, bool], ...]] | None
+
+
+def reference_colimit(diagram: FinInjDiagram) -> ReferenceColimit:
+    """Union-find over (object, label) nodes, classes ordered by first node,
+    the first collision carrier by carrier and a BFS zigzag for it: the
+    colimit as it was computed before nodes became integers."""
+    shape = diagram.shape
+    nodes = [
+        (obj, e)
+        for obj in range(len(shape.objects))
+        for e in diagram.carrier(obj)
+    ]
+    index = {node: k for k, node in enumerate(nodes)}
+    parent = list(range(len(nodes)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, m in enumerate(shape.morphisms):
+        if shape.is_identity(i):
+            continue
+        action = diagram.action(i)
+        for e in diagram.carrier(m.dom):
+            a = find(index[(m.dom, e)])
+            b = find(index[(m.cod, action[e])])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+
+    groups: dict[int, list[int]] = {}
+    for k in range(len(nodes)):
+        groups.setdefault(find(k), []).append(k)
+    classes = tuple(
+        frozenset(nodes[k] for k in members)
+        for members in sorted(groups.values(), key=min)
+    )
+    class_of = {node: ci for ci, cl in enumerate(classes) for node in cl}
+
+    injective = []
+    collision = None
+    for obj in range(len(shape.objects)):
+        seen: dict[int, str] = {}
+        ok = True
+        for e in diagram.carrier(obj):
+            ci = class_of[(obj, e)]
+            if ci in seen:
+                ok = False
+                if collision is None:
+                    collision = (obj, seen[ci], e)
+                break
+            seen[ci] = e
+        injective.append(ok)
+
+    zigzag = None
+    if collision is not None:
+        obj, x, y = collision
+        zigzag = reference_zigzag(diagram, (obj, x), (obj, y))
+    return ReferenceColimit(classes, tuple(injective), collision, zigzag)
+
+
+def reference_zigzag(diagram: FinInjDiagram, start, goal):
+    """BFS over single-merge edges from start to goal in the element graph,
+    neighbours visited in the order of their string form."""
+    shape = diagram.shape
+    adj: dict[tuple[int, str], list] = {}
+    for i, m in enumerate(shape.morphisms):
+        if shape.is_identity(i):
+            continue
+        action = diagram.action(i)
+        for e in diagram.carrier(m.dom):
+            a = (m.dom, e)
+            b = (m.cod, action[e])
+            adj.setdefault(a, []).append((b, (i, True)))
+            adj.setdefault(b, []).append((a, (i, False)))
+    prev: dict = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            break
+        for nxt, step in sorted(adj.get(node, []), key=str):
+            if nxt not in prev:
+                prev[nxt] = (node, step)
+                queue.append(nxt)
+    nodes_path = [goal]
+    steps = []
+    while prev[nodes_path[-1]] is not None:
+        node, step = prev[nodes_path[-1]]
+        nodes_path.append(node)
+        steps.append(step)
+    nodes_path.reverse()
+    steps.reverse()
+    return tuple(nodes_path), tuple(steps)

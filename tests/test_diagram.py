@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgam.diagram import (
     CarrierMismatch,
+    Cocone,
+    DiagramError,
     FunctorialityViolation,
     HasCocone,
     NotApplicable,
@@ -19,18 +23,22 @@ from amalgam.diagram import (
     zigzag_action,
 )
 from amalgam.fincat import category, category_from_poset
-from amalgam.gen import random_diagram_over_poset
+from amalgam.gen import all_posets, random_diagram_over_poset
 from amalgam.pinj import PartialInjection
-from amalgam.poset import FinPoset, is_forest_like
+from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 from conftest import (
     CertificateMismatch,
     boat_poset,
     bowtie_cat,
     build_cocone_forest,
+    cocone_from_labels,
     parallel_pair_cat,
     poset_of_shape,
     pushout_inj,
+    reference_colimit,
+    reference_validate_diagram,
     span_poset,
+    total_elements,
 )
 
 
@@ -61,7 +69,7 @@ def chain_shape(n=3):
 
 def test_validate_bowtie_diagram():
     d = bowtie_diagram()
-    assert d.total_elements() == 5
+    assert total_elements(d) == 5
 
 
 def test_validate_singleton_carriers():
@@ -302,7 +310,7 @@ def test_build_cocone_chain_apex_is_top_carrier():
     assert len(cocone.apex) == 3
     validate_cocone(d, cocone)
     top = shape.obj_index["c2"]
-    assert len(set(cocone.legs[top].values())) == 3
+    assert len(set(cocone.legs[top])) == 3
 
 
 def test_build_cocone_two_singletons_disjoint_union():
@@ -410,7 +418,7 @@ def test_shrink_witness_keeps_failure():
     w = witness_no_cocone(shape)
     shrunk = shrink_witness(w)
     assert not has_cocone(shrunk)
-    assert shrunk.total_elements() <= w.total_elements()
+    assert total_elements(shrunk) <= total_elements(w)
 
 
 def test_shrink_removes_padding():
@@ -493,3 +501,271 @@ def test_skeleton_preserves_cocone_existence():
         skel_actions.append(dict(d.action(arrow)))
     skel = validate_diagram(skel_shape, skel_carriers, skel_actions)
     assert bool(has_cocone(d)) == bool(has_cocone(skel)) == True  # noqa: E712
+
+
+# -- the integer-indexed layer against the label-keyed references -------------
+
+def crown(k: int) -> FinPoset:
+    """x_i < y_i and x_i < y_(i+1 mod k): the comparability graph is a 2k-cycle."""
+    names = [f"x{i}" for i in range(k)] + [f"y{i}" for i in range(k)]
+    return FinPoset.from_covers(names, [(i, k + j) for i in range(k) for j in (i, (i + 1) % k)])
+
+
+POSETS_4 = [p for n in range(5) for p in all_posets(4)[n]]
+CROWNS = [crown(k) for k in (2, 3, 4)]
+REFUTED = [p for p in POSETS_4 if not isinstance(is_forest_like(p), ForestCertificate)]
+REFUTED += CROWNS
+
+
+def _relabeled(d, rng, prefix):
+    """The same diagram with each carrier's labels renamed at random, keeping
+    their positions; returns it with the renaming, per object."""
+    rename = []
+    for obj, c in enumerate(d.carriers):
+        fresh = [f"{prefix}{obj}.{k}" for k in range(len(c))]
+        rng.shuffle(fresh)
+        rename.append(dict(zip(c, fresh)))
+    shape = d.shape
+    carriers = [tuple(rename[obj][e] for e in c) for obj, c in enumerate(d.carriers)]
+    actions = [
+        {rename[m.dom][x]: rename[m.cod][y] for x, y in d.action(i).items()}
+        for i, m in enumerate(shape.morphisms)
+    ]
+    return validate_diagram(shape, carriers, actions), rename
+
+
+def _union(first, second):
+    """Disjoint union over one shape, the second's carriers after the first's."""
+    shape = first.shape
+    carriers = [a + b for a, b in zip(first.carriers, second.carriers)]
+    actions = [{**first.action(i), **second.action(i)} for i in range(len(shape.morphisms))]
+    return validate_diagram(shape, carriers, actions)
+
+
+def _padded(d, rng):
+    """Each carrier gains a junk element at a random position, and the junk
+    elements form a constant sub-diagram that no zigzag of the rest reaches."""
+    shape = d.shape
+    carriers = []
+    for obj, c in enumerate(d.carriers):
+        at = rng.randint(0, len(c))
+        carriers.append(c[:at] + (f"junk{obj}",) + c[at:])
+    actions = []
+    for i, m in enumerate(shape.morphisms):
+        act = d.action(i)
+        act[f"junk{m.dom}"] = f"junk{m.cod}"
+        actions.append(act)
+    return validate_diagram(shape, carriers, actions)
+
+
+# the posets of at most 4 elements with a composable pair of non-identities
+CHAINED_4 = [p for p in POSETS_4 if any(p.up_masks[b] & ~(1 << b) for a, b in p.cover_pairs())]
+
+
+def _twisted_crown(poset, size, rng):
+    """Every carrier holds the same labels and every arrow permutes them at
+    random; a crown has no composites, so this is a diagram, and its classes
+    are joined by many zigzags of different lengths."""
+    shape = category_from_poset(poset)
+    labels = tuple(f"t{k}" for k in range(size))
+    actions = []
+    for i in range(len(shape.morphisms)):
+        image = list(labels)
+        if not shape.is_identity(i):
+            rng.shuffle(image)
+        actions.append(dict(zip(labels, image)))
+    return validate_diagram(shape, [labels] * len(shape.objects), actions)
+
+
+@st.composite
+def oracle_diagrams(draw, posets=POSETS_4):
+    """Random diagrams over the posets given (they have cocones), twisted
+    crowns (cocone-free or not), and cocone-free ones: a refuted shape's
+    witness joined with a random diagram, in either order, sometimes padded
+    with junk."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "twisted", "witness")))
+    if kind == "random":
+        poset = draw(st.sampled_from(posets))
+        return random_diagram_over_poset(poset, rng, max_extra=3)
+    if kind == "twisted":
+        return _twisted_crown(draw(st.sampled_from(CROWNS)), draw(st.integers(1, 4)), rng)
+    poset = draw(st.sampled_from(REFUTED))
+    shape = category_from_poset(poset)
+    witness, _ = _relabeled(witness_no_cocone(shape), rng, "w")
+    other, _ = _relabeled(random_diagram_over_poset(poset, rng, shape=shape), rng, "r")
+    d = _union(witness, other) if draw(st.booleans()) else _union(other, witness)
+    return _padded(d, rng) if draw(st.booleans()) else d
+
+
+def _check_zigzag(d, col):
+    """The zigzag joins x to y through single action steps and replays."""
+    assert col.nodes[0] == (col.obj, col.x) and col.nodes[-1] == (col.obj, col.y)
+    for (a, x), (b, y), (i, forward) in zip(col.nodes, col.nodes[1:], col.steps):
+        m = d.shape.morphisms[i]
+        if forward:
+            assert (m.dom, m.cod) == (a, b) and d.action(i)[x] == y
+        else:
+            assert (m.cod, m.dom) == (a, b) and d.action(i)[y] == x
+    assert zigzag_action(d, col.word()).mapping.get(col.x) == col.y
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_diagrams())
+def test_colimit_matches_the_tuple_keyed_reference(d):
+    ref = reference_colimit(d)
+    colim = colimit_set(d)
+    assert len(colim.classes) == len(ref.classes)
+    assert tuple(colim.classes) == ref.classes
+    assert colim.class_of == {node: k for k, cl in enumerate(ref.classes) for node in cl}
+    assert colim.injective == ref.injective
+    col = colim.collision
+    assert (col and (col.obj, col.x, col.y)) == ref.collision
+    if col is not None:
+        assert len(col.steps) == len(ref.zigzag[1])
+        _check_zigzag(d, col)
+    else:
+        cocone = has_cocone(d).cocone
+        for obj, c in enumerate(d.carriers):
+            assert [cocone.apex[k] for k in cocone.legs[obj]] == [
+                f"q{colim.iota(obj, e)}" for e in c
+            ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_diagrams(), st.randoms(use_true_random=False))
+def test_colimit_is_unchanged_when_labels_are_renamed(d, rng):
+    renamed, rename = _relabeled(d, rng, "n")
+    a, b = has_cocone(d), has_cocone(renamed)
+    assert [{(o, rename[o][e]) for o, e in cl} for cl in a.colimit.classes] == list(
+        b.colimit.classes
+    )
+    assert a.colimit.injective == b.colimit.injective
+    if a:
+        assert b and a.cocone == b.cocone
+    else:
+        col = a.collision
+        assert b.collision.nodes == tuple((o, rename[o][e]) for o, e in col.nodes)
+        assert b.collision.steps == col.steps
+
+
+FAULTS = ("repeat", "drop", "extra", "escape", "collide", "swap", "move", "count")
+
+
+def _corrupt(shape, carriers, actions, rng, kind):
+    """One fault of the kind: a repeated label, a missing, extra, escaping or
+    colliding image, two images swapped or one moved to a free target (both
+    keep the action injective), or a missing carrier or action."""
+    arrows = [i for i in range(len(actions)) if not shape.is_identity(i)]
+    if kind in ("swap", "move") and arrows and rng.random() < 0.8:
+        i = rng.choice(arrows)
+    else:
+        i = rng.randrange(len(actions))
+    act = actions[i]
+    m = shape.morphisms[i]
+    if kind == "repeat" and carriers[m.dom]:
+        carriers[m.dom].append(rng.choice(carriers[m.dom]))
+    elif kind == "drop" and act:
+        del act[rng.choice(sorted(act))]
+    elif kind == "extra":
+        act["extra"] = rng.choice(carriers[m.cod] or ["extra"])
+    elif kind == "escape" and act:
+        act[rng.choice(sorted(act))] = "escaped"
+    elif kind == "collide" and len(act) > 1:
+        x, y = rng.sample(sorted(act), 2)
+        act[x] = act[y]
+    elif kind == "swap" and len(act) > 1:
+        x, y = rng.sample(sorted(act), 2)
+        act[x], act[y] = act[y], act[x]
+    elif kind == "move" and act:
+        free = sorted(set(carriers[m.cod]) - set(act.values()))
+        if free:
+            act[rng.choice(sorted(act))] = rng.choice(free)
+    elif kind == "count":
+        rng.choice((carriers, actions)).pop()
+
+
+def _outcome(validate, shape, carriers, actions):
+    try:
+        validate(shape, [list(c) for c in carriers], [dict(a) for a in actions])
+    except DiagramError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _check_first_fault(d, rng, faults):
+    shape = d.shape
+    carriers = [list(c) for c in d.carriers]
+    actions = [d.action(i) for i in range(len(shape.morphisms))]
+    for kind in faults:
+        if not actions or len(carriers) != len(shape.objects) or len(actions) != len(
+            shape.morphisms
+        ):
+            break  # nothing to corrupt, or a missing carrier or action comes first
+        _corrupt(shape, carriers, actions, rng, kind)
+    expected = _outcome(reference_validate_diagram, shape, carriers, actions)
+    assert _outcome(validate_diagram, shape, carriers, actions) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(oracle_diagrams(), oracle_diagrams(CHAINED_4)),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3),
+)
+def test_validation_reports_the_reference_first_fault(d, rng, faults):
+    _check_first_fault(d, rng, faults)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    oracle_diagrams(CHAINED_4),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(("swap", "move")), min_size=1, max_size=3),
+)
+def test_validation_reports_the_reference_first_functoriality_fault(d, rng, faults):
+    """Faults that keep every action injective: the identity and composite
+    checks find them, at the element the reference names."""
+    _check_first_fault(d, rng, faults)
+
+
+def test_validate_cocone_makes_each_of_its_four_checks():
+    d = bowtie_diagram(h_target="0", k_target="0")
+    cocone = has_cocone(d).cocone
+    validate_cocone(d, cocone)
+    apex, legs = cocone.apex, cocone.legs
+    a, b = d.shape.obj_index["A"], d.shape.obj_index["B"]
+
+    def with_leg(obj, row, apex=apex):
+        return Cocone(apex, tuple(row if o == obj else leg for o, leg in enumerate(legs)))
+
+    with pytest.raises(CarrierMismatch, match="one leg per object"):
+        validate_cocone(d, Cocone(apex, legs[:-1]))
+    with pytest.raises(CarrierMismatch, match="leg of B is not total"):
+        validate_cocone(d, with_leg(b, legs[b][:1]))
+    with pytest.raises(CarrierMismatch, match="leg of B leaves the apex"):
+        validate_cocone(d, with_leg(b, (legs[b][0], len(apex))))
+    with pytest.raises(NotInjective, match="leg of B is not injective"):
+        validate_cocone(d, with_leg(b, (legs[b][0],) * 2))
+    # A's one element moves to a fresh apex point, away from C's and D's.
+    with pytest.raises(FunctorialityViolation, match="leg does not commute with f at element"):
+        validate_cocone(d, with_leg(a, (len(apex),), apex + ("fresh",)))
+
+
+def test_cocone_from_labels_keeps_label_faults_visible():
+    d = bowtie_diagram(h_target="0", k_target="0")
+    good = has_cocone(d).cocone
+    labels = [
+        {e: good.apex[k] for e, k in zip(d.carriers[obj], leg)}
+        for obj, leg in enumerate(good.legs)
+    ]
+    validate_cocone(d, cocone_from_labels(d, good.apex, labels))
+    b = d.shape.obj_index["B"]
+    missing = [dict(leg) for leg in labels]
+    missing[b].pop("1")
+    with pytest.raises(CarrierMismatch, match="not total"):
+        validate_cocone(d, cocone_from_labels(d, good.apex, missing))
+    outside = [dict(leg) for leg in labels]
+    outside[b]["1"] = "elsewhere"
+    with pytest.raises(CarrierMismatch, match="leaves the apex"):
+        validate_cocone(d, cocone_from_labels(d, good.apex, outside))

@@ -221,6 +221,11 @@ def test_from_covers_rejects_cycles_and_keeps_loops():
     assert FinPoset.from_covers(["a", "b"], [(0, 0), (0, 1)]) == FinPoset(["a", "b"], [(0, 1)])
 
 
+def test_from_covers_rejects_repeated_names():
+    with pytest.raises(NotAPartialOrder, match="element names must be distinct"):
+        FinPoset.from_covers(["a", "b", "a"], [(0, 1)])
+
+
 def _closure(n, covers):
     rel = {(i, i) for i in range(n)} | set(covers)
     while True:

@@ -14,7 +14,7 @@ from amalgam.fincat import PresentationError, category
 from amalgam.gen import all_posets
 from amalgam.poset import ForestCertificate, is_forest_like
 from amalgam.serialize import ParseError
-from conftest import chain
+from conftest import chain, cocone_from_labels, total_elements
 
 # corpus shapes that `check` accepts, posets and inverse categories alike
 AMALGAMABLE = (
@@ -63,7 +63,7 @@ def test_verdict_document_fields():
     assert doc["evidence"]["collision"]["object"] in ("A", "B")
     # the attached diagram is itself a loadable document
     witness = serialize.diagram_from_doc(doc["evidence"]["diagram"])
-    assert witness.total_elements() > 0
+    assert total_elements(witness) > 0
 
 
 def test_parse_errors():
@@ -139,7 +139,7 @@ def test_cli_cocone_on_every_amalgamable_corpus_shape(name, tmp_path, capsys):
         legs = tuple(
             dict(map(tuple, doc["legs"][obj])) for obj in diagram.shape.objects
         )
-        validate_cocone(diagram, Cocone(tuple(doc["apex"]), legs))
+        validate_cocone(diagram, cocone_from_labels(diagram, doc["apex"], legs))
 
 
 def test_check_accepts_exactly_the_amalgamable_corpus_shapes(capsys):
@@ -208,6 +208,42 @@ def test_cli_validate(tmp_path, capsys):
                                "covers": [["a", "b"], ["b", "a"]]}))
     assert main(["validate", str(bad)]) == 2
     capsys.readouterr()
+
+
+def _bowtie_diagram_with(tmp_path, edit):
+    doc = serialize.load_document(corpus.path("bowtie_diagram"))
+    edit(doc)
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["oracle", "validate"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["actions"].update(h=[["*", "0"], ["*", "1"]]),
+         "action of 'h' lists source '*' twice"),
+        (lambda d: d["carriers"].update(B="01"),
+         "carrier of 'B' must be a list of string labels"),
+        (lambda d: d["carriers"].update(A=[["*"]]),
+         "carrier of 'A' must be a list of string labels"),
+        (lambda d: d["carriers"].update(A=[7]),
+         "carrier of 'A' must be a list of string labels"),
+        (lambda d: d["actions"].update(f=["**"]),
+         "action of 'f' must be a list of [x, y] pairs"),
+        (lambda d: d["actions"].update(f=[[["*"], "*"]]),
+         "action of 'f' must be a list of [x, y] pairs"),
+    ],
+)
+def test_cli_rejects_malformed_diagram_fields(tmp_path, capsys, command, edit, message):
+    """A source listed twice, a carrier that is a string or holds a
+    non-string label, and a pair that is not a list: each exits 2 and names
+    the object or morphism at fault."""
+    path = _bowtie_diagram_with(tmp_path, edit)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: diagram: ") and message in err
 
 
 def test_cli_explain(capsys):
@@ -334,9 +370,11 @@ def test_dump_names_the_depth_of_any_document_too_deep_to_write():
         serialize.dump({"value": deep})
 
 
-def test_shallow_structured_verdict_is_plain_indented_json():
+def test_shallow_structured_verdict_is_compact_sorted_json():
     doc = serialize.verdict_to_doc(decide(chain(200)))
-    assert serialize.dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = serialize.dump(doc)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1 and json.loads(text) == doc
 
 
 def test_morphism_name_collision(tmp_path, capsys):
