@@ -32,7 +32,6 @@ from .fincat import (
     FunctorMap,
     Morphism,
     category,
-    category_from_poset,
     congruence_close,
     connected_components,
     is_monic,

@@ -62,12 +62,16 @@ def _load_shape(ref: str):
     return serialize.load_shape(corpus.resolve(ref))
 
 
-def _load_decidable(ref: str):
-    return serialize.load_decidable(corpus.resolve(ref))
+def _with_named_arrows(shape):
+    """The shape, once its morphism names are known to be distinct: a poset
+    names its arrows on first use, and two arrows of one name are an input
+    error wherever arrows are named."""
+    shape.mor_index
+    return shape
 
 
 def cmd_check(config: RunConfig) -> int:
-    verdict = decide(_load_decidable(config.inputs[0]))
+    verdict = decide(_load_shape(config.inputs[0]))
     if config.format == "structured":
         _emit(config, serialize.dump(serialize.verdict_to_doc(verdict)))
     else:
@@ -76,13 +80,13 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_explain(config: RunConfig) -> int:
-    verdict = decide(_load_decidable(config.inputs[0]))
+    verdict = decide(_load_shape(config.inputs[0]))
     _emit(config, explain(verdict) + "\n")
     return 0 if verdict.amalgamable_ap_jep else 1
 
 
 def cmd_witness(config: RunConfig) -> int:
-    shape = _load_shape(config.inputs[0])
+    shape = _with_named_arrows(_load_shape(config.inputs[0]))
     try:
         diagram = witness_no_cocone(shape)
     except NotApplicable as exc:
@@ -92,14 +96,29 @@ def cmd_witness(config: RunConfig) -> int:
     return 0
 
 
-def cmd_cocone(config: RunConfig) -> int:
-    shape = _load_shape(config.inputs[0])
-    path = corpus.resolve(config.inputs[1])
-    diagram = serialize.diagram_from_doc(
-        serialize.load_document(path), base_dir=Path(path).parent
+def _load_diagram_over(shape, shape_doc: dict, shape_path: str, ref: str):
+    """The diagram document at ref, read over the shape already parsed from
+    shape_doc when its shape is that document, inline or by path; any other
+    shape is parsed and must equal it."""
+    path = corpus.resolve(ref)
+    doc = serialize.load_document(path)
+    base_dir = Path(path).parent
+    field = doc.get("shape")
+    same = field == shape_doc or (
+        isinstance(field, str)
+        and serialize.shape_path(field, base_dir).resolve() == Path(shape_path).resolve()
     )
-    if diagram.shape != shape:
+    diagram = serialize.diagram_from_doc(doc, base_dir, shape if same else None)
+    if not same and diagram.shape != shape:
         raise ParseError("diagram shape does not match the given shape")
+    return diagram
+
+
+def cmd_cocone(config: RunConfig) -> int:
+    shape_path = corpus.resolve(config.inputs[0])
+    shape_doc = serialize.load_document(shape_path)
+    shape = serialize.shape_from_doc(shape_doc)
+    diagram = _load_diagram_over(shape, shape_doc, shape_path, config.inputs[1])
     if not analyze_shape(shape).usc:
         print("not applicable: shape is not upward-simply-connected", file=sys.stderr)
         return 1
@@ -145,7 +164,7 @@ def cmd_validate(config: RunConfig) -> int:
     if kind == "category" and "pinv" in doc:
         serialize.inverse_from_doc(doc)
     elif kind in ("category", "poset"):
-        serialize.shape_from_doc(doc)
+        _with_named_arrows(serialize.shape_from_doc(doc))
     elif kind == "diagram":
         serialize.diagram_from_doc(doc, base_dir=Path(path).parent)
     else:
@@ -167,9 +186,14 @@ def cmd_gen(config: RunConfig) -> int:
         diagram = gen.random_diagram_over_poset(
             analysis.skeleton, rng, shape=shape, element_of=analysis.skeleton_map
         )
-        _emit(config, serialize.dump(serialize.diagram_to_doc(diagram)))
+        doc = serialize.diagram_to_doc(diagram)
+        doc["shape"] = serialize.category_to_doc(shape)  # a poset shape as its category
+        _emit(config, serialize.dump(doc))
         return 0
-    size = int(config.inputs[1]) if len(config.inputs) > 1 else 5
+    try:
+        size = int(config.inputs[1]) if len(config.inputs) > 1 else 5
+    except ValueError:
+        raise ParseError(f"SIZE must be an integer, got '{config.inputs[1]}'") from None
     if not 0 < size <= config.max_size:
         raise ParseError(f"size must be in 1..{config.max_size}")
     if kind == "poset":

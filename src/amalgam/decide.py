@@ -62,8 +62,8 @@ def _sizes(shape: FinCategory | FinPoset) -> tuple[int, int, int]:
 def decide(shape: FinCategory | FinPoset) -> Verdict:
     """Decide amalgamability of the shape, with evidence.
 
-    A FinPoset is decided on its masks; its category is built only when a
-    refutation needs a witness diagram.
+    A FinPoset is decided on its masks, and a refutation's witness diagram
+    is built over the poset itself: no composition table is made for it.
     """
     objects, morphisms, parts = _sizes(shape)
     trace = [f"shape: {objects} objects, {morphisms} morphisms"]

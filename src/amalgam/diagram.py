@@ -19,7 +19,6 @@ from functools import cached_property
 from .fincat import (
     FinCategory,
     FunctorMap,
-    category_from_poset,
     is_preorder,
     monic_reflection,
     skeleton_poset,
@@ -62,7 +61,8 @@ class HasCocone(DiagramError):
 
 
 class FinInjDiagram:
-    """A functor from a finite shape into finite sets and injections.
+    """A functor from a finite shape, a FinCategory or a FinPoset, into finite
+    sets and injections.
 
     Carriers are tuples of distinct labels, and ``index[obj]`` sends each
     label of an object's carrier to its position.  An action is stored as
@@ -71,7 +71,7 @@ class FinInjDiagram:
     on demand.
     """
 
-    def __init__(self, shape: FinCategory, carriers, maps, index):
+    def __init__(self, shape: FinCategory | FinPoset, carriers, maps, index):
         self.shape = shape
         self.carriers = carriers
         self.maps = maps
@@ -111,12 +111,14 @@ class FinInjDiagram:
         return f"FinInjDiagram({sizes})"
 
 
-def validate_diagram(shape: FinCategory, carriers, actions) -> FinInjDiagram:
-    """Exhaustively check totality, injectivity and functoriality.
+def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInjDiagram:
+    """Check totality, injectivity and functoriality.
 
     Each carrier's labels are interned once; each action, a mapping of
     labels, becomes the row of its images' positions, and every law is
-    checked over those rows.
+    checked over those rows.  Functoriality is checked with a generator on
+    the left: if F(a∘f) = F(a)F(f) and F(b∘f) = F(b)F(f) for every f, then
+    F((b∘a)∘f) = F(b)F(a∘f) = F(b∘a)F(f), as the shape is associative.
     """
     carriers = tuple(map(tuple, carriers))
     actions = [a if isinstance(a, dict) else dict(a) for a in actions]
@@ -152,9 +154,20 @@ def validate_diagram(shape: FinCategory, carriers, actions) -> FinInjDiagram:
                 f"identity of {shape.objects[x]} does not act as the identity"
             )
     # Composites with an identity commute once the identities act as such.
-    for (g, f), r in shape.table.items():
-        if shape.is_identity(g) or shape.is_identity(f):
-            continue
+    for g in shape.generators:
+        ag, x = maps[g], shape.morphisms[g].dom
+        for f in shape.hom_in[x]:
+            if f != shape.identity[x] and (
+                tuple(map(ag.__getitem__, maps[f])) != maps[shape.compose(g, f)]
+            ):
+                _raise_first_functoriality_fault(shape, carriers, maps)
+    return FinInjDiagram(shape, carriers, tuple(maps), index)
+
+
+def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
+    """Scan every composable pair of non-identities in the shape's table
+    order and name the first that does not commute."""
+    for g, f, r in shape.composites():
         af, ag, ar = maps[f], maps[g], maps[r]
         if tuple(map(ag.__getitem__, af)) != ar:
             p = next(p for p, q in enumerate(af) if ag[q] != ar[p])
@@ -162,7 +175,6 @@ def validate_diagram(shape: FinCategory, carriers, actions) -> FinInjDiagram:
                 f"({shape.morphisms[g].name}, {shape.morphisms[f].name}) "
                 f"does not commute at element {carriers[shape.morphisms[f].dom][p]}"
             )
-    return FinInjDiagram(shape, carriers, tuple(maps), index)
 
 
 @dataclass(frozen=True)
@@ -243,8 +255,11 @@ class ColimitResult:
 def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
     """Quotient the disjoint sum of carriers by x ~ action(x) for every morphism.
 
+    The unions run over the shape's generators only: the action of any other
+    morphism is a composite of theirs, so its steps are already unions.
     Union-find over integer nodes; a union keeps the smaller root, so every
-    node's parent precedes it and each root is its class's first node.
+    node's parent precedes it and each root is its class's first node, and
+    the classes do not depend on the order of the unions.
     """
     shape, carriers, maps = diagram.shape, diagram.carriers, diagram.maps
     offsets = []
@@ -253,9 +268,8 @@ def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
         offsets.append(total)
         total += len(c)
     parent = list(range(total))
-    for i, m in enumerate(shape.morphisms):
-        if shape.is_identity(i):
-            continue
+    for i in shape.generators:
+        m = shape.morphisms[i]
         base = offsets[m.cod]
         for a, q in enumerate(maps[i], offsets[m.dom]):
             while parent[a] != a:
@@ -352,7 +366,9 @@ class Cocone:
 
 def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
     """Check that every leg is total, stays inside the apex, is injective and
-    commutes with every action, all over carrier and apex positions."""
+    commutes with every action, all over carrier and apex positions.  Legs
+    that commute with the generators' actions commute with their composites,
+    so the other morphisms are scanned only to name a fault."""
     shape = diagram.shape
     legs = cocone.legs
     if len(legs) != len(shape.objects):
@@ -366,16 +382,22 @@ def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
             raise CarrierMismatch(f"leg of {shape.objects[obj]} leaves the apex")
         if len(set(leg)) != len(leg):
             raise NotInjective(f"leg of {shape.objects[obj]} is not injective")
+
+    def commutes(i: int) -> bool:
+        m = shape.morphisms[i]
+        return tuple(map(legs[m.cod].__getitem__, diagram.maps[i])) == tuple(legs[m.dom])
+
+    if all(map(commutes, shape.generators)):
+        return
     for i, m in enumerate(shape.morphisms):
-        if shape.is_identity(i):
+        if shape.is_identity(i) or commutes(i):
             continue
         row, source, target = diagram.maps[i], tuple(legs[m.dom]), legs[m.cod]
-        if tuple(map(target.__getitem__, row)) != source:
-            p = next(p for p, q in enumerate(row) if target[q] != source[p])
-            raise FunctorialityViolation(
-                f"leg does not commute with {m.name} at element "
-                f"{diagram.carriers[m.dom][p]}"
-            )
+        p = next(p for p, q in enumerate(row) if target[q] != source[p])
+        raise FunctorialityViolation(
+            f"leg does not commute with {m.name} at element "
+            f"{diagram.carriers[m.dom][p]}"
+        )
 
 
 @dataclass
@@ -521,15 +543,13 @@ def witness_no_cocone(
     of K's up-set and to 1 over the others, K and the rest of the up-set
     carry {0, 1} with identity actions, everything else is empty.  The output
     is re-verified to be cocone-free before being returned, together with
-    the oracle's collision.  A diagram needs the composition table, so a
-    shape given as a FinPoset is turned into its category here.
+    the oracle's collision.  A shape given as a FinPoset carries the diagram
+    itself, through its morphisms.
     """
     if analysis is None:
         analysis = analyze_shape(shape)
     if analysis.usc:
         raise NotApplicable("every diagram over this shape has a cocone")
-    if isinstance(shape, FinPoset):
-        shape = category_from_poset(shape)
 
     if not analysis.preorder:
         refl = analysis.reflection

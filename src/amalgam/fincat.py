@@ -1,8 +1,10 @@
 """Finite categories presented by a full composition table.
 
 Objects and morphisms are indexed; identities occupy the first object-many
-morphism slots.  All category axioms are checked exhaustively at
-construction time, so every FinCategory in circulation is valid.
+morphism slots.  All category axioms are checked at construction time, so
+every FinCategory in circulation is valid.  Associativity is checked through
+a generating set of arrows (Light's test), with the exhaustive scan kept to
+name the first fault of a table that fails it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ class FinCategory:
     list the morphisms out of and into object x, and ``hom_sets`` maps each
     non-empty (dom, cod) to its morphisms, all in ascending index order.
     Every scan over composable pairs and triples runs over these lists.
+    ``generators`` is a generating set of non-identities in ascending index
+    order: every non-identity is a right-nested composite g1∘(g2∘(…∘gk)) of
+    them.
     """
 
     def __init__(self, objects, morphisms, identity, table):
@@ -89,6 +94,13 @@ class FinCategory:
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return tuple(self.hom_sets.get((x, y), ()))
 
+    def composites(self):
+        """(g, f, g∘f) for every composable pair of non-identities, in table order."""
+        is_identity = self._identity_set.__contains__
+        for (g, f), r in self.table.items():
+            if not (is_identity(g) or is_identity(f)):
+                yield g, f, r
+
     def parallel_pairs(self):
         """All index pairs (f, g) with f < g, equal dom and equal cod,
         by ascending g, then ascending f."""
@@ -99,6 +111,14 @@ class FinCategory:
                 yield f, g
 
     def __eq__(self, other):
+        if isinstance(other, FinPoset):
+            # A category with a poset's arrows has one choice for each
+            # composite, so its table agrees with the poset's order.
+            return (
+                self.objects == other.objects
+                and self.identity == other.identity
+                and self.morphisms == other.morphisms
+            )
         if not isinstance(other, FinCategory):
             return NotImplemented
         return (
@@ -129,11 +149,13 @@ def _check_presentation(cat: FinCategory) -> None:
 
 
 def _check_axioms(cat: FinCategory) -> None:
-    """Exhaustive axiom check over the composable pairs and triples only.
+    """Axiom check over the composable pairs, then associativity by Light's
+    test over the generators.
 
-    Pairs are visited as f, then g in hom_out[cod f]; triples as f, then g,
-    then h in hom_out[cod g]: the order of a scan over all morphisms, so a
-    table with several faults reports the same first one.
+    Pairs are visited as f, then g in hom_out[cod f]: the order of a scan
+    over all morphisms, so a table with several faults reports the same
+    first one.  Only a table that fails Light's test is scanned over all
+    its composable triples, to name its first fault.
     """
     n_mor = len(cat.morphisms)
     morphisms, table, hom_out = cat.morphisms, cat.table, cat.hom_out
@@ -176,9 +198,80 @@ def _check_axioms(cat: FinCategory) -> None:
                 f"({mf.name}, id_{cat.objects[mf.dom]}, "
                 f"{morphisms[right].name}) breaks the right identity law"
             )
+    # after[f] maps each h in hom_out[cod f], in order, to h∘f.
+    after = [{h: table[(h, f)] for h in hom_out[mf.cod]} for f, mf in enumerate(morphisms)]
+    cat.generators = _generators(cat, after)
+    if not _associative_at_generators(cat, after):
+        _raise_first_associativity_fault(cat, after)
+
+
+def _generators(cat: FinCategory, after) -> tuple[int, ...]:
+    """The irreducible non-identities, those that are not g∘f for non-identities
+    g, f other than the result; then, in index order, each non-identity that
+    the right-nested composites of the generators chosen so far do not reach
+    (every element of Z_n is a composite, but not of nothing)."""
+    morphisms = cat.morphisms
+    is_identity = cat._identity_set.__contains__
+    reducible = set()
+    for f, after_f in enumerate(after):
+        if is_identity(f):
+            continue
+        for g, r in after_f.items():
+            if r != g and r != f and not is_identity(g):
+                reducible.add(r)
+    chosen = [
+        m for m in range(len(morphisms)) if not (is_identity(m) or m in reducible)
+    ]
+    out_of: list[list[int]] = [[] for _ in cat.objects]  # generators by domain
+    for g in chosen:
+        out_of[morphisms[g].dom].append(g)
+    reached: set[int] = set()
+
+    def reach(fresh: list[int]) -> None:
+        """Add the composites g∘x of generators g after each fresh x."""
+        while fresh:
+            x = fresh.pop()
+            if x not in reached:
+                reached.add(x)
+                fresh.extend(map(after[x].__getitem__, out_of[morphisms[x].cod]))
+
+    reach(list(chosen))
+    for m, mm in enumerate(morphisms):
+        if m in reached or is_identity(m):
+            continue
+        chosen.append(m)
+        out_of[mm.dom].append(m)
+        reach([m] + [after[x][m] for x in cat.hom_in[mm.dom] if x in reached])
+    return tuple(sorted(chosen))
+
+
+def _associative_at_generators(cat: FinCategory, after) -> bool:
+    """Light's associativity test: (h∘g)∘f = h∘(g∘f) for every generator g.
+
+    Exact on any table that passed the identity checks.  If the law holds
+    with a and with b in the middle for every f and h, it holds with b∘a:
+    h∘((b∘a)∘f) = h∘(b∘(a∘f)) = (h∘b)∘(a∘f) = ((h∘b)∘a)∘f = (h∘(b∘a))∘f.
+    Identities satisfy it by the identity laws, and every morphism is a
+    right-nested composite of generators.  Since cod(g∘f) = cod g, the
+    composites h∘(g∘f) are listed by after[g∘f] in the order of after[g].
+    """
+    hom_in, morphisms = cat.hom_in, cat.morphisms
+    for g in cat.generators:
+        after_g = list(after[g].values())
+        for f in hom_in[morphisms[g].dom]:
+            after_f = after[f]
+            if list(after[after_f[g]].values()) != list(map(after_f.__getitem__, after_g)):
+                return False
+    return True
+
+
+def _raise_first_associativity_fault(cat: FinCategory, after) -> None:
+    """The exhaustive scan over composable triples, in the order of a scan
+    over all morphisms: raises the first fault a full check would report."""
+    morphisms, table, hom_out = cat.morphisms, cat.table, cat.hom_out
     # post[x][k] is h∘x for the k-th h in hom_out[cod x]; since cod(g∘f) =
     # cod g, the triple (h, g, f) compares post[g∘f][k] with post[g][k]∘f.
-    post = [[table[(h, f)] for h in hom_out[mf.cod]] for f, mf in enumerate(morphisms)]
+    post = [list(a.values()) for a in after]
     for f, mf in enumerate(morphisms):
         for g, gf in zip(hom_out[mf.cod], post[f]):
             if post[gf] == [table[(hg, f)] for hg in post[g]]:
@@ -198,6 +291,22 @@ def _describe(objects, morphisms, i: int) -> str:
     return f"the arrow '{objects[m.dom]}' -> '{objects[m.cod]}'"
 
 
+def name_index(objects, morphisms) -> dict[str, int]:
+    """Each morphism name's index; the identities come first.  A name given
+    twice raises PresentationError naming both morphisms."""
+    mor_index: dict[str, int] = {}
+    for i, m in enumerate(morphisms):
+        first = mor_index.setdefault(m.name, i)
+        if first != i:
+            raise PresentationError(
+                f"morphism name '{m.name}' is given to both "
+                f"{_describe(objects, morphisms, first)} and "
+                f"{_describe(objects, morphisms, i)}"
+                + (" (id_<object> names the identities)" if first < len(objects) else "")
+            )
+    return mor_index
+
+
 def validate_category(raw: dict) -> FinCategory:
     """Build a FinCategory from a raw name-based presentation.
 
@@ -206,7 +315,10 @@ def validate_category(raw: dict) -> FinCategory:
     named ``id_<object>``; their composites are filled in automatically, and
     every other composable pair must be listed.
     """
-    objects = list(raw.get("objects", []))
+    objects = raw.get("objects", [])
+    if not isinstance(objects, (list, tuple)) or not all(isinstance(o, str) for o in objects):
+        raise PresentationError("objects must be a list of string names")
+    objects = list(objects)
     morphisms = [Morphism(f"id_{name}", i, i) for i, name in enumerate(objects)]
     obj_index = {name: i for i, name in enumerate(objects)}
     if len(obj_index) != len(objects):
@@ -218,19 +330,14 @@ def validate_category(raw: dict) -> FinCategory:
             raise PresentationError(
                 f"morphism entries need name/dom/cod fields: {entry!r}"
             ) from None
+        if not (isinstance(name, str) and isinstance(dom, str) and isinstance(cod, str)):
+            raise PresentationError(
+                f"morphism name/dom/cod fields must be strings: {entry!r}"
+            )
         if dom not in obj_index or cod not in obj_index:
             raise PresentationError(f"morphism {name} references unknown objects")
         morphisms.append(Morphism(name, obj_index[dom], obj_index[cod]))
-    mor_index: dict[str, int] = {}
-    for i, m in enumerate(morphisms):
-        first = mor_index.setdefault(m.name, i)
-        if first != i:
-            raise PresentationError(
-                f"morphism name '{m.name}' is given to both "
-                f"{_describe(objects, morphisms, first)} and "
-                f"{_describe(objects, morphisms, i)}"
-                + (" (id_<object> names the identities)" if first < len(objects) else "")
-            )
+    mor_index = name_index(objects, morphisms)
 
     identity = tuple(range(len(objects)))
     table: dict[tuple[int, int], int] = {}
@@ -241,10 +348,18 @@ def validate_category(raw: dict) -> FinCategory:
             raise PresentationError(
                 f"compose entries must be [g, f, result] triples: {triple!r}"
             ) from None
-        for nm in (gname, fname, rname):
-            if nm not in mor_index:
-                raise PresentationError(f"compose entry references unknown morphism {nm}")
-        g, f, r = mor_index[gname], mor_index[fname], mor_index[rname]
+        try:
+            g, f, r = mor_index[gname], mor_index[fname], mor_index[rname]
+        except (KeyError, TypeError):  # every name in mor_index is a string
+            for nm in (gname, fname, rname):
+                if not isinstance(nm, str):
+                    raise PresentationError(
+                        f"compose entries must be triples of morphism names: {triple!r}"
+                    ) from None
+                if nm not in mor_index:
+                    raise PresentationError(
+                        f"compose entry references unknown morphism {nm}"
+                    ) from None
         if (g, f) in table and table[(g, f)] != r:
             raise PresentationError(
                 f"conflicting compose entries for ({gname}, {fname})"
@@ -277,25 +392,6 @@ def category(objects, arrows=(), compose=()) -> FinCategory:
             "compose": [list(t) for t in compose],
         }
     )
-
-
-def category_from_poset(poset: FinPoset) -> FinCategory:
-    """The poset as a category: one morphism a->b per related pair a <= b."""
-    arrows = []
-    compose = []
-    name = {}
-    for a, b in sorted(poset.relation_pairs()):
-        if a == b:
-            name[(a, b)] = f"id_{poset.elements[a]}"
-            continue
-        nm = f"{poset.elements[a]}->{poset.elements[b]}"
-        name[(a, b)] = nm
-        arrows.append((nm, poset.elements[a], poset.elements[b]))
-    for a, b in sorted(poset.relation_pairs()):
-        for c in sorted(poset.up(b)):
-            if a != b and b != c:
-                compose.append((name[(b, c)], name[(a, b)], name[(a, c)]))
-    return category(poset.elements, arrows, compose)
 
 
 def connected_components(cat: FinCategory) -> tuple[frozenset[int], ...]:

@@ -6,7 +6,7 @@ import random
 from itertools import permutations
 
 from .diagram import FinInjDiagram, ZigzagWord, validate_diagram
-from .fincat import FinCategory, category_from_poset
+from .fincat import FinCategory
 from .poset import FinPoset, ForestCertificate, closed_masks, is_forest_like
 
 
@@ -153,7 +153,7 @@ def random_nonforest(size: int, rng: random.Random, attempts: int = 10000) -> Fi
 def random_diagram_over_poset(
     poset: FinPoset,
     rng: random.Random,
-    shape: FinCategory | None = None,
+    shape: FinCategory | FinPoset | None = None,
     element_of=None,
     max_extra: int = 2,
 ) -> FinInjDiagram:
@@ -161,12 +161,13 @@ def random_diagram_over_poset(
 
     Monotone subsets of a universe give functorial inclusions, which are then
     conjugated by per-object relabelings so the actions are nontrivial maps.
-    Empty carriers occur naturally.  ``element_of`` sends each shape object to
-    the poset element it lies over (identity by default); every morphism
-    must go up in the poset, as a shape's skeleton map does.
+    Empty carriers occur naturally.  The shape is the poset itself unless
+    given; ``element_of`` sends each shape object to the poset element it
+    lies over (identity by default), and every morphism must go up in the
+    poset, as a shape's skeleton map does.
     """
     if shape is None:
-        shape = category_from_poset(poset)
+        shape = poset
     if element_of is None:
         element_of = range(len(shape.objects))
     n = len(poset)

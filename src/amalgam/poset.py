@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count
 
 from . import groups
@@ -89,6 +90,11 @@ class FinPoset:
     The relation is stored as int bitmasks: bit j of ``up_masks[i]`` is set
     when i <= j, and bit j of ``down_masks[i]`` when j <= i.  Reflexivity,
     antisymmetry and transitivity are validated on construction.
+
+    A FinPoset is also a shape: the category with one morphism per related
+    pair.  Its morphisms are the identities, then the pairs a < b in
+    increasing order, named ``a->b``; they are built on first use, and every
+    index and composite is read off the masks.  The covers generate them.
     """
 
     def __init__(self, elements, pairs=(), *, up_masks=None):
@@ -181,12 +187,18 @@ class FinPoset:
         return frozenset((a, b) for a, mask in enumerate(self.up_masks) for b in _bits(mask))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Hasse edges: a < b with nothing strictly between, in increasing order."""
-        return [
-            (a, b)
-            for a in range(len(self))
-            for b in self.minimal(_bits(self.up_masks[a] & ~(1 << a)))
-        ]
+        """Hasse edges: a < b with nothing strictly between, in increasing order.
+        The covers of a are its strict up-set less everything strictly above
+        a member of it."""
+        up = self.up_masks
+        out = []
+        for a, mask in enumerate(up):
+            strict = mask & ~(1 << a)
+            above = 0
+            for b in _sparse_bits(strict):
+                above |= up[b] & ~(1 << b)
+            out.extend((a, b) for b in _sparse_bits(strict & ~above))
+        return out
 
     def minimal(self, subset=None) -> list[int]:
         region = (1 << len(self)) - 1 if subset is None else _mask(subset)
@@ -204,6 +216,97 @@ class FinPoset:
         """All upward-closed subsets, smallest first (exponential; small posets only)."""
         out = [_members(s) for s in closed_masks(self.up_masks)]
         return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+    # -- the poset as a category ---------------------------------------------
+
+    @property
+    def objects(self) -> tuple:
+        return self.elements
+
+    @cached_property
+    def identity(self) -> tuple[int, ...]:
+        return tuple(range(len(self)))
+
+    @cached_property
+    def obj_index(self) -> dict:
+        return {name: i for i, name in enumerate(self.elements)}
+
+    @cached_property
+    def _arrows(self):
+        """The morphisms and their name index; a name given twice raises."""
+        from .fincat import Morphism, name_index  # fincat builds on this module
+
+        names = self.elements
+        morphisms = [Morphism(f"id_{e}", a, a) for a, e in enumerate(names)]
+        for a, mask in enumerate(self.up_masks):
+            morphisms.extend(
+                Morphism(f"{names[a]}->{names[b]}", a, b)
+                for b in _sparse_bits(mask & ~(1 << a))
+            )
+        return tuple(morphisms), name_index(names, morphisms)
+
+    @cached_property
+    def morphisms(self) -> tuple:
+        return self._arrows[0]
+
+    @cached_property
+    def mor_index(self) -> dict[str, int]:
+        return self._arrows[1]
+
+    @cached_property
+    def _first_arrow(self) -> tuple[int, ...]:
+        """Index of the first morphism a -> b with a < b, for each a."""
+        out, k = [], len(self)
+        for mask in self.up_masks:
+            out.append(k)
+            k += mask.bit_count() - 1
+        return tuple(out)
+
+    def arrow(self, a: int, b: int) -> int:
+        """Index of the morphism a -> b, for a <= b: the number of pairs
+        before it, counted on the masks."""
+        if a == b:
+            return a
+        return self._first_arrow[a] + (self.up_masks[a] & ((1 << b) - 1) & ~(1 << a)).bit_count()
+
+    def is_identity(self, m: int) -> bool:
+        return m < len(self.elements)
+
+    def hom(self, x: int, y: int) -> tuple[int, ...]:
+        return (self.arrow(x, y),) if self.leq(x, y) else ()
+
+    def compose(self, g: int, f: int) -> int:
+        """Index of g∘f (f applied first): the arrow between their ends."""
+        return self.arrow(self.morphisms[f].dom, self.morphisms[g].cod)
+
+    @cached_property
+    def hom_out(self) -> list[list[int]]:
+        first = self._first_arrow
+        return [
+            [a, *range(first[a], first[a] + mask.bit_count() - 1)]
+            for a, mask in enumerate(self.up_masks)
+        ]
+
+    @cached_property
+    def hom_in(self) -> list[list[int]]:
+        return [
+            [b, *(self.arrow(a, b) for a in _sparse_bits(mask & ~(1 << b)))]
+            for b, mask in enumerate(self.down_masks)
+        ]
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return tuple(self.arrow(a, b) for a, b in self.cover_pairs())
+
+    def composites(self):
+        """(g, f, g∘f) for every composable pair of non-identities: f = a -> b
+        by increasing (a, b), then g = b -> c by increasing c."""
+        arrow, up = self.arrow, self.up_masks
+        for a, mask in enumerate(up):
+            for b in _sparse_bits(mask & ~(1 << a)):
+                ab = arrow(a, b)
+                for c in _sparse_bits(up[b] & ~(1 << b)):
+                    yield arrow(b, c), ab, arrow(a, c)
 
 
 def upward_closure(poset: FinPoset, subset) -> frozenset[int]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .decide import CertificateEvidence, Verdict
 from .diagram import Cocone, FinInjDiagram, validate_diagram
-from .fincat import CategoryError, FinCategory, category_from_poset, validate_category
+from .fincat import CategoryError, FinCategory, validate_category
 from .invcat import FinInverseCategory, validate_inverse
 from .poset import (
     DecompositionNode,
@@ -60,7 +60,8 @@ def category_from_doc(doc: dict) -> FinCategory:
         raise ParseError(f"category: {exc}") from exc
 
 
-def category_to_doc(cat: FinCategory) -> dict:
+def category_to_doc(cat: FinCategory | FinPoset) -> dict:
+    """A category document; a poset is written out as its category."""
     return {
         "type": "category",
         "objects": list(cat.objects),
@@ -79,8 +80,7 @@ def category_to_doc(cat: FinCategory) -> dict:
                 cat.morphisms[f].name,
                 cat.morphisms[r].name,
             ]
-            for (g, f), r in cat.table.items()
-            if not (cat.is_identity(g) or cat.is_identity(f))
+            for g, f, r in cat.composites()
         ),
     }
 
@@ -89,6 +89,8 @@ def category_to_doc(cat: FinCategory) -> dict:
 
 def poset_from_doc(doc: dict) -> FinPoset:
     elements = _require(doc, "elements", "poset")
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise ParseError("poset: elements must be a list of string names")
     index = {name: i for i, name in enumerate(elements)}
     covers = []
     for pair in doc.get("covers", []):
@@ -96,6 +98,8 @@ def poset_from_doc(doc: dict) -> FinPoset:
             a, b = pair
         except (TypeError, ValueError):
             raise ParseError(f"poset: covers must be [low, high] pairs: {pair!r}") from None
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise ParseError(f"poset: covers must be pairs of element names: {pair!r}")
         if a not in index or b not in index:
             raise ParseError(f"poset: cover [{a}, {b}] references unknown elements")
         covers.append((index[a], index[b]))
@@ -115,27 +119,19 @@ def poset_to_doc(poset: FinPoset) -> dict:
     }
 
 
-def shape_from_doc(doc: dict) -> FinCategory:
-    """A shape is either a category document or a poset document."""
+def shape_from_doc(doc: dict) -> FinCategory | FinPoset:
+    """A shape is either a category document or a poset document; a poset
+    stays a FinPoset, which names its arrows only when they are used."""
     kind = doc.get("type")
     if kind == "category":
         return category_from_doc(doc)
     if kind == "poset":
-        return category_from_poset(poset_from_doc(doc))
+        return poset_from_doc(doc)
     raise ParseError(f"expected a category or poset document, got '{kind}'")
 
 
-def load_shape(path: str | Path) -> FinCategory:
+def load_shape(path: str | Path) -> FinCategory | FinPoset:
     return shape_from_doc(load_document(path))
-
-
-def load_decidable(path: str | Path) -> FinCategory | FinPoset:
-    """A shape for ``decide``: a poset document stays a FinPoset, so deciding
-    it builds no composition table; any other document loads as a shape."""
-    doc = load_document(path)
-    if doc.get("type") == "poset":
-        return poset_from_doc(doc)
-    return shape_from_doc(doc)
 
 
 # -- inverse categories ----------------------------------------------------
@@ -167,17 +163,31 @@ def inverse_to_doc(inv: FinInverseCategory) -> dict:
 
 # -- diagrams ----------------------------------------------------------------
 
-def diagram_from_doc(doc: dict, base_dir: Path | None = None) -> FinInjDiagram:
-    shape_field = _require(doc, "shape", "diagram")
+def shape_path(shape_field: str, base_dir: Path | None) -> Path:
+    """The file a diagram's ``shape`` path names, relative to the diagram's
+    directory."""
+    path = Path(shape_field)
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    return path
+
+
+def _shape_of(shape_field, base_dir: Path | None) -> FinCategory | FinPoset:
     if isinstance(shape_field, str):
-        path = Path(shape_field)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        shape = load_shape(path)
-    elif isinstance(shape_field, dict):
-        shape = shape_from_doc(shape_field)
-    else:
-        raise ParseError("diagram: shape must be a path or an inline document")
+        return load_shape(shape_path(shape_field, base_dir))
+    if isinstance(shape_field, dict):
+        return shape_from_doc(shape_field)
+    raise ParseError("diagram: shape must be a path or an inline document")
+
+
+def diagram_from_doc(
+    doc: dict, base_dir: Path | None = None, shape: FinCategory | FinPoset | None = None
+) -> FinInjDiagram:
+    """The diagram a document describes.  ``shape``, when given, is the
+    already parsed shape its ``shape`` field names."""
+    shape_field = _require(doc, "shape", "diagram")
+    if shape is None:
+        shape = _shape_of(shape_field, base_dir)
     carriers_field = doc.get("carriers", {})
     if not isinstance(carriers_field, dict):
         raise ParseError("diagram: carriers must map object names to element lists")
@@ -236,7 +246,7 @@ def diagram_to_doc(diagram: FinInjDiagram) -> dict:
     shape = diagram.shape
     return {
         "type": "diagram",
-        "shape": category_to_doc(shape),
+        "shape": poset_to_doc(shape) if isinstance(shape, FinPoset) else category_to_doc(shape),
         "carriers": {
             shape.objects[i]: list(c) for i, c in enumerate(diagram.carriers)
         },

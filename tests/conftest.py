@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
-from amalgam import category, category_from_poset
+from amalgam import category
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
@@ -197,6 +197,27 @@ def small_category_suite():
 
 
 # -- independent oracles -----------------------------------------------------
+
+def category_from_poset(poset: FinPoset) -> FinCategory:
+    """The poset as a category built from a full composition table: one
+    morphism a->b per related pair a <= b, named and ordered as the poset
+    itself names and orders its arrows."""
+    arrows = []
+    compose = []
+    name = {}
+    for a, b in sorted(poset.relation_pairs()):
+        if a == b:
+            name[(a, b)] = f"id_{poset.elements[a]}"
+            continue
+        nm = f"{poset.elements[a]}->{poset.elements[b]}"
+        name[(a, b)] = nm
+        arrows.append((nm, poset.elements[a], poset.elements[b]))
+    for a, b in sorted(poset.relation_pairs()):
+        for c in sorted(poset.up(b)):
+            if a != b and b != c:
+                compose.append((name[(b, c)], name[(a, b)], name[(a, c)]))
+    return category(poset.elements, arrows, compose)
+
 
 def set_partitions(items):
     """All partitions of a list, as lists of lists."""
@@ -609,9 +630,11 @@ def cocone_from_labels(diagram: FinInjDiagram, apex, legs) -> Cocone:
 
 # -- label-keyed references for the integer-indexed diagram layer ------------
 
-def reference_validate_diagram(shape: FinCategory, carriers, actions) -> None:
+def reference_validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> None:
     """The checks of ``validate_diagram`` over label sets and dicts, in the
-    same order: it raises the same exception for the same first fault."""
+    same order: it raises the same exception for the same first fault.
+    Functoriality is checked over the whole composition table; a poset's is
+    the table of ``category_from_poset``."""
     carriers = [tuple(c) for c in carriers]
     actions = [dict(a) for a in actions]
     if len(carriers) != len(shape.objects):
@@ -635,13 +658,39 @@ def reference_validate_diagram(shape: FinCategory, carriers, actions) -> None:
             raise FunctorialityViolation(
                 f"identity of {shape.objects[x]} does not act as the identity"
             )
-    for (g, f), r in shape.table.items():
+    table = (category_from_poset(shape) if isinstance(shape, FinPoset) else shape).table
+    for (g, f), r in table.items():
         af, ag, ar = actions[f], actions[g], actions[r]
         for e in carriers[shape.morphisms[f].dom]:
             if ag[af[e]] != ar[e]:
                 raise FunctorialityViolation(
                     f"({shape.morphisms[g].name}, {shape.morphisms[f].name}) "
                     f"does not commute at element {e}"
+                )
+
+
+def reference_validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
+    """The checks of ``validate_cocone`` with commutation scanned over every
+    non-identity morphism in index order: the same exception for the same
+    first fault."""
+    shape, legs = diagram.shape, cocone.legs
+    if len(legs) != len(shape.objects):
+        raise CarrierMismatch("one leg per object required")
+    for obj, leg in enumerate(legs):
+        if len(leg) != len(diagram.carriers[obj]):
+            raise CarrierMismatch(f"leg of {shape.objects[obj]} is not total on its carrier")
+        if any(not 0 <= k < len(cocone.apex) for k in leg):
+            raise CarrierMismatch(f"leg of {shape.objects[obj]} leaves the apex")
+        if len(set(leg)) != len(leg):
+            raise NotInjective(f"leg of {shape.objects[obj]} is not injective")
+    for i, m in enumerate(shape.morphisms):
+        if shape.is_identity(i):
+            continue
+        for p, q in enumerate(diagram.maps[i]):
+            if legs[m.cod][q] != legs[m.dom][p]:
+                raise FunctorialityViolation(
+                    f"leg does not commute with {m.name} at element "
+                    f"{diagram.carriers[m.dom][p]}"
                 )
 
 

@@ -11,7 +11,7 @@ from amalgam.diagram import (
     witness_no_cocone,
     zigzag_action,
 )
-from amalgam.fincat import category_from_poset, monic_reflection
+from amalgam.fincat import monic_reflection
 from amalgam.gen import (
     all_posets,
     random_diagram_over_poset,
@@ -31,6 +31,7 @@ from conftest import (
     boat_poset,
     brute_force_tree_like,
     build_cocone_forest,
+    category_from_poset,
     partition_is_congruence,
     quotient_is_monic,
     set_partitions,

@@ -22,21 +22,26 @@ from amalgam.diagram import (
     witness_no_cocone,
     zigzag_action,
 )
-from amalgam.fincat import category, category_from_poset
+from amalgam.fincat import category, monic_reflection
 from amalgam.gen import all_posets, random_diagram_over_poset
 from amalgam.pinj import PartialInjection
 from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 from conftest import (
+    category_from_poset,
     CertificateMismatch,
     boat_poset,
     bowtie_cat,
     build_cocone_forest,
     cocone_from_labels,
+    cyclic_cat,
+    left_zero_monoid_cat,
     parallel_pair_cat,
     poset_of_shape,
     pushout_inj,
     reference_colimit,
+    reference_validate_cocone,
     reference_validate_diagram,
+    small_category_suite,
     span_poset,
     total_elements,
 )
@@ -729,6 +734,26 @@ def test_validation_reports_the_reference_first_functoriality_fault(d, rng, faul
     _check_first_fault(d, rng, faults)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CHAINED_4 + CROWNS),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(FAULTS + ("swap", "move")), min_size=1, max_size=3),
+)
+def test_poset_validation_reports_what_its_category_reports(poset, rng, faults):
+    """A diagram over the poset and the same diagram over its category, with
+    the same faults injected: the same exception and message, or none."""
+    d = random_diagram_over_poset(poset, rng, max_extra=3)
+    carriers = [list(c) for c in d.carriers]
+    actions = [d.action(i) for i in range(len(poset.morphisms))]
+    for kind in faults:
+        if len(carriers) != len(poset.objects) or len(actions) != len(poset.morphisms):
+            break
+        _corrupt(poset, carriers, actions, rng, kind)
+    expected = _outcome(validate_diagram, category_from_poset(poset), carriers, actions)
+    assert _outcome(validate_diagram, poset, carriers, actions) == expected
+
+
 def test_validate_cocone_makes_each_of_its_four_checks():
     d = bowtie_diagram(h_target="0", k_target="0")
     cocone = has_cocone(d).cocone
@@ -769,3 +794,108 @@ def test_cocone_from_labels_keeps_label_faults_visible():
     outside[b]["1"] = "elsewhere"
     with pytest.raises(CarrierMismatch, match="leaves the apex"):
         validate_cocone(d, cocone_from_labels(d, good.apex, outside))
+
+
+# -- the generator-driven checks on shapes that are not posets -----------------
+
+CATEGORIES = (
+    small_category_suite()
+    + [cyclic_cat(n) for n in range(1, 9)]
+    + [left_zero_monoid_cat(k) for k in (1, 2, 3)]
+)
+
+
+def _represented(shape, a: int, tag: str):
+    """hom(a, -) of the shape's monic reflection, read through the projection:
+    post-composition in a monic category is injective, so this is a diagram."""
+    refl, proj = monic_reflection(shape)
+    carriers = [tuple(f"{tag}{g}" for g in refl.hom(a, x)) for x in range(len(refl.objects))]
+    actions = [
+        {f"{tag}{g}": f"{tag}{refl.compose(proj.mor_map[i], g)}" for g in refl.hom(a, m.dom)}
+        for i, m in enumerate(shape.morphisms)
+    ]
+    return validate_diagram(shape, carriers, actions)
+
+
+@st.composite
+def category_diagrams(draw):
+    """A disjoint union of one to three relabelled represented diagrams over
+    Z_n, a left-zero monoid or a suite category, sometimes padded."""
+    shape = draw(st.sampled_from(CATEGORIES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parts = [
+        _relabeled(_represented(shape, rng.randrange(len(shape.objects)), "h"), rng, f"r{k}")[0]
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    d = parts[0]
+    for part in parts[1:]:
+        d = _union(d, part)
+    return _padded(d, rng) if draw(st.booleans()) else d
+
+
+@settings(max_examples=200, deadline=None)
+@given(category_diagrams())
+def test_colimit_matches_the_reference_on_categories(d):
+    ref = reference_colimit(d)
+    colim = colimit_set(d)
+    assert tuple(colim.classes) == ref.classes
+    assert colim.injective == ref.injective
+    col = colim.collision
+    assert (col and (col.obj, col.x, col.y)) == ref.collision
+    if col is not None:
+        assert len(col.steps) == len(ref.zigzag[1])
+        _check_zigzag(d, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    category_diagrams(),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3),
+)
+def test_validation_reports_the_reference_first_fault_on_categories(d, rng, faults):
+    _check_first_fault(d, rng, faults)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    category_diagrams(),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(("swap", "move")), min_size=1, max_size=3),
+)
+def test_validation_reports_the_reference_first_functoriality_fault_on_categories(
+    d, rng, faults
+):
+    _check_first_fault(d, rng, faults)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    category_diagrams(),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(("swap", "fresh", "any")), max_size=3),
+)
+def test_cocone_check_reports_the_reference_first_fault_on_categories(d, rng, moves):
+    """The colimit's legs with up to three faults: two entries of a leg
+    swapped, one moved to an unused apex point, or one moved anywhere."""
+    colim = colimit_set(d)
+    ids, offsets = colim.class_ids, colim.offsets
+    legs = [list(ids[offsets[obj]:offsets[obj] + len(c)]) for obj, c in enumerate(d.carriers)]
+    apex = tuple(f"q{k}" for k in range(colim.count + 1))
+    for kind in moves:
+        leg = legs[rng.randrange(len(legs))]
+        if len(leg) > 1 and kind == "swap":
+            x, y = rng.sample(range(len(leg)), 2)
+            leg[x], leg[y] = leg[y], leg[x]
+        elif leg and kind != "swap":
+            point = colim.count if kind == "fresh" else rng.randrange(len(apex))
+            leg[rng.randrange(len(leg))] = point
+    cocone = Cocone(apex, tuple(map(tuple, legs)))
+    outcomes = []
+    for check in (validate_cocone, reference_validate_cocone):
+        try:
+            check(d, cocone)
+            outcomes.append(None)
+        except DiagramError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]

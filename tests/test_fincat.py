@@ -17,7 +17,6 @@ from amalgam.fincat import (
     NotAPreorder,
     PresentationError,
     category,
-    category_from_poset,
     congruence_close,
     connected_components,
     is_congruence,
@@ -32,8 +31,10 @@ from amalgam.gen import all_posets
 from amalgam.poset import FinPoset
 from conftest import (
     bowtie_cat,
+    category_from_poset,
     collapsing_pair_cat,
     cyclic_cat,
+    dags,
     left_zero_monoid_cat,
     naive_check_axioms,
     null_monoid_cat,
@@ -499,3 +500,92 @@ def test_skeleton_poset_matches_reachability_reference():
     assert len(preorders) > 30
     for cat in preorders:
         assert skeleton_poset(cat) == _reference_skeleton(cat)
+
+
+# -- generators and Light's associativity test -----------------------------------
+
+def _right_nested_composites(cat, generators) -> set[int]:
+    """Every g1∘(g2∘(…∘gk)) of the generators, by rounds over all morphisms."""
+    reached = set(generators)
+    while True:
+        fresh = {
+            cat.compose(g, x)
+            for g in generators
+            for x in reached
+            if cat.morphisms[x].cod == cat.morphisms[g].dom
+        } - reached
+        if not fresh:
+            return reached
+        reached |= fresh
+
+
+GENERATED = (
+    AXIOM_SUITE
+    + [cyclic_cat(n) for n in range(7, 9)]
+    + [left_zero_monoid_cat(k) for k in (1, 2, 4)]
+    + [monic_reflection(c)[0] for c in small_category_suite()]
+)
+
+
+def test_generators_reach_every_non_identity():
+    for cat in GENERATED:
+        gens = cat.generators
+        assert list(gens) == sorted(set(gens))
+        assert not any(map(cat.is_identity, gens))
+        arrows = {m for m in range(len(cat.morphisms)) if not cat.is_identity(m)}
+        assert arrows <= _right_nested_composites(cat, gens), cat
+
+
+def test_every_generator_is_needed_or_irreducible():
+    """A generator is irreducible, or the ones before it do not reach it."""
+    for cat in GENERATED:
+        for k, g in enumerate(cat.generators):
+            irreducible = not any(
+                cat.compose(a, b) == g and g not in (a, b)
+                for b in range(len(cat.morphisms))
+                for a in cat.hom_out[cat.morphisms[b].cod]
+                if not (cat.is_identity(a) or cat.is_identity(b))
+            )
+            earlier = cat.generators[:k]
+            assert irreducible or g not in _right_nested_composites(cat, earlier), (cat, g)
+
+
+def test_generators_are_the_covers_of_a_poset():
+    for ps in all_posets(5).values():
+        for p in ps:
+            cat = category_from_poset(p)
+            covers = tuple(cat.mor_index[f"{p.elements[a]}->{p.elements[b]}"]
+                           for a, b in p.cover_pairs())
+            assert cat.generators == covers == p.generators
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags())
+def test_generators_are_the_covers_of_a_random_dag(case):
+    p = case[0]
+    assert category_from_poset(p).generators == p.generators
+
+
+def test_generators_are_proper_on_monoids():
+    """Z_n is generated by its first arrow; a left zero is never a composite
+    of other arrows, so each is a generator."""
+    for n in range(1, 9):
+        assert cyclic_cat(n).generators == tuple(range(1, min(n, 2)))
+    for k in (1, 2, 4):
+        assert left_zero_monoid_cat(k).generators == tuple(range(1, k + 1))
+    assert z3_cat().generators == (1,)
+    assert null_monoid_cat().generators == (1,)  # z = a∘a
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=9, max_size=9))
+def test_three_arrow_monoid_tables_match_naive_oracle(values):
+    """Random products of a, b, c in {id, a, b, c}: associative monoids,
+    cyclic ones whose every element is a composite, and tables that fail
+    associativity only away from the irreducibles."""
+    cat = category(["X"], [(m, "X", "X") for m in "abc"],
+                   [(g, f, "a") for g in "abc" for f in "abc"])
+    table = dict(cat.table)
+    table.update(zip([(g, f) for g in (1, 2, 3) for f in (1, 2, 3)], values))
+    expected = _check_outcome(naive_check_axioms, cat, table)
+    assert _check_outcome(FinCategory, cat, table) == expected

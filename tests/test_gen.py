@@ -11,8 +11,8 @@ from amalgam.gen import (
     random_poset,
     random_tree_like,
 )
-from amalgam.fincat import category_from_poset
 from amalgam.poset import ForestCertificate, components, is_forest_like
+from conftest import category_from_poset
 
 
 def test_all_posets_match_known_counts():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam.fincat import PresentationError
 from amalgam.gen import all_posets
 from amalgam.poset import (
     DecompositionNode,
@@ -26,6 +27,7 @@ from conftest import (
     boat_poset,
     bowtie_poset,
     brute_force_tree_like,
+    category_from_poset,
     chain,
     crown_poset,
     dags,
@@ -434,3 +436,48 @@ def test_chain_longer_than_the_recursion_limit():
     elems, pairs = replay_certificate(cert)
     assert elems == frozenset(range(n))
     assert len(pairs) == n * (n + 1) // 2
+
+
+# -- the poset as a category ----------------------------------------------------
+
+def _same_category(p: FinPoset) -> None:
+    """The poset's morphism view is the category of the poset, index for index."""
+    cat = category_from_poset(p)
+    assert p == cat and cat == p
+    assert (p.objects, p.identity, p.morphisms) == (cat.objects, cat.identity, cat.morphisms)
+    assert p.obj_index == cat.obj_index and p.mor_index == cat.mor_index
+    assert p.hom_out == cat.hom_out and p.hom_in == cat.hom_in
+    assert [m for m in range(len(p.morphisms)) if p.is_identity(m)] == list(cat.identity)
+    assert list(p.composites()) == list(cat.composites())
+    for f, mf in enumerate(cat.morphisms):
+        for g in cat.hom_out[mf.cod]:
+            assert p.compose(g, f) == cat.compose(g, f)
+    for x in range(len(p)):
+        for y in range(len(p)):
+            assert p.hom(x, y) == cat.hom(x, y)
+
+
+def test_poset_morphisms_are_its_category_on_all_posets_of_five():
+    for posets in all_posets(5).values():
+        for p in posets:
+            _same_category(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags())
+def test_poset_morphisms_are_its_category(case):
+    _same_category(case[0])
+
+
+def test_poset_arrows_are_built_on_first_use():
+    p = boat_poset()
+    assert "_arrows" not in vars(p)
+    assert p.generators and "_arrows" not in vars(p)
+    p.compose(p.arrow(2, 0), p.arrow(4, 2))
+    assert "_arrows" in vars(p)
+
+
+def test_poset_arrow_name_clash_names_both_morphisms():
+    p = FinPoset.from_covers(["p->q", "id_p", "q"], [(1, 2)])
+    with pytest.raises(PresentationError, match="given to both the identity of 'p->q'"):
+        p.morphisms

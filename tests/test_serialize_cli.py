@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -6,13 +7,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from amalgam import cli, corpus, fincat, serialize
+from amalgam import cli, corpus, fincat, gen, serialize
 from amalgam.cli import main
 from amalgam.decide import decide, explain
 from amalgam.diagram import Cocone, validate_cocone
 from amalgam.fincat import PresentationError, category
 from amalgam.gen import all_posets
-from amalgam.poset import ForestCertificate, is_forest_like
+from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 from amalgam.serialize import ParseError
 from conftest import chain, cocone_from_labels, total_elements
 
@@ -177,7 +178,7 @@ def test_cli_gen_reproducible(tmp_path):
     assert a.read_text() == b.read_text()
     assert main(["gen", "forest", "7", "--seed", "3", "--out", str(a)]) == 0
     p = serialize.poset_from_doc(json.loads(a.read_text()))
-    from amalgam.poset import ForestCertificate, is_forest_like
+    from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 
     assert isinstance(is_forest_like(p), ForestCertificate)
     assert main(["gen", "nonforest", "5", "--seed", "3", "--out", str(a)]) == 0
@@ -269,9 +270,9 @@ def test_readme_library_example_runs(capsys):
     assert "amalgamability report" in capsys.readouterr().out
 
 
-def test_check_builds_a_category_only_for_a_refuted_poset(monkeypatch, tmp_path):
-    """A positive poset is decided on its masks; a refuted one builds its
-    category once, for the witness diagram."""
+@pytest.fixture
+def built_categories(monkeypatch):
+    """The FinCategory instances constructed while the test runs."""
     built = []
     init = fincat.FinCategory.__init__
 
@@ -280,15 +281,86 @@ def test_check_builds_a_category_only_for_a_refuted_poset(monkeypatch, tmp_path)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(fincat.FinCategory, "__init__", counted)
+    return built
+
+
+def test_check_builds_no_category_for_a_poset(built_categories, tmp_path):
+    """A positive poset is decided on its masks, and a refuted one carries
+    its witness diagram itself: neither builds a composition table."""
     out = str(tmp_path / "out")
-    for name, code, categories in (("span", 0, 0), ("chain5", 0, 0), ("boat", 1, 1)):
+    for name, code in (("span", 0), ("chain5", 0), ("boat", 1)):
         for argv in (["check"], ["check", "--format", "structured"], ["explain"]):
-            built.clear()
+            built_categories.clear()
             assert main([argv[0], name, *argv[1:], "--out", out]) == code
-            assert len(built) == categories, (name, argv)
-    built.clear()
+            assert built_categories == [], (name, argv)
     assert main(["check", "bowtie", "--out", out]) == 1  # a category document
-    assert len(built) == 1
+    assert len(built_categories) == 1
+
+
+def test_positive_check_never_names_a_posets_arrows(monkeypatch, tmp_path):
+    """Deciding a forest-like poset reads its masks only."""
+    def refuse(self):
+        raise AssertionError("the arrows of a positive poset were built")
+
+    monkeypatch.setattr(FinPoset, "_arrows", property(refuse))
+    out = str(tmp_path / "out")
+    for name in ("span", "chain5", "fan", "cospan"):
+        assert main(["check", name, "--format", "structured", "--out", out]) == 0
+
+
+def test_no_command_on_a_poset_document_builds_a_category(built_categories, tmp_path):
+    """check, explain, witness, validate, gen diagram, and cocone and oracle
+    on a diagram whose shape is the poset document, inline or by path."""
+    out = str(tmp_path / "out")
+    boat = str(corpus.path("boat"))
+    span_doc = serialize.load_document(corpus.path("span"))
+    (tmp_path / "span.json").write_text(json.dumps(span_doc))
+    diagram = serialize.diagram_to_doc(
+        gen.random_diagram_over_poset(serialize.poset_from_doc(span_doc), random.Random(3))
+    )
+    assert diagram["shape"] == span_doc
+    inline, by_path = tmp_path / "inline.json", tmp_path / "by_path.json"
+    inline.write_text(json.dumps(diagram))
+    by_path.write_text(json.dumps({**diagram, "shape": "span.json"}))
+    for argv, code in (
+        (["check", boat], 1),
+        (["explain", boat], 1),
+        (["witness", boat], 0),
+        (["validate", boat], 0),
+        (["gen", "diagram", "span"], 0),
+        (["cocone", "span", str(inline)], 0),
+        (["cocone", str(tmp_path / "span.json"), str(by_path)], 0),
+        (["oracle", str(inline)], 0),
+        (["oracle", str(by_path)], 0),
+    ):
+        assert main([*argv, "--out", out]) == code, argv
+    assert built_categories == []
+
+
+def test_cocone_validates_a_shared_shape_once(built_categories, tmp_path, capsys):
+    """A diagram whose shape is the SHAPE document is parsed over one shape;
+    a different shape is parsed and compared, and a mismatch stays an error."""
+    out = str(tmp_path / "out")
+    shape_doc = serialize.load_document(corpus.path("span"))
+    cat_doc = serialize.category_to_doc(serialize.poset_from_doc(shape_doc))
+    shape = serialize.category_from_doc(cat_doc)
+    d = gen.random_diagram_over_poset(serialize.poset_from_doc(shape_doc), random.Random(5))
+    doc = {**serialize.diagram_to_doc(d), "shape": cat_doc}
+    (tmp_path / "cat.json").write_text(json.dumps(cat_doc))
+    (tmp_path / "d.json").write_text(json.dumps(doc))
+    (tmp_path / "p.json").write_text(json.dumps({**doc, "shape": "cat.json"}))
+    for diagram in ("d.json", "p.json"):
+        built_categories.clear()
+        assert main(["cocone", str(tmp_path / "cat.json"), str(tmp_path / diagram),
+                     "--out", out]) == 0
+        assert len(built_categories) == 1
+    assert built_categories[0] == shape
+    # the category document against the poset document: parsed and compared
+    built_categories.clear()
+    assert main(["cocone", "span", str(tmp_path / "d.json"), "--out", out]) == 0
+    assert len(built_categories) == 1
+    assert main(["cocone", "cospan", str(tmp_path / "d.json"), "--out", out]) == 2
+    assert "diagram shape does not match the given shape" in capsys.readouterr().err
 
 
 def _write_chain(path: Path, n: int) -> None:
@@ -396,3 +468,45 @@ def test_morphism_name_collision(tmp_path, capsys):
     with pytest.raises(PresentationError, match="'a' is given to both the arrow 'X' -> 'Y' "
                                                 "and the arrow 'Y' -> 'X'"):
         category(["X", "Y"], [("a", "X", "Y"), ("a", "Y", "X")])
+
+
+_MORPHISM = {"name": "f", "dom": "a", "cod": "a"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"type": "poset", "elements": [1, 2], "covers": [[1, 2]]},
+         "poset: elements must be a list of string names"),
+        ({"type": "poset", "elements": "ab", "covers": []},
+         "poset: elements must be a list of string names"),
+        ({"type": "poset", "elements": ["a", "b"], "covers": [[["a"], "b"]]},
+         "poset: covers must be pairs of element names"),
+        ({"type": "category", "objects": "xy"},
+         "category: objects must be a list of string names"),
+        ({"type": "category", "objects": [["a"]]},
+         "category: objects must be a list of string names"),
+        ({"type": "category", "objects": ["a"], "morphisms": [{**_MORPHISM, "name": ["f"]}]},
+         "category: morphism name/dom/cod fields must be strings"),
+        ({"type": "category", "objects": ["a"], "morphisms": [{**_MORPHISM, "dom": ["a"]}]},
+         "category: morphism name/dom/cod fields must be strings"),
+        ({"type": "category", "objects": ["a"], "morphisms": [{**_MORPHISM, "cod": ["a"]}]},
+         "category: morphism name/dom/cod fields must be strings"),
+        ({"type": "category", "objects": ["a"], "morphisms": [_MORPHISM],
+          "compose": [[["f"], "f", "f"]]},
+         "category: compose entries must be triples of morphism names"),
+    ],
+)
+def test_malformed_shape_fields_are_input_errors(tmp_path, capsys, doc, message):
+    """A name that is not a string, or a list of names given as a string, is
+    rejected with exit 2 naming the field, by every command that reads it."""
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", str(path)], ["validate", str(path)]):
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_gen_names_a_size_that_is_not_an_integer(capsys):
+    assert main(["gen", "poset", "abc"]) == 2
+    assert "SIZE must be an integer, got 'abc'" in capsys.readouterr().err
