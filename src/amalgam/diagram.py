@@ -116,12 +116,16 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
 
     Each carrier's labels are interned once; each action, a mapping of
     labels, becomes the row of its images' positions, and every law is
-    checked over those rows.  Functoriality is checked with a generator on
-    the left: if F(a∘f) = F(a)F(f) and F(b∘f) = F(b)F(f) for every f, then
+    checked over those rows.  The action of an identity may be ``None``:
+    its row is then the identity row, with nothing to check, while an
+    action given for it is checked to act as the identity.  ``None`` for
+    any other morphism is an action not defined on its carrier.
+    Functoriality is checked with a generator on the left: if
+    F(a∘f) = F(a)F(f) and F(b∘f) = F(b)F(f) for every f, then
     F((b∘a)∘f) = F(b)F(a∘f) = F(b∘a)F(f), as the shape is associative.
     """
     carriers = tuple(map(tuple, carriers))
-    actions = [a if isinstance(a, dict) else dict(a) for a in actions]
+    actions = [a if a is None or isinstance(a, dict) else dict(a) for a in actions]
     if len(carriers) != len(shape.objects):
         raise CarrierMismatch("one carrier per object required")
     if len(actions) != len(shape.morphisms):
@@ -133,23 +137,25 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
                 f"carrier of {shape.objects[i]} has duplicate labels"
             )
     maps = []
-    for m, act in zip(shape.morphisms, actions):
+    for i, (m, act) in enumerate(zip(shape.morphisms, actions)):
         source = carriers[m.dom]
-        if len(act) != len(source) or not all(map(act.__contains__, source)):
+        if act is None and shape.is_identity(i):
+            maps.append(tuple(range(len(source))))
+            continue
+        if act is None or len(act) != len(source):
             raise CarrierMismatch(
                 f"action of {m.name} is not defined on exactly its carrier"
             )
         try:
             row = tuple(map(index[m.cod].__getitem__, map(act.__getitem__, source)))
-        except KeyError:
-            raise CarrierMismatch(
-                f"action of {m.name} leaves the target carrier"
-            ) from None
+        except (KeyError, TypeError):
+            _raise_row_fault(m, act, source, index[m.cod])
+            raise
         if len(set(row)) != len(row):
             raise NotInjective(f"action of {m.name} is not injective")
         maps.append(row)
     for x, i in enumerate(shape.identity):
-        if maps[i] != tuple(range(len(carriers[x]))):
+        if actions[i] is not None and maps[i] != tuple(range(len(carriers[x]))):
             raise FunctorialityViolation(
                 f"identity of {shape.objects[x]} does not act as the identity"
             )
@@ -162,6 +168,18 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
             ):
                 _raise_first_functoriality_fault(shape, carriers, maps)
     return FinInjDiagram(shape, carriers, tuple(maps), index)
+
+
+def _raise_row_fault(m, act, source, target_index) -> None:
+    """Name why an action of its carrier's size has no row: a source label
+    it misses comes first, then an image outside the target.  An unhashable
+    image met before either raises its TypeError, as a row build does."""
+    if not all(map(act.__contains__, source)):
+        raise CarrierMismatch(
+            f"action of {m.name} is not defined on exactly its carrier"
+        )
+    if not all(map(target_index.__contains__, map(act.__getitem__, source))):
+        raise CarrierMismatch(f"action of {m.name} leaves the target carrier")
 
 
 def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
@@ -587,9 +605,11 @@ def witness_no_cocone(
 
         carriers = [carrier_for(smap[obj]) for obj in range(len(shape.objects))]
         actions = []
-        for m in shape.morphisms:
+        for i, m in enumerate(shape.morphisms):
             vx, vy = smap[m.dom], smap[m.cod]
-            if vx == vy:
+            if shape.is_identity(i):
+                actions.append(None)
+            elif vx == vy:
                 actions.append({e: e for e in carrier_for(vx)})
             elif vx == w.x:
                 actions.append({"*": "0" if vy in zero_side else "1"})
@@ -622,7 +642,10 @@ def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
         for obj, c in enumerate(diagram.carriers)
     ]
     actions = []
-    for m, row in zip(shape.morphisms, diagram.maps):
+    for i, (m, row) in enumerate(zip(shape.morphisms, diagram.maps)):
+        if shape.is_identity(i):
+            actions.append(None)
+            continue
         source, target = diagram.carriers[m.dom], diagram.carriers[m.cod]
         actions.append({source[p]: target[row[p]] for p in keep[m.dom]})
     shrunk = validate_diagram(shape, carriers, actions)

@@ -190,9 +190,11 @@ def random_diagram_over_poset(
         tuple(sorted(r.values())) for r in relabel
     ]
     actions = []
-    for m in shape.morphisms:
+    for i, m in enumerate(shape.morphisms):
         actions.append(
-            {relabel[m.dom][u]: relabel[m.cod][u] for u in relabel[m.dom]}
+            None
+            if shape.is_identity(i)
+            else {relabel[m.dom][u]: relabel[m.cod][u] for u in relabel[m.dom]}
         )
     return validate_diagram(shape, carriers, actions)
 

@@ -75,11 +75,7 @@ def category_to_doc(cat: FinCategory | FinPoset) -> dict:
             if not cat.is_identity(i)
         ],
         "compose": sorted(
-            [
-                cat.morphisms[g].name,
-                cat.morphisms[f].name,
-                cat.morphisms[r].name,
-            ]
+            (cat.morphisms[g].name, cat.morphisms[f].name, cat.morphisms[r].name)
             for g, f, r in cat.composites()
         ),
     }
@@ -207,9 +203,10 @@ def diagram_from_doc(
             raise ParseError(f"diagram: action for unknown morphism '{name}'")
 
     def as_mapping(name, pairs):
-        """The pairs as a dict; each must be a list [x, y], each x once."""
+        """The pairs as a dict; each must be a list [x, y], each x once.  A
+        document built in memory, as the writers build it, may hold tuples."""
         malformed = f"diagram: action of '{name}' must be a list of [x, y] pairs"
-        if not isinstance(pairs, list) or not set(map(type, pairs)) <= {list}:
+        if not isinstance(pairs, list) or not set(map(type, pairs)) <= {list, tuple}:
             raise ParseError(malformed)
         try:
             action = dict(pairs)
@@ -229,11 +226,7 @@ def diagram_from_doc(
     for i, m in enumerate(shape.morphisms):
         if shape.is_identity(i):
             pairs = actions_field.get(m.name)
-            action = (
-                dict(zip(carriers[m.dom], carriers[m.dom]))
-                if pairs is None
-                else as_mapping(m.name, pairs)
-            )
+            action = None if pairs is None else as_mapping(m.name, pairs)
         else:
             if m.name not in actions_field:
                 raise ParseError(f"diagram: missing action for morphism '{m.name}'")
@@ -243,16 +236,17 @@ def diagram_from_doc(
 
 
 def diagram_to_doc(diagram: FinInjDiagram) -> dict:
-    shape = diagram.shape
+    """Each action as its sorted [element, image] pairs, read off its row."""
+    shape, carriers = diagram.shape, diagram.carriers
     return {
         "type": "diagram",
         "shape": poset_to_doc(shape) if isinstance(shape, FinPoset) else category_to_doc(shape),
         "carriers": {
-            shape.objects[i]: list(c) for i, c in enumerate(diagram.carriers)
+            shape.objects[i]: list(c) for i, c in enumerate(carriers)
         },
         "actions": {
-            shape.morphisms[i].name: sorted(map(list, diagram.action(i).items()))
-            for i in range(len(shape.morphisms))
+            m.name: sorted(zip(carriers[m.dom], map(carriers[m.cod].__getitem__, row)))
+            for i, (m, row) in enumerate(zip(shape.morphisms, diagram.maps))
             if not shape.is_identity(i)
         },
     }
@@ -267,15 +261,14 @@ def load_diagram(path: str | Path) -> FinInjDiagram:
 
 def cocone_to_doc(diagram: FinInjDiagram, cocone: Cocone) -> dict:
     """The legs as [element, apex label] pairs: the only place the position
-    rows of a cocone are turned into labels."""
+    rows of a cocone are turned into labels.  The pairs are tuples, which
+    the encoder writes as arrays."""
     shape, apex = diagram.shape, cocone.apex
     return {
         "type": "cocone",
         "apex": list(apex),
         "legs": {
-            shape.objects[i]: sorted(
-                map(list, zip(diagram.carriers[i], map(apex.__getitem__, leg)))
-            )
+            shape.objects[i]: sorted(zip(diagram.carriers[i], map(apex.__getitem__, leg)))
             for i, leg in enumerate(cocone.legs)
         },
     }

@@ -633,21 +633,26 @@ def cocone_from_labels(diagram: FinInjDiagram, apex, legs) -> Cocone:
 def reference_validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> None:
     """The checks of ``validate_diagram`` over label sets and dicts, in the
     same order: it raises the same exception for the same first fault.
-    Functoriality is checked over the whole composition table; a poset's is
-    the table of ``category_from_poset``."""
+    An identity whose action is ``None`` acts as the identity; ``None`` for
+    any other morphism is not defined on its carrier.  Functoriality is
+    checked over the whole composition table; a poset's is the table of
+    ``category_from_poset``."""
     carriers = [tuple(c) for c in carriers]
-    actions = [dict(a) for a in actions]
     if len(carriers) != len(shape.objects):
         raise CarrierMismatch("one carrier per object required")
     if len(actions) != len(shape.morphisms):
         raise CarrierMismatch("one action per morphism required")
+    actions = [None if a is None else dict(a) for a in actions]
     for i, c in enumerate(carriers):
         if len(set(c)) != len(c):
             raise CarrierMismatch(f"carrier of {shape.objects[i]} has duplicate labels")
+    for x, i in enumerate(shape.identity):
+        if actions[i] is None:
+            actions[i] = {e: e for e in carriers[x]}
     for i, m in enumerate(shape.morphisms):
         act = actions[i]
         dom, cod = set(carriers[m.dom]), set(carriers[m.cod])
-        if set(act) != dom:
+        if act is None or set(act) != dom:
             raise CarrierMismatch(f"action of {m.name} is not defined on exactly its carrier")
         if not set(act.values()) <= cod:
             raise CarrierMismatch(f"action of {m.name} leaves the target carrier")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam import serialize
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
@@ -654,20 +655,29 @@ def test_colimit_is_unchanged_when_labels_are_renamed(d, rng):
         assert b.collision.steps == col.steps
 
 
-FAULTS = ("repeat", "drop", "extra", "escape", "collide", "swap", "move", "count")
+FAULTS = (
+    "repeat", "drop", "extra", "escape", "stray", "rename", "none", "collide", "swap",
+    "move", "count",
+)
 
 
 def _corrupt(shape, carriers, actions, rng, kind):
     """One fault of the kind: a repeated label, a missing, extra, escaping or
-    colliding image, two images swapped or one moved to a free target (both
-    keep the action injective), or a missing carrier or action."""
+    colliding image, an image moved to a label of another carrier, a source
+    renamed to a label outside its carrier (both keep the action's size), a
+    morphism's action left out, two images swapped or one moved to a free
+    target (both keep the action injective), or a missing carrier or action.
+    An identity's action left out (``None``) is written out first, as the
+    identity, when a fault is put into it."""
     arrows = [i for i in range(len(actions)) if not shape.is_identity(i)]
     if kind in ("swap", "move") and arrows and rng.random() < 0.8:
         i = rng.choice(arrows)
     else:
         i = rng.randrange(len(actions))
-    act = actions[i]
     m = shape.morphisms[i]
+    if actions[i] is None and kind != "count":
+        actions[i] = {e: e for e in carriers[m.dom]}
+    act = actions[i]
     if kind == "repeat" and carriers[m.dom]:
         carriers[m.dom].append(rng.choice(carriers[m.dom]))
     elif kind == "drop" and act:
@@ -676,6 +686,14 @@ def _corrupt(shape, carriers, actions, rng, kind):
         act["extra"] = rng.choice(carriers[m.cod] or ["extra"])
     elif kind == "escape" and act:
         act[rng.choice(sorted(act))] = "escaped"
+    elif kind == "stray" and act:
+        elsewhere = sorted(set().union(*carriers) - set(carriers[m.cod]))
+        act[rng.choice(sorted(act))] = rng.choice(elsewhere or ["stray"])
+    elif kind == "rename" and act:
+        x = rng.choice(sorted(act))
+        act["renamed"] = act.pop(x)
+    elif kind == "none":
+        actions[i] = None
     elif kind == "collide" and len(act) > 1:
         x, y = rng.sample(sorted(act), 2)
         act[x] = act[y]
@@ -692,16 +710,25 @@ def _corrupt(shape, carriers, actions, rng, kind):
 
 def _outcome(validate, shape, carriers, actions):
     try:
-        validate(shape, [list(c) for c in carriers], [dict(a) for a in actions])
+        validate(
+            shape,
+            [list(c) for c in carriers],
+            [None if a is None else dict(a) for a in actions],
+        )
     except DiagramError as exc:
         return type(exc), str(exc)
     return None
 
 
 def _check_first_fault(d, rng, faults):
+    """Both validators on the diagram with the faults put in, each identity's
+    action left out (``None``) or listed at random."""
     shape = d.shape
     carriers = [list(c) for c in d.carriers]
-    actions = [d.action(i) for i in range(len(shape.morphisms))]
+    actions = [
+        None if shape.is_identity(i) and rng.random() < 0.5 else d.action(i)
+        for i in range(len(shape.morphisms))
+    ]
     for kind in faults:
         if not actions or len(carriers) != len(shape.objects) or len(actions) != len(
             shape.morphisms
@@ -745,7 +772,10 @@ def test_poset_validation_reports_what_its_category_reports(poset, rng, faults):
     the same faults injected: the same exception and message, or none."""
     d = random_diagram_over_poset(poset, rng, max_extra=3)
     carriers = [list(c) for c in d.carriers]
-    actions = [d.action(i) for i in range(len(poset.morphisms))]
+    actions = [
+        None if poset.is_identity(i) and rng.random() < 0.5 else d.action(i)
+        for i in range(len(poset.morphisms))
+    ]
     for kind in faults:
         if len(carriers) != len(poset.objects) or len(actions) != len(poset.morphisms):
             break
@@ -899,3 +929,58 @@ def test_cocone_check_reports_the_reference_first_fault_on_categories(d, rng, mo
         except DiagramError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(oracle_diagrams(), category_diagrams()), st.randoms(use_true_random=False))
+def test_a_document_parses_alike_with_its_identity_actions_omitted_or_listed(d, rng):
+    """The writer leaves every identity's action out.  Listing some of them,
+    each as the identity, gives the same diagram; listing one that swaps two
+    elements is named as the identity that does not act as the identity."""
+    shape = d.shape
+    doc = serialize.diagram_to_doc(d)
+    assert serialize.diagram_from_doc(doc, shape=shape) == d
+    listed = dict(doc, actions=dict(doc["actions"]))
+    for x, i in enumerate(shape.identity):
+        if rng.random() < 0.5:
+            listed["actions"][shape.morphisms[i].name] = [[e, e] for e in d.carriers[x]]
+    assert serialize.diagram_from_doc(listed, shape=shape) == d
+    wide = [x for x, c in enumerate(d.carriers) if len(c) > 1]
+    if wide:
+        x = rng.choice(wide)
+        c = d.carriers[x]
+        images = (c[1], c[0]) + c[2:]
+        listed["actions"][shape.morphisms[shape.identity[x]].name] = list(
+            map(list, zip(c, images))
+        )
+        with pytest.raises(FunctorialityViolation) as exc:
+            serialize.diagram_from_doc(listed, shape=shape)
+        assert str(exc.value) == (
+            f"identity of {shape.objects[x]} does not act as the identity"
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(oracle_diagrams(), category_diagrams()))
+def test_writers_give_the_bytes_of_label_pair_lists(d):
+    """Read off the rows as sorted tuples, an action or a leg is written as
+    the sorted [element, image] lists of its label dict, in any carrier
+    order."""
+    shape = d.shape
+    doc = serialize.diagram_to_doc(d)
+    actions = {
+        m.name: sorted(map(list, d.action(i).items()))
+        for i, m in enumerate(shape.morphisms)
+        if not shape.is_identity(i)
+    }
+    assert serialize.dump(doc) == serialize.dump(dict(doc, actions=actions))
+    answer = has_cocone(d)
+    if answer:
+        apex = answer.cocone.apex
+        doc = serialize.cocone_to_doc(d, answer.cocone)
+        legs = {
+            shape.objects[obj]: sorted([e, apex[k]] for e, k in zip(c, answer.cocone.legs[obj]))
+            for obj, c in enumerate(d.carriers)
+        }
+        assert serialize.dump(doc) == serialize.dump(dict(doc, legs=legs))
+
