@@ -7,12 +7,11 @@ Exit codes: 0 = positive outcome (amalgamable / cocone exists / valid),
 
 from __future__ import annotations
 
-import argparse
-import functools
+import os
 import random
+import re
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import corpus, gen, serialize
 from .decide import decide, explain
@@ -37,23 +36,11 @@ class RunConfig:
     max_size: int
     format: str
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        if args.max_size <= 0:
-            raise ParseError("--max-size must be positive")
-        return cls(
-            command=args.command,
-            inputs=tuple(getattr(args, "inputs", ()) or ()),
-            out=args.out,
-            seed=args.seed,
-            max_size=args.max_size,
-            format=args.format,
-        )
-
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.out:
-        Path(config.out).write_text(text)
+        with open(config.out, "w") as out:
+            out.write(text)
     else:
         sys.stdout.write(text)
 
@@ -102,11 +89,12 @@ def _load_diagram_over(shape, shape_doc: dict, shape_path: str, ref: str):
     shape is parsed and must equal it."""
     path = corpus.resolve(ref)
     doc = serialize.load_document(path)
-    base_dir = Path(path).parent
+    base_dir = os.path.dirname(path)
     field = doc.get("shape")
     same = field == shape_doc or (
         isinstance(field, str)
-        and serialize.shape_path(field, base_dir).resolve() == Path(shape_path).resolve()
+        and os.path.realpath(serialize.shape_path(field, base_dir))
+        == os.path.realpath(shape_path)
     )
     diagram = serialize.diagram_from_doc(doc, base_dir, shape if same else None)
     if not same and diagram.shape != shape:
@@ -136,7 +124,7 @@ def cmd_cocone(config: RunConfig) -> int:
 def cmd_oracle(config: RunConfig) -> int:
     path = corpus.resolve(config.inputs[0])
     diagram = serialize.diagram_from_doc(
-        serialize.load_document(path), base_dir=Path(path).parent
+        serialize.load_document(path), base_dir=os.path.dirname(path)
     )
     answer = has_cocone(diagram)
     if answer:
@@ -166,7 +154,7 @@ def cmd_validate(config: RunConfig) -> int:
     elif kind in ("category", "poset"):
         _with_named_arrows(serialize.shape_from_doc(doc))
     elif kind == "diagram":
-        serialize.diagram_from_doc(doc, base_dir=Path(path).parent)
+        serialize.diagram_from_doc(doc, base_dir=os.path.dirname(path))
     else:
         raise ParseError(f"cannot validate documents of type '{kind}'")
     _emit(config, f"valid {kind}\n")
@@ -221,45 +209,123 @@ HANDLERS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
-        prog="amalgam",
-        description=(
-            "Decide whether every diagram of a finite shape admits a cocone in "
-            "every category with the amalgamation (and joint embedding) property."
-        ),
-    )
-    parser.add_argument(
-        "command",
-        choices=sorted(HANDLERS),
-        help="check | explain | witness | cocone | oracle | validate | gen",
-    )
-    parser.add_argument(
-        "inputs",
-        nargs="*",
-        help="paths or corpus names; gen takes KIND [SIZE] or 'diagram SHAPE'",
-    )
-    parser.add_argument("--out", help="write the output document to this path")
-    parser.add_argument("--seed", type=int, default=0, help="seed for gen")
-    parser.add_argument(
-        "--max-size", type=int, default=64, help="bound for generated instances"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="verdict output style for check",
-    )
-    return parser
+HELP = """\
+usage: amalgam COMMAND [INPUTS...] [--out PATH] [--seed N] [--max-size N]
+                       [--format text|structured]
+
+Decide whether every diagram of a finite shape admits a cocone in every
+category with the amalgamation (and joint embedding) property.
+
+commands:
+  check SHAPE           decide; print the report (--format structured: the verdict)
+  explain SHAPE         decide; always the prose report
+  witness SHAPE         a verified cocone-free diagram over the shape
+  cocone SHAPE DIAGRAM  a cocone for a diagram over an amalgamable shape
+  oracle DIAGRAM        the cocone of a concrete diagram, or its collision
+  validate DOCUMENT     parse and validate any document
+  gen KIND [SIZE]       a seeded poset, forest or nonforest of SIZE elements
+  gen diagram SHAPE     a seeded diagram over the shape
+
+Inputs are paths, or names of bundled corpus entries.  Options may come
+anywhere, as --name VALUE, --name=VALUE or an unambiguous prefix of --name;
+every argument after -- is an input.
+
+options:
+  -h, --help            show this help and exit
+  --out PATH            write the output document to this path
+  --seed N              seed for gen (default 0)
+  --max-size N          bound for generated instances (default 64)
+  --format FORMAT       text | structured: verdict output style for check
+
+exit codes: 0 positive outcome, 1 negative outcome, 2 input or validation error
+"""
+
+OPTIONS = ("--out", "--seed", "--max-size", "--format", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _option(token: str):
+    """(option, value given after '=' or None) for a token that is an
+    option, None for an input, and (None, None) for an unknown option.
+
+    As with argparse, a token is an input unless it starts with '-'; '-'
+    itself, a negative number, and an unknown option holding a space are
+    inputs too.  A long option may be any unambiguous prefix of its name.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "-":
+        name, eq, value = token.partition("=")
+        matches = [o for o in OPTIONS if o.startswith(name)]
+        if len(matches) == 1:
+            return matches[0], value if eq else None
+    elif token[1] == "h":  # -h, or -h with a value it does not take
+        return ("--help", None) if token == "-h" else (None, None)
+    elif _NEGATIVE_NUMBER.match(token):
+        return None
+    return None if " " in token else (None, None)
+
+
+def parse_args(argv) -> RunConfig | None:
+    """The run an argument list asks for: ``COMMAND [INPUTS...]`` with the
+    options anywhere, or None when it asks for help.  Raises ParseError
+    naming the first argument at fault."""
+    inputs = []
+    out, seed, max_size, fmt = None, 0, 64, "text"
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            inputs.extend(tokens)
+            break
+        option = _option(token)
+        if option is None:
+            inputs.append(token)
+            continue
+        name, value = option
+        if name is None:
+            raise ParseError(f"unrecognized option '{token}'")
+        if name == "--help":
+            if value is not None:
+                raise ParseError(f"{token}: --help takes no value")
+            return None
+        if value is None:
+            value = next(tokens, "--")
+            if value == "--" or _option(value) is not None:
+                raise ParseError(f"{name} expects a value")
+        if name == "--out":
+            out = value
+        elif name == "--format":
+            if value not in ("text", "structured"):
+                raise ParseError(f"--format must be text or structured, got '{value}'")
+            fmt = value
+        else:
+            try:
+                number = int(value)
+            except ValueError:
+                raise ParseError(f"{name} expects an integer, got '{value}'") from None
+            if name == "--seed":
+                seed = number
+            else:
+                max_size = number
+    if not inputs:
+        raise ParseError(f"missing COMMAND: one of {', '.join(sorted(HANDLERS))}")
+    command = inputs[0]
+    if command not in HANDLERS:
+        raise ParseError(
+            f"unknown command '{command}': one of {', '.join(sorted(HANDLERS))}"
+        )
+    if max_size <= 0:
+        raise ParseError("--max-size must be positive")
+    return RunConfig(command, tuple(inputs[1:]), out, seed, max_size, fmt)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, arity = HANDLERS[args.command]
     try:
-        config = RunConfig.from_args(args)
+        config = parse_args(sys.argv[1:] if argv is None else argv)
+        if config is None:
+            sys.stdout.write(HELP)
+            return 0
+        handler, arity = HANDLERS[config.command]
         if arity is not None and len(config.inputs) != arity:
             raise ParseError(
                 f"{config.command} expects {arity} input argument(s)"

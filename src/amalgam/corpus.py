@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from importlib import resources
 from pathlib import Path
 
@@ -25,18 +26,21 @@ def path(name: str) -> Path:
     return Path(str(entry))
 
 
-def resolve(ref: str) -> Path:
+def resolve(ref: str) -> str:
     """Interpret a CLI argument as a filesystem path or a corpus name.
 
     Only a bare name (no path separator, no ``.json`` suffix) may name a
     corpus entry, so a missing file is never swapped for a bundled one.
+    A file argument is returned as given; pathlib is met only off that path.
     """
+    if os.path.isfile(ref):
+        return ref
     p = Path(ref)
-    if p.is_file():
-        return p
+    if p.is_file():  # named with a trailing '/' or '/.', which pathlib drops
+        return str(p)
     if p.name == ref and p.suffix != ".json":
         try:
-            return path(ref)
+            return str(path(ref))
         except FileNotFoundError:
             pass
     raise FileNotFoundError(f"no such file or corpus entry: {ref}")

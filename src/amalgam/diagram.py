@@ -172,13 +172,20 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
 
 def _raise_row_fault(m, act, source, target_index) -> None:
     """Name why an action of its carrier's size has no row: a source label
-    it misses comes first, then an image outside the target.  An unhashable
-    image met before either raises its TypeError, as a row build does."""
+    it misses comes first, then an image outside the target.  An image that
+    cannot be hashed, such as a list, is no label of the target."""
+
+    def in_target(image) -> bool:
+        try:
+            return image in target_index
+        except TypeError:
+            return False
+
     if not all(map(act.__contains__, source)):
         raise CarrierMismatch(
             f"action of {m.name} is not defined on exactly its carrier"
         )
-    if not all(map(target_index.__contains__, map(act.__getitem__, source))):
+    if not all(map(in_target, map(act.__getitem__, source))):
         raise CarrierMismatch(f"action of {m.name} leaves the target carrier")
 
 

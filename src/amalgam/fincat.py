@@ -201,8 +201,10 @@ def _check_axioms(cat: FinCategory) -> None:
     # after[f] maps each h in hom_out[cod f], in order, to h∘f.
     after = [{h: table[(h, f)] for h in hom_out[mf.cod]} for f, mf in enumerate(morphisms)]
     cat.generators = _generators(cat, after)
-    if not _associative_at_generators(cat, after):
-        _raise_first_associativity_fault(cat, after)
+    # post[f][k] is h∘f for the k-th h in hom_out[cod f].
+    post = [list(a.values()) for a in after]
+    if not _associative_at_generators(cat, after, post):
+        _raise_first_associativity_fault(cat, post)
 
 
 def _generators(cat: FinCategory, after) -> tuple[int, ...]:
@@ -245,7 +247,7 @@ def _generators(cat: FinCategory, after) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _associative_at_generators(cat: FinCategory, after) -> bool:
+def _associative_at_generators(cat: FinCategory, after, post) -> bool:
     """Light's associativity test: (h∘g)∘f = h∘(g∘f) for every generator g.
 
     Exact on any table that passed the identity checks.  If the law holds
@@ -253,25 +255,24 @@ def _associative_at_generators(cat: FinCategory, after) -> bool:
     h∘((b∘a)∘f) = h∘(b∘(a∘f)) = (h∘b)∘(a∘f) = ((h∘b)∘a)∘f = (h∘(b∘a))∘f.
     Identities satisfy it by the identity laws, and every morphism is a
     right-nested composite of generators.  Since cod(g∘f) = cod g, the
-    composites h∘(g∘f) are listed by after[g∘f] in the order of after[g].
+    composites h∘(g∘f) are listed by post[g∘f] in the order of post[g].
     """
     hom_in, morphisms = cat.hom_in, cat.morphisms
     for g in cat.generators:
-        after_g = list(after[g].values())
+        post_g = post[g]
         for f in hom_in[morphisms[g].dom]:
             after_f = after[f]
-            if list(after[after_f[g]].values()) != list(map(after_f.__getitem__, after_g)):
+            if post[after_f[g]] != list(map(after_f.__getitem__, post_g)):
                 return False
     return True
 
 
-def _raise_first_associativity_fault(cat: FinCategory, after) -> None:
+def _raise_first_associativity_fault(cat: FinCategory, post) -> None:
     """The exhaustive scan over composable triples, in the order of a scan
     over all morphisms: raises the first fault a full check would report."""
     morphisms, table, hom_out = cat.morphisms, cat.table, cat.hom_out
-    # post[x][k] is h∘x for the k-th h in hom_out[cod x]; since cod(g∘f) =
-    # cod g, the triple (h, g, f) compares post[g∘f][k] with post[g][k]∘f.
-    post = [list(a.values()) for a in after]
+    # Since cod(g∘f) = cod g, the triple (h, g, f) compares post[g∘f][k]
+    # with post[g][k]∘f.
     for f, mf in enumerate(morphisms):
         for g, gf in zip(hom_out[mf.cod], post[f]):
             if post[gf] == [table[(hg, f)] for hg in post[g]]:
@@ -594,7 +595,7 @@ def monic_reflection(cat: FinCategory) -> tuple[FinCategory, FunctorMap]:
     table = cat.table
     while True:
         class_of = cong.class_of
-        fresh = []
+        fresh: dict[tuple[int, int], None] = {}  # each seed pair once, in order
         for (_, cod), homs in cat.hom_sets.items():
             if len(homs) < 2:
                 continue
@@ -603,7 +604,7 @@ def monic_reflection(cat: FinCategory) -> tuple[FinCategory, FunctorMap]:
                 for f in homs:
                     first = leader.setdefault(class_of[table[(h, f)]], f)
                     if class_of[first] != class_of[f]:
-                        fresh.append((first, f))
+                        fresh[first, f] = None
         if not fresh:
             break
         pairs.extend(fresh)

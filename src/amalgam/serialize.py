@@ -35,13 +35,16 @@ def _require(doc: dict, key: str, where: str):
 
 
 def load_document(path: str | Path) -> dict:
-    path = Path(path)
+    """The JSON object at path, read as bytes in one call: the decoder
+    detects UTF-8, UTF-16 or UTF-32.  Errors name the path as pathlib
+    normalises it."""
     try:
-        doc = json.loads(path.read_text())
+        with open(path, "rb") as f:
+            doc = json.loads(f.read())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{Path(path)}: {exc}") from exc
     if not isinstance(doc, dict) or "type" not in doc:
-        raise ParseError(f"{path}: document must be an object with a 'type' field")
+        raise ParseError(f"{Path(path)}: document must be an object with a 'type' field")
     return doc
 
 
@@ -159,16 +162,16 @@ def inverse_to_doc(inv: FinInverseCategory) -> dict:
 
 # -- diagrams ----------------------------------------------------------------
 
-def shape_path(shape_field: str, base_dir: Path | None) -> Path:
+def shape_path(shape_field: str, base_dir: str | Path | None) -> Path:
     """The file a diagram's ``shape`` path names, relative to the diagram's
     directory."""
     path = Path(shape_field)
     if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
+        path = Path(base_dir, path)
     return path
 
 
-def _shape_of(shape_field, base_dir: Path | None) -> FinCategory | FinPoset:
+def _shape_of(shape_field, base_dir: str | Path | None) -> FinCategory | FinPoset:
     if isinstance(shape_field, str):
         return load_shape(shape_path(shape_field, base_dir))
     if isinstance(shape_field, dict):
@@ -177,7 +180,7 @@ def _shape_of(shape_field, base_dir: Path | None) -> FinCategory | FinPoset:
 
 
 def diagram_from_doc(
-    doc: dict, base_dir: Path | None = None, shape: FinCategory | FinPoset | None = None
+    doc: dict, base_dir: str | Path | None = None, shape: FinCategory | FinPoset | None = None
 ) -> FinInjDiagram:
     """The diagram a document describes.  ``shape``, when given, is the
     already parsed shape its ``shape`` field names."""
@@ -355,24 +358,37 @@ def verdict_to_doc(verdict: Verdict) -> dict:
     return doc
 
 
-def _nesting(doc) -> int:
-    """Levels of lists and objects nested in a JSON value."""
-    depth, level = 0, [doc]
+def _nesting(doc) -> int | None:
+    """Levels of arrays and objects nested in a JSON value, or None when a
+    container holds itself.  Each level keeps one copy of a shared
+    container, so a value nested deeper than its count of distinct
+    containers has a cycle."""
+    depth, level, seen = 0, [doc], set()
     while level:
-        level = [v for v in level if isinstance(v, (dict, list))]
+        level = list({id(v): v for v in level if isinstance(v, (dict, list, tuple))}.values())
+        seen.update(map(id, level))
         depth += bool(level)
+        if depth > len(seen):
+            return None
         level = [w for v in level for w in (v.values() if isinstance(v, dict) else v)]
     return depth
 
 
 def dump(doc: dict) -> str:
     """One line of compact JSON with sorted keys, written by the C encoder.
-    The encoder recurses once per level, so a document nested past the
-    recursion limit raises ValueError, naming its depth."""
+
+    The writers build trees, so the encoder keeps no cycle markers.  It
+    recurses once per level, so a document nested past the recursion limit,
+    or one that contains itself, raises ValueError, naming its depth."""
     try:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), check_circular=False
+        ) + "\n"
     except RecursionError:
+        depth = _nesting(doc)
+        if depth is None:
+            raise ValueError("cannot write a document that contains itself as JSON") from None
         raise ValueError(
-            f"cannot write a document nested {_nesting(doc)} levels deep as JSON "
+            f"cannot write a document nested {depth} levels deep as JSON "
             f"(recursion limit {sys.getrecursionlimit()})"
         ) from None

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 from collections import deque
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
 from amalgam import category
+from amalgam.cli import HANDLERS, RunConfig
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
@@ -800,3 +804,36 @@ def reference_zigzag(diagram: FinInjDiagram, start, goal):
     nodes_path.reverse()
     steps.reverse()
     return tuple(nodes_path), tuple(steps)
+
+
+# -- the argparse command line, a reference for cli.parse_args ----------------
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI was built on: ``COMMAND [INPUTS...]`` and
+    four options.  ``parse_args`` rejects an input after an option;
+    ``parse_intermixed_args`` accepts options anywhere."""
+    parser = argparse.ArgumentParser(prog="amalgam")
+    parser.add_argument("command", choices=sorted(HANDLERS))
+    parser.add_argument("inputs", nargs="*")
+    parser.add_argument("--out")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-size", type=int, default=64)
+    parser.add_argument("--format", choices=("text", "structured"), default="text")
+    return parser
+
+
+def reference_config(argv, intermixed: bool = False):
+    """The RunConfig the reference parser reads from argv, "help" for a
+    help request, or "exit 2" where it (or the positive --max-size rule
+    applied after it) rejects argv."""
+    parser = reference_parser()
+    parse = parser.parse_intermixed_args if intermixed else parser.parse_args
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "exit 2"
+    if args.max_size <= 0:
+        return "exit 2"
+    return RunConfig(args.command, tuple(args.inputs), args.out, args.seed,
+                     args.max_size, args.format)

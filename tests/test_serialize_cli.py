@@ -247,6 +247,17 @@ def test_cli_rejects_malformed_diagram_fields(tmp_path, capsys, command, edit, m
     assert err.startswith("error: diagram: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "validate", "cocone"])
+@pytest.mark.parametrize("pairs", [[["*", ["0"]]], [["*", {"0": 1}]]])
+def test_cli_names_an_action_with_an_unhashable_image(tmp_path, capsys, command, pairs):
+    """An image that cannot be hashed is no label of the target carrier:
+    exit 2 naming the morphism, not a TypeError."""
+    path = _bowtie_diagram_with(tmp_path, lambda d: d["actions"].update(h=pairs))
+    argv = [command, "bowtie", path] if command == "cocone" else [command, path]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: action of h leaves the target carrier\n"
+
+
 def test_cli_explain(capsys):
     assert main(["explain", "nonforest6"]) == 1
     out = capsys.readouterr().out
@@ -259,6 +270,24 @@ def test_cli_unknown_path(capsys):
     assert main(["check", "/no/such/dir/span.json"]) == 2
     assert main(["check", "span.json"]) == 2
     assert "no such file or corpus entry" in capsys.readouterr().err
+
+
+def test_cli_reads_a_path_as_pathlib_normalises_it(tmp_path, capsys):
+    """A file named with a trailing '/' or '/.' is read, as pathlib reads it."""
+    path = tmp_path / "span.json"
+    path.write_bytes(corpus.path("span").read_bytes())
+    for ref in (f"{path}/", f"{path}/.", f"{tmp_path}//span.json"):
+        assert main(["check", ref]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32"])
+def test_documents_are_read_in_the_encoding_json_detects(tmp_path, capsys, encoding):
+    path = tmp_path / "poset.json"
+    doc = {"type": "poset", "elements": ["é", "ü"], "covers": [["é", "ü"]]}
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding=encoding)
+    assert main(["check", str(path), "--format", "structured"]) == 0
+    assert "\\u00e9" in capsys.readouterr().out
 
 
 def test_readme_library_example_runs(capsys):
@@ -440,6 +469,29 @@ def test_dump_names_the_depth_of_any_document_too_deep_to_write():
         deep = [deep]
     with pytest.raises(ValueError, match=f"nested {n + 1} levels deep"):
         serialize.dump({"value": deep})
+
+
+def test_dump_refuses_a_document_that_contains_itself():
+    """The encoder keeps no cycle markers; a cycle still ends in ValueError."""
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="contains itself"):
+        serialize.dump({"value": loop})
+    node = {"up": None}
+    node["up"] = [node]
+    with pytest.raises(ValueError, match="contains itself"):
+        serialize.dump(node)
+
+
+def test_dump_counts_a_shared_list_once_per_level():
+    """A list reached along two paths is not a cycle: the error names the
+    depth of the deeper path."""
+    n = sys.getrecursionlimit() + 100
+    deep = 0
+    for _ in range(n):
+        deep = [deep]
+    with pytest.raises(ValueError, match=f"nested {n + 3} levels deep"):
+        serialize.dump({"a": deep, "b": (deep, [deep])})
 
 
 def test_shallow_structured_verdict_is_compact_sorted_json():
