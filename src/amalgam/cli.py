@@ -37,12 +37,34 @@ class RunConfig:
     format: str
 
 
+def _locale_encoding() -> str:
+    """``locale.getpreferredencoding(False)``, the encoding ``open(path,
+    "w")`` writes in, read off the built-in ``_locale``: importing ``locale``
+    would hold about 128 KB more in every process that writes a file."""
+    if sys.flags.utf8_mode:
+        return "utf-8"
+    import _locale
+
+    try:
+        return _locale.getencoding()
+    except AttributeError:  # Python 3.10
+        return _locale._get_locale_encoding()
+
+
 def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w") as out:
-            out.write(text)
-    else:
+    """Write text to stdout, or to the file ``--out`` names through one
+    descriptor: created or truncated as open(path, "w") does it, and the
+    text encoded as it would, in the locale's encoding, strictly."""
+    if not config.out:
         sys.stdout.write(text)
+        return
+    fd = os.open(config.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(text.encode(_locale_encoding()))
+        while view:  # a write may take fewer bytes than it is given
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _load_shape(ref: str):

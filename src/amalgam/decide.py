@@ -20,7 +20,13 @@ from .diagram import (
     witness_no_cocone,
 )
 from .fincat import FinCategory, connected_components
-from .poset import FinPoset, ForestCertificate, NonForestWitness, _component_masks
+from .poset import (
+    FinPoset,
+    ForestCertificate,
+    NonForestWitness,
+    _component_masks,
+    sorted_names,
+)
 
 
 @dataclass
@@ -139,7 +145,7 @@ def _describe_tree(root, poset, indent: int) -> list[str]:
         pad = "  " * depth
         lines.append(f"{pad}adjoin {poset.elements[node.point]}")
         for child, upset in reversed(list(zip(node.children, node.upsets))):
-            names = ", ".join(sorted(poset.elements[e] for e in upset))
+            names = ", ".join(sorted_names(poset.elements, upset))
             stack.append((child, depth + 2, f"{pad}  below upward-closed set {{{names}}}:"))
     return lines
 
@@ -176,7 +182,7 @@ def explain(verdict: Verdict) -> str:
             w = ev.witness
             poset = ev.analysis.skeleton
             pieces = [
-                "{" + ", ".join(sorted(poset.elements[e] for e in part)) + "}"
+                "{" + ", ".join(sorted_names(poset.elements, part)) + "}"
                 for part in w.upset_components
             ]
             lines.append(

@@ -599,14 +599,14 @@ def witness_no_cocone(
         poset = analysis.skeleton
         smap = analysis.skeleton_map
         w = analysis.forest
-        up_x = poset.up(w.x)
-        two_sided = (w.component | up_x) - {w.x}
-        zero_side = w.upset_components[0] | (up_x - w.component - {w.x})
+        up_x = poset.up_masks[w.x]
+        two_sided = (w.component | up_x) & ~(1 << w.x)
+        zero_side = w.upset_components[0] | up_x & ~w.component & ~(1 << w.x)
 
         def carrier_for(v: int) -> tuple[str, ...]:
             if v == w.x:
                 return ("*",)
-            if v in two_sided:
+            if two_sided >> v & 1:
                 return ("0", "1")
             return ()
 
@@ -619,7 +619,7 @@ def witness_no_cocone(
             elif vx == vy:
                 actions.append({e: e for e in carrier_for(vx)})
             elif vx == w.x:
-                actions.append({"*": "0" if vy in zero_side else "1"})
+                actions.append({"*": "0" if zero_side >> vy & 1 else "1"})
             elif carrier_for(vx) == ():
                 actions.append({})
             else:

@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, starmap, zip_longest
+from operator import eq
 
 from . import groups
 
@@ -43,6 +44,21 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
+def sorted_names(names, mask: int) -> list:
+    """The names of the mask's members, sorted: few bits are split off one
+    at a time, many are read off the binary digits."""
+    if mask.bit_count() > 16:
+        out = list(compress(names, map("1".__eq__, bin(mask)[:1:-1])))
+    else:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+    out.sort()
+    return out
+
+
 def closed_masks(masks) -> list[int]:
     """Every subset, as an increasing bitmask, that contains ``masks[i]`` with
     each of its members i: up-sets give upward-closed sets, down-sets ideals."""
@@ -61,26 +77,38 @@ def _sparse_bits(mask: int):
 def _closure(succ: list[int], elements) -> tuple[int, ...]:
     """Reflexive-transitive closure of the edge masks ``succ``, taken in
     depth-first post-order on an explicit stack; a cycle raises
-    NotAPartialOrder."""
+    NotAPartialOrder.  Bits are split off the masks in line, lowest first."""
     n = len(succ)
     closed = [0] * n  # 0 until the element's closure is complete
     started = 0
     for root in range(n):
+        if started >> root & 1:
+            continue
         stack = [root]
         while stack:
             a = stack.pop()
-            if not started >> a & 1:
-                started |= 1 << a
+            bit = 1 << a
+            if not started & bit:
+                started |= bit
                 stack.append(a)
-                stack.extend(_sparse_bits(succ[a] & ~started))
+                fresh = succ[a] & ~started
+                while fresh:
+                    low = fresh & -fresh
+                    stack.append(low.bit_length() - 1)
+                    fresh ^= low
             elif not closed[a]:
-                closed[a] = 1 << a
-                for b in _sparse_bits(succ[a]):
+                closed[a] = reach = bit
+                rest = succ[a]
+                while rest:
+                    low = rest & -rest
+                    b = low.bit_length() - 1
                     if not closed[b]:  # b is still open, so it reaches a: a cycle
                         raise NotAPartialOrder(
                             f"antisymmetry fails on {elements[b]}, {elements[a]}"
                         )
-                    closed[a] |= closed[b]
+                    reach |= closed[b]
+                    rest ^= low
+                closed[a] = reach
     return tuple(closed)
 
 
@@ -182,6 +210,11 @@ class FinPoset:
 
     def comparable(self, a: int, b: int) -> bool:
         return bool((self.up_masks[a] | self.down_masks[a]) >> b & 1)
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit j of entry i is set when i and j are comparable."""
+        return tuple(map(int.__or__, self.up_masks, self.down_masks))
 
     def relation_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((a, b) for a, mask in enumerate(self.up_masks) for b in _bits(mask))
@@ -318,15 +351,19 @@ def upward_closure(poset: FinPoset, subset) -> frozenset[int]:
 
 
 def _component_masks(poset: FinPoset, region: int) -> list[int]:
-    """Comparability components of the region, ordered by least element."""
-    up, down = poset.up_masks, poset.down_masks
+    """Comparability components of the region, ordered by least element.
+    Each frontier is walked by splitting off its lowest bit; the flood stops
+    once it fills the region."""
+    near = poset.neighbour_masks
     parts = []
     while region:
         comp = frontier = region & -region
         while frontier and comp != region:
             reach = 0
-            for a in _bits(frontier):
-                reach |= up[a] | down[a]
+            while frontier:
+                low = frontier & -frontier
+                reach |= near[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & region & ~comp
             comp |= frontier
         parts.append(comp)
@@ -342,13 +379,13 @@ def components(poset: FinPoset, subset) -> tuple[frozenset[int], ...]:
 def _bfs_parents(poset: FinPoset, region: int, root: int) -> dict[int, int]:
     """Breadth-first comparability tree inside region, neighbours in increasing
     order: each reached element -> its parent (the root -> itself)."""
-    up, down = poset.up_masks, poset.down_masks
+    near = poset.neighbour_masks
     parent = {root: root}
     seen = 1 << root
     queue = deque([root])
     while queue:
         a = queue.popleft()
-        fresh = (up[a] | down[a]) & region & ~seen
+        fresh = near[a] & region & ~seen
         seen |= fresh
         for b in _bits(fresh):
             parent[b] = a
@@ -356,54 +393,93 @@ def _bfs_parents(poset: FinPoset, region: int, root: int) -> dict[int, int]:
     return parent
 
 
-@dataclass(frozen=True)
+def _preorder(roots):
+    """(point, up-sets, child count) of each node, in pre-order: the child
+    counts fix the shape, so two forests are equal exactly when these agree."""
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        yield node.point, node.upsets, len(node.children)
+        stack.extend(reversed(node.children))
+
+
+def _same_forest(roots, other_roots) -> bool:
+    return all(starmap(eq, zip_longest(_preorder(roots), _preorder(other_roots))))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class DecompositionNode:
-    """One tree-building step: ``point`` adjoined below the upsets of its children."""
+    """One tree-building step: ``point`` adjoined below the upsets of its
+    children, each a mask of element indices.
+
+    Equality and hashing walk the tree on an explicit stack, and the repr
+    shows this node alone, its masks in hex: a certificate may be deeper
+    than the recursion limit, and a mask longer than the digit limit of
+    int-to-decimal conversion.
+    """
 
     point: int
     children: tuple["DecompositionNode", ...]
-    upsets: tuple[frozenset[int], ...]
+    upsets: tuple[int, ...]
 
-    def elements(self) -> frozenset[int]:
-        out = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.add(node.point)
-            stack.extend(node.children)
-        return frozenset(out)
+    def __eq__(self, other):
+        if not isinstance(other, DecompositionNode):
+            return NotImplemented
+        return _same_forest((self,), (other,))
+
+    def __hash__(self):
+        return hash(tuple(_preorder((self,))))
+
+    def __repr__(self):
+        upsets = ", ".join(map(hex, self.upsets))
+        return (
+            f"DecompositionNode(point={self.point}, upsets=[{upsets}], "
+            f"children={len(self.children)})"
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestCertificate:
     """Replayable decomposition of a forest-like poset, one tree per component."""
 
     roots: tuple[DecompositionNode, ...]
 
-    def elements(self) -> frozenset[int]:
-        out: set[int] = set()
-        for root in self.roots:
-            out |= root.elements()
-        return frozenset(out)
+    def __eq__(self, other):
+        if not isinstance(other, ForestCertificate):
+            return NotImplemented
+        return _same_forest(self.roots, other.roots)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self.roots)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NonForestWitness:
     """Failure evidence: below ``x``, the component ``component`` of the region
     minus ``x`` meets the up-set of ``x`` in at least two pieces.
 
     ``u`` and ``v`` sit in distinct pieces, joined inside the component by the
     recorded comparability zigzag.  ``region`` is the connected upward-closed
-    subposet exhibiting the failure.
+    subposet exhibiting the failure.  ``component``, the pieces and ``region``
+    are masks of element indices; ``x``, ``u``, ``v`` and the zigzag are
+    indices.
     """
 
     x: int
-    component: frozenset[int]
-    upset_components: tuple[frozenset[int], ...]
+    component: int
+    upset_components: tuple[int, ...]
     u: int
     v: int
     zigzag: tuple[int, ...]
-    region: frozenset[int]
+    region: int
+
+    def __repr__(self):  # masks in hex: no digit limit applies
+        pieces = ", ".join(map(hex, self.upset_components))
+        return (
+            f"NonForestWitness(x={self.x}, component={self.component:#x}, "
+            f"upset_components=[{pieces}], u={self.u}, v={self.v}, "
+            f"zigzag={self.zigzag}, region={self.region:#x})"
+        )
 
 
 def _zigzag_path(poset: FinPoset, region: int, u: int, v: int) -> tuple[int, ...]:
@@ -436,17 +512,20 @@ def _decompose(poset: FinPoset, region: int):
     up, down = poset.up_masks, poset.down_masks
 
     def frame(region: int) -> list:
-        x = next(a for a in _bits(region) if down[a] & region == 1 << a)
-        return [x, up[x] & region, _component_masks(poset, region & ~(1 << x)), [], []]
+        rest = region
+        while True:  # the least minimal element: split off the lowest bit
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if down[x] & region == low:
+                return [x, up[x] & region, _component_masks(poset, region ^ low), [], []]
+            rest ^= low
 
     stack = [frame(region)]
     while True:
         x, up_x, parts, children, upsets = stack[-1]
         if len(children) == len(parts):
             stack.pop()
-            node = DecompositionNode(
-                x, tuple(children), tuple(_members(u) for u in upsets)
-            )
+            node = DecompositionNode(x, tuple(children), tuple(upsets))
             if not stack:
                 return node
             stack[-1][3].append(node)
@@ -457,15 +536,15 @@ def _decompose(poset: FinPoset, region: int):
         # a component of a connected region always meets the up-set of its minimum
         assert upset_parts, (x, part)
         if len(upset_parts) != 1:
-            u, v = (next(_bits(piece)) for piece in upset_parts[:2])
+            u, v = ((piece & -piece).bit_length() - 1 for piece in upset_parts[:2])
             return NonForestWitness(
                 x=x,
-                component=_members(part),
-                upset_components=tuple(_members(p) for p in upset_parts),
+                component=part,
+                upset_components=tuple(upset_parts),
                 u=u,
                 v=v,
                 zigzag=_zigzag_path(poset, part, u, v),
-                region=_members(1 << x | part | up_x),
+                region=1 << x | part | up_x,
             )
         upsets.append(upset)
         stack.append(frame(part))
@@ -503,7 +582,7 @@ def replay_certificate(cert: ForestCertificate) -> tuple[frozenset[int], frozens
             relems.add(node.point)
             pairs.add((node.point, node.point))
             for child, upset in zip(node.children, node.upsets):
-                pairs.update((node.point, b) for b in upset)
+                pairs.update((node.point, b) for b in _bits(upset))
                 stack.append(child)
         if elems & relems:
             raise PosetError("certificate components overlap")
@@ -537,12 +616,11 @@ def verify_certificate(poset: FinPoset, cert: ForestCertificate) -> bool:
         seen |= 1 << p
         elems = rel = 1 << p
         for child, upset in zip(node.children, node.upsets):
-            if min(upset, default=0) < 0:
+            celems = below[id(child)]
+            # a negative mask, or one with a bit past the child, leaves it
+            if upset & ~celems or len(_component_masks(poset, upset)) != 1:
                 return False
-            u, celems = _mask(upset), below[id(child)]
-            if u & ~celems or len(_component_masks(poset, u)) != 1:
-                return False
-            rel |= u
+            rel |= upset
             elems |= celems
         replayed[p] = rel
         below[id(node)] = elems
@@ -550,31 +628,28 @@ def verify_certificate(poset: FinPoset, cert: ForestCertificate) -> bool:
 
 
 def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:
-    """Soundness check for a non-forest witness."""
-    up_x = poset.up(witness.x)
-    upset = witness.component & up_x
-    if components(poset, upset) != witness.upset_components:
+    """Soundness check for a non-forest witness, on its masks."""
+    n, up = len(poset), poset.up_masks
+    x, u, v, z = witness.x, witness.u, witness.v, witness.zigzag
+    if not z or not all(0 <= a < n for a in (x, u, v, *z)):
         return False
-    if len(witness.upset_components) < 2:
+    component, pieces = witness.component, witness.upset_components
+    if tuple(_component_masks(poset, component & up[x])) != pieces or len(pieces) < 2:
         return False
-    if witness.u not in witness.upset_components[0]:
+    if not (pieces[0] >> u & 1 and any(piece >> v & 1 for piece in pieces[1:])):
         return False
-    if not any(witness.v in part for part in witness.upset_components[1:]):
+    if z[0] != u or z[-1] != v or _mask(z) & ~component:
         return False
-    z = witness.zigzag
-    if z[0] != witness.u or z[-1] != witness.v:
-        return False
-    if not set(z) <= witness.component:
-        return False
-    if not all(poset.comparable(a, b) for a, b in zip(z, z[1:])):
+    if not all(map(poset.comparable, z, z[1:])):
         return False
     # the witness region must be connected and upward-closed
     region = witness.region
-    if region != frozenset({witness.x} | witness.component | up_x):
+    if region != 1 << x | component | up[x] or not 0 <= region < 1 << n:
         return False
-    if upward_closure(poset, region) != region:
-        return False
-    return len(components(poset, region)) == 1
+    closure = 0
+    for a in _sparse_bits(region):
+        closure |= up[a]
+    return closure == region and len(_component_masks(poset, region)) == 1
 
 
 def _component_presentation(poset: FinPoset, comp: list[int]):

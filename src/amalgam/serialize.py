@@ -8,6 +8,7 @@ ParseError with the offending field.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .poset import (
     ForestCertificate,
     NonForestWitness,
     NotAPartialOrder,
+    sorted_names,
 )
 
 
@@ -34,13 +36,31 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def load_document(path: str | Path) -> dict:
-    """The JSON object at path, read as bytes in one call: the decoder
-    detects UTF-8, UTF-16 or UTF-32.  Errors name the path as pathlib
-    normalises it."""
+def _read(path: str | Path) -> bytes:
+    """Every byte of the file at path, through one descriptor read to its
+    end.  The first read is sized by fstat, one byte over, so a whole file
+    comes in one read and the next returns nothing.  An error names the
+    path, as open() does."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        with open(path, "rb") as f:
-            doc = json.loads(f.read())
+        chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, 1 << 16))
+    except OSError as exc:  # a read names no file: a directory, say
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return chunks[0] if len(chunks) <= 2 else b"".join(chunks)
+
+
+def load_document(path: str | Path) -> dict:
+    """The JSON object at path, decoded from its bytes: the decoder detects
+    UTF-8, UTF-16 or UTF-32.  Errors name the path as pathlib normalises
+    it."""
+    try:
+        doc = json.loads(_read(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{Path(path)}: {exc}") from exc
     if not isinstance(doc, dict) or "type" not in doc:
@@ -285,7 +305,7 @@ def _node_to_doc(root: DecompositionNode, poset: FinPoset) -> dict:
     def shell(node: DecompositionNode) -> dict:
         return {
             "point": name[node.point],
-            "upsets": [sorted(name[e] for e in upset) for upset in node.upsets],
+            "upsets": [sorted_names(name, upset) for upset in node.upsets],
             "children": [],
         }
 
@@ -312,13 +332,11 @@ def witness_to_doc(witness: NonForestWitness, poset: FinPoset) -> dict:
     return {
         "type": "non-forest-witness",
         "minimal_element": name[witness.x],
-        "component": sorted(name[e] for e in witness.component),
-        "upset_components": [
-            sorted(name[e] for e in part) for part in witness.upset_components
-        ],
+        "component": sorted_names(name, witness.component),
+        "upset_components": [sorted_names(name, part) for part in witness.upset_components],
         "separated": [name[witness.u], name[witness.v]],
         "zigzag": [name[e] for e in witness.zigzag],
-        "region": sorted(name[e] for e in witness.region),
+        "region": sorted_names(name, witness.region),
     }
 
 

@@ -405,7 +405,8 @@ def brute_force_tree_like(poset: FinPoset, bound: int = 8) -> bool:
 def recursive_forest_like(poset: FinPoset):
     """The forest decomposition as a recursive descent over frozensets, with
     components found by scanning ``leq``: the reference that ``is_forest_like``
-    must reproduce node for node and witness for witness (small posets only).
+    must reproduce node for node and witness for witness, once ``as_masks``
+    has turned its sets into masks (small posets only).
     """
 
     def comparable(a: int, b: int) -> bool:
@@ -473,6 +474,38 @@ def recursive_forest_like(poset: FinPoset):
             return result
         roots.append(result)
     return ForestCertificate(tuple(roots))
+
+
+def mask(subset) -> int:
+    """The bitmask of a set of element indices."""
+    return sum(1 << i for i in set(subset))
+
+
+def members(mask: int) -> frozenset[int]:
+    """The element indices of a bitmask."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def as_masks(result):
+    """The reference's frozenset evidence in the masks ``is_forest_like``
+    keeps: every set becomes its bitmask (small posets only)."""
+    if isinstance(result, NonForestWitness):
+        return NonForestWitness(
+            result.x,
+            mask(result.component),
+            tuple(map(mask, result.upset_components)),
+            result.u,
+            result.v,
+            result.zigzag,
+            mask(result.region),
+        )
+
+    def node(n: DecompositionNode) -> DecompositionNode:
+        return DecompositionNode(
+            n.point, tuple(map(node, n.children)), tuple(map(mask, n.upsets))
+        )
+
+    return ForestCertificate(tuple(map(node, result.roots)))
 
 
 class CertificateMismatch(DiagramError):
@@ -573,7 +606,7 @@ def build_cocone_forest(diagram: FinInjDiagram, cert: ForestCertificate) -> Coco
         child_legs: list[dict[int, dict[str, str]]] = []
         for k, (child, upset) in enumerate(zip(node.children, node.upsets)):
             sub_apex, sub_legs = build(child)
-            rep = min(upset)
+            rep = (upset & -upset).bit_length() - 1  # the least member
             step = diagram.action(_hom_single(shape, x, rep))
             attach = PartialInjection(
                 diagram.carrier(x),

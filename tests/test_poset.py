@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from amalgam.poset import (
     ForestCertificate,
     NonForestWitness,
     NotAPartialOrder,
+    _component_masks,
     components,
     is_forest_like,
     replay_certificate,
@@ -24,6 +26,7 @@ from amalgam.poset import (
 )
 from conftest import (
     TooLarge,
+    as_masks,
     boat_poset,
     bowtie_poset,
     brute_force_tree_like,
@@ -31,6 +34,8 @@ from conftest import (
     chain,
     crown_poset,
     dags,
+    mask,
+    members,
     recursive_forest_like,
     span_poset,
 )
@@ -73,7 +78,7 @@ def test_bowtie_witness():
     result = is_forest_like(p)
     assert isinstance(result, NonForestWitness)
     assert p.elements[result.x] == "C"
-    assert {p.elements[e] for e in result.component} == {"A", "B", "D"}
+    assert {p.elements[e] for e in members(result.component)} == {"A", "B", "D"}
     assert len(result.upset_components) == 2
     assert verify_witness(p, result)
 
@@ -82,7 +87,7 @@ def test_boat_witness_region_excludes_bottom():
     p = boat_poset()
     result = is_forest_like(p)
     assert isinstance(result, NonForestWitness)
-    assert {p.elements[e] for e in result.region} == {"A", "B", "C", "D"}
+    assert {p.elements[e] for e in members(result.region)} == {"A", "B", "C", "D"}
     assert verify_witness(p, result)
 
 
@@ -94,7 +99,7 @@ def test_span_certificate():
     root = result.roots[0]
     assert p.elements[root.point] == "p"
     assert len(root.children) == 2
-    assert all(len(u) == 1 for u in root.upsets)
+    assert all(u.bit_count() == 1 for u in root.upsets)
     assert verify_certificate(p, result)
 
 
@@ -121,12 +126,12 @@ def test_witness_zigzag_stays_in_component_and_alternates():
         assert isinstance(w, NonForestWitness)
         z = w.zigzag
         assert z[0] == w.u and z[-1] == w.v
-        assert set(z) <= w.component
+        assert set(z) <= members(w.component)
         dirs = [p.leq(a, b) for a, b in zip(z, z[1:])]
         assert all(x != y for x, y in zip(dirs, dirs[1:]))
         # endpoints in distinct pieces of the up-set
         assert not any(
-            w.u in part and w.v in part for part in w.upset_components
+            {w.u, w.v} <= members(part) for part in w.upset_components
         )
 
 
@@ -178,8 +183,9 @@ def test_witness_region_refutes_simple_connectedness():
             w = is_forest_like(p)
             if isinstance(w, ForestCertificate):
                 continue
-            assert upward_closure(p, w.region) == w.region
-            sub, _ = p.restrict(w.region)
+            region = members(w.region)
+            assert upward_closure(p, region) == region
+            sub, _ = p.restrict(region)
             assert simply_connected_bounded(sub) is False, p
 
 
@@ -290,13 +296,13 @@ def test_mask_queries_match_the_pair_set(case):
     p, covers, subset = case
     check_against_pairs(p, _closure(len(p), covers), subset)
     assert FinPoset(p.elements, p.relation_pairs()) == p
-    assert is_forest_like(p) == recursive_forest_like(p)
+    assert is_forest_like(p) == as_masks(recursive_forest_like(p))
 
 
 def test_decomposition_matches_the_recursive_reference_on_all_posets_of_six():
     for posets in all_posets(6).values():
         for p in posets:
-            assert is_forest_like(p) == recursive_forest_like(p), p
+            assert is_forest_like(p) == as_masks(recursive_forest_like(p)), p
 
 
 def _forged_bowtie():
@@ -304,8 +310,8 @@ def _forged_bowtie():
     exactly, though the up-set {a, b} below p is disconnected."""
     p = FinPoset.from_covers(["p", "q", "a", "b"], [(0, 2), (0, 3), (1, 2), (1, 3)])
     leaf_a, leaf_b = DecompositionNode(2, (), ()), DecompositionNode(3, (), ())
-    q = DecompositionNode(1, (leaf_a, leaf_b), (frozenset({2}), frozenset({3})))
-    return p, DecompositionNode(0, (q,), (frozenset({2, 3}),))
+    q = DecompositionNode(1, (leaf_a, leaf_b), (mask({2}), mask({3})))
+    return p, DecompositionNode(0, (q,), (mask({2, 3}),))
 
 
 def test_forged_certificates_are_rejected():
@@ -315,23 +321,22 @@ def test_forged_certificates_are_rejected():
     assert not verify_certificate(bowtie, cert)
     # the same forgery one level down, below a new least element r
     cone = FinPoset.from_covers(["r", "p", "q", "a", "b"], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-    shift = {0: 1, 1: 2, 2: 3, 3: 4}
 
-    def moved(node):
+    def moved(node):  # every index one higher: each mask shifts by one bit
         return DecompositionNode(
-            shift[node.point],
+            node.point + 1,
             tuple(moved(c) for c in node.children),
-            tuple(frozenset(shift[e] for e in u) for u in node.upsets),
+            tuple(u << 1 for u in node.upsets),
         )
 
-    cert = ForestCertificate((DecompositionNode(0, (moved(root),), (frozenset({1, 2, 3, 4}),)),))
+    cert = ForestCertificate((DecompositionNode(0, (moved(root),), (mask({1, 2, 3, 4}),)),))
     assert replay_certificate(cert)[1] == cone.relation_pairs()
     assert not verify_certificate(cone, cert)
     # subtrees sharing c: the up-set {b} of the first is not upward-closed in {b, c}
     chain3 = chain(3)
     leaf_c = DecompositionNode(2, (), ())
-    b = DecompositionNode(1, (leaf_c,), (frozenset({2}),))
-    cert = ForestCertificate((DecompositionNode(0, (b, leaf_c), (frozenset({1}), frozenset({2}))),))
+    b = DecompositionNode(1, (leaf_c,), (mask({2}),))
+    cert = ForestCertificate((DecompositionNode(0, (b, leaf_c), (mask({1}), mask({2}))),))
     assert replay_certificate(cert) == (frozenset(range(3)), chain3.relation_pairs())
     assert not verify_certificate(chain3, cert)
 
@@ -340,21 +345,21 @@ def test_certificates_that_adjoin_an_element_twice_are_rejected():
     span = span_poset()  # p < a, b
     p, a, b = (span.elements.index(x) for x in "pab")
     leaf_a, leaf_b = DecompositionNode(a, (), ()), DecompositionNode(b, (), ())
-    good = DecompositionNode(p, (leaf_a, leaf_b), (frozenset({a}), frozenset({b})))
+    good = DecompositionNode(p, (leaf_a, leaf_b), (mask({a}), mask({b})))
     assert verify_certificate(span, ForestCertificate((good,)))
     # a second tree repeating a
     assert not verify_certificate(span, ForestCertificate((good, leaf_a)))
     # p adjoined again inside its own child: every up-set is connected and
     # upward-closed in its child, and the replayed order is the poset's
-    again = DecompositionNode(p, (leaf_a,), (frozenset({a}),))
-    root = DecompositionNode(p, (again, leaf_b), (frozenset({p, a}), frozenset({b})))
+    again = DecompositionNode(p, (leaf_a,), (mask({a}),))
+    root = DecompositionNode(p, (again, leaf_b), (mask({p, a}), mask({b})))
     assert replay_certificate(ForestCertificate((root,)))[1] == span.relation_pairs()
     assert not verify_certificate(span, ForestCertificate((root,)))
 
 
 def test_certificates_of_another_order_are_rejected():
     antichain = FinPoset(["x", "y"])
-    below = ForestCertificate((DecompositionNode(0, (DecompositionNode(1, (), ()),), (frozenset({1}),)),))
+    below = ForestCertificate((DecompositionNode(0, (DecompositionNode(1, (), ()),), (mask({1}),)),))
     apart = ForestCertificate((DecompositionNode(0, (), ()), DecompositionNode(1, (), ())))
     assert verify_certificate(chain(2), below) and verify_certificate(antichain, apart)
     assert not verify_certificate(antichain, below)
@@ -366,21 +371,103 @@ def test_certificates_with_misplaced_upsets_are_rejected():
     p, a, b = (span.elements.index(x) for x in "pab")
     leaf_a, leaf_b = DecompositionNode(a, (), ()), DecompositionNode(b, (), ())
     # the up-sets swapped: each lies in the other child, and the replayed order is right
-    swapped = DecompositionNode(p, (leaf_a, leaf_b), (frozenset({b}), frozenset({a})))
+    swapped = DecompositionNode(p, (leaf_a, leaf_b), (mask({b}), mask({a})))
     assert replay_certificate(ForestCertificate((swapped,)))[1] == span.relation_pairs()
     assert not verify_certificate(span, ForestCertificate((swapped,)))
+    # an up-set reaching into the other child: each meets its own child in a
+    # connected set, and the replayed order is right
+    reaching = DecompositionNode(p, (leaf_a, leaf_b), (mask({a, b}), mask({b})))
+    assert replay_certificate(ForestCertificate((reaching,)))[1] == span.relation_pairs()
+    assert not verify_certificate(span, ForestCertificate((reaching,)))
     # one up-set more than there are children
-    extra = DecompositionNode(0, (DecompositionNode(1, (), ()),), (frozenset({1}), frozenset({1})))
+    extra = DecompositionNode(0, (DecompositionNode(1, (), ()),), (mask({1}), mask({1})))
     assert not verify_certificate(chain(2), ForestCertificate((extra,)))
 
 
 @pytest.mark.parametrize("member", [-1, 2, 5])
 def test_certificates_naming_unknown_elements_are_rejected(member):
+    """Points outside the poset, and up-sets naming one: a bit at index n
+    or beyond, or, standing in for a negative index, a negative mask, which
+    has every bit past its last clear one set."""
     leaf = DecompositionNode(1, (), ())
-    for upset in ({member}, {1, member}, {member, member + 1}):
-        cert = ForestCertificate((DecompositionNode(0, (leaf,), (frozenset(upset),)),))
+    if member < 0:
+        upsets = (member, mask({1}) | -1 << 2, ~mask({1}))
+    else:
+        upsets = (1 << member, mask({1}) | 1 << member, 0b11 << member)
+    for upset in upsets:
+        cert = ForestCertificate((DecompositionNode(0, (leaf,), (upset,)),))
         assert not verify_certificate(chain(2), cert)
     assert not verify_certificate(chain(2), ForestCertificate((DecompositionNode(member, (), ()),)))
+
+
+def test_negative_masks_and_bits_past_the_poset_are_rejected():
+    """Each forged mask agrees with the true up-set on every element of the
+    poset; only its bits past the last element differ."""
+    span = span_poset()  # p < a, b
+    p, a, b = (span.elements.index(x) for x in "pab")
+    leaf_a, leaf_b = DecompositionNode(a, (), ()), DecompositionNode(b, (), ())
+
+    def cert(upset_a):
+        return ForestCertificate((DecompositionNode(p, (leaf_a, leaf_b), (upset_a, mask({b}))),))
+
+    assert verify_certificate(span, cert(mask({a})))
+    for forged in (mask({a}) | -1 << len(span), mask({a}) | 1 << len(span), mask({a}) | 1 << 70):
+        assert forged & (1 << len(span)) - 1 == mask({a})
+        assert not verify_certificate(span, cert(forged))
+        assert cert(forged) != cert(mask({a}))
+    w = is_forest_like(bowtie_poset())
+    assert verify_witness(bowtie_poset(), w)
+    n = len(bowtie_poset())
+    for field in ("component", "region"):
+        for extra in (-1 << n, 1 << n):
+            forged = replace(w, **{field: getattr(w, field) | extra})
+            assert not verify_witness(bowtie_poset(), forged)
+    forged = replace(w, component=w.component | -1 << n, region=w.region | -1 << n)
+    assert not verify_witness(bowtie_poset(), forged)
+    for field in ("x", "u", "v"):
+        for index in (-1, n):
+            assert not verify_witness(bowtie_poset(), replace(w, **{field: index}))
+    assert not verify_witness(bowtie_poset(), replace(w, zigzag=(*w.zigzag, n)))
+    assert not verify_witness(bowtie_poset(), replace(w, zigzag=()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dags(), st.randoms(use_true_random=False))
+def test_component_masks_match_a_flood_fill_over_the_relation(case, rnd):
+    """The parts and their order, least element first, on random regions."""
+    p, _, subset = case
+    rel = set(p.relation_pairs())
+    for region in (subset, {a for a in range(len(p)) if rnd.random() < 0.6}, range(len(p))):
+        reference = _reference_components(len(p), rel, region)
+        assert _component_masks(p, mask(region)) == list(map(mask, reference))
+
+
+def test_evidence_with_masks_past_the_decimal_digit_limit_prints():
+    """Python 3.11 and later refuse to write an int of more than 4300
+    decimal digits; a mask of 20,000 bits has 6,021."""
+    big = 1 << 20000
+    w = NonForestWitness(0, big, (big, 2), 1, 2, (1, 0, 2), big | 1)
+    assert f"component={hex(big)}" in repr(w) and f"[{hex(big)}, 0x2]" in repr(w)
+    node = DecompositionNode(0, (DecompositionNode(20000, (), ()),), (big,))
+    assert repr(node) == f"DecompositionNode(point=0, upsets=[{hex(big)}], children=1)"
+
+
+def test_deep_certificates_compare_hash_and_print_without_recursion():
+    n = sys.getrecursionlimit() + 100
+    cert, again = is_forest_like(chain(n)), is_forest_like(chain(n))
+    assert cert is not again and cert == again and hash(cert) == hash(again)
+    root = cert.roots[0]
+    assert root == again.roots[0] and hash(root) == hash(again.roots[0])
+    assert repr(root) == f"DecompositionNode(point=0, upsets=[{hex(mask(range(1, n)))}], children=1)"
+    assert repr(cert) == f"ForestCertificate(roots=({root!r},))"
+    # a fork in the last two elements: the trees differ only at their bottom
+    names = [f"c{i}" for i in range(n)]
+    fork = FinPoset.from_covers(names, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
+    forked = is_forest_like(fork)
+    assert isinstance(forked, ForestCertificate)
+    assert forked != cert and cert != forked and forked.roots[0] != root
+    assert cert != is_forest_like(chain(n + 1))
+    assert len({cert, again, forked}) == 2
 
 
 def test_mask_queries_match_the_pair_set_on_all_posets_of_five():

@@ -1,7 +1,9 @@
 import json
+import os
 import random
 import re
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ from amalgam.fincat import PresentationError, category
 from amalgam.gen import all_posets
 from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 from amalgam.serialize import ParseError
-from conftest import chain, cocone_from_labels, total_elements
+from conftest import chain, cocone_from_labels, members, total_elements
 
 # corpus shapes that `check` accepts, posets and inverse categories alike
 AMALGAMABLE = (
@@ -290,6 +292,105 @@ def test_documents_are_read_in_the_encoding_json_detects(tmp_path, capsys, encod
     assert "\\u00e9" in capsys.readouterr().out
 
 
+def test_documents_are_read_to_their_end_from_a_pipe(tmp_path):
+    """A pipe reports size 0, so its document comes in over several reads."""
+    fifo = tmp_path / "poset.json"
+    os.mkfifo(fifo)
+    doc = {"type": "poset", "elements": [f"e{i}" for i in range(20000)], "covers": []}
+    data = json.dumps(doc).encode()
+    assert len(data) > 2 << 16  # more than two reads of 64 KiB
+
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert serialize.load_document(str(fifo)) == doc
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_read_and_write_errors_name_the_path_as_open_does(tmp_path, monkeypatch, capsys):
+    """A missing shape file, a directory given as a diagram's shape (opened
+    fine, refused by its first read) and ``--out`` into a missing directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "shapedir").mkdir()
+    for name, shape in (("dir.json", "shapedir"), ("gone.json", "missing.json")):
+        doc = {"type": "diagram", "shape": shape, "carriers": {}, "actions": {}}
+        (tmp_path / name).write_text(json.dumps(doc))
+    cases = [
+        (["oracle", "gone.json"],
+         "missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+        (["oracle", "dir.json"], "shapedir: [Errno 21] Is a directory: 'shapedir'"),
+        (["validate", "dir.json"], "shapedir: [Errno 21] Is a directory: 'shapedir'"),
+        (["cocone", "span", "dir.json"], "shapedir: [Errno 21] Is a directory: 'shapedir'"),
+        (["oracle", str(tmp_path / "dir.json")],
+         f"{tmp_path}/shapedir: [Errno 21] Is a directory: '{tmp_path}/shapedir'"),
+        (["check", "span", "--out", "missing/out.json"],
+         "[Errno 2] No such file or directory: 'missing/out.json'"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_overwrites_a_file_in_place(tmp_path, capsys):
+    """Writing twice gives the same bytes; a shorter output truncates a
+    longer one; the file keeps its inode, links and permissions."""
+    out, link = tmp_path / "out.json", tmp_path / "link.json"
+    assert main(["check", "span", "--out", str(out)]) == 0
+    first = out.read_bytes()
+    out.chmod(0o600)
+    link.hardlink_to(out)
+    inode = out.stat().st_ino
+    assert main(["check", "span", "--out", str(out)]) == 0
+    assert out.read_bytes() == first
+    assert main(["check", "nonforest6", "--out", str(out)]) == 1
+    assert len(out.read_bytes()) > len(first)
+    assert main(["check", "span", "--out", str(out)]) == 0
+    assert out.read_bytes() == link.read_bytes() == first
+    assert out.stat().st_ino == inode and out.stat().st_mode & 0o777 == 0o600
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_is_written_whole_through_short_writes(tmp_path, monkeypatch):
+    """Every byte lands when each write takes at most seven, and a new file
+    gets mode 0o666 less the umask, as open(path, "w") gives it."""
+    out = tmp_path / "out.json"
+    assert main(["check", "nonforest6", "--format", "structured", "--out", str(out)]) == 1
+    whole = out.read_bytes()
+    out.unlink()
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+    old_mask = os.umask(0o002)
+    try:
+        assert main(["check", "nonforest6", "--format", "structured", "--out", str(out)]) == 1
+    finally:
+        os.umask(old_mask)
+    assert out.read_bytes() == whole and out.stat().st_mode & 0o777 == 0o664
+
+
+def test_out_is_encoded_in_the_locale_encoding_strictly(tmp_path, monkeypatch, capsys):
+    import locale
+
+    path, out = tmp_path / "poset.json", tmp_path / "out.txt"
+    doc = {"type": "poset", "elements": ["é", "ü"], "covers": [["é", "ü"]]}
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--out", str(out)]) == 0
+    text = explain(decide(serialize.load_shape(path))) + "\n"
+    assert cli._locale_encoding() == locale.getpreferredencoding(False)
+    assert out.read_bytes() == text.encode(locale.getpreferredencoding(False))
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(cli, "_locale_encoding", lambda: "ascii")
+    assert main(["check", str(path), "--out", str(out)]) == 2
+    assert "'ascii' codec can't encode character '\\xe9'" in capsys.readouterr().err
+    assert out.read_bytes() == b""  # created, then refused, as a text-mode open leaves it
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
@@ -428,7 +529,7 @@ def test_deep_certificate_document_is_built_without_recursion():
 def _recursive_node_doc(node, names):
     return {
         "point": names[node.point],
-        "upsets": [sorted(names[e] for e in u) for u in node.upsets],
+        "upsets": [sorted(names[e] for e in members(u)) for u in node.upsets],
         "children": [_recursive_node_doc(c, names) for c in node.children],
     }
 
@@ -446,7 +547,8 @@ def _recursive_narrative(node, names, indent):
     pad = "  " * indent
     lines = [f"{pad}adjoin {names[node.point]}"]
     for child, upset in zip(node.children, node.upsets):
-        lines.append(f"{pad}  below upward-closed set {{{', '.join(sorted(names[e] for e in upset))}}}:")
+        names_above = ", ".join(sorted(names[e] for e in members(upset)))
+        lines.append(f"{pad}  below upward-closed set {{{names_above}}}:")
         lines.extend(_recursive_narrative(child, names, indent + 2))
     return lines
 
