@@ -23,7 +23,7 @@ from .diagram import (
     witness_no_cocone,
 )
 from .fincat import CategoryError
-from .poset import ForestCertificate, PosetError, is_forest_like
+from .poset import FinPoset, ForestCertificate, PosetError, is_forest_like
 from .serialize import ParseError
 
 
@@ -75,7 +75,8 @@ def _with_named_arrows(shape):
     """The shape, once its morphism names are known to be distinct: a poset
     names its arrows on first use, and two arrows of one name are an input
     error wherever arrows are named."""
-    shape.mor_index
+    if isinstance(shape, FinPoset):
+        shape.arrow_names
     return shape
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import accumulate, repeat
+from operator import itemgetter
 
 from .fincat import (
     FinCategory,
@@ -67,15 +69,20 @@ class FinInjDiagram:
     Carriers are tuples of distinct labels, and ``index[obj]`` sends each
     label of an object's carrier to its position.  An action is stored as
     ``maps[mor]``: the positions in the target carrier of the images of the
-    domain carrier's elements, in carrier order.  Label dicts are built only
-    on demand.
+    domain carrier's elements, in carrier order.  Label dicts, ``index``
+    included, are built only on demand.
     """
 
-    def __init__(self, shape: FinCategory | FinPoset, carriers, maps, index):
+    def __init__(self, shape: FinCategory | FinPoset, carriers, maps, index=None):
         self.shape = shape
         self.carriers = carriers
         self.maps = maps
-        self.index = index
+        if index is not None:
+            self.index = index
+
+    @cached_property
+    def index(self) -> tuple[dict[str, int], ...]:
+        return tuple(dict(zip(c, range(len(c)))) for c in self.carriers)
 
     def carrier(self, obj: int) -> tuple[str, ...]:
         return self.carriers[obj]
@@ -154,12 +161,40 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
         if len(set(row)) != len(row):
             raise NotInjective(f"action of {m.name} is not injective")
         maps.append(row)
-    for x, i in enumerate(shape.identity):
-        if actions[i] is not None and maps[i] != tuple(range(len(carriers[x]))):
+    given = [x for x, i in enumerate(shape.identity) if actions[i] is not None]
+    _check_laws(shape, carriers, maps, given)
+    return FinInjDiagram(shape, carriers, tuple(maps), index)
+
+
+def _check_rows(shape: FinCategory, carriers, maps) -> None:
+    """The checks of ``validate_diagram`` on rows built without labels:
+    each row is total on its carrier, stays in the target and is injective,
+    every identity acts as the identity, and the rows are functorial."""
+    for m, row in zip(shape.morphisms, maps):
+        _check_row(m.name, row, len(carriers[m.dom]), len(carriers[m.cod]))
+    _check_laws(shape, carriers, maps, range(len(shape.objects)))
+
+
+def _check_row(name: str, row, source: int, target: int) -> None:
+    """The row of an action is total on its carrier of ``source`` elements,
+    stays among the ``target`` positions of its target and is injective."""
+    if len(row) != source:
+        raise CarrierMismatch(f"action of {name} is not defined on exactly its carrier")
+    if row and not (0 <= min(row) and max(row) < target):
+        raise CarrierMismatch(f"action of {name} leaves the target carrier")
+    if len(set(row)) != len(row):
+        raise NotInjective(f"action of {name} is not injective")
+
+
+def _check_laws(shape, carriers, maps, given) -> None:
+    """The identities of the objects in ``given`` act as identities, and
+    F(g∘f) = F(g)F(f) for every generator g.  Composites with an identity
+    commute once the identities act as such."""
+    for x in given:
+        if maps[shape.identity[x]] != tuple(range(len(carriers[x]))):
             raise FunctorialityViolation(
                 f"identity of {shape.objects[x]} does not act as the identity"
             )
-    # Composites with an identity commute once the identities act as such.
     for g in shape.generators:
         ag, x = maps[g], shape.morphisms[g].dom
         for f in shape.hom_in[x]:
@@ -167,7 +202,6 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
                 tuple(map(ag.__getitem__, maps[f])) != maps[shape.compose(g, f)]
             ):
                 _raise_first_functoriality_fault(shape, carriers, maps)
-    return FinInjDiagram(shape, carriers, tuple(maps), index)
 
 
 def _raise_row_fault(m, act, source, target_index) -> None:
@@ -202,19 +236,49 @@ def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
             )
 
 
-@dataclass(frozen=True)
 class Collision:
     """Two distinct elements of one carrier glued in the colimit, with the
-    element-level zigzag connecting them."""
+    element-level zigzag connecting them.  A collision that ``colimit_set``
+    finds searches for its zigzag when ``nodes`` or ``steps`` is first
+    read: a verdict reports only the two elements."""
 
-    obj: int
-    x: str
-    y: str
-    nodes: tuple[tuple[int, str], ...]
-    steps: tuple[tuple[int, bool], ...]
+    def __init__(self, obj: int, x: str, y: str, nodes=None, steps=None, *, search=None):
+        self.obj, self.x, self.y = obj, x, y
+        self._search = search
+        if search is None:
+            self._zigzag = (nodes, steps)
+
+    @cached_property
+    def _zigzag(self) -> tuple[tuple, tuple]:
+        return self._search()
+
+    @property
+    def nodes(self) -> tuple[tuple[int, str], ...]:
+        return self._zigzag[0]
+
+    @property
+    def steps(self) -> tuple[tuple[int, bool], ...]:
+        return self._zigzag[1]
 
     def word(self) -> "ZigzagWord":
         return ZigzagWord(self.obj, self.steps)
+
+    def _key(self) -> tuple:
+        return (self.obj, self.x, self.y, *self._zigzag)
+
+    def __eq__(self, other):
+        if not isinstance(other, Collision):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"Collision(obj={self.obj!r}, x={self.x!r}, y={self.y!r}, "
+            f"nodes={self.nodes!r}, steps={self.steps!r})"
+        )
 
 
 class ColimitClasses:
@@ -287,16 +351,11 @@ def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
     the classes do not depend on the order of the unions.
     """
     shape, carriers, maps = diagram.shape, diagram.carriers, diagram.maps
-    offsets = []
-    total = 0
-    for c in carriers:
-        offsets.append(total)
-        total += len(c)
-    parent = list(range(total))
-    for i in shape.generators:
-        m = shape.morphisms[i]
-        base = offsets[m.cod]
-        for a, q in enumerate(maps[i], offsets[m.dom]):
+    offsets = list(accumulate(map(len, carriers), initial=0))
+    parent = list(range(offsets.pop()))
+    for i, dom, cod in shape.generator_ends:
+        base = offsets[cod]
+        for a, q in enumerate(maps[i], offsets[dom]):
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
@@ -329,51 +388,83 @@ def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
                 x = first.setdefault(k, y)
                 if x != y:
                     break
-            nodes, steps = _element_zigzag(
-                diagram, offsets, class_ids, obj, offsets[obj] + x, offsets[obj] + y
+            search = partial(
+                _element_zigzag, diagram, offsets, obj, offsets[obj] + x, offsets[obj] + y
             )
-            collision = Collision(obj, c[x], c[y], nodes, steps)
+            collision = Collision(obj, c[x], c[y], search=search)
     return ColimitResult(
         diagram, tuple(offsets), class_ids, count, tuple(injective), collision
     )
 
 
-def _element_zigzag(diagram, offsets, class_ids, obj, start, goal):
+def _element_zigzag(diagram, offsets, obj, start, goal):
     """A shortest zigzag between two nodes of the object's carrier: BFS over
-    the single action steps between the nodes of their class."""
+    single action steps, each node's steps made when the node is expanded.
+
+    A node's steps follow the non-identities into and out of its object by
+    index, forward along an arrow out of it and backward along an arrow
+    into it; an endo arrow's backward step comes first when it starts from
+    an earlier position.  This is the order of a scan of every action, so
+    ties between shortest zigzags break the same way."""
     shape, maps = diagram.shape, diagram.maps
-    target = class_ids[start]
-    adj: dict[int, list[tuple[int, int, bool]]] = {}
-    for i, m in enumerate(shape.morphisms):
-        if shape.is_identity(i):
-            continue
-        base = offsets[m.cod]
-        for a, q in enumerate(maps[i], offsets[m.dom]):
-            if class_ids[a] == target:
-                adj.setdefault(a, []).append((base + q, i, True))
-                adj.setdefault(base + q, []).append((a, i, False))
-    prev: dict[int, tuple[int, int, bool] | None] = {start: None}
-    queue = deque([start])
+    if isinstance(shape, FinPoset):
+        ends = shape.arrow_ends
+    else:
+        ends = [(m.dom, m.cod) for m in shape.morphisms]
+    identities = set(shape.identity)
+    # at[o]: (arrow, its other end, row, offset of the other end, kind) for
+    # each arrow at o whose action is not empty; kind 0 leaves o, kind 1
+    # enters it, kind 2 does both.
+    at: list[list[tuple]] = [[] for _ in shape.objects]
+    for i, (dom, cod) in enumerate(ends):
+        row = maps[i]
+        if row and i not in identities:
+            if dom == cod:
+                at[dom].append((i, dom, row, offsets[dom], 2))
+            else:
+                at[dom].append((i, cod, row, offsets[cod], 0))
+                at[cod].append((i, dom, row, offsets[dom], 1))
+    # arrow -> image position -> source, made on the arrow's first backward
+    # step, so a search reads each row at most once
+    preimage: dict[int, dict[int, int]] = {}
+    # node -> (the node it was reached from, arrow, forward, the node's object)
+    prev: dict[int, tuple | None] = {start: None}
+    queue = deque([(start, obj)])
     while queue and goal not in prev:
-        node = queue.popleft()
-        for nxt, i, forward in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = (node, i, forward)
-                queue.append(nxt)
+        node, o = queue.popleft()
+        p = node - offsets[o]
+        for i, far, row, base, kind in at[o]:
+            if kind != 0:
+                inverse = preimage.get(i)
+                if inverse is None:
+                    inverse = preimage[i] = dict(zip(row, range(len(row))))
+                source = inverse.get(p)
+                if kind == 2:  # backward first when it starts earlier
+                    steps = [(base + row[p], True)]
+                    if source is not None:
+                        steps.insert(source >= p, (base + source, False))
+                elif source is None:
+                    continue
+                else:
+                    steps = ((base + source, False),)
+            else:
+                steps = ((base + row[p], True),)
+            for nxt, forward in steps:
+                if nxt not in prev:
+                    prev[nxt] = (node, i, forward, far)
+                    queue.append((nxt, far))
     if goal not in prev:
         raise DiagramError("no zigzag found for a colimit collision")
-    path, steps = [goal], []
-    while prev[path[-1]] is not None:
-        node, i, forward = prev[path[-1]]
-        path.append(node)
+    carriers = diagram.carriers
+    nodes, steps, node = [], [], goal
+    while prev[node] is not None:
+        before, i, forward, o = prev[node]
+        nodes.append((o, carriers[o][node - offsets[o]]))
         steps.append((i, forward))
-    path.reverse()
+        node = before
+    nodes.append((obj, carriers[obj][start - offsets[obj]]))
+    nodes.reverse()
     steps.reverse()
-    objs = [obj]
-    for i, forward in steps:
-        m = shape.morphisms[i]
-        objs.append(m.cod if forward else m.dom)
-    nodes = [(o, diagram.carriers[o][k - offsets[o]]) for o, k in zip(objs, path)]
     return tuple(nodes), tuple(steps)
 
 
@@ -504,7 +595,7 @@ class CoconeFreeDiagram(FinInjDiagram):
     """A diagram with no cocone, with the colimit collision that shows it."""
 
     def __init__(self, diagram: FinInjDiagram, collision: Collision):
-        super().__init__(diagram.shape, diagram.carriers, diagram.maps, diagram.index)
+        vars(self).update(vars(diagram))  # the label index too, once built
         self.collision = collision
 
 
@@ -569,67 +660,123 @@ def witness_no_cocone(
     carry {0, 1} with identity actions, everything else is empty.  The output
     is re-verified to be cocone-free before being returned, together with
     the oracle's collision.  A shape given as a FinPoset carries the diagram
-    itself, through its morphisms.
+    itself, built on its masks.
     """
     if analysis is None:
         analysis = analyze_shape(shape)
     if analysis.usc:
         raise NotApplicable("every diagram over this shape has a cocone")
-
     if not analysis.preorder:
-        refl = analysis.reflection
-        proj = analysis.projection
-        a = refl.morphisms[analysis.parallel_pair[0]].dom
-        hom_from_a = [refl.hom(a, x) for x in range(len(refl.objects))]
-        carriers = [
-            tuple(refl.morphisms[g].name for g in hom_from_a[x])
-            for x in range(len(refl.objects))
-        ]
-        actions = []
-        for i, m in enumerate(shape.morphisms):
-            mi = proj.mor_map[i]
-            actions.append(
-                {
-                    refl.morphisms[g].name: refl.morphisms[refl.compose(mi, g)].name
-                    for g in hom_from_a[m.dom]
-                }
-            )
-        witness = validate_diagram(shape, carriers, actions)
+        witness = _parallel_pair_diagram(shape, analysis)
+    elif isinstance(shape, FinPoset):
+        witness = _poset_diagram(shape, analysis.forest)
     else:
-        poset = analysis.skeleton
-        smap = analysis.skeleton_map
-        w = analysis.forest
-        up_x = poset.up_masks[w.x]
-        two_sided = (w.component | up_x) & ~(1 << w.x)
-        zero_side = w.upset_components[0] | up_x & ~w.component & ~(1 << w.x)
-
-        def carrier_for(v: int) -> tuple[str, ...]:
-            if v == w.x:
-                return ("*",)
-            if two_sided >> v & 1:
-                return ("0", "1")
-            return ()
-
-        carriers = [carrier_for(smap[obj]) for obj in range(len(shape.objects))]
-        actions = []
-        for i, m in enumerate(shape.morphisms):
-            vx, vy = smap[m.dom], smap[m.cod]
-            if shape.is_identity(i):
-                actions.append(None)
-            elif vx == vy:
-                actions.append({e: e for e in carrier_for(vx)})
-            elif vx == w.x:
-                actions.append({"*": "0" if zero_side >> vy & 1 else "1"})
-            elif carrier_for(vx) == ():
-                actions.append({})
-            else:
-                actions.append({"0": "0", "1": "1"})
-        witness = validate_diagram(shape, carriers, actions)
-
+        witness = _skeleton_diagram(shape, analysis)
     answer = has_cocone(witness)
     if answer:
         raise DiagramError("synthesized witness unexpectedly has a cocone")
     return CoconeFreeDiagram(witness, answer.collision)
+
+
+def _parallel_pair_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinInjDiagram:
+    """Carriers: the reflected hom-sets out of A, named by their morphisms.
+    The action of f: x -> y sends g to F(f)∘g, read off the row of
+    composites after g at the place of F(f) in hom_out[x]."""
+    refl, mor_map = analysis.reflection, analysis.projection.mor_map
+    a = refl.morphisms[analysis.parallel_pair[0]].dom
+    homs = [refl.hom(a, x) for x in range(len(refl.objects))]
+    place = [0] * len(refl.morphisms)  # each arrow out of A's place in its hom-set
+    for h in homs:
+        for k, g in enumerate(h):
+            place[g] = k
+    names = [m.name for m in refl.morphisms]
+    carriers = [tuple(map(names.__getitem__, h)) for h in homs]
+    post, at = refl.post, place.__getitem__
+    maps = []
+    for i, m in enumerate(shape.morphisms):
+        after = itemgetter(refl.hom_out[m.dom].index(mor_map[i]))
+        maps.append(tuple(map(at, map(after, map(post.__getitem__, homs[m.dom])))))
+    _check_rows(shape, carriers, maps)
+    return FinInjDiagram(shape, tuple(carriers), tuple(maps))
+
+
+_CARRIERS = ((), ("*",), ("0", "1"))
+_IDENTITY_ROWS = ((), (0,), (0, 1))
+
+
+def _witness_sides(poset: FinPoset, w: NonForestWitness) -> tuple[list[int], int]:
+    """The carrier size of each element, 1 for x, 2 over the two-sided part
+    (the component and the rest of x's up-set) and 0 elsewhere, and the
+    mask of the elements over which x's point goes to 0."""
+    up_x, xbit = poset.up_masks[w.x], 1 << w.x
+    two_sided = (w.component | up_x) & ~xbit
+    size = [2 if two_sided >> v & 1 else 0 for v in range(len(poset))]
+    size[w.x] = 1
+    return size, w.upset_components[0] | up_x & ~w.component & ~xbit
+
+
+def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
+    """The witness diagram over the poset itself, built from the witness's
+    masks: one row per arrow, by index, and no label dict.
+
+    The rows are checked as ``validate_diagram`` checks rows: each is total
+    on its carrier, stays in its target and is injective, and the rows
+    commute over the covers.  An arrow out of an empty carrier has the
+    empty row, which commutes with everything, so only arrows out of the
+    support are checked.  Identity rows are implicit.  Naming the arrows
+    here makes a name given to two of them an input error, as it is
+    wherever arrows are named.
+    """
+    names, first, arrow = poset.arrow_names, poset._first_arrow, poset.arrow
+    up, down, x = poset.up_masks, poset.down_masks, w.x
+    size, zero_side = _witness_sides(poset, w)
+    rows = list(map(_IDENTITY_ROWS.__getitem__, size))
+    for a, mask in enumerate(up):
+        strict = mask & ~(1 << a)
+        if a != x:
+            rows.extend(repeat(rows[a], strict.bit_count()))
+            continue
+        while strict:
+            low = strict & -strict
+            rows.append((0,) if zero_side & low else (1,))
+            strict ^= low
+    carriers = tuple(map(_CARRIERS.__getitem__, size))
+    support = rest = w.component | up[x]
+    while rest:
+        low = rest & -rest
+        a = low.bit_length() - 1
+        targets = up[a] & ~low
+        for i in range(first[a], first[a] + targets.bit_count()):
+            b = (targets & -targets).bit_length() - 1
+            _check_row(names[i], rows[i], size[a], size[b])
+            targets &= targets - 1
+        rest ^= low
+    for g, a, b in poset.generator_ends:
+        ag, below = rows[g], down[a] & support & ~(1 << a)
+        while below:
+            low = below & -below
+            c = low.bit_length() - 1
+            if tuple(map(ag.__getitem__, rows[arrow(c, a)])) != rows[arrow(c, b)]:
+                _raise_first_functoriality_fault(poset, carriers, rows)
+            below ^= low
+    return FinInjDiagram(poset, carriers, tuple(rows))
+
+
+def _skeleton_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinInjDiagram:
+    """The skeleton poset's witness diagram pulled back to the shape along
+    the skeleton map, as rows."""
+    smap, w = analysis.skeleton_map, analysis.forest
+    size, zero_side = _witness_sides(analysis.skeleton, w)
+    maps = []
+    for m in shape.morphisms:
+        vx, vy = smap[m.dom], smap[m.cod]
+        if vx == w.x != vy:
+            maps.append((0,) if zero_side >> vy & 1 else (1,))
+        else:
+            maps.append(_IDENTITY_ROWS[size[vx]])
+    carriers = tuple(_CARRIERS[size[v]] for v in smap)
+    _check_rows(shape, carriers, maps)
+    return FinInjDiagram(shape, carriers, tuple(maps))
 
 
 def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:

@@ -9,8 +9,9 @@ name the first fault of a table that fails it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 from .poset import FinPoset
 
@@ -63,7 +64,9 @@ class FinCategory:
     Every scan over composable pairs and triples runs over these lists.
     ``generators`` is a generating set of non-identities in ascending index
     order: every non-identity is a right-nested composite g1∘(g2∘(…∘gk)) of
-    them.
+    them.  The table is also kept as rows: ``post[f][k]`` is h∘f for the
+    k-th h in ``hom_out[cod f]``, and ``pre[f][k]`` is f∘g for the k-th g in
+    ``hom_in[dom f]``.
     """
 
     def __init__(self, objects, morphisms, identity, table):
@@ -90,6 +93,20 @@ class FinCategory:
 
     def is_identity(self, m: int) -> bool:
         return m in self._identity_set
+
+    @cached_property
+    def pre(self) -> list[list[int]]:
+        table, hom_in = self.table, self.hom_in
+        return [
+            list(map(table.__getitem__, zip(repeat(f), hom_in[m.dom])))
+            for f, m in enumerate(self.morphisms)
+        ]
+
+    @cached_property
+    def generator_ends(self) -> tuple[tuple[int, int, int], ...]:
+        """(index, dom, cod) of each generator."""
+        morphisms = self.morphisms
+        return tuple((g, morphisms[g].dom, morphisms[g].cod) for g in self.generators)
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return tuple(self.hom_sets.get((x, y), ()))
@@ -201,8 +218,7 @@ def _check_axioms(cat: FinCategory) -> None:
     # after[f] maps each h in hom_out[cod f], in order, to h∘f.
     after = [{h: table[(h, f)] for h in hom_out[mf.cod]} for f, mf in enumerate(morphisms)]
     cat.generators = _generators(cat, after)
-    # post[f][k] is h∘f for the k-th h in hom_out[cod f].
-    post = [list(a.values()) for a in after]
+    cat.post = post = [list(a.values()) for a in after]
     if not _associative_at_generators(cat, after, post):
         _raise_first_associativity_fault(cat, post)
 
@@ -429,34 +445,86 @@ class Congruence:
 
     @classmethod
     def from_parent(cls, parent: list[int]) -> "Congruence":
-        groups: dict[int, set[int]] = {}
-        for i in range(len(parent)):
-            groups.setdefault(_find(parent, i), set()).add(i)
-        classes = tuple(
-            frozenset(g) for g in sorted(groups.values(), key=min)
-        )
-        class_of = [0] * len(parent)
-        for k, cl in enumerate(classes):
-            for i in cl:
-                class_of[i] = k
-        return cls(classes, tuple(class_of))
+        """The partition of a union-find parent array; classes are ordered
+        by their least members.  The array is left as it is."""
+        root = list(parent)
+        for i in range(len(root)):
+            r = i
+            while root[r] != r:
+                r = root[r]
+            j = i
+            while root[j] != r:
+                root[j], j = r, root[j]
+        return cls._from_labels(root)
+
+    @classmethod
+    def _from_labels(cls, label: list[int]) -> "Congruence":
+        """The partition of a flat array, in which each entry is a label
+        shared by exactly its class's members."""
+        groups: dict[int, list[int]] = {}
+        for i, k in enumerate(label):
+            groups.setdefault(k, []).append(i)
+        number = dict(zip(groups, range(len(groups))))
+        classes = tuple(map(frozenset, groups.values()))
+        return cls(classes, tuple(map(number.__getitem__, label)))
 
 
-def _find(parent: list[int], a: int) -> int:
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
+class _Closure:
+    """Congruence closure in the style of Downey, Sethi and Tarjan (JACM
+    1980), on class arrays: ``label[i]`` is the root of morphism i's class,
+    a member of it, and a merge relabels the smaller class.  Each merge
+    (a, b) is queued once and propagated to the composites that use a and
+    b, compared row against row: ``post`` on the left, ``pre`` on the
+    right."""
+
+    def __init__(self, cat: FinCategory):
+        self.cat = cat
+        self.label = list(range(len(cat.morphisms)))
+        self.members: dict[int, list[int]] = {}  # classes of two or more
+        self.pending: list[tuple[int, int]] = []
+
+    def merge(self, a: int, b: int) -> None:
+        label, members = self.label, self.members
+        ka, kb = label[a], label[b]
+        if ka == kb:
+            return
+        big, small = members.pop(ka, None) or [ka], members.pop(kb, None) or [kb]
+        if len(big) < len(small):
+            big, small, ka = small, big, kb
+        for m in small:
+            label[m] = ka
+        big.extend(small)
+        members[ka] = big
+        self.pending.append((a, b))
+
+    def propagate(self) -> None:
+        pending, label = self.pending, self.label
+        rows = (self.cat.post, self.cat.pre)
+        while pending:
+            a, b = pending.pop()
+            for row in rows:
+                ra, rb = row[a], row[b]
+                if ra != rb and list(map(label.__getitem__, ra)) != list(
+                    map(label.__getitem__, rb)
+                ):
+                    for x, y in zip(ra, rb):
+                        self.merge(x, y)
+
+    def congruence(self) -> Congruence:
+        return Congruence._from_labels(self.label)
 
 
 def is_congruence(cat: FinCategory, cong: Congruence) -> bool:
     """Check the parallel and compatibility conditions exhaustively.
 
     The relation is an equivalence, so it is enough that each morphism is
-    parallel to its class's least member and composes like it on either side.
+    parallel to its class's least member and that its rows of composites on
+    either side fall in the same classes as that member's.
     """
     rep = [min(cl) for cl in cong.classes]
-    class_of, table = cong.class_of, cat.table
+    class_of = cong.class_of
+    of = class_of.__getitem__
+    post, pre = cat.post, cat.pre
     for f, mf in enumerate(cat.morphisms):
         r = rep[class_of[f]]
         if r == f:
@@ -464,47 +532,23 @@ def is_congruence(cat: FinCategory, cong: Congruence) -> bool:
         mr = cat.morphisms[r]
         if mf.dom != mr.dom or mf.cod != mr.cod:
             return False
-        for g in cat.hom_out[mf.cod]:
-            if class_of[table[(g, f)]] != class_of[table[(g, r)]]:
-                return False
-        for g in cat.hom_in[mf.dom]:
-            if class_of[table[(f, g)]] != class_of[table[(r, g)]]:
-                return False
+        if list(map(of, post[f])) != list(map(of, post[r])):
+            return False
+        if list(map(of, pre[f])) != list(map(of, pre[r])):
+            return False
     return True
 
 
 def congruence_close(cat: FinCategory, seeds) -> Congruence:
-    """Least congruence containing the seed pairs of parallel morphisms.
-
-    Congruence closure in the style of Downey, Sethi and Tarjan (JACM 1980):
-    each merge (a, b) is queued once and propagated only to the composites
-    that use a, through hom_out[cod a] and hom_in[dom a].
-    """
-    parent = list(range(len(cat.morphisms)))
-    table = cat.table
-    pending: deque[tuple[int, int]] = deque()
-
-    def union(a: int, b: int) -> None:
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            return
-        lo, hi = min(ra, rb), max(ra, rb)
-        parent[hi] = lo
-        pending.append((a, b))
-
+    """Least congruence containing the seed pairs of parallel morphisms."""
+    closure = _Closure(cat)
     for a, b in seeds:
         ma, mb = cat.morphisms[a], cat.morphisms[b]
         if ma.dom != mb.dom or ma.cod != mb.cod:
             raise NonParallelSeed(f"({ma.name}, {mb.name}) are not parallel")
-        union(a, b)
-    while pending:
-        a, b = pending.popleft()
-        ma = cat.morphisms[a]
-        for g in cat.hom_out[ma.cod]:
-            union(table[(g, a)], table[(g, b)])
-        for g in cat.hom_in[ma.dom]:
-            union(table[(a, g)], table[(b, g)])
-    return Congruence.from_parent(parent)
+        closure.merge(a, b)
+    closure.propagate()
+    return closure.congruence()
 
 
 class FunctorMap:
@@ -531,8 +575,18 @@ class FunctorMap:
                 raise DomCodMismatch(
                     f"functor breaks endpoints of {mf.name}"
                 )
+        # F(h∘f) = F(h)∘F(f) for every h after f, row by row; the table is
+        # scanned only to name the first pair that breaks it.
+        mor_map, composite = self.mor_map, tgt.table.__getitem__
+        image = mor_map.__getitem__
+        for f, mf in enumerate(src.morphisms):
+            after = zip(map(image, src.hom_out[mf.cod]), repeat(mor_map[f]))
+            if list(map(composite, after)) != list(map(image, src.post[f])):
+                break
+        else:
+            return
         for (g, f), r in src.table.items():
-            if tgt.table[(self.mor_map[g], self.mor_map[f])] != self.mor_map[r]:
+            if tgt.table[(mor_map[g], mor_map[f])] != mor_map[r]:
                 raise AssociativityViolation(
                     f"functor breaks composition on "
                     f"({src.morphisms[g].name}, {src.morphisms[f].name})"
@@ -585,31 +639,36 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
 def monic_reflection(cat: FinCategory) -> tuple[FinCategory, FunctorMap]:
     """Quotient by the least congruence whose quotient is monic.
 
-    Iterates: each round groups every hom-set by the class of h∘f, for each
-    h out of its codomain; the members of one group are indistinguishable
-    under h, so they are merged, the congruence is re-closed, and the rounds
-    repeat to a fixpoint.
+    Rounds to a fixpoint, on one closure: in each hom-set, each h out of its
+    codomain sends the members to the classes of their h∘f, a column of the
+    rows of composites; members that h sends to one class are
+    indistinguishable under h, so they are merged.  A column with as many
+    classes as the hom-set has is skipped at once.  The merges of a round
+    are then propagated, and the next round reads the closed classes.
     """
-    pairs: list[tuple[int, int]] = []
-    cong = congruence_close(cat, [])
-    table = cat.table
+    closure = _Closure(cat)
+    label, post = closure.label, cat.post
+    of = label.__getitem__
     while True:
-        class_of = cong.class_of
-        fresh: dict[tuple[int, int], None] = {}  # each seed pair once, in order
-        for (_, cod), homs in cat.hom_sets.items():
+        for homs in cat.hom_sets.values():
             if len(homs) < 2:
                 continue
-            for h in cat.hom_out[cod]:
+            classes = len(set(map(of, homs)))
+            if classes < 2:
+                continue
+            for column in zip(*[map(of, post[f]) for f in homs]):
+                if len(set(column)) == classes:
+                    continue
                 leader: dict[int, int] = {}
-                for f in homs:
-                    first = leader.setdefault(class_of[table[(h, f)]], f)
-                    if class_of[first] != class_of[f]:
-                        fresh[first, f] = None
-        if not fresh:
+                for f, k in zip(homs, column):
+                    closure.merge(leader.setdefault(k, f), f)
+                classes = len(set(map(of, homs)))
+                if classes < 2:
+                    break
+        if not closure.pending:
             break
-        pairs.extend(fresh)
-        cong = congruence_close(cat, pairs)
-    return quotient_category(cat, cong)
+        closure.propagate()
+    return quotient_category(cat, closure.congruence())
 
 
 def is_monic(cat: FinCategory) -> bool:

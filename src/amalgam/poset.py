@@ -219,19 +219,13 @@ class FinPoset:
     def relation_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((a, b) for a, mask in enumerate(self.up_masks) for b in _bits(mask))
 
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        """Hasse edges: a < b with nothing strictly between, in increasing order.
-        The covers of a are its strict up-set less everything strictly above
-        a member of it."""
-        up = self.up_masks
-        out = []
-        for a, mask in enumerate(up):
-            strict = mask & ~(1 << a)
-            above = 0
-            for b in _sparse_bits(strict):
-                above |= up[b] & ~(1 << b)
-            out.extend((a, b) for b in _sparse_bits(strict & ~above))
-        return out
+    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Hasse edges: a < b with nothing strictly between, in increasing order."""
+        return self._covers
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, int], ...]:
+        return tuple((a, b) for _, a, b in self.generator_ends)
 
     def minimal(self, subset=None) -> list[int]:
         region = (1 << len(self)) - 1 if subset is None else _mask(subset)
@@ -265,18 +259,38 @@ class FinPoset:
         return {name: i for i, name in enumerate(self.elements)}
 
     @cached_property
-    def _arrows(self):
-        """The morphisms and their name index; a name given twice raises."""
-        from .fincat import Morphism, name_index  # fincat builds on this module
-
-        names = self.elements
-        morphisms = [Morphism(f"id_{e}", a, a) for a, e in enumerate(names)]
+    def arrow_ends(self) -> tuple[tuple[int, int], ...]:
+        """(dom, cod) of each morphism, by index."""
+        ends = [(a, a) for a in range(len(self))]
         for a, mask in enumerate(self.up_masks):
-            morphisms.extend(
-                Morphism(f"{names[a]}->{names[b]}", a, b)
-                for b in _sparse_bits(mask & ~(1 << a))
-            )
-        return tuple(morphisms), name_index(names, morphisms)
+            rest = mask & ~(1 << a)
+            while rest:
+                low = rest & -rest
+                ends.append((a, low.bit_length() - 1))
+                rest ^= low
+        return tuple(ends)
+
+    @cached_property
+    def arrow_names(self) -> tuple[str, ...]:
+        """The name of each morphism, by index; a name given twice raises
+        PresentationError naming both morphisms."""
+        names = self.elements
+        out = [f"id_{e}" for e in names]
+        out.extend(f"{names[a]}->{names[b]}" for a, b in self.arrow_ends[len(names):])
+        if len(set(out)) != len(out):
+            from .fincat import Morphism, name_index  # fincat builds on this module
+
+            name_index(names, [Morphism(m, a, b) for m, (a, b) in zip(out, self.arrow_ends)])
+        return tuple(out)
+
+    @cached_property
+    def _arrows(self):
+        """The morphisms and their name index."""
+        from .fincat import Morphism
+
+        names = self.arrow_names
+        morphisms = tuple(Morphism(m, a, b) for m, (a, b) in zip(names, self.arrow_ends))
+        return morphisms, dict(zip(names, count()))
 
     @cached_property
     def morphisms(self) -> tuple:
@@ -329,7 +343,29 @@ class FinPoset:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        return tuple(self.arrow(a, b) for a, b in self.cover_pairs())
+        return tuple(g for g, _, _ in self.generator_ends)
+
+    @cached_property
+    def generator_ends(self) -> tuple[tuple[int, int, int], ...]:
+        """(index, dom, cod) of each cover's arrow, in increasing order,
+        computed once per poset.  The covers of a are its strict up-set less
+        everything strictly above a member of it, and the arrow a -> b comes
+        after the arrows out of a to lesser indices."""
+        up, first = self.up_masks, self._first_arrow
+        out = []
+        for a, mask in enumerate(up):
+            strict = rest = mask & ~(1 << a)
+            above = 0
+            while rest:
+                low = rest & -rest
+                above |= up[low.bit_length() - 1] & ~low
+                rest ^= low
+            covers = strict & ~above
+            while covers:
+                low = covers & -covers
+                out.append((first[a] + (strict & (low - 1)).bit_count(), a, low.bit_length() - 1))
+                covers ^= low
+        return tuple(out)
 
     def composites(self):
         """(g, f, g∘f) for every composable pair of non-identities: f = a -> b
@@ -376,20 +412,25 @@ def components(poset: FinPoset, subset) -> tuple[frozenset[int], ...]:
     return tuple(_members(c) for c in _component_masks(poset, _mask(subset)))
 
 
-def _bfs_parents(poset: FinPoset, region: int, root: int) -> dict[int, int]:
+def _bfs_parents(poset: FinPoset, region: int, root: int, goal=None) -> dict[int, int]:
     """Breadth-first comparability tree inside region, neighbours in increasing
-    order: each reached element -> its parent (the root -> itself)."""
+    order: each reached element -> its parent (the root -> itself).  The
+    search stops once ``goal``, if given, is reached: its path to the root
+    is then fixed."""
     near = poset.neighbour_masks
     parent = {root: root}
     seen = 1 << root
     queue = deque([root])
-    while queue:
+    while queue and goal not in parent:
         a = queue.popleft()
         fresh = near[a] & region & ~seen
         seen |= fresh
-        for b in _bits(fresh):
+        while fresh:
+            low = fresh & -fresh
+            b = low.bit_length() - 1
             parent[b] = a
             queue.append(b)
+            fresh ^= low
     return parent
 
 
@@ -484,16 +525,17 @@ class NonForestWitness:
 
 def _zigzag_path(poset: FinPoset, region: int, u: int, v: int) -> tuple[int, ...]:
     """Shortest comparability path u..v inside region, compressed to alternate."""
-    parent = _bfs_parents(poset, region, u)
+    parent = _bfs_parents(poset, region, u, v)
     path = [v]
     while path[-1] != u:
         path.append(parent[path[-1]])
     path.reverse()
     # merge consecutive steps in the same direction (transitivity)
+    up = poset.up_masks
     out = [path[0]]
     directions: list[bool] = []
     for b in path[1:]:
-        direction = poset.leq(out[-1], b)
+        direction = up[out[-1]] >> b & 1 == 1
         if directions and directions[-1] == direction:
             out[-1] = b
         else:

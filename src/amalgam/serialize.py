@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from .decide import CertificateEvidence, Verdict
@@ -84,23 +85,31 @@ def category_from_doc(doc: dict) -> FinCategory:
 
 
 def category_to_doc(cat: FinCategory | FinPoset) -> dict:
-    """A category document; a poset is written out as its category."""
+    """A category document; a poset is written out as its category.  The
+    compose triples come in name order, g by name and then f by name among
+    the arrows into dom g, so no triple is sorted."""
+    morphisms, objects = cat.morphisms, cat.objects
+    names = [m.name for m in morphisms]
+    arrows = [i for i in sorted(range(len(names)), key=names.__getitem__)
+              if not cat.is_identity(i)]
+    into: list[list[int]] = [[] for _ in objects]  # by name
+    for f in arrows:
+        into[morphisms[f].cod].append(f)
+    name = names.__getitem__
+    compose = []
+    for g in arrows:
+        fs = into[morphisms[g].dom]
+        composites = map(cat.compose, repeat(g), fs)
+        compose.extend(zip(repeat(names[g]), map(name, fs), map(name, composites)))
     return {
         "type": "category",
-        "objects": list(cat.objects),
+        "objects": list(objects),
         "morphisms": [
-            {
-                "name": m.name,
-                "dom": cat.objects[m.dom],
-                "cod": cat.objects[m.cod],
-            }
-            for i, m in enumerate(cat.morphisms)
+            {"name": names[i], "dom": objects[m.dom], "cod": objects[m.cod]}
+            for i, m in enumerate(morphisms)
             if not cat.is_identity(i)
         ],
-        "compose": sorted(
-            (cat.morphisms[g].name, cat.morphisms[f].name, cat.morphisms[r].name)
-            for g, f, r in cat.composites()
-        ),
+        "compose": compose,
     }
 
 
@@ -259,18 +268,29 @@ def diagram_from_doc(
 
 
 def diagram_to_doc(diagram: FinInjDiagram) -> dict:
-    """Each action as its sorted [element, image] pairs, read off its row."""
-    shape, carriers = diagram.shape, diagram.carriers
+    """Each action as its sorted [element, image] pairs, read off its row.
+    A poset's arrows are named off its masks."""
+    shape, carriers, maps = diagram.shape, diagram.carriers, diagram.maps
+    if isinstance(shape, FinPoset):
+        n = len(shape)  # the identities come first
+        shape_doc = poset_to_doc(shape)
+        arrows = zip(shape.arrow_names[n:], shape.arrow_ends[n:], maps[n:])
+    else:
+        shape_doc = category_to_doc(shape)
+        arrows = (
+            (m.name, (m.dom, m.cod), row)
+            for i, (m, row) in enumerate(zip(shape.morphisms, maps))
+            if not shape.is_identity(i)
+        )
     return {
         "type": "diagram",
-        "shape": poset_to_doc(shape) if isinstance(shape, FinPoset) else category_to_doc(shape),
+        "shape": shape_doc,
         "carriers": {
             shape.objects[i]: list(c) for i, c in enumerate(carriers)
         },
         "actions": {
-            m.name: sorted(zip(carriers[m.dom], map(carriers[m.cod].__getitem__, row)))
-            for i, (m, row) in enumerate(zip(shape.morphisms, diagram.maps))
-            if not shape.is_identity(i)
+            name: sorted(zip(carriers[a], map(carriers[b].__getitem__, row))) if row else []
+            for name, (a, b), row in arrows
         },
     }
 
@@ -392,6 +412,9 @@ def _nesting(doc) -> int | None:
     return depth
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def dump(doc: dict) -> str:
     """One line of compact JSON with sorted keys, written by the C encoder.
 
@@ -399,9 +422,7 @@ def dump(doc: dict) -> str:
     recurses once per level, so a document nested past the recursion limit,
     or one that contains itself, raises ValueError, naming its depth."""
     try:
-        return json.dumps(
-            doc, sort_keys=True, separators=(",", ":"), check_circular=False
-        ) + "\n"
+        return _ENCODER.encode(doc) + "\n"
     except RecursionError:
         depth = _nesting(doc)
         if depth is None:

@@ -8,6 +8,7 @@ import io
 from collections import deque
 from dataclasses import dataclass
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from amalgam import category
@@ -15,11 +16,13 @@ from amalgam.cli import HANDLERS, RunConfig
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
+    Collision,
     DiagramError,
     FinInjDiagram,
     FunctorialityViolation,
     NotInjective,
     validate_cocone,
+    validate_diagram,
 )
 from amalgam.fincat import (
     AssociativityViolation,
@@ -837,6 +840,228 @@ def reference_zigzag(diagram: FinInjDiagram, start, goal):
     nodes_path.reverse()
     steps.reverse()
     return tuple(nodes_path), tuple(steps)
+
+
+# -- the table-and-label paths, references for the row paths -----------------
+
+def reference_element_zigzag(diagram, offsets, class_ids, obj, start, goal):
+    """The zigzag as it was found over a full adjacency: every action step
+    between nodes of the collision's class, scanned morphism by morphism in
+    index order, then a BFS."""
+    shape, maps = diagram.shape, diagram.maps
+    target = class_ids[start]
+    adj: dict[int, list[tuple[int, int, bool]]] = {}
+    for i, m in enumerate(shape.morphisms):
+        if shape.is_identity(i):
+            continue
+        base = offsets[m.cod]
+        for a, q in enumerate(maps[i], offsets[m.dom]):
+            if class_ids[a] == target:
+                adj.setdefault(a, []).append((base + q, i, True))
+                adj.setdefault(base + q, []).append((a, i, False))
+    prev: dict[int, tuple[int, int, bool] | None] = {start: None}
+    queue = deque([start])
+    while queue and goal not in prev:
+        node = queue.popleft()
+        for nxt, i, forward in adj.get(node, ()):
+            if nxt not in prev:
+                prev[nxt] = (node, i, forward)
+                queue.append(nxt)
+    path, steps = [goal], []
+    while prev[path[-1]] is not None:
+        node, i, forward = prev[path[-1]]
+        path.append(node)
+        steps.append((i, forward))
+    path.reverse()
+    steps.reverse()
+    objs = [obj]
+    for i, forward in steps:
+        m = shape.morphisms[i]
+        objs.append(m.cod if forward else m.dom)
+    nodes = [(o, diagram.carriers[o][k - offsets[o]]) for o, k in zip(objs, path)]
+    return tuple(nodes), tuple(steps)
+
+
+def reference_collision(diagram: FinInjDiagram) -> Collision | None:
+    """The first collision of the colimit, carrier by carrier, with the
+    reference zigzag: union-find over every morphism's action."""
+    shape, carriers = diagram.shape, diagram.carriers
+    offsets = [0]
+    for c in carriers:
+        offsets.append(offsets[-1] + len(c))
+    parent = list(range(offsets[-1]))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, m in enumerate(shape.morphisms):
+        for a, q in enumerate(diagram.maps[i], offsets[m.dom]):
+            ra, rb = find(a), find(offsets[m.cod] + q)
+            parent[max(ra, rb)] = min(ra, rb)
+    class_ids = [find(k) for k in range(len(parent))]
+    for obj, c in enumerate(carriers):
+        first: dict[int, int] = {}
+        for y, k in enumerate(class_ids[offsets[obj]:offsets[obj + 1]]):
+            x = first.setdefault(k, y)
+            if x != y:
+                nodes, steps = reference_element_zigzag(
+                    diagram, offsets, class_ids, obj, offsets[obj] + x, offsets[obj] + y
+                )
+                return Collision(obj, c[x], c[y], nodes, steps)
+    return None
+
+
+def reference_witness(shape, analysis):
+    """The cocone-free diagram as it was synthesized from label dicts, with
+    its collision: (diagram, collision)."""
+    if not analysis.preorder:
+        refl = analysis.reflection
+        proj = analysis.projection
+        a = refl.morphisms[analysis.parallel_pair[0]].dom
+        hom_from_a = [refl.hom(a, x) for x in range(len(refl.objects))]
+        carriers = [
+            tuple(refl.morphisms[g].name for g in hom_from_a[x])
+            for x in range(len(refl.objects))
+        ]
+        actions = []
+        for i, m in enumerate(shape.morphisms):
+            mi = proj.mor_map[i]
+            actions.append(
+                {
+                    refl.morphisms[g].name: refl.morphisms[refl.compose(mi, g)].name
+                    for g in hom_from_a[m.dom]
+                }
+            )
+    else:
+        poset, smap, w = analysis.skeleton, analysis.skeleton_map, analysis.forest
+        up_x = poset.up_masks[w.x]
+        two_sided = (w.component | up_x) & ~(1 << w.x)
+        zero_side = w.upset_components[0] | up_x & ~w.component & ~(1 << w.x)
+
+        def carrier_for(v: int) -> tuple[str, ...]:
+            if v == w.x:
+                return ("*",)
+            return ("0", "1") if two_sided >> v & 1 else ()
+
+        carriers = [carrier_for(smap[obj]) for obj in range(len(shape.objects))]
+        actions = []
+        for i, m in enumerate(shape.morphisms):
+            vx, vy = smap[m.dom], smap[m.cod]
+            if shape.is_identity(i):
+                actions.append(None)
+            elif vx == vy:
+                actions.append({e: e for e in carrier_for(vx)})
+            elif vx == w.x:
+                actions.append({"*": "0" if zero_side >> vy & 1 else "1"})
+            else:
+                actions.append({e: e for e in carrier_for(vx)})
+    diagram = validate_diagram(shape, carriers, actions)
+    return diagram, reference_collision(diagram)
+
+
+def reference_congruence_close(cat: FinCategory, seeds) -> list[frozenset[int]]:
+    """Least congruence containing the seeds, as its classes by least
+    member: union-find, each merge propagated through the table."""
+    parent = list(range(len(cat.morphisms)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    pending = deque()
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            pending.append((a, b))
+
+    for a, b in seeds:
+        union(a, b)
+    while pending:
+        a, b = pending.popleft()
+        for g in cat.hom_out[cat.morphisms[a].cod]:
+            union(cat.table[(g, a)], cat.table[(g, b)])
+        for g in cat.hom_in[cat.morphisms[a].dom]:
+            union(cat.table[(a, g)], cat.table[(b, g)])
+    groups: dict[int, set[int]] = {}
+    for i in range(len(parent)):
+        groups.setdefault(find(i), set()).add(i)
+    return sorted(map(frozenset, groups.values()), key=min)
+
+
+def reference_monic_reflection(cat: FinCategory) -> list[frozenset[int]]:
+    """Classes of the least congruence with a monic quotient: rounds that
+    merge the members of a hom-set that some h does not tell apart, each
+    re-closed from the discrete partition."""
+    pairs: list[tuple[int, int]] = []
+    classes = reference_congruence_close(cat, [])
+    while True:
+        class_of = {i: k for k, cl in enumerate(classes) for i in cl}
+        fresh = []
+        for (_, cod), homs in cat.hom_sets.items():
+            for h in cat.hom_out[cod]:
+                leader: dict[int, int] = {}
+                for f in homs:
+                    first = leader.setdefault(class_of[cat.table[(h, f)]], f)
+                    if class_of[first] != class_of[f]:
+                        fresh.append((first, f))
+        if not fresh:
+            return classes
+        pairs.extend(fresh)
+        classes = reference_congruence_close(cat, pairs)
+
+
+@st.composite
+def concrete_categories(draw, max_morphisms=40):
+    """A random concrete category: one to three sets of at most 3 elements,
+    some functions between them, and every composite, with identities.
+    A function is a tuple of images; a morphism is (dom, cod, function)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = len(sizes)
+    generators = draw(
+        st.lists(
+            st.integers(0, n - 1).flatmap(
+                lambda dom: st.integers(0, n - 1).flatmap(
+                    lambda cod: st.tuples(
+                        st.just(dom),
+                        st.just(cod),
+                        st.tuples(*[st.integers(0, sizes[cod] - 1)] * sizes[dom]),
+                    )
+                )
+            ),
+            max_size=4,
+        )
+    )
+    morphisms = [(x, x, tuple(range(sizes[x]))) for x in range(n)]
+    known = set(morphisms)
+    fresh = [m for m in generators if m not in known]
+    while fresh:
+        m = fresh.pop()
+        if m in known:
+            continue
+        known.add(m)
+        morphisms.append(m)
+        if len(morphisms) > max_morphisms:
+            assume(False)
+        for other in list(morphisms):
+            for g, f in ((m, other), (other, m)):
+                if f[1] == g[0]:
+                    composite = (f[0], g[1], tuple(g[2][v] for v in f[2]))
+                    if composite not in known:
+                        fresh.append(composite)
+    index = {m: k for k, m in enumerate(morphisms)}
+    names = [f"id_x{x}" for x in range(n)] + [f"m{k}" for k in range(n, len(morphisms))]
+    arrows = [(names[k], f"x{d}", f"x{c}") for k, (d, c, _) in enumerate(morphisms) if k >= n]
+    compose = [
+        (names[index[g]], names[index[f]],
+         names[index[(f[0], g[1], tuple(g[2][v] for v in f[2]))]])
+        for g in morphisms[n:] for f in morphisms[n:] if f[1] == g[0]
+    ]
+    return category([f"x{x}" for x in range(n)], arrows, compose)
 
 
 # -- the argparse command line, a reference for cli.parse_args ----------------

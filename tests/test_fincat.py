@@ -256,6 +256,18 @@ def test_monic_reflection_universal_factorization():
     factored.validate()
 
 
+def test_functor_that_breaks_composition_is_refused():
+    """r ↦ r and r2 ↦ r on Z_3 keeps the identity and the endpoints, but
+    F(r∘r) = F(r2) = r while F(r)∘F(r) = r2.  The first pair in table order
+    that breaks is named."""
+    z3 = z3_cat()
+    r, r2 = z3.mor_index["r"], z3.mor_index["r2"]
+    mor_map = [0, r, r]
+    assert (r, r2) == (1, 2)
+    with pytest.raises(AssociativityViolation, match=r"functor breaks composition on \(r, r\)"):
+        FunctorMap(z3, z3, [0], mor_map).validate()
+
+
 def test_is_monic_examples():
     assert is_monic(bowtie_cat())
     assert is_monic(parallel_pair_cat())
@@ -426,6 +438,37 @@ def test_is_congruence_matches_definition(case):
             parent[i] = min(block)
     cong = Congruence.from_parent(parent)
     assert is_congruence(cat, cong) == partition_is_congruence(cat, blocks)
+
+
+def test_from_parent_follows_chains_to_their_roots():
+    parent = [0, 0, 1, 3, 2]  # 2 -> 1 -> 0 and 4 -> 2; 3 is its own root
+    cong = Congruence.from_parent(parent)
+    assert cong.classes == (frozenset({0, 1, 2, 4}), frozenset({3}))
+    assert cong.class_of == (0, 0, 0, 1, 0)
+    assert parent == [0, 0, 1, 3, 2]
+    # a root may come after its members: 2 -> 0 -> 1
+    assert Congruence.from_parent([1, 1, 0]).classes == (frozenset({0, 1, 2}),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=12))
+def test_from_parent_matches_the_classes_of_its_forest(raw):
+    # entry i points to an earlier index or to itself, so the array is a forest
+    parent = [min(p, i) for i, p in enumerate(raw)]
+    cong = Congruence.from_parent(parent)
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    groups = {}
+    for i in range(len(parent)):
+        groups.setdefault(root(i), set()).add(i)
+    assert set(cong.classes) == set(map(frozenset, groups.values()))
+    assert [min(cl) for cl in cong.classes] == sorted(min(cl) for cl in cong.classes)
+    for k, cl in enumerate(cong.classes):
+        assert all(cong.class_of[i] == k for i in cl)
 
 
 def test_monic_reflection_of_poset_is_the_shape_itself():

@@ -267,7 +267,7 @@ def check_against_pairs(p, rel, subset):
         (a, b) for a, b in rel
         if a != b and not any(c not in (a, b) and (a, c) in rel and (c, b) in rel for c in range(n))
     )
-    assert p.cover_pairs() == covers
+    assert p.cover_pairs() == tuple(covers)
     for a in range(n):
         assert p.up(a) == {b for b in range(n) if (a, b) in rel}
         assert p.down(a) == {b for b in range(n) if (b, a) in rel}

@@ -108,6 +108,32 @@ def test_cli_witness_boat_has_empty_bottom(tmp_path):
     assert not has_cocone(diagram)
 
 
+def test_clashing_arrow_names_are_an_input_error_only_where_arrows_are_named(tmp_path, capsys):
+    """Arrows a -> b->c and a->b -> c are both named 'a->b->c'.  Under the
+    2-crown p, q the poset is refuted, and its witness names every arrow;
+    alone it is forest-like, and no arrow is named."""
+    elements = ["a", "b->c", "a->b", "c"]
+    covers = [["a", "b->c"], ["a->b", "c"]]
+    crowned = {
+        "type": "poset",
+        "elements": elements + ["p", "q"],
+        "covers": covers + [[low, high] for low in "pq" for high in ("a", "a->b")],
+    }
+    alone = {"type": "poset", "elements": elements, "covers": covers}
+    clash = (
+        "error: morphism name 'a->b->c' is given to both "
+        "the arrow 'a' -> 'b->c' and the arrow 'a->b' -> 'c'\n"
+    )
+    for name, doc in (("crowned", crowned), ("alone", alone)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    for argv in (["check"], ["check", "--format", "structured"], ["explain"], ["witness"]):
+        capsys.readouterr()
+        assert main([*argv, str(tmp_path / "crowned.json")]) == 2, argv
+        assert capsys.readouterr().err == clash
+    for argv in (["check"], ["check", "--format", "structured"], ["explain"]):
+        assert main([*argv, str(tmp_path / "alone.json")]) == 0, argv
+
+
 def test_cli_witness_not_applicable(capsys):
     assert main(["witness", "span"]) == 1
     assert "not applicable" in capsys.readouterr().err
@@ -436,6 +462,21 @@ def test_positive_check_never_names_a_posets_arrows(monkeypatch, tmp_path):
     out = str(tmp_path / "out")
     for name in ("span", "chain5", "fan", "cospan"):
         assert main(["check", name, "--format", "structured", "--out", out]) == 0
+
+
+def test_refuting_a_poset_builds_no_morphism_objects(monkeypatch, tmp_path):
+    """The witness of a refuted poset is built, checked and run through the
+    oracle on its masks and rows; only its arrow names are made, for the
+    writer."""
+    def refuse(self):
+        raise AssertionError("a refuted poset built its morphisms or hom_in lists")
+
+    monkeypatch.setattr(FinPoset, "_arrows", property(refuse))
+    monkeypatch.setattr(FinPoset, "hom_in", property(refuse))
+    out = str(tmp_path / "out")
+    for name in ("boat", "nonforest6"):
+        for argv in (["check"], ["check", "--format", "structured"], ["witness"]):
+            assert main([*argv, name, "--out", out]) == (0 if argv == ["witness"] else 1)
 
 
 def test_no_command_on_a_poset_document_builds_a_category(built_categories, tmp_path):
