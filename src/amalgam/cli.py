@@ -8,12 +8,9 @@ Exit codes: 0 = positive outcome (amalgamable / cocone exists / valid),
 from __future__ import annotations
 
 import os
-import random
-import re
 import sys
-from dataclasses import dataclass
 
-from . import corpus, gen, serialize
+from . import corpus, serialize
 from .decide import decide, explain
 from .diagram import (
     DiagramError,
@@ -24,17 +21,21 @@ from .diagram import (
 )
 from .fincat import CategoryError
 from .poset import FinPoset, ForestCertificate, PosetError, is_forest_like
+from .record import Record
 from .serialize import ParseError
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple[str, ...]
-    out: str | None
-    seed: int
-    max_size: int
-    format: str
+class RunConfig(Record):
+    _fields = ("command", "inputs", "out", "seed", "max_size", "format")
+
+    def __init__(self, command: str, inputs: tuple[str, ...], out: str | None,
+                 seed: int, max_size: int, format: str):
+        self.command = command
+        self.inputs = inputs
+        self.out = out
+        self.seed = seed
+        self.max_size = max_size
+        self.format = format
 
 
 def _locale_encoding() -> str:
@@ -185,12 +186,18 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_gen(config: RunConfig) -> int:
-    kind = config.inputs[0]
+    import random
+
+    from . import gen  # no other command runs a generator
+
+    kind, *rest = config.inputs
     rng = random.Random(config.seed)
     if kind == "diagram":
-        if len(config.inputs) < 2:
+        if not rest:
             raise ParseError("gen diagram expects a shape path or corpus name")
-        shape = _load_shape(config.inputs[1])
+        if len(rest) > 1:
+            raise ParseError("gen diagram expects 2 input argument(s)")
+        shape = _load_shape(rest[0])
         analysis = analyze_shape(shape)
         if analysis.skeleton is None:
             raise DiagramError("gen diagram: the monic reflection is not a preorder")
@@ -201,10 +208,12 @@ def cmd_gen(config: RunConfig) -> int:
         doc["shape"] = serialize.category_to_doc(shape)  # a poset shape as its category
         _emit(config, serialize.dump(doc))
         return 0
+    if len(rest) > 1:
+        raise ParseError(f"gen {kind} expects at most 2 input argument(s)")
     try:
-        size = int(config.inputs[1]) if len(config.inputs) > 1 else 5
+        size = int(rest[0]) if rest else 5
     except ValueError:
-        raise ParseError(f"SIZE must be an integer, got '{config.inputs[1]}'") from None
+        raise ParseError(f"SIZE must be an integer, got '{rest[0]}'") from None
     if not 0 < size <= config.max_size:
         raise ParseError(f"size must be in 1..{config.max_size}")
     if kind == "poset":
@@ -264,7 +273,7 @@ exit codes: 0 positive outcome, 1 negative outcome, 2 input or validation error
 """
 
 OPTIONS = ("--out", "--seed", "--max-size", "--format", "--help")
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+_NEGATIVE_NUMBER = r"-\d+$|-\d*\.\d+$"
 
 
 def _option(token: str):
@@ -284,8 +293,11 @@ def _option(token: str):
             return matches[0], value if eq else None
     elif token[1] == "h":  # -h, or -h with a value it does not take
         return ("--help", None) if token == "-h" else (None, None)
-    elif _NEGATIVE_NUMBER.match(token):
-        return None
+    else:
+        import re  # reached only by a short option other than -h
+
+        if re.match(_NEGATIVE_NUMBER, token):
+            return None
     return None if " " in token else (None, None)
 
 

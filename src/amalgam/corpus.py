@@ -3,27 +3,29 @@
 from __future__ import annotations
 
 import os
-from importlib import resources
-from pathlib import Path
 
-
-def _root():
-    return resources.files(__package__) / "corpus"
+# The corpus ships as files in the package's own directory.
+_ROOT = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def names() -> list[str]:
     return sorted(
-        p.name[: -len(".json")]
-        for p in _root().iterdir()
-        if p.name.endswith(".json")
+        name[: -len(".json")] for name in os.listdir(_ROOT) if name.endswith(".json")
     )
 
 
-def path(name: str) -> Path:
-    entry = _root() / f"{name}.json"
-    if not entry.is_file():
+def _entry(name: str) -> str:
+    entry = os.path.join(_ROOT, f"{name}.json")
+    if not os.path.isfile(entry):
         raise FileNotFoundError(f"no corpus entry named '{name}'")
-    return Path(str(entry))
+    return entry
+
+
+def path(name: str):
+    """The corpus entry's file, as a ``pathlib.Path``."""
+    from pathlib import Path
+
+    return Path(_entry(name))
 
 
 def resolve(ref: str) -> str:
@@ -31,16 +33,20 @@ def resolve(ref: str) -> str:
 
     Only a bare name (no path separator, no ``.json`` suffix) may name a
     corpus entry, so a missing file is never swapped for a bundled one.
-    A file argument is returned as given; pathlib is met only off that path.
+    A file argument is returned as given, and a corpus name resolved with
+    ``os.path``; pathlib is met only by a path that names no file as given.
     """
     if os.path.isfile(ref):
         return ref
-    p = Path(ref)
-    if p.is_file():  # named with a trailing '/' or '/.', which pathlib drops
-        return str(p)
-    if p.name == ref and p.suffix != ".json":
+    if os.path.basename(ref) != ref:
+        from pathlib import Path
+
+        p = Path(ref)
+        if p.is_file():  # named with a trailing '/' or '/.', which pathlib drops
+            return str(p)
+    elif not ref.endswith(".json"):
         try:
-            return str(path(ref))
+            return _entry(ref)
         except FileNotFoundError:
             pass
     raise FileNotFoundError(f"no such file or corpus entry: {ref}")

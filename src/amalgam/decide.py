@@ -10,8 +10,6 @@ verdict is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (
     Collision,
     FinInjDiagram,
@@ -27,32 +25,57 @@ from .poset import (
     _component_masks,
     sorted_names,
 )
+from .record import Record
 
 
-@dataclass
-class CertificateEvidence:
-    analysis: ShapeAnalysis
-    certificate: ForestCertificate
+class CertificateEvidence(Record):
+    _fields = ("analysis", "certificate")
+
+    def __init__(self, analysis: ShapeAnalysis, certificate: ForestCertificate):
+        self.analysis = analysis
+        self.certificate = certificate
 
 
-@dataclass
-class RefutationEvidence:
-    analysis: ShapeAnalysis
-    reason: str  # "parallel-pair" or "non-forest-poset"
-    parallel_pair: tuple[int, int] | None
-    witness: NonForestWitness | None
-    diagram: FinInjDiagram
-    collision: Collision
+class RefutationEvidence(Record):
+    _fields = ("analysis", "reason", "parallel_pair", "witness", "diagram", "collision")
+
+    def __init__(
+        self,
+        analysis: ShapeAnalysis,
+        reason: str,  # "parallel-pair" or "non-forest-poset"
+        parallel_pair: tuple[int, int] | None,
+        witness: NonForestWitness | None,
+        diagram: FinInjDiagram,
+        collision: Collision,
+    ):
+        self.analysis = analysis
+        self.reason = reason
+        self.parallel_pair = parallel_pair
+        self.witness = witness
+        self.diagram = diagram
+        self.collision = collision
 
 
-@dataclass
-class Verdict:
-    usc: bool
-    connected: bool
-    amalgamable_ap_jep: bool
-    amalgamable_ap_only: bool
-    evidence: CertificateEvidence | RefutationEvidence
-    trace: tuple[str, ...]
+class Verdict(Record):
+    _fields = (
+        "usc", "connected", "amalgamable_ap_jep", "amalgamable_ap_only", "evidence", "trace"
+    )
+
+    def __init__(
+        self,
+        usc: bool,
+        connected: bool,
+        amalgamable_ap_jep: bool,
+        amalgamable_ap_only: bool,
+        evidence: CertificateEvidence | RefutationEvidence,
+        trace: tuple[str, ...],
+    ):
+        self.usc = usc
+        self.connected = connected
+        self.amalgamable_ap_jep = amalgamable_ap_jep
+        self.amalgamable_ap_only = amalgamable_ap_only
+        self.evidence = evidence
+        self.trace = trace
 
 
 def _sizes(shape: FinCategory | FinPoset) -> tuple[int, int, int]:

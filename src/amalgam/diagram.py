@@ -13,7 +13,6 @@ and re-verified against the oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, repeat
 from operator import itemgetter
@@ -32,6 +31,7 @@ from .poset import (
     NonForestWitness,
     is_forest_like,
 )
+from .record import FrozenRecord, Record, set_field
 
 
 class DiagramError(Exception):
@@ -308,8 +308,7 @@ class ColimitClasses:
         return tuple(map(frozenset, members))
 
 
-@dataclass
-class ColimitResult:
+class ColimitResult(Record):
     """Union-find quotient of the disjoint sum of carriers.
 
     Node ``offsets[obj] + p`` is the p-th element of the object's carrier;
@@ -318,12 +317,23 @@ class ColimitResult:
     ``class_of`` are built only when asked for.
     """
 
-    diagram: FinInjDiagram
-    offsets: tuple[int, ...]
-    class_ids: list[int]
-    count: int
-    injective: tuple[bool, ...]
-    collision: Collision | None
+    _fields = ("diagram", "offsets", "class_ids", "count", "injective", "collision")
+
+    def __init__(
+        self,
+        diagram: FinInjDiagram,
+        offsets: tuple[int, ...],
+        class_ids: list[int],
+        count: int,
+        injective: tuple[bool, ...],
+        collision: Collision | None,
+    ):
+        self.diagram = diagram
+        self.offsets = offsets
+        self.class_ids = class_ids
+        self.count = count
+        self.injective = injective
+        self.collision = collision
 
     @property
     def all_injective(self) -> bool:
@@ -468,16 +478,18 @@ def _element_zigzag(diagram, offsets, obj, start, goal):
     return tuple(nodes), tuple(steps)
 
 
-@dataclass
-class Cocone:
+class Cocone(Record):
     """Apex carrier and one injective leg per object, commuting with all actions.
 
     ``legs[obj][p]`` is the apex position of the p-th element of the object's
     carrier.
     """
 
-    apex: tuple[str, ...]
-    legs: tuple[tuple[int, ...], ...]
+    _fields = ("apex", "legs")
+
+    def __init__(self, apex: tuple[str, ...], legs: tuple[tuple[int, ...], ...]):
+        self.apex = apex
+        self.legs = legs
 
 
 def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
@@ -516,14 +528,22 @@ def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
         )
 
 
-@dataclass
-class CoconeResult:
+class CoconeResult(Record):
     """Truthy when a cocone exists; carries the cocone or the collision."""
 
-    exists: bool
-    cocone: Cocone | None
-    collision: Collision | None
-    colimit: ColimitResult
+    _fields = ("exists", "cocone", "collision", "colimit")
+
+    def __init__(
+        self,
+        exists: bool,
+        cocone: Cocone | None,
+        collision: Collision | None,
+        colimit: ColimitResult,
+    ):
+        self.exists = exists
+        self.cocone = cocone
+        self.collision = collision
+        self.colimit = colimit
 
     def __bool__(self) -> bool:
         return self.exists
@@ -547,15 +567,17 @@ def has_cocone(diagram: FinInjDiagram) -> CoconeResult:
     return CoconeResult(True, cocone, None, colim)
 
 
-@dataclass(frozen=True)
-class ZigzagWord:
+class ZigzagWord(FrozenRecord):
     """A path of shape morphisms traversed forward or backward.
 
     Acts on a diagram as the composite of action maps and partial inverses.
     """
 
-    source: int
-    steps: tuple[tuple[int, bool], ...]
+    _fields = ("source", "steps")
+
+    def __init__(self, source: int, steps: tuple[tuple[int, bool], ...]):
+        set_field(self, "source", source)
+        set_field(self, "steps", steps)
 
     def target(self, shape: FinCategory) -> int:
         at = self.source
@@ -599,22 +621,37 @@ class CoconeFreeDiagram(FinInjDiagram):
         self.collision = collision
 
 
-@dataclass
-class ShapeAnalysis:
+class ShapeAnalysis(Record):
     """Everything the verdict pipeline learns about a shape.
 
     A shape given as a FinPoset is its own reflection and skeleton, with no
     projection and the identity as skeleton map.
     """
 
-    shape: FinCategory | FinPoset
-    reflection: FinCategory | FinPoset
-    projection: FunctorMap | None
-    preorder: bool
-    parallel_pair: tuple[int, int] | None
-    skeleton: FinPoset | None
-    skeleton_map: tuple[int, ...] | None
-    forest: ForestCertificate | NonForestWitness | None
+    _fields = (
+        "shape", "reflection", "projection", "preorder",
+        "parallel_pair", "skeleton", "skeleton_map", "forest",
+    )
+
+    def __init__(
+        self,
+        shape: FinCategory | FinPoset,
+        reflection: FinCategory | FinPoset,
+        projection: FunctorMap | None,
+        preorder: bool,
+        parallel_pair: tuple[int, int] | None,
+        skeleton: FinPoset | None,
+        skeleton_map: tuple[int, ...] | None,
+        forest: ForestCertificate | NonForestWitness | None,
+    ):
+        self.shape = shape
+        self.reflection = reflection
+        self.projection = projection
+        self.preorder = preorder
+        self.parallel_pair = parallel_pair
+        self.skeleton = skeleton
+        self.skeleton_map = skeleton_map
+        self.forest = forest
 
     @property
     def usc(self) -> bool:

@@ -9,11 +9,11 @@ name the first fault of a table that fails it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
 from .poset import FinPoset
+from .record import FrozenRecord, set_field
 
 
 class CategoryError(Exception):
@@ -48,11 +48,13 @@ class NotAPreorder(CategoryError):
     pass
 
 
-@dataclass(frozen=True)
-class Morphism:
-    name: str
-    dom: int
-    cod: int
+class Morphism(FrozenRecord):
+    _fields = ("name", "dom", "cod")
+
+    def __init__(self, name: str, dom: int, cod: int):
+        set_field(self, "name", name)
+        set_field(self, "dom", dom)
+        set_field(self, "cod", cod)
 
 
 class FinCategory:
@@ -436,12 +438,14 @@ def connected_components(cat: FinCategory) -> tuple[frozenset[int], ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(FrozenRecord):
     """Partition of the morphisms into parallel, composition-compatible classes."""
 
-    classes: tuple[frozenset[int], ...]
-    class_of: tuple[int, ...]
+    _fields = ("classes", "class_of")
+
+    def __init__(self, classes: tuple[frozenset[int], ...], class_of: tuple[int, ...]):
+        set_field(self, "classes", classes)
+        set_field(self, "class_of", class_of)
 
     @classmethod
     def from_parent(cls, parent: list[int]) -> "Congruence":

@@ -8,10 +8,9 @@ post-composition; it is faithful and sends monics to total injections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fincat import FinCategory
 from .pinj import PartialInjection
+from .record import Record
 
 
 class InverseCategoryError(Exception):
@@ -124,13 +123,17 @@ def is_idempotent_category(inv: FinInverseCategory) -> bool:
     )
 
 
-@dataclass
-class PInjRepresentation:
+class PInjRepresentation(Record):
     """Carriers (one per object, tagged `source object:morphism`) and one
     partial injection per morphism."""
 
-    carriers: tuple[tuple[str, ...], ...]
-    maps: tuple[PartialInjection, ...]
+    _fields = ("carriers", "maps")
+
+    def __init__(
+        self, carriers: tuple[tuple[str, ...], ...], maps: tuple[PartialInjection, ...]
+    ):
+        self.carriers = carriers
+        self.maps = maps
 
 
 def wagner_preston(inv: FinInverseCategory) -> PInjRepresentation:

@@ -12,12 +12,11 @@ region whose up-set splits into several components.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, starmap, zip_longest
 from operator import eq
 
-from . import groups
+from .record import FrozenRecord, set_field
 
 
 class PosetError(Exception):
@@ -448,8 +447,7 @@ def _same_forest(roots, other_roots) -> bool:
     return all(starmap(eq, zip_longest(_preorder(roots), _preorder(other_roots))))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class DecompositionNode:
+class DecompositionNode(FrozenRecord):
     """One tree-building step: ``point`` adjoined below the upsets of its
     children, each a mask of element indices.
 
@@ -459,9 +457,12 @@ class DecompositionNode:
     int-to-decimal conversion.
     """
 
-    point: int
-    children: tuple["DecompositionNode", ...]
-    upsets: tuple[int, ...]
+    def __init__(
+        self, point: int, children: tuple[DecompositionNode, ...], upsets: tuple[int, ...]
+    ):
+        set_field(self, "point", point)
+        set_field(self, "children", children)
+        set_field(self, "upsets", upsets)
 
     def __eq__(self, other):
         if not isinstance(other, DecompositionNode):
@@ -479,11 +480,13 @@ class DecompositionNode:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ForestCertificate:
+class ForestCertificate(FrozenRecord):
     """Replayable decomposition of a forest-like poset, one tree per component."""
 
-    roots: tuple[DecompositionNode, ...]
+    _fields = ("roots",)
+
+    def __init__(self, roots: tuple[DecompositionNode, ...]):
+        set_field(self, "roots", roots)
 
     def __eq__(self, other):
         if not isinstance(other, ForestCertificate):
@@ -494,8 +497,7 @@ class ForestCertificate:
         return hash(tuple(_preorder(self.roots)))
 
 
-@dataclass(frozen=True, repr=False)
-class NonForestWitness:
+class NonForestWitness(FrozenRecord):
     """Failure evidence: below ``x``, the component ``component`` of the region
     minus ``x`` meets the up-set of ``x`` in at least two pieces.
 
@@ -506,13 +508,25 @@ class NonForestWitness:
     indices.
     """
 
-    x: int
-    component: int
-    upset_components: tuple[int, ...]
-    u: int
-    v: int
-    zigzag: tuple[int, ...]
-    region: int
+    _fields = ("x", "component", "upset_components", "u", "v", "zigzag", "region")
+
+    def __init__(
+        self,
+        x: int,
+        component: int,
+        upset_components: tuple[int, ...],
+        u: int,
+        v: int,
+        zigzag: tuple[int, ...],
+        region: int,
+    ):
+        set_field(self, "x", x)
+        set_field(self, "component", component)
+        set_field(self, "upset_components", upset_components)
+        set_field(self, "u", u)
+        set_field(self, "v", v)
+        set_field(self, "zigzag", zigzag)
+        set_field(self, "region", region)
 
     def __repr__(self):  # masks in hex: no digit limit applies
         pieces = ", ".join(map(hex, self.upset_components))
@@ -728,6 +742,8 @@ def simply_connected_bounded(poset: FinPoset, *, max_cosets: int = 20000):
     triangle; a nontrivial abelianization refutes, bounded coset enumeration
     confirms when it collapses everything to one coset.
     """
+    from . import groups  # no command runs this test
+
     unknown = False
     for comp in components(poset, range(len(poset))):
         comp = sorted(comp)

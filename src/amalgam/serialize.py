@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from itertools import repeat
-from pathlib import Path
 
 from .decide import CertificateEvidence, Verdict
 from .diagram import Cocone, FinInjDiagram, validate_diagram
@@ -37,7 +36,7 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _read(path: str | Path) -> bytes:
+def _read(path: str | os.PathLike) -> bytes:
     """Every byte of the file at path, through one descriptor read to its
     end.  The first read is sized by fstat, one byte over, so a whole file
     comes in one read and the next returns nothing.  An error names the
@@ -56,16 +55,23 @@ def _read(path: str | Path) -> bytes:
     return chunks[0] if len(chunks) <= 2 else b"".join(chunks)
 
 
-def load_document(path: str | Path) -> dict:
+def _named(path: str | os.PathLike) -> str:
+    """The path as an error names it: as pathlib normalises it."""
+    from pathlib import Path
+
+    return str(Path(path))
+
+
+def load_document(path: str | os.PathLike) -> dict:
     """The JSON object at path, decoded from its bytes: the decoder detects
     UTF-8, UTF-16 or UTF-32.  Errors name the path as pathlib normalises
     it."""
     try:
         doc = json.loads(_read(path))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{Path(path)}: {exc}") from exc
+        raise ParseError(f"{_named(path)}: {exc}") from exc
     if not isinstance(doc, dict) or "type" not in doc:
-        raise ParseError(f"{Path(path)}: document must be an object with a 'type' field")
+        raise ParseError(f"{_named(path)}: document must be an object with a 'type' field")
     return doc
 
 
@@ -158,7 +164,7 @@ def shape_from_doc(doc: dict) -> FinCategory | FinPoset:
     raise ParseError(f"expected a category or poset document, got '{kind}'")
 
 
-def load_shape(path: str | Path) -> FinCategory | FinPoset:
+def load_shape(path: str | os.PathLike) -> FinCategory | FinPoset:
     return shape_from_doc(load_document(path))
 
 
@@ -191,16 +197,18 @@ def inverse_to_doc(inv: FinInverseCategory) -> dict:
 
 # -- diagrams ----------------------------------------------------------------
 
-def shape_path(shape_field: str, base_dir: str | Path | None) -> Path:
+def shape_path(shape_field: str, base_dir: str | os.PathLike | None):
     """The file a diagram's ``shape`` path names, relative to the diagram's
-    directory."""
+    directory, as a ``pathlib.Path``."""
+    from pathlib import Path
+
     path = Path(shape_field)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir, path)
     return path
 
 
-def _shape_of(shape_field, base_dir: str | Path | None) -> FinCategory | FinPoset:
+def _shape_of(shape_field, base_dir: str | os.PathLike | None) -> FinCategory | FinPoset:
     if isinstance(shape_field, str):
         return load_shape(shape_path(shape_field, base_dir))
     if isinstance(shape_field, dict):
@@ -209,7 +217,7 @@ def _shape_of(shape_field, base_dir: str | Path | None) -> FinCategory | FinPose
 
 
 def diagram_from_doc(
-    doc: dict, base_dir: str | Path | None = None, shape: FinCategory | FinPoset | None = None
+    doc: dict, base_dir: str | os.PathLike | None = None, shape: FinCategory | FinPoset | None = None
 ) -> FinInjDiagram:
     """The diagram a document describes.  ``shape``, when given, is the
     already parsed shape its ``shape`` field names."""
@@ -295,7 +303,9 @@ def diagram_to_doc(diagram: FinInjDiagram) -> dict:
     }
 
 
-def load_diagram(path: str | Path) -> FinInjDiagram:
+def load_diagram(path: str | os.PathLike) -> FinInjDiagram:
+    from pathlib import Path
+
     path = Path(path)
     return diagram_from_doc(load_document(path), base_dir=path.parent)
 

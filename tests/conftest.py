@@ -6,33 +6,41 @@ import argparse
 import contextlib
 import io
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from amalgam import category
 from amalgam.cli import HANDLERS, RunConfig
+from amalgam.decide import CertificateEvidence, RefutationEvidence, Verdict
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
+    CoconeResult,
+    ColimitResult,
     Collision,
     DiagramError,
     FinInjDiagram,
     FunctorialityViolation,
     NotInjective,
+    ShapeAnalysis,
+    ZigzagWord,
     validate_cocone,
     validate_diagram,
 )
 from amalgam.fincat import (
     AssociativityViolation,
+    Congruence,
     DomCodMismatch,
     FinCategory,
     IdentityViolation,
     MissingComposite,
+    Morphism,
     PresentationError,
     is_preorder,
 )
+from amalgam.invcat import PInjRepresentation
 from amalgam.pinj import PartialInjection
 from amalgam.poset import (
     DecompositionNode,
@@ -40,6 +48,8 @@ from amalgam.poset import (
     ForestCertificate,
     NonForestWitness,
     PosetError,
+    _preorder,
+    _same_forest,
     components,
     verify_certificate,
 )
@@ -1095,3 +1105,218 @@ def reference_config(argv, intermixed: bool = False):
         return "exit 2"
     return RunConfig(args.command, tuple(args.inputs), args.out, args.seed,
                      args.max_size, args.format)
+
+
+# -- the records as dataclasses ------------------------------------------------
+#
+# The record classes of `src/` as they were defined with `dataclasses`,
+# hand-written methods included.  Tests convert an instance to its reference
+# (`as_reference`) and require the same repr, equality and hashing.  Each
+# reference class keeps the qualified name of the class it stands for, so
+# that the two reprs compare as text.
+
+
+@dataclass
+class ReferenceRunConfig:
+    __qualname__ = "RunConfig"
+    command: str
+    inputs: tuple[str, ...]
+    out: str | None
+    seed: int
+    max_size: int
+    format: str
+
+
+@dataclass
+class ReferenceCertificateEvidence:
+    __qualname__ = "CertificateEvidence"
+    analysis: object
+    certificate: object
+
+
+@dataclass
+class ReferenceRefutationEvidence:
+    __qualname__ = "RefutationEvidence"
+    analysis: object
+    reason: str
+    parallel_pair: tuple[int, int] | None
+    witness: object
+    diagram: FinInjDiagram
+    collision: Collision
+
+
+@dataclass
+class ReferenceVerdict:
+    __qualname__ = "Verdict"
+    usc: bool
+    connected: bool
+    amalgamable_ap_jep: bool
+    amalgamable_ap_only: bool
+    evidence: object
+    trace: tuple[str, ...]
+
+
+@dataclass
+class ReferenceColimitResult:
+    __qualname__ = "ColimitResult"
+    diagram: FinInjDiagram
+    offsets: tuple[int, ...]
+    class_ids: list[int]
+    count: int
+    injective: tuple[bool, ...]
+    collision: Collision | None
+
+
+@dataclass
+class ReferenceCocone:
+    __qualname__ = "Cocone"
+    apex: tuple[str, ...]
+    legs: tuple[tuple[int, ...], ...]
+
+
+@dataclass
+class ReferenceCoconeResult:
+    __qualname__ = "CoconeResult"
+    exists: bool
+    cocone: object
+    collision: Collision | None
+    colimit: object
+
+
+@dataclass(frozen=True)
+class ReferenceZigzagWord:
+    __qualname__ = "ZigzagWord"
+    source: int
+    steps: tuple[tuple[int, bool], ...]
+
+
+@dataclass
+class ReferenceShapeAnalysis:
+    __qualname__ = "ShapeAnalysis"
+    shape: object
+    reflection: object
+    projection: object
+    preorder: bool
+    parallel_pair: tuple[int, int] | None
+    skeleton: FinPoset | None
+    skeleton_map: tuple[int, ...] | None
+    forest: object
+
+
+@dataclass(frozen=True)
+class ReferenceMorphism:
+    __qualname__ = "Morphism"
+    name: str
+    dom: int
+    cod: int
+
+
+@dataclass(frozen=True)
+class ReferenceCongruence:
+    __qualname__ = "Congruence"
+    classes: tuple[frozenset[int], ...]
+    class_of: tuple[int, ...]
+
+
+@dataclass
+class ReferencePInjRepresentation:
+    __qualname__ = "PInjRepresentation"
+    carriers: tuple[tuple[str, ...], ...]
+    maps: tuple[PartialInjection, ...]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ReferenceDecompositionNode:
+    __qualname__ = "DecompositionNode"
+    point: int
+    children: tuple
+    upsets: tuple[int, ...]
+
+    def __eq__(self, other):
+        if not isinstance(other, ReferenceDecompositionNode):
+            return NotImplemented
+        return _same_forest((self,), (other,))
+
+    def __hash__(self):
+        return hash(tuple(_preorder((self,))))
+
+    def __repr__(self):
+        upsets = ", ".join(map(hex, self.upsets))
+        return (
+            f"DecompositionNode(point={self.point}, upsets=[{upsets}], "
+            f"children={len(self.children)})"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceForestCertificate:
+    __qualname__ = "ForestCertificate"
+    roots: tuple
+
+    def __eq__(self, other):
+        if not isinstance(other, ReferenceForestCertificate):
+            return NotImplemented
+        return _same_forest(self.roots, other.roots)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self.roots)))
+
+
+@dataclass(frozen=True, repr=False)
+class ReferenceNonForestWitness:
+    __qualname__ = "NonForestWitness"
+    x: int
+    component: int
+    upset_components: tuple[int, ...]
+    u: int
+    v: int
+    zigzag: tuple[int, ...]
+    region: int
+
+    def __repr__(self):
+        pieces = ", ".join(map(hex, self.upset_components))
+        return (
+            f"NonForestWitness(x={self.x}, component={self.component:#x}, "
+            f"upset_components=[{pieces}], u={self.u}, v={self.v}, "
+            f"zigzag={self.zigzag}, region={self.region:#x})"
+        )
+
+
+REFERENCE_RECORDS = {
+    RunConfig: ReferenceRunConfig,
+    CertificateEvidence: ReferenceCertificateEvidence,
+    RefutationEvidence: ReferenceRefutationEvidence,
+    Verdict: ReferenceVerdict,
+    ColimitResult: ReferenceColimitResult,
+    Cocone: ReferenceCocone,
+    CoconeResult: ReferenceCoconeResult,
+    ZigzagWord: ReferenceZigzagWord,
+    ShapeAnalysis: ReferenceShapeAnalysis,
+    Morphism: ReferenceMorphism,
+    Congruence: ReferenceCongruence,
+    PInjRepresentation: ReferencePInjRepresentation,
+    DecompositionNode: ReferenceDecompositionNode,
+    ForestCertificate: ReferenceForestCertificate,
+    NonForestWitness: ReferenceNonForestWitness,
+}
+
+
+def record_fields(record) -> dict:
+    """A record's fields by name, in the order of its reference's fields."""
+    return {f.name: getattr(record, f.name) for f in fields(REFERENCE_RECORDS[type(record)])}
+
+
+def as_reference(value):
+    """The value with every record in it, at any depth of records, tuples
+    and lists, replaced by its reference dataclass."""
+    if type(value) in REFERENCE_RECORDS:
+        reference = REFERENCE_RECORDS[type(value)]
+        return reference(**{k: as_reference(v) for k, v in record_fields(value).items()})
+    if type(value) in (tuple, list):
+        return type(value)(map(as_reference, value))
+    return value
+
+
+def replaced_witness(w: NonForestWitness, **changes) -> NonForestWitness:
+    """A witness built from w's fields, with the given ones changed."""
+    return NonForestWitness(**{**record_fields(w), **changes})

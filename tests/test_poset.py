@@ -1,6 +1,5 @@
 import random
 import sys
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -37,6 +36,7 @@ from conftest import (
     mask,
     members,
     recursive_forest_like,
+    replaced_witness,
     span_poset,
 )
 
@@ -420,15 +420,15 @@ def test_negative_masks_and_bits_past_the_poset_are_rejected():
     n = len(bowtie_poset())
     for field in ("component", "region"):
         for extra in (-1 << n, 1 << n):
-            forged = replace(w, **{field: getattr(w, field) | extra})
+            forged = replaced_witness(w, **{field: getattr(w, field) | extra})
             assert not verify_witness(bowtie_poset(), forged)
-    forged = replace(w, component=w.component | -1 << n, region=w.region | -1 << n)
+    forged = replaced_witness(w, component=w.component | -1 << n, region=w.region | -1 << n)
     assert not verify_witness(bowtie_poset(), forged)
     for field in ("x", "u", "v"):
         for index in (-1, n):
-            assert not verify_witness(bowtie_poset(), replace(w, **{field: index}))
-    assert not verify_witness(bowtie_poset(), replace(w, zigzag=(*w.zigzag, n)))
-    assert not verify_witness(bowtie_poset(), replace(w, zigzag=()))
+            assert not verify_witness(bowtie_poset(), replaced_witness(w, **{field: index}))
+    assert not verify_witness(bowtie_poset(), replaced_witness(w, zigzag=(*w.zigzag, n)))
+    assert not verify_witness(bowtie_poset(), replaced_witness(w, zigzag=()))
 
 
 @settings(max_examples=200, deadline=None)

@@ -705,3 +705,17 @@ def test_malformed_shape_fields_are_input_errors(tmp_path, capsys, doc, message)
 def test_gen_names_a_size_that_is_not_an_integer(capsys):
     assert main(["gen", "poset", "abc"]) == 2
     assert "SIZE must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "poset", "3", "9", "junk"], "gen poset expects at most 2 input argument(s)"),
+    (["gen", "poset", "3", "9"], "gen poset expects at most 2 input argument(s)"),
+    (["gen", "forest", "3", "--seed", "2", "4"], "gen forest expects at most 2 input argument(s)"),
+    (["gen", "diagram", "span", "extra"], "gen diagram expects 2 input argument(s)"),
+    (["gen", "diagram"], "gen diagram expects a shape path or corpus name"),
+])
+def test_gen_rejects_a_wrong_number_of_inputs(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
