@@ -21,7 +21,6 @@ from .diagram import (
     analyze_shape,
     colimit_set,
     has_cocone,
-    shrink_witness,
     validate_diagram,
     witness_no_cocone,
     zigzag_action,
@@ -34,30 +33,21 @@ from .fincat import (
     category,
     congruence_close,
     connected_components,
-    is_monic,
     is_preorder,
     monic_reflection,
     quotient_category,
     skeleton_poset,
     validate_category,
 )
-from .invcat import (
-    FinInverseCategory,
-    check_inverse_laws,
-    is_idempotent_category,
-    validate_inverse,
-    wagner_preston,
-)
+from .invcat import FinInverseCategory, validate_inverse
 from .pinj import PartialInjection
 from .poset import (
     DecompositionNode,
     FinPoset,
     ForestCertificate,
     NonForestWitness,
-    components,
     is_forest_like,
     replay_certificate,
-    simply_connected_bounded,
     upward_closure,
     verify_certificate,
     verify_witness,

@@ -58,10 +58,6 @@ class NotApplicable(DiagramError):
     pass
 
 
-class HasCocone(DiagramError):
-    pass
-
-
 class FinInjDiagram:
     """A functor from a finite shape, a FinCategory or a FinPoset, into finite
     sets and injections.
@@ -91,10 +87,6 @@ class FinInjDiagram:
         m = self.shape.morphisms[mor]
         target = self.carriers[m.cod]
         return dict(zip(self.carriers[m.dom], map(target.__getitem__, self.maps[mor])))
-
-    @property
-    def actions(self) -> tuple[dict[str, str], ...]:
-        return tuple(map(self.action, range(len(self.maps))))
 
     def as_pinj(self, mor: int) -> PartialInjection:
         m = self.shape.morphisms[mor]
@@ -260,9 +252,6 @@ class Collision:
     def steps(self) -> tuple[tuple[int, bool], ...]:
         return self._zigzag[1]
 
-    def word(self) -> "ZigzagWord":
-        return ZigzagWord(self.obj, self.steps)
-
     def _key(self) -> tuple:
         return (self.obj, self.x, self.y, *self._zigzag)
 
@@ -313,8 +302,8 @@ class ColimitResult(Record):
 
     Node ``offsets[obj] + p`` is the p-th element of the object's carrier;
     ``class_ids[node]`` is its class, and classes are numbered in the order
-    of their first nodes.  The frozenset ``classes`` and the label-keyed
-    ``class_of`` are built only when asked for.
+    of their first nodes.  The frozensets of ``classes`` are built only
+    when one of them is read.
     """
 
     _fields = ("diagram", "offsets", "class_ids", "count", "injective", "collision")
@@ -342,13 +331,6 @@ class ColimitResult(Record):
     @cached_property
     def classes(self) -> ColimitClasses:
         return ColimitClasses(self)
-
-    @cached_property
-    def class_of(self) -> dict[tuple[int, str], int]:
-        return {node: k for k, cl in enumerate(self.classes) for node in cl}
-
-    def iota(self, obj: int, elem: str) -> int:
-        return self.class_ids[self.offsets[obj] + self.diagram.index[obj][elem]]
 
 
 def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
@@ -597,9 +579,6 @@ class ZigzagWord(FrozenRecord):
                 at = m.dom
         return at
 
-    def is_endo(self, shape: FinCategory) -> bool:
-        return self.target(shape) == self.source
-
 
 def zigzag_action(diagram: FinInjDiagram, word: ZigzagWord) -> PartialInjection:
     """Evaluate the word on the diagram; backward steps use partial inverses."""
@@ -814,32 +793,3 @@ def _skeleton_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinInjDiag
     carriers = tuple(_CARRIERS[size[v]] for v in smap)
     _check_rows(shape, carriers, maps)
     return FinInjDiagram(shape, carriers, tuple(maps))
-
-
-def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
-    """Restrict a cocone-free diagram to the forward-reachable closure of its
-    collision zigzag; the restriction is still cocone-free."""
-    answer = has_cocone(diagram)
-    if answer:
-        raise HasCocone("diagram has a cocone; nothing to shrink")
-    shape = diagram.shape
-    keep: list[set[int]] = [set() for _ in shape.objects]
-    for obj, elem in answer.collision.nodes:
-        p = diagram.index[obj][elem]
-        for i in shape.hom_out[obj]:
-            keep[shape.morphisms[i].cod].add(diagram.maps[i][p])
-    carriers = [
-        tuple(e for p, e in enumerate(c) if p in keep[obj])
-        for obj, c in enumerate(diagram.carriers)
-    ]
-    actions = []
-    for i, (m, row) in enumerate(zip(shape.morphisms, diagram.maps)):
-        if shape.is_identity(i):
-            actions.append(None)
-            continue
-        source, target = diagram.carriers[m.dom], diagram.carriers[m.cod]
-        actions.append({source[p]: target[row[p]] for p in keep[m.dom]})
-    shrunk = validate_diagram(shape, carriers, actions)
-    if has_cocone(shrunk):
-        raise DiagramError("shrunk witness unexpectedly has a cocone")
-    return shrunk

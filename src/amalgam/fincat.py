@@ -448,20 +448,6 @@ class Congruence(FrozenRecord):
         set_field(self, "class_of", class_of)
 
     @classmethod
-    def from_parent(cls, parent: list[int]) -> "Congruence":
-        """The partition of a union-find parent array; classes are ordered
-        by their least members.  The array is left as it is."""
-        root = list(parent)
-        for i in range(len(root)):
-            r = i
-            while root[r] != r:
-                r = root[r]
-            j = i
-            while root[j] != r:
-                root[j], j = r, root[j]
-        return cls._from_labels(root)
-
-    @classmethod
     def _from_labels(cls, label: list[int]) -> "Congruence":
         """The partition of a flat array, in which each entry is a label
         shared by exactly its class's members."""
@@ -613,13 +599,17 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
     Class representatives are least-index members, which keeps each identity
     the representative (and the name) of its class.  A discrete congruence
     returns the category itself with the identity functor.
+
+    The partition is checked once, by validating the projection: the
+    quotient's table holds rep(h)∘rep(f), so a projection that preserves
+    endpoints and composites already puts every class in one hom-set and
+    h∘f in the class of rep(h)∘rep(f).  Only a partition that fails is
+    scanned again, to tell a partition that is not a congruence apart.
     """
     if len(cong.classes) == len(cat.morphisms):
         return cat, FunctorMap(
             cat, cat, range(len(cat.objects)), range(len(cat.morphisms))
         )
-    if not is_congruence(cat, cong):
-        raise PresentationError("partition is not a congruence")
     reps = [min(cl) for cl in cong.classes]
     morphisms = []
     for rep in reps:
@@ -632,11 +622,14 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
             fi = cong.class_of[f]
             if reps[fi] == f:
                 table[(gi, fi)] = cong.class_of[cat.table[(g, f)]]
-    quotient = FinCategory(cat.objects, morphisms, identity, table)
-    projection = FunctorMap(
-        cat, quotient, range(len(cat.objects)), cong.class_of
-    )
-    projection.validate()
+    try:
+        quotient = FinCategory(cat.objects, morphisms, identity, table)
+        projection = FunctorMap(cat, quotient, range(len(cat.objects)), cong.class_of)
+        projection.validate()
+    except CategoryError:
+        if not is_congruence(cat, cong):
+            raise PresentationError("partition is not a congruence") from None
+        raise
     return quotient, projection
 
 
@@ -673,18 +666,6 @@ def monic_reflection(cat: FinCategory) -> tuple[FinCategory, FunctorMap]:
             break
         closure.propagate()
     return quotient_category(cat, closure.congruence())
-
-
-def is_monic(cat: FinCategory) -> bool:
-    """Exhaustive left-cancellation check: every h out of a hom-set's
-    codomain is injective on that hom-set."""
-    for (_, cod), homs in cat.hom_sets.items():
-        if len(homs) < 2:
-            continue
-        for h in cat.hom_out[cod]:
-            if len({cat.table[(h, f)] for f in homs}) < len(homs):
-                return False
-    return True
 
 
 def is_preorder(cat: FinCategory) -> bool:

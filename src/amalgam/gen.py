@@ -1,86 +1,13 @@
-"""Instance generation: exhaustive small posets and seeded random instances."""
+"""Seeded random instances for ``gen``: posets, forests, non-forests and
+diagrams over a shape."""
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
 
-from .diagram import FinInjDiagram, ZigzagWord, validate_diagram
+from .diagram import FinInjDiagram, validate_diagram
 from .fincat import FinCategory
-from .poset import FinPoset, ForestCertificate, closed_masks, is_forest_like
-
-
-def _canonical(poset: FinPoset) -> tuple[int, ...]:
-    """Canonical form of a poset as up-set bitmasks, via iterated
-    degree-refinement and minimization over class-preserving relabelings."""
-    up, down = poset.up_masks, poset.down_masks
-    n = len(up)
-    inv = [(bin(u).count("1"), bin(d).count("1")) for u, d in zip(up, down)]
-    for _ in range(n):
-        refined = []
-        for i in range(n):
-            ups = sorted(inv[j] for j in range(n) if up[i] >> j & 1 and j != i)
-            dns = sorted(inv[j] for j in range(n) if down[i] >> j & 1 and j != i)
-            refined.append((inv[i], tuple(ups), tuple(dns)))
-        codes = {v: k for k, v in enumerate(sorted(set(refined)))}
-        new_inv = [(codes[refined[i]],) for i in range(n)]
-        if new_inv == inv:
-            break
-        inv = new_inv
-
-    order = sorted(range(n), key=lambda i: inv[i])
-    classes: list[list[int]] = []
-    for i in order:
-        if classes and inv[classes[-1][0]] == inv[i]:
-            classes[-1].append(i)
-        else:
-            classes.append([i])
-
-    best = None
-    for perm_parts in _class_perms(classes):
-        placed = [i for part in perm_parts for i in part]
-        pos = {old: new for new, old in enumerate(placed)}
-        rel = tuple(
-            sum(1 << pos[j] for j in range(n) if up[placed[i]] >> j & 1)
-            for i in range(n)
-        )
-        if best is None or rel < best:
-            best = rel
-    return best
-
-
-def _class_perms(classes):
-    if not classes:
-        yield []
-        return
-    head, tail = classes[0], classes[1:]
-    for perm in permutations(head):
-        for rest in _class_perms(tail):
-            yield [list(perm)] + rest
-
-
-def all_posets(max_size: int) -> dict[int, list[FinPoset]]:
-    """All posets with at most max_size elements, one per isomorphism class.
-
-    Built by repeatedly adjoining a maximal element above each order ideal
-    and deduplicating by canonical form.
-    """
-    by_size: dict[int, list[FinPoset]] = {0: [FinPoset([], [])]}
-    for n in range(1, max_size + 1):
-        names = [f"e{i}" for i in range(n)]
-        top = 1 << (n - 1)
-        seen: set[tuple[int, ...]] = set()
-        fresh: list[FinPoset] = []
-        for poset in by_size[n - 1]:
-            for ideal in closed_masks(poset.down_masks):
-                up = [mask | top * (ideal >> i & 1) for i, mask in enumerate(poset.up_masks)]
-                candidate = FinPoset(names, up_masks=up + [top])
-                canon = _canonical(candidate)
-                if canon not in seen:
-                    seen.add(canon)
-                    fresh.append(candidate)
-        by_size[n] = fresh
-    return by_size
+from .poset import FinPoset, ForestCertificate, is_forest_like
 
 
 def random_poset(size: int, rng: random.Random, density: float = 0.35) -> FinPoset:
@@ -197,36 +124,3 @@ def random_diagram_over_poset(
             else {relabel[m.dom][u]: relabel[m.cod][u] for u in relabel[m.dom]}
         )
     return validate_diagram(shape, carriers, actions)
-
-
-def random_endo_word(
-    shape: FinCategory, rng: random.Random, max_len: int = 8
-) -> ZigzagWord:
-    """Random zigzag word that returns to its starting object.
-
-    Walks the morphism graph with random orientations; if the walk does not
-    come home, it is mirrored so the result is always an endo word.
-    """
-    if not shape.objects:
-        raise ValueError("shape has no objects")
-    source = rng.randrange(len(shape.objects))
-    steps: list[tuple[int, bool]] = []
-    at = source
-    for _ in range(rng.randint(1, max_len)):
-        options = []
-        for i, m in enumerate(shape.morphisms):
-            if m.dom == at:
-                options.append((i, True))
-            if m.cod == at:
-                options.append((i, False))
-        if not options:
-            break
-        step = rng.choice(options)
-        steps.append(step)
-        m = shape.morphisms[step[0]]
-        at = m.cod if step[1] else m.dom
-        if at == source and rng.random() < 0.5:
-            break
-    if at != source:
-        steps.extend((i, not forward) for i, forward in reversed(steps))
-    return ZigzagWord(source, tuple(steps))

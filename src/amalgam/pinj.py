@@ -34,27 +34,6 @@ class PartialInjection:
     def __call__(self, x: str) -> str:
         return self.mapping[x]
 
-    def defined_on(self, x: str) -> bool:
-        return x in self.mapping
-
-    def domain(self) -> tuple[str, ...]:
-        return tuple(x for x in self.source if x in self.mapping)
-
-    def image(self) -> tuple[str, ...]:
-        seen = set(self.mapping.values())
-        return tuple(y for y in self.target if y in seen)
-
-    @property
-    def is_total(self) -> bool:
-        return len(self.mapping) == len(self.source)
-
-    @property
-    def is_partial_identity(self) -> bool:
-        """True when source and target coincide and every defined point is fixed."""
-        return set(self.source) == set(self.target) and all(
-            v == k for k, v in self.mapping.items()
-        )
-
     def after(self, other: "PartialInjection") -> "PartialInjection":
         """Composite self ∘ other, defined where the chain is defined."""
         if set(other.target) != set(self.source):
@@ -69,14 +48,6 @@ class PartialInjection:
     def inverse(self) -> "PartialInjection":
         return PartialInjection(
             self.target, self.source, {v: k for k, v in self.mapping.items()}
-        )
-
-    def restrict(self, keys) -> "PartialInjection":
-        keys = set(keys)
-        return PartialInjection(
-            self.source,
-            self.target,
-            {k: v for k, v in self.mapping.items() if k in keys},
         )
 
     def __eq__(self, other):

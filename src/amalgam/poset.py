@@ -58,12 +58,6 @@ def sorted_names(names, mask: int) -> list:
     return out
 
 
-def closed_masks(masks) -> list[int]:
-    """Every subset, as an increasing bitmask, that contains ``masks[i]`` with
-    each of its members i: up-sets give upward-closed sets, down-sets ideals."""
-    return [s for s in range(1 << len(masks)) if not any(masks[i] & ~s for i in _bits(s))]
-
-
 def _sparse_bits(mask: int):
     """Indices of the set bits of mask, ascending, split off one at a time:
     cheaper than ``_bits`` on a long mask with few bits set."""
@@ -226,23 +220,6 @@ class FinPoset:
     def _covers(self) -> tuple[tuple[int, int], ...]:
         return tuple((a, b) for _, a, b in self.generator_ends)
 
-    def minimal(self, subset=None) -> list[int]:
-        region = (1 << len(self)) - 1 if subset is None else _mask(subset)
-        return [a for a in _bits(region) if self.down_masks[a] & region == 1 << a]
-
-    def restrict(self, subset) -> tuple["FinPoset", dict[int, int]]:
-        """Induced subposet on the given elements; returns it with the old->new index map."""
-        old = sorted(set(subset))
-        index = {o: i for i, o in enumerate(old)}
-        region = _mask(old)
-        up = [_mask(index[b] for b in _bits(self.up_masks[o] & region)) for o in old]
-        return FinPoset([self.elements[o] for o in old], up_masks=up), index
-
-    def upward_closed_subsets(self) -> list[frozenset[int]]:
-        """All upward-closed subsets, smallest first (exponential; small posets only)."""
-        out = [_members(s) for s in closed_masks(self.up_masks)]
-        return sorted(out, key=lambda s: (len(s), sorted(s)))
-
     # -- the poset as a category ---------------------------------------------
 
     @property
@@ -404,11 +381,6 @@ def _component_masks(poset: FinPoset, region: int) -> list[int]:
         parts.append(comp)
         region &= ~comp
     return parts
-
-
-def components(poset: FinPoset, subset) -> tuple[frozenset[int], ...]:
-    """Connected components of the comparability graph induced on the subset."""
-    return tuple(_members(c) for c in _component_masks(poset, _mask(subset)))
 
 
 def _bfs_parents(poset: FinPoset, region: int, root: int, goal=None) -> dict[int, int]:
@@ -706,61 +678,3 @@ def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:
     for a in _sparse_bits(region):
         closure |= up[a]
     return closure == region and len(_component_masks(poset, region)) == 1
-
-
-def _component_presentation(poset: FinPoset, comp: list[int]):
-    """Edge-path group presentation of one component's order complex.
-
-    Generators: comparability edges; relators: one per spanning-tree edge and
-    one per chain of three.  Returns (generator count, relator words) with a
-    word encoding generator g forward as 2g and backward as 2g+1.
-    """
-    region = _mask(comp)
-    above = {a: poset.up_masks[a] & region & ~(1 << a) for a in comp}
-    edges = [(a, b) for a in comp for b in _bits(above[a])]
-    index = {e: k for k, e in enumerate(edges)}
-    tree_edges = sorted(
-        (a, b) if poset.leq(a, b) else (b, a)
-        for b, a in _bfs_parents(poset, region, comp[0]).items()
-        if a != b
-    )
-    relators = [(2 * index[e],) for e in tree_edges]
-    for a in comp:
-        for b in _bits(above[a]):
-            for c in _bits(above[b]):
-                relators.append(
-                    (2 * index[(a, b)], 2 * index[(b, c)], 2 * index[(a, c)] + 1)
-                )
-    return len(edges), relators
-
-
-def simply_connected_bounded(poset: FinPoset, *, max_cosets: int = 20000):
-    """Bounded test for simple-connectedness of the order complex.
-
-    Returns True / False / None (unknown).  Each component is presented by a
-    spanning tree of its comparability graph plus one relator per 3-chain
-    triangle; a nontrivial abelianization refutes, bounded coset enumeration
-    confirms when it collapses everything to one coset.
-    """
-    from . import groups  # no command runs this test
-
-    unknown = False
-    for comp in components(poset, range(len(poset))):
-        comp = sorted(comp)
-        ngens, relators = _component_presentation(poset, comp)
-        if ngens == 0:
-            continue
-        rows = []
-        for word in relators:
-            row = [0] * ngens
-            for step in word:
-                row[step // 2] += -1 if step % 2 else 1
-            rows.append(row)
-        if not groups.abelianization_is_trivial(rows, ngens):
-            return False
-        order = groups.enumerate_cosets(ngens, relators, max_cosets=max_cosets)
-        if order is None:
-            unknown = True
-        elif order > 1:
-            return False
-    return None if unknown else True

@@ -185,16 +185,6 @@ def inverse_from_doc(doc: dict) -> FinInverseCategory:
     return inv
 
 
-def inverse_to_doc(inv: FinInverseCategory) -> dict:
-    doc = category_to_doc(inv.base)
-    doc["pinv"] = {
-        m.name: inv.base.morphisms[inv.pinv[i]].name
-        for i, m in enumerate(inv.base.morphisms)
-        if not inv.base.is_identity(i)
-    }
-    return doc
-
-
 # -- diagrams ----------------------------------------------------------------
 
 def shape_path(shape_field: str, base_dir: str | os.PathLike | None):
@@ -301,13 +291,6 @@ def diagram_to_doc(diagram: FinInjDiagram) -> dict:
             for name, (a, b), row in arrows
         },
     }
-
-
-def load_diagram(path: str | os.PathLike) -> FinInjDiagram:
-    from pathlib import Path
-
-    path = Path(path)
-    return diagram_from_doc(load_document(path), base_dir=path.parent)
 
 
 # -- cocones, certificates, witnesses, verdicts ------------------------------

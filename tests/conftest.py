@@ -40,7 +40,6 @@ from amalgam.fincat import (
     PresentationError,
     is_preorder,
 )
-from amalgam.invcat import PInjRepresentation
 from amalgam.pinj import PartialInjection
 from amalgam.poset import (
     DecompositionNode,
@@ -50,9 +49,9 @@ from amalgam.poset import (
     PosetError,
     _preorder,
     _same_forest,
-    components,
     verify_certificate,
 )
+from oracles import components, is_total, minimal
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -363,6 +362,11 @@ def quotient_is_monic(cat, blocks) -> bool:
     return True
 
 
+def is_monic(cat) -> bool:
+    """Left cancellation: the quotient by the discrete partition is monic."""
+    return quotient_is_monic(cat, [[m] for m in range(len(cat.morphisms))])
+
+
 def reachable_pairs(cat):
     """Object reachability by zigzags, via boolean-matrix closure (no search)."""
     n = len(cat.objects)
@@ -401,7 +405,7 @@ def brute_force_tree_like(poset: FinPoset, bound: int = 8) -> bool:
         if region in memo:
             return memo[region]
         answer = False
-        for x in poset.minimal(region):
+        for x in minimal(poset, region):
             up_x = poset.up(x)
             for part in components(poset, region - {x}):
                 if len(components(poset, part & up_x)) != 1 or not tree(part):
@@ -540,7 +544,7 @@ def pushout_inj(f: PartialInjection, g: PartialInjection) -> Pushout:
     """
     if set(f.source) != set(g.source):
         raise CarrierMismatch("pushout requires a common source carrier")
-    if not (f.is_total and g.is_total):
+    if not (is_total(f) and is_total(g)):
         raise CarrierMismatch("pushout requires total injections")
     nodes = [("l", b) for b in f.target] + [("r", c) for c in g.target]
     index = {node: k for k, node in enumerate(nodes)}
@@ -1218,13 +1222,6 @@ class ReferenceCongruence:
     class_of: tuple[int, ...]
 
 
-@dataclass
-class ReferencePInjRepresentation:
-    __qualname__ = "PInjRepresentation"
-    carriers: tuple[tuple[str, ...], ...]
-    maps: tuple[PartialInjection, ...]
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class ReferenceDecompositionNode:
     __qualname__ = "DecompositionNode"
@@ -1294,7 +1291,6 @@ REFERENCE_RECORDS = {
     ShapeAnalysis: ReferenceShapeAnalysis,
     Morphism: ReferenceMorphism,
     Congruence: ReferenceCongruence,
-    PInjRepresentation: ReferencePInjRepresentation,
     DecompositionNode: ReferenceDecompositionNode,
     ForestCertificate: ReferenceForestCertificate,
     NonForestWitness: ReferenceNonForestWitness,

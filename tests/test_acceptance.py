@@ -12,19 +12,8 @@ from amalgam.diagram import (
     zigzag_action,
 )
 from amalgam.fincat import monic_reflection
-from amalgam.gen import (
-    all_posets,
-    random_diagram_over_poset,
-    random_endo_word,
-    random_forest,
-)
-from amalgam.invcat import is_monic_morphism, validate_inverse, wagner_preston
-from amalgam.poset import (
-    ForestCertificate,
-    components,
-    is_forest_like,
-    simply_connected_bounded,
-)
+from amalgam.gen import random_diagram_over_poset, random_forest
+from amalgam.poset import ForestCertificate, is_forest_like
 import conftest
 from conftest import (
     ACCEPTANCE_LINES,
@@ -36,6 +25,18 @@ from conftest import (
     quotient_is_monic,
     set_partitions,
     small_category_suite,
+)
+from oracles import (
+    all_posets,
+    components,
+    is_monic_morphism,
+    is_partial_identity,
+    is_total,
+    random_endo_word,
+    restrict,
+    simply_connected_bounded,
+    upward_closed_subsets,
+    wagner_preston,
 )
 
 
@@ -115,7 +116,7 @@ def test_criterion_4_any_minimal_agreement():
     for n in range(1, 8):
         for poset in posets[n]:
             for comp in components(poset, range(len(poset))):
-                sub, _ = poset.restrict(comp)
+                sub, _ = restrict(poset, comp)
                 fixed = isinstance(is_forest_like(sub), ForestCertificate)
                 roaming = brute_force_tree_like(sub)
                 assert fixed == roaming, (poset, comp)
@@ -132,8 +133,8 @@ def test_criterion_5_certificates_imply_simply_connected_cosieves():
         for poset in posets[n]:
             if not isinstance(is_forest_like(poset), ForestCertificate):
                 continue
-            for subset in poset.upward_closed_subsets():
-                sub, _ = poset.restrict(subset)
+            for subset in upward_closed_subsets(poset):
+                sub, _ = restrict(poset, subset)
                 assert simply_connected_bounded(sub) is not False, (poset, subset)
                 checked += 1
     _record(5, checked > 4000, f"{checked} upward-closed subsets were never refuted")
@@ -184,7 +185,7 @@ def test_criterion_7_partial_injection_representation():
         for f, g in cat.parallel_pairs():
             assert rep.maps[f] != rep.maps[g], name
         for f in range(len(cat.morphisms)):
-            assert rep.maps[f].is_total == is_monic_morphism(cat, f), name
+            assert is_total(rep.maps[f]) == is_monic_morphism(cat, f), name
         count += 1
     _record(7, count >= 4, f"representation verified on {count} inverse categories")
 
@@ -211,6 +212,6 @@ def test_criterion_8_endo_words_act_as_partial_identities():
             for _ in range(50):
                 word = random_endo_word(shape, rng)
                 action = zigzag_action(diagram, word)
-                assert action.is_partial_identity, (poset, word)
+                assert is_partial_identity(action), (poset, word)
                 words += 1
     _record(8, words == 1000, f"{words} endo words acted as partial identities")

@@ -20,14 +20,12 @@ from amalgam.fincat import (
     congruence_close,
     connected_components,
     is_congruence,
-    is_monic,
     is_preorder,
     monic_reflection,
     quotient_category,
     skeleton_poset,
     validate_category,
 )
-from amalgam.gen import all_posets
 from amalgam.poset import FinPoset
 from conftest import (
     bowtie_cat,
@@ -35,6 +33,7 @@ from conftest import (
     collapsing_pair_cat,
     cyclic_cat,
     dags,
+    is_monic,
     left_zero_monoid_cat,
     naive_check_axioms,
     null_monoid_cat,
@@ -48,6 +47,7 @@ from conftest import (
     z2_cat,
     z3_cat,
 )
+from oracles import all_posets, congruence_from_parent
 
 
 def test_validate_bowtie():
@@ -436,18 +436,58 @@ def test_is_congruence_matches_definition(case):
     for block in blocks:
         for i in block:
             parent[i] = min(block)
-    cong = Congruence.from_parent(parent)
+    cong = congruence_from_parent(parent)
     assert is_congruence(cat, cong) == partition_is_congruence(cat, blocks)
+
+
+def test_quotient_refuses_a_partition_that_is_not_a_congruence():
+    """One partition glues arrows with different ends, the other a parallel
+    pair whose composites with w stay apart: both are refused with one
+    message, whichever check finds the fault."""
+    cat = category(
+        ["A", "B", "C"],
+        [("u", "A", "B"), ("v", "A", "B"), ("w", "B", "C"), ("p", "A", "C"), ("q", "A", "C")],
+        [("w", "u", "p"), ("w", "v", "q")],
+    )
+    u, v, w, p = (cat.mor_index[name] for name in ("u", "v", "w", "p"))
+    n = len(cat.morphisms)
+    not_parallel = list(range(n))
+    not_parallel[p] = w
+    incompatible = list(range(n))
+    incompatible[v] = u
+    for parent in (not_parallel, incompatible):
+        cong = congruence_from_parent(parent)
+        assert len(cong.classes) == n - 1 and not is_congruence(cat, cong)
+        with pytest.raises(PresentationError, match=r"^partition is not a congruence$"):
+            quotient_category(cat, cong)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_partitions())
+def test_quotient_is_built_exactly_for_congruences(case):
+    cat, blocks = case
+    parent = list(range(len(cat.morphisms)))
+    for block in blocks:
+        for i in block:
+            parent[i] = min(block)
+    cong = congruence_from_parent(parent)
+    if partition_is_congruence(cat, blocks):
+        quotient, projection = quotient_category(cat, cong)
+        assert len(quotient.morphisms) == len(blocks)
+        assert projection.mor_map == cong.class_of
+    elif len(blocks) < len(cat.morphisms):
+        with pytest.raises(PresentationError, match=r"^partition is not a congruence$"):
+            quotient_category(cat, cong)
 
 
 def test_from_parent_follows_chains_to_their_roots():
     parent = [0, 0, 1, 3, 2]  # 2 -> 1 -> 0 and 4 -> 2; 3 is its own root
-    cong = Congruence.from_parent(parent)
+    cong = congruence_from_parent(parent)
     assert cong.classes == (frozenset({0, 1, 2, 4}), frozenset({3}))
     assert cong.class_of == (0, 0, 0, 1, 0)
     assert parent == [0, 0, 1, 3, 2]
     # a root may come after its members: 2 -> 0 -> 1
-    assert Congruence.from_parent([1, 1, 0]).classes == (frozenset({0, 1, 2}),)
+    assert congruence_from_parent([1, 1, 0]).classes == (frozenset({0, 1, 2}),)
 
 
 @settings(max_examples=200, deadline=None)
@@ -455,7 +495,7 @@ def test_from_parent_follows_chains_to_their_roots():
 def test_from_parent_matches_the_classes_of_its_forest(raw):
     # entry i points to an earlier index or to itself, so the array is a forest
     parent = [min(p, i) for i, p in enumerate(raw)]
-    cong = Congruence.from_parent(parent)
+    cong = congruence_from_parent(parent)
 
     def root(i):
         while parent[i] != i:

@@ -1,4 +1,4 @@
-from amalgam.groups import abelianization_is_trivial, enumerate_cosets, smith_diagonal
+from groups import abelianization_is_trivial, enumerate_cosets, smith_diagonal
 
 
 def test_smith_diagonal_identity():

@@ -1,0 +1,86 @@
+"""What the package ships: the oracles and views that only the tests read
+live in `tests/` (`oracles.py`, `groups.py`), `amalgam` exports none of
+them, and no module of the package imports from `tests/`."""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import amalgam
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "amalgam"
+EXPORTS_MOVED = (
+    "shrink_witness", "is_monic", "check_inverse_laws", "is_idempotent_category",
+    "wagner_preston", "components", "simply_connected_bounded",
+)
+# (module, attribute path) of every definition that left the package
+MOVED = (
+    ("poset", "simply_connected_bounded"), ("poset", "_component_presentation"),
+    ("poset", "components"), ("poset", "closed_masks"),
+    ("poset", "FinPoset.upward_closed_subsets"), ("poset", "FinPoset.restrict"),
+    ("poset", "FinPoset.minimal"),
+    ("invcat", "wagner_preston"), ("invcat", "PInjRepresentation"),
+    ("invcat", "check_inverse_laws"), ("invcat", "is_idempotent_category"),
+    ("invcat", "is_monic_morphism"),
+    ("diagram", "shrink_witness"), ("diagram", "HasCocone"),
+    ("diagram", "ColimitResult.class_of"), ("diagram", "ColimitResult.iota"),
+    ("diagram", "Collision.word"), ("diagram", "ZigzagWord.is_endo"),
+    ("diagram", "FinInjDiagram.actions"),
+    ("fincat", "is_monic"), ("fincat", "Congruence.from_parent"),
+    ("gen", "all_posets"), ("gen", "_canonical"), ("gen", "_class_perms"),
+    ("gen", "random_endo_word"),
+    ("serialize", "inverse_to_doc"), ("serialize", "load_diagram"),
+    ("pinj", "PartialInjection.defined_on"), ("pinj", "PartialInjection.domain"),
+    ("pinj", "PartialInjection.image"), ("pinj", "PartialInjection.restrict"),
+    ("pinj", "PartialInjection.is_total"), ("pinj", "PartialInjection.is_partial_identity"),
+)
+KEPT_FOR_VERIFY = (
+    "verify_certificate", "replay_certificate", "verify_witness", "zigzag_action",
+    "upward_closure",
+)
+
+
+def has_path(owner, dotted: str) -> bool:
+    for name in dotted.split("."):
+        if not hasattr(owner, name):
+            return False
+        owner = getattr(owner, name)
+    return True
+
+
+def test_the_package_exports_none_of_the_test_only_names():
+    assert [name for name in EXPORTS_MOVED if hasattr(amalgam, name)] == []
+    assert all(hasattr(amalgam, name) for name in KEPT_FOR_VERIFY)
+
+
+def test_no_module_of_the_package_keeps_a_moved_definition():
+    left = [
+        f"amalgam.{module}.{dotted}"
+        for module, dotted in MOVED
+        if has_path(importlib.import_module(f"amalgam.{module}"), dotted)
+    ]
+    assert left == []
+
+
+def test_the_coset_enumerator_is_not_a_module_of_the_package():
+    assert importlib.util.find_spec("amalgam.groups") is None
+    assert not (SRC / "groups.py").exists()
+
+
+def test_no_module_of_the_package_imports_from_tests():
+    tests = {path.stem for path in TESTS.glob("*.py")}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top not in tests, (path.name, name)
+                assert top == "amalgam" or top in sys.stdlib_module_names, (path.name, name)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgam.fincat import PresentationError
-from amalgam.gen import all_posets
 from amalgam.poset import (
     DecompositionNode,
     FinPoset,
@@ -15,10 +14,8 @@ from amalgam.poset import (
     NonForestWitness,
     NotAPartialOrder,
     _component_masks,
-    components,
     is_forest_like,
     replay_certificate,
-    simply_connected_bounded,
     upward_closure,
     verify_certificate,
     verify_witness,
@@ -38,6 +35,14 @@ from conftest import (
     recursive_forest_like,
     replaced_witness,
     span_poset,
+)
+from oracles import (
+    all_posets,
+    components,
+    minimal,
+    restrict,
+    simply_connected_bounded,
+    upward_closed_subsets,
 )
 
 
@@ -175,7 +180,6 @@ def test_simply_connected_unknown_when_budget_exhausted():
 def test_witness_region_refutes_simple_connectedness():
     """The recorded region is an upward-closed subposet that fails the
     topological test, for every non-forest poset up to 5 elements."""
-    from amalgam.gen import all_posets
     from amalgam.poset import upward_closure
 
     for n in range(4, 6):
@@ -185,21 +189,21 @@ def test_witness_region_refutes_simple_connectedness():
                 continue
             region = members(w.region)
             assert upward_closure(p, region) == region
-            sub, _ = p.restrict(region)
+            sub, _ = restrict(p, region)
             assert simply_connected_bounded(sub) is False, p
 
 
 def test_restrict_induced_subposet():
     p = boat_poset()
     keep = [p.elements.index(x) for x in "ABCD"]
-    q, index = p.restrict(keep)
+    q, index = restrict(p, keep)
     assert q == bowtie_poset()
     assert index[p.elements.index("A")] == 0
 
 
 def test_upward_closed_subsets_of_span():
     p = span_poset()
-    subs = p.upward_closed_subsets()
+    subs = upward_closed_subsets(p)
     a, b, top_p = (p.elements.index(x) for x in ("a", "b", "p"))
     assert frozenset() in subs
     assert frozenset({a}) in subs
@@ -274,10 +278,10 @@ def check_against_pairs(p, rel, subset):
         for b in range(n):
             assert p.leq(a, b) == ((a, b) in rel)
             assert p.comparable(a, b) == ((a, b) in rel or (b, a) in rel)
-    assert p.minimal(subset) == sorted(
+    assert minimal(p, subset) == sorted(
         a for a in subset if not any(b != a and (b, a) in rel for b in subset)
     )
-    assert p.minimal() == p.minimal(range(n))
+    assert minimal(p) == minimal(p, range(n))
     assert components(p, subset) == _reference_components(n, rel, subset)
     assert upward_closure(p, subset) == {b for a in subset for b in range(n) if (a, b) in rel}
     if n <= 8:
@@ -287,7 +291,7 @@ def check_against_pairs(p, rel, subset):
             for s in combinations(range(n), k)
             if all((a, b) not in rel or b in s for a in s for b in range(n))
         ]
-        assert p.upward_closed_subsets() == sorted(closed, key=lambda s: (len(s), sorted(s)))
+        assert upward_closed_subsets(p) == sorted(closed, key=lambda s: (len(s), sorted(s)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,7 +14,6 @@ from amalgam.decide import decide
 from amalgam.diagram import FinInjDiagram, ZigzagWord, analyze_shape, has_cocone
 from amalgam.fincat import Congruence, FinCategory, Morphism, congruence_close
 from amalgam.gen import random_diagram_over_poset
-from amalgam.invcat import wagner_preston
 from amalgam.poset import DecompositionNode, ForestCertificate, NonForestWitness
 from conftest import (
     REFERENCE_RECORDS,
@@ -23,6 +22,7 @@ from conftest import (
     dags,
     record_fields,
 )
+from oracles import collision_word
 
 FROZEN = {ZigzagWord, Morphism, Congruence, DecompositionNode, ForestCertificate,
           NonForestWitness}
@@ -59,7 +59,7 @@ def shape_records(shape) -> list:
     diagram = getattr(verdict.evidence, "diagram", None)
     if diagram is not None:
         answer = has_cocone(diagram)
-        roots += [answer, answer.collision.word()]
+        roots += [answer, collision_word(answer.collision)]
     if analysis.skeleton is not None:
         roots.append(has_cocone(random_diagram_over_poset(
             analysis.skeleton, Random(0), shape=shape, element_of=analysis.skeleton_map
@@ -77,8 +77,6 @@ def corpus_records() -> list:
         if doc["type"] == "diagram":
             answer = has_cocone(serialize.diagram_from_doc(doc, corpus.path(name).parent))
             records += records_in(answer)
-        elif "pinv" in doc:
-            records += records_in(wagner_preston(serialize.inverse_from_doc(doc)))
         else:
             records += shape_records(serialize.shape_from_doc(doc))
     return records

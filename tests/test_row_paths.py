@@ -32,7 +32,7 @@ from amalgam.fincat import (
     monic_reflection,
     quotient_category,
 )
-from amalgam.gen import all_posets, random_diagram_over_poset
+from amalgam.gen import random_diagram_over_poset
 from amalgam.poset import FinPoset, NonForestWitness
 from conftest import (
     category_from_poset,
@@ -47,6 +47,7 @@ from conftest import (
     reference_witness,
     small_category_suite,
 )
+from oracles import all_posets
 
 
 def two_round_cat():
