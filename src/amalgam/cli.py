@@ -204,9 +204,7 @@ def cmd_gen(config: RunConfig) -> int:
         diagram = gen.random_diagram_over_poset(
             analysis.skeleton, rng, shape=shape, element_of=analysis.skeleton_map
         )
-        doc = serialize.diagram_to_doc(diagram)
-        doc["shape"] = serialize.category_to_doc(shape)  # a poset shape as its category
-        _emit(config, serialize.dump(doc))
+        _emit(config, serialize.dump(serialize.diagram_to_doc(diagram)))
         return 0
     if len(rest) > 1:
         raise ParseError(f"gen {kind} expects at most 2 input argument(s)")

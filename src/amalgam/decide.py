@@ -17,7 +17,7 @@ from .diagram import (
     analyze_shape,
     witness_no_cocone,
 )
-from .fincat import FinCategory, connected_components
+from .fincat import FinCategory
 from .poset import (
     FinPoset,
     ForestCertificate,
@@ -80,12 +80,12 @@ class Verdict(Record):
 
 def _sizes(shape: FinCategory | FinPoset) -> tuple[int, int, int]:
     """Objects, morphisms and connected components.  A poset has one
-    morphism per related pair, so its sizes are read off the masks."""
+    morphism per related pair, so its morphisms are counted on its masks."""
+    n = len(shape.objects)
+    parts = len(_component_masks(shape, (1 << n) - 1))
     if isinstance(shape, FinPoset):
-        n = len(shape)
-        morphisms = sum(mask.bit_count() for mask in shape.up_masks)
-        return n, morphisms, len(_component_masks(shape, (1 << n) - 1))
-    return len(shape.objects), len(shape.morphisms), len(connected_components(shape))
+        return n, sum(mask.bit_count() for mask in shape.up_masks), parts
+    return n, len(shape.morphisms), parts
 
 
 def decide(shape: FinCategory | FinPoset) -> Verdict:

@@ -62,23 +62,16 @@ class FinInjDiagram:
     """A functor from a finite shape, a FinCategory or a FinPoset, into finite
     sets and injections.
 
-    Carriers are tuples of distinct labels, and ``index[obj]`` sends each
-    label of an object's carrier to its position.  An action is stored as
+    Carriers are tuples of distinct labels.  An action is stored as
     ``maps[mor]``: the positions in the target carrier of the images of the
-    domain carrier's elements, in carrier order.  Label dicts, ``index``
-    included, are built only on demand.
+    domain carrier's elements, in carrier order.  Label dicts are built only
+    on demand.
     """
 
-    def __init__(self, shape: FinCategory | FinPoset, carriers, maps, index=None):
+    def __init__(self, shape: FinCategory | FinPoset, carriers, maps):
         self.shape = shape
         self.carriers = carriers
         self.maps = maps
-        if index is not None:
-            self.index = index
-
-    @cached_property
-    def index(self) -> tuple[dict[str, int], ...]:
-        return tuple(dict(zip(c, range(len(c)))) for c in self.carriers)
 
     def carrier(self, obj: int) -> tuple[str, ...]:
         return self.carriers[obj]
@@ -155,27 +148,30 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
         maps.append(row)
     given = [x for x, i in enumerate(shape.identity) if actions[i] is not None]
     _check_laws(shape, carriers, maps, given)
-    return FinInjDiagram(shape, carriers, tuple(maps), index)
+    return FinInjDiagram(shape, carriers, tuple(maps))
 
 
 def _check_rows(shape: FinCategory, carriers, maps) -> None:
     """The checks of ``validate_diagram`` on rows built without labels:
     each row is total on its carrier, stays in the target and is injective,
     every identity acts as the identity, and the rows are functorial."""
-    for m, row in zip(shape.morphisms, maps):
-        _check_row(m.name, row, len(carriers[m.dom]), len(carriers[m.cod]))
+    for i, (m, row) in enumerate(zip(shape.morphisms, maps)):
+        _check_row(shape, i, row, len(carriers[m.dom]), len(carriers[m.cod]))
     _check_laws(shape, carriers, maps, range(len(shape.objects)))
 
 
-def _check_row(name: str, row, source: int, target: int) -> None:
-    """The row of an action is total on its carrier of ``source`` elements,
-    stays among the ``target`` positions of its target and is injective."""
+def _check_row(shape, i: int, row, source: int, target: int) -> None:
+    """The row of morphism i is total on its carrier of ``source`` elements,
+    stays among the ``target`` positions of its target and is injective.
+    The morphism is named only in a fault."""
     if len(row) != source:
-        raise CarrierMismatch(f"action of {name} is not defined on exactly its carrier")
+        raise CarrierMismatch(
+            f"action of {shape.morphisms[i].name} is not defined on exactly its carrier"
+        )
     if row and not (0 <= min(row) and max(row) < target):
-        raise CarrierMismatch(f"action of {name} leaves the target carrier")
+        raise CarrierMismatch(f"action of {shape.morphisms[i].name} leaves the target carrier")
     if len(set(row)) != len(row):
-        raise NotInjective(f"action of {name} is not injective")
+        raise NotInjective(f"action of {shape.morphisms[i].name} is not injective")
 
 
 def _check_laws(shape, carriers, maps, given) -> None:
@@ -399,17 +395,13 @@ def _element_zigzag(diagram, offsets, obj, start, goal):
     an earlier position.  This is the order of a scan of every action, so
     ties between shortest zigzags break the same way."""
     shape, maps = diagram.shape, diagram.maps
-    if isinstance(shape, FinPoset):
-        ends = shape.arrow_ends
-    else:
-        ends = [(m.dom, m.cod) for m in shape.morphisms]
     identities = set(shape.identity)
     # at[o]: (arrow, its other end, row, offset of the other end, kind) for
     # each arrow at o whose action is not empty; kind 0 leaves o, kind 1
     # enters it, kind 2 does both.
     at: list[list[tuple]] = [[] for _ in shape.objects]
-    for i, (dom, cod) in enumerate(ends):
-        row = maps[i]
+    for i, (m, row) in enumerate(zip(shape.morphisms, maps)):
+        dom, cod = m.dom, m.cod
         if row and i not in identities:
             if dom == cod:
                 at[dom].append((i, dom, row, offsets[dom], 2))
@@ -596,7 +588,7 @@ class CoconeFreeDiagram(FinInjDiagram):
     """A diagram with no cocone, with the colimit collision that shows it."""
 
     def __init__(self, diagram: FinInjDiagram, collision: Collision):
-        vars(self).update(vars(diagram))  # the label index too, once built
+        vars(self).update(vars(diagram))
         self.collision = collision
 
 
@@ -673,10 +665,10 @@ def witness_no_cocone(
     glues the two class elements together.  Otherwise the skeleton poset has
     a non-forest witness (x, K): x carries one point sent to 0 over one piece
     of K's up-set and to 1 over the others, K and the rest of the up-set
-    carry {0, 1} with identity actions, everything else is empty.  The output
-    is re-verified to be cocone-free before being returned, together with
-    the oracle's collision.  A shape given as a FinPoset carries the diagram
-    itself, built on its masks.
+    carry {0, 1} with identity actions, everything else is empty.  That
+    diagram is built over the skeleton on its masks and pulled back to the
+    shape along the skeleton map.  The output is re-verified to be
+    cocone-free before being returned, together with the oracle's collision.
     """
     if analysis is None:
         analysis = analyze_shape(shape)
@@ -684,10 +676,9 @@ def witness_no_cocone(
         raise NotApplicable("every diagram over this shape has a cocone")
     if not analysis.preorder:
         witness = _parallel_pair_diagram(shape, analysis)
-    elif isinstance(shape, FinPoset):
-        witness = _poset_diagram(shape, analysis.forest)
     else:
-        witness = _skeleton_diagram(shape, analysis)
+        skeleton_witness = _poset_diagram(analysis.skeleton, analysis.forest)
+        witness = _pull_back(skeleton_witness, shape, analysis.skeleton_map)
     answer = has_cocone(witness)
     if answer:
         raise DiagramError("synthesized witness unexpectedly has a cocone")
@@ -720,32 +711,24 @@ _CARRIERS = ((), ("*",), ("0", "1"))
 _IDENTITY_ROWS = ((), (0,), (0, 1))
 
 
-def _witness_sides(poset: FinPoset, w: NonForestWitness) -> tuple[list[int], int]:
-    """The carrier size of each element, 1 for x, 2 over the two-sided part
-    (the component and the rest of x's up-set) and 0 elsewhere, and the
-    mask of the elements over which x's point goes to 0."""
-    up_x, xbit = poset.up_masks[w.x], 1 << w.x
-    two_sided = (w.component | up_x) & ~xbit
-    size = [2 if two_sided >> v & 1 else 0 for v in range(len(poset))]
-    size[w.x] = 1
-    return size, w.upset_components[0] | up_x & ~w.component & ~xbit
-
-
 def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
-    """The witness diagram over the poset itself, built from the witness's
-    masks: one row per arrow, by index, and no label dict.
+    """The witness diagram over the poset, built from the witness's masks:
+    one row per arrow, by index, and no label dict.  A carrier has size 1
+    at x, 2 over the two-sided part (the component and the rest of x's
+    up-set) and 0 elsewhere.
 
     The rows are checked as ``validate_diagram`` checks rows: each is total
     on its carrier, stays in its target and is injective, and the rows
     commute over the covers.  An arrow out of an empty carrier has the
     empty row, which commutes with everything, so only arrows out of the
-    support are checked.  Identity rows are implicit.  Naming the arrows
-    here makes a name given to two of them an input error, as it is
-    wherever arrows are named.
+    support are checked.  Identity rows are implicit.
     """
-    names, first, arrow = poset.arrow_names, poset._first_arrow, poset.arrow
+    first, arrow = poset._first_arrow, poset.arrow
     up, down, x = poset.up_masks, poset.down_masks, w.x
-    size, zero_side = _witness_sides(poset, w)
+    support = w.component | up[x]
+    size = [2 if support >> v & 1 else 0 for v in range(len(poset))]
+    size[x] = 1
+    zero_side = w.upset_components[0] | up[x] & ~w.component & ~(1 << x)
     rows = list(map(_IDENTITY_ROWS.__getitem__, size))
     for a, mask in enumerate(up):
         strict = mask & ~(1 << a)
@@ -757,14 +740,14 @@ def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
             rows.append((0,) if zero_side & low else (1,))
             strict ^= low
     carriers = tuple(map(_CARRIERS.__getitem__, size))
-    support = rest = w.component | up[x]
+    rest = support
     while rest:
         low = rest & -rest
         a = low.bit_length() - 1
         targets = up[a] & ~low
         for i in range(first[a], first[a] + targets.bit_count()):
             b = (targets & -targets).bit_length() - 1
-            _check_row(names[i], rows[i], size[a], size[b])
+            _check_row(poset, i, rows[i], size[a], size[b])
             targets &= targets - 1
         rest ^= low
     for g, a, b in poset.generator_ends:
@@ -778,18 +761,17 @@ def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
     return FinInjDiagram(poset, carriers, tuple(rows))
 
 
-def _skeleton_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinInjDiagram:
-    """The skeleton poset's witness diagram pulled back to the shape along
-    the skeleton map, as rows."""
-    smap, w = analysis.skeleton_map, analysis.forest
-    size, zero_side = _witness_sides(analysis.skeleton, w)
-    maps = []
-    for m in shape.morphisms:
-        vx, vy = smap[m.dom], smap[m.cod]
-        if vx == w.x != vy:
-            maps.append((0,) if zero_side >> vy & 1 else (1,))
-        else:
-            maps.append(_IDENTITY_ROWS[size[vx]])
-    carriers = tuple(_CARRIERS[size[v]] for v in smap)
+def _pull_back(diagram: FinInjDiagram, shape, smap: tuple[int, ...]) -> FinInjDiagram:
+    """The diagram over a skeleton precomposed with the functor from the
+    shape to it: object o carries the carrier of ``smap[o]``, and morphism m
+    acts as the arrow ``smap[m.dom] -> smap[m.cod]``.  A poset, its own
+    skeleton, carries the diagram itself and names its arrows, as wherever
+    arrows are named; a category's skeleton names them only in a fault."""
+    if diagram.shape is shape:
+        shape.arrow_names
+        return diagram
+    rows, arrow = diagram.maps, diagram.shape.arrow
+    maps = tuple(rows[arrow(smap[m.dom], smap[m.cod])] for m in shape.morphisms)
+    carriers = tuple(map(diagram.carriers.__getitem__, smap))
     _check_rows(shape, carriers, maps)
-    return FinInjDiagram(shape, carriers, tuple(maps))
+    return FinInjDiagram(shape, carriers, maps)

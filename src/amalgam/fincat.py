@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import repeat
 
-from .poset import FinPoset
+from .poset import FinPoset, _component_masks, _members
 from .record import FrozenRecord, set_field
 
 
@@ -103,6 +103,15 @@ class FinCategory:
             list(map(table.__getitem__, zip(repeat(f), hom_in[m.dom])))
             for f, m in enumerate(self.morphisms)
         ]
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit y of entry x is set when a morphism joins x and y, either way."""
+        near = [0] * len(self.objects)
+        for x, y in self.hom_sets:
+            near[x] |= 1 << y
+            near[y] |= 1 << x
+        return tuple(near)
 
     @cached_property
     def generator_ends(self) -> tuple[tuple[int, int, int], ...]:
@@ -342,7 +351,10 @@ def validate_category(raw: dict) -> FinCategory:
     obj_index = {name: i for i, name in enumerate(objects)}
     if len(obj_index) != len(objects):
         raise PresentationError("object names must be distinct")
-    for entry in raw.get("morphisms", []):
+    entries = raw.get("morphisms", [])
+    if not isinstance(entries, (list, tuple)):
+        raise PresentationError("morphisms must be a list of name/dom/cod entries")
+    for entry in entries:
         try:
             name, dom, cod = entry["name"], entry["dom"], entry["cod"]
         except (TypeError, KeyError):
@@ -360,7 +372,10 @@ def validate_category(raw: dict) -> FinCategory:
 
     identity = tuple(range(len(objects)))
     table: dict[tuple[int, int], int] = {}
-    for triple in raw.get("compose", []):
+    triples = raw.get("compose", [])
+    if not isinstance(triples, (list, tuple)):
+        raise PresentationError("compose must be a list of [g, f, result] triples")
+    for triple in triples:
         try:
             gname, fname, rname = triple
         except (TypeError, ValueError):
@@ -414,28 +429,9 @@ def category(objects, arrows=(), compose=()) -> FinCategory:
 
 
 def connected_components(cat: FinCategory) -> tuple[frozenset[int], ...]:
-    """Object classes under zigzags of morphisms; the empty category has none."""
-    n = len(cat.objects)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for m in cat.morphisms:
-        adj[m.dom].add(m.cod)
-        adj[m.cod].add(m.dom)
-    seen: set[int] = set()
-    parts = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        seen |= comp
-        parts.append(frozenset(comp))
-    return tuple(parts)
+    """Object classes under zigzags of morphisms, by least object; the empty
+    category has none."""
+    return tuple(map(_members, _component_masks(cat, (1 << len(cat.objects)) - 1)))
 
 
 class Congruence(FrozenRecord):

@@ -362,11 +362,12 @@ def upward_closure(poset: FinPoset, subset) -> frozenset[int]:
     return _members(out)
 
 
-def _component_masks(poset: FinPoset, region: int) -> list[int]:
-    """Comparability components of the region, ordered by least element.
-    Each frontier is walked by splitting off its lowest bit; the flood stops
-    once it fills the region."""
-    near = poset.neighbour_masks
+def _component_masks(shape, region: int) -> list[int]:
+    """Components of the region, ordered by least element, flooded over the
+    shape's ``neighbour_masks``: comparability in a poset, a morphism either
+    way in a category.  Each frontier is walked by splitting off its lowest
+    bit; the flood stops once it fills the region."""
+    near = shape.neighbour_masks
     parts = []
     while region:
         comp = frontier = region & -region

@@ -65,10 +65,11 @@ def _named(path: str | os.PathLike) -> str:
 def load_document(path: str | os.PathLike) -> dict:
     """The JSON object at path, decoded from its bytes: the decoder detects
     UTF-8, UTF-16 or UTF-32.  Errors name the path as pathlib normalises
-    it."""
+    it, as they do for bytes that do not decode and for arrays or objects
+    nested past the decoder's recursion limit."""
     try:
         doc = json.loads(_read(path))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{_named(path)}: {exc}") from exc
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError(f"{_named(path)}: document must be an object with a 'type' field")
@@ -91,9 +92,11 @@ def category_from_doc(doc: dict) -> FinCategory:
 
 
 def category_to_doc(cat: FinCategory | FinPoset) -> dict:
-    """A category document; a poset is written out as its category.  The
-    compose triples come in name order, g by name and then f by name among
-    the arrows into dom g, so no triple is sorted."""
+    """A category document.  The commands write a poset as a poset
+    document, but a poset given here is written out as its category, the
+    form older diagram documents embed and ``cocone`` still accepts over the
+    poset.  The compose triples come in name order, g by name and then f by
+    name among the arrows into dom g, so no triple is sorted."""
     morphisms, objects = cat.morphisms, cat.objects
     names = [m.name for m in morphisms]
     arrows = [i for i in sorted(range(len(names)), key=names.__getitem__)
@@ -126,8 +129,11 @@ def poset_from_doc(doc: dict) -> FinPoset:
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise ParseError("poset: elements must be a list of string names")
     index = {name: i for i, name in enumerate(elements)}
+    pairs = doc.get("covers", [])
+    if not isinstance(pairs, list):
+        raise ParseError("poset: covers must be a list of [low, high] pairs")
     covers = []
-    for pair in doc.get("covers", []):
+    for pair in pairs:
         try:
             a, b = pair
         except (TypeError, ValueError):
@@ -175,8 +181,10 @@ def inverse_from_doc(doc: dict) -> FinInverseCategory:
     inv = validate_inverse(cat)
     declared = doc.get("pinv")
     if declared is not None:
+        if not isinstance(declared, dict):
+            raise ParseError("pinv: must be an object from morphism names to morphism names")
         for fname, gname in declared.items():
-            if fname not in cat.mor_index or gname not in cat.mor_index:
+            if not isinstance(gname, str) or not {fname, gname} <= cat.mor_index.keys():
                 raise ParseError(f"pinv: unknown morphism in '{fname}': '{gname}'")
             if inv.pinv[cat.mor_index[fname]] != cat.mor_index[gname]:
                 raise ParseError(

@@ -409,8 +409,9 @@ def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
         raise HasCocone("diagram has a cocone; nothing to shrink")
     shape = diagram.shape
     keep: list[set[int]] = [set() for _ in shape.objects]
+    index = [dict(zip(c, range(len(c)))) for c in diagram.carriers]  # label -> position
     for obj, elem in answer.collision.nodes:
-        p = diagram.index[obj][elem]
+        p = index[obj][elem]
         for i in shape.hom_out[obj]:
             keep[shape.morphisms[i].cod].add(diagram.maps[i][p])
     carriers = [

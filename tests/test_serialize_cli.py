@@ -134,6 +134,28 @@ def test_clashing_arrow_names_are_an_input_error_only_where_arrows_are_named(tmp
         assert main([*argv, str(tmp_path / "alone.json")]) == 0, argv
 
 
+def test_a_category_never_names_the_arrows_of_its_skeleton(tmp_path, capsys):
+    """The crowned order above as a category with its own morphism names:
+    its skeleton's arrows a -> b->c and a->b -> c would both be named
+    'a->b->c', but the witness is built over the skeleton and pulled back
+    to the category, whose names are the only ones used."""
+    objects = ["a", "b->c", "a->b", "c", "p", "q"]
+    order = [("a", "b->c"), ("a->b", "c")]
+    order += [(low, high) for low in "pq" for high in ("a", "a->b", "b->c", "c")]
+    name = {pair: f"m{i}" for i, pair in enumerate(order)}
+    compose = [
+        (name[(b, c)], name[(a, b)], name[(a, c)])
+        for a, b in order for b2, c in order if b2 == b
+    ]
+    cat = category(objects, [(n, a, b) for (a, b), n in name.items()], compose)
+    path = tmp_path / "crowned.json"
+    path.write_text(json.dumps(serialize.category_to_doc(cat)))
+    for argv in (["check"], ["check", "--format", "structured"], ["explain"]):
+        assert main([*argv, str(path)]) == 1, argv
+    assert main(["witness", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_witness_not_applicable(capsys):
     assert main(["witness", "span"]) == 1
     assert "not applicable" in capsys.readouterr().err
@@ -700,6 +722,64 @@ def test_malformed_shape_fields_are_input_errors(tmp_path, capsys, doc, message)
     for argv in (["check", str(path)], ["validate", str(path)]):
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+_CATEGORY_A = {"type": "category", "objects": ["A"]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("check", {"type": "poset", "elements": ["a"], "covers": 5},
+         "poset: covers must be a list of [low, high] pairs"),
+        ("check", {"type": "poset", "elements": ["a"], "covers": None},
+         "poset: covers must be a list of [low, high] pairs"),
+        ("check", {**_CATEGORY_A, "morphisms": 5},
+         "category: morphisms must be a list of name/dom/cod entries"),
+        ("check", {**_CATEGORY_A, "morphisms": None},
+         "category: morphisms must be a list of name/dom/cod entries"),
+        ("check", {**_CATEGORY_A, "compose": 7},
+         "category: compose must be a list of [g, f, result] triples"),
+        ("validate", {**_CATEGORY_A, "pinv": 5},
+         "pinv: must be an object from morphism names to morphism names"),
+        ("validate", {**_CATEGORY_A, "pinv": ["x"]},
+         "pinv: must be an object from morphism names to morphism names"),
+        ("validate", {**_CATEGORY_A, "pinv": {"id_A": []}},
+         "pinv: unknown morphism in 'id_A': '[]'"),
+    ],
+    ids=["covers-5", "covers-null", "morphisms-5", "morphisms-null", "compose-7",
+         "pinv-5", "pinv-list", "pinv-list-value"],
+)
+def test_malformed_container_fields_are_input_errors(tmp_path, capsys, command, doc, message):
+    """A list field given as a scalar or null, or a pseudoinverse map that
+    is no object or names no morphism, exits 2 naming the field: exit 1
+    would say the shape is not amalgamable."""
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"type": "poset", "elements": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "maximum recursion depth exceeded"),
+        (b"\xff\xfe{", "'utf-16-le' codec can't decode byte 0x7b"),
+    ],
+    ids=["nested-past-the-recursion-limit", "truncated-utf-16"],
+)
+def test_load_document_names_the_path_of_bytes_that_do_not_decode(
+    tmp_path, capsys, data, message
+):
+    path = tmp_path / "shape.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as caught:
+        serialize.load_document(path)
+    assert str(caught.value).startswith(f"{path}: ") and message in str(caught.value)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 def test_gen_names_a_size_that_is_not_an_integer(capsys):
