@@ -7,6 +7,7 @@ Exit codes: 0 = positive outcome (amalgamable / cocone exists / valid),
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -353,6 +354,20 @@ def parse_args(argv) -> RunConfig | None:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.  The cyclic collector is
+    paused while it runs and left as it was found: a command builds one
+    graph of objects without cycles, which reference counting frees, and
+    the collector would only walk its survivors again and again."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
         if config is None:

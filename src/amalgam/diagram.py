@@ -151,6 +151,47 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
     return FinInjDiagram(shape, carriers, tuple(maps))
 
 
+def diagram_from_pairs(
+    shape: FinCategory | FinPoset, carriers, actions
+) -> FinInjDiagram | None:
+    """The diagram whose actions are lists of [x, y] pairs, each read in one
+    pass straight into its row: ``row[position of x] = position of y``.
+    The action of an identity may be ``None``, as in ``validate_diagram``,
+    and the laws are checked as it checks them.
+
+    Returns None when some action cannot be read so: it is missing, is not
+    a list of lists or tuples, has a pair that is not two labels, a source
+    or an image outside its carriers, or a source it misses or repeats, or
+    it repeats an image; or a carrier repeats a label.  The actions as
+    label dicts then name the first fault, through ``validate_diagram``.
+    """
+    carriers = tuple(map(tuple, carriers))
+    index = [dict(zip(c, range(len(c)))) for c in carriers]
+    if any(len(i) != len(c) for i, c in zip(index, carriers)):
+        return None
+    maps = []
+    for i, (m, pairs) in enumerate(zip(shape.morphisms, actions)):
+        n = len(carriers[m.dom])
+        if pairs is None and shape.is_identity(i):
+            maps.append(tuple(range(n)))
+            continue
+        if not isinstance(pairs, list) or not set(map(type, pairs)) <= {list, tuple}:
+            return None
+        source, target, row = index[m.dom], index[m.cod], [-1] * n
+        try:
+            for x, y in pairs:
+                row[source[x]] = target[y]
+        except (KeyError, TypeError, ValueError):
+            return None
+        images = set(row)
+        if len(pairs) != n or len(images) != n or -1 in images:
+            return None
+        maps.append(tuple(row))
+    given = [x for x, i in enumerate(shape.identity) if actions[i] is not None]
+    _check_laws(shape, carriers, maps, given)
+    return FinInjDiagram(shape, carriers, tuple(maps))
+
+
 def _check_rows(shape: FinCategory, carriers, maps) -> None:
     """The checks of ``validate_diagram`` on rows built without labels:
     each row is total on its carrier, stays in the target and is injective,
@@ -536,7 +577,7 @@ def has_cocone(diagram: FinInjDiagram) -> CoconeResult:
         tuple(ids[offsets[obj]:offsets[obj] + len(c)])
         for obj, c in enumerate(diagram.carriers)
     )
-    cocone = Cocone(tuple(map("q{}".format, range(colim.count))), legs)
+    cocone = Cocone(tuple([f"q{k}" for k in range(colim.count)]), legs)
     validate_cocone(diagram, cocone)
     return CoconeResult(True, cocone, None, colim)
 

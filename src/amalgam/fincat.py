@@ -10,7 +10,8 @@ name the first fault of a table that fails it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 
 from .poset import FinPoset, _component_masks, _members
 from .record import FrozenRecord, set_field
@@ -229,8 +230,8 @@ def _check_axioms(cat: FinCategory) -> None:
     # after[f] maps each h in hom_out[cod f], in order, to h∘f.
     after = [{h: table[(h, f)] for h in hom_out[mf.cod]} for f, mf in enumerate(morphisms)]
     cat.generators = _generators(cat, after)
-    cat.post = post = [list(a.values()) for a in after]
-    if not _associative_at_generators(cat, after, post):
+    cat.post = post = [tuple(a.values()) for a in after]
+    if not _associative_at_generators(cat, post):
         _raise_first_associativity_fault(cat, post)
 
 
@@ -274,7 +275,7 @@ def _generators(cat: FinCategory, after) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _associative_at_generators(cat: FinCategory, after, post) -> bool:
+def _associative_at_generators(cat: FinCategory, post) -> bool:
     """Light's associativity test: (h∘g)∘f = h∘(g∘f) for every generator g.
 
     Exact on any table that passed the identity checks.  If the law holds
@@ -282,14 +283,25 @@ def _associative_at_generators(cat: FinCategory, after, post) -> bool:
     h∘((b∘a)∘f) = h∘(b∘(a∘f)) = (h∘b)∘(a∘f) = ((h∘b)∘a)∘f = (h∘(b∘a))∘f.
     Identities satisfy it by the identity laws, and every morphism is a
     right-nested composite of generators.  Since cod(g∘f) = cod g, the
-    composites h∘(g∘f) are listed by post[g∘f] in the order of post[g].
+    composites h∘(g∘f) are listed by post[g∘f] in the order of post[g];
+    each (h∘g)∘f is the entry of post[f] at the place of h∘g among the
+    arrows out of dom g, so one getter per generator reads them all.  A
+    generator followed by its codomain's identity alone is skipped: the
+    identity laws cover it.
     """
-    hom_in, morphisms = cat.hom_in, cat.morphisms
+    morphisms, hom_in = cat.morphisms, cat.hom_in
+    place = [0] * len(morphisms)  # each arrow's place among the arrows out of its domain
+    for out in cat.hom_out:
+        for k, h in enumerate(out):
+            place[h] = k
     for g in cat.generators:
         post_g = post[g]
+        if len(post_g) < 2:
+            continue
+        pick, k = itemgetter(*map(place.__getitem__, post_g)), place[g]
         for f in hom_in[morphisms[g].dom]:
-            after_f = after[f]
-            if post[after_f[g]] != list(map(after_f.__getitem__, post_g)):
+            row = post[f]
+            if pick(row) != post[row[k]]:
                 return False
     return True
 
@@ -302,7 +314,7 @@ def _raise_first_associativity_fault(cat: FinCategory, post) -> None:
     # with post[g][k]∘f.
     for f, mf in enumerate(morphisms):
         for g, gf in zip(hom_out[mf.cod], post[f]):
-            if post[gf] == [table[(hg, f)] for hg in post[g]]:
+            if post[gf] == tuple([table[(hg, f)] for hg in post[g]]):
                 continue
             for h, hgf, hg in zip(hom_out[morphisms[g].cod], post[gf], post[g]):
                 if hgf != table[(hg, f)]:
@@ -335,6 +347,29 @@ def name_index(objects, morphisms) -> dict[str, int]:
     return mor_index
 
 
+def echo(entry) -> str:
+    """``repr(entry)`` as a fault message quotes it, bounded: containers are
+    cut past three levels or eight items, scalars past 80 characters and the
+    whole past 200, so a hostile entry prints a short line.  A dict keeps
+    its order, so an entry within those bounds reads exactly as its repr."""
+    import reprlib  # only a fault quotes an entry
+
+    class Echo(reprlib.Repr):
+        def repr_dict(self, x, level):
+            if x and level <= 0:
+                return "{...}"
+            pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
+                      for k, v in islice(x.items(), self.maxdict)]
+            return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+
+    bounded = Echo()
+    bounded.maxlevel = 3
+    bounded.maxlist = bounded.maxtuple = bounded.maxdict = 8
+    bounded.maxstring = bounded.maxother = bounded.maxlong = 80
+    text = bounded.repr(entry)
+    return text if len(text) <= 200 else text[:197] + "..."
+
+
 def validate_category(raw: dict) -> FinCategory:
     """Build a FinCategory from a raw name-based presentation.
 
@@ -359,11 +394,11 @@ def validate_category(raw: dict) -> FinCategory:
             name, dom, cod = entry["name"], entry["dom"], entry["cod"]
         except (TypeError, KeyError):
             raise PresentationError(
-                f"morphism entries need name/dom/cod fields: {entry!r}"
+                f"morphism entries need name/dom/cod fields: {echo(entry)}"
             ) from None
         if not (isinstance(name, str) and isinstance(dom, str) and isinstance(cod, str)):
             raise PresentationError(
-                f"morphism name/dom/cod fields must be strings: {entry!r}"
+                f"morphism name/dom/cod fields must be strings: {echo(entry)}"
             )
         if dom not in obj_index or cod not in obj_index:
             raise PresentationError(f"morphism {name} references unknown objects")
@@ -380,7 +415,7 @@ def validate_category(raw: dict) -> FinCategory:
             gname, fname, rname = triple
         except (TypeError, ValueError):
             raise PresentationError(
-                f"compose entries must be [g, f, result] triples: {triple!r}"
+                f"compose entries must be [g, f, result] triples: {echo(triple)}"
             ) from None
         try:
             g, f, r = mor_index[gname], mor_index[fname], mor_index[rname]
@@ -388,7 +423,7 @@ def validate_category(raw: dict) -> FinCategory:
             for nm in (gname, fname, rname):
                 if not isinstance(nm, str):
                     raise PresentationError(
-                        f"compose entries must be triples of morphism names: {triple!r}"
+                        f"compose entries must be triples of morphism names: {echo(triple)}"
                     ) from None
                 if nm not in mor_index:
                     raise PresentationError(

@@ -13,8 +13,8 @@ import sys
 from itertools import repeat
 
 from .decide import CertificateEvidence, Verdict
-from .diagram import Cocone, FinInjDiagram, validate_diagram
-from .fincat import CategoryError, FinCategory, validate_category
+from .diagram import Cocone, FinInjDiagram, diagram_from_pairs, validate_diagram
+from .fincat import CategoryError, FinCategory, echo, validate_category
 from .invcat import FinInverseCategory, validate_inverse
 from .poset import (
     DecompositionNode,
@@ -137,9 +137,9 @@ def poset_from_doc(doc: dict) -> FinPoset:
         try:
             a, b = pair
         except (TypeError, ValueError):
-            raise ParseError(f"poset: covers must be [low, high] pairs: {pair!r}") from None
+            raise ParseError(f"poset: covers must be [low, high] pairs: {echo(pair)}") from None
         if not (isinstance(a, str) and isinstance(b, str)):
-            raise ParseError(f"poset: covers must be pairs of element names: {pair!r}")
+            raise ParseError(f"poset: covers must be pairs of element names: {echo(pair)}")
         if a not in index or b not in index:
             raise ParseError(f"poset: cover [{a}, {b}] references unknown elements")
         covers.append((index[a], index[b]))
@@ -239,7 +239,14 @@ def diagram_from_doc(
     for name in actions_field:
         if name not in shape.mor_index:
             raise ParseError(f"diagram: action for unknown morphism '{name}'")
+    diagram = diagram_from_pairs(
+        shape, carriers, [actions_field.get(m.name) for m in shape.morphisms]
+    )
+    if diagram is not None:
+        return diagram
 
+    # Some action does not read into its row: read every action as a dict,
+    # as validate_diagram reads them, to name the first fault.
     def as_mapping(name, pairs):
         """The pairs as a dict; each must be a list [x, y], each x once.  A
         document built in memory, as the writers build it, may hold tuples."""
@@ -255,7 +262,7 @@ def diagram_from_doc(
             for x, _ in pairs:
                 if x in seen:
                     raise ParseError(
-                        f"diagram: action of '{name}' lists source {x!r} twice"
+                        f"diagram: action of '{name}' lists source {echo(x)} twice"
                     )
                 seen.add(x)
         return action

@@ -1,8 +1,9 @@
 """Test-only oracles and views, kept out of the package because no command
 runs them: the bounded simple-connectedness test of condition (iv), the
 Wagner–Preston representation and the inverse-category laws, witness
-shrinking, the exhaustive enumeration of small posets, and small queries
-and loaders that only the tests read.  Imported as ``conftest`` is."""
+shrinking, the exhaustive enumeration of small posets, the label-dict
+diagram reader that the one-pass reader replaced, and small queries and
+loaders that only the tests read.  Imported as ``conftest`` is."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from amalgam.diagram import (
     has_cocone,
     validate_diagram,
 )
-from amalgam.fincat import Congruence, FinCategory
+from amalgam.fincat import Congruence, FinCategory, echo
 from amalgam.invcat import FinInverseCategory, InverseCategoryError
 from amalgam.pinj import PartialInjection
 from amalgam.poset import FinPoset, _bfs_parents, _bits, _component_masks, _mask, _members
@@ -432,6 +433,60 @@ def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
 
 
 # -- documents ----------------------------------------------------------------
+
+
+def label_diagram_from_doc(doc: dict, base_dir=None, shape=None) -> FinInjDiagram:
+    """``serialize.diagram_from_doc`` as it read every action before the
+    one-pass rows: each pair list becomes a label dict, which
+    ``validate_diagram`` turns into a row.  The reference for the faults the
+    reader names, and for the order it names them in."""
+    ParseError = serialize.ParseError
+    shape_field = serialize._require(doc, "shape", "diagram")
+    if shape is None:
+        shape = serialize._shape_of(shape_field, base_dir)
+    carriers_field = doc.get("carriers", {})
+    if not isinstance(carriers_field, dict):
+        raise ParseError("diagram: carriers must map object names to element lists")
+    for name, labels in carriers_field.items():
+        if name not in shape.obj_index:
+            raise ParseError(f"diagram: carrier for unknown object '{name}'")
+        if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
+            raise ParseError(f"diagram: carrier of '{name}' must be a list of string labels")
+    carriers = [carriers_field.get(name, ()) for name in shape.objects]
+    actions_field = doc.get("actions", {})
+    if not isinstance(actions_field, dict):
+        raise ParseError("diagram: actions must map morphism names to pair lists")
+    for name in actions_field:
+        if name not in shape.mor_index:
+            raise ParseError(f"diagram: action for unknown morphism '{name}'")
+
+    def as_mapping(name, pairs):
+        malformed = f"diagram: action of '{name}' must be a list of [x, y] pairs"
+        if not isinstance(pairs, list) or not set(map(type, pairs)) <= {list, tuple}:
+            raise ParseError(malformed)
+        try:
+            action = dict(pairs)
+        except (TypeError, ValueError):
+            raise ParseError(malformed) from None
+        if len(action) != len(pairs):
+            seen = set()
+            for x, _ in pairs:
+                if x in seen:
+                    raise ParseError(f"diagram: action of '{name}' lists source {echo(x)} twice")
+                seen.add(x)
+        return action
+
+    actions = []
+    for i, m in enumerate(shape.morphisms):
+        if shape.is_identity(i):
+            pairs = actions_field.get(m.name)
+            actions.append(None if pairs is None else as_mapping(m.name, pairs))
+        elif m.name not in actions_field:
+            raise ParseError(f"diagram: missing action for morphism '{m.name}'")
+        else:
+            actions.append(as_mapping(m.name, actions_field[m.name]))
+    return validate_diagram(shape, carriers, actions)
+
 
 
 def inverse_to_doc(inv: FinInverseCategory) -> dict:

@@ -724,6 +724,57 @@ def test_malformed_shape_fields_are_input_errors(tmp_path, capsys, doc, message)
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def _nested(depth: int) -> list:
+    inner = []
+    for _ in range(depth - 1):
+        inner = [inner]
+    return inner
+
+
+_LONG = list(range(100_000))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"type": "poset", "elements": ["a", "b"], "covers": [_nested(500)]},
+         "poset: covers must be [low, high] pairs: [[[[...]]]]"),
+        ({"type": "category", "objects": ["a"], "morphisms": [{**_MORPHISM, "name": _LONG}]},
+         "category: morphism name/dom/cod fields must be strings: "
+         "{'name': [0, 1, 2, 3, 4, 5, 6, 7, ...], 'dom': 'a', 'cod': 'a'}"),
+        ({"type": "category", "objects": ["a"], "morphisms": [_MORPHISM],
+          "compose": [[_LONG, "f", "f"]]},
+         "category: compose entries must be triples of morphism names: "
+         "[[0, 1, 2, 3, 4, 5, 6, 7, ...], 'f', 'f']"),
+    ],
+    ids=["cover-nested-500-deep", "morphism-holding-a-long-list", "triple-holding-a-long-list"],
+)
+def test_a_fault_quotes_a_large_entry_cut_short(tmp_path, capsys, doc, message):
+    """A malformed entry nested deep or holding a long list is quoted in a
+    few items and levels: exit 2, the field named, and a short line."""
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["a"], [["a"], "b"], [[["a"]], "b"], {"name": "f", "dom": ["a"], "cod": "a"},
+     {"cod": 1, "name": None, "dom": 2.5}, ["f", True, "x" * 78], list(range(8)), [], {}],
+)
+def test_a_small_entry_is_quoted_as_its_repr(entry):
+    assert fincat.echo(entry) == repr(entry)
+
+
+def test_a_quoted_entry_is_bounded():
+    wide = [[["y" * 500] * 50] * 50] * 50
+    assert len(fincat.echo(wide)) <= 200
+    assert fincat.echo("z" * 500) == repr("z" * 500)[:38] + "..." + repr("z" * 500)[-39:]
+
+
 _CATEGORY_A = {"type": "category", "objects": ["A"]}
 
 
