@@ -13,6 +13,7 @@ and re-verified against the oracle.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from functools import cached_property, partial
 from itertools import accumulate, repeat
 from operator import itemgetter
@@ -106,18 +107,20 @@ class FinInjDiagram:
 def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInjDiagram:
     """Check totality, injectivity and functoriality.
 
-    Each carrier's labels are interned once; each action, a mapping of
-    labels, becomes the row of its images' positions, and every law is
-    checked over those rows.  The action of an identity may be ``None``:
-    its row is then the identity row, with nothing to check, while an
-    action given for it is checked to act as the identity.  ``None`` for
-    any other morphism is an action not defined on its carrier.
-    Functoriality is checked with a generator on the left: if
-    F(a∘f) = F(a)F(f) and F(b∘f) = F(b)F(f) for every f, then
+    Each carrier's labels are interned once.  Each action, a mapping of
+    labels or a list of [x, y] pairs that lists each source once, is read
+    in one pass into the row of its images' positions,
+    ``row[position of x] = position of y``, and every law is checked over
+    those rows.  The action of an identity may be ``None``: its row is then
+    the identity row, with nothing to check, while an action given for it
+    is checked to act as the identity.  ``None`` for any other morphism is
+    an action not defined on its carrier.  A pair that is not two labels,
+    or whose source cannot be hashed, raises the ValueError or TypeError of
+    ``dict(pairs)``.  Functoriality is checked with a generator on the
+    left: if F(a∘f) = F(a)F(f) and F(b∘f) = F(b)F(f) for every f, then
     F((b∘a)∘f) = F(b)F(a∘f) = F(b∘a)F(f), as the shape is associative.
     """
     carriers = tuple(map(tuple, carriers))
-    actions = [a if a is None or isinstance(a, dict) else dict(a) for a in actions]
     if len(carriers) != len(shape.objects):
         raise CarrierMismatch("one carrier per object required")
     if len(actions) != len(shape.morphisms):
@@ -130,62 +133,29 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
             )
     maps = []
     for i, (m, act) in enumerate(zip(shape.morphisms, actions)):
-        source = carriers[m.dom]
+        n = len(carriers[m.dom])
         if act is None and shape.is_identity(i):
-            maps.append(tuple(range(len(source))))
+            maps.append(tuple(range(n)))
             continue
-        if act is None or len(act) != len(source):
+        if act is None or len(act) != n:
             raise CarrierMismatch(
                 f"action of {m.name} is not defined on exactly its carrier"
             )
-        try:
-            row = tuple(map(index[m.cod].__getitem__, map(act.__getitem__, source)))
-        except (KeyError, TypeError):
-            _raise_row_fault(m, act, source, index[m.cod])
-            raise
-        if len(set(row)) != len(row):
-            raise NotInjective(f"action of {m.name} is not injective")
-        maps.append(row)
-    given = [x for x, i in enumerate(shape.identity) if actions[i] is not None]
-    _check_laws(shape, carriers, maps, given)
-    return FinInjDiagram(shape, carriers, tuple(maps))
-
-
-def diagram_from_pairs(
-    shape: FinCategory | FinPoset, carriers, actions
-) -> FinInjDiagram | None:
-    """The diagram whose actions are lists of [x, y] pairs, each read in one
-    pass straight into its row: ``row[position of x] = position of y``.
-    The action of an identity may be ``None``, as in ``validate_diagram``,
-    and the laws are checked as it checks them.
-
-    Returns None when some action cannot be read so: it is missing, is not
-    a list of lists or tuples, has a pair that is not two labels, a source
-    or an image outside its carriers, or a source it misses or repeats, or
-    it repeats an image; or a carrier repeats a label.  The actions as
-    label dicts then name the first fault, through ``validate_diagram``.
-    """
-    carriers = tuple(map(tuple, carriers))
-    index = [dict(zip(c, range(len(c)))) for c in carriers]
-    if any(len(i) != len(c) for i, c in zip(index, carriers)):
-        return None
-    maps = []
-    for i, (m, pairs) in enumerate(zip(shape.morphisms, actions)):
-        n = len(carriers[m.dom])
-        if pairs is None and shape.is_identity(i):
-            maps.append(tuple(range(n)))
-            continue
-        if not isinstance(pairs, list) or not set(map(type, pairs)) <= {list, tuple}:
-            return None
         source, target, row = index[m.dom], index[m.cod], [-1] * n
+        pairs = act.items() if isinstance(act, Mapping) else act
         try:
             for x, y in pairs:
                 row[source[x]] = target[y]
         except (KeyError, TypeError, ValueError):
-            return None
+            _raise_row_fault(m, dict(pairs), carriers[m.dom], target)
+            raise
         images = set(row)
-        if len(pairs) != n or len(images) != n or -1 in images:
-            return None
+        if -1 in images:  # a source listed twice, another missed
+            raise CarrierMismatch(
+                f"action of {m.name} is not defined on exactly its carrier"
+            )
+        if len(images) != n:
+            raise NotInjective(f"action of {m.name} is not injective")
         maps.append(tuple(row))
     given = [x for x, i in enumerate(shape.identity) if actions[i] is not None]
     _check_laws(shape, carriers, maps, given)
@@ -365,8 +335,10 @@ class ColimitResult(Record):
     def all_injective(self) -> bool:
         return all(self.injective)
 
-    @cached_property
+    @property
     def classes(self) -> ColimitClasses:
+        """A new view on each read: the view holds the result, and the
+        result does not hold the view, so the two form no reference cycle."""
         return ColimitClasses(self)
 
 

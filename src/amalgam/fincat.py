@@ -227,34 +227,40 @@ def _check_axioms(cat: FinCategory) -> None:
                 f"({mf.name}, id_{cat.objects[mf.dom]}, "
                 f"{morphisms[right].name}) breaks the right identity law"
             )
-    # after[f] maps each h in hom_out[cod f], in order, to h∘f.
-    after = [{h: table[(h, f)] for h in hom_out[mf.cod]} for f, mf in enumerate(morphisms)]
-    cat.generators = _generators(cat, after)
-    cat.post = post = [tuple(a.values()) for a in after]
-    if not _associative_at_generators(cat, post):
+    # post[f] lists h∘f for each h in hom_out[cod f], in order; place[h] is
+    # h's place in hom_out[dom h], so h∘f is post[f][place[h]].
+    cat.post = post = [
+        tuple([table[(h, f)] for h in hom_out[mf.cod]]) for f, mf in enumerate(morphisms)
+    ]
+    place = [0] * n_mor
+    for out in hom_out:
+        for k, h in enumerate(out):
+            place[h] = k
+    cat.generators = _generators(cat, post, place)
+    if not _associative_at_generators(cat, post, place):
         _raise_first_associativity_fault(cat, post)
 
 
-def _generators(cat: FinCategory, after) -> tuple[int, ...]:
+def _generators(cat: FinCategory, post, place) -> tuple[int, ...]:
     """The irreducible non-identities, those that are not g∘f for non-identities
     g, f other than the result; then, in index order, each non-identity that
     the right-nested composites of the generators chosen so far do not reach
     (every element of Z_n is a composite, but not of nothing)."""
-    morphisms = cat.morphisms
+    morphisms, hom_out = cat.morphisms, cat.hom_out
     is_identity = cat._identity_set.__contains__
     reducible = set()
-    for f, after_f in enumerate(after):
+    for f, post_f in enumerate(post):
         if is_identity(f):
             continue
-        for g, r in after_f.items():
+        for g, r in zip(hom_out[morphisms[f].cod], post_f):
             if r != g and r != f and not is_identity(g):
                 reducible.add(r)
     chosen = [
         m for m in range(len(morphisms)) if not (is_identity(m) or m in reducible)
     ]
-    out_of: list[list[int]] = [[] for _ in cat.objects]  # generators by domain
+    out_of: list[list[int]] = [[] for _ in cat.objects]  # generators' places, by domain
     for g in chosen:
-        out_of[morphisms[g].dom].append(g)
+        out_of[morphisms[g].dom].append(place[g])
     reached: set[int] = set()
 
     def reach(fresh: list[int]) -> None:
@@ -263,19 +269,20 @@ def _generators(cat: FinCategory, after) -> tuple[int, ...]:
             x = fresh.pop()
             if x not in reached:
                 reached.add(x)
-                fresh.extend(map(after[x].__getitem__, out_of[morphisms[x].cod]))
+                fresh.extend(map(post[x].__getitem__, out_of[morphisms[x].cod]))
 
     reach(list(chosen))
     for m, mm in enumerate(morphisms):
         if m in reached or is_identity(m):
             continue
         chosen.append(m)
-        out_of[mm.dom].append(m)
-        reach([m] + [after[x][m] for x in cat.hom_in[mm.dom] if x in reached])
+        k = place[m]
+        out_of[mm.dom].append(k)
+        reach([m] + [post[x][k] for x in cat.hom_in[mm.dom] if x in reached])
     return tuple(sorted(chosen))
 
 
-def _associative_at_generators(cat: FinCategory, post) -> bool:
+def _associative_at_generators(cat: FinCategory, post, place) -> bool:
     """Light's associativity test: (h∘g)∘f = h∘(g∘f) for every generator g.
 
     Exact on any table that passed the identity checks.  If the law holds
@@ -290,10 +297,6 @@ def _associative_at_generators(cat: FinCategory, post) -> bool:
     identity laws cover it.
     """
     morphisms, hom_in = cat.morphisms, cat.hom_in
-    place = [0] * len(morphisms)  # each arrow's place among the arrows out of its domain
-    for out in cat.hom_out:
-        for k, h in enumerate(out):
-            place[h] = k
     for g in cat.generators:
         post_g = post[g]
         if len(post_g) < 2:
@@ -370,6 +373,12 @@ def echo(entry) -> str:
     return text if len(text) <= 200 else text[:197] + "..."
 
 
+def clip(name: str) -> str:
+    """A name from the input as a fault message quotes it: whole up to 80
+    characters, and past them its first 77 followed by ``...``."""
+    return name if len(name) <= 80 else name[:77] + "..."
+
+
 def validate_category(raw: dict) -> FinCategory:
     """Build a FinCategory from a raw name-based presentation.
 
@@ -401,7 +410,7 @@ def validate_category(raw: dict) -> FinCategory:
                 f"morphism name/dom/cod fields must be strings: {echo(entry)}"
             )
         if dom not in obj_index or cod not in obj_index:
-            raise PresentationError(f"morphism {name} references unknown objects")
+            raise PresentationError(f"morphism {clip(name)} references unknown objects")
         morphisms.append(Morphism(name, obj_index[dom], obj_index[cod]))
     mor_index = name_index(objects, morphisms)
 
@@ -427,7 +436,7 @@ def validate_category(raw: dict) -> FinCategory:
                     ) from None
                 if nm not in mor_index:
                     raise PresentationError(
-                        f"compose entry references unknown morphism {nm}"
+                        f"compose entry references unknown morphism {clip(nm)}"
                     ) from None
         if (g, f) in table and table[(g, f)] != r:
             raise PresentationError(

@@ -13,8 +13,8 @@ import sys
 from itertools import repeat
 
 from .decide import CertificateEvidence, Verdict
-from .diagram import Cocone, FinInjDiagram, diagram_from_pairs, validate_diagram
-from .fincat import CategoryError, FinCategory, echo, validate_category
+from .diagram import Cocone, DiagramError, FinInjDiagram, validate_diagram
+from .fincat import CategoryError, FinCategory, clip, echo, validate_category
 from .invcat import FinInverseCategory, validate_inverse
 from .poset import (
     DecompositionNode,
@@ -141,7 +141,7 @@ def poset_from_doc(doc: dict) -> FinPoset:
         if not (isinstance(a, str) and isinstance(b, str)):
             raise ParseError(f"poset: covers must be pairs of element names: {echo(pair)}")
         if a not in index or b not in index:
-            raise ParseError(f"poset: cover [{a}, {b}] references unknown elements")
+            raise ParseError(f"poset: cover [{clip(a)}, {clip(b)}] references unknown elements")
         covers.append((index[a], index[b]))
     try:
         return FinPoset.from_covers(elements, covers)
@@ -227,7 +227,7 @@ def diagram_from_doc(
         raise ParseError("diagram: carriers must map object names to element lists")
     for name, labels in carriers_field.items():
         if name not in shape.obj_index:
-            raise ParseError(f"diagram: carrier for unknown object '{name}'")
+            raise ParseError(f"diagram: carrier for unknown object '{clip(name)}'")
         if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
             raise ParseError(
                 f"diagram: carrier of '{name}' must be a list of string labels"
@@ -238,20 +238,36 @@ def diagram_from_doc(
         raise ParseError("diagram: actions must map morphism names to pair lists")
     for name in actions_field:
         if name not in shape.mor_index:
-            raise ParseError(f"diagram: action for unknown morphism '{name}'")
-    diagram = diagram_from_pairs(
-        shape, carriers, [actions_field.get(m.name) for m in shape.morphisms]
-    )
-    if diagram is not None:
-        return diagram
+            raise ParseError(f"diagram: action for unknown morphism '{clip(name)}'")
+    actions = [actions_field.get(m.name) for m in shape.morphisms]
+    try:
+        if not all(a is None or _is_pair_list(a) for a in actions):
+            raise TypeError("an action is not a list of pairs")
+        return validate_diagram(shape, carriers, actions)
+    except (DiagramError, TypeError, ValueError):
+        _raise_first_format_fault(shape, actions_field)
+        raise
 
-    # Some action does not read into its row: read every action as a dict,
-    # as validate_diagram reads them, to name the first fault.
-    def as_mapping(name, pairs):
-        """The pairs as a dict; each must be a list [x, y], each x once.  A
-        document built in memory, as the writers build it, may hold tuples."""
-        malformed = f"diagram: action of '{name}' must be a list of [x, y] pairs"
-        if not isinstance(pairs, list) or not set(map(type, pairs)) <= {list, tuple}:
+
+def _is_pair_list(pairs) -> bool:
+    """The action is a list of lists or tuples: a document built in memory,
+    as the writers build it, may hold tuples."""
+    return isinstance(pairs, list) and set(map(type, pairs)) <= {list, tuple}
+
+
+def _raise_first_format_fault(shape: FinCategory | FinPoset, actions_field: dict) -> None:
+    """Name the first action, in morphism order, that is missing or is not
+    a list of [x, y] pairs listing each source once.  Reached only when
+    the actions do not read into a diagram, so a ParseError outranks every
+    DiagramError."""
+    for i, m in enumerate(shape.morphisms):
+        pairs = actions_field.get(m.name)
+        if pairs is None and shape.is_identity(i):
+            continue
+        if m.name not in actions_field:
+            raise ParseError(f"diagram: missing action for morphism '{m.name}'")
+        malformed = f"diagram: action of '{m.name}' must be a list of [x, y] pairs"
+        if not _is_pair_list(pairs):
             raise ParseError(malformed)
         try:
             action = dict(pairs)
@@ -262,22 +278,9 @@ def diagram_from_doc(
             for x, _ in pairs:
                 if x in seen:
                     raise ParseError(
-                        f"diagram: action of '{name}' lists source {echo(x)} twice"
+                        f"diagram: action of '{m.name}' lists source {echo(x)} twice"
                     )
                 seen.add(x)
-        return action
-
-    actions = []
-    for i, m in enumerate(shape.morphisms):
-        if shape.is_identity(i):
-            pairs = actions_field.get(m.name)
-            action = None if pairs is None else as_mapping(m.name, pairs)
-        else:
-            if m.name not in actions_field:
-                raise ParseError(f"diagram: missing action for morphism '{m.name}'")
-            action = as_mapping(m.name, actions_field[m.name])
-        actions.append(action)
-    return validate_diagram(shape, carriers, actions)
 
 
 def diagram_to_doc(diagram: FinInjDiagram) -> dict:

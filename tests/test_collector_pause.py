@@ -82,3 +82,25 @@ def test_no_command_on_the_corpus_leaves_cyclic_garbage(tmp_path, capsys):
     finally:
         if was:
             gc.enable()
+
+
+def test_reading_the_colimit_classes_leaves_no_cyclic_garbage():
+    """The classes view a colimit caches holds its numbers, not the colimit,
+    so a read colimit is freed by reference counting alone."""
+    from amalgam import corpus, serialize
+    from amalgam.diagram import has_cocone
+
+    diagram = serialize.diagram_from_doc(serialize.load_document(corpus.path("bowtie_diagram")))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        r = has_cocone(diagram)
+        assert len(r.colimit.classes) == r.colimit.count
+        assert sum(map(len, r.colimit.classes)) == sum(map(len, diagram.carriers))
+        r.colimit.collision.nodes
+        del r
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()

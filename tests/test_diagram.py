@@ -1,4 +1,5 @@
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
     DiagramError,
+    FinInjDiagram,
     FunctorialityViolation,
     NotApplicable,
     NotInjective,
@@ -727,9 +729,9 @@ def _outcome(validate, shape, carriers, actions):
     return None
 
 
-def _check_first_fault(d, rng, faults):
-    """Both validators on the diagram with the faults put in, each identity's
-    action left out (``None``) or listed at random."""
+def _faulty(d, rng, faults):
+    """The diagram's carriers and actions with the faults put in, each
+    identity's action left out (``None``) or listed at random."""
     shape = d.shape
     carriers = [list(c) for c in d.carriers]
     actions = [
@@ -742,8 +744,14 @@ def _check_first_fault(d, rng, faults):
         ):
             break  # nothing to corrupt, or a missing carrier or action comes first
         _corrupt(shape, carriers, actions, rng, kind)
-    expected = _outcome(reference_validate_diagram, shape, carriers, actions)
-    assert _outcome(validate_diagram, shape, carriers, actions) == expected
+    return carriers, actions
+
+
+def _check_first_fault(d, rng, faults):
+    """Both validators on the diagram with the faults put in."""
+    carriers, actions = _faulty(d, rng, faults)
+    expected = _outcome(reference_validate_diagram, d.shape, carriers, actions)
+    assert _outcome(validate_diagram, d.shape, carriers, actions) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -766,6 +774,35 @@ def test_validation_reports_the_reference_first_functoriality_fault(d, rng, faul
     """Faults that keep every action injective: the identity and composite
     checks find them, at the element the reference names."""
     _check_first_fault(d, rng, faults)
+
+
+def _reading(shape, carriers, actions):
+    try:
+        return validate_diagram(shape, carriers, actions)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(oracle_diagrams(), oracle_diagrams(CHAINED_4)),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(FAULTS + ("swap", "move")), max_size=3),
+)
+def test_an_action_reads_alike_as_a_mapping_its_pairs_or_its_pairs_shuffled(d, rng, faults):
+    """Each action given as a label dict, as another kind of mapping, as its
+    list of [x, y] pairs, or as that list shuffled: the same diagram, or the
+    same exception with the same message, and the reference's outcome."""
+    carriers, mappings = _faulty(d, rng, faults)
+    proxies = [None if a is None else MappingProxyType(a) for a in mappings]
+    pairs = [None if a is None else [[x, y] for x, y in a.items()] for a in mappings]
+    shuffled = [None if p is None else rng.sample(p, len(p)) for p in pairs]
+    reading = _reading(d.shape, carriers, mappings)
+    assert _reading(d.shape, carriers, proxies) == reading
+    assert _reading(d.shape, carriers, pairs) == reading
+    assert _reading(d.shape, carriers, shuffled) == reading
+    expected = _outcome(reference_validate_diagram, d.shape, carriers, mappings)
+    assert (None if isinstance(reading, FinInjDiagram) else reading) == expected
 
 
 @settings(max_examples=300, deadline=None)

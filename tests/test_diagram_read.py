@@ -1,10 +1,12 @@
-"""The one-pass diagram reader against the label-dict reader it replaced
+"""The diagram reader, ``validate_diagram`` on the document's own pair
+lists, against the label-dict reader it replaced
 (``oracles.label_diagram_from_doc``): every document, valid or broken,
 gives the same exit code, output and fault message through ``cli.main``."""
 
 import contextlib
 import io
 import json
+import operator
 import os
 import random
 import tempfile
@@ -74,7 +76,7 @@ def documents(draw):
 MUTATIONS = (
     "drop", "duplicate", "stringify", "unknown-source", "unknown-image",
     "unhashable-image", "repeat-source", "collide", "swap", "identity", "omit",
-    "repeat-label",
+    "repeat-label", "empty-object",
 )
 
 
@@ -84,7 +86,9 @@ def _mutate(doc: dict, rng: random.Random, kind: str) -> None:
     list; one source listed for another, so that the count of pairs is
     kept; two sources sent to one image, or two images swapped (an action
     that stays injective but may break a law); an identity listed as a map
-    that moves a label; an action left out; a carrier label repeated."""
+    that moves a label; an action left out; a carrier label repeated; every
+    carrier emptied and one action written as ``{}`` or ``""``, which no
+    other fault then outranks."""
     actions, carriers = doc["actions"], doc["carriers"]
     listed = sorted(name for name, pairs in actions.items() if pairs)
     if kind == "identity":
@@ -94,6 +98,12 @@ def _mutate(doc: dict, rng: random.Random, kind: str) -> None:
         actions[f"id_{x}"] = [[e, y] for e, y in zip(labels, moved)]
     elif kind == "omit" and actions:
         del actions[rng.choice(sorted(actions))]
+    elif kind == "empty-object" and actions:
+        for x in carriers:
+            carriers[x] = []
+        for name in actions:
+            actions[name] = []
+        actions[rng.choice(sorted(actions))] = rng.choice([{}, ""])
     elif kind == "repeat-label":
         x = rng.choice(sorted(carriers))
         if carriers[x]:
@@ -135,7 +145,7 @@ def _run(argv) -> tuple[int, str, str]:
 
 def _both(doc: dict) -> None:
     """``validate`` and ``oracle`` on the document answer as they answer
-    with the label-dict reader in the one-pass reader's place."""
+    with the label-dict reader in ``diagram_from_doc``'s place."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "diagram.json")
         with open(path, "w") as f:
@@ -159,10 +169,16 @@ def test_a_broken_document_is_named_as_the_label_reader_names_it(drawn, kinds):
 @settings(max_examples=50, deadline=None)
 @given(documents())
 def test_a_valid_document_is_read_without_label_dicts(drawn):
-    """No action of a valid document becomes a dict: the label path is not
-    taken, and the diagram is the one it would read."""
+    """A valid document is read by one ``validate_diagram`` call on its own
+    pair lists, and the format scan, which builds label dicts, is not
+    entered; the diagram is the one the label reader reads."""
     doc, _ = drawn
     expected = label_diagram_from_doc(doc)
-    with mock.patch.object(serialize, "validate_diagram", side_effect=AssertionError):
+    with mock.patch.object(serialize, "validate_diagram", wraps=validate_diagram) as read, \
+            mock.patch.object(serialize, "_raise_first_format_fault", side_effect=AssertionError):
         assert serialize.diagram_from_doc(doc) == expected
+    assert read.call_count == 1
+    shape, _, actions = read.call_args.args
+    listed = [doc["actions"].get(m.name) for m in shape.morphisms]
+    assert all(map(operator.is_, actions, listed))
     _both(doc)

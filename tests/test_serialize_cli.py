@@ -775,6 +775,65 @@ def test_a_quoted_entry_is_bounded():
     assert fincat.echo("z" * 500) == repr("z" * 500)[:38] + "..." + repr("z" * 500)[-39:]
 
 
+@pytest.mark.parametrize("action", [{}, ""], ids=["object", "string"])
+def test_an_empty_non_list_action_on_an_empty_carrier_is_a_format_fault(tmp_path, capsys, action):
+    """An action on an empty carrier, where any list of pairs would be
+    empty, is still read as a list first."""
+    doc = {"type": "diagram",
+           "shape": {"type": "poset", "elements": ["a", "b"], "covers": [["a", "b"]]},
+           "actions": {"a->b": action}}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: diagram: action of 'a->b' must be a list of [x, y] pairs\n"
+    )
+
+
+def _unknown_name_cases(name: str):
+    """A command and a document whose fault quotes the name, with the message."""
+    poset_a = {"type": "poset", "elements": ["a"]}
+    return [
+        ("check", {"type": "category", "objects": ["a"],
+                   "morphisms": [{"name": name, "dom": "a", "cod": "b"}]},
+         "category: morphism {} references unknown objects"),
+        ("check", {"type": "category", "objects": ["a"], "morphisms": [_MORPHISM],
+                   "compose": [[name, "f", "f"]]},
+         "category: compose entry references unknown morphism {}"),
+        ("check", {**poset_a, "covers": [["a", name]]},
+         "poset: cover [a, {}] references unknown elements"),
+        ("oracle", {"type": "diagram", "shape": poset_a, "carriers": {name: []}},
+         "diagram: carrier for unknown object '{}'"),
+        ("oracle", {"type": "diagram", "shape": poset_a, "actions": {name: []}},
+         "diagram: action for unknown morphism '{}'"),
+    ]
+
+
+_FAULT_IDS = ["morphism", "compose", "cover", "carrier", "action"]
+
+
+@pytest.mark.parametrize("case", range(5), ids=_FAULT_IDS)
+def test_a_fault_cuts_a_long_unknown_name_short(tmp_path, capsys, case):
+    """A name of 100,000 characters is quoted as its first 77 and ``...``."""
+    command, doc, message = _unknown_name_cases("n" * 100_000)[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format("n" * 77 + "...") + "\n"
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("name", ["ghost", "g" * 80], ids=["short", "80-characters"])
+@pytest.mark.parametrize("case", range(5), ids=_FAULT_IDS)
+def test_a_fault_quotes_an_unknown_name_of_80_characters_whole(tmp_path, capsys, case, name):
+    command, doc, message = _unknown_name_cases(name)[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(name) + "\n"
+
+
 _CATEGORY_A = {"type": "category", "objects": ["A"]}
 
 
