@@ -381,7 +381,7 @@ def _run(argv) -> int:
         if config.command == "gen" and not config.inputs:
             raise ParseError("gen expects a kind: poset | forest | nonforest | diagram")
         return handler(config)
-    except (ParseError, CategoryError, PosetError, DiagramError, FileNotFoundError,
+    except (ParseError, CategoryError, PosetError, DiagramError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

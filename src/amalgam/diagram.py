@@ -21,6 +21,7 @@ from operator import itemgetter
 from .fincat import (
     FinCategory,
     FunctorMap,
+    clip,
     is_preorder,
     monic_reflection,
     skeleton_poset,
@@ -129,7 +130,7 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
     for i, c in enumerate(carriers):
         if len(index[i]) != len(c):
             raise CarrierMismatch(
-                f"carrier of {shape.objects[i]} has duplicate labels"
+                f"carrier of {clip(shape.objects[i])} has duplicate labels"
             )
     maps = []
     for i, (m, act) in enumerate(zip(shape.morphisms, actions)):
@@ -139,7 +140,7 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
             continue
         if act is None or len(act) != n:
             raise CarrierMismatch(
-                f"action of {m.name} is not defined on exactly its carrier"
+                f"action of {clip(m.name)} is not defined on exactly its carrier"
             )
         source, target, row = index[m.dom], index[m.cod], [-1] * n
         pairs = act.items() if isinstance(act, Mapping) else act
@@ -152,10 +153,10 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
         images = set(row)
         if -1 in images:  # a source listed twice, another missed
             raise CarrierMismatch(
-                f"action of {m.name} is not defined on exactly its carrier"
+                f"action of {clip(m.name)} is not defined on exactly its carrier"
             )
         if len(images) != n:
-            raise NotInjective(f"action of {m.name} is not injective")
+            raise NotInjective(f"action of {clip(m.name)} is not injective")
         maps.append(tuple(row))
     given = [x for x, i in enumerate(shape.identity) if actions[i] is not None]
     _check_laws(shape, carriers, maps, given)
@@ -177,12 +178,14 @@ def _check_row(shape, i: int, row, source: int, target: int) -> None:
     The morphism is named only in a fault."""
     if len(row) != source:
         raise CarrierMismatch(
-            f"action of {shape.morphisms[i].name} is not defined on exactly its carrier"
+            f"action of {clip(shape.morphisms[i].name)} is not defined on exactly its carrier"
         )
     if row and not (0 <= min(row) and max(row) < target):
-        raise CarrierMismatch(f"action of {shape.morphisms[i].name} leaves the target carrier")
+        raise CarrierMismatch(
+            f"action of {clip(shape.morphisms[i].name)} leaves the target carrier"
+        )
     if len(set(row)) != len(row):
-        raise NotInjective(f"action of {shape.morphisms[i].name} is not injective")
+        raise NotInjective(f"action of {clip(shape.morphisms[i].name)} is not injective")
 
 
 def _check_laws(shape, carriers, maps, given) -> None:
@@ -192,7 +195,7 @@ def _check_laws(shape, carriers, maps, given) -> None:
     for x in given:
         if maps[shape.identity[x]] != tuple(range(len(carriers[x]))):
             raise FunctorialityViolation(
-                f"identity of {shape.objects[x]} does not act as the identity"
+                f"identity of {clip(shape.objects[x])} does not act as the identity"
             )
     for g in shape.generators:
         ag, x = maps[g], shape.morphisms[g].dom
@@ -216,10 +219,10 @@ def _raise_row_fault(m, act, source, target_index) -> None:
 
     if not all(map(act.__contains__, source)):
         raise CarrierMismatch(
-            f"action of {m.name} is not defined on exactly its carrier"
+            f"action of {clip(m.name)} is not defined on exactly its carrier"
         )
     if not all(map(in_target, map(act.__getitem__, source))):
-        raise CarrierMismatch(f"action of {m.name} leaves the target carrier")
+        raise CarrierMismatch(f"action of {clip(m.name)} leaves the target carrier")
 
 
 def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
@@ -230,8 +233,8 @@ def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
         if tuple(map(ag.__getitem__, af)) != ar:
             p = next(p for p, q in enumerate(af) if ag[q] != ar[p])
             raise FunctorialityViolation(
-                f"({shape.morphisms[g].name}, {shape.morphisms[f].name}) "
-                f"does not commute at element {carriers[shape.morphisms[f].dom][p]}"
+                f"({clip(shape.morphisms[g].name)}, {clip(shape.morphisms[f].name)}) "
+                f"does not commute at element {clip(carriers[shape.morphisms[f].dom][p])}"
             )
 
 
@@ -491,12 +494,12 @@ def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
     for obj, leg in enumerate(legs):
         if len(leg) != len(diagram.carriers[obj]):
             raise CarrierMismatch(
-                f"leg of {shape.objects[obj]} is not total on its carrier"
+                f"leg of {clip(shape.objects[obj])} is not total on its carrier"
             )
         if leg and not (0 <= min(leg) and max(leg) < len(cocone.apex)):
-            raise CarrierMismatch(f"leg of {shape.objects[obj]} leaves the apex")
+            raise CarrierMismatch(f"leg of {clip(shape.objects[obj])} leaves the apex")
         if len(set(leg)) != len(leg):
-            raise NotInjective(f"leg of {shape.objects[obj]} is not injective")
+            raise NotInjective(f"leg of {clip(shape.objects[obj])} is not injective")
 
     def commutes(i: int) -> bool:
         m = shape.morphisms[i]
@@ -510,8 +513,8 @@ def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
         row, source, target = diagram.maps[i], tuple(legs[m.dom]), legs[m.cod]
         p = next(p for p, q in enumerate(row) if target[q] != source[p])
         raise FunctorialityViolation(
-            f"leg does not commute with {m.name} at element "
-            f"{diagram.carriers[m.dom][p]}"
+            f"leg does not commute with {clip(m.name)} at element "
+            f"{clip(diagram.carriers[m.dom][p])}"
         )
 
 
@@ -573,13 +576,13 @@ class ZigzagWord(FrozenRecord):
             if forward:
                 if m.dom != at:
                     raise IllFormedWord(
-                        f"step {m.name} does not start at {shape.objects[at]}"
+                        f"step {clip(m.name)} does not start at {clip(shape.objects[at])}"
                     )
                 at = m.cod
             else:
                 if m.cod != at:
                     raise IllFormedWord(
-                        f"reversed step {m.name} does not start at {shape.objects[at]}"
+                        f"reversed step {clip(m.name)} does not start at {clip(shape.objects[at])}"
                     )
                 at = m.dom
         return at
@@ -714,7 +717,7 @@ def _parallel_pair_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinIn
     post, at = refl.post, place.__getitem__
     maps = []
     for i, m in enumerate(shape.morphisms):
-        after = itemgetter(refl.hom_out[m.dom].index(mor_map[i]))
+        after = itemgetter(refl.place[mor_map[i]])
         maps.append(tuple(map(at, map(after, map(post.__getitem__, homs[m.dom])))))
     _check_rows(shape, carriers, maps)
     return FinInjDiagram(shape, tuple(carriers), tuple(maps))

@@ -10,10 +10,10 @@ name the first fault of a table that fails it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice
 from operator import itemgetter
 
-from .poset import FinPoset, _component_masks, _members
+from .poset import FinPoset, _component_masks, _members, clip
 from .record import FrozenRecord, set_field
 
 
@@ -67,9 +67,11 @@ class FinCategory:
     Every scan over composable pairs and triples runs over these lists.
     ``generators`` is a generating set of non-identities in ascending index
     order: every non-identity is a right-nested composite g1∘(g2∘(…∘gk)) of
-    them.  The table is also kept as rows: ``post[f][k]`` is h∘f for the
-    k-th h in ``hom_out[cod f]``, and ``pre[f][k]`` is f∘g for the k-th g in
-    ``hom_in[dom f]``.
+    them.  Every check reads the table as rows: ``post[f][k]`` is h∘f for
+    the k-th h in ``hom_out[cod f]``, ``place[h]`` is h's place in
+    ``hom_out[dom h]``, so h∘f is ``post[f][place[h]]``, and ``pre[f][k]``
+    is f∘g for the k-th g in ``hom_in[dom f]``.  The ``table`` dict is the
+    presentation: faults are named in its order.
     """
 
     def __init__(self, objects, morphisms, identity, table):
@@ -84,25 +86,27 @@ class FinCategory:
         self.hom_out: list[list[int]] = [[] for _ in self.objects]
         self.hom_in: list[list[int]] = [[] for _ in self.objects]
         self.hom_sets: dict[tuple[int, int], list[int]] = {}
+        self.place = [0] * len(self.morphisms)
         for i, m in enumerate(self.morphisms):
+            self.place[i] = len(self.hom_out[m.dom])
             self.hom_out[m.dom].append(i)
             self.hom_in[m.cod].append(i)
             self.hom_sets.setdefault((m.dom, m.cod), []).append(i)
         _check_axioms(self)
 
     def compose(self, g: int, f: int) -> int:
-        """Index of g∘f (f applied first)."""
-        return self.table[(g, f)]
+        """Index of g∘f (f applied first), for g out of the codomain of f."""
+        return self.post[f][self.place[g]]
 
     def is_identity(self, m: int) -> bool:
         return m in self._identity_set
 
     @cached_property
     def pre(self) -> list[list[int]]:
-        table, hom_in = self.table, self.hom_in
+        post, hom_in = self.post, self.hom_in
         return [
-            list(map(table.__getitem__, zip(repeat(f), hom_in[m.dom])))
-            for f, m in enumerate(self.morphisms)
+            list(map(itemgetter(k), map(post.__getitem__, hom_in[m.dom])))
+            for k, m in zip(self.place, self.morphisms)
         ]
 
     @cached_property
@@ -174,7 +178,7 @@ def _check_presentation(cat: FinCategory) -> None:
         raise PresentationError("one identity per object required")
     for m in cat.morphisms:
         if not (0 <= m.dom < n_obj and 0 <= m.cod < n_obj):
-            raise PresentationError(f"morphism {m.name} references unknown objects")
+            raise PresentationError(f"morphism {clip(m.name)} references unknown objects")
 
 
 def _check_axioms(cat: FinCategory) -> None:
@@ -192,8 +196,8 @@ def _check_axioms(cat: FinCategory) -> None:
         m = morphisms[i]
         if m.dom != x or m.cod != x:
             raise IdentityViolation(
-                f"identity of {cat.objects[x]} has endpoints "
-                f"{cat.objects[m.dom]} -> {cat.objects[m.cod]}"
+                f"identity of {clip(cat.objects[x])} has endpoints "
+                f"{clip(cat.objects[m.dom])} -> {clip(cat.objects[m.cod])}"
             )
     for (g, f), r in table.items():
         if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= r < n_mor):
@@ -201,44 +205,40 @@ def _check_axioms(cat: FinCategory) -> None:
         mg, mf, mr = morphisms[g], morphisms[f], morphisms[r]
         if mf.cod != mg.dom:
             raise DomCodMismatch(
-                f"({mg.name}, {mf.name}) is not composable: "
-                f"cod {cat.objects[mf.cod]} != dom {cat.objects[mg.dom]}"
+                f"({clip(mg.name)}, {clip(mf.name)}) is not composable: "
+                f"cod {clip(cat.objects[mf.cod])} != dom {clip(cat.objects[mg.dom])}"
             )
         if mr.dom != mf.dom or mr.cod != mg.cod:
             raise DomCodMismatch(
-                f"({mg.name}, {mf.name}, {mr.name}): composite endpoints do not match"
+                f"({clip(mg.name)}, {clip(mf.name)}, {clip(mr.name)}): "
+                "composite endpoints do not match"
             )
+    # post[f] lists h∘f for each h in hom_out[cod f], in order, so h∘f is
+    # post[f][place[h]].
+    entry, place = table.get, cat.place
+    cat.post = post = []
     for f, mf in enumerate(morphisms):
-        for g in hom_out[mf.cod]:
-            if (g, f) not in table:
-                raise MissingComposite(
-                    f"no entry for ({morphisms[g].name}, {mf.name})"
-                )
+        row = tuple([entry((h, f)) for h in hom_out[mf.cod]])
+        if None in row:
+            g = morphisms[hom_out[mf.cod][row.index(None)]]
+            raise MissingComposite(f"no entry for ({clip(g.name)}, {clip(mf.name)})")
+        post.append(row)
     for f, mf in enumerate(morphisms):
-        left = table[(cat.identity[mf.cod], f)]
-        right = table[(f, cat.identity[mf.dom])]
+        left = post[f][place[cat.identity[mf.cod]]]
+        right = post[cat.identity[mf.dom]][place[f]]
         if left != f:
             raise IdentityViolation(
-                f"(id_{cat.objects[mf.cod]}, {mf.name}, "
-                f"{morphisms[left].name}) breaks the left identity law"
+                f"(id_{clip(cat.objects[mf.cod])}, {clip(mf.name)}, "
+                f"{clip(morphisms[left].name)}) breaks the left identity law"
             )
         if right != f:
             raise IdentityViolation(
-                f"({mf.name}, id_{cat.objects[mf.dom]}, "
-                f"{morphisms[right].name}) breaks the right identity law"
+                f"({clip(mf.name)}, id_{clip(cat.objects[mf.dom])}, "
+                f"{clip(morphisms[right].name)}) breaks the right identity law"
             )
-    # post[f] lists h∘f for each h in hom_out[cod f], in order; place[h] is
-    # h's place in hom_out[dom h], so h∘f is post[f][place[h]].
-    cat.post = post = [
-        tuple([table[(h, f)] for h in hom_out[mf.cod]]) for f, mf in enumerate(morphisms)
-    ]
-    place = [0] * n_mor
-    for out in hom_out:
-        for k, h in enumerate(out):
-            place[h] = k
     cat.generators = _generators(cat, post, place)
     if not _associative_at_generators(cat, post, place):
-        _raise_first_associativity_fault(cat, post)
+        _raise_first_associativity_fault(cat, post, place)
 
 
 def _generators(cat: FinCategory, post, place) -> tuple[int, ...]:
@@ -309,29 +309,27 @@ def _associative_at_generators(cat: FinCategory, post, place) -> bool:
     return True
 
 
-def _raise_first_associativity_fault(cat: FinCategory, post) -> None:
+def _raise_first_associativity_fault(cat: FinCategory, post, place) -> None:
     """The exhaustive scan over composable triples, in the order of a scan
     over all morphisms: raises the first fault a full check would report."""
-    morphisms, table, hom_out = cat.morphisms, cat.table, cat.hom_out
+    morphisms, hom_out = cat.morphisms, cat.hom_out
     # Since cod(g∘f) = cod g, the triple (h, g, f) compares post[g∘f][k]
     # with post[g][k]∘f.
     for f, mf in enumerate(morphisms):
         for g, gf in zip(hom_out[mf.cod], post[f]):
-            if post[gf] == tuple([table[(hg, f)] for hg in post[g]]):
-                continue
             for h, hgf, hg in zip(hom_out[morphisms[g].cod], post[gf], post[g]):
-                if hgf != table[(hg, f)]:
+                if hgf != post[f][place[hg]]:
                     raise AssociativityViolation(
-                        f"({morphisms[h].name}, {morphisms[g].name}, {mf.name}) "
-                        "is not associative"
+                        f"({clip(morphisms[h].name)}, {clip(morphisms[g].name)}, "
+                        f"{clip(mf.name)}) is not associative"
                     )
 
 
 def _describe(objects, morphisms, i: int) -> str:
     m = morphisms[i]
     if i < len(objects):
-        return f"the identity of '{objects[m.dom]}'"
-    return f"the arrow '{objects[m.dom]}' -> '{objects[m.cod]}'"
+        return f"the identity of '{clip(objects[m.dom])}'"
+    return f"the arrow '{clip(objects[m.dom])}' -> '{clip(objects[m.cod])}'"
 
 
 def name_index(objects, morphisms) -> dict[str, int]:
@@ -342,7 +340,7 @@ def name_index(objects, morphisms) -> dict[str, int]:
         first = mor_index.setdefault(m.name, i)
         if first != i:
             raise PresentationError(
-                f"morphism name '{m.name}' is given to both "
+                f"morphism name '{clip(m.name)}' is given to both "
                 f"{_describe(objects, morphisms, first)} and "
                 f"{_describe(objects, morphisms, i)}"
                 + (" (id_<object> names the identities)" if first < len(objects) else "")
@@ -371,12 +369,6 @@ def echo(entry) -> str:
     bounded.maxstring = bounded.maxother = bounded.maxlong = 80
     text = bounded.repr(entry)
     return text if len(text) <= 200 else text[:197] + "..."
-
-
-def clip(name: str) -> str:
-    """A name from the input as a fault message quotes it: whole up to 80
-    characters, and past them its first 77 followed by ``...``."""
-    return name if len(name) <= 80 else name[:77] + "..."
 
 
 def validate_category(raw: dict) -> FinCategory:
@@ -438,23 +430,22 @@ def validate_category(raw: dict) -> FinCategory:
                     raise PresentationError(
                         f"compose entry references unknown morphism {clip(nm)}"
                     ) from None
-        if (g, f) in table and table[(g, f)] != r:
+        if table.setdefault((g, f), r) != r:
             raise PresentationError(
-                f"conflicting compose entries for ({gname}, {fname})"
+                f"conflicting compose entries for ({clip(gname)}, {clip(fname)})"
             )
-        table[(g, f)] = r
     for f, mf in enumerate(morphisms):
         key = (identity[mf.cod], f)
         if table.setdefault(key, f) != f:
             raise IdentityViolation(
-                f"(id_{objects[mf.cod]}, {mf.name}, "
-                f"{morphisms[table[key]].name}) contradicts the identity law"
+                f"(id_{clip(objects[mf.cod])}, {clip(mf.name)}, "
+                f"{clip(morphisms[table[key]].name)}) contradicts the identity law"
             )
         key = (f, identity[mf.dom])
         if table.setdefault(key, f) != f:
             raise IdentityViolation(
-                f"({mf.name}, id_{objects[mf.dom]}, "
-                f"{morphisms[table[key]].name}) contradicts the identity law"
+                f"({clip(mf.name)}, id_{clip(objects[mf.dom])}, "
+                f"{clip(morphisms[table[key]].name)}) contradicts the identity law"
             )
     return FinCategory(objects, morphisms, identity, table)
 
@@ -549,23 +540,24 @@ def is_congruence(cat: FinCategory, cong: Congruence) -> bool:
 
     The relation is an equivalence, so it is enough that each morphism is
     parallel to its class's least member and that its rows of composites on
-    either side fall in the same classes as that member's.
+    either side fall in the same classes as that member's, which are read
+    once per class.
     """
-    rep = [min(cl) for cl in cong.classes]
-    class_of = cong.class_of
-    of = class_of.__getitem__
+    of, morphisms = cong.class_of.__getitem__, cat.morphisms
     post, pre = cat.post, cat.pre
-    for f, mf in enumerate(cat.morphisms):
-        r = rep[class_of[f]]
-        if r == f:
+    for cl in cong.classes:
+        if len(cl) < 2:
             continue
-        mr = cat.morphisms[r]
-        if mf.dom != mr.dom or mf.cod != mr.cod:
-            return False
-        if list(map(of, post[f])) != list(map(of, post[r])):
-            return False
-        if list(map(of, pre[f])) != list(map(of, pre[r])):
-            return False
+        r = min(cl)
+        ends = (morphisms[r].dom, morphisms[r].cod)
+        after, before = list(map(of, post[r])), list(map(of, pre[r]))
+        for f in cl:
+            if (
+                (morphisms[f].dom, morphisms[f].cod) != ends
+                or list(map(of, post[f])) != after
+                or list(map(of, pre[f])) != before
+            ):
+                return False
     return True
 
 
@@ -575,7 +567,7 @@ def congruence_close(cat: FinCategory, seeds) -> Congruence:
     for a, b in seeds:
         ma, mb = cat.morphisms[a], cat.morphisms[b]
         if ma.dom != mb.dom or ma.cod != mb.cod:
-            raise NonParallelSeed(f"({ma.name}, {mb.name}) are not parallel")
+            raise NonParallelSeed(f"({clip(ma.name)}, {clip(mb.name)}) are not parallel")
         closure.merge(a, b)
     closure.propagate()
     return closure.congruence()
@@ -597,29 +589,30 @@ class FunctorMap:
         for x, tx in enumerate(self.obj_map):
             if self.mor_map[src.identity[x]] != tgt.identity[tx]:
                 raise IdentityViolation(
-                    f"functor does not preserve the identity of {src.objects[x]}"
+                    f"functor does not preserve the identity of {clip(src.objects[x])}"
                 )
         for f, mf in enumerate(src.morphisms):
             image = tgt.morphisms[self.mor_map[f]]
             if image.dom != self.obj_map[mf.dom] or image.cod != self.obj_map[mf.cod]:
                 raise DomCodMismatch(
-                    f"functor breaks endpoints of {mf.name}"
+                    f"functor breaks endpoints of {clip(mf.name)}"
                 )
         # F(h∘f) = F(h)∘F(f) for every h after f, row by row; the table is
         # scanned only to name the first pair that breaks it.
-        mor_map, composite = self.mor_map, tgt.table.__getitem__
+        mor_map, place = self.mor_map, tgt.place
         image = mor_map.__getitem__
         for f, mf in enumerate(src.morphisms):
-            after = zip(map(image, src.hom_out[mf.cod]), repeat(mor_map[f]))
-            if list(map(composite, after)) != list(map(image, src.post[f])):
+            row = tgt.post[mor_map[f]]
+            after = [row[place[image(h)]] for h in src.hom_out[mf.cod]]
+            if after != list(map(image, src.post[f])):
                 break
         else:
             return
         for (g, f), r in src.table.items():
-            if tgt.table[(mor_map[g], mor_map[f])] != mor_map[r]:
+            if tgt.compose(mor_map[g], mor_map[f]) != mor_map[r]:
                 raise AssociativityViolation(
                     f"functor breaks composition on "
-                    f"({src.morphisms[g].name}, {src.morphisms[f].name})"
+                    f"({clip(src.morphisms[g].name)}, {clip(src.morphisms[f].name)})"
                 )
 
     def __eq__(self, other):
@@ -640,37 +633,29 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
     the representative (and the name) of its class.  A discrete congruence
     returns the category itself with the identity functor.
 
-    The partition is checked once, by validating the projection: the
-    quotient's table holds rep(h)∘rep(f), so a projection that preserves
-    endpoints and composites already puts every class in one hom-set and
-    h∘f in the class of rep(h)∘rep(f).  Only a partition that fails is
-    scanned again, to tell a partition that is not a congruence apart.
+    The partition is checked once, by ``is_congruence``, before anything is
+    built.  Over a congruence the quotient's table holds rep(h)∘rep(f), the
+    class of every h∘f, so the projection is a functor by construction; the
+    quotient's own axioms are checked by its constructor.
     """
     if len(cong.classes) == len(cat.morphisms):
         return cat, FunctorMap(
             cat, cat, range(len(cat.objects)), range(len(cat.morphisms))
         )
+    if not is_congruence(cat, cong):
+        raise PresentationError("partition is not a congruence")
+    class_of, pre = cong.class_of, cat.pre
     reps = [min(cl) for cl in cong.classes]
-    morphisms = []
-    for rep in reps:
-        m = cat.morphisms[rep]
-        morphisms.append(Morphism(m.name, m.dom, m.cod))
-    identity = tuple(cong.class_of[i] for i in cat.identity)
+    morphisms = list(map(cat.morphisms.__getitem__, reps))
+    identity = tuple(class_of[i] for i in cat.identity)
     table = {}
     for gi, g in enumerate(reps):
-        for f in cat.hom_in[cat.morphisms[g].dom]:
-            fi = cong.class_of[f]
+        for f, gf in zip(cat.hom_in[cat.morphisms[g].dom], pre[g]):
+            fi = class_of[f]
             if reps[fi] == f:
-                table[(gi, fi)] = cong.class_of[cat.table[(g, f)]]
-    try:
-        quotient = FinCategory(cat.objects, morphisms, identity, table)
-        projection = FunctorMap(cat, quotient, range(len(cat.objects)), cong.class_of)
-        projection.validate()
-    except CategoryError:
-        if not is_congruence(cat, cong):
-            raise PresentationError("partition is not a congruence") from None
-        raise
-    return quotient, projection
+                table[(gi, fi)] = class_of[gf]
+    quotient = FinCategory(cat.objects, morphisms, identity, table)
+    return quotient, FunctorMap(cat, quotient, range(len(cat.objects)), class_of)
 
 
 def monic_reflection(cat: FinCategory) -> tuple[FinCategory, FunctorMap]:

@@ -7,10 +7,10 @@ validated by finding each pseudoinverse and checking it is unique.
 
 from __future__ import annotations
 
-from .fincat import FinCategory
+from .fincat import CategoryError, FinCategory, clip
 
 
-class InverseCategoryError(Exception):
+class InverseCategoryError(CategoryError):
     pass
 
 
@@ -49,11 +49,11 @@ def validate_inverse(cat: FinCategory) -> FinInverseCategory:
             and cat.compose(g, cat.compose(f, g)) == g
         ]
         if not candidates:
-            raise NoPseudoinverse(f"{mf.name} has no pseudoinverse")
+            raise NoPseudoinverse(f"{clip(mf.name)} has no pseudoinverse")
         if len(candidates) > 1:
-            names = ", ".join(cat.morphisms[g].name for g in candidates)
+            names = ", ".join(clip(cat.morphisms[g].name) for g in candidates)
             raise NonUniquePseudoinverse(
-                f"{mf.name} has several pseudoinverses: {names}"
+                f"{clip(mf.name)} has several pseudoinverses: {names}"
             )
         pinv.append(candidates[0])
     return FinInverseCategory(cat, pinv)

@@ -27,6 +27,14 @@ class NotAPartialOrder(PosetError):
     pass
 
 
+def clip(name) -> str:
+    """A name from the input, or any value, as a fault message quotes it:
+    its text whole up to 80 characters, and past them its first 77
+    followed by ``...``."""
+    text = f"{name}"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _bits(mask: int):
     """Indices of the set bits of mask, ascending, read off its binary digits."""
     return compress(count(), map("1".__eq__, bin(mask)[:1:-1]))
@@ -97,7 +105,7 @@ def _closure(succ: list[int], elements) -> tuple[int, ...]:
                     b = low.bit_length() - 1
                     if not closed[b]:  # b is still open, so it reaches a: a cycle
                         raise NotAPartialOrder(
-                            f"antisymmetry fails on {elements[b]}, {elements[a]}"
+                            f"antisymmetry fails on {clip(elements[b])}, {clip(elements[a])}"
                         )
                     reach |= closed[b]
                     rest ^= low
@@ -146,14 +154,15 @@ class FinPoset:
                 c = next(_bits(up[b] & extra))
                 raise NotAPartialOrder(
                     "transitivity fails on "
-                    f"{self.elements[a]} <= {self.elements[b]} <= {self.elements[c]}"
+                    f"{clip(self.elements[a])} <= {clip(self.elements[b])} "
+                    f"<= {clip(self.elements[c])}"
                 )
         for a in range(n):
             twins = up[a] & down[a] & ~(1 << a)
             if twins:
                 b = next(_bits(twins))
                 raise NotAPartialOrder(
-                    f"antisymmetry fails on {self.elements[a]}, {self.elements[b]}"
+                    f"antisymmetry fails on {clip(self.elements[a])}, {clip(self.elements[b])}"
                 )
         self.up_masks = tuple(up)
         self.down_masks = tuple(down)

@@ -167,7 +167,7 @@ def shape_from_doc(doc: dict) -> FinCategory | FinPoset:
         return category_from_doc(doc)
     if kind == "poset":
         return poset_from_doc(doc)
-    raise ParseError(f"expected a category or poset document, got '{kind}'")
+    raise ParseError(f"expected a category or poset document, got '{clip(kind)}'")
 
 
 def load_shape(path: str | os.PathLike) -> FinCategory | FinPoset:
@@ -185,10 +185,10 @@ def inverse_from_doc(doc: dict) -> FinInverseCategory:
             raise ParseError("pinv: must be an object from morphism names to morphism names")
         for fname, gname in declared.items():
             if not isinstance(gname, str) or not {fname, gname} <= cat.mor_index.keys():
-                raise ParseError(f"pinv: unknown morphism in '{fname}': '{gname}'")
+                raise ParseError(f"pinv: unknown morphism in '{clip(fname)}': '{clip(gname)}'")
             if inv.pinv[cat.mor_index[fname]] != cat.mor_index[gname]:
                 raise ParseError(
-                    f"pinv: declared pseudoinverse of {fname} does not match"
+                    f"pinv: declared pseudoinverse of {clip(fname)} does not match"
                 )
     return inv
 
@@ -230,7 +230,7 @@ def diagram_from_doc(
             raise ParseError(f"diagram: carrier for unknown object '{clip(name)}'")
         if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
             raise ParseError(
-                f"diagram: carrier of '{name}' must be a list of string labels"
+                f"diagram: carrier of '{clip(name)}' must be a list of string labels"
             )
     carriers = [carriers_field.get(name, ()) for name in shape.objects]
     actions_field = doc.get("actions", {})
@@ -265,8 +265,8 @@ def _raise_first_format_fault(shape: FinCategory | FinPoset, actions_field: dict
         if pairs is None and shape.is_identity(i):
             continue
         if m.name not in actions_field:
-            raise ParseError(f"diagram: missing action for morphism '{m.name}'")
-        malformed = f"diagram: action of '{m.name}' must be a list of [x, y] pairs"
+            raise ParseError(f"diagram: missing action for morphism '{clip(m.name)}'")
+        malformed = f"diagram: action of '{clip(m.name)}' must be a list of [x, y] pairs"
         if not _is_pair_list(pairs):
             raise ParseError(malformed)
         try:
@@ -278,7 +278,7 @@ def _raise_first_format_fault(shape: FinCategory | FinPoset, actions_field: dict
             for x, _ in pairs:
                 if x in seen:
                     raise ParseError(
-                        f"diagram: action of '{m.name}' lists source {echo(x)} twice"
+                        f"diagram: action of '{clip(m.name)}' lists source {echo(x)} twice"
                     )
                 seen.add(x)
 

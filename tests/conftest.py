@@ -8,6 +8,7 @@ import io
 from collections import deque
 from dataclasses import dataclass, fields
 
+import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -63,6 +64,26 @@ def total_elements(diagram: FinInjDiagram) -> int:
 def related(cong, a: int, b: int) -> bool:
     """Whether a congruence puts morphisms a and b in one class."""
     return cong.class_of[a] == cong.class_of[b]
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--wide", action="store_true",
+        help="also run the tests marked wide: the same checks over many more examples",
+    )
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "wide: a wider bound, run only with --wide")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--wide"):
+        return
+    opt_in = pytest.mark.skip(reason="a wider bound: run with --wide")
+    for item in items:
+        if "wide" in item.keywords:
+            item.add_marker(opt_in)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

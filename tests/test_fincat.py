@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam import fincat
 from amalgam.fincat import (
     AssociativityViolation,
     CategoryError,
@@ -31,6 +32,7 @@ from conftest import (
     bowtie_cat,
     category_from_poset,
     collapsing_pair_cat,
+    concrete_categories,
     cyclic_cat,
     dags,
     is_monic,
@@ -478,6 +480,72 @@ def test_quotient_is_built_exactly_for_congruences(case):
     elif len(blocks) < len(cat.morphisms):
         with pytest.raises(PresentationError, match=r"^partition is not a congruence$"):
             quotient_category(cat, cong)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(AXIOM_SUITE) | concrete_categories())
+def test_compose_and_the_rows_agree_with_the_table(cat):
+    """The rows are the one table the checks read: every entry of the
+    presentation is found by ``compose``, ``post`` and ``pre``, and
+    ``place`` names each arrow's place among the arrows out of its domain."""
+    hom_out, hom_in = cat.hom_out, cat.hom_in
+    assert all(hom_out[m.dom][cat.place[i]] == i for i, m in enumerate(cat.morphisms))
+    assert len(cat.table) == sum(len(hom_out[m.cod]) for m in cat.morphisms)
+    for (g, f), r in cat.table.items():
+        assert cat.compose(g, f) == r
+    for f, m in enumerate(cat.morphisms):
+        assert cat.post[f] == tuple(cat.table[(h, f)] for h in hom_out[m.cod])
+        assert cat.pre[f] == [cat.table[(f, g)] for g in hom_in[m.dom]]
+
+
+def _glued(cat, *pairs):
+    """The partition of the category's morphisms that glues each named pair."""
+    parent = list(range(len(cat.morphisms)))
+    for a, b in pairs:
+        parent[cat.mor_index[b]] = cat.mor_index[a]
+    return congruence_from_parent(parent)
+
+
+def test_a_quotient_checks_its_partition_once(monkeypatch):
+    """A congruence that glues u and v is checked by one ``is_congruence``
+    call; the projection is a functor by construction and is not validated."""
+    cat = collapsing_pair_cat()
+    cong = _glued(cat, ("u", "v"))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return is_congruence(*args)
+
+    def refused(self):
+        raise AssertionError("the projection was validated")
+
+    monkeypatch.setattr(fincat, "is_congruence", counted)
+    monkeypatch.setattr(FunctorMap, "validate", refused)
+    quotient, projection = quotient_category(cat, cong)
+    assert calls == [(cat, cong)]
+    assert len(quotient.morphisms) == len(cat.morphisms) - 1
+    assert projection.mor_map == cong.class_of
+    monkeypatch.undo()
+    projection.validate()
+
+
+@pytest.mark.parametrize("pairs", [[("w", "d")], [("u", "v")]], ids=["ends", "composites"])
+def test_a_partition_that_is_not_a_congruence_builds_no_quotient(monkeypatch, pairs):
+    """Gluing arrows with different ends, or a parallel pair that ``w`` does
+    not equalize, is refused before a quotient table is made."""
+    cat = category(
+        ["A", "B", "C"],
+        [("u", "A", "B"), ("v", "A", "B"), ("w", "B", "C"), ("p", "A", "C"), ("q", "A", "C"),
+         ("d", "A", "C")],
+        [("w", "u", "p"), ("w", "v", "q")],
+    )
+    cong = _glued(cat, *pairs)
+    built = []
+    monkeypatch.setattr(fincat, "FinCategory", lambda *args: built.append(args))
+    with pytest.raises(PresentationError, match=r"^partition is not a congruence$"):
+        quotient_category(cat, cong)
+    assert built == []
 
 
 def test_from_parent_follows_chains_to_their_roots():

@@ -834,6 +834,86 @@ def test_a_fault_quotes_an_unknown_name_of_80_characters_whole(tmp_path, capsys,
     assert capsys.readouterr().err == "error: " + message.format(name) + "\n"
 
 
+def _declared_name_cases(name: str):
+    """A command and a document that declares the name, whose fault quotes
+    it, with the message."""
+    poset = {"type": "poset", "elements": [name, "b"], "covers": [[name, "b"]]}
+    arrow = {"type": "category", "objects": ["A", "B"],
+             "morphisms": [{"name": name, "dom": "A", "cod": "B"}]}
+    endo = {"type": "category", "objects": ["A"],
+            "morphisms": [{"name": name, "dom": "A", "cod": "A"}]}
+    return [
+        ("check", {**poset, "covers": [[name, "b"], ["b", name]]},
+         "poset: antisymmetry fails on {}, b"),
+        ("oracle", {"type": "diagram", "shape": poset, "carriers": {name: [1]}},
+         "diagram: carrier of '{}' must be a list of string labels"),
+        ("check", {**endo, "morphisms": endo["morphisms"] * 2},
+         "category: morphism name '{}' is given to both the arrow 'A' -> 'A' "
+         "and the arrow 'A' -> 'A'"),
+        ("check", endo, "category: no entry for ({0}, {0})"),
+        ("check", {**endo, "compose": [[name, name, name], [name, name, "id_A"]]},
+         "category: conflicting compose entries for ({0}, {0})"),
+        ("check", {**endo, "compose": [[name, "id_A", "id_A"]]},
+         "category: ({}, id_A, id_A) contradicts the identity law"),
+        ("oracle", {"type": "diagram", "shape": arrow},
+         "diagram: missing action for morphism '{}'"),
+        ("oracle", {"type": "diagram", "shape": arrow,
+                    "carriers": {"A": ["x", "y"], "B": ["z"]},
+                    "actions": {name: [["x", "z"], ["y", "z"]]}},
+         "action of {} is not injective"),
+        ("oracle", {"type": "diagram", "shape": {"type": "category", "objects": [name]},
+                    "carriers": {name: ["x", "x"]}},
+         "carrier of {} has duplicate labels"),
+        ("check", {"type": name}, "expected a category or poset document, got '{}'"),
+        ("validate", {**arrow, "pinv": {}}, "{} has no pseudoinverse"),
+        ("validate", {**endo, "morphisms": [], "pinv": {name: "id_A"}},
+         "pinv: unknown morphism in '{}': 'id_A'"),
+    ]
+
+
+_DECLARED_IDS = ["cycle", "carrier", "twin-arrows", "missing-entry", "conflict",
+                 "identity-law", "missing-action", "not-injective", "duplicate-labels",
+                 "type", "no-pseudoinverse", "pinv"]
+
+
+@pytest.mark.parametrize("case", range(len(_DECLARED_IDS)), ids=_DECLARED_IDS)
+def test_a_fault_cuts_a_long_declared_name_short(tmp_path, capsys, case):
+    """A name the input declares, of 100,000 characters, is quoted as its
+    first 77 and ``...`` wherever a fault names it."""
+    command, doc, message = _declared_name_cases("n" * 100_000)[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format("n" * 77 + "...") + "\n"
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("name", ["ghost", "g" * 80], ids=["short", "80-characters"])
+@pytest.mark.parametrize("case", range(len(_DECLARED_IDS)), ids=_DECLARED_IDS)
+def test_a_fault_quotes_a_declared_name_of_80_characters_whole(tmp_path, capsys, case, name):
+    command, doc, message = _declared_name_cases(name)[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(name) + "\n"
+
+
+def test_an_os_error_on_out_exits_2(tmp_path, monkeypatch, capsys):
+    """``--out`` naming a directory, or a path below a file, is refused by
+    the system: one error line and exit 2, as for a missing directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.json").write_text("kept")
+    cases = [
+        (["check", "span", "--out", "."], "[Errno 21] Is a directory: '.'"),
+        (["check", "span", "--out", "file.json/x"], "[Errno 20] Not a directory: 'file.json/x'"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    assert (tmp_path / "file.json").read_text() == "kept"
+
+
 _CATEGORY_A = {"type": "category", "objects": ["A"]}
 
 
