@@ -28,7 +28,6 @@ from .diagram import (
 from .fincat import (
     Congruence,
     FinCategory,
-    FunctorMap,
     Morphism,
     category,
     congruence_close,
@@ -40,7 +39,6 @@ from .fincat import (
     validate_category,
 )
 from .invcat import FinInverseCategory, validate_inverse
-from .pinj import PartialInjection
 from .poset import (
     DecompositionNode,
     FinPoset,

@@ -11,8 +11,8 @@ verdict is emitted.
 from __future__ import annotations
 
 from .diagram import (
+    CoconeFreeDiagram,
     Collision,
-    FinInjDiagram,
     ShapeAnalysis,
     analyze_shape,
     witness_no_cocone,
@@ -29,53 +29,65 @@ from .record import Record
 
 
 class CertificateEvidence(Record):
-    _fields = ("analysis", "certificate")
+    _fields = ("analysis",)
 
-    def __init__(self, analysis: ShapeAnalysis, certificate: ForestCertificate):
+    def __init__(self, analysis: ShapeAnalysis):
         self.analysis = analysis
-        self.certificate = certificate
+
+    @property
+    def certificate(self) -> ForestCertificate:
+        return self.analysis.forest
 
 
 class RefutationEvidence(Record):
-    _fields = ("analysis", "reason", "parallel_pair", "witness", "diagram", "collision")
+    """The reason, the parallel pair or non-forest witness, and the collision
+    are read off the analysis and the cocone-free diagram."""
 
-    def __init__(
-        self,
-        analysis: ShapeAnalysis,
-        reason: str,  # "parallel-pair" or "non-forest-poset"
-        parallel_pair: tuple[int, int] | None,
-        witness: NonForestWitness | None,
-        diagram: FinInjDiagram,
-        collision: Collision,
-    ):
+    _fields = ("analysis", "diagram")
+
+    def __init__(self, analysis: ShapeAnalysis, diagram: CoconeFreeDiagram):
         self.analysis = analysis
-        self.reason = reason
-        self.parallel_pair = parallel_pair
-        self.witness = witness
         self.diagram = diagram
-        self.collision = collision
+
+    @property
+    def reason(self) -> str:
+        return "non-forest-poset" if self.analysis.preorder else "parallel-pair"
+
+    @property
+    def parallel_pair(self) -> tuple[int, int] | None:
+        return self.analysis.parallel_pair
+
+    @property
+    def witness(self) -> NonForestWitness | None:
+        return self.analysis.forest  # None beside a parallel pair
+
+    @property
+    def collision(self) -> Collision:
+        return self.diagram.collision
 
 
 class Verdict(Record):
-    _fields = (
-        "usc", "connected", "amalgamable_ap_jep", "amalgamable_ap_only", "evidence", "trace"
-    )
+    _fields = ("usc", "connected", "evidence", "trace")
 
     def __init__(
         self,
         usc: bool,
         connected: bool,
-        amalgamable_ap_jep: bool,
-        amalgamable_ap_only: bool,
         evidence: CertificateEvidence | RefutationEvidence,
         trace: tuple[str, ...],
     ):
         self.usc = usc
         self.connected = connected
-        self.amalgamable_ap_jep = amalgamable_ap_jep
-        self.amalgamable_ap_only = amalgamable_ap_only
         self.evidence = evidence
         self.trace = trace
+
+    @property
+    def amalgamable_ap_jep(self) -> bool:
+        return self.usc
+
+    @property
+    def amalgamable_ap_only(self) -> bool:
+        return self.usc and self.connected
 
 
 def _sizes(shape: FinCategory | FinPoset) -> tuple[int, int, int]:
@@ -128,32 +140,14 @@ def decide(shape: FinCategory | FinPoset) -> Verdict:
             f"{analysis.reflection.morphisms[g].name}"
         )
 
-    if analysis.usc:
-        evidence = CertificateEvidence(analysis, analysis.forest)
-        usc = True
+    usc = analysis.usc
+    if usc:
+        evidence = CertificateEvidence(analysis)
         trace.append("verdict: amalgamable (certificate attached)")
     else:
-        diagram = witness_no_cocone(shape, analysis)
-        reason = "parallel-pair" if not analysis.preorder else "non-forest-poset"
-        evidence = RefutationEvidence(
-            analysis,
-            reason,
-            analysis.parallel_pair,
-            analysis.forest if analysis.preorder else None,
-            diagram,
-            diagram.collision,
-        )
-        usc = False
+        evidence = RefutationEvidence(analysis, witness_no_cocone(shape, analysis))
         trace.append("verdict: not amalgamable (cocone-free diagram attached)")
-
-    return Verdict(
-        usc=usc,
-        connected=connected,
-        amalgamable_ap_jep=usc,
-        amalgamable_ap_only=usc and connected,
-        evidence=evidence,
-        trace=tuple(trace),
-    )
+    return Verdict(usc, connected, evidence, tuple(trace))
 
 
 def _describe_tree(root, poset, indent: int) -> list[str]:

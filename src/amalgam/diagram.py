@@ -18,15 +18,7 @@ from functools import cached_property, partial
 from itertools import accumulate, repeat
 from operator import itemgetter
 
-from .fincat import (
-    FinCategory,
-    FunctorMap,
-    clip,
-    is_preorder,
-    monic_reflection,
-    skeleton_poset,
-)
-from .pinj import PartialInjection
+from .fincat import FinCategory, clip, is_preorder, monic_reflection, skeleton_poset
 from .poset import (
     FinPoset,
     ForestCertificate,
@@ -66,28 +58,14 @@ class FinInjDiagram:
 
     Carriers are tuples of distinct labels.  An action is stored as
     ``maps[mor]``: the positions in the target carrier of the images of the
-    domain carrier's elements, in carrier order.  Label dicts are built only
-    on demand.
+    domain carrier's elements, in carrier order.  Labels are read only where
+    a diagram is written out or a fault is named.
     """
 
     def __init__(self, shape: FinCategory | FinPoset, carriers, maps):
         self.shape = shape
         self.carriers = carriers
         self.maps = maps
-
-    def carrier(self, obj: int) -> tuple[str, ...]:
-        return self.carriers[obj]
-
-    def action(self, mor: int) -> dict[str, str]:
-        m = self.shape.morphisms[mor]
-        target = self.carriers[m.cod]
-        return dict(zip(self.carriers[m.dom], map(target.__getitem__, self.maps[mor])))
-
-    def as_pinj(self, mor: int) -> PartialInjection:
-        m = self.shape.morphisms[mor]
-        return PartialInjection(
-            self.carriers[m.dom], self.carriers[m.cod], self.action(mor)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, FinInjDiagram):
@@ -521,19 +499,19 @@ def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
 class CoconeResult(Record):
     """Truthy when a cocone exists; carries the cocone or the collision."""
 
-    _fields = ("exists", "cocone", "collision", "colimit")
+    _fields = ("cocone", "colimit")
 
-    def __init__(
-        self,
-        exists: bool,
-        cocone: Cocone | None,
-        collision: Collision | None,
-        colimit: ColimitResult,
-    ):
-        self.exists = exists
+    def __init__(self, cocone: Cocone | None, colimit: ColimitResult):
         self.cocone = cocone
-        self.collision = collision
         self.colimit = colimit
+
+    @property
+    def exists(self) -> bool:
+        return self.cocone is not None
+
+    @property
+    def collision(self) -> Collision | None:
+        return self.colimit.collision
 
     def __bool__(self) -> bool:
         return self.exists
@@ -546,7 +524,7 @@ def has_cocone(diagram: FinInjDiagram) -> CoconeResult:
     slice of class ids over the object's carrier."""
     colim = colimit_set(diagram)
     if not colim.all_injective:
-        return CoconeResult(False, None, colim.collision, colim)
+        return CoconeResult(None, colim)
     ids, offsets = colim.class_ids, colim.offsets
     legs = tuple(
         tuple(ids[offsets[obj]:offsets[obj] + len(c)])
@@ -554,7 +532,7 @@ def has_cocone(diagram: FinInjDiagram) -> CoconeResult:
     )
     cocone = Cocone(tuple([f"q{k}" for k in range(colim.count)]), legs)
     validate_cocone(diagram, cocone)
-    return CoconeResult(True, cocone, None, colim)
+    return CoconeResult(cocone, colim)
 
 
 class ZigzagWord(FrozenRecord):
@@ -588,16 +566,23 @@ class ZigzagWord(FrozenRecord):
         return at
 
 
-def zigzag_action(diagram: FinInjDiagram, word: ZigzagWord) -> PartialInjection:
-    """Evaluate the word on the diagram; backward steps use partial inverses."""
-    word.target(diagram.shape)
-    result = PartialInjection.identity(diagram.carrier(word.source))
+def zigzag_action(diagram: FinInjDiagram, word: ZigzagWord) -> dict[str, str]:
+    """The partial injection the word acts as, from its source's carrier to
+    its target's, as a label dict defined exactly where the word is.  It is
+    evaluated on positions: a forward step reads its arrow's row, a
+    backward step the row's inverse."""
+    target = word.target(diagram.shape)
+    carriers, maps = diagram.carriers, diagram.maps
+    image = {p: p for p in range(len(carriers[word.source]))}
     for mor, forward in word.steps:
-        arrow = diagram.as_pinj(mor)
-        if not forward:
-            arrow = arrow.inverse()
-        result = arrow.after(result)
-    return result
+        row = maps[mor]
+        if forward:
+            image = {p: row[q] for p, q in image.items()}
+        else:
+            inverse = dict(zip(row, range(len(row))))
+            image = {p: inverse[q] for p, q in image.items() if q in inverse}
+    source, dest = carriers[word.source], carriers[target]
+    return {source[p]: dest[q] for p, q in image.items()}
 
 
 class CoconeFreeDiagram(FinInjDiagram):
@@ -611,12 +596,13 @@ class CoconeFreeDiagram(FinInjDiagram):
 class ShapeAnalysis(Record):
     """Everything the verdict pipeline learns about a shape.
 
-    A shape given as a FinPoset is its own reflection and skeleton, with no
-    projection and the identity as skeleton map.
+    The projection is the reflection's class map.  A shape given as a
+    FinPoset is its own reflection and skeleton, with no projection and the
+    identity as skeleton map.
     """
 
     _fields = (
-        "shape", "reflection", "projection", "preorder",
+        "shape", "reflection", "projection",
         "parallel_pair", "skeleton", "skeleton_map", "forest",
     )
 
@@ -624,8 +610,7 @@ class ShapeAnalysis(Record):
         self,
         shape: FinCategory | FinPoset,
         reflection: FinCategory | FinPoset,
-        projection: FunctorMap | None,
-        preorder: bool,
+        projection: tuple[int, ...] | None,
         parallel_pair: tuple[int, int] | None,
         skeleton: FinPoset | None,
         skeleton_map: tuple[int, ...] | None,
@@ -634,16 +619,20 @@ class ShapeAnalysis(Record):
         self.shape = shape
         self.reflection = reflection
         self.projection = projection
-        self.preorder = preorder
         self.parallel_pair = parallel_pair
         self.skeleton = skeleton
         self.skeleton_map = skeleton_map
         self.forest = forest
 
     @property
+    def preorder(self) -> bool:
+        return self.parallel_pair is None
+
+    @property
     def usc(self) -> bool:
-        """Upward-simply-connected: reflection is a preorder with forest-like skeleton."""
-        return self.preorder and isinstance(self.forest, ForestCertificate)
+        """Upward-simply-connected: reflection is a preorder with forest-like
+        skeleton (a reflection that is no preorder has no forest)."""
+        return isinstance(self.forest, ForestCertificate)
 
 
 def analyze_shape(shape: FinCategory | FinPoset) -> ShapeAnalysis:
@@ -655,18 +644,16 @@ def analyze_shape(shape: FinCategory | FinPoset) -> ShapeAnalysis:
     if isinstance(shape, FinPoset):
         identity = tuple(range(len(shape)))
         return ShapeAnalysis(
-            shape, shape, None, True, None, shape, identity, is_forest_like(shape)
+            shape, shape, None, None, shape, identity, is_forest_like(shape)
         )
     reflection, projection = monic_reflection(shape)
     if not is_preorder(reflection):
         pair = next(iter(reflection.parallel_pairs()))
-        return ShapeAnalysis(
-            shape, reflection, projection, False, pair, None, None, None
-        )
+        return ShapeAnalysis(shape, reflection, projection, pair, None, None, None)
     skeleton, skeleton_map = skeleton_poset(reflection)
     forest = is_forest_like(skeleton)
     return ShapeAnalysis(
-        shape, reflection, projection, True, None, skeleton, skeleton_map, forest
+        shape, reflection, projection, None, skeleton, skeleton_map, forest
     )
 
 
@@ -705,7 +692,7 @@ def _parallel_pair_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinIn
     """Carriers: the reflected hom-sets out of A, named by their morphisms.
     The action of f: x -> y sends g to F(f)∘g, read off the row of
     composites after g at the place of F(f) in hom_out[x]."""
-    refl, mor_map = analysis.reflection, analysis.projection.mor_map
+    refl, mor_map = analysis.reflection, analysis.projection
     a = refl.morphisms[analysis.parallel_pair[0]].dom
     homs = [refl.hom(a, x) for x in range(len(refl.objects))]
     place = [0] * len(refl.morphisms)  # each arrow out of A's place in its hom-set

@@ -411,9 +411,12 @@ def validate_category(raw: dict) -> FinCategory:
     triples = raw.get("compose", [])
     if not isinstance(triples, (list, tuple)):
         raise PresentationError("compose must be a list of [g, f, result] triples")
+    # Only a list or tuple entry unpacks: a string or an object would read
+    # as its characters or keys.  One pass at C speed types the whole list.
+    sequences = set(map(type, triples)) <= {list, tuple}
     for triple in triples:
         try:
-            gname, fname, rname = triple
+            gname, fname, rname = triple if sequences or type(triple) in (list, tuple) else ()
         except (TypeError, ValueError):
             raise PresentationError(
                 f"compose entries must be [g, f, result] triples: {echo(triple)}"
@@ -573,65 +576,13 @@ def congruence_close(cat: FinCategory, seeds) -> Congruence:
     return closure.congruence()
 
 
-class FunctorMap:
-    """Object and morphism maps between two validated finite categories."""
-
-    def __init__(self, source: FinCategory, target: FinCategory, obj_map, mor_map):
-        self.source = source
-        self.target = target
-        self.obj_map = tuple(obj_map)
-        self.mor_map = tuple(mor_map)
-
-    def validate(self) -> None:
-        src, tgt = self.source, self.target
-        if len(self.obj_map) != len(src.objects) or len(self.mor_map) != len(src.morphisms):
-            raise PresentationError("functor maps have the wrong length")
-        for x, tx in enumerate(self.obj_map):
-            if self.mor_map[src.identity[x]] != tgt.identity[tx]:
-                raise IdentityViolation(
-                    f"functor does not preserve the identity of {clip(src.objects[x])}"
-                )
-        for f, mf in enumerate(src.morphisms):
-            image = tgt.morphisms[self.mor_map[f]]
-            if image.dom != self.obj_map[mf.dom] or image.cod != self.obj_map[mf.cod]:
-                raise DomCodMismatch(
-                    f"functor breaks endpoints of {clip(mf.name)}"
-                )
-        # F(h∘f) = F(h)∘F(f) for every h after f, row by row; the table is
-        # scanned only to name the first pair that breaks it.
-        mor_map, place = self.mor_map, tgt.place
-        image = mor_map.__getitem__
-        for f, mf in enumerate(src.morphisms):
-            row = tgt.post[mor_map[f]]
-            after = [row[place[image(h)]] for h in src.hom_out[mf.cod]]
-            if after != list(map(image, src.post[f])):
-                break
-        else:
-            return
-        for (g, f), r in src.table.items():
-            if tgt.compose(mor_map[g], mor_map[f]) != mor_map[r]:
-                raise AssociativityViolation(
-                    f"functor breaks composition on "
-                    f"({clip(src.morphisms[g].name)}, {clip(src.morphisms[f].name)})"
-                )
-
-    def __eq__(self, other):
-        if not isinstance(other, FunctorMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.obj_map == other.obj_map
-            and self.mor_map == other.mor_map
-        )
-
-
-def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, FunctorMap]:
-    """Quotient by a congruence, with the projection functor.
+def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, tuple[int, ...]]:
+    """Quotient by a congruence, with the projection as its class map: the
+    objects are kept, so morphism i goes to class ``class_of[i]``.
 
     Class representatives are least-index members, which keeps each identity
     the representative (and the name) of its class.  A discrete congruence
-    returns the category itself with the identity functor.
+    returns the category itself with the identity map.
 
     The partition is checked once, by ``is_congruence``, before anything is
     built.  Over a congruence the quotient's table holds rep(h)∘rep(f), the
@@ -639,9 +590,7 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
     quotient's own axioms are checked by its constructor.
     """
     if len(cong.classes) == len(cat.morphisms):
-        return cat, FunctorMap(
-            cat, cat, range(len(cat.objects)), range(len(cat.morphisms))
-        )
+        return cat, tuple(range(len(cat.morphisms)))
     if not is_congruence(cat, cong):
         raise PresentationError("partition is not a congruence")
     class_of, pre = cong.class_of, cat.pre
@@ -654,11 +603,10 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
             fi = class_of[f]
             if reps[fi] == f:
                 table[(gi, fi)] = class_of[gf]
-    quotient = FinCategory(cat.objects, morphisms, identity, table)
-    return quotient, FunctorMap(cat, quotient, range(len(cat.objects)), class_of)
+    return FinCategory(cat.objects, morphisms, identity, table), class_of
 
 
-def monic_reflection(cat: FinCategory) -> tuple[FinCategory, FunctorMap]:
+def monic_reflection(cat: FinCategory) -> tuple[FinCategory, tuple[int, ...]]:
     """Quotient by the least congruence whose quotient is monic.
 
     Rounds to a fixpoint, on one closure: in each hom-set, each h out of its

@@ -133,9 +133,10 @@ def poset_from_doc(doc: dict) -> FinPoset:
     if not isinstance(pairs, list):
         raise ParseError("poset: covers must be a list of [low, high] pairs")
     covers = []
+    sequences = set(map(type, pairs)) <= {list, tuple}  # as in validate_category
     for pair in pairs:
         try:
-            a, b = pair
+            a, b = pair if sequences or type(pair) in (list, tuple) else ()
         except (TypeError, ValueError):
             raise ParseError(f"poset: covers must be [low, high] pairs: {echo(pair)}") from None
         if not (isinstance(a, str) and isinstance(b, str)):
@@ -397,10 +398,7 @@ def verdict_to_doc(verdict: Verdict) -> dict:
         }
         if ev.reason == "parallel-pair":
             refl = ev.analysis.reflection
-            evidence["parallel_pair"] = [
-                refl.morphisms[ev.parallel_pair[0]].name,
-                refl.morphisms[ev.parallel_pair[1]].name,
-            ]
+            evidence["parallel_pair"] = [refl.morphisms[i].name for i in ev.parallel_pair]
         else:
             evidence["witness"] = witness_to_doc(ev.witness, ev.analysis.skeleton)
         doc["evidence"] = evidence

@@ -41,7 +41,6 @@ from amalgam.fincat import (
     PresentationError,
     is_preorder,
 )
-from amalgam.pinj import PartialInjection
 from amalgam.poset import (
     DecompositionNode,
     FinPoset,
@@ -52,7 +51,8 @@ from amalgam.poset import (
     _same_forest,
     verify_certificate,
 )
-from oracles import components, is_total, minimal
+from oracles import action, components, is_total, minimal
+from pinj import PartialInjection
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -638,18 +638,18 @@ def build_cocone_forest(diagram: FinInjDiagram, cert: ForestCertificate) -> Coco
 
     def build(node):
         x = node.point
-        apex = list(diagram.carrier(x))
+        apex = list(diagram.carriers[x])
         anchor = PartialInjection.identity(apex)
         child_embeddings: list[PartialInjection] = []
         child_legs: list[dict[int, dict[str, str]]] = []
         for k, (child, upset) in enumerate(zip(node.children, node.upsets)):
             sub_apex, sub_legs = build(child)
             rep = (upset & -upset).bit_length() - 1  # the least member
-            step = diagram.action(_hom_single(shape, x, rep))
+            step = action(diagram, _hom_single(shape, x, rep))
             attach = PartialInjection(
-                diagram.carrier(x),
+                diagram.carriers[x],
                 sub_apex,
-                {e: sub_legs[rep][step[e]] for e in diagram.carrier(x)},
+                {e: sub_legs[rep][step[e]] for e in diagram.carriers[x]},
             )
             if k == 0:
                 apex = list(sub_apex)
@@ -697,7 +697,7 @@ def cocone_from_labels(diagram: FinInjDiagram, apex, legs) -> Cocone:
     apex = tuple(apex)
     slot = {a: k for k, a in enumerate(apex)}
     rows = tuple(
-        tuple(slot.get(leg[e], len(apex)) for e in diagram.carrier(obj) if e in leg)
+        tuple(slot.get(leg[e], len(apex)) for e in diagram.carriers[obj] if e in leg)
         for obj, leg in enumerate(legs)
     )
     return Cocone(apex, rows)
@@ -790,7 +790,7 @@ def reference_colimit(diagram: FinInjDiagram) -> ReferenceColimit:
     nodes = [
         (obj, e)
         for obj in range(len(shape.objects))
-        for e in diagram.carrier(obj)
+        for e in diagram.carriers[obj]
     ]
     index = {node: k for k, node in enumerate(nodes)}
     parent = list(range(len(nodes)))
@@ -804,10 +804,10 @@ def reference_colimit(diagram: FinInjDiagram) -> ReferenceColimit:
     for i, m in enumerate(shape.morphisms):
         if shape.is_identity(i):
             continue
-        action = diagram.action(i)
-        for e in diagram.carrier(m.dom):
+        act = action(diagram, i)
+        for e in diagram.carriers[m.dom]:
             a = find(index[(m.dom, e)])
-            b = find(index[(m.cod, action[e])])
+            b = find(index[(m.cod, act[e])])
             if a != b:
                 parent[max(a, b)] = min(a, b)
 
@@ -825,7 +825,7 @@ def reference_colimit(diagram: FinInjDiagram) -> ReferenceColimit:
     for obj in range(len(shape.objects)):
         seen: dict[int, str] = {}
         ok = True
-        for e in diagram.carrier(obj):
+        for e in diagram.carriers[obj]:
             ci = class_of[(obj, e)]
             if ci in seen:
                 ok = False
@@ -850,10 +850,10 @@ def reference_zigzag(diagram: FinInjDiagram, start, goal):
     for i, m in enumerate(shape.morphisms):
         if shape.is_identity(i):
             continue
-        action = diagram.action(i)
-        for e in diagram.carrier(m.dom):
+        act = action(diagram, i)
+        for e in diagram.carriers[m.dom]:
             a = (m.dom, e)
-            b = (m.cod, action[e])
+            b = (m.cod, act[e])
             adj.setdefault(a, []).append((b, (i, True)))
             adj.setdefault(b, []).append((a, (i, False)))
     prev: dict = {start: None}
@@ -962,7 +962,7 @@ def reference_witness(shape, analysis):
         ]
         actions = []
         for i, m in enumerate(shape.morphisms):
-            mi = proj.mor_map[i]
+            mi = proj[i]
             actions.append(
                 {
                     refl.morphisms[g].name: refl.morphisms[refl.compose(mi, g)].name
@@ -1156,18 +1156,13 @@ class ReferenceRunConfig:
 class ReferenceCertificateEvidence:
     __qualname__ = "CertificateEvidence"
     analysis: object
-    certificate: object
 
 
 @dataclass
 class ReferenceRefutationEvidence:
     __qualname__ = "RefutationEvidence"
     analysis: object
-    reason: str
-    parallel_pair: tuple[int, int] | None
-    witness: object
     diagram: FinInjDiagram
-    collision: Collision
 
 
 @dataclass
@@ -1175,8 +1170,6 @@ class ReferenceVerdict:
     __qualname__ = "Verdict"
     usc: bool
     connected: bool
-    amalgamable_ap_jep: bool
-    amalgamable_ap_only: bool
     evidence: object
     trace: tuple[str, ...]
 
@@ -1202,9 +1195,7 @@ class ReferenceCocone:
 @dataclass
 class ReferenceCoconeResult:
     __qualname__ = "CoconeResult"
-    exists: bool
     cocone: object
-    collision: Collision | None
     colimit: object
 
 
@@ -1221,7 +1212,6 @@ class ReferenceShapeAnalysis:
     shape: object
     reflection: object
     projection: object
-    preorder: bool
     parallel_pair: tuple[int, int] | None
     skeleton: FinPoset | None
     skeleton_map: tuple[int, ...] | None

@@ -1,9 +1,11 @@
 """Test-only oracles and views, kept out of the package because no command
 runs them: the bounded simple-connectedness test of condition (iv), the
 Wagner–Preston representation and the inverse-category laws, witness
-shrinking, the exhaustive enumeration of small posets, the label-dict
-diagram reader that the one-pass reader replaced, and small queries and
-loaders that only the tests read.  Imported as ``conftest`` is."""
+shrinking, the exhaustive enumeration of small posets, the functor-law
+check, the label-dict diagram reader that the one-pass reader replaced,
+actions as label dicts and partial injections with the zigzag evaluation
+on them, and small queries and loaders that only the tests read.
+Imported as ``conftest`` is."""
 
 from __future__ import annotations
 
@@ -20,11 +22,21 @@ from amalgam.diagram import (
     ZigzagWord,
     has_cocone,
     validate_diagram,
+    zigzag_action,
 )
-from amalgam.fincat import Congruence, FinCategory, echo
+from amalgam.fincat import (
+    AssociativityViolation,
+    Congruence,
+    DomCodMismatch,
+    FinCategory,
+    IdentityViolation,
+    PresentationError,
+    clip,
+    echo,
+)
 from amalgam.invcat import FinInverseCategory, InverseCategoryError
-from amalgam.pinj import PartialInjection
 from amalgam.poset import FinPoset, _bfs_parents, _bits, _component_masks, _mask, _members
+from pinj import PartialInjection
 
 # -- posets -------------------------------------------------------------------
 
@@ -207,6 +219,55 @@ def congruence_from_parent(parent: list[int]) -> Congruence:
     return Congruence._from_labels(root)
 
 
+class FunctorMap:
+    """Object and morphism maps between two validated finite categories."""
+
+    def __init__(self, source: FinCategory, target: FinCategory, obj_map, mor_map):
+        self.source = source
+        self.target = target
+        self.obj_map = tuple(obj_map)
+        self.mor_map = tuple(mor_map)
+
+    def validate(self) -> None:
+        src, tgt = self.source, self.target
+        if len(self.obj_map) != len(src.objects) or len(self.mor_map) != len(src.morphisms):
+            raise PresentationError("functor maps have the wrong length")
+        for x, tx in enumerate(self.obj_map):
+            if self.mor_map[src.identity[x]] != tgt.identity[tx]:
+                raise IdentityViolation(
+                    f"functor does not preserve the identity of {clip(src.objects[x])}"
+                )
+        for f, mf in enumerate(src.morphisms):
+            image = tgt.morphisms[self.mor_map[f]]
+            if image.dom != self.obj_map[mf.dom] or image.cod != self.obj_map[mf.cod]:
+                raise DomCodMismatch(
+                    f"functor breaks endpoints of {clip(mf.name)}"
+                )
+        # F(h∘f) = F(h)∘F(f) for every h after f, row by row; the table is
+        # scanned only to name the first pair that breaks it.
+        mor_map, place = self.mor_map, tgt.place
+        image = mor_map.__getitem__
+        for f, mf in enumerate(src.morphisms):
+            row = tgt.post[mor_map[f]]
+            after = [row[place[image(h)]] for h in src.hom_out[mf.cod]]
+            if after != list(map(image, src.post[f])):
+                break
+        else:
+            return
+        for (g, f), r in src.table.items():
+            if tgt.compose(mor_map[g], mor_map[f]) != mor_map[r]:
+                raise AssociativityViolation(
+                    f"functor breaks composition on "
+                    f"({clip(src.morphisms[g].name)}, {clip(src.morphisms[f].name)})"
+                )
+
+
+def as_functor(cat: FinCategory, quotient: FinCategory, class_of) -> FunctorMap:
+    """The projection onto a quotient or a reflection, given by its class
+    map, as a functor: the objects are kept."""
+    return FunctorMap(cat, quotient, range(len(cat.objects)), class_of)
+
+
 # -- inverse categories and partial injections --------------------------------
 
 
@@ -357,9 +418,37 @@ class HasCocone(DiagramError):
     pass
 
 
+def action(diagram: FinInjDiagram, mor: int) -> dict[str, str]:
+    """The action of a morphism as a label dict, read off its row."""
+    m = diagram.shape.morphisms[mor]
+    target = diagram.carriers[m.cod]
+    return dict(zip(diagram.carriers[m.dom], map(target.__getitem__, diagram.maps[mor])))
+
+
+def as_pinj(diagram: FinInjDiagram, mor: int) -> PartialInjection:
+    m = diagram.shape.morphisms[mor]
+    return PartialInjection(
+        diagram.carriers[m.dom], diagram.carriers[m.cod], action(diagram, mor)
+    )
+
+
 def actions(diagram: FinInjDiagram) -> tuple[dict[str, str], ...]:
     """Every action as a label dict, by morphism index."""
-    return tuple(map(diagram.action, range(len(diagram.maps))))
+    return tuple(action(diagram, i) for i in range(len(diagram.maps)))
+
+
+def label_zigzag_action(diagram: FinInjDiagram, word: ZigzagWord) -> PartialInjection:
+    """``zigzag_action`` as it was evaluated on label dicts: the composite of
+    the steps' partial injections, a backward step by its inverse.  The
+    reference for the row evaluation."""
+    word.target(diagram.shape)
+    result = PartialInjection.identity(diagram.carriers[word.source])
+    for mor, forward in word.steps:
+        arrow = as_pinj(diagram, mor)
+        if not forward:
+            arrow = arrow.inverse()
+        result = arrow.after(result)
+    return result
 
 
 def collision_word(collision: Collision) -> ZigzagWord:
@@ -400,6 +489,16 @@ def random_endo_word(shape, rng, max_len: int = 8) -> ZigzagWord:
     if at != source:
         steps.extend((i, not forward) for i, forward in reversed(steps))
     return ZigzagWord(source, tuple(steps))
+
+
+def word_pinj(diagram: FinInjDiagram, word: ZigzagWord) -> PartialInjection:
+    """``zigzag_action`` as a partial injection from the carrier of the
+    word's source to that of its target; the constructor checks that the
+    dict is one."""
+    target = word.target(diagram.shape)
+    return PartialInjection(
+        diagram.carriers[word.source], diagram.carriers[target], zigzag_action(diagram, word)
+    )
 
 
 def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:

@@ -1,4 +1,5 @@
-"""Partial injections between finite sets of labeled elements."""
+"""Partial injections between finite sets of labeled elements: the tests'
+reference model for the actions a diagram stores as rows."""
 
 from __future__ import annotations
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgam import serialize
+from amalgam import corpus, serialize
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
     DiagramError,
     FinInjDiagram,
     FunctorialityViolation,
+    IllFormedWord,
     NotApplicable,
     NotInjective,
     ZigzagWord,
@@ -24,12 +25,12 @@ from amalgam.diagram import (
     zigzag_action,
 )
 from amalgam.fincat import category, monic_reflection
-from amalgam.gen import random_diagram_over_poset
-from amalgam.pinj import PartialInjection
+from amalgam.gen import random_diagram_over_poset, random_nonforest
 from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 from conftest import (
     category_from_poset,
     CertificateMismatch,
+    concrete_categories,
     boat_poset,
     bowtie_cat,
     build_cocone_forest,
@@ -46,13 +47,18 @@ from conftest import (
     span_poset,
     total_elements,
 )
+from pinj import PartialInjection
 from oracles import (
     HasCocone,
+    action,
     all_posets,
     collision_word,
     is_partial_identity,
     is_total,
+    label_zigzag_action,
+    random_endo_word,
     shrink_witness,
+    word_pinj,
 )
 
 
@@ -164,7 +170,7 @@ def test_collision_zigzag_replays():
     d = bowtie_diagram()
     col = has_cocone(d).collision
     action = zigzag_action(d, collision_word(col))
-    assert action.mapping.get(col.x) == col.y
+    assert action.get(col.x) == col.y
 
 
 def test_has_cocone_boat_with_empty_bottom():
@@ -227,8 +233,7 @@ def test_zigzag_action_undefined_step_gives_empty_map():
         d.shape.obj_index["A"],
         ((m["f"], False), (m["h"], True), (m["k"], False), (m["g"], True)),
     )
-    action = zigzag_action(d, word)
-    assert action.mapping == {}
+    assert zigzag_action(d, word) == {}
 
 
 def test_zigzag_action_partial_identity_when_targets_agree():
@@ -238,16 +243,16 @@ def test_zigzag_action_partial_identity_when_targets_agree():
         d.shape.obj_index["A"],
         ((m["f"], False), (m["h"], True), (m["k"], False), (m["g"], True)),
     )
-    action = zigzag_action(d, word)
-    assert is_partial_identity(action)
-    assert action.mapping == {"*": "*"}
+    assert is_partial_identity(word_pinj(d, word))
+    assert zigzag_action(d, word) == {"*": "*"}
 
 
 def test_zigzag_empty_word_is_identity():
     d = bowtie_diagram()
     b = d.shape.obj_index["B"]
-    action = zigzag_action(d, ZigzagWord(b, ()))
+    action = word_pinj(d, ZigzagWord(b, ()))
     assert is_partial_identity(action) and is_total(action)
+    assert zigzag_action(d, ZigzagWord(b, ())) == {"0": "0", "1": "1"}
 
 
 def test_zigzag_rejects_ill_formed():
@@ -356,7 +361,7 @@ def test_witness_bowtie_case2():
     w = witness_no_cocone(shape)
     assert not has_cocone(w)
     c = shape.obj_index["C"]
-    assert w.carrier(c) == ("*",)
+    assert w.carriers[c] == ("*",)
 
 
 def test_witness_parallel_pair_case1():
@@ -364,8 +369,8 @@ def test_witness_parallel_pair_case1():
     w = witness_no_cocone(shape)
     assert not has_cocone(w)
     c, b = shape.obj_index["C"], shape.obj_index["B"]
-    assert w.carrier(c) == ("id_C",)
-    assert set(w.carrier(b)) == {"u", "v"}
+    assert w.carriers[c] == ("id_C",)
+    assert set(w.carriers[b]) == {"u", "v"}
 
 
 def test_witness_not_applicable_for_span():
@@ -401,7 +406,7 @@ def test_witness_case1_with_downstream_structure():
     assert not analysis.preorder
     d = witness_no_cocone(shape, analysis)
     assert not has_cocone(d)
-    assert set(d.carrier(shape.obj_index["C"])) >= {"p", "q"}
+    assert set(d.carriers[shape.obj_index["C"]]) >= {"p", "q"}
     shrunk = shrink_witness(d)
     assert not has_cocone(shrunk)
 
@@ -422,9 +427,9 @@ def test_witness_case2_upset_reaching_other_components():
     d = witness_no_cocone(shape)
     assert not has_cocone(d)
     x, c = shape.obj_index["x"], shape.obj_index["c"]
-    assert d.carrier(x) == ("*",)
-    assert d.carrier(c) == ("0", "1")
-    assert d.action(shape.mor_index["x->c"]) == {"*": "0"}
+    assert d.carriers[x] == ("*",)
+    assert d.carriers[c] == ("0", "1")
+    assert action(d, shape.mor_index["x->c"]) == {"*": "0"}
 
 
 def test_shrink_witness_keeps_failure():
@@ -441,7 +446,7 @@ def test_shrink_removes_padding():
     carriers = [c + (f"junk{i}",) for i, c in enumerate(d.carriers)]
     actions = []
     for i, m in enumerate(d.shape.morphisms):
-        act = d.action(i)
+        act = action(d, i)
         act[f"junk{m.dom}"] = f"junk{m.cod}"
         if m.dom == m.cod:
             act[f"junk{m.dom}"] = f"junk{m.dom}"
@@ -483,7 +488,7 @@ def test_collision_zigzag_replays_on_random_witnesses():
         w = witness_no_cocone(shape)
         col = has_cocone(w).collision
         action = zigzag_action(w, collision_word(col))
-        assert action.mapping.get(col.x) == col.y
+        assert action.get(col.x) == col.y
 
 
 def test_skeleton_preserves_cocone_existence():
@@ -507,12 +512,12 @@ def test_skeleton_preserves_cocone_existence():
     reps = [min(o for o in range(len(loop.objects)) if class_of[o] == v)
             for v in range(len(poset))]
     skel_shape = category_from_poset(poset)
-    skel_carriers = [d.carrier(reps[v]) for v in range(len(poset))]
+    skel_carriers = [d.carriers[reps[v]] for v in range(len(poset))]
     skel_actions = []
     for m in skel_shape.morphisms:
         src = reps[m.dom]
         arrow = loop.hom(src, reps[m.cod])[0]
-        skel_actions.append(dict(d.action(arrow)))
+        skel_actions.append(dict(action(d, arrow)))
     skel = validate_diagram(skel_shape, skel_carriers, skel_actions)
     assert bool(has_cocone(d)) == bool(has_cocone(skel)) == True  # noqa: E712
 
@@ -542,7 +547,7 @@ def _relabeled(d, rng, prefix):
     shape = d.shape
     carriers = [tuple(rename[obj][e] for e in c) for obj, c in enumerate(d.carriers)]
     actions = [
-        {rename[m.dom][x]: rename[m.cod][y] for x, y in d.action(i).items()}
+        {rename[m.dom][x]: rename[m.cod][y] for x, y in action(d, i).items()}
         for i, m in enumerate(shape.morphisms)
     ]
     return validate_diagram(shape, carriers, actions), rename
@@ -552,7 +557,7 @@ def _union(first, second):
     """Disjoint union over one shape, the second's carriers after the first's."""
     shape = first.shape
     carriers = [a + b for a, b in zip(first.carriers, second.carriers)]
-    actions = [{**first.action(i), **second.action(i)} for i in range(len(shape.morphisms))]
+    actions = [{**action(first, i), **action(second, i)} for i in range(len(shape.morphisms))]
     return validate_diagram(shape, carriers, actions)
 
 
@@ -566,7 +571,7 @@ def _padded(d, rng):
         carriers.append(c[:at] + (f"junk{obj}",) + c[at:])
     actions = []
     for i, m in enumerate(shape.morphisms):
-        act = d.action(i)
+        act = action(d, i)
         act[f"junk{m.dom}"] = f"junk{m.cod}"
         actions.append(act)
     return validate_diagram(shape, carriers, actions)
@@ -618,10 +623,10 @@ def _check_zigzag(d, col):
     for (a, x), (b, y), (i, forward) in zip(col.nodes, col.nodes[1:], col.steps):
         m = d.shape.morphisms[i]
         if forward:
-            assert (m.dom, m.cod) == (a, b) and d.action(i)[x] == y
+            assert (m.dom, m.cod) == (a, b) and action(d, i)[x] == y
         else:
-            assert (m.cod, m.dom) == (a, b) and d.action(i)[y] == x
-    assert zigzag_action(d, collision_word(col)).mapping.get(col.x) == col.y
+            assert (m.cod, m.dom) == (a, b) and action(d, i)[y] == x
+    assert zigzag_action(d, collision_word(col)).get(col.x) == col.y
 
 
 @settings(max_examples=200, deadline=None)
@@ -735,7 +740,7 @@ def _faulty(d, rng, faults):
     shape = d.shape
     carriers = [list(c) for c in d.carriers]
     actions = [
-        None if shape.is_identity(i) and rng.random() < 0.5 else d.action(i)
+        None if shape.is_identity(i) and rng.random() < 0.5 else action(d, i)
         for i in range(len(shape.morphisms))
     ]
     for kind in faults:
@@ -817,7 +822,7 @@ def test_poset_validation_reports_what_its_category_reports(poset, rng, faults):
     d = random_diagram_over_poset(poset, rng, max_extra=3)
     carriers = [list(c) for c in d.carriers]
     actions = [
-        None if poset.is_identity(i) and rng.random() < 0.5 else d.action(i)
+        None if poset.is_identity(i) and rng.random() < 0.5 else action(d, i)
         for i in range(len(poset.morphisms))
     ]
     for kind in faults:
@@ -885,7 +890,7 @@ def _represented(shape, a: int, tag: str):
     refl, proj = monic_reflection(shape)
     carriers = [tuple(f"{tag}{g}" for g in refl.hom(a, x)) for x in range(len(refl.objects))]
     actions = [
-        {f"{tag}{g}": f"{tag}{refl.compose(proj.mor_map[i], g)}" for g in refl.hom(a, m.dom)}
+        {f"{tag}{g}": f"{tag}{refl.compose(proj[i], g)}" for g in refl.hom(a, m.dom)}
         for i, m in enumerate(shape.morphisms)
     ]
     return validate_diagram(shape, carriers, actions)
@@ -1013,7 +1018,7 @@ def test_writers_give_the_bytes_of_label_pair_lists(d):
     shape = d.shape
     doc = serialize.diagram_to_doc(d)
     actions = {
-        m.name: sorted(map(list, d.action(i).items()))
+        m.name: sorted(map(list, action(d, i).items()))
         for i, m in enumerate(shape.morphisms)
         if not shape.is_identity(i)
     }
@@ -1028,3 +1033,64 @@ def test_writers_give_the_bytes_of_label_pair_lists(d):
         }
         assert serialize.dump(doc) == serialize.dump(dict(doc, legs=legs))
 
+
+
+@st.composite
+def zigzag_cases(draw):
+    """(diagram, word): a diagram drawn over a random concrete category
+    through its skeleton map, or its cocone-free witness when the skeleton
+    is missing; the corpus bowtie diagram; or the witness of a random
+    non-forest poset, over the poset or its category.  The word is a
+    random endo word, a prefix of one, or arbitrary steps, which are
+    mostly ill-formed."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("concrete", "bowtie", "poset witness")))
+    if kind == "concrete":
+        cat = draw(concrete_categories())
+        analysis = analyze_shape(cat)
+        if analysis.skeleton is not None and (analysis.usc or draw(st.booleans())):
+            d = random_diagram_over_poset(
+                analysis.skeleton, rng, shape=cat, element_of=analysis.skeleton_map
+            )
+        else:
+            d = witness_no_cocone(cat, analysis)
+    elif kind == "bowtie":
+        path = corpus.path("bowtie_diagram")
+        d = serialize.diagram_from_doc(serialize.load_document(path), path.parent)
+    else:
+        poset = random_nonforest(rng.randint(4, 7), rng)
+        d = witness_no_cocone(poset if draw(st.booleans()) else category_from_poset(poset))
+    shape = d.shape
+    word = draw(st.sampled_from(("endo", "prefix", "arbitrary")))
+    if word == "arbitrary":
+        steps = tuple(
+            (rng.randrange(len(shape.morphisms)), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 6))
+        )
+        return d, ZigzagWord(rng.randrange(len(shape.objects)), steps)
+    endo = random_endo_word(shape, rng)
+    if word == "prefix":
+        return d, ZigzagWord(endo.source, endo.steps[:rng.randint(0, len(endo.steps))])
+    return d, endo
+
+
+def _evaluated(evaluate, d, word):
+    try:
+        return evaluate(d, word)
+    except IllFormedWord as exc:
+        return ("IllFormedWord", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zigzag_cases())
+def test_the_row_zigzag_action_is_the_label_one(case):
+    """The word evaluated on rows is the partial injection of the label-dict
+    evaluation, key for key, or raises the same IllFormedWord."""
+    d, word = case
+    rows = _evaluated(zigzag_action, d, word)
+    labels = _evaluated(label_zigzag_action, d, word)
+    if isinstance(labels, tuple):
+        assert rows == labels
+    else:
+        assert type(rows) is dict and rows == labels.mapping
+        assert list(rows) == list(labels.mapping)

@@ -1,6 +1,7 @@
 """What the package ships: the oracles and views that only the tests read
-live in `tests/` (`oracles.py`, `groups.py`), `amalgam` exports none of
-them, and no module of the package imports from `tests/`."""
+live in `tests/` (`oracles.py`, `groups.py`, `pinj.py`), `amalgam` exports
+none of them, no module of the package imports from `tests/`, and the
+decider's result records store no field that is derived from another."""
 
 import ast
 import importlib
@@ -9,12 +10,15 @@ import sys
 from pathlib import Path
 
 import amalgam
+from amalgam.decide import CertificateEvidence, RefutationEvidence, Verdict
+from amalgam.diagram import CoconeResult, ShapeAnalysis
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "amalgam"
 EXPORTS_MOVED = (
     "shrink_witness", "is_monic", "check_inverse_laws", "is_idempotent_category",
-    "wagner_preston", "components", "simply_connected_bounded",
+    "wagner_preston", "components", "simply_connected_bounded", "FunctorMap",
+    "PartialInjection",
 )
 # (module, attribute path) of every definition that left the package
 MOVED = (
@@ -28,8 +32,9 @@ MOVED = (
     ("diagram", "shrink_witness"), ("diagram", "HasCocone"),
     ("diagram", "ColimitResult.class_of"), ("diagram", "ColimitResult.iota"),
     ("diagram", "Collision.word"), ("diagram", "ZigzagWord.is_endo"),
-    ("diagram", "FinInjDiagram.actions"),
-    ("fincat", "is_monic"), ("fincat", "Congruence.from_parent"),
+    ("diagram", "FinInjDiagram.actions"), ("diagram", "FinInjDiagram.action"),
+    ("diagram", "FinInjDiagram.as_pinj"), ("diagram", "FinInjDiagram.carrier"),
+    ("fincat", "is_monic"), ("fincat", "Congruence.from_parent"), ("fincat", "FunctorMap"),
     ("gen", "all_posets"), ("gen", "_canonical"), ("gen", "_class_perms"),
     ("gen", "random_endo_word"),
     ("serialize", "inverse_to_doc"), ("serialize", "load_diagram"),
@@ -37,6 +42,14 @@ MOVED = (
     ("pinj", "PartialInjection.image"), ("pinj", "PartialInjection.restrict"),
     ("pinj", "PartialInjection.is_total"), ("pinj", "PartialInjection.is_partial_identity"),
 )
+# Facts each record reads off its fields instead of storing them.
+DERIVED = {
+    Verdict: ("amalgamable_ap_jep", "amalgamable_ap_only"),
+    RefutationEvidence: ("reason", "parallel_pair", "witness", "collision"),
+    CertificateEvidence: ("certificate",),
+    CoconeResult: ("exists", "collision"),
+    ShapeAnalysis: ("preorder",),
+}
 KEPT_FOR_VERIFY = (
     "verify_certificate", "replay_certificate", "verify_witness", "zigzag_action",
     "upward_closure",
@@ -57,10 +70,12 @@ def test_the_package_exports_none_of_the_test_only_names():
 
 
 def test_no_module_of_the_package_keeps_a_moved_definition():
+    """A definition whose module left the package left with it."""
     left = [
         f"amalgam.{module}.{dotted}"
         for module, dotted in MOVED
-        if has_path(importlib.import_module(f"amalgam.{module}"), dotted)
+        if importlib.util.find_spec(f"amalgam.{module}") is not None
+        and has_path(importlib.import_module(f"amalgam.{module}"), dotted)
     ]
     assert left == []
 
@@ -68,6 +83,17 @@ def test_no_module_of_the_package_keeps_a_moved_definition():
 def test_the_coset_enumerator_is_not_a_module_of_the_package():
     assert importlib.util.find_spec("amalgam.groups") is None
     assert not (SRC / "groups.py").exists()
+
+
+def test_partial_injections_are_not_a_module_of_the_package():
+    assert importlib.util.find_spec("amalgam.pinj") is None
+    assert not (SRC / "pinj.py").exists()
+
+
+def test_the_result_records_store_no_derived_field():
+    for cls, derived in DERIVED.items():
+        assert set(cls._fields).isdisjoint(derived), cls
+        assert all(isinstance(getattr(cls, name), property) for name in derived), cls
 
 
 def test_no_module_of_the_package_imports_from_tests():

@@ -1,6 +1,6 @@
 import pytest
 
-from amalgam.pinj import PartialInjection
+from pinj import PartialInjection
 from oracles import domain, image, is_partial_identity, is_total, restricted
 
 

@@ -110,7 +110,7 @@ def check_record(record) -> None:
         for value in (record, reference):
             with pytest.raises(TypeError):
                 hash(value)
-        name = next(iter(kwargs))
+        name = next(name for name, value in kwargs.items() if value is not None)
         setattr(rebuilt, name, None)
         assert getattr(rebuilt, name) is None
         assert (rebuilt == record) is (as_reference(rebuilt) == reference) is False

@@ -184,11 +184,11 @@ def assert_reflection_matches_reference(cat):
     for k, cl in enumerate(classes):
         for i in cl:
             class_of[i] = k
-    assert proj.mor_map == tuple(class_of)
+    assert proj == tuple(class_of)
     cong = congruence_close(cat, [(min(cl), i) for cl in classes for i in cl])
     assert list(cong.classes) == classes
     assert is_congruence(cat, cong)
-    assert (refl, proj.mor_map) == (
+    assert (refl, proj) == (
         (cat, tuple(range(len(cat.morphisms))))
         if len(classes) == len(cat.morphisms)
         else (quotient_category(cat, cong)[0], tuple(class_of))
@@ -205,8 +205,8 @@ def test_a_reflection_that_takes_two_rounds():
     _, proj = monic_reflection(cat)
     merged = [{"u", "v"}, {"s", "t"}, {"x", "y"}]
     for pair in merged:
-        assert len({proj.mor_map[cat.mor_index[name]] for name in pair}) == 1
-    assert len(set(proj.mor_map)) == len(cat.morphisms) - len(merged)
+        assert len({proj[cat.mor_index[name]] for name in pair}) == 1
+    assert len(set(proj)) == len(cat.morphisms) - len(merged)
 
 
 @settings(max_examples=150, deadline=None)

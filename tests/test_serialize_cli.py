@@ -760,6 +760,48 @@ def test_a_fault_quotes_a_large_entry_cut_short(tmp_path, capsys, doc, message):
     assert len(err.encode()) < 300
 
 
+_POSET_AB = {"type": "poset", "elements": ["a", "b"]}
+_MONOID_F = {"type": "category", "objects": ["a"], "morphisms": [_MORPHISM]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**_POSET_AB, "covers": ["ab"]},
+         "poset: covers must be [low, high] pairs: 'ab'"),
+        ({**_POSET_AB, "covers": [{"a": 0, "b": 1}]},
+         "poset: covers must be [low, high] pairs: {'a': 0, 'b': 1}"),
+        ({**_MONOID_F, "compose": ["fff"]},
+         "category: compose entries must be [g, f, result] triples: 'fff'"),
+        ({**_MONOID_F, "compose": [{"f": 1, "g": 2, "h": 3}]},
+         "category: compose entries must be [g, f, result] triples: {'f': 1, 'g': 2, 'h': 3}"),
+        ({**_POSET_AB, "covers": [["a", "b"], "ab"]},
+         "poset: covers must be [low, high] pairs: 'ab'"),
+        ({**_POSET_AB, "covers": [["a", "c"], "ab"]},
+         "poset: cover [a, c] references unknown elements"),
+        ({**_POSET_AB, "covers": ["ab", ["a", "c"]]},
+         "poset: covers must be [low, high] pairs: 'ab'"),
+        ({**_MONOID_F, "compose": [["f", "f", "g"], "fff"]},
+         "category: compose entry references unknown morphism g"),
+        ({**_MONOID_F, "compose": [["f", "f", "f"], {"f": 1, "g": 2, "h": 3}]},
+         "category: compose entries must be [g, f, result] triples: {'f': 1, 'g': 2, 'h': 3}"),
+    ],
+    ids=["cover-string", "cover-object", "compose-string", "compose-object",
+         "cover-string-after-a-pair", "unknown-cover-first", "cover-string-first",
+         "unknown-morphism-first", "compose-object-after-a-triple"],
+)
+def test_an_entry_that_is_no_list_is_refused_not_unpacked(tmp_path, capsys, doc, message):
+    """A string or an object in ``covers`` or ``compose`` would unpack into
+    its characters or keys; it is refused with exit 2 naming the field, and
+    the first fault in document order is the one named."""
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", str(path), "--format", "structured"], ["validate", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "entry",
     [["a"], [["a"], "b"], [[["a"]], "b"], {"name": "f", "dom": ["a"], "cod": "a"},
