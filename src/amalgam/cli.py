@@ -56,13 +56,16 @@ def _locale_encoding() -> str:
 def _emit(config: RunConfig, text: str) -> None:
     """Write text to stdout, or to the file ``--out`` names through one
     descriptor: created or truncated as open(path, "w") does it, and the
-    text encoded as it would, in the locale's encoding, strictly."""
+    text encoded as it would, in the locale's encoding, strictly.  The text
+    is encoded before the file is opened, so text that does not encode
+    leaves the file as it was and creates none."""
     if not config.out:
         sys.stdout.write(text)
         return
+    data = text.encode(_locale_encoding())
     fd = os.open(config.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        view = memoryview(text.encode(_locale_encoding()))
+        view = memoryview(data)
         while view:  # a write may take fewer bytes than it is given
             view = view[os.write(fd, view):]
     finally:

@@ -67,19 +67,22 @@ class RefutationEvidence(Record):
 
 
 class Verdict(Record):
-    _fields = ("usc", "connected", "evidence", "trace")
+    _fields = ("connected", "evidence", "trace")
 
     def __init__(
         self,
-        usc: bool,
         connected: bool,
         evidence: CertificateEvidence | RefutationEvidence,
         trace: tuple[str, ...],
     ):
-        self.usc = usc
         self.connected = connected
         self.evidence = evidence
         self.trace = trace
+
+    @property
+    def usc(self) -> bool:
+        """Upward-simply-connected: the evidence is a certificate."""
+        return isinstance(self.evidence, CertificateEvidence)
 
     @property
     def amalgamable_ap_jep(self) -> bool:
@@ -140,14 +143,13 @@ def decide(shape: FinCategory | FinPoset) -> Verdict:
             f"{analysis.reflection.morphisms[g].name}"
         )
 
-    usc = analysis.usc
-    if usc:
+    if analysis.usc:
         evidence = CertificateEvidence(analysis)
         trace.append("verdict: amalgamable (certificate attached)")
     else:
         evidence = RefutationEvidence(analysis, witness_no_cocone(shape, analysis))
         trace.append("verdict: not amalgamable (cocone-free diagram attached)")
-    return Verdict(usc, connected, evidence, tuple(trace))
+    return Verdict(connected, evidence, tuple(trace))
 
 
 def _describe_tree(root, poset, indent: int) -> list[str]:

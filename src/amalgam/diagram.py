@@ -278,9 +278,9 @@ class ColimitClasses:
     @cached_property
     def _sets(self) -> tuple[frozenset[tuple[int, str]], ...]:
         members: list[list[tuple[int, str]]] = [[] for _ in range(len(self))]
-        ids, offsets = self._colimit.class_ids, self._colimit.offsets
-        for obj, carrier in enumerate(self._colimit.diagram.carriers):
-            for e, k in zip(carrier, ids[offsets[obj]:]):
+        colimit = self._colimit
+        for obj, (carrier, row) in enumerate(zip(colimit.diagram.carriers, colimit.ids)):
+            for e, k in zip(carrier, row):
                 members[k].append((obj, e))
         return tuple(map(frozenset, members))
 
@@ -288,33 +288,26 @@ class ColimitClasses:
 class ColimitResult(Record):
     """Union-find quotient of the disjoint sum of carriers.
 
-    Node ``offsets[obj] + p`` is the p-th element of the object's carrier;
-    ``class_ids[node]`` is its class, and classes are numbered in the order
-    of their first nodes.  The frozensets of ``classes`` are built only
-    when one of them is read.
+    ``ids[obj][p]`` is the class of the p-th element of the object's
+    carrier, and classes are numbered in the order of their first elements,
+    carrier by carrier.  The collision is the first object whose row
+    repeats a class, with its first repeated pair.  The frozensets of
+    ``classes`` are built only when one of them is read.
     """
 
-    _fields = ("diagram", "offsets", "class_ids", "count", "injective", "collision")
+    _fields = ("diagram", "ids", "count", "collision")
 
     def __init__(
         self,
         diagram: FinInjDiagram,
-        offsets: tuple[int, ...],
-        class_ids: list[int],
+        ids: tuple[tuple[int, ...], ...],
         count: int,
-        injective: tuple[bool, ...],
         collision: Collision | None,
     ):
         self.diagram = diagram
-        self.offsets = offsets
-        self.class_ids = class_ids
+        self.ids = ids
         self.count = count
-        self.injective = injective
         self.collision = collision
-
-    @property
-    def all_injective(self) -> bool:
-        return all(self.injective)
 
     @property
     def classes(self) -> ColimitClasses:
@@ -328,13 +321,14 @@ def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
 
     The unions run over the shape's generators only: the action of any other
     morphism is a composite of theirs, so its steps are already unions.
-    Union-find over integer nodes; a union keeps the smaller root, so every
-    node's parent precedes it and each root is its class's first node, and
-    the classes do not depend on the order of the unions.
+    Union-find over integer nodes, node ``offsets[obj] + p`` being the p-th
+    element of the object's carrier; a union keeps the smaller root, so
+    every node's parent precedes it and each root is its class's first
+    node, and the classes do not depend on the order of the unions.
     """
     shape, carriers, maps = diagram.shape, diagram.carriers, diagram.maps
     offsets = list(accumulate(map(len, carriers), initial=0))
-    parent = list(range(offsets.pop()))
+    parent = list(range(offsets[-1]))
     for i, dom, cod in shape.generator_ends:
         base = offsets[cod]
         for a, q in enumerate(maps[i], offsets[dom]):
@@ -358,25 +352,21 @@ def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
             count += 1
         else:
             class_ids[k] = class_ids[p]
+    ids = tuple(tuple(class_ids[a:b]) for a, b in zip(offsets, offsets[1:]))
 
-    injective = []
     collision = None
-    for obj, c in enumerate(carriers):
-        ids = class_ids[offsets[obj]:offsets[obj] + len(c)]
-        injective.append(len(set(ids)) == len(ids))
-        if collision is None and not injective[-1]:
+    for obj, row in enumerate(ids):
+        if len(set(row)) != len(row):
             first: dict[int, int] = {}
-            for y, k in enumerate(ids):
+            for y, k in enumerate(row):
                 x = first.setdefault(k, y)
                 if x != y:
                     break
-            search = partial(
-                _element_zigzag, diagram, offsets, obj, offsets[obj] + x, offsets[obj] + y
-            )
-            collision = Collision(obj, c[x], c[y], search=search)
-    return ColimitResult(
-        diagram, tuple(offsets), class_ids, count, tuple(injective), collision
-    )
+            base = offsets[obj]
+            search = partial(_element_zigzag, diagram, offsets, obj, base + x, base + y)
+            collision = Collision(obj, carriers[obj][x], carriers[obj][y], search=search)
+            break
+    return ColimitResult(diagram, ids, count, collision)
 
 
 def _element_zigzag(diagram, offsets, obj, start, goal):
@@ -520,17 +510,12 @@ class CoconeResult(Record):
 def has_cocone(diagram: FinInjDiagram) -> CoconeResult:
     """Oracle: a cocone exists iff all canonical maps to the colimit are injective.
 
-    The colimit is the cocone: apex ``q{k}`` for class k, and each leg the
-    slice of class ids over the object's carrier."""
+    The colimit is the cocone: apex ``q{k}`` for class k, and the legs the
+    colimit's class rows."""
     colim = colimit_set(diagram)
-    if not colim.all_injective:
+    if colim.collision is not None:
         return CoconeResult(None, colim)
-    ids, offsets = colim.class_ids, colim.offsets
-    legs = tuple(
-        tuple(ids[offsets[obj]:offsets[obj] + len(c)])
-        for obj, c in enumerate(diagram.carriers)
-    )
-    cocone = Cocone(tuple([f"q{k}" for k in range(colim.count)]), legs)
+    cocone = Cocone(tuple([f"q{k}" for k in range(colim.count)]), colim.ids)
     validate_cocone(diagram, cocone)
     return CoconeResult(cocone, colim)
 

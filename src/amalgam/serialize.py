@@ -62,14 +62,37 @@ def _named(path: str | os.PathLike) -> str:
     return str(Path(path))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object, refused when it repeats a key: a dict would
+    keep only the key's last value and silently drop the others."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"an object repeats the key '{clip(key)}'")
+            seen.add(key)
+    return obj
+
+
+# One decoder for every document: json.loads given a hook builds a new
+# decoder on each call, which costs more than the hook itself.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_document(path: str | os.PathLike) -> dict:
-    """The JSON object at path, decoded from its bytes: the decoder detects
-    UTF-8, UTF-16 or UTF-32.  Errors name the path as pathlib normalises
-    it, as they do for bytes that do not decode and for arrays or objects
-    nested past the decoder's recursion limit."""
+    """The JSON object at path, decoded from its bytes as json.loads decodes
+    bytes: ``json.detect_encoding`` tells UTF-8, UTF-16 or UTF-32 apart.
+    An object that repeats a key is refused.
+    Errors name the path as pathlib normalises it, as they do for bytes
+    that do not decode and for arrays or objects nested past the decoder's
+    recursion limit."""
     try:
-        doc = json.loads(_read(path))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        data = _read(path)
+        doc = _DECODER.decode(data.decode(json.detect_encoding(data), "surrogatepass"))
+    except (
+        OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError, ParseError
+    ) as exc:
         raise ParseError(f"{_named(path)}: {exc}") from exc
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError(f"{_named(path)}: document must be an object with a 'type' field")

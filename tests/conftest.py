@@ -1168,7 +1168,6 @@ class ReferenceRefutationEvidence:
 @dataclass
 class ReferenceVerdict:
     __qualname__ = "Verdict"
-    usc: bool
     connected: bool
     evidence: object
     trace: tuple[str, ...]
@@ -1178,10 +1177,8 @@ class ReferenceVerdict:
 class ReferenceColimitResult:
     __qualname__ = "ColimitResult"
     diagram: FinInjDiagram
-    offsets: tuple[int, ...]
-    class_ids: list[int]
+    ids: tuple[tuple[int, ...], ...]
     count: int
-    injective: tuple[bool, ...]
     collision: Collision | None
 
 

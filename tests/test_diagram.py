@@ -62,6 +62,12 @@ from oracles import (
 )
 
 
+def injective_rows(colim) -> tuple[bool, ...]:
+    """Per object, whether its canonical map into the colimit is injective:
+    its class row repeats no class."""
+    return tuple(len(set(row)) == len(row) for row in colim.ids)
+
+
 def bowtie_diagram(h_target="0", k_target="1"):
     shape = bowtie_cat()
     carriers = {"A": ("*",), "B": ("0", "1"), "C": ("*",), "D": ("*",)}
@@ -137,7 +143,7 @@ def test_colimit_bowtie_single_class():
     colim = colimit_set(d)
     assert len(colim.classes) == 1
     b = d.shape.obj_index["B"]
-    assert not colim.injective[b]
+    assert injective_rows(colim)[b] is False
     assert colim.collision is not None
 
 
@@ -146,7 +152,7 @@ def test_colimit_identity_shape():
     d = validate_diagram(shape, [("1", "2")], [{"1": "1", "2": "2"}])
     colim = colimit_set(d)
     assert len(colim.classes) == 2
-    assert colim.all_injective
+    assert colim.ids == ((0, 1),) and colim.collision is None
 
 
 def test_colimit_disjoint_objects():
@@ -154,7 +160,7 @@ def test_colimit_disjoint_objects():
     d = validate_diagram(shape, [("1",), ("2",)], [{"1": "1"}, {"2": "2"}])
     colim = colimit_set(d)
     assert len(colim.classes) == 2
-    assert colim.all_injective
+    assert colim.ids == ((0,), (1,)) and colim.collision is None
 
 
 def test_has_cocone_bowtie_false_with_collision_at_B():
@@ -171,6 +177,23 @@ def test_collision_zigzag_replays():
     col = has_cocone(d).collision
     action = zigzag_action(d, collision_word(col))
     assert action.get(col.x) == col.y
+
+
+def test_the_cocone_legs_are_the_colimit_class_rows():
+    answer = has_cocone(bowtie_diagram(k_target="0"))
+    assert answer and answer.cocone.legs is answer.colimit.ids
+    assert answer.cocone.apex == tuple(f"q{k}" for k in range(answer.colimit.count))
+
+
+def test_has_cocone_checks_the_cocone_it_returns(monkeypatch):
+    def refuse(diagram, cocone):
+        raise FunctorialityViolation("cocone refused")
+
+    d = bowtie_diagram(k_target="0")
+    assert has_cocone(d)
+    monkeypatch.setattr("amalgam.diagram.validate_cocone", refuse)
+    with pytest.raises(FunctorialityViolation, match="cocone refused"):
+        has_cocone(d)
 
 
 def test_has_cocone_boat_with_empty_bottom():
@@ -637,8 +660,10 @@ def test_colimit_matches_the_tuple_keyed_reference(d):
     assert len(colim.classes) == len(ref.classes)
     assert tuple(colim.classes) == ref.classes
     ref_class = {node: k for k, cl in enumerate(ref.classes) for node in cl}
-    assert colim.class_ids == [ref_class[(o, e)] for o, c in enumerate(d.carriers) for e in c]
-    assert colim.injective == ref.injective
+    assert colim.ids == tuple(
+        tuple(ref_class[(o, e)] for e in c) for o, c in enumerate(d.carriers)
+    )
+    assert injective_rows(colim) == ref.injective
     col = colim.collision
     assert (col and (col.obj, col.x, col.y)) == ref.collision
     if col is not None:
@@ -648,7 +673,7 @@ def test_colimit_matches_the_tuple_keyed_reference(d):
         cocone = has_cocone(d).cocone
         for obj, c in enumerate(d.carriers):
             assert [cocone.apex[k] for k in cocone.legs[obj]] == [
-                f"q{colim.class_ids[colim.offsets[obj] + p]}" for p in range(len(c))
+                f"q{ref_class[(obj, e)]}" for e in c
             ]
 
 
@@ -660,7 +685,7 @@ def test_colimit_is_unchanged_when_labels_are_renamed(d, rng):
     assert [{(o, rename[o][e]) for o, e in cl} for cl in a.colimit.classes] == list(
         b.colimit.classes
     )
-    assert a.colimit.injective == b.colimit.injective
+    assert a.colimit.ids == b.colimit.ids
     if a:
         assert b and a.cocone == b.cocone
     else:
@@ -918,7 +943,7 @@ def test_colimit_matches_the_reference_on_categories(d):
     ref = reference_colimit(d)
     colim = colimit_set(d)
     assert tuple(colim.classes) == ref.classes
-    assert colim.injective == ref.injective
+    assert injective_rows(colim) == ref.injective
     col = colim.collision
     assert (col and (col.obj, col.x, col.y)) == ref.collision
     if col is not None:
@@ -958,8 +983,7 @@ def test_cocone_check_reports_the_reference_first_fault_on_categories(d, rng, mo
     """The colimit's legs with up to three faults: two entries of a leg
     swapped, one moved to an unused apex point, or one moved anywhere."""
     colim = colimit_set(d)
-    ids, offsets = colim.class_ids, colim.offsets
-    legs = [list(ids[offsets[obj]:offsets[obj] + len(c)]) for obj, c in enumerate(d.carriers)]
+    legs = list(map(list, colim.ids))
     apex = tuple(f"q{k}" for k in range(colim.count + 1))
     for kind in moves:
         leg = legs[rng.randrange(len(legs))]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import amalgam
 from amalgam.decide import CertificateEvidence, RefutationEvidence, Verdict
-from amalgam.diagram import CoconeResult, ShapeAnalysis
+from amalgam.diagram import CoconeResult, ColimitResult, ShapeAnalysis
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "amalgam"
@@ -44,7 +44,7 @@ MOVED = (
 )
 # Facts each record reads off its fields instead of storing them.
 DERIVED = {
-    Verdict: ("amalgamable_ap_jep", "amalgamable_ap_only"),
+    Verdict: ("usc", "amalgamable_ap_jep", "amalgamable_ap_only"),
     RefutationEvidence: ("reason", "parallel_pair", "witness", "collision"),
     CertificateEvidence: ("certificate",),
     CoconeResult: ("exists", "collision"),
@@ -94,6 +94,12 @@ def test_the_result_records_store_no_derived_field():
     for cls, derived in DERIVED.items():
         assert set(cls._fields).isdisjoint(derived), cls
         assert all(isinstance(getattr(cls, name), property) for name in derived), cls
+
+
+def test_the_colimit_stores_its_class_rows_and_no_copy_of_them():
+    assert ColimitResult._fields == ("diagram", "ids", "count", "collision")
+    assert not hasattr(ColimitResult, "all_injective")
+    assert "usc" not in Verdict._fields
 
 
 def test_no_module_of_the_package_imports_from_tests():

@@ -436,7 +436,71 @@ def test_out_is_encoded_in_the_locale_encoding_strictly(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, "_locale_encoding", lambda: "ascii")
     assert main(["check", str(path), "--out", str(out)]) == 2
     assert "'ascii' codec can't encode character '\\xe9'" in capsys.readouterr().err
-    assert out.read_bytes() == b""  # created, then refused, as a text-mode open leaves it
+    assert out.read_bytes() == text.encode(locale.getpreferredencoding(False))
+
+
+SURROGATE = '{"type":"poset","elements":["a","\\ud800"],"covers":[["a","\\ud800"]]}'
+
+
+def test_text_that_does_not_encode_leaves_the_out_file_as_it_was(tmp_path, capsys):
+    """The text is encoded before ``--out`` is opened: a file keeps its
+    bytes, and a new path is not created."""
+    path, out, fresh = tmp_path / "poset.json", tmp_path / "out.txt", tmp_path / "new.txt"
+    path.write_text(SURROGATE)
+    out.write_bytes(b"previous content")
+    for target in (out, fresh):
+        assert main(["check", str(path), "--out", str(target)]) == 2
+        assert "can't encode character '\\ud800'" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous content"
+    assert not fresh.exists()
+
+
+REPEATED_KEYS = {
+    "carriers": (
+        "oracle",
+        '{"type": "diagram", "shape": {"type": "poset", "elements": ["a", "b"], '
+        '"covers": []}, "carriers": {"a": ["x"], "b": ["u", "v"], "a": []}, '
+        '"actions": {}}',
+        "a",
+    ),
+    "covers": (
+        "check",
+        '{"type": "poset", "elements": ["a", "b"], "covers": [["a", "b"]], "covers": []}',
+        "covers",
+    ),
+    "type": (
+        "check",
+        '{"type": "poset", "type": "category", "objects": ["a"], "elements": ["a"]}',
+        "type",
+    ),
+    "name": (
+        "check",
+        '{"type": "category", "objects": ["A", "B"], '
+        '"morphisms": [{"name": "f", "name": "g", "dom": "A", "cod": "B"}]}',
+        "name",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_an_object_that_repeats_a_key_is_refused(tmp_path, capsys, case):
+    """Each of these read as the key's last value, and so as another input."""
+    command, text, key = REPEATED_KEYS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: an object repeats the key '{key}'\n"
+    )
+
+
+def test_a_repeated_key_is_named_clipped(tmp_path):
+    key = "k" * 100
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"type": "poset", "{key}": 1, "{key}": 2}}')
+    with pytest.raises(ParseError) as caught:
+        serialize.load_document(path)
+    assert str(caught.value) == f"{path}: an object repeats the key '{'k' * 77}...'"
 
 
 def test_readme_library_example_runs(capsys):
