@@ -30,8 +30,6 @@ from .fincat import (
     FinCategory,
     Morphism,
     category,
-    congruence_close,
-    connected_components,
     is_preorder,
     monic_reflection,
     quotient_category,

@@ -21,7 +21,7 @@ from .diagram import (
     witness_no_cocone,
 )
 from .fincat import CategoryError
-from .poset import FinPoset, ForestCertificate, PosetError, is_forest_like
+from .poset import FinPoset, ForestCertificate, PosetError, clip, is_forest_like
 from .record import Record
 from .serialize import ParseError
 
@@ -184,7 +184,7 @@ def cmd_validate(config: RunConfig) -> int:
     elif kind == "diagram":
         serialize.diagram_from_doc(doc, base_dir=os.path.dirname(path))
     else:
-        raise ParseError(f"cannot validate documents of type '{kind}'")
+        raise ParseError(f"cannot validate documents of type '{clip(kind)}'")
     _emit(config, f"valid {kind}\n")
     return 0
 

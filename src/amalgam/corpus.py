@@ -21,13 +21,6 @@ def _entry(name: str) -> str:
     return entry
 
 
-def path(name: str):
-    """The corpus entry's file, as a ``pathlib.Path``."""
-    from pathlib import Path
-
-    return Path(_entry(name))
-
-
 def resolve(ref: str) -> str:
     """Interpret a CLI argument as a filesystem path or a corpus name.
 

@@ -218,15 +218,13 @@ def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
 
 class Collision:
     """Two distinct elements of one carrier glued in the colimit, with the
-    element-level zigzag connecting them.  A collision that ``colimit_set``
-    finds searches for its zigzag when ``nodes`` or ``steps`` is first
-    read: a verdict reports only the two elements."""
+    element-level zigzag connecting them.  ``search`` returns the zigzag's
+    nodes and steps; it runs when ``nodes`` or ``steps`` is first read, so a
+    verdict, which reports only the two elements, never runs it."""
 
-    def __init__(self, obj: int, x: str, y: str, nodes=None, steps=None, *, search=None):
+    def __init__(self, obj: int, x: str, y: str, *, search):
         self.obj, self.x, self.y = obj, x, y
         self._search = search
-        if search is None:
-            self._zigzag = (nodes, steps)
 
     @cached_property
     def _zigzag(self) -> tuple[tuple, tuple]:

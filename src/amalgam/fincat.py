@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 
-from .poset import FinPoset, _component_masks, _members, clip
+from .poset import FinPoset, clip, lone_surrogate
 from .record import FrozenRecord, set_field
 
 
@@ -38,10 +38,6 @@ class AssociativityViolation(CategoryError):
 
 
 class IdentityViolation(CategoryError):
-    pass
-
-
-class NonParallelSeed(CategoryError):
     pass
 
 
@@ -380,8 +376,14 @@ def validate_category(raw: dict) -> FinCategory:
     every other composable pair must be listed.
     """
     objects = raw.get("objects", [])
-    if not isinstance(objects, (list, tuple)) or not all(isinstance(o, str) for o in objects):
-        raise PresentationError("objects must be a list of string names")
+    try:
+        if not isinstance(objects, (list, tuple)):
+            raise TypeError
+        lone = lone_surrogate(objects)
+    except TypeError:
+        raise PresentationError("objects must be a list of string names") from None
+    if lone is not None:
+        raise PresentationError(f"objects may not hold a lone surrogate: '{lone}'")
     objects = list(objects)
     morphisms = [Morphism(f"id_{name}", i, i) for i, name in enumerate(objects)]
     obj_index = {name: i for i, name in enumerate(objects)}
@@ -404,6 +406,9 @@ def validate_category(raw: dict) -> FinCategory:
         if dom not in obj_index or cod not in obj_index:
             raise PresentationError(f"morphism {clip(name)} references unknown objects")
         morphisms.append(Morphism(name, obj_index[dom], obj_index[cod]))
+    lone = lone_surrogate([m.name for m in morphisms])
+    if lone is not None:
+        raise PresentationError(f"morphism names may not hold a lone surrogate: '{lone}'")
     mor_index = name_index(objects, morphisms)
 
     identity = tuple(range(len(objects)))
@@ -464,12 +469,6 @@ def category(objects, arrows=(), compose=()) -> FinCategory:
             "compose": [list(t) for t in compose],
         }
     )
-
-
-def connected_components(cat: FinCategory) -> tuple[frozenset[int], ...]:
-    """Object classes under zigzags of morphisms, by least object; the empty
-    category has none."""
-    return tuple(map(_members, _component_masks(cat, (1 << len(cat.objects)) - 1)))
 
 
 class Congruence(FrozenRecord):
@@ -562,18 +561,6 @@ def is_congruence(cat: FinCategory, cong: Congruence) -> bool:
             ):
                 return False
     return True
-
-
-def congruence_close(cat: FinCategory, seeds) -> Congruence:
-    """Least congruence containing the seed pairs of parallel morphisms."""
-    closure = _Closure(cat)
-    for a, b in seeds:
-        ma, mb = cat.morphisms[a], cat.morphisms[b]
-        if ma.dom != mb.dom or ma.cod != mb.cod:
-            raise NonParallelSeed(f"({clip(ma.name)}, {clip(mb.name)}) are not parallel")
-        closure.merge(a, b)
-    closure.propagate()
-    return closure.congruence()
 
 
 def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, tuple[int, ...]]:

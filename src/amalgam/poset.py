@@ -35,6 +35,21 @@ def clip(name) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
+def lone_surrogate(names) -> str | None:
+    """The first of the names that holds a lone surrogate, which no UTF-8
+    output can write, ASCII-escaped and clipped as a fault quotes it, or
+    None.  A name that is not a string raises TypeError, so this is also
+    its reader's type check; ASCII names pass in one scan of their join."""
+    if "".join(names).isascii():
+        return None
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            return clip(name.encode("ascii", "backslashreplace").decode("ascii"))
+    return None
+
+
 def _bits(mask: int):
     """Indices of the set bits of mask, ascending, read off its binary digits."""
     return compress(count(), map("1".__eq__, bin(mask)[:1:-1]))
@@ -203,9 +218,6 @@ class FinPoset:
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up_masks[a] >> b & 1)
-
-    def up(self, a: int) -> frozenset[int]:
-        return _members(self.up_masks[a])
 
     def down(self, a: int) -> frozenset[int]:
         return _members(self.down_masks[a])

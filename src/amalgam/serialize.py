@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from itertools import repeat
+from operator import itemgetter
 
 from .decide import CertificateEvidence, Verdict
 from .diagram import Cocone, DiagramError, FinInjDiagram, validate_diagram
@@ -22,6 +23,7 @@ from .poset import (
     ForestCertificate,
     NonForestWitness,
     NotAPartialOrder,
+    lone_surrogate,
     sorted_names,
 )
 
@@ -114,13 +116,11 @@ def category_from_doc(doc: dict) -> FinCategory:
         raise ParseError(f"category: {exc}") from exc
 
 
-def category_to_doc(cat: FinCategory | FinPoset) -> dict:
-    """A category document.  The commands write a poset as a poset
-    document, but a poset given here is written out as its category, the
-    form older diagram documents embed and ``cocone`` still accepts over the
-    poset.  The compose triples come in name order, g by name and then f by
-    name among the arrows into dom g, so no triple is sorted."""
-    morphisms, objects = cat.morphisms, cat.objects
+def category_to_doc(cat: FinCategory) -> dict:
+    """A category document.  The compose triples come in name order, g by
+    name and then f by name among the arrows into dom g, so no triple is
+    sorted; g∘f is read off f's row of composites, ``post[f][place[g]]``."""
+    morphisms, objects, post = cat.morphisms, cat.objects, cat.post
     names = [m.name for m in morphisms]
     arrows = [i for i in sorted(range(len(names)), key=names.__getitem__)
               if not cat.is_identity(i)]
@@ -131,7 +131,7 @@ def category_to_doc(cat: FinCategory | FinPoset) -> dict:
     compose = []
     for g in arrows:
         fs = into[morphisms[g].dom]
-        composites = map(cat.compose, repeat(g), fs)
+        composites = map(itemgetter(cat.place[g]), map(post.__getitem__, fs))
         compose.extend(zip(repeat(names[g]), map(name, fs), map(name, composites)))
     return {
         "type": "category",
@@ -149,8 +149,14 @@ def category_to_doc(cat: FinCategory | FinPoset) -> dict:
 
 def poset_from_doc(doc: dict) -> FinPoset:
     elements = _require(doc, "elements", "poset")
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-        raise ParseError("poset: elements must be a list of string names")
+    try:
+        if not isinstance(elements, list):
+            raise TypeError
+        lone = lone_surrogate(elements)
+    except TypeError:
+        raise ParseError("poset: elements must be a list of string names") from None
+    if lone is not None:
+        raise ParseError(f"poset: elements may not hold a lone surrogate: '{lone}'")
     index = {name: i for i, name in enumerate(elements)}
     pairs = doc.get("covers", [])
     if not isinstance(pairs, list):
@@ -252,9 +258,17 @@ def diagram_from_doc(
     for name, labels in carriers_field.items():
         if name not in shape.obj_index:
             raise ParseError(f"diagram: carrier for unknown object '{clip(name)}'")
-        if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
+        try:
+            if not isinstance(labels, list):
+                raise TypeError
+            lone = lone_surrogate(labels)
+        except TypeError:
             raise ParseError(
                 f"diagram: carrier of '{clip(name)}' must be a list of string labels"
+            ) from None
+        if lone is not None:
+            raise ParseError(
+                f"diagram: carrier of '{clip(name)}' may not hold a lone surrogate: '{lone}'"
             )
     carriers = [carriers_field.get(name, ()) for name in shape.objects]
     actions_field = doc.get("actions", {})

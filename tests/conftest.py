@@ -39,6 +39,7 @@ from amalgam.fincat import (
     MissingComposite,
     Morphism,
     PresentationError,
+    _Closure,
     is_preorder,
 )
 from amalgam.poset import (
@@ -47,6 +48,7 @@ from amalgam.poset import (
     ForestCertificate,
     NonForestWitness,
     PosetError,
+    _members,
     _preorder,
     _same_forest,
     verify_certificate,
@@ -250,7 +252,7 @@ def category_from_poset(poset: FinPoset) -> FinCategory:
         name[(a, b)] = nm
         arrows.append((nm, poset.elements[a], poset.elements[b]))
     for a, b in sorted(poset.relation_pairs()):
-        for c in sorted(poset.up(b)):
+        for c in sorted(_members(poset.up_masks[b])):
             if a != b and b != c:
                 compose.append((name[(b, c)], name[(a, b)], name[(a, c)]))
     return category(poset.elements, arrows, compose)
@@ -427,7 +429,7 @@ def brute_force_tree_like(poset: FinPoset, bound: int = 8) -> bool:
             return memo[region]
         answer = False
         for x in minimal(poset, region):
-            up_x = poset.up(x)
+            up_x = _members(poset.up_masks[x])
             for part in components(poset, region - {x}):
                 if len(components(poset, part & up_x)) != 1 or not tree(part):
                     break
@@ -944,7 +946,7 @@ def reference_collision(diagram: FinInjDiagram) -> Collision | None:
                 nodes, steps = reference_element_zigzag(
                     diagram, offsets, class_ids, obj, offsets[obj] + x, offsets[obj] + y
                 )
-                return Collision(obj, c[x], c[y], nodes, steps)
+                return Collision(obj, c[x], c[y], search=lambda: (nodes, steps))
     return None
 
 
@@ -994,6 +996,16 @@ def reference_witness(shape, analysis):
                 actions.append({e: e for e in carrier_for(vx)})
     diagram = validate_diagram(shape, carriers, actions)
     return diagram, reference_collision(diagram)
+
+
+def congruence_close(cat: FinCategory, seeds) -> Congruence:
+    """Least congruence containing the seed pairs of parallel morphisms, by
+    the package's closure: the seeds merged, then propagated."""
+    closure = _Closure(cat)
+    for a, b in seeds:
+        closure.merge(a, b)
+    closure.propagate()
+    return closure.congruence()
 
 
 def reference_congruence_close(cat: FinCategory, seeds) -> list[frozenset[int]]:

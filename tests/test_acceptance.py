@@ -48,13 +48,13 @@ def _record(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_bowtie():
     """Bowtie: not amalgamable; emitted witness and the concrete two-point
     diagram are both cocone-free, the latter with a one-class colimit."""
-    shape = serialize.load_shape(corpus.path("bowtie"))
+    shape = serialize.load_shape(corpus.resolve("bowtie"))
     verdict = decide(shape)
     ok = not verdict.amalgamable_ap_jep and not verdict.amalgamable_ap_only
     ok = ok and isinstance(verdict.evidence, RefutationEvidence)
     ok = ok and not has_cocone(verdict.evidence.diagram)
 
-    concrete = serialize.load_document(corpus.path("bowtie_diagram"))
+    concrete = serialize.load_document(corpus.resolve("bowtie_diagram"))
     diagram = serialize.diagram_from_doc(concrete)
     colim = colimit_set(diagram)
     ok = ok and not has_cocone(diagram)
@@ -173,7 +173,7 @@ def test_criterion_7_partial_injection_representation():
     total injections on every corpus inverse category."""
     count = 0
     for name in corpus.names():
-        doc = serialize.load_document(corpus.path(name))
+        doc = serialize.load_document(corpus.resolve(name))
         if doc["type"] != "category" or "pinv" not in doc:
             continue
         inv = serialize.inverse_from_doc(doc)
@@ -196,7 +196,7 @@ def test_criterion_8_endo_words_act_as_partial_identities():
     rng = random.Random(20260808)
     shapes = []
     for name in ("span", "cospan", "chain3", "chain5", "fan"):
-        doc = serialize.load_document(corpus.path(name))
+        doc = serialize.load_document(corpus.resolve(name))
         poset = serialize.poset_from_doc(doc)
         shapes.append((poset, category_from_poset(poset)))
     for _ in range(5):

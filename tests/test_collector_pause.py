@@ -90,7 +90,7 @@ def test_reading_the_colimit_classes_leaves_no_cyclic_garbage():
     from amalgam import corpus, serialize
     from amalgam.diagram import has_cocone
 
-    diagram = serialize.diagram_from_doc(serialize.load_document(corpus.path("bowtie_diagram")))
+    diagram = serialize.diagram_from_doc(serialize.load_document(corpus.resolve("bowtie_diagram")))
     was = gc.isenabled()
     gc.disable()
     try:

@@ -149,7 +149,7 @@ def test_poset_is_decided_like_its_category_on_all_posets_of_six():
 
 
 def test_poset_is_decided_like_its_category_on_the_corpus():
-    docs = [serialize.load_document(corpus.path(name)) for name in corpus.names()]
+    docs = [serialize.load_document(corpus.resolve(name)) for name in corpus.names()]
     posets = [serialize.poset_from_doc(doc) for doc in docs if doc["type"] == "poset"]
     assert len(posets) >= 5
     for p in posets:

@@ -1,3 +1,4 @@
+import os
 import random
 from types import MappingProxyType
 
@@ -1079,8 +1080,8 @@ def zigzag_cases(draw):
         else:
             d = witness_no_cocone(cat, analysis)
     elif kind == "bowtie":
-        path = corpus.path("bowtie_diagram")
-        d = serialize.diagram_from_doc(serialize.load_document(path), path.parent)
+        path = corpus.resolve("bowtie_diagram")
+        d = serialize.diagram_from_doc(serialize.load_document(path), os.path.dirname(path))
     else:
         poset = random_nonforest(rng.randint(4, 7), rng)
         d = witness_no_cocone(poset if draw(st.booleans()) else category_from_poset(poset))

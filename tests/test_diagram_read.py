@@ -41,7 +41,7 @@ def _twisted(poset: FinPoset, size: int, rng: random.Random):
 
 
 def _bowtie_doc() -> dict:
-    return serialize.load_document(corpus.path("bowtie_diagram"))
+    return serialize.load_document(corpus.resolve("bowtie_diagram"))
 
 
 def _as_doc(diagram, rng: random.Random) -> dict:

@@ -18,7 +18,7 @@ from oracles import (
 def corpus_inverse_categories():
     out = []
     for name in corpus.names():
-        doc = serialize.load_document(corpus.path(name))
+        doc = serialize.load_document(corpus.resolve(name))
         if doc["type"] == "category" and "pinv" in doc:
             out.append((name, serialize.inverse_from_doc(doc)))
     return out
@@ -118,7 +118,7 @@ def test_wagner_preston_functorial_faithful_monic_on_corpus():
 
 
 def test_partial_injection_monoid_details():
-    doc = serialize.load_document(corpus.path("inverse_pinj2"))
+    doc = serialize.load_document(corpus.resolve("inverse_pinj2"))
     inv = serialize.inverse_from_doc(doc)
     cat = inv.base
     assert len(cat.morphisms) == 7

@@ -1,24 +1,26 @@
 """What the package ships: the oracles and views that only the tests read
 live in `tests/` (`oracles.py`, `groups.py`, `pinj.py`), `amalgam` exports
-none of them, no module of the package imports from `tests/`, and the
-decider's result records store no field that is derived from another."""
+none of them, every module-level definition of the package is read by the
+package, no module of the package imports from `tests/`, and the decider's
+result records store no field that is derived from another."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import amalgam
 from amalgam.decide import CertificateEvidence, RefutationEvidence, Verdict
-from amalgam.diagram import CoconeResult, ColimitResult, ShapeAnalysis
+from amalgam.diagram import CoconeResult, Collision, ColimitResult, ShapeAnalysis
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "amalgam"
 EXPORTS_MOVED = (
     "shrink_witness", "is_monic", "check_inverse_laws", "is_idempotent_category",
     "wagner_preston", "components", "simply_connected_bounded", "FunctorMap",
-    "PartialInjection",
+    "PartialInjection", "congruence_close", "connected_components",
 )
 # (module, attribute path) of every definition that left the package
 MOVED = (
@@ -35,6 +37,8 @@ MOVED = (
     ("diagram", "FinInjDiagram.actions"), ("diagram", "FinInjDiagram.action"),
     ("diagram", "FinInjDiagram.as_pinj"), ("diagram", "FinInjDiagram.carrier"),
     ("fincat", "is_monic"), ("fincat", "Congruence.from_parent"), ("fincat", "FunctorMap"),
+    ("fincat", "congruence_close"), ("fincat", "NonParallelSeed"),
+    ("fincat", "connected_components"), ("poset", "FinPoset.up"), ("corpus", "path"),
     ("gen", "all_posets"), ("gen", "_canonical"), ("gen", "_class_perms"),
     ("gen", "random_endo_word"),
     ("serialize", "inverse_to_doc"), ("serialize", "load_diagram"),
@@ -54,6 +58,8 @@ KEPT_FOR_VERIFY = (
     "verify_certificate", "replay_certificate", "verify_witness", "zigzag_action",
     "upward_closure",
 )
+# The terse constructor of the README's Library example, which no command calls.
+LIBRARY_CONSTRUCTOR = "category"
 
 
 def has_path(owner, dotted: str) -> bool:
@@ -78,6 +84,53 @@ def test_no_module_of_the_package_keeps_a_moved_definition():
         and has_path(importlib.import_module(f"amalgam.{module}"), dotted)
     ]
     assert left == []
+
+
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or class's,
+    or an assignment's targets."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every name and attribute the node loads."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_module_level_definition_is_read_by_the_package():
+    """A definition that no module of the package reads, outside its own
+    definition and the ``amalgam`` exports (``__init__.py``), is kept for the
+    tests alone and belongs in `tests/`; only the functions kept for an
+    `amalgam verify` command and the Library constructor are exempt.  A
+    definition counts as read when its name is read anywhere in the package.
+    `bench/` is not scanned: `bench/spans.py` names its targets whether or
+    not a command calls them."""
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = defined_names(statement)
+            defined += [(path.stem, name) for name in names]
+            read |= names_read(statement) - set(names)
+    assert ("decide", "decide") in defined
+    exempt = {*KEPT_FOR_VERIFY, LIBRARY_CONSTRUCTOR}
+    unread = [f"{module}.{name}" for module, name in defined
+              if name not in read and name not in exempt]
+    assert unread == []
+
+
+def test_a_collision_takes_its_zigzag_only_as_a_search():
+    assert list(inspect.signature(Collision).parameters) == ["obj", "x", "y", "search"]
 
 
 def test_the_coset_enumerator_is_not_a_module_of_the_package():

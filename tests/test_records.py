@@ -2,6 +2,7 @@
 same constructor, repr, equality and hashing, a TypeError from hashing a
 mutable record, and an AttributeError from assigning to a frozen one."""
 
+import os
 from itertools import combinations
 from random import Random
 
@@ -12,13 +13,14 @@ from amalgam import corpus, serialize
 from amalgam.cli import parse_args
 from amalgam.decide import decide
 from amalgam.diagram import FinInjDiagram, ZigzagWord, analyze_shape, has_cocone
-from amalgam.fincat import Congruence, FinCategory, Morphism, congruence_close
+from amalgam.fincat import Congruence, FinCategory, Morphism
 from amalgam.gen import random_diagram_over_poset
 from amalgam.poset import DecompositionNode, ForestCertificate, NonForestWitness
 from conftest import (
     REFERENCE_RECORDS,
     as_reference,
     category_from_poset,
+    congruence_close,
     dags,
     record_fields,
 )
@@ -73,9 +75,10 @@ def shape_records(shape) -> list:
 def corpus_records() -> list:
     records = [parse_args(["check", "boat", "--out", "o.json", "--seed", "3"])]
     for name in corpus.names():
-        doc = serialize.load_document(corpus.path(name))
+        path = corpus.resolve(name)
+        doc = serialize.load_document(path)
         if doc["type"] == "diagram":
-            answer = has_cocone(serialize.diagram_from_doc(doc, corpus.path(name).parent))
+            answer = has_cocone(serialize.diagram_from_doc(doc, os.path.dirname(path)))
             records += records_in(answer)
         else:
             records += shape_records(serialize.shape_from_doc(doc))

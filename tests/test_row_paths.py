@@ -28,7 +28,6 @@ from amalgam.diagram import (
     witness_no_cocone,
 )
 from amalgam.fincat import (
-    congruence_close,
     is_congruence,
     monic_reflection,
     quotient_category,
@@ -38,6 +37,7 @@ from amalgam.poset import FinPoset, NonForestWitness
 from conftest import (
     category_from_poset,
     concrete_categories,
+    congruence_close,
     cyclic_cat,
     dags,
     left_zero_monoid_cat,
@@ -155,9 +155,9 @@ def test_a_collision_searches_its_zigzag_when_first_read():
     assert (nodes, steps) == reference_element_zigzag(
         *_collision_search_args(shift_diagram(3), col)
     )
-    same = Collision(col.obj, col.x, col.y, nodes, steps)
+    same = Collision(col.obj, col.x, col.y, search=lambda: (nodes, steps))
     assert col == same and hash(col) == hash(same) and repr(col) == repr(same)
-    assert col != Collision(col.obj, col.x, col.y, nodes[::-1], steps[::-1])
+    assert col != Collision(col.obj, col.x, col.y, search=lambda: (nodes[::-1], steps[::-1]))
 
 
 def _collision_search_args(diagram, col):

@@ -16,7 +16,7 @@ from amalgam.diagram import Cocone, validate_cocone
 from amalgam.fincat import PresentationError, category
 from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 from amalgam.serialize import ParseError
-from conftest import chain, cocone_from_labels, members, total_elements
+from conftest import category_from_poset, chain, cocone_from_labels, members, total_elements
 from oracles import all_posets, inverse_to_doc, load_diagram
 
 # corpus shapes that `check` accepts, posets and inverse categories alike
@@ -34,7 +34,7 @@ AMALGAMABLE = (
 
 def test_corpus_round_trips():
     for name in corpus.names():
-        doc = serialize.load_document(corpus.path(name))
+        doc = serialize.load_document(corpus.resolve(name))
         kind = doc["type"]
         if kind == "category" and "pinv" in doc:
             obj = serialize.inverse_from_doc(doc)
@@ -51,14 +51,14 @@ def test_corpus_round_trips():
 
 
 def test_poset_file_and_category_file_agree():
-    poset_doc = serialize.load_document(corpus.path("boat"))
+    poset_doc = serialize.load_document(corpus.resolve("boat"))
     shape = serialize.shape_from_doc(poset_doc)
-    again = serialize.category_from_doc(serialize.category_to_doc(shape))
+    again = serialize.category_from_doc(serialize.category_to_doc(category_from_poset(shape)))
     assert again == shape
 
 
 def test_verdict_document_fields():
-    doc = serialize.verdict_to_doc(decide(serialize.load_shape(corpus.path("bowtie"))))
+    doc = serialize.verdict_to_doc(decide(serialize.load_shape(corpus.resolve("bowtie"))))
     assert doc["type"] == "verdict"
     assert doc["usc"] is False and doc["connected"] is True
     assert doc["evidence"]["kind"] == "non-forest-poset"
@@ -196,7 +196,7 @@ def test_cli_cocone_on_every_amalgamable_corpus_shape(name, tmp_path, capsys):
 def test_check_accepts_exactly_the_amalgamable_corpus_shapes(capsys):
     shapes = [
         name for name in corpus.names()
-        if serialize.load_document(corpus.path(name))["type"] != "diagram"
+        if serialize.load_document(corpus.resolve(name))["type"] != "diagram"
     ]
     assert tuple(n for n in shapes if main(["check", n]) == 0) == AMALGAMABLE
     capsys.readouterr()
@@ -215,7 +215,7 @@ def test_cli_cocone_collision_on_certified_shape_is_an_error(monkeypatch, capsys
 def test_cli_cocone_not_applicable_on_bowtie(tmp_path, capsys):
     diagram_path = tmp_path / "d.json"
     # hand-build a valid diagram over the bowtie shape
-    doc = serialize.load_document(corpus.path("bowtie_diagram"))
+    doc = serialize.load_document(corpus.resolve("bowtie_diagram"))
     diagram_path.write_text(json.dumps(doc))
     assert main(["cocone", "bowtie", str(diagram_path)]) == 1
     assert "not applicable" in capsys.readouterr().err
@@ -262,7 +262,7 @@ def test_cli_validate(tmp_path, capsys):
 
 
 def _bowtie_diagram_with(tmp_path, edit):
-    doc = serialize.load_document(corpus.path("bowtie_diagram"))
+    doc = serialize.load_document(corpus.resolve("bowtie_diagram"))
     edit(doc)
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(doc))
@@ -325,7 +325,7 @@ def test_cli_unknown_path(capsys):
 def test_cli_reads_a_path_as_pathlib_normalises_it(tmp_path, capsys):
     """A file named with a trailing '/' or '/.' is read, as pathlib reads it."""
     path = tmp_path / "span.json"
-    path.write_bytes(corpus.path("span").read_bytes())
+    path.write_bytes(Path(corpus.resolve("span")).read_bytes())
     for ref in (f"{path}/", f"{path}/.", f"{tmp_path}//span.json"):
         assert main(["check", ref]) == 0
     capsys.readouterr()
@@ -442,17 +442,85 @@ def test_out_is_encoded_in_the_locale_encoding_strictly(tmp_path, monkeypatch, c
 SURROGATE = '{"type":"poset","elements":["a","\\ud800"],"covers":[["a","\\ud800"]]}'
 
 
-def test_text_that_does_not_encode_leaves_the_out_file_as_it_was(tmp_path, capsys):
+def test_text_that_does_not_encode_leaves_the_out_file_as_it_was(tmp_path, monkeypatch, capsys):
     """The text is encoded before ``--out`` is opened: a file keeps its
     bytes, and a new path is not created."""
     path, out, fresh = tmp_path / "poset.json", tmp_path / "out.txt", tmp_path / "new.txt"
-    path.write_text(SURROGATE)
+    path.write_text(json.dumps({"type": "poset", "elements": ["é", "ü"], "covers": [["é", "ü"]]}))
     out.write_bytes(b"previous content")
+    monkeypatch.setattr(cli, "_locale_encoding", lambda: "ascii")
     for target in (out, fresh):
         assert main(["check", str(path), "--out", str(target)]) == 2
-        assert "can't encode character '\\ud800'" in capsys.readouterr().err
+        assert "'ascii' codec can't encode character '\\xe9'" in capsys.readouterr().err
     assert out.read_bytes() == b"previous content"
     assert not fresh.exists()
+
+
+# A name with a lone surrogate, which no UTF-8 output can write, is refused
+# where it is read, naming the field and showing the name ASCII-escaped.
+# Each command names the input file by "{}".
+_SHAPE_COMMANDS = (["check", "{}"], ["check", "{}", "--format", "structured"], ["validate", "{}"])
+_DIAGRAM_SHAPE = '"shape": {"type": "poset", "elements": ["a", "b"], "covers": [["a", "b"]]}'
+LONE_SURROGATES = {
+    "elements": (
+        _SHAPE_COMMANDS, SURROGATE, "poset: elements may not hold a lone surrogate: '\\ud800'",
+    ),
+    "objects": (
+        _SHAPE_COMMANDS, '{"type": "category", "objects": ["A", "B\\udfff"]}',
+        "category: objects may not hold a lone surrogate: 'B\\udfff'",
+    ),
+    "morphisms": (
+        _SHAPE_COMMANDS,
+        '{"type": "category", "objects": ["A", "B"], '
+        '"morphisms": [{"name": "\\udc80f", "dom": "A", "cod": "B"}]}',
+        "category: morphism names may not hold a lone surrogate: '\\udc80f'",
+    ),
+    "carriers": (
+        (["oracle", "{}"], ["validate", "{}"], ["cocone", "span", "{}"]),
+        '{"type": "diagram", ' + _DIAGRAM_SHAPE + ', "carriers": {"a": ["x"], "b": ["\\udc80"]}, '
+        '"actions": {"a->b": [["x", "\\udc80"]]}}',
+        "diagram: carrier of 'b' may not hold a lone surrogate: '\\udc80'",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", list(LONE_SURROGATES))
+def test_a_name_with_a_lone_surrogate_is_refused_naming_its_field(tmp_path, capsys, field):
+    commands, text, message = LONE_SURROGATES[field]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    for command in commands:
+        argv = [str(path) if word == "{}" else word for word in command]
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n"), argv
+        assert len(err.encode()) < 300
+
+
+def test_a_long_name_with_a_lone_surrogate_is_quoted_escaped_and_cut_short(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"type": "poset", "elements": ["\ud800" + "n" * 100_000]}))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: poset: elements may not hold a lone surrogate: '\\ud800" + "n" * 71 + "...'\n"
+    )
+    assert len(err.encode()) < 300
+
+
+def test_a_surrogate_pair_is_one_astral_character_and_is_accepted(tmp_path, capsys):
+    """Escaped as a pair, or written as UTF-8, an astral name is read whole."""
+    escaped, raw = tmp_path / "escaped.json", tmp_path / "raw.json"
+    escaped.write_text('{"type": "poset", "elements": ["a", "\\ud83d\\ude00"], '
+                       '"covers": [["a", "\\ud83d\\ude00"]]}')
+    doc = {"type": "poset", "elements": ["a", "\U0001F600"], "covers": [["a", "\U0001F600"]]}
+    raw.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    for path in (escaped, raw):
+        assert serialize.load_shape(path).elements == ("a", "\U0001F600")
+        for argv in (["check", str(path)], ["check", str(path), "--format", "structured"],
+                     ["validate", str(path)]):
+            assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 REPEATED_KEYS = {
@@ -569,8 +637,8 @@ def test_no_command_on_a_poset_document_builds_a_category(built_categories, tmp_
     """check, explain, witness, validate, gen diagram, and cocone and oracle
     on a diagram whose shape is the poset document, inline or by path."""
     out = str(tmp_path / "out")
-    boat = str(corpus.path("boat"))
-    span_doc = serialize.load_document(corpus.path("span"))
+    boat = corpus.resolve("boat")
+    span_doc = serialize.load_document(corpus.resolve("span"))
     (tmp_path / "span.json").write_text(json.dumps(span_doc))
     diagram = serialize.diagram_to_doc(
         gen.random_diagram_over_poset(serialize.poset_from_doc(span_doc), random.Random(3))
@@ -598,8 +666,8 @@ def test_cocone_validates_a_shared_shape_once(built_categories, tmp_path, capsys
     """A diagram whose shape is the SHAPE document is parsed over one shape;
     a different shape is parsed and compared, and a mismatch stays an error."""
     out = str(tmp_path / "out")
-    shape_doc = serialize.load_document(corpus.path("span"))
-    cat_doc = serialize.category_to_doc(serialize.poset_from_doc(shape_doc))
+    shape_doc = serialize.load_document(corpus.resolve("span"))
+    cat_doc = serialize.category_to_doc(category_from_poset(serialize.poset_from_doc(shape_doc)))
     shape = serialize.category_from_doc(cat_doc)
     d = gen.random_diagram_over_poset(serialize.poset_from_doc(shape_doc), random.Random(5))
     doc = {**serialize.diagram_to_doc(d), "shape": cat_doc}
@@ -974,19 +1042,24 @@ def _declared_name_cases(name: str):
         ("validate", {**arrow, "pinv": {}}, "{} has no pseudoinverse"),
         ("validate", {**endo, "morphisms": [], "pinv": {name: "id_A"}},
          "pinv: unknown morphism in '{}': 'id_A'"),
+        ("validate", {"type": name}, "cannot validate documents of type '{}'"),
     ]
 
 
 _DECLARED_IDS = ["cycle", "carrier", "twin-arrows", "missing-entry", "conflict",
                  "identity-law", "missing-action", "not-injective", "duplicate-labels",
-                 "type", "no-pseudoinverse", "pinv"]
+                 "type", "no-pseudoinverse", "pinv", "validate-type"]
+# A declared value that is not a string is quoted as its text is, cut alike.
+_LIST_TYPE = ("validate", {"type": ["n"] * 50_000},
+              "cannot validate documents of type '" + repr(["n"] * 20)[:77] + "...'")
 
 
-@pytest.mark.parametrize("case", range(len(_DECLARED_IDS)), ids=_DECLARED_IDS)
+@pytest.mark.parametrize("case", range(len(_DECLARED_IDS) + 1),
+                         ids=_DECLARED_IDS + ["validate-list-type"])
 def test_a_fault_cuts_a_long_declared_name_short(tmp_path, capsys, case):
     """A name the input declares, of 100,000 characters, is quoted as its
     first 77 and ``...`` wherever a fault names it."""
-    command, doc, message = _declared_name_cases("n" * 100_000)[case]
+    command, doc, message = [*_declared_name_cases("n" * 100_000), _LIST_TYPE][case]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
