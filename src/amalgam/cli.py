@@ -211,13 +211,13 @@ def cmd_gen(config: RunConfig) -> int:
         _emit(config, serialize.dump(serialize.diagram_to_doc(diagram)))
         return 0
     if len(rest) > 1:
-        raise ParseError(f"gen {kind} expects at most 2 input argument(s)")
+        raise ParseError(f"gen {clip(kind)} expects at most 2 input argument(s)")
     try:
         size = int(rest[0]) if rest else 5
     except ValueError:
-        raise ParseError(f"SIZE must be an integer, got '{rest[0]}'") from None
+        raise ParseError(f"SIZE must be an integer, got '{clip(rest[0])}'") from None
     if not 0 < size <= config.max_size:
-        raise ParseError(f"size must be in 1..{config.max_size}")
+        raise ParseError(f"size must be in 1..{clip(config.max_size)}")
     if kind == "poset":
         poset = gen.random_poset(size, rng)
     elif kind == "forest":
@@ -227,7 +227,7 @@ def cmd_gen(config: RunConfig) -> int:
     elif kind == "nonforest":
         poset = gen.random_nonforest(size, rng)
     else:
-        raise ParseError(f"unknown generator kind '{kind}'")
+        raise ParseError(f"unknown generator kind '{clip(kind)}'")
     _emit(config, serialize.dump(serialize.poset_to_doc(poset)))
     return 0
 
@@ -320,10 +320,10 @@ def parse_args(argv) -> RunConfig | None:
             continue
         name, value = option
         if name is None:
-            raise ParseError(f"unrecognized option '{token}'")
+            raise ParseError(f"unrecognized option '{clip(token)}'")
         if name == "--help":
             if value is not None:
-                raise ParseError(f"{token}: --help takes no value")
+                raise ParseError(f"{clip(token)}: --help takes no value")
             return None
         if value is None:
             value = next(tokens, "--")
@@ -333,13 +333,13 @@ def parse_args(argv) -> RunConfig | None:
             out = value
         elif name == "--format":
             if value not in ("text", "structured"):
-                raise ParseError(f"--format must be text or structured, got '{value}'")
+                raise ParseError(f"--format must be text or structured, got '{clip(value)}'")
             fmt = value
         else:
             try:
                 number = int(value)
             except ValueError:
-                raise ParseError(f"{name} expects an integer, got '{value}'") from None
+                raise ParseError(f"{name} expects an integer, got '{clip(value)}'") from None
             if name == "--seed":
                 seed = number
             else:
@@ -349,7 +349,7 @@ def parse_args(argv) -> RunConfig | None:
     command = inputs[0]
     if command not in HANDLERS:
         raise ParseError(
-            f"unknown command '{command}': one of {', '.join(sorted(HANDLERS))}"
+            f"unknown command '{clip(command)}': one of {', '.join(sorted(HANDLERS))}"
         )
     if max_size <= 0:
         raise ParseError("--max-size must be positive")

@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import os
 
+from .poset import clip
+
 # The corpus ships as files in the package's own directory.
 _ROOT = os.path.join(os.path.dirname(__file__), "corpus")
-
-
-def names() -> list[str]:
-    return sorted(
-        name[: -len(".json")] for name in os.listdir(_ROOT) if name.endswith(".json")
-    )
 
 
 def _entry(name: str) -> str:
@@ -42,4 +38,4 @@ def resolve(ref: str) -> str:
             return _entry(ref)
         except FileNotFoundError:
             pass
-    raise FileNotFoundError(f"no such file or corpus entry: {ref}")
+    raise FileNotFoundError(f"no such file or corpus entry: {clip(ref)}")

@@ -136,7 +136,7 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
         if len(images) != n:
             raise NotInjective(f"action of {clip(m.name)} is not injective")
         maps.append(tuple(row))
-    given = [x for x, i in enumerate(shape.identity) if actions[i] is not None]
+    given = [x for x in range(len(shape.objects)) if actions[x] is not None]
     _check_laws(shape, carriers, maps, given)
     return FinInjDiagram(shape, carriers, tuple(maps))
 
@@ -171,14 +171,14 @@ def _check_laws(shape, carriers, maps, given) -> None:
     F(g∘f) = F(g)F(f) for every generator g.  Composites with an identity
     commute once the identities act as such."""
     for x in given:
-        if maps[shape.identity[x]] != tuple(range(len(carriers[x]))):
+        if maps[x] != tuple(range(len(carriers[x]))):
             raise FunctorialityViolation(
                 f"identity of {clip(shape.objects[x])} does not act as the identity"
             )
     for g in shape.generators:
         ag, x = maps[g], shape.morphisms[g].dom
         for f in shape.hom_in[x]:
-            if f != shape.identity[x] and (
+            if f != x and (
                 tuple(map(ag.__getitem__, maps[f])) != maps[shape.compose(g, f)]
             ):
                 _raise_first_functoriality_fault(shape, carriers, maps)
@@ -377,14 +377,13 @@ def _element_zigzag(diagram, offsets, obj, start, goal):
     an earlier position.  This is the order of a scan of every action, so
     ties between shortest zigzags break the same way."""
     shape, maps = diagram.shape, diagram.maps
-    identities = set(shape.identity)
     # at[o]: (arrow, its other end, row, offset of the other end, kind) for
     # each arrow at o whose action is not empty; kind 0 leaves o, kind 1
     # enters it, kind 2 does both.
     at: list[list[tuple]] = [[] for _ in shape.objects]
     for i, (m, row) in enumerate(zip(shape.morphisms, maps)):
         dom, cod = m.dom, m.cod
-        if row and i not in identities:
+        if row and not shape.is_identity(i):
             if dom == cod:
                 at[dom].append((i, dom, row, offsets[dom], 2))
             else:

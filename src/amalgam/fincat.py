@@ -70,14 +70,12 @@ class FinCategory:
     presentation: faults are named in its order.
     """
 
-    def __init__(self, objects, morphisms, identity, table):
+    def __init__(self, objects, morphisms, table):
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
-        self.identity = tuple(identity)
         self.table = dict(table)
         self.obj_index = {name: i for i, name in enumerate(self.objects)}
         self.mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
-        self._identity_set = frozenset(self.identity)
         _check_presentation(self)
         self.hom_out: list[list[int]] = [[] for _ in self.objects]
         self.hom_in: list[list[int]] = [[] for _ in self.objects]
@@ -95,7 +93,7 @@ class FinCategory:
         return self.post[f][self.place[g]]
 
     def is_identity(self, m: int) -> bool:
-        return m in self._identity_set
+        return m < len(self.objects)
 
     @cached_property
     def pre(self) -> list[list[int]]:
@@ -125,9 +123,9 @@ class FinCategory:
 
     def composites(self):
         """(g, f, g∘f) for every composable pair of non-identities, in table order."""
-        is_identity = self._identity_set.__contains__
+        n_obj = len(self.objects)
         for (g, f), r in self.table.items():
-            if not (is_identity(g) or is_identity(f)):
+            if g >= n_obj and f >= n_obj:
                 yield g, f, r
 
     def parallel_pairs(self):
@@ -143,17 +141,12 @@ class FinCategory:
         if isinstance(other, FinPoset):
             # A category with a poset's arrows has one choice for each
             # composite, so its table agrees with the poset's order.
-            return (
-                self.objects == other.objects
-                and self.identity == other.identity
-                and self.morphisms == other.morphisms
-            )
+            return self.objects == other.objects and self.morphisms == other.morphisms
         if not isinstance(other, FinCategory):
             return NotImplemented
         return (
             self.objects == other.objects
             and self.morphisms == other.morphisms
-            and self.identity == other.identity
             and self.table == other.table
         )
 
@@ -170,7 +163,7 @@ def _check_presentation(cat: FinCategory) -> None:
         raise PresentationError("object names must be distinct")
     if len(cat.mor_index) != len(cat.morphisms):
         raise PresentationError("morphism names must be distinct")
-    if len(cat.identity) != n_obj:
+    if len(cat.morphisms) < n_obj:
         raise PresentationError("one identity per object required")
     for m in cat.morphisms:
         if not (0 <= m.dom < n_obj and 0 <= m.cod < n_obj):
@@ -188,8 +181,7 @@ def _check_axioms(cat: FinCategory) -> None:
     """
     n_mor = len(cat.morphisms)
     morphisms, table, hom_out = cat.morphisms, cat.table, cat.hom_out
-    for x, i in enumerate(cat.identity):
-        m = morphisms[i]
+    for x, m in enumerate(morphisms[:len(cat.objects)]):
         if m.dom != x or m.cod != x:
             raise IdentityViolation(
                 f"identity of {clip(cat.objects[x])} has endpoints "
@@ -220,8 +212,8 @@ def _check_axioms(cat: FinCategory) -> None:
             raise MissingComposite(f"no entry for ({clip(g.name)}, {clip(mf.name)})")
         post.append(row)
     for f, mf in enumerate(morphisms):
-        left = post[f][place[cat.identity[mf.cod]]]
-        right = post[cat.identity[mf.dom]][place[f]]
+        left = post[f][place[mf.cod]]
+        right = post[mf.dom][place[f]]
         if left != f:
             raise IdentityViolation(
                 f"(id_{clip(cat.objects[mf.cod])}, {clip(mf.name)}, "
@@ -243,17 +235,13 @@ def _generators(cat: FinCategory, post, place) -> tuple[int, ...]:
     the right-nested composites of the generators chosen so far do not reach
     (every element of Z_n is a composite, but not of nothing)."""
     morphisms, hom_out = cat.morphisms, cat.hom_out
-    is_identity = cat._identity_set.__contains__
+    n_obj = len(cat.objects)  # the identities are the first n_obj morphisms
     reducible = set()
-    for f, post_f in enumerate(post):
-        if is_identity(f):
-            continue
-        for g, r in zip(hom_out[morphisms[f].cod], post_f):
-            if r != g and r != f and not is_identity(g):
+    for f in range(n_obj, len(morphisms)):
+        for g, r in zip(hom_out[morphisms[f].cod], post[f]):
+            if r != g and r != f and g >= n_obj:
                 reducible.add(r)
-    chosen = [
-        m for m in range(len(morphisms)) if not (is_identity(m) or m in reducible)
-    ]
+    chosen = [m for m in range(n_obj, len(morphisms)) if m not in reducible]
     out_of: list[list[int]] = [[] for _ in cat.objects]  # generators' places, by domain
     for g in chosen:
         out_of[morphisms[g].dom].append(place[g])
@@ -268,9 +256,10 @@ def _generators(cat: FinCategory, post, place) -> tuple[int, ...]:
                 fresh.extend(map(post[x].__getitem__, out_of[morphisms[x].cod]))
 
     reach(list(chosen))
-    for m, mm in enumerate(morphisms):
-        if m in reached or is_identity(m):
+    for m in range(n_obj, len(morphisms)):
+        if m in reached:
             continue
+        mm = morphisms[m]
         chosen.append(m)
         k = place[m]
         out_of[mm.dom].append(k)
@@ -411,7 +400,6 @@ def validate_category(raw: dict) -> FinCategory:
         raise PresentationError(f"morphism names may not hold a lone surrogate: '{lone}'")
     mor_index = name_index(objects, morphisms)
 
-    identity = tuple(range(len(objects)))
     table: dict[tuple[int, int], int] = {}
     triples = raw.get("compose", [])
     if not isinstance(triples, (list, tuple)):
@@ -443,19 +431,19 @@ def validate_category(raw: dict) -> FinCategory:
                 f"conflicting compose entries for ({clip(gname)}, {clip(fname)})"
             )
     for f, mf in enumerate(morphisms):
-        key = (identity[mf.cod], f)
+        key = (mf.cod, f)
         if table.setdefault(key, f) != f:
             raise IdentityViolation(
                 f"(id_{clip(objects[mf.cod])}, {clip(mf.name)}, "
                 f"{clip(morphisms[table[key]].name)}) contradicts the identity law"
             )
-        key = (f, identity[mf.dom])
+        key = (f, mf.dom)
         if table.setdefault(key, f) != f:
             raise IdentityViolation(
                 f"({clip(mf.name)}, id_{clip(objects[mf.dom])}, "
                 f"{clip(morphisms[table[key]].name)}) contradicts the identity law"
             )
-    return FinCategory(objects, morphisms, identity, table)
+    return FinCategory(objects, morphisms, table)
 
 
 def category(objects, arrows=(), compose=()) -> FinCategory:
@@ -583,14 +571,13 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
     class_of, pre = cong.class_of, cat.pre
     reps = [min(cl) for cl in cong.classes]
     morphisms = list(map(cat.morphisms.__getitem__, reps))
-    identity = tuple(class_of[i] for i in cat.identity)
     table = {}
     for gi, g in enumerate(reps):
         for f, gf in zip(cat.hom_in[cat.morphisms[g].dom], pre[g]):
             fi = class_of[f]
             if reps[fi] == f:
                 table[(gi, fi)] = class_of[gf]
-    return FinCategory(cat.objects, morphisms, identity, table), class_of
+    return FinCategory(cat.objects, morphisms, table), class_of
 
 
 def monic_reflection(cat: FinCategory) -> tuple[FinCategory, tuple[int, ...]]:
@@ -651,7 +638,6 @@ def skeleton_poset(cat: FinCategory) -> tuple[FinPoset, tuple[int, ...]]:
             if (y, x) in cat.hom_sets:
                 class_of[y] = len(elements)
         elements.append(cat.objects[x])
-    up = [0] * len(elements)
-    for m in cat.morphisms:
-        up[class_of[m.dom]] |= 1 << class_of[m.cod]
-    return FinPoset(elements, up_masks=up), tuple(class_of)
+    # every morphism is a composite of generators, so their ends close to the order
+    covers = [(class_of[dom], class_of[cod]) for _, dom, cod in cat.generator_ends]
+    return FinPoset(elements, covers), tuple(class_of)

@@ -7,7 +7,7 @@ import random
 
 from .diagram import FinInjDiagram, validate_diagram
 from .fincat import FinCategory
-from .poset import FinPoset, ForestCertificate, is_forest_like
+from .poset import FinPoset, ForestCertificate, _bits, is_forest_like
 
 
 def random_poset(size: int, rng: random.Random, density: float = 0.35) -> FinPoset:
@@ -18,7 +18,7 @@ def random_poset(size: int, rng: random.Random, density: float = 0.35) -> FinPos
         for b in range(a + 1, size)
         if rng.random() < density
     ]
-    return FinPoset.from_covers([f"e{i}" for i in range(size)], covers)
+    return FinPoset([f"e{i}" for i in range(size)], covers)
 
 
 def random_tree_like(size: int, rng: random.Random) -> FinPoset:
@@ -47,7 +47,7 @@ def random_tree_like(size: int, rng: random.Random) -> FinPoset:
         return pairs, offset + 1
 
     pairs, count = build(size)
-    return FinPoset.from_covers([f"e{i}" for i in range(count)], pairs)
+    return FinPoset([f"e{i}" for i in range(count)], pairs)
 
 
 def random_forest(size: int, rng: random.Random) -> FinPoset:
@@ -59,11 +59,11 @@ def random_forest(size: int, rng: random.Random) -> FinPoset:
     while budget:
         part = rng.randint(1, budget)
         tree = random_tree_like(part, rng)
-        covers.extend((a + offset, b + offset) for a, b in tree.cover_pairs())
+        covers.extend((a + offset, b + offset) for _, a, b in tree.generator_ends)
         elements.extend(f"e{offset + i}" for i in range(len(tree)))
         offset += len(tree)
         budget -= part
-    return FinPoset.from_covers(elements, covers)
+    return FinPoset(elements, covers)
 
 
 def random_nonforest(size: int, rng: random.Random, attempts: int = 10000) -> FinPoset:
@@ -97,11 +97,11 @@ def random_diagram_over_poset(
         shape = poset
     if element_of is None:
         element_of = range(len(shape.objects))
-    n = len(poset)
-    subset: list[set[str]] = [set() for _ in range(n)]
+    down = poset.down_masks
+    subset: list[set[str]] = [set() for _ in down]
     counter = 0
-    for b in sorted(range(n), key=lambda e: len(poset.down(e))):
-        for a in poset.down(b):
+    for b in sorted(range(len(down)), key=lambda e: down[e].bit_count()):
+        for a in _bits(down[b]):
             subset[b] |= subset[a]
         for _ in range(rng.randint(0, max_extra)):
             subset[b].add(f"u{counter}")

@@ -132,8 +132,9 @@ class FinPoset:
     """Finite partial order over indexed, named elements.
 
     The relation is stored as int bitmasks: bit j of ``up_masks[i]`` is set
-    when i <= j, and bit j of ``down_masks[i]`` when j <= i.  Reflexivity,
-    antisymmetry and transitivity are validated on construction.
+    when i <= j, and bit j of ``down_masks[i]`` when j <= i.  They are the
+    reflexive-transitive closures of the given edges, so the one fault left
+    to find on construction is a cycle, which breaks antisymmetry.
 
     A FinPoset is also a shape: the category with one morphism per related
     pair.  Its morphisms are the identities, then the pairs a < b in
@@ -141,53 +142,11 @@ class FinPoset:
     index and composite is read off the masks.  The covers generate them.
     """
 
-    def __init__(self, elements, pairs=(), *, up_masks=None):
-        """Build from the complete list of related pairs (reflexive pairs
-        optional), added to the up-set bitmasks ``up_masks`` when given."""
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise NotAPartialOrder("element names must be distinct")
-        n = len(self.elements)
-        up = [0] * n if up_masks is None else list(up_masks)
-        if len(up) != n or not all(0 <= mask < 1 << n for mask in up):
-            raise NotAPartialOrder("one up-set mask within range per element required")
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise NotAPartialOrder(f"pair ({a}, {b}) out of range")
-            up[a] |= 1 << b
-        for i in range(n):
-            up[i] |= 1 << i
-        down = [0] * n
-        for a in range(n):
-            bit, reach = 1 << a, 0
-            for b in _bits(up[a]):
-                down[b] |= bit
-                reach |= up[b]
-            extra = reach & ~up[a]
-            if extra:
-                b = next(b for b in _bits(up[a]) if up[b] & extra)
-                c = next(_bits(up[b] & extra))
-                raise NotAPartialOrder(
-                    "transitivity fails on "
-                    f"{clip(self.elements[a])} <= {clip(self.elements[b])} "
-                    f"<= {clip(self.elements[c])}"
-                )
-        for a in range(n):
-            twins = up[a] & down[a] & ~(1 << a)
-            if twins:
-                b = next(_bits(twins))
-                raise NotAPartialOrder(
-                    f"antisymmetry fails on {clip(self.elements[a])}, {clip(self.elements[b])}"
-                )
-        self.up_masks = tuple(up)
-        self.down_masks = tuple(down)
-
-    @classmethod
-    def from_covers(cls, elements, covers) -> "FinPoset":
-        """Build from Hasse-style edges.  The closures up and down the covers
-        are a partial order once they are acyclic, so beyond the cycle check
-        only the names are validated."""
-        elements = tuple(elements)
+    def __init__(self, elements, covers):
+        """Build from Hasse-style edges, or any pairs whose closure is the
+        order: the closures up and down the edges are taken, and beyond the
+        cycle check only the names are validated."""
+        self.elements = elements = tuple(elements)
         n = len(elements)
         succ, pred = [0] * n, [0] * n
         for a, b in covers:
@@ -196,12 +155,9 @@ class FinPoset:
             if a != b:
                 succ[a] |= 1 << b
                 pred[b] |= 1 << a
-        up, down = _closure(succ, elements), _closure(pred, elements)
+        self.up_masks, self.down_masks = _closure(succ, elements), _closure(pred, elements)
         if len(set(elements)) != n:
             raise NotAPartialOrder("element names must be distinct")
-        poset = cls.__new__(cls)
-        poset.elements, poset.up_masks, poset.down_masks = elements, up, down
-        return poset
 
     def __len__(self):
         return len(self.elements)
@@ -219,9 +175,6 @@ class FinPoset:
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up_masks[a] >> b & 1)
 
-    def down(self, a: int) -> frozenset[int]:
-        return _members(self.down_masks[a])
-
     def comparable(self, a: int, b: int) -> bool:
         return bool((self.up_masks[a] | self.down_masks[a]) >> b & 1)
 
@@ -233,23 +186,11 @@ class FinPoset:
     def relation_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((a, b) for a, mask in enumerate(self.up_masks) for b in _bits(mask))
 
-    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges: a < b with nothing strictly between, in increasing order."""
-        return self._covers
-
-    @cached_property
-    def _covers(self) -> tuple[tuple[int, int], ...]:
-        return tuple((a, b) for _, a, b in self.generator_ends)
-
     # -- the poset as a category ---------------------------------------------
 
     @property
     def objects(self) -> tuple:
         return self.elements
-
-    @cached_property
-    def identity(self) -> tuple[int, ...]:
-        return tuple(range(len(self)))
 
     @cached_property
     def obj_index(self) -> dict:

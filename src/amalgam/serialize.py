@@ -174,18 +174,17 @@ def poset_from_doc(doc: dict) -> FinPoset:
             raise ParseError(f"poset: cover [{clip(a)}, {clip(b)}] references unknown elements")
         covers.append((index[a], index[b]))
     try:
-        return FinPoset.from_covers(elements, covers)
+        return FinPoset(elements, covers)
     except NotAPartialOrder as exc:
         raise ParseError(f"poset: {exc}") from exc
 
 
 def poset_to_doc(poset: FinPoset) -> dict:
+    names = poset.elements
     return {
         "type": "poset",
-        "elements": list(poset.elements),
-        "covers": sorted(
-            [poset.elements[a], poset.elements[b]] for a, b in poset.cover_pairs()
-        ),
+        "elements": list(names),
+        "covers": sorted([names[a], names[b]] for _, a, b in poset.generator_ends),
     }
 
 

@@ -58,8 +58,8 @@ def restrict(poset: FinPoset, subset) -> tuple[FinPoset, dict[int, int]]:
     old = sorted(set(subset))
     index = {o: i for i, o in enumerate(old)}
     region = _mask(old)
-    up = [_mask(index[b] for b in _bits(poset.up_masks[o] & region)) for o in old]
-    return FinPoset([poset.elements[o] for o in old], up_masks=up), index
+    pairs = [(index[a], index[b]) for a in old for b in _bits(poset.up_masks[a] & region)]
+    return FinPoset([poset.elements[o] for o in old], pairs), index
 
 
 def minimal(poset: FinPoset, subset=None) -> list[int]:
@@ -187,13 +187,12 @@ def all_posets(max_size: int) -> dict[int, list[FinPoset]]:
     by_size: dict[int, list[FinPoset]] = {0: [FinPoset([], [])]}
     for n in range(1, max_size + 1):
         names = [f"e{i}" for i in range(n)]
-        top = 1 << (n - 1)
         seen: set[tuple[int, ...]] = set()
         fresh: list[FinPoset] = []
         for poset in by_size[n - 1]:
+            covers = [(a, b) for _, a, b in poset.generator_ends]
             for ideal in closed_masks(poset.down_masks):
-                up = [mask | top * (ideal >> i & 1) for i, mask in enumerate(poset.up_masks)]
-                candidate = FinPoset(names, up_masks=up + [top])
+                candidate = FinPoset(names, covers + [(i, n - 1) for i in _bits(ideal)])
                 canon = _canonical(candidate)
                 if canon not in seen:
                     seen.add(canon)
@@ -233,7 +232,7 @@ class FunctorMap:
         if len(self.obj_map) != len(src.objects) or len(self.mor_map) != len(src.morphisms):
             raise PresentationError("functor maps have the wrong length")
         for x, tx in enumerate(self.obj_map):
-            if self.mor_map[src.identity[x]] != tgt.identity[tx]:
+            if self.mor_map[x] != tx:
                 raise IdentityViolation(
                     f"functor does not preserve the identity of {clip(src.objects[x])}"
                 )
@@ -310,8 +309,8 @@ def check_inverse_laws(inv: FinInverseCategory) -> list[str]:
     """
     cat, pinv = inv.base, inv.pinv
     report = []
-    for x, i in enumerate(cat.identity):
-        if pinv[i] != i:
+    for x in range(len(cat.objects)):
+        if pinv[x] != x:
             report.append(f"pseudoinverse of id_{cat.objects[x]} is not itself")
     for f, mf in enumerate(cat.morphisms):
         if pinv[pinv[f]] != f:
@@ -337,7 +336,7 @@ def check_inverse_laws(inv: FinInverseCategory) -> list[str]:
                     f"{cat.morphisms[e2].name} do not commute"
                 )
     for f, mf in enumerate(cat.morphisms):
-        split = cat.compose(pinv[f], f) == cat.identity[mf.dom]
+        split = cat.compose(pinv[f], f) == mf.dom
         if is_monic_morphism(cat, f) != split:
             report.append(
                 f"{mf.name}: monic and split-monic characterizations disagree"

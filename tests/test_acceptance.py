@@ -20,6 +20,7 @@ from conftest import (
     brute_force_tree_like,
     build_cocone_forest,
     category_from_poset,
+    corpus_names,
     partition_is_congruence,
     quotient_is_monic,
     set_partitions,
@@ -172,7 +173,7 @@ def test_criterion_7_partial_injection_representation():
     """The hom-set representation is functorial, faithful and maps monics to
     total injections on every corpus inverse category."""
     count = 0
-    for name in corpus.names():
+    for name in corpus_names():
         doc = serialize.load_document(corpus.resolve(name))
         if doc["type"] != "category" or "pinv" not in doc:
             continue

@@ -172,3 +172,30 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["amalgam", "check", "--format", "structured", "span"])
     assert main() == 0
     assert json.loads(capsys.readouterr().out)["amalgamable_ap_jep"] is True
+
+
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([LONG], "unknown command 'xxx"),
+    (["check", "--" + LONG], "unrecognized option '--xxx"),
+    (["check", "-h" + LONG], "unrecognized option '-hxxx"),
+    (["--help=" + LONG, "check"], ": --help takes no value"),
+    (["check", "span", "--format", LONG], "--format must be text or structured, got 'xxx"),
+    (["gen", "poset", "--seed", LONG], "--seed expects an integer, got 'xxx"),
+    (["gen", "poset", "--max-size", LONG], "--max-size expects an integer, got 'xxx"),
+    (["gen", "poset", LONG], "SIZE must be an integer, got 'xxx"),
+    (["gen", LONG], "unknown generator kind 'xxx"),
+    (["gen", LONG, "1", "2"], "expects at most 2 input argument(s)"),
+    (["gen", "poset", "0", "--max-size", "9" * 4000], "size must be in 1..999"),
+    (["check", LONG], "no such file or corpus entry: xxx"),
+    (["validate", LONG + ".json"], "no such file or corpus entry: xxx"),
+], ids=["command", "option", "short-option", "help-value", "format", "seed", "max-size", "size",
+        "kind", "kind-arity", "size-bound", "shape", "document"])
+def test_a_long_argument_is_quoted_cut_short(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "..." in captured.err and len(captured.err.encode()) < 300

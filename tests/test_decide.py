@@ -9,6 +9,7 @@ from conftest import (
     boat_poset,
     bowtie_cat,
     category_from_poset,
+    corpus_names,
     cyclic_cat,
     dags,
     parallel_pair_cat,
@@ -149,7 +150,7 @@ def test_poset_is_decided_like_its_category_on_all_posets_of_six():
 
 
 def test_poset_is_decided_like_its_category_on_the_corpus():
-    docs = [serialize.load_document(corpus.resolve(name)) for name in corpus.names()]
+    docs = [serialize.load_document(corpus.resolve(name)) for name in corpus_names()]
     posets = [serialize.poset_from_doc(doc) for doc in docs if doc["type"] == "poset"]
     assert len(posets) >= 5
     for p in posets:

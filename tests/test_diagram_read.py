@@ -24,7 +24,7 @@ from oracles import label_diagram_from_doc
 
 def _crown(k: int) -> FinPoset:
     names = [f"x{i}" for i in range(k)] + [f"y{i}" for i in range(k)]
-    return FinPoset.from_covers(names, [(i, k + j) for i in range(k) for j in (i, (i + 1) % k)])
+    return FinPoset(names, [(i, k + j) for i in range(k) for j in (i, (i + 1) % k)])
 
 
 def _twisted(poset: FinPoset, size: int, rng: random.Random):
@@ -49,10 +49,9 @@ def _as_doc(diagram, rng: random.Random) -> dict:
     identity actions listed."""
     doc = json.loads(serialize.dump(serialize.diagram_to_doc(diagram)))
     shape = diagram.shape
-    for x, i in enumerate(shape.identity):
+    for x, carrier in enumerate(diagram.carriers):
         if rng.random() < 0.3:
-            carrier = diagram.carriers[x]
-            doc["actions"][shape.morphisms[i].name] = [[e, e] for e in carrier]
+            doc["actions"][shape.morphisms[x].name] = [[e, e] for e in carrier]
     return doc
 
 

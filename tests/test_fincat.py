@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgam import fincat
+from amalgam import corpus, fincat, serialize
 from amalgam.fincat import (
     AssociativityViolation,
     CategoryError,
@@ -30,6 +30,7 @@ from conftest import (
     collapsing_pair_cat,
     concrete_categories,
     congruence_close,
+    corpus_names,
     cyclic_cat,
     dags,
     is_monic,
@@ -228,7 +229,7 @@ def test_monic_reflection_universal_factorization():
     from amalgam.poset import FinPoset
 
     chain = category_from_poset(
-        FinPoset.from_covers(["C", "B", "D"], [(0, 1), (1, 2)])
+        FinPoset(["C", "B", "D"], [(0, 1), (1, 2)])
     )
     obj_map = [chain.obj_index[name] for name in cat.objects]
     mor_map = []
@@ -340,7 +341,7 @@ AXIOM_SUITE = (
 
 def _check_outcome(check, cat, table):
     try:
-        check(cat.objects, cat.morphisms, cat.identity, table)
+        check(cat.objects, cat.morphisms, table)
     except CategoryError as exc:
         return type(exc), str(exc)
     return None
@@ -638,6 +639,37 @@ def test_skeleton_poset_matches_reachability_reference():
         assert skeleton_poset(cat) == _reference_skeleton(cat)
 
 
+def _skeletons_agree_on_all_morphism_ends(cat) -> int:
+    """The skeleton of the category, and of its monic reflection, where each
+    is a preorder, is the poset built from the ends of every morphism, not
+    only the generators'.  Returns how many skeletons were compared."""
+    compared = 0
+    for c in (cat, monic_reflection(cat)[0]):
+        if is_preorder(c):
+            poset, class_of = skeleton_poset(c)
+            ends = [(class_of[m.dom], class_of[m.cod]) for m in c.morphisms]
+            assert poset == FinPoset(poset.elements, ends), c
+            compared += 1
+    return compared
+
+
+def test_a_skeleton_is_built_from_generator_ends_on_the_suite_and_the_corpus():
+    cats = list(AXIOM_SUITE)
+    for name in corpus_names():
+        doc = serialize.load_document(corpus.resolve(name))
+        if doc["type"] == "category":
+            cats.append(serialize.category_from_doc(doc))
+        elif doc["type"] == "poset":
+            cats.append(category_from_poset(serialize.poset_from_doc(doc)))
+    assert sum(map(_skeletons_agree_on_all_morphism_ends, cats)) > 60
+
+
+@settings(max_examples=150, deadline=None)
+@given(concrete_categories())
+def test_a_skeleton_is_built_from_generator_ends_on_concrete_categories(cat):
+    _skeletons_agree_on_all_morphism_ends(cat)
+
+
 # -- generators and Light's associativity test -----------------------------------
 
 def _right_nested_composites(cat, generators) -> set[int]:
@@ -691,7 +723,7 @@ def test_generators_are_the_covers_of_a_poset():
         for p in ps:
             cat = category_from_poset(p)
             covers = tuple(cat.mor_index[f"{p.elements[a]}->{p.elements[b]}"]
-                           for a, b in p.cover_pairs())
+                           for _, a, b in p.generator_ends)
             assert cat.generators == covers == p.generators
 
 

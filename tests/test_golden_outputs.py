@@ -20,7 +20,7 @@ from pathlib import Path
 
 from amalgam import corpus, serialize
 from amalgam.cli import main
-from conftest import category_from_poset
+from conftest import category_from_poset, corpus_names
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 AMALGAMABLE = (
@@ -91,7 +91,7 @@ def golden_outputs() -> dict[str, str]:
     with ``cocone`` and ``oracle`` on each generated diagram."""
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for name in corpus.names():
+        for name in corpus_names():
             for argv in (
                 ["check", name, "--format", "structured"],
                 ["witness", name],

@@ -1,8 +1,9 @@
 """What the package ships: the oracles and views that only the tests read
 live in `tests/` (`oracles.py`, `groups.py`, `pinj.py`), `amalgam` exports
 none of them, every module-level definition of the package is read by the
-package, no module of the package imports from `tests/`, and the decider's
-result records store no field that is derived from another."""
+package, no module of the package imports from `tests/`, each shape has one
+constructor, and the decider's result records store no field that is
+derived from another."""
 
 import ast
 import importlib
@@ -14,6 +15,8 @@ from pathlib import Path
 import amalgam
 from amalgam.decide import CertificateEvidence, RefutationEvidence, Verdict
 from amalgam.diagram import CoconeResult, Collision, ColimitResult, ShapeAnalysis
+from amalgam.fincat import FinCategory
+from amalgam.poset import FinPoset
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "amalgam"
@@ -39,6 +42,9 @@ MOVED = (
     ("fincat", "is_monic"), ("fincat", "Congruence.from_parent"), ("fincat", "FunctorMap"),
     ("fincat", "congruence_close"), ("fincat", "NonParallelSeed"),
     ("fincat", "connected_components"), ("poset", "FinPoset.up"), ("corpus", "path"),
+    ("poset", "FinPoset.from_covers"), ("poset", "FinPoset.cover_pairs"),
+    ("poset", "FinPoset._covers"), ("poset", "FinPoset.down"), ("poset", "FinPoset.identity"),
+    ("corpus", "names"),
     ("gen", "all_posets"), ("gen", "_canonical"), ("gen", "_class_perms"),
     ("gen", "random_endo_word"),
     ("serialize", "inverse_to_doc"), ("serialize", "load_diagram"),
@@ -97,36 +103,171 @@ def defined_names(statement: ast.stmt) -> list[str]:
     return []
 
 
-def names_read(node: ast.AST) -> set[str]:
-    """Every name and attribute the node loads."""
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def local_names(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds in its own scope:
+    its parameters or loop targets, and what its body stores, imports,
+    catches or defines, less what it declares global or nonlocal."""
+    if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    a = scope.args
+    bound = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+    if isinstance(scope, ast.Lambda):
+        return bound
+    declared: set[str] = set()
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)  # its body is a scope of its own
+            continue
+        if isinstance(node, SCOPES):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((n.asname or n.name).split(".")[0] for n in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def outer_parts(scope: ast.AST) -> list[ast.AST]:
+    """The parts of a scope's node that its enclosing scope evaluates:
+    a function's decorators, defaults and annotations, a comprehension's
+    first iterable."""
+    if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return [scope.generators[0].iter]
+    a = scope.args
+    parts = [*a.defaults, *a.kw_defaults]
+    if not isinstance(scope, ast.Lambda):
+        parts += [*scope.decorator_list, scope.returns]
+        parts += [p.annotation for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p]
+    return [part for part in parts if part is not None]
+
+
+def module_reads(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of each module-level definition of the package that
+    the module's source reads: a name it loads that no enclosing function
+    binds, outside the statement that defines it; a name it imports with
+    ``from .M import name``; and ``alias.name`` for an ``alias`` that
+    ``from . import M [as alias]`` binds to module M."""
+    aliases = {
+        n.asname or n.name: n.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for n in node.names
     }
+    reads: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, bound: frozenset, own: set) -> None:
+        if isinstance(node, SCOPES):
+            for part in outer_parts(node):
+                visit(part, bound, own)
+            inner = bound | local_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = node.body
+            elif isinstance(node, ast.Lambda):
+                body = [node.body]
+            else:
+                first = node.generators[0]
+                body = [n for n in ast.iter_child_nodes(node) if n is not first]
+                body += [first.target, *first.ifs]
+            for child in body:
+                visit(child, inner, own)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in bound and node.id not in own:
+                reads.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                reads.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            reads.update((node.module, n.name) for n in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound, own)
+
+    for statement in tree.body:
+        visit(statement, frozenset(), set(defined_names(statement)))
+    return reads
+
+
+def unread_definitions(src: Path) -> list[str]:
+    """``module.name`` of each module-level definition under src that no
+    module reads, ``__init__.py`` aside."""
+    defined, read = [], set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.stem, name) for s in tree.body for name in defined_names(s)]
+        read |= module_reads(path.stem, tree)
+    return [f"{module}.{name}" for module, name in defined if (module, name) not in read]
 
 
 def test_every_module_level_definition_is_read_by_the_package():
     """A definition that no module of the package reads, outside its own
     definition and the ``amalgam`` exports (``__init__.py``), is kept for the
     tests alone and belongs in `tests/`; only the functions kept for an
-    `amalgam verify` command and the Library constructor are exempt.  A
-    definition counts as read when its name is read anywhere in the package.
-    `bench/` is not scanned: `bench/spans.py` names its targets whether or
-    not a command calls them."""
-    defined, read = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = defined_names(statement)
-            defined += [(path.stem, name) for name in names]
-            read |= names_read(statement) - set(names)
-    assert ("decide", "decide") in defined
-    exempt = {*KEPT_FOR_VERIFY, LIBRARY_CONSTRUCTOR}
-    unread = [f"{module}.{name}" for module, name in defined
-              if name not in read and name not in exempt]
-    assert unread == []
+    `amalgam verify` command and the Library constructor are exempt.  Names
+    resolve per module: a local variable or a parameter of the same name is
+    not a read.  `bench/` is not scanned: `bench/spans.py` names its targets
+    whether or not a command calls them."""
+    exempt = {f"{getattr(amalgam, name).__module__.rpartition('.')[2]}.{name}"
+              for name in (*KEPT_FOR_VERIFY, LIBRARY_CONSTRUCTOR)}
+    assert [name for name in unread_definitions(SRC) if name not in exempt] == []
+
+
+def test_the_surface_scan_resolves_names_per_module(tmp_path):
+    """Only a load that reaches the module-level name, an import of it from
+    its module, or an attribute of an alias bound to its module reads it."""
+    sources = {
+        "m": """
+def kept(): pass
+def shadowed(): pass
+def parameter(): pass
+def comprehended(): pass
+def imported(): pass
+def attribute(): pass
+def recursive(): return recursive()
+def annotated(): pass
+def elsewhere(): pass
+
+def user(parameter, x: annotated):
+    shadowed = 1
+    def inner():
+        return shadowed, parameter
+    return [comprehended for comprehended in x], kept(), inner
+""",
+        "a": """
+from . import m as mod
+from .m import imported
+
+def reader(elsewhere):
+    return mod.attribute, mod.user, elsewhere.elsewhere
+""",
+    }
+    for name, text in sources.items():
+        (tmp_path / f"{name}.py").write_text(text, encoding="utf-8")
+    assert unread_definitions(tmp_path) == [
+        "a.reader", "m.shadowed", "m.parameter", "m.comprehended", "m.recursive", "m.elsewhere",
+    ]
+
+
+def test_each_shape_has_one_constructor():
+    """A poset is built from its covers alone, and a category's identities
+    are its first ``len(objects)`` morphisms."""
+    assert list(inspect.signature(FinPoset).parameters) == ["elements", "covers"]
+    assert list(inspect.signature(FinCategory).parameters) == ["objects", "morphisms", "table"]
+    assert [name for name, value in vars(FinPoset).items() if isinstance(value, classmethod)] == []
 
 
 def test_a_collision_takes_its_zigzag_only_as_a_search():

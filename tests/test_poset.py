@@ -50,12 +50,16 @@ from oracles import (
 def test_poset_validation():
     with pytest.raises(NotAPartialOrder):
         FinPoset(["a", "b"], [(0, 1), (1, 0)])  # antisymmetry
-    with pytest.raises(NotAPartialOrder):
-        FinPoset(["a", "b", "c"], [(0, 1), (1, 2)])  # transitivity not included
     FinPoset(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
 
 
-def test_from_covers_closes():
+def test_a_pair_list_that_is_not_transitively_closed_builds_its_closure():
+    p = FinPoset(["a", "b", "c"], [(0, 1), (1, 2)])
+    assert p == FinPoset(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
+    assert p.relation_pairs() == {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}
+
+
+def test_covers_close():
     p = chain(3)
     assert p.leq(0, 2)
     assert p.leq(0, 0)
@@ -164,13 +168,13 @@ def test_simply_connected_examples():
 
 
 def test_simply_connected_disjoint_chains():
-    p = FinPoset.from_covers(["a", "b", "c", "d"], [(0, 1), (2, 3)])
+    p = FinPoset(["a", "b", "c", "d"], [(0, 1), (2, 3)])
     assert simply_connected_bounded(p) is True
 
 
 def test_simply_connected_unknown_when_budget_exhausted():
     # an exhausted budget must answer in-band, never guess
-    p = FinPoset.from_covers(
+    p = FinPoset(
         [f"e{i}" for i in range(6)],
         [(0, 2), (0, 4), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)],
     )
@@ -214,29 +218,17 @@ def test_upward_closed_subsets_of_span():
     assert len(subs) == 5
 
 
-def test_mask_constructor_validates():
-    FinPoset(["a", "b"], up_masks=[0b10, 0])
+def test_covers_reject_cycles_and_keep_loops():
     with pytest.raises(NotAPartialOrder):
-        FinPoset(["a", "b"], up_masks=[0b10])  # one mask per element
+        FinPoset(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(NotAPartialOrder):
-        FinPoset(["a", "b"], up_masks=[0b100, 0])  # bit beyond the last element
-    with pytest.raises(NotAPartialOrder):
-        FinPoset(["a", "b"], up_masks=[0b10, 0b01])  # antisymmetry
-    with pytest.raises(NotAPartialOrder):
-        FinPoset(["a", "b", "c"], up_masks=[0b010, 0b100, 0])  # transitivity
+        FinPoset(["a", "b"], [(0, 2)])
+    assert FinPoset(["a", "b"], [(0, 0), (0, 1)]) == FinPoset(["a", "b"], [(0, 1)])
 
 
-def test_from_covers_rejects_cycles_and_keeps_loops():
-    with pytest.raises(NotAPartialOrder):
-        FinPoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(NotAPartialOrder):
-        FinPoset.from_covers(["a", "b"], [(0, 2)])
-    assert FinPoset.from_covers(["a", "b"], [(0, 0), (0, 1)]) == FinPoset(["a", "b"], [(0, 1)])
-
-
-def test_from_covers_rejects_repeated_names():
+def test_repeated_names_are_rejected():
     with pytest.raises(NotAPartialOrder, match="element names must be distinct"):
-        FinPoset.from_covers(["a", "b", "a"], [(0, 1)])
+        FinPoset(["a", "b", "a"], [(0, 1)])
 
 
 def _closure(n, covers):
@@ -272,10 +264,10 @@ def check_against_pairs(p, rel, subset):
         (a, b) for a, b in rel
         if a != b and not any(c not in (a, b) and (a, c) in rel and (c, b) in rel for c in range(n))
     )
-    assert p.cover_pairs() == tuple(covers)
+    assert [(a, b) for _, a, b in p.generator_ends] == covers
     for a in range(n):
         assert _members(p.up_masks[a]) == {b for b in range(n) if (a, b) in rel}
-        assert p.down(a) == {b for b in range(n) if (b, a) in rel}
+        assert _members(p.down_masks[a]) == {b for b in range(n) if (b, a) in rel}
         for b in range(n):
             assert p.leq(a, b) == ((a, b) in rel)
             assert p.comparable(a, b) == ((a, b) in rel or (b, a) in rel)
@@ -313,7 +305,7 @@ def test_decomposition_matches_the_recursive_reference_on_all_posets_of_six():
 def _forged_bowtie():
     """A certificate for the bowtie p, q < a, b that replays its relation
     exactly, though the up-set {a, b} below p is disconnected."""
-    p = FinPoset.from_covers(["p", "q", "a", "b"], [(0, 2), (0, 3), (1, 2), (1, 3)])
+    p = FinPoset(["p", "q", "a", "b"], [(0, 2), (0, 3), (1, 2), (1, 3)])
     leaf_a, leaf_b = DecompositionNode(2, (), ()), DecompositionNode(3, (), ())
     q = DecompositionNode(1, (leaf_a, leaf_b), (mask({2}), mask({3})))
     return p, DecompositionNode(0, (q,), (mask({2, 3}),))
@@ -325,7 +317,7 @@ def test_forged_certificates_are_rejected():
     assert replay_certificate(cert)[1] == bowtie.relation_pairs()
     assert not verify_certificate(bowtie, cert)
     # the same forgery one level down, below a new least element r
-    cone = FinPoset.from_covers(["r", "p", "q", "a", "b"], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    cone = FinPoset(["r", "p", "q", "a", "b"], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
 
     def moved(node):  # every index one higher: each mask shifts by one bit
         return DecompositionNode(
@@ -363,7 +355,7 @@ def test_certificates_that_adjoin_an_element_twice_are_rejected():
 
 
 def test_certificates_of_another_order_are_rejected():
-    antichain = FinPoset(["x", "y"])
+    antichain = FinPoset(["x", "y"], [])
     below = ForestCertificate((DecompositionNode(0, (DecompositionNode(1, (), ()),), (mask({1}),)),))
     apart = ForestCertificate((DecompositionNode(0, (), ()), DecompositionNode(1, (), ())))
     assert verify_certificate(chain(2), below) and verify_certificate(antichain, apart)
@@ -467,7 +459,7 @@ def test_deep_certificates_compare_hash_and_print_without_recursion():
     assert repr(cert) == f"ForestCertificate(roots=({root!r},))"
     # a fork in the last two elements: the trees differ only at their bottom
     names = [f"c{i}" for i in range(n)]
-    fork = FinPoset.from_covers(names, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
+    fork = FinPoset(names, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
     forked = is_forest_like(fork)
     assert isinstance(forked, ForestCertificate)
     assert forked != cert and cert != forked and forked.roots[0] != root
@@ -536,10 +528,10 @@ def _same_category(p: FinPoset) -> None:
     """The poset's morphism view is the category of the poset, index for index."""
     cat = category_from_poset(p)
     assert p == cat and cat == p
-    assert (p.objects, p.identity, p.morphisms) == (cat.objects, cat.identity, cat.morphisms)
+    assert (p.objects, p.morphisms) == (cat.objects, cat.morphisms)
     assert p.obj_index == cat.obj_index and p.mor_index == cat.mor_index
     assert p.hom_out == cat.hom_out and p.hom_in == cat.hom_in
-    assert [m for m in range(len(p.morphisms)) if p.is_identity(m)] == list(cat.identity)
+    assert [m for m in range(len(p.morphisms)) if p.is_identity(m)] == list(range(len(p)))
     assert list(p.composites()) == list(cat.composites())
     for f, mf in enumerate(cat.morphisms):
         for g in cat.hom_out[mf.cod]:
@@ -570,6 +562,6 @@ def test_poset_arrows_are_built_on_first_use():
 
 
 def test_poset_arrow_name_clash_names_both_morphisms():
-    p = FinPoset.from_covers(["p->q", "id_p", "q"], [(1, 2)])
+    p = FinPoset(["p->q", "id_p", "q"], [(1, 2)])
     with pytest.raises(PresentationError, match="given to both the identity of 'p->q'"):
         p.morphisms

@@ -21,6 +21,7 @@ from conftest import (
     as_reference,
     category_from_poset,
     congruence_close,
+    corpus_names,
     dags,
     record_fields,
 )
@@ -74,7 +75,7 @@ def shape_records(shape) -> list:
 
 def corpus_records() -> list:
     records = [parse_args(["check", "boat", "--out", "o.json", "--seed", "3"])]
-    for name in corpus.names():
+    for name in corpus_names():
         path = corpus.resolve(name)
         doc = serialize.load_document(path)
         if doc["type"] == "diagram":

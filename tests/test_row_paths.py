@@ -236,7 +236,7 @@ def test_a_poset_witness_whose_rows_do_not_commute_is_refused():
     """x < a < b and x < c.  A forged witness puts a alone on the zero
     side, so x's point goes to 0 over a and to 1 over b, while a -> b
     keeps 0 at 0: the rows do not commute over the cover a -> b."""
-    p = FinPoset.from_covers(["x", "a", "b", "c"], [(0, 1), (1, 2), (0, 3)])
+    p = FinPoset(["x", "a", "b", "c"], [(0, 1), (1, 2), (0, 3)])
     forged = NonForestWitness(
         x=0, component=0b1110, upset_components=(0b0010, 0b1100), u=1, v=2,
         zigzag=(1, 2), region=0b1111,
@@ -249,7 +249,7 @@ def test_a_poset_witness_whose_rows_do_not_commute_is_refused():
 def test_a_poset_witness_whose_rows_leave_their_targets_is_refused():
     """x < a and y < z.  A forged witness makes y two-sided but not z, so
     y -> z would send {0, 1} into the empty carrier."""
-    p = FinPoset.from_covers(["x", "a", "y", "z"], [(0, 1), (2, 3)])
+    p = FinPoset(["x", "a", "y", "z"], [(0, 1), (2, 3)])
     forged = NonForestWitness(
         x=0, component=0b0110, upset_components=(0b0010, 0b0100), u=1, v=2,
         zigzag=(1, 2), region=0b0111,
