@@ -556,8 +556,10 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
     objects are kept, so morphism i goes to class ``class_of[i]``.
 
     Class representatives are least-index members, which keeps each identity
-    the representative (and the name) of its class.  A discrete congruence
-    returns the category itself with the identity map.
+    the representative (and the name) of its class.  The quotient's
+    identities are its first classes, so class x must hold identity x, as
+    the closures number them; another order is refused.  A discrete
+    congruence returns the category itself with the identity map.
 
     The partition is checked once, by ``is_congruence``, before anything is
     built.  Over a congruence the quotient's table holds rep(h)∘rep(f), the
@@ -569,6 +571,9 @@ def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, 
     if not is_congruence(cat, cong):
         raise PresentationError("partition is not a congruence")
     class_of, pre = cong.class_of, cat.pre
+    n = len(cat.objects)
+    if tuple(class_of[:n]) != tuple(range(n)):
+        raise PresentationError("class x of a congruence must hold identity x")
     reps = [min(cl) for cl in cong.classes]
     morphisms = list(map(cat.morphisms.__getitem__, reps))
     table = {}

@@ -133,8 +133,9 @@ class FinPoset:
 
     The relation is stored as int bitmasks: bit j of ``up_masks[i]`` is set
     when i <= j, and bit j of ``down_masks[i]`` when j <= i.  They are the
-    reflexive-transitive closures of the given edges, so the one fault left
-    to find on construction is a cycle, which breaks antisymmetry.
+    reflexive-transitive closures of the given edges, so construction finds
+    three faults only: a cover out of range, a cycle (which breaks
+    antisymmetry) and a repeated name.
 
     A FinPoset is also a shape: the category with one morphism per related
     pair.  Its morphisms are the identities, then the pairs a < b in
@@ -144,8 +145,9 @@ class FinPoset:
 
     def __init__(self, elements, covers):
         """Build from Hasse-style edges, or any pairs whose closure is the
-        order: the closures up and down the edges are taken, and beyond the
-        cycle check only the names are validated."""
+        order: each edge is checked to be in range, the closures up and down
+        the edges are taken, refusing a cycle, and then the names are
+        checked to be distinct."""
         self.elements = elements = tuple(elements)
         n = len(elements)
         succ, pred = [0] * n, [0] * n

@@ -517,6 +517,22 @@ def test_a_quotient_checks_its_partition_once(monkeypatch):
     as_functor(cat, quotient, projection).validate()
 
 
+def test_a_congruence_whose_classes_are_permuted_is_refused_by_name():
+    """The quotient's identities are its first classes, so a congruence whose
+    class x does not hold identity x is refused with the order it needs."""
+    cat = collapsing_pair_cat()
+    cong = _glued(cat, ("u", "v"))
+    last = len(cong.classes) - 1
+    swap = {0: last, last: 0}
+    permuted = Congruence(
+        tuple(cong.classes[swap.get(k, k)] for k in range(len(cong.classes))),
+        tuple(swap.get(k, k) for k in cong.class_of),
+    )
+    assert is_congruence(cat, permuted)
+    with pytest.raises(PresentationError, match=r"^class x of a congruence must hold identity x$"):
+        quotient_category(cat, permuted)
+
+
 @pytest.mark.parametrize("pairs", [[("w", "d")], [("u", "v")]], ids=["ends", "composites"])
 def test_a_partition_that_is_not_a_congruence_builds_no_quotient(monkeypatch, pairs):
     """Gluing arrows with different ends, or a parallel pair that ``w`` does

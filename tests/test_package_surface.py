@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import symtable
 import sys
 from pathlib import Path
 
@@ -103,114 +104,65 @@ def defined_names(statement: ast.stmt) -> list[str]:
     return []
 
 
-SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+def annotations(node: ast.AST) -> list[ast.expr]:
+    """The annotations a node carries: its parameters', its return's or an
+    annotated assignment's."""
+    if isinstance(node, ast.arg):
+        return [node.annotation] if node.annotation else []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.returns] if node.returns else []
+    return [node.annotation] if isinstance(node, ast.AnnAssign) else []
 
 
-def local_names(scope: ast.AST) -> set[str]:
-    """The names a function, lambda or comprehension binds in its own scope:
-    its parameters or loop targets, and what its body stores, imports,
-    catches or defines, less what it declares global or nonlocal."""
-    if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        return {n.id for g in scope.generators for n in ast.walk(g.target)
-                if isinstance(n, ast.Name)}
-    a = scope.args
-    bound = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
-    if isinstance(scope, ast.Lambda):
-        return bound
-    declared: set[str] = set()
-    stack = list(scope.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)  # its body is a scope of its own
-            continue
-        if isinstance(node, SCOPES):
-            continue
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
-            bound.add(node.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound.update((n.asname or n.name).split(".")[0] for n in node.names)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            bound.add(node.name)
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            declared.update(node.names)
-        stack.extend(ast.iter_child_nodes(node))
-    return bound - declared
-
-
-def outer_parts(scope: ast.AST) -> list[ast.AST]:
-    """The parts of a scope's node that its enclosing scope evaluates:
-    a function's decorators, defaults and annotations, a comprehension's
-    first iterable."""
-    if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        return [scope.generators[0].iter]
-    a = scope.args
-    parts = [*a.defaults, *a.kw_defaults]
-    if not isinstance(scope, ast.Lambda):
-        parts += [*scope.decorator_list, scope.returns]
-        parts += [p.annotation for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
-                  if p]
-    return [part for part in parts if part is not None]
-
-
-def module_reads(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+def module_reads(module: str, source: str, path: Path) -> set[tuple[str, str]]:
     """(module, name) of each module-level definition of the package that
-    the module's source reads: a name it loads that no enclosing function
-    binds, outside the statement that defines it; a name it imports with
-    ``from .M import name``; and ``alias.name`` for an ``alias`` that
-    ``from . import M [as alias]`` binds to module M."""
+    the module's source reads.  ``symtable`` resolves the scopes: a name the
+    module's own scope loads, or one that a nested scope loads as a global,
+    outside the top-level scope that defines it.  Annotations count, though
+    ``from __future__ import annotations`` keeps them out of the symbol
+    tables.  So do a name imported with ``from .M import name`` and
+    ``alias.name`` for an ``alias`` that ``from . import M [as alias]``
+    binds to module M."""
+    top = symtable.symtable(source, str(path), "exec")
+    reads = {(module, s.get_name()) for s in top.get_symbols() if s.is_referenced()}
+    for child in top.get_children():
+        tables = [child]
+        while tables:
+            table = tables.pop()
+            tables += table.get_children()
+            reads |= {(module, s.get_name()) for s in table.get_symbols()
+                      if s.is_referenced() and s.is_global() and s.get_name() != child.get_name()}
+    tree = ast.parse(source)
     aliases = {
         n.asname or n.name: n.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
         for n in node.names
     }
-    reads: set[tuple[str, str]] = set()
-
-    def visit(node: ast.AST, bound: frozenset, own: set) -> None:
-        if isinstance(node, SCOPES):
-            for part in outer_parts(node):
-                visit(part, bound, own)
-            inner = bound | local_names(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                body = node.body
-            elif isinstance(node, ast.Lambda):
-                body = [node.body]
-            else:
-                first = node.generators[0]
-                body = [n for n in ast.iter_child_nodes(node) if n is not first]
-                body += [first.target, *first.ifs]
-            for child in body:
-                visit(child, inner, own)
-            return
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id not in bound and node.id not in own:
-                reads.add((module, node.id))
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id in aliases:
-                reads.add((aliases[node.value.id], node.attr))
-        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            reads.update((node.module, n.name) for n in node.names)
-        for child in ast.iter_child_nodes(node):
-            visit(child, bound, own)
-
     for statement in tree.body:
-        visit(statement, frozenset(), set(defined_names(statement)))
+        own = defined_names(statement)
+        for node in ast.walk(statement):
+            reads |= {(module, n.id) for a in annotations(node) for n in ast.walk(a)
+                      if isinstance(n, ast.Name) and n.id not in own}
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases:
+                    reads.add((aliases[node.value.id], node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reads |= {(node.module, n.name) for n in node.names}
     return reads
 
 
-def unread_definitions(src: Path) -> list[str]:
-    """``module.name`` of each module-level definition under src that no
-    module reads, ``__init__.py`` aside."""
+def unread_definitions(src: Path) -> tuple[list[tuple[str, str]], list[str]]:
+    """(module, name) of each module-level definition under src, and
+    ``module.name`` of each that no module reads, ``__init__.py`` aside."""
     defined, read = [], set()
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [(path.stem, name) for s in tree.body for name in defined_names(s)]
-        read |= module_reads(path.stem, tree)
-    return [f"{module}.{name}" for module, name in defined if (module, name) not in read]
+        source = path.read_text(encoding="utf-8")
+        defined += [(path.stem, name) for s in ast.parse(source).body for name in defined_names(s)]
+        read |= module_reads(path.stem, source, path)
+    return defined, [f"{module}.{name}" for module, name in defined if (module, name) not in read]
 
 
 def test_every_module_level_definition_is_read_by_the_package():
@@ -223,12 +175,15 @@ def test_every_module_level_definition_is_read_by_the_package():
     whether or not a command calls them."""
     exempt = {f"{getattr(amalgam, name).__module__.rpartition('.')[2]}.{name}"
               for name in (*KEPT_FOR_VERIFY, LIBRARY_CONSTRUCTOR)}
-    assert [name for name in unread_definitions(SRC) if name not in exempt] == []
+    defined, unread = unread_definitions(SRC)
+    assert ("decide", "decide") in defined  # the scan found the package's sources
+    assert [name for name in unread if name not in exempt] == []
 
 
 def test_the_surface_scan_resolves_names_per_module(tmp_path):
-    """Only a load that reaches the module-level name, an import of it from
-    its module, or an attribute of an alias bound to its module reads it."""
+    """Only a load that reaches the module-level name (from a class body
+    too, but not past a match capture), an import of it from its module, or
+    an attribute of an alias bound to its module reads it."""
     sources = {
         "m": """
 def kept(): pass
@@ -240,25 +195,36 @@ def attribute(): pass
 def recursive(): return recursive()
 def annotated(): pass
 def elsewhere(): pass
+def classed(): pass
+def matched(): pass
 
 def user(parameter, x: annotated):
     shadowed = 1
     def inner():
         return shadowed, parameter
-    return [comprehended for comprehended in x], kept(), inner
+    class Local:
+        held = classed
+    match x:
+        case matched:
+            pass
+    return [comprehended for comprehended in x], kept(), inner, Local
 """,
         "a": """
+from __future__ import annotations
 from . import m as mod
 from .m import imported
 
-def reader(elsewhere):
+def hint(): pass
+
+def reader(elsewhere) -> hint:
     return mod.attribute, mod.user, elsewhere.elsewhere
 """,
     }
     for name, text in sources.items():
         (tmp_path / f"{name}.py").write_text(text, encoding="utf-8")
-    assert unread_definitions(tmp_path) == [
+    assert unread_definitions(tmp_path)[1] == [
         "a.reader", "m.shadowed", "m.parameter", "m.comprehended", "m.recursive", "m.elsewhere",
+        "m.matched",
     ]
 
 
