@@ -8,7 +8,7 @@ completes every concrete diagram, or a concrete finite-sets diagram verified
 to have no cocone.
 """
 
-from .decide import CertificateEvidence, RefutationEvidence, Verdict, decide, explain
+from .decide import Verdict, decide, explain
 from .diagram import (
     Cocone,
     CoconeFreeDiagram,
@@ -20,6 +20,7 @@ from .diagram import (
     ZigzagWord,
     analyze_shape,
     colimit_set,
+    collision_zigzag,
     has_cocone,
     validate_diagram,
     witness_no_cocone,

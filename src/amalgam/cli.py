@@ -17,6 +17,7 @@ from .diagram import (
     DiagramError,
     NotApplicable,
     analyze_shape,
+    collision_zigzag,
     has_cocone,
     witness_no_cocone,
 )
@@ -140,7 +141,7 @@ def cmd_cocone(config: RunConfig) -> int:
         return 1
     answer = has_cocone(diagram)
     if not answer:
-        col = answer.collision
+        col = answer.colimit.collision
         raise DiagramError(
             "colimit collision on a certified shape: elements "
             f"{col.x} and {col.y} of {shape.objects[col.obj]} are glued"
@@ -158,15 +159,14 @@ def cmd_oracle(config: RunConfig) -> int:
     if answer:
         _emit(config, serialize.dump(serialize.cocone_to_doc(diagram, answer.cocone)))
         return 0
-    col = answer.collision
+    col = answer.colimit.collision
+    nodes, _ = collision_zigzag(diagram, col)
     doc = {
         "type": "no-cocone",
         "collision": {
             "object": diagram.shape.objects[col.obj],
             "elements": [col.x, col.y],
-            "zigzag": [
-                [diagram.shape.objects[o], e] for o, e in col.nodes
-            ],
+            "zigzag": [[diagram.shape.objects[o], e] for o, e in nodes],
         },
     }
     _emit(config, serialize.dump(doc))
@@ -384,8 +384,10 @@ def _run(argv) -> int:
         if config.command == "gen" and not config.inputs:
             raise ParseError("gen expects a kind: poset | forest | nonforest | diagram")
         return handler(config)
-    except (ParseError, CategoryError, PosetError, DiagramError, OSError,
-            ValueError) as exc:
+    except OSError as exc:
+        print(f"error: {serialize.clip_paths(exc)}", file=sys.stderr)
+        return 2
+    except (ParseError, CategoryError, PosetError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .diagram import (
     CoconeFreeDiagram,
-    Collision,
     ShapeAnalysis,
     analyze_shape,
     witness_no_cocone,
@@ -21,76 +20,38 @@ from .fincat import FinCategory
 from .poset import (
     FinPoset,
     ForestCertificate,
-    NonForestWitness,
     _component_masks,
     sorted_names,
 )
 from .record import Record
 
 
-class CertificateEvidence(Record):
-    _fields = ("analysis",)
-
-    def __init__(self, analysis: ShapeAnalysis):
-        self.analysis = analysis
-
-    @property
-    def certificate(self) -> ForestCertificate:
-        return self.analysis.forest
-
-
-class RefutationEvidence(Record):
-    """The reason, the parallel pair or non-forest witness, and the collision
-    are read off the analysis and the cocone-free diagram."""
-
-    _fields = ("analysis", "diagram")
-
-    def __init__(self, analysis: ShapeAnalysis, diagram: CoconeFreeDiagram):
-        self.analysis = analysis
-        self.diagram = diagram
-
-    @property
-    def reason(self) -> str:
-        return "non-forest-poset" if self.analysis.preorder else "parallel-pair"
-
-    @property
-    def parallel_pair(self) -> tuple[int, int] | None:
-        return self.analysis.parallel_pair
-
-    @property
-    def witness(self) -> NonForestWitness | None:
-        return self.analysis.forest  # None beside a parallel pair
-
-    @property
-    def collision(self) -> Collision:
-        return self.diagram.collision
-
-
 class Verdict(Record):
-    _fields = ("connected", "evidence", "trace")
+    """The shape's analysis holds the evidence: the forest certificate, or
+    the parallel pair or non-forest witness of a refutation.  ``diagram`` is
+    a refutation's cocone-free diagram, and ``None`` beside a certificate."""
+
+    _fields = ("connected", "analysis", "diagram", "trace")
 
     def __init__(
         self,
         connected: bool,
-        evidence: CertificateEvidence | RefutationEvidence,
+        analysis: ShapeAnalysis,
+        diagram: CoconeFreeDiagram | None,
         trace: tuple[str, ...],
     ):
         self.connected = connected
-        self.evidence = evidence
+        self.analysis = analysis
+        self.diagram = diagram
         self.trace = trace
 
     @property
-    def usc(self) -> bool:
-        """Upward-simply-connected: the evidence is a certificate."""
-        return isinstance(self.evidence, CertificateEvidence)
-
-    @property
     def amalgamable_ap_jep(self) -> bool:
-        return self.usc
+        return self.analysis.usc
 
     @property
     def amalgamable_ap_only(self) -> bool:
-        return self.usc and self.connected
+        return self.analysis.usc and self.connected
 
 
 def _sizes(shape: FinCategory | FinPoset) -> tuple[int, int, int]:
@@ -144,12 +105,12 @@ def decide(shape: FinCategory | FinPoset) -> Verdict:
         )
 
     if analysis.usc:
-        evidence = CertificateEvidence(analysis)
+        diagram = None
         trace.append("verdict: amalgamable (certificate attached)")
     else:
-        evidence = RefutationEvidence(analysis, witness_no_cocone(shape, analysis))
+        diagram = witness_no_cocone(shape, analysis)
         trace.append("verdict: not amalgamable (cocone-free diagram attached)")
-    return Verdict(connected, evidence, tuple(trace))
+    return Verdict(connected, analysis, diagram, tuple(trace))
 
 
 def _describe_tree(root, poset, indent: int) -> list[str]:
@@ -174,9 +135,9 @@ def explain(verdict: Verdict) -> str:
     lines = ["amalgamability report", "=" * 21, ""]
     lines.extend(f"- {step}" for step in verdict.trace)
     lines.append("")
-    if isinstance(verdict.evidence, CertificateEvidence):
-        cert = verdict.evidence.certificate
-        poset = verdict.evidence.analysis.skeleton
+    analysis, diagram = verdict.analysis, verdict.diagram
+    if diagram is None:
+        cert, poset = analysis.forest, analysis.skeleton
         if not cert.roots:  # one tree per component: only the empty shape has none
             lines.append(
                 "The shape is empty: the empty diagram is completed by any object, "
@@ -188,18 +149,16 @@ def explain(verdict: Verdict) -> str:
             for root in cert.roots:
                 lines.extend(_describe_tree(root, poset, 1))
     else:
-        ev = verdict.evidence
-        if ev.reason == "parallel-pair":
-            f, g = ev.parallel_pair
-            refl = ev.analysis.reflection
+        if not analysis.preorder:
+            f, g = analysis.parallel_pair
+            refl = analysis.reflection
             lines.append(
                 "The monic reflection keeps the distinct parallel morphisms "
                 f"{refl.morphisms[f].name} and {refl.morphisms[g].name}; the "
                 "attached diagram glues them in its colimit."
             )
         else:
-            w = ev.witness
-            poset = ev.analysis.skeleton
+            w, poset = analysis.forest, analysis.skeleton
             pieces = [
                 "{" + ", ".join(sorted_names(poset.elements, part)) + "}"
                 for part in w.upset_components
@@ -209,14 +168,14 @@ def explain(verdict: Verdict) -> str:
                 f"into disconnected pieces {' and '.join(pieces)} inside one "
                 "component of the remaining poset."
             )
-        col = ev.collision
+        col = diagram.collision
         lines.append(
             f"Oracle: elements {col.x} and {col.y} of "
-            f"{ev.diagram.shape.objects[col.obj]} are glued in the colimit, so no leg "
+            f"{diagram.shape.objects[col.obj]} are glued in the colimit, so no leg "
             "can stay injective."
         )
     flags = (
-        f"upward-simply-connected: {verdict.usc}; connected: {verdict.connected}; "
+        f"upward-simply-connected: {analysis.usc}; connected: {verdict.connected}; "
         f"amalgamable with AP+JEP: {verdict.amalgamable_ap_jep}; "
         f"amalgamable with AP alone: {verdict.amalgamable_ap_only}"
     )

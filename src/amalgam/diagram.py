@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import itemgetter
 
@@ -216,44 +216,17 @@ def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
             )
 
 
-class Collision:
-    """Two distinct elements of one carrier glued in the colimit, with the
-    element-level zigzag connecting them.  ``search`` returns the zigzag's
-    nodes and steps; it runs when ``nodes`` or ``steps`` is first read, so a
+class Collision(FrozenRecord):
+    """Two distinct elements x and y of one carrier glued in the colimit.
+    ``collision_zigzag`` finds the element-level zigzag between them; a
     verdict, which reports only the two elements, never runs it."""
 
-    def __init__(self, obj: int, x: str, y: str, *, search):
-        self.obj, self.x, self.y = obj, x, y
-        self._search = search
+    _fields = ("obj", "x", "y")
 
-    @cached_property
-    def _zigzag(self) -> tuple[tuple, tuple]:
-        return self._search()
-
-    @property
-    def nodes(self) -> tuple[tuple[int, str], ...]:
-        return self._zigzag[0]
-
-    @property
-    def steps(self) -> tuple[tuple[int, bool], ...]:
-        return self._zigzag[1]
-
-    def _key(self) -> tuple:
-        return (self.obj, self.x, self.y, *self._zigzag)
-
-    def __eq__(self, other):
-        if not isinstance(other, Collision):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"Collision(obj={self.obj!r}, x={self.x!r}, y={self.y!r}, "
-            f"nodes={self.nodes!r}, steps={self.steps!r})"
-        )
+    def __init__(self, obj: int, x: str, y: str):
+        set_field(self, "obj", obj)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
 
 
 class ColimitClasses:
@@ -360,23 +333,29 @@ def colimit_set(diagram: FinInjDiagram) -> ColimitResult:
                 x = first.setdefault(k, y)
                 if x != y:
                     break
-            base = offsets[obj]
-            search = partial(_element_zigzag, diagram, offsets, obj, base + x, base + y)
-            collision = Collision(obj, carriers[obj][x], carriers[obj][y], search=search)
+            collision = Collision(obj, carriers[obj][x], carriers[obj][y])
             break
     return ColimitResult(diagram, ids, count, collision)
 
 
-def _element_zigzag(diagram, offsets, obj, start, goal):
-    """A shortest zigzag between two nodes of the object's carrier: BFS over
+def collision_zigzag(
+    diagram: FinInjDiagram, collision: Collision
+) -> tuple[tuple[tuple[int, str], ...], tuple[tuple[int, bool], ...]]:
+    """A shortest zigzag from the collision's x to its y, as its nodes
+    ``(object, label)`` and its steps ``(morphism, forward)``: BFS over
     single action steps, each node's steps made when the node is expanded.
 
     A node's steps follow the non-identities into and out of its object by
     index, forward along an arrow out of it and backward along an arrow
     into it; an endo arrow's backward step comes first when it starts from
     an earlier position.  This is the order of a scan of every action, so
-    ties between shortest zigzags break the same way."""
-    shape, maps = diagram.shape, diagram.maps
+    ties between shortest zigzags break the same way.  Node
+    ``offsets[o] + p`` is the p-th element of object o's carrier."""
+    shape, carriers, maps = diagram.shape, diagram.carriers, diagram.maps
+    obj, carrier = collision.obj, carriers[collision.obj]
+    offsets = list(accumulate(map(len, carriers), initial=0))
+    start = offsets[obj] + carrier.index(collision.x)
+    goal = offsets[obj] + carrier.index(collision.y)
     # at[o]: (arrow, its other end, row, offset of the other end, kind) for
     # each arrow at o whose action is not empty; kind 0 leaves o, kind 1
     # enters it, kind 2 does both.
@@ -420,14 +399,13 @@ def _element_zigzag(diagram, offsets, obj, start, goal):
                     queue.append((nxt, far))
     if goal not in prev:
         raise DiagramError("no zigzag found for a colimit collision")
-    carriers = diagram.carriers
     nodes, steps, node = [], [], goal
     while prev[node] is not None:
         before, i, forward, o = prev[node]
         nodes.append((o, carriers[o][node - offsets[o]]))
         steps.append((i, forward))
         node = before
-    nodes.append((obj, carriers[obj][start - offsets[obj]]))
+    nodes.append((obj, collision.x))
     nodes.reverse()
     steps.reverse()
     return tuple(nodes), tuple(steps)
@@ -484,7 +462,7 @@ def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
 
 
 class CoconeResult(Record):
-    """Truthy when a cocone exists; carries the cocone or the collision."""
+    """Truthy when a cocone exists; the collision is the colimit's."""
 
     _fields = ("cocone", "colimit")
 
@@ -492,16 +470,8 @@ class CoconeResult(Record):
         self.cocone = cocone
         self.colimit = colimit
 
-    @property
-    def exists(self) -> bool:
-        return self.cocone is not None
-
-    @property
-    def collision(self) -> Collision | None:
-        return self.colimit.collision
-
     def __bool__(self) -> bool:
-        return self.exists
+        return self.cocone is not None
 
 
 def has_cocone(diagram: FinInjDiagram) -> CoconeResult:
@@ -667,7 +637,7 @@ def witness_no_cocone(
     answer = has_cocone(witness)
     if answer:
         raise DiagramError("synthesized witness unexpectedly has a cocone")
-    return CoconeFreeDiagram(witness, answer.collision)
+    return CoconeFreeDiagram(witness, answer.colimit.collision)
 
 
 def _parallel_pair_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinInjDiagram:

@@ -13,7 +13,7 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 
-from .decide import CertificateEvidence, Verdict
+from .decide import Verdict
 from .diagram import Cocone, DiagramError, FinInjDiagram, validate_diagram
 from .fincat import CategoryError, FinCategory, clip, echo, validate_category
 from .invcat import FinInverseCategory, validate_inverse
@@ -58,10 +58,19 @@ def _read(path: str | os.PathLike) -> bytes:
 
 
 def _named(path: str | os.PathLike) -> str:
-    """The path as an error names it: as pathlib normalises it."""
+    """The path as an error names it: as pathlib normalises it, clipped."""
     from pathlib import Path
 
-    return str(Path(path))
+    return clip(Path(path))
+
+
+def clip_paths(exc: OSError) -> OSError:
+    """The error with each path it names clipped as a fault quotes it.  The
+    OS's reason stays, and a path of at most 80 characters prints whole."""
+    for field in ("filename", "filename2"):
+        if isinstance(getattr(exc, field), str):
+            setattr(exc, field, clip(getattr(exc, field)))
+    return exc
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -92,9 +101,9 @@ def load_document(path: str | os.PathLike) -> dict:
     try:
         data = _read(path)
         doc = _DECODER.decode(data.decode(json.detect_encoding(data), "surrogatepass"))
-    except (
-        OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError, ParseError
-    ) as exc:
+    except OSError as exc:
+        raise ParseError(f"{_named(path)}: {clip_paths(exc)}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, ParseError) as exc:
         raise ParseError(f"{_named(path)}: {exc}") from exc
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError(f"{_named(path)}: document must be an object with a 'type' field")
@@ -409,35 +418,36 @@ def witness_to_doc(witness: NonForestWitness, poset: FinPoset) -> dict:
 
 
 def verdict_to_doc(verdict: Verdict) -> dict:
+    analysis, diagram = verdict.analysis, verdict.diagram
     doc = {
         "type": "verdict",
-        "usc": verdict.usc,
+        "usc": analysis.usc,
         "connected": verdict.connected,
         "amalgamable_ap_jep": verdict.amalgamable_ap_jep,
         "amalgamable_ap_only": verdict.amalgamable_ap_only,
         "trace": list(verdict.trace),
     }
-    ev = verdict.evidence
-    if isinstance(ev, CertificateEvidence):
+    if diagram is None:
         doc["evidence"] = {
             "kind": "certificate",
-            "certificate": certificate_to_doc(ev.certificate, ev.analysis.skeleton),
+            "certificate": certificate_to_doc(analysis.forest, analysis.skeleton),
         }
+        return doc
+    col = diagram.collision
+    evidence = {
+        "kind": "non-forest-poset" if analysis.preorder else "parallel-pair",
+        "diagram": diagram_to_doc(diagram),
+        "collision": {
+            "object": diagram.shape.objects[col.obj],
+            "elements": [col.x, col.y],
+        },
+    }
+    if analysis.preorder:
+        evidence["witness"] = witness_to_doc(analysis.forest, analysis.skeleton)
     else:
-        evidence = {
-            "kind": ev.reason,
-            "diagram": diagram_to_doc(ev.diagram),
-            "collision": {
-                "object": ev.diagram.shape.objects[ev.collision.obj],
-                "elements": [ev.collision.x, ev.collision.y],
-            },
-        }
-        if ev.reason == "parallel-pair":
-            refl = ev.analysis.reflection
-            evidence["parallel_pair"] = [refl.morphisms[i].name for i in ev.parallel_pair]
-        else:
-            evidence["witness"] = witness_to_doc(ev.witness, ev.analysis.skeleton)
-        doc["evidence"] = evidence
+        refl = analysis.reflection
+        evidence["parallel_pair"] = [refl.morphisms[i].name for i in analysis.parallel_pair]
+    doc["evidence"] = evidence
     return doc
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from amalgam import category, corpus
 from amalgam.cli import HANDLERS, RunConfig
-from amalgam.decide import CertificateEvidence, RefutationEvidence, Verdict
+from amalgam.decide import Verdict
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
@@ -927,9 +927,10 @@ def reference_element_zigzag(diagram, offsets, class_ids, obj, start, goal):
     return tuple(nodes), tuple(steps)
 
 
-def reference_collision(diagram: FinInjDiagram) -> Collision | None:
-    """The first collision of the colimit, carrier by carrier, with the
-    reference zigzag: union-find over every morphism's action."""
+def reference_collision(diagram: FinInjDiagram) -> tuple[Collision, tuple] | None:
+    """The first collision of the colimit, carrier by carrier, beside the
+    reference zigzag's nodes and steps: union-find over every morphism's
+    action."""
     shape, carriers = diagram.shape, diagram.carriers
     offsets = [0]
     for c in carriers:
@@ -954,13 +955,13 @@ def reference_collision(diagram: FinInjDiagram) -> Collision | None:
                 nodes, steps = reference_element_zigzag(
                     diagram, offsets, class_ids, obj, offsets[obj] + x, offsets[obj] + y
                 )
-                return Collision(obj, c[x], c[y], search=lambda: (nodes, steps))
+                return Collision(obj, c[x], c[y]), (nodes, steps)
     return None
 
 
 def reference_witness(shape, analysis):
     """The cocone-free diagram as it was synthesized from label dicts, with
-    its collision: (diagram, collision)."""
+    its collision and the collision's zigzag: (diagram, (collision, zigzag))."""
     if not analysis.preorder:
         refl = analysis.reflection
         proj = analysis.projection
@@ -1173,24 +1174,20 @@ class ReferenceRunConfig:
 
 
 @dataclass
-class ReferenceCertificateEvidence:
-    __qualname__ = "CertificateEvidence"
-    analysis: object
-
-
-@dataclass
-class ReferenceRefutationEvidence:
-    __qualname__ = "RefutationEvidence"
-    analysis: object
-    diagram: FinInjDiagram
-
-
-@dataclass
 class ReferenceVerdict:
     __qualname__ = "Verdict"
     connected: bool
-    evidence: object
+    analysis: object
+    diagram: FinInjDiagram | None
     trace: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ReferenceCollision:
+    __qualname__ = "Collision"
+    obj: int
+    x: str
+    y: str
 
 
 @dataclass
@@ -1309,9 +1306,8 @@ class ReferenceNonForestWitness:
 
 REFERENCE_RECORDS = {
     RunConfig: ReferenceRunConfig,
-    CertificateEvidence: ReferenceCertificateEvidence,
-    RefutationEvidence: ReferenceRefutationEvidence,
     Verdict: ReferenceVerdict,
+    Collision: ReferenceCollision,
     ColimitResult: ReferenceColimitResult,
     Cocone: ReferenceCocone,
     CoconeResult: ReferenceCoconeResult,

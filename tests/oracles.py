@@ -20,6 +20,7 @@ from amalgam.diagram import (
     DiagramError,
     FinInjDiagram,
     ZigzagWord,
+    collision_zigzag,
     has_cocone,
     validate_diagram,
     zigzag_action,
@@ -450,9 +451,9 @@ def label_zigzag_action(diagram: FinInjDiagram, word: ZigzagWord) -> PartialInje
     return result
 
 
-def collision_word(collision: Collision) -> ZigzagWord:
-    """The collision's zigzag as a word of shape morphisms."""
-    return ZigzagWord(collision.obj, collision.steps)
+def collision_word(diagram: FinInjDiagram, collision: Collision) -> ZigzagWord:
+    """The collision's zigzag in the diagram as a word of shape morphisms."""
+    return ZigzagWord(collision.obj, collision_zigzag(diagram, collision)[1])
 
 
 def is_endo(word: ZigzagWord, shape) -> bool:
@@ -509,7 +510,7 @@ def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
     shape = diagram.shape
     keep: list[set[int]] = [set() for _ in shape.objects]
     index = [dict(zip(c, range(len(c)))) for c in diagram.carriers]  # label -> position
-    for obj, elem in answer.collision.nodes:
+    for obj, elem in collision_zigzag(diagram, answer.colimit.collision)[0]:
         p = index[obj][elem]
         for i in shape.hom_out[obj]:
             keep[shape.morphisms[i].cod].add(diagram.maps[i][p])

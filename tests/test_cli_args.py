@@ -199,3 +199,24 @@ def test_a_long_argument_is_quoted_cut_short(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert "..." in captured.err and len(captured.err.encode()) < 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "a/" + LONG],
+    ["check", "chain3", "--out", LONG],
+    ["cocone", "chain3", "b/" + LONG],
+    ["oracle", "long_shape.json"],
+    ["validate", "long_shape.json"],
+], ids=["shape", "out", "diagram", "oracle-shape-field", "validate-shape-field"])
+def test_a_long_path_the_os_refuses_is_quoted_cut_short(argv, tmp_path, monkeypatch, capsys):
+    """The OS's reason stays; the path it names, and the document that
+    names it, are quoted clipped."""
+    monkeypatch.chdir(tmp_path)
+    doc = {"type": "diagram", "shape": "s/" + LONG, "carriers": {}, "actions": {}}
+    (tmp_path / "long_shape.json").write_text(json.dumps(doc))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "[Errno " in captured.err
+    assert "..." in captured.err and len(captured.err.encode()) < 300
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["long_shape.json"]

@@ -88,7 +88,7 @@ def test_reading_the_colimit_classes_leaves_no_cyclic_garbage():
     """The classes view a colimit caches holds its numbers, not the colimit,
     so a read colimit is freed by reference counting alone."""
     from amalgam import corpus, serialize
-    from amalgam.diagram import has_cocone
+    from amalgam.diagram import collision_zigzag, has_cocone
 
     diagram = serialize.diagram_from_doc(serialize.load_document(corpus.resolve("bowtie_diagram")))
     was = gc.isenabled()
@@ -98,7 +98,7 @@ def test_reading_the_colimit_classes_leaves_no_cyclic_garbage():
         r = has_cocone(diagram)
         assert len(r.colimit.classes) == r.colimit.count
         assert sum(map(len, r.colimit.classes)) == sum(map(len, diagram.carriers))
-        r.colimit.collision.nodes
+        collision_zigzag(diagram, r.colimit.collision)
         del r
         assert gc.collect() == 0
     finally:

@@ -20,8 +20,8 @@ from oracles import collision_word, is_partial_identity, random_endo_word, word_
 
 def check_theorem(cat, rng: random.Random) -> None:
     verdict = decide(cat)
-    analysis = verdict.evidence.analysis
-    if verdict.usc:
+    analysis = verdict.analysis
+    if analysis.usc:
         for _ in range(3):
             diagram = random_diagram_over_poset(
                 analysis.skeleton, rng, shape=cat, element_of=analysis.skeleton_map
@@ -31,10 +31,10 @@ def check_theorem(cat, rng: random.Random) -> None:
                 word = random_endo_word(cat, rng)
                 assert is_partial_identity(word_pinj(diagram, word)), (cat, word)
     else:
-        witness = verdict.evidence.diagram
+        witness = verdict.diagram
         collision = witness.collision
         assert not has_cocone(witness)
-        action = zigzag_action(witness, collision_word(collision))
+        action = zigzag_action(witness, collision_word(witness, collision))
         assert collision.x != collision.y, collision
         assert action.get(collision.x) == collision.y, (cat, collision)
 

@@ -19,6 +19,7 @@ from amalgam.diagram import (
     ZigzagWord,
     analyze_shape,
     colimit_set,
+    collision_zigzag,
     has_cocone,
     validate_cocone,
     validate_diagram,
@@ -168,15 +169,15 @@ def test_has_cocone_bowtie_false_with_collision_at_B():
     d = bowtie_diagram()
     answer = has_cocone(d)
     assert not answer
-    col = answer.collision
+    col = answer.colimit.collision
     assert d.shape.objects[col.obj] == "B"
     assert {col.x, col.y} == {"0", "1"}
 
 
 def test_collision_zigzag_replays():
     d = bowtie_diagram()
-    col = has_cocone(d).collision
-    action = zigzag_action(d, collision_word(col))
+    col = has_cocone(d).colimit.collision
+    action = zigzag_action(d, collision_word(d, col))
     assert action.get(col.x) == col.y
 
 
@@ -510,8 +511,8 @@ def test_collision_zigzag_replays_on_random_witnesses():
         p = random_nonforest(5, rng)
         shape = category_from_poset(p)
         w = witness_no_cocone(shape)
-        col = has_cocone(w).collision
-        action = zigzag_action(w, collision_word(col))
+        col = has_cocone(w).colimit.collision
+        action = zigzag_action(w, collision_word(w, col))
         assert action.get(col.x) == col.y
 
 
@@ -643,14 +644,15 @@ def oracle_diagrams(draw, posets=POSETS_4):
 
 def _check_zigzag(d, col):
     """The zigzag joins x to y through single action steps and replays."""
-    assert col.nodes[0] == (col.obj, col.x) and col.nodes[-1] == (col.obj, col.y)
-    for (a, x), (b, y), (i, forward) in zip(col.nodes, col.nodes[1:], col.steps):
+    nodes, steps = collision_zigzag(d, col)
+    assert nodes[0] == (col.obj, col.x) and nodes[-1] == (col.obj, col.y)
+    for (a, x), (b, y), (i, forward) in zip(nodes, nodes[1:], steps):
         m = d.shape.morphisms[i]
         if forward:
             assert (m.dom, m.cod) == (a, b) and action(d, i)[x] == y
         else:
             assert (m.cod, m.dom) == (a, b) and action(d, i)[y] == x
-    assert zigzag_action(d, collision_word(col)).get(col.x) == col.y
+    assert zigzag_action(d, ZigzagWord(col.obj, steps)).get(col.x) == col.y
 
 
 @settings(max_examples=200, deadline=None)
@@ -668,7 +670,7 @@ def test_colimit_matches_the_tuple_keyed_reference(d):
     col = colim.collision
     assert (col and (col.obj, col.x, col.y)) == ref.collision
     if col is not None:
-        assert len(col.steps) == len(ref.zigzag[1])
+        assert len(collision_zigzag(d, col)[1]) == len(ref.zigzag[1])
         _check_zigzag(d, col)
     else:
         cocone = has_cocone(d).cocone
@@ -690,9 +692,11 @@ def test_colimit_is_unchanged_when_labels_are_renamed(d, rng):
     if a:
         assert b and a.cocone == b.cocone
     else:
-        col = a.collision
-        assert b.collision.nodes == tuple((o, rename[o][e]) for o, e in col.nodes)
-        assert b.collision.steps == col.steps
+        col = a.colimit.collision
+        nodes, steps = collision_zigzag(d, col)
+        assert collision_zigzag(renamed, b.colimit.collision) == (
+            tuple((o, rename[o][e]) for o, e in nodes), steps
+        )
 
 
 FAULTS = (
@@ -948,7 +952,7 @@ def test_colimit_matches_the_reference_on_categories(d):
     col = colim.collision
     assert (col and (col.obj, col.x, col.y)) == ref.collision
     if col is not None:
-        assert len(col.steps) == len(ref.zigzag[1])
+        assert len(collision_zigzag(d, col)[1]) == len(ref.zigzag[1])
         _check_zigzag(d, col)
 
 

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from amalgam import corpus, serialize
 from amalgam.cli import parse_args
 from amalgam.decide import decide
-from amalgam.diagram import FinInjDiagram, ZigzagWord, analyze_shape, has_cocone
+from amalgam.diagram import (
+    Collision,
+    FinInjDiagram,
+    ZigzagWord,
+    analyze_shape,
+    has_cocone,
+)
 from amalgam.fincat import Congruence, FinCategory, Morphism
 from amalgam.gen import random_diagram_over_poset
 from amalgam.poset import DecompositionNode, ForestCertificate, NonForestWitness
@@ -27,8 +33,8 @@ from conftest import (
 )
 from oracles import collision_word
 
-FROZEN = {ZigzagWord, Morphism, Congruence, DecompositionNode, ForestCertificate,
-          NonForestWitness}
+FROZEN = {ZigzagWord, Collision, Morphism, Congruence, DecompositionNode,
+          ForestCertificate, NonForestWitness}
 OWN_EQUALITY = {DecompositionNode, ForestCertificate}  # hand-written __eq__
 
 
@@ -59,10 +65,9 @@ def shape_records(shape) -> list:
     verdict = decide(shape)
     analysis = analyze_shape(shape)
     roots = [verdict, analysis]
-    diagram = getattr(verdict.evidence, "diagram", None)
-    if diagram is not None:
-        answer = has_cocone(diagram)
-        roots += [answer, collision_word(answer.collision)]
+    if verdict.diagram is not None:
+        answer = has_cocone(verdict.diagram)
+        roots += [answer, collision_word(verdict.diagram, answer.colimit.collision)]
     if analysis.skeleton is not None:
         roots.append(has_cocone(random_diagram_over_poset(
             analysis.skeleton, Random(0), shape=shape, element_of=analysis.skeleton_map

@@ -20,10 +20,10 @@ from amalgam.diagram import (
     CarrierMismatch,
     Collision,
     FunctorialityViolation,
-    _element_zigzag,
     _poset_diagram,
     analyze_shape,
     colimit_set,
+    collision_zigzag,
     validate_diagram,
     witness_no_cocone,
 )
@@ -33,11 +33,12 @@ from amalgam.fincat import (
     quotient_category,
 )
 from amalgam.gen import random_diagram_over_poset
-from amalgam.poset import FinPoset, NonForestWitness
+from amalgam.poset import FinPoset, NonForestWitness, _members
 from conftest import (
     category_from_poset,
     concrete_categories,
     congruence_close,
+    crown_poset,
     cyclic_cat,
     dags,
     left_zero_monoid_cat,
@@ -78,10 +79,11 @@ def assert_witness_matches_reference(shape):
     if analysis.usc:
         return False
     diagram = witness_no_cocone(shape, analysis)
-    expected, collision = reference_witness(shape, analysis)
+    expected, (collision, zigzag) = reference_witness(shape, analysis)
     assert diagram.carriers == expected.carriers
     assert diagram.maps == expected.maps
     assert diagram.collision == collision
+    assert collision_zigzag(diagram, diagram.collision) == zigzag
     return True
 
 
@@ -119,6 +121,31 @@ def shift_diagram(m: int):
     return validate_diagram(cat, carriers, actions)
 
 
+def twisted_diagrams(poset: FinPoset, size: int, rng):
+    """Over the height-one poset with an arrow a- -> b+ for each a < b in
+    the given one, every carrier holds ``size`` labels and every arrow
+    permutes them at random.  With no composites this is a diagram,
+    and its classes meet a carrier many times, joined by zigzags of many
+    lengths.  Returns it over that poset and over its category."""
+    names = poset.elements
+    split = FinPoset(
+        [f"{e}-" for e in names] + [f"{e}+" for e in names],
+        [(a, len(names) + b) for a, up in enumerate(poset.up_masks) for b in _members(up)
+         if a != b],
+    )
+    labels = tuple(f"t{k}" for k in range(size))
+    actions = []
+    for i in range(len(split.morphisms)):
+        image = list(labels)
+        if not split.is_identity(i):
+            rng.shuffle(image)
+        actions.append(dict(zip(labels, image)))
+    return tuple(
+        validate_diagram(shape, [labels] * len(shape.objects), actions)
+        for shape in (split, category_from_poset(split))
+    )
+
+
 def sum_nodes(diagram):
     """Where each carrier starts in the disjoint sum of carriers, and each
     node's colimit class, flattened from the class rows."""
@@ -127,55 +154,65 @@ def sum_nodes(diagram):
 
 
 def assert_zigzags_match_the_reference(diagram, rng, pairs=20):
+    """Zigzags between random pairs of one carrier's elements in one class,
+    drawn from the classes that meet a carrier twice when there are any."""
     offsets, ids = sum_nodes(diagram)
-    for _ in range(pairs if ids else 0):
-        start = rng.randrange(len(ids))
-        goal = rng.choice([k for k, c in enumerate(ids) if c == ids[start]])
-        obj = bisect_right(offsets, start) - 1  # the last object starting at or before it
-        assert _element_zigzag(diagram, offsets, obj, start, goal) == (
+    members: dict[tuple[int, int], list[int]] = {}  # (object, class) -> nodes
+    for node, k in enumerate(ids):
+        members.setdefault((bisect_right(offsets, node) - 1, k), []).append(node)
+    groups = [key for key, nodes in members.items() if len(nodes) > 1] or list(members)
+    for _ in range(pairs if groups else 0):
+        obj, k = rng.choice(groups)
+        start, goal = rng.choice(members[obj, k]), rng.choice(members[obj, k])
+        carrier = diagram.carriers[obj]
+        col = Collision(obj, carrier[start - offsets[obj]], carrier[goal - offsets[obj]])
+        assert collision_zigzag(diagram, col) == (
             reference_element_zigzag(diagram, offsets, ids, obj, start, goal)
         )
 
 
-def test_zigzags_between_any_two_nodes_of_a_class_match_the_reference():
-    """A long zigzag steps back along one row many times."""
+def test_zigzags_between_two_elements_of_a_carrier_match_the_reference():
+    """A long zigzag steps back along one row many times, and a twisted
+    crown joins two elements by many zigzags."""
     rng = random.Random(0)
     assert_zigzags_match_the_reference(shift_diagram(40), rng, pairs=60)
+    for size in (2, 3, 4):
+        for twisted in twisted_diagrams(crown_poset(), size, rng):
+            assert_zigzags_match_the_reference(twisted, rng, pairs=60)
     for cat in CATEGORIES:
         analysis = analyze_shape(cat)
         if not analysis.usc:
             assert_zigzags_match_the_reference(witness_no_cocone(cat, analysis), rng)
 
 
-def test_a_collision_searches_its_zigzag_when_first_read():
-    """Equality, hashing and repr read the zigzag, as the dataclass's did."""
-    col = colimit_set(shift_diagram(3)).collision
-    assert "_zigzag" not in vars(col)
-    nodes, steps = col.nodes, col.steps
-    assert (nodes, steps) == reference_element_zigzag(
-        *_collision_search_args(shift_diagram(3), col)
-    )
-    same = Collision(col.obj, col.x, col.y, search=lambda: (nodes, steps))
-    assert col == same and hash(col) == hash(same) and repr(col) == repr(same)
-    assert col != Collision(col.obj, col.x, col.y, search=lambda: (nodes[::-1], steps[::-1]))
-
-
-def _collision_search_args(diagram, col):
-    offsets, ids = sum_nodes(diagram)
-    carrier = diagram.carriers[col.obj]
+def test_a_collision_holds_its_elements_and_its_zigzag_is_searched_on_request():
+    d = shift_diagram(3)
+    col = colimit_set(d).collision
+    assert vars(col) == {"obj": col.obj, "x": col.x, "y": col.y}
+    offsets, ids = sum_nodes(d)
+    carrier = d.carriers[col.obj]
     start = offsets[col.obj] + carrier.index(col.x)
     goal = offsets[col.obj] + carrier.index(col.y)
-    return diagram, offsets, ids, col.obj, start, goal
+    nodes, steps = collision_zigzag(d, col)
+    assert (nodes, steps) == reference_element_zigzag(d, offsets, ids, col.obj, start, goal)
+    assert nodes == ((0, "c0"), (1, "b1"), (0, "c1"))  # c0 -v-> b1 <-u- c1
 
 
 @settings(max_examples=100, deadline=None)
 @given(dags(max_size=8), st.randoms(use_true_random=False))
 def test_zigzags_in_random_diagrams_match_the_reference(case, rng):
+    """A random diagram's classes meet each carrier once; a twisted
+    diagram's and a refuted poset's witnesses glue elements of a carrier."""
     poset = case[0]
     assert_zigzags_match_the_reference(random_diagram_over_poset(poset, rng), rng)
     assert_zigzags_match_the_reference(
         random_diagram_over_poset(poset, rng, shape=category_from_poset(poset)), rng
     )
+    for twisted in twisted_diagrams(poset, rng.randint(1, 4), rng):
+        assert_zigzags_match_the_reference(twisted, rng)
+    if not analyze_shape(poset).usc:
+        for shape in (poset, category_from_poset(poset)):
+            assert_zigzags_match_the_reference(witness_no_cocone(shape), rng)
 
 
 @settings(max_examples=150, deadline=None)
