@@ -27,7 +27,6 @@ from .diagram import (
     zigzag_action,
 )
 from .fincat import (
-    Congruence,
     FinCategory,
     Morphism,
     category,
@@ -48,6 +47,7 @@ from .poset import (
     upward_closure,
     verify_certificate,
     verify_witness,
+    witness_points,
 )
 
 __version__ = "0.1.0"

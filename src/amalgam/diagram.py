@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
 from operator import itemgetter
 
 from .fincat import FinCategory, clip, is_preorder, monic_reflection, skeleton_poset
@@ -175,8 +175,8 @@ def _check_laws(shape, carriers, maps, given) -> None:
             raise FunctorialityViolation(
                 f"identity of {clip(shape.objects[x])} does not act as the identity"
             )
-    for g in shape.generators:
-        ag, x = maps[g], shape.morphisms[g].dom
+    for g, x, _ in shape.generator_ends:
+        ag = maps[g]
         for f in shape.hom_in[x]:
             if f != x and (
                 tuple(map(ag.__getitem__, maps[f])) != maps[shape.compose(g, f)]
@@ -444,14 +444,13 @@ def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
         if len(set(leg)) != len(leg):
             raise NotInjective(f"leg of {clip(shape.objects[obj])} is not injective")
 
-    def commutes(i: int) -> bool:
-        m = shape.morphisms[i]
-        return tuple(map(legs[m.cod].__getitem__, diagram.maps[i])) == tuple(legs[m.dom])
+    def commutes(i: int, dom: int, cod: int) -> bool:
+        return tuple(map(legs[cod].__getitem__, diagram.maps[i])) == tuple(legs[dom])
 
-    if all(map(commutes, shape.generators)):
+    if all(starmap(commutes, shape.generator_ends)):
         return
     for i, m in enumerate(shape.morphisms):
-        if shape.is_identity(i) or commutes(i):
+        if shape.is_identity(i) or commutes(i, m.dom, m.cod):
             continue
         row, source, target = diagram.maps[i], tuple(legs[m.dom]), legs[m.cod]
         p = next(p for p, q in enumerate(row) if target[q] != source[p])

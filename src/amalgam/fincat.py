@@ -9,7 +9,7 @@ name the first fault of a table that fails it.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 from operator import itemgetter
 
@@ -61,13 +61,14 @@ class FinCategory:
     list the morphisms out of and into object x, and ``hom_sets`` maps each
     non-empty (dom, cod) to its morphisms, all in ascending index order.
     Every scan over composable pairs and triples runs over these lists.
-    ``generators`` is a generating set of non-identities in ascending index
-    order: every non-identity is a right-nested composite g1∘(g2∘(…∘gk)) of
-    them.  Every check reads the table as rows: ``post[f][k]`` is h∘f for
-    the k-th h in ``hom_out[cod f]``, ``place[h]`` is h's place in
-    ``hom_out[dom h]``, so h∘f is ``post[f][place[h]]``, and ``pre[f][k]``
-    is f∘g for the k-th g in ``hom_in[dom f]``.  The ``table`` dict is the
-    presentation: faults are named in its order.
+    ``generator_ends`` lists a generating set of non-identities as
+    (index, dom, cod), in ascending index order: every non-identity is a
+    right-nested composite g1∘(g2∘(…∘gk)) of them.  Every check reads the
+    table as rows: ``post[f][k]`` is h∘f for the k-th h in
+    ``hom_out[cod f]``, ``place[h]`` is h's place in ``hom_out[dom h]``, so
+    h∘f is ``post[f][place[h]]``, and ``pre[f][k]`` is f∘g for the k-th g
+    in ``hom_in[dom f]``.  The ``table`` dict is the presentation: faults
+    are named in its order.
     """
 
     def __init__(self, objects, morphisms, table):
@@ -111,12 +112,6 @@ class FinCategory:
             near[x] |= 1 << y
             near[y] |= 1 << x
         return tuple(near)
-
-    @cached_property
-    def generator_ends(self) -> tuple[tuple[int, int, int], ...]:
-        """(index, dom, cod) of each generator."""
-        morphisms = self.morphisms
-        return tuple((g, morphisms[g].dom, morphisms[g].cod) for g in self.generators)
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return tuple(self.hom_sets.get((x, y), ()))
@@ -224,16 +219,17 @@ def _check_axioms(cat: FinCategory) -> None:
                 f"({clip(mf.name)}, id_{clip(cat.objects[mf.dom])}, "
                 f"{clip(morphisms[right].name)}) breaks the right identity law"
             )
-    cat.generators = _generators(cat, post, place)
+    cat.generator_ends = _generators(cat, post, place)
     if not _associative_at_generators(cat, post, place):
         _raise_first_associativity_fault(cat, post, place)
 
 
-def _generators(cat: FinCategory, post, place) -> tuple[int, ...]:
-    """The irreducible non-identities, those that are not g∘f for non-identities
-    g, f other than the result; then, in index order, each non-identity that
-    the right-nested composites of the generators chosen so far do not reach
-    (every element of Z_n is a composite, but not of nothing)."""
+def _generators(cat: FinCategory, post, place) -> tuple[tuple[int, int, int], ...]:
+    """(index, dom, cod) of the irreducible non-identities, those that are not
+    g∘f for non-identities g, f other than the result; then, in index order,
+    of each non-identity that the right-nested composites of the generators
+    chosen so far do not reach (every element of Z_n is a composite, but not
+    of nothing)."""
     morphisms, hom_out = cat.morphisms, cat.hom_out
     n_obj = len(cat.objects)  # the identities are the first n_obj morphisms
     reducible = set()
@@ -264,7 +260,7 @@ def _generators(cat: FinCategory, post, place) -> tuple[int, ...]:
         k = place[m]
         out_of[mm.dom].append(k)
         reach([m] + [post[x][k] for x in cat.hom_in[mm.dom] if x in reached])
-    return tuple(sorted(chosen))
+    return tuple((g, morphisms[g].dom, morphisms[g].cod) for g in sorted(chosen))
 
 
 def _associative_at_generators(cat: FinCategory, post, place) -> bool:
@@ -281,13 +277,13 @@ def _associative_at_generators(cat: FinCategory, post, place) -> bool:
     generator followed by its codomain's identity alone is skipped: the
     identity laws cover it.
     """
-    morphisms, hom_in = cat.morphisms, cat.hom_in
-    for g in cat.generators:
+    hom_in = cat.hom_in
+    for g, dom, _ in cat.generator_ends:
         post_g = post[g]
         if len(post_g) < 2:
             continue
         pick, k = itemgetter(*map(place.__getitem__, post_g)), place[g]
-        for f in hom_in[morphisms[g].dom]:
+        for f in hom_in[dom]:
             row = post[f]
             if pick(row) != post[row[k]]:
                 return False
@@ -459,27 +455,6 @@ def category(objects, arrows=(), compose=()) -> FinCategory:
     )
 
 
-class Congruence(FrozenRecord):
-    """Partition of the morphisms into parallel, composition-compatible classes."""
-
-    _fields = ("classes", "class_of")
-
-    def __init__(self, classes: tuple[frozenset[int], ...], class_of: tuple[int, ...]):
-        set_field(self, "classes", classes)
-        set_field(self, "class_of", class_of)
-
-    @classmethod
-    def _from_labels(cls, label: list[int]) -> "Congruence":
-        """The partition of a flat array, in which each entry is a label
-        shared by exactly its class's members."""
-        groups: dict[int, list[int]] = {}
-        for i, k in enumerate(label):
-            groups.setdefault(k, []).append(i)
-        number = dict(zip(groups, range(len(groups))))
-        classes = tuple(map(frozenset, groups.values()))
-        return cls(classes, tuple(map(number.__getitem__, label)))
-
-
 class _Closure:
     """Congruence closure in the style of Downey, Sethi and Tarjan (JACM
     1980), on class arrays: ``label[i]`` is the root of morphism i's class,
@@ -521,60 +496,71 @@ class _Closure:
                     for x, y in zip(ra, rb):
                         self.merge(x, y)
 
-    def congruence(self) -> Congruence:
-        return Congruence._from_labels(self.label)
+    def class_map(self) -> tuple[int, ...]:
+        """Each morphism's class, the classes numbered by their least member."""
+        number: dict[int, int] = {}
+        return tuple(number.setdefault(k, len(number)) for k in self.label)
 
 
-def is_congruence(cat: FinCategory, cong: Congruence) -> bool:
-    """Check the parallel and compatibility conditions exhaustively.
+def _least_members(cat: FinCategory, class_of: tuple[int, ...]) -> list[int]:
+    """The least member of each class of a class map, by class: a map that
+    does not give each morphism one of the classes 0..k-1 is refused."""
+    n = len(class_of)
+    if n != len(cat.morphisms):
+        raise PresentationError("a class map needs one class per morphism")
+    least = dict(zip(reversed(class_of), range(n - 1, -1, -1)))  # the last write is the least
+    if least.keys() != set(range(len(least))):
+        raise PresentationError("a class map must number its classes 0..k-1")
+    return list(map(least.__getitem__, range(len(least))))
+
+
+def is_congruence(cat: FinCategory, class_of: tuple[int, ...]) -> bool:
+    """Check the parallel and compatibility conditions of the partition a
+    class map gives, exhaustively.
 
     The relation is an equivalence, so it is enough that each morphism is
     parallel to its class's least member and that its rows of composites on
     either side fall in the same classes as that member's, which are read
     once per class.
     """
-    of, morphisms = cong.class_of.__getitem__, cat.morphisms
-    post, pre = cat.post, cat.pre
-    for cl in cong.classes:
-        if len(cl) < 2:
-            continue
-        r = min(cl)
-        ends = (morphisms[r].dom, morphisms[r].cod)
-        after, before = list(map(of, post[r])), list(map(of, pre[r]))
-        for f in cl:
-            if (
-                (morphisms[f].dom, morphisms[f].cod) != ends
-                or list(map(of, post[f])) != after
-                or list(map(of, pre[f])) != before
-            ):
-                return False
-    return True
+    reps = _least_members(cat, class_of)
+    of, morphisms, post, pre = class_of.__getitem__, cat.morphisms, cat.post, cat.pre
+
+    @cache
+    def reads(f: int) -> tuple:
+        m = morphisms[f]
+        return m.dom, m.cod, list(map(of, post[f])), list(map(of, pre[f]))
+
+    return all(reads(f) == reads(reps[k]) for f, k in enumerate(class_of) if f != reps[k])
 
 
-def quotient_category(cat: FinCategory, cong: Congruence) -> tuple[FinCategory, tuple[int, ...]]:
-    """Quotient by a congruence, with the projection as its class map: the
-    objects are kept, so morphism i goes to class ``class_of[i]``.
+def quotient_category(
+    cat: FinCategory, class_of: tuple[int, ...]
+) -> tuple[FinCategory, tuple[int, ...]]:
+    """Quotient by the congruence a class map gives, with that map as the
+    projection: the objects are kept, so morphism i goes to class
+    ``class_of[i]``.
 
     Class representatives are least-index members, which keeps each identity
     the representative (and the name) of its class.  The quotient's
     identities are its first classes, so class x must hold identity x, as
-    the closures number them; another order is refused.  A discrete
-    congruence returns the category itself with the identity map.
+    the closures number them; another order is refused.  The identity map
+    alone returns the category itself.
 
     The partition is checked once, by ``is_congruence``, before anything is
     built.  Over a congruence the quotient's table holds rep(h)∘rep(f), the
     class of every h∘f, so the projection is a functor by construction; the
     quotient's own axioms are checked by its constructor.
     """
-    if len(cong.classes) == len(cat.morphisms):
-        return cat, tuple(range(len(cat.morphisms)))
-    if not is_congruence(cat, cong):
+    class_of, identity = tuple(class_of), tuple(range(len(cat.morphisms)))
+    if class_of == identity:
+        return cat, identity
+    if not is_congruence(cat, class_of):
         raise PresentationError("partition is not a congruence")
-    class_of, pre = cong.class_of, cat.pre
-    n = len(cat.objects)
-    if tuple(class_of[:n]) != tuple(range(n)):
+    pre, n = cat.pre, len(cat.objects)
+    if class_of[:n] != identity[:n]:
         raise PresentationError("class x of a congruence must hold identity x")
-    reps = [min(cl) for cl in cong.classes]
+    reps = _least_members(cat, class_of)
     morphisms = list(map(cat.morphisms.__getitem__, reps))
     table = {}
     for gi, g in enumerate(reps):
@@ -617,7 +603,7 @@ def monic_reflection(cat: FinCategory) -> tuple[FinCategory, tuple[int, ...]]:
         if not closure.pending:
             break
         closure.propagate()
-    return quotient_category(cat, closure.congruence())
+    return quotient_category(cat, closure.class_map())
 
 
 def is_preorder(cat: FinCategory) -> bool:

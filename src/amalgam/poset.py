@@ -55,13 +55,6 @@ def _bits(mask: int):
     return compress(count(), map("1".__eq__, bin(mask)[:1:-1]))
 
 
-def _mask(subset) -> int:
-    mask = 0
-    for i in subset:
-        mask |= 1 << i
-    return mask
-
-
 def _members(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
@@ -177,9 +170,6 @@ class FinPoset:
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up_masks[a] >> b & 1)
 
-    def comparable(self, a: int, b: int) -> bool:
-        return bool((self.up_masks[a] | self.down_masks[a]) >> b & 1)
-
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """Bit j of entry i is set when i and j are comparable."""
@@ -280,10 +270,6 @@ class FinPoset:
             [b, *(self.arrow(a, b) for a in _sparse_bits(mask & ~(1 << b)))]
             for b, mask in enumerate(self.down_masks)
         ]
-
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        return tuple(g for g, _, _ in self.generator_ends)
 
     @cached_property
     def generator_ends(self) -> tuple[tuple[int, int, int], ...]:
@@ -436,41 +422,23 @@ class ForestCertificate(FrozenRecord):
 
 class NonForestWitness(FrozenRecord):
     """Failure evidence: below ``x``, the component ``component`` of the region
-    minus ``x`` meets the up-set of ``x`` in at least two pieces.
-
-    ``u`` and ``v`` sit in distinct pieces, joined inside the component by the
-    recorded comparability zigzag.  ``region`` is the connected upward-closed
-    subposet exhibiting the failure.  ``component``, the pieces and ``region``
-    are masks of element indices; ``x``, ``u``, ``v`` and the zigzag are
-    indices.
+    minus ``x`` meets the up-set of ``x`` in the pieces ``upset_components``,
+    at least two.  ``component`` and the pieces are masks of element indices;
+    ``witness_points`` reads the rest off them.
     """
 
-    _fields = ("x", "component", "upset_components", "u", "v", "zigzag", "region")
+    _fields = ("x", "component", "upset_components")
 
-    def __init__(
-        self,
-        x: int,
-        component: int,
-        upset_components: tuple[int, ...],
-        u: int,
-        v: int,
-        zigzag: tuple[int, ...],
-        region: int,
-    ):
+    def __init__(self, x: int, component: int, upset_components: tuple[int, ...]):
         set_field(self, "x", x)
         set_field(self, "component", component)
         set_field(self, "upset_components", upset_components)
-        set_field(self, "u", u)
-        set_field(self, "v", v)
-        set_field(self, "zigzag", zigzag)
-        set_field(self, "region", region)
 
     def __repr__(self):  # masks in hex: no digit limit applies
         pieces = ", ".join(map(hex, self.upset_components))
         return (
             f"NonForestWitness(x={self.x}, component={self.component:#x}, "
-            f"upset_components=[{pieces}], u={self.u}, v={self.v}, "
-            f"zigzag={self.zigzag}, region={self.region:#x})"
+            f"upset_components=[{pieces}])"
         )
 
 
@@ -493,6 +461,17 @@ def _zigzag_path(poset: FinPoset, region: int, u: int, v: int) -> tuple[int, ...
             out.append(b)
             directions.append(direction)
     return tuple(out)
+
+
+def witness_points(poset: FinPoset, w: NonForestWitness) -> tuple[int, int, tuple[int, ...], int]:
+    """(u, v, zigzag, region) of a witness: u and v are the least elements of
+    its first two pieces, the zigzag is a shortest comparability path from u
+    to v inside the component, and the region, x with the component and the
+    up-set of x, is the connected upward-closed subposet exhibiting the
+    failure, as a mask."""
+    u, v = ((piece & -piece).bit_length() - 1 for piece in w.upset_components[:2])
+    zigzag = _zigzag_path(poset, w.component, u, v)
+    return u, v, zigzag, 1 << w.x | w.component | poset.up_masks[w.x]
 
 
 def _decompose(poset: FinPoset, region: int):
@@ -529,16 +508,7 @@ def _decompose(poset: FinPoset, region: int):
         # a component of a connected region always meets the up-set of its minimum
         assert upset_parts, (x, part)
         if len(upset_parts) != 1:
-            u, v = ((piece & -piece).bit_length() - 1 for piece in upset_parts[:2])
-            return NonForestWitness(
-                x=x,
-                component=part,
-                upset_components=tuple(upset_parts),
-                u=u,
-                v=v,
-                zigzag=_zigzag_path(poset, part, u, v),
-                region=1 << x | part | up_x,
-            )
+            return NonForestWitness(x, part, tuple(upset_parts))
         upsets.append(upset)
         stack.append(frame(part))
 
@@ -621,25 +591,19 @@ def verify_certificate(poset: FinPoset, cert: ForestCertificate) -> bool:
 
 
 def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:
-    """Soundness check for a non-forest witness, on its masks."""
+    """Soundness check for a non-forest witness, on its masks: the pieces are
+    the components of the component's meet with the up-set of x, at least
+    two, the component is connected, and with x and the up-set of x it
+    spans a connected upward-closed region."""
     n, up = len(poset), poset.up_masks
-    x, u, v, z = witness.x, witness.u, witness.v, witness.zigzag
-    if not z or not all(0 <= a < n for a in (x, u, v, *z)):
+    x, component, pieces = witness.x, witness.component, witness.upset_components
+    if not (0 <= x < n and 0 <= component < 1 << n):
         return False
-    component, pieces = witness.component, witness.upset_components
     if tuple(_component_masks(poset, component & up[x])) != pieces or len(pieces) < 2:
         return False
-    if not (pieces[0] >> u & 1 and any(piece >> v & 1 for piece in pieces[1:])):
+    if len(_component_masks(poset, component)) != 1:
         return False
-    if z[0] != u or z[-1] != v or _mask(z) & ~component:
-        return False
-    if not all(map(poset.comparable, z, z[1:])):
-        return False
-    # the witness region must be connected and upward-closed
-    region = witness.region
-    if region != 1 << x | component | up[x] or not 0 <= region < 1 << n:
-        return False
-    closure = 0
+    region = closure = 1 << x | component | up[x]
     for a in _sparse_bits(region):
         closure |= up[a]
     return closure == region and len(_component_masks(poset, region)) == 1

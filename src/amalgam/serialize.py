@@ -25,6 +25,7 @@ from .poset import (
     NotAPartialOrder,
     lone_surrogate,
     sorted_names,
+    witness_points,
 )
 
 
@@ -406,14 +407,15 @@ def certificate_to_doc(cert: ForestCertificate, poset: FinPoset) -> dict:
 
 def witness_to_doc(witness: NonForestWitness, poset: FinPoset) -> dict:
     name = poset.elements
+    u, v, zigzag, region = witness_points(poset, witness)
     return {
         "type": "non-forest-witness",
         "minimal_element": name[witness.x],
         "component": sorted_names(name, witness.component),
         "upset_components": [sorted_names(name, part) for part in witness.upset_components],
-        "separated": [name[witness.u], name[witness.v]],
-        "zigzag": [name[e] for e in witness.zigzag],
-        "region": sorted_names(name, witness.region),
+        "separated": [name[u], name[v]],
+        "zigzag": [name[e] for e in zigzag],
+        "region": sorted_names(name, region),
     }
 
 

@@ -33,7 +33,6 @@ from amalgam.diagram import (
 )
 from amalgam.fincat import (
     AssociativityViolation,
-    Congruence,
     DomCodMismatch,
     FinCategory,
     IdentityViolation,
@@ -53,6 +52,7 @@ from amalgam.poset import (
     _preorder,
     _same_forest,
     verify_certificate,
+    witness_points,
 )
 from oracles import action, components, is_total, minimal
 from pinj import PartialInjection
@@ -70,9 +70,17 @@ def total_elements(diagram: FinInjDiagram) -> int:
     return sum(len(c) for c in diagram.carriers)
 
 
-def related(cong, a: int, b: int) -> bool:
-    """Whether a congruence puts morphisms a and b in one class."""
-    return cong.class_of[a] == cong.class_of[b]
+def related(class_map, a: int, b: int) -> bool:
+    """Whether a class map puts morphisms a and b in one class."""
+    return class_map[a] == class_map[b]
+
+
+def classes_of(class_map) -> tuple[frozenset[int], ...]:
+    """The classes of a class map, by class id, as sets of morphisms."""
+    groups: list[set[int]] = [set() for _ in range(max(class_map, default=-1) + 1)]
+    for i, k in enumerate(class_map):
+        groups[k].add(i)
+    return tuple(map(frozenset, groups))
 
 
 def pytest_addoption(parser):
@@ -454,7 +462,9 @@ def recursive_forest_like(poset: FinPoset):
     """The forest decomposition as a recursive descent over frozensets, with
     components found by scanning ``leq``: the reference that ``is_forest_like``
     must reproduce node for node and witness for witness, once ``as_masks``
-    has turned its sets into masks (small posets only).
+    has turned its sets into masks (small posets only).  A witness comes
+    paired with its (u, v, zigzag, region), as ``with_points`` pairs the
+    package's.
     """
 
     def comparable(a: int, b: int) -> bool:
@@ -505,11 +515,10 @@ def recursive_forest_like(poset: FinPoset):
             pieces = parts(upset)
             if len(pieces) != 1:
                 u, v = min(pieces[0]), min(pieces[1])
-                return NonForestWitness(
-                    x, part, pieces, u, v, zigzag(part, u, v), frozenset({x}) | part | up_x
-                )
+                points = (u, v, zigzag(part, u, v), frozenset({x}) | part | up_x)
+                return NonForestWitness(x, part, pieces), points
             result = decompose(part)
-            if isinstance(result, NonForestWitness):
+            if not isinstance(result, DecompositionNode):
                 return result
             children.append(result)
             upsets.append(upset)
@@ -518,10 +527,18 @@ def recursive_forest_like(poset: FinPoset):
     roots = []
     for part in parts(range(len(poset))):
         result = decompose(part)
-        if isinstance(result, NonForestWitness):
+        if not isinstance(result, DecompositionNode):
             return result
         roots.append(result)
     return ForestCertificate(tuple(roots))
+
+
+def with_points(poset: FinPoset, result):
+    """A decision with a witness paired with its ``witness_points``, as the
+    recursive reference pairs its own."""
+    if isinstance(result, NonForestWitness):
+        return result, witness_points(poset, result)
+    return result
 
 
 def mask(subset) -> int:
@@ -537,16 +554,10 @@ def members(mask: int) -> frozenset[int]:
 def as_masks(result):
     """The reference's frozenset evidence in the masks ``is_forest_like``
     keeps: every set becomes its bitmask (small posets only)."""
-    if isinstance(result, NonForestWitness):
-        return NonForestWitness(
-            result.x,
-            mask(result.component),
-            tuple(map(mask, result.upset_components)),
-            result.u,
-            result.v,
-            result.zigzag,
-            mask(result.region),
-        )
+    if not isinstance(result, ForestCertificate):
+        w, (u, v, zigzag, region) = result
+        pieces = tuple(map(mask, w.upset_components))
+        return NonForestWitness(w.x, mask(w.component), pieces), (u, v, zigzag, mask(region))
 
     def node(n: DecompositionNode) -> DecompositionNode:
         return DecompositionNode(
@@ -1007,14 +1018,15 @@ def reference_witness(shape, analysis):
     return diagram, reference_collision(diagram)
 
 
-def congruence_close(cat: FinCategory, seeds) -> Congruence:
-    """Least congruence containing the seed pairs of parallel morphisms, by
-    the package's closure: the seeds merged, then propagated."""
+def congruence_close(cat: FinCategory, seeds) -> tuple[int, ...]:
+    """Class map of the least congruence containing the seed pairs of
+    parallel morphisms, by the package's closure: the seeds merged, then
+    propagated."""
     closure = _Closure(cat)
     for a, b in seeds:
         closure.merge(a, b)
     closure.propagate()
-    return closure.congruence()
+    return closure.class_map()
 
 
 def reference_congruence_close(cat: FinCategory, seeds) -> list[frozenset[int]]:
@@ -1240,13 +1252,6 @@ class ReferenceMorphism:
     cod: int
 
 
-@dataclass(frozen=True)
-class ReferenceCongruence:
-    __qualname__ = "Congruence"
-    classes: tuple[frozenset[int], ...]
-    class_of: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class ReferenceDecompositionNode:
     __qualname__ = "DecompositionNode"
@@ -1290,17 +1295,12 @@ class ReferenceNonForestWitness:
     x: int
     component: int
     upset_components: tuple[int, ...]
-    u: int
-    v: int
-    zigzag: tuple[int, ...]
-    region: int
 
     def __repr__(self):
         pieces = ", ".join(map(hex, self.upset_components))
         return (
             f"NonForestWitness(x={self.x}, component={self.component:#x}, "
-            f"upset_components=[{pieces}], u={self.u}, v={self.v}, "
-            f"zigzag={self.zigzag}, region={self.region:#x})"
+            f"upset_components=[{pieces}])"
         )
 
 
@@ -1314,7 +1314,6 @@ REFERENCE_RECORDS = {
     ZigzagWord: ReferenceZigzagWord,
     ShapeAnalysis: ReferenceShapeAnalysis,
     Morphism: ReferenceMorphism,
-    Congruence: ReferenceCongruence,
     DecompositionNode: ReferenceDecompositionNode,
     ForestCertificate: ReferenceForestCertificate,
     NonForestWitness: ReferenceNonForestWitness,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
+import conftest  # which imports this module: its names are read at call time
 import groups
 from amalgam import serialize
 from amalgam.diagram import (
@@ -27,7 +28,6 @@ from amalgam.diagram import (
 )
 from amalgam.fincat import (
     AssociativityViolation,
-    Congruence,
     DomCodMismatch,
     FinCategory,
     IdentityViolation,
@@ -36,7 +36,7 @@ from amalgam.fincat import (
     echo,
 )
 from amalgam.invcat import FinInverseCategory, InverseCategoryError
-from amalgam.poset import FinPoset, _bfs_parents, _bits, _component_masks, _mask, _members
+from amalgam.poset import FinPoset, _bfs_parents, _bits, _component_masks, _members
 from pinj import PartialInjection
 
 # -- posets -------------------------------------------------------------------
@@ -58,20 +58,20 @@ def restrict(poset: FinPoset, subset) -> tuple[FinPoset, dict[int, int]]:
     """Induced subposet on the given elements; returns it with the old->new index map."""
     old = sorted(set(subset))
     index = {o: i for i, o in enumerate(old)}
-    region = _mask(old)
+    region = conftest.mask(old)
     pairs = [(index[a], index[b]) for a in old for b in _bits(poset.up_masks[a] & region)]
     return FinPoset([poset.elements[o] for o in old], pairs), index
 
 
 def minimal(poset: FinPoset, subset=None) -> list[int]:
     """The minimal elements of the subset (of the whole poset by default)."""
-    region = (1 << len(poset)) - 1 if subset is None else _mask(subset)
+    region = (1 << len(poset)) - 1 if subset is None else conftest.mask(subset)
     return [a for a in _bits(region) if poset.down_masks[a] & region == 1 << a]
 
 
 def components(poset: FinPoset, subset) -> tuple[frozenset[int], ...]:
     """Connected components of the comparability graph induced on the subset."""
-    return tuple(_members(c) for c in _component_masks(poset, _mask(subset)))
+    return tuple(_members(c) for c in _component_masks(poset, conftest.mask(subset)))
 
 
 def _component_presentation(poset: FinPoset, comp: list[int]):
@@ -81,7 +81,7 @@ def _component_presentation(poset: FinPoset, comp: list[int]):
     one per chain of three.  Returns (generator count, relator words) with a
     word encoding generator g forward as 2g and backward as 2g+1.
     """
-    region = _mask(comp)
+    region = conftest.mask(comp)
     above = {a: poset.up_masks[a] & region & ~(1 << a) for a in comp}
     edges = [(a, b) for a in comp for b in _bits(above[a])]
     index = {e: k for k, e in enumerate(edges)}
@@ -205,9 +205,9 @@ def all_posets(max_size: int) -> dict[int, list[FinPoset]]:
 # -- categories ---------------------------------------------------------------
 
 
-def congruence_from_parent(parent: list[int]) -> Congruence:
-    """The partition of a union-find parent array; classes are ordered by
-    their least members.  The array is left as it is."""
+def congruence_from_parent(parent: list[int]) -> tuple[int, ...]:
+    """The class map of the partition of a union-find parent array, the
+    classes numbered by their least members.  The array is left as it is."""
     root = list(parent)
     for i in range(len(root)):
         r = i
@@ -216,7 +216,8 @@ def congruence_from_parent(parent: list[int]) -> Congruence:
         j = i
         while root[j] != r:
             root[j], j = r, root[j]
-    return Congruence._from_labels(root)
+    number: dict[int, int] = {}
+    return tuple(number.setdefault(r, len(number)) for r in root)
 
 
 class FunctorMap:

@@ -16,8 +16,8 @@ from pathlib import Path
 import amalgam
 from amalgam.decide import Verdict
 from amalgam.diagram import CoconeResult, Collision, ColimitResult, ShapeAnalysis
-from amalgam.fincat import FinCategory
-from amalgam.poset import FinPoset
+from amalgam.fincat import FinCategory, category
+from amalgam.poset import FinPoset, NonForestWitness
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "amalgam"
@@ -25,7 +25,7 @@ EXPORTS_MOVED = (
     "shrink_witness", "is_monic", "check_inverse_laws", "is_idempotent_category",
     "wagner_preston", "components", "simply_connected_bounded", "FunctorMap",
     "PartialInjection", "congruence_close", "connected_components",
-    "CertificateEvidence", "RefutationEvidence",
+    "CertificateEvidence", "RefutationEvidence", "Congruence",
 )
 # (module, attribute path) of every definition that left the package
 MOVED = (
@@ -43,9 +43,11 @@ MOVED = (
     ("diagram", "FinInjDiagram.as_pinj"), ("diagram", "FinInjDiagram.carrier"),
     ("fincat", "is_monic"), ("fincat", "Congruence.from_parent"), ("fincat", "FunctorMap"),
     ("fincat", "congruence_close"), ("fincat", "NonParallelSeed"),
-    ("fincat", "connected_components"), ("poset", "FinPoset.up"), ("corpus", "path"),
+    ("fincat", "connected_components"), ("fincat", "Congruence"),
+    ("fincat", "_Closure.congruence"), ("poset", "FinPoset.up"), ("corpus", "path"),
     ("poset", "FinPoset.from_covers"), ("poset", "FinPoset.cover_pairs"),
     ("poset", "FinPoset._covers"), ("poset", "FinPoset.down"), ("poset", "FinPoset.identity"),
+    ("poset", "_mask"), ("poset", "FinPoset.generators"), ("poset", "FinPoset.comparable"),
     ("corpus", "names"),
     ("decide", "CertificateEvidence"), ("decide", "RefutationEvidence"), ("decide", "Verdict.usc"),
     ("diagram", "CoconeResult.exists"), ("diagram", "CoconeResult.collision"),
@@ -240,13 +242,21 @@ def test_each_shape_has_one_constructor():
 
 def test_the_result_records_hold_their_facts_and_no_forwarding_layer():
     """A verdict holds its analysis and its cocone-free diagram, a collision
-    its two elements and no zigzag, and an oracle answer its cocone and
-    colimit."""
+    its two elements and no zigzag, an oracle answer its cocone and colimit,
+    and a non-forest witness what the decomposition found."""
     assert Verdict._fields == ("connected", "analysis", "diagram", "trace")
     assert Collision._fields == ("obj", "x", "y")
     assert list(inspect.signature(Collision).parameters) == ["obj", "x", "y"]
     assert CoconeResult._fields == ("cocone", "colimit")
     assert [name for name in vars(CoconeResult) if not name.startswith("_")] == []
+    assert NonForestWitness._fields == ("x", "component", "upset_components")
+
+
+def test_each_shape_lists_its_generators_once():
+    shapes = (category(["A", "B"], [("f", "A", "B")]), FinPoset(["a", "b"], [(0, 1)]))
+    for shape in shapes:
+        assert shape.generator_ends == ((2, 0, 1),)
+        assert not hasattr(shape, "generators")
 
 
 def test_the_coset_enumerator_is_not_a_module_of_the_package():

@@ -20,6 +20,7 @@ from amalgam.poset import (
     upward_closure,
     verify_certificate,
     verify_witness,
+    witness_points,
 )
 from conftest import (
     TooLarge,
@@ -36,6 +37,7 @@ from conftest import (
     recursive_forest_like,
     replaced_witness,
     span_poset,
+    with_points,
 )
 from oracles import (
     all_posets,
@@ -97,7 +99,8 @@ def test_boat_witness_region_excludes_bottom():
     p = boat_poset()
     result = is_forest_like(p)
     assert isinstance(result, NonForestWitness)
-    assert {p.elements[e] for e in members(result.region)} == {"A", "B", "C", "D"}
+    region = witness_points(p, result)[3]
+    assert {p.elements[e] for e in members(region)} == {"A", "B", "C", "D"}
     assert verify_witness(p, result)
 
 
@@ -134,14 +137,14 @@ def test_witness_zigzag_stays_in_component_and_alternates():
     for p in (bowtie_poset(), crown_poset()):
         w = is_forest_like(p)
         assert isinstance(w, NonForestWitness)
-        z = w.zigzag
-        assert z[0] == w.u and z[-1] == w.v
+        u, v, z, _ = witness_points(p, w)
+        assert z[0] == u and z[-1] == v
         assert set(z) <= members(w.component)
         dirs = [p.leq(a, b) for a, b in zip(z, z[1:])]
         assert all(x != y for x, y in zip(dirs, dirs[1:]))
         # endpoints in distinct pieces of the up-set
         assert not any(
-            {w.u, w.v} <= members(part) for part in w.upset_components
+            {u, v} <= members(part) for part in w.upset_components
         )
 
 
@@ -192,7 +195,7 @@ def test_witness_region_refutes_simple_connectedness():
             w = is_forest_like(p)
             if isinstance(w, ForestCertificate):
                 continue
-            region = members(w.region)
+            region = members(witness_points(p, w)[3])
             assert upward_closure(p, region) == region
             sub, _ = restrict(p, region)
             assert simply_connected_bounded(sub) is False, p
@@ -270,7 +273,7 @@ def check_against_pairs(p, rel, subset):
         assert _members(p.down_masks[a]) == {b for b in range(n) if (b, a) in rel}
         for b in range(n):
             assert p.leq(a, b) == ((a, b) in rel)
-            assert p.comparable(a, b) == ((a, b) in rel or (b, a) in rel)
+            assert (p.neighbour_masks[a] >> b & 1 == 1) == ((a, b) in rel or (b, a) in rel)
     assert minimal(p, subset) == sorted(
         a for a in subset if not any(b != a and (b, a) in rel for b in subset)
     )
@@ -293,13 +296,13 @@ def test_mask_queries_match_the_pair_set(case):
     p, covers, subset = case
     check_against_pairs(p, _closure(len(p), covers), subset)
     assert FinPoset(p.elements, p.relation_pairs()) == p
-    assert is_forest_like(p) == as_masks(recursive_forest_like(p))
+    assert with_points(p, is_forest_like(p)) == as_masks(recursive_forest_like(p))
 
 
 def test_decomposition_matches_the_recursive_reference_on_all_posets_of_six():
     for posets in all_posets(6).values():
         for p in posets:
-            assert is_forest_like(p) == as_masks(recursive_forest_like(p)), p
+            assert with_points(p, is_forest_like(p)) == as_masks(recursive_forest_like(p)), p
 
 
 def _forged_bowtie():
@@ -415,17 +418,33 @@ def test_negative_masks_and_bits_past_the_poset_are_rejected():
     w = is_forest_like(bowtie_poset())
     assert verify_witness(bowtie_poset(), w)
     n = len(bowtie_poset())
-    for field in ("component", "region"):
-        for extra in (-1 << n, 1 << n):
-            forged = replaced_witness(w, **{field: getattr(w, field) | extra})
-            assert not verify_witness(bowtie_poset(), forged)
-    forged = replaced_witness(w, component=w.component | -1 << n, region=w.region | -1 << n)
-    assert not verify_witness(bowtie_poset(), forged)
-    for field in ("x", "u", "v"):
-        for index in (-1, n):
-            assert not verify_witness(bowtie_poset(), replaced_witness(w, **{field: index}))
-    assert not verify_witness(bowtie_poset(), replaced_witness(w, zigzag=(*w.zigzag, n)))
-    assert not verify_witness(bowtie_poset(), replaced_witness(w, zigzag=()))
+    first, second = w.upset_components
+    for extra in (-1 << n, 1 << n):
+        forged = replaced_witness(w, component=w.component | extra)
+        assert not verify_witness(bowtie_poset(), forged)
+        forged = replaced_witness(w, upset_components=(first | extra, second))
+        assert not verify_witness(bowtie_poset(), forged)
+    for index in (-1, n):
+        assert not verify_witness(bowtie_poset(), replaced_witness(w, x=index))
+
+
+def test_forged_witnesses_are_rejected():
+    bowtie = bowtie_poset()
+    w = is_forest_like(bowtie)
+    first, second = w.upset_components
+    for pieces in ((second, first), (first,), (first | second,), (first, second, 0)):
+        assert not verify_witness(bowtie, replaced_witness(w, upset_components=pieces))
+    # p < a, b: the component {a, b} below p splits into the pieces {a}
+    # and {b}, and spans the upward-closed region {p, a, b}, but it is two
+    # parts
+    span = span_poset()
+    p, a, b = (span.elements.index(x) for x in "pab")
+    assert not verify_witness(span, NonForestWitness(p, mask({a, b}), (mask({a}), mask({b}))))
+    # x < a, b and e < a, b, f: the component {a, b, e} below x is
+    # connected and splits into {a} and {b}, but the region {x, a, b, e}
+    # misses f above e
+    p = FinPoset(["x", "a", "b", "e", "f"], [(0, 1), (0, 2), (3, 1), (3, 2), (3, 4)])
+    assert not verify_witness(p, NonForestWitness(0, mask({1, 2, 3}), (mask({1}), mask({2}))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -443,7 +462,7 @@ def test_evidence_with_masks_past_the_decimal_digit_limit_prints():
     """Python 3.11 and later refuse to write an int of more than 4300
     decimal digits; a mask of 20,000 bits has 6,021."""
     big = 1 << 20000
-    w = NonForestWitness(0, big, (big, 2), 1, 2, (1, 0, 2), big | 1)
+    w = NonForestWitness(0, big, (big, 2))
     assert f"component={hex(big)}" in repr(w) and f"[{hex(big)}, 0x2]" in repr(w)
     node = DecompositionNode(0, (DecompositionNode(20000, (), ()),), (big,))
     assert repr(node) == f"DecompositionNode(point=0, upsets=[{hex(big)}], children=1)"
@@ -556,7 +575,7 @@ def test_poset_morphisms_are_its_category(case):
 def test_poset_arrows_are_built_on_first_use():
     p = boat_poset()
     assert "_arrows" not in vars(p)
-    assert p.generators and "_arrows" not in vars(p)
+    assert p.generator_ends and "_arrows" not in vars(p)
     p.compose(p.arrow(2, 0), p.arrow(4, 2))
     assert "_arrows" in vars(p)
 

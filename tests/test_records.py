@@ -19,22 +19,21 @@ from amalgam.diagram import (
     analyze_shape,
     has_cocone,
 )
-from amalgam.fincat import Congruence, FinCategory, Morphism
+from amalgam.fincat import FinCategory, Morphism
 from amalgam.gen import random_diagram_over_poset
 from amalgam.poset import DecompositionNode, ForestCertificate, NonForestWitness
 from conftest import (
     REFERENCE_RECORDS,
     as_reference,
     category_from_poset,
-    congruence_close,
     corpus_names,
     dags,
     record_fields,
 )
 from oracles import collision_word
 
-FROZEN = {ZigzagWord, Collision, Morphism, Congruence, DecompositionNode,
-          ForestCertificate, NonForestWitness}
+FROZEN = {ZigzagWord, Collision, Morphism, DecompositionNode, ForestCertificate,
+          NonForestWitness}
 OWN_EQUALITY = {DecompositionNode, ForestCertificate}  # hand-written __eq__
 
 
@@ -72,9 +71,6 @@ def shape_records(shape) -> list:
         roots.append(has_cocone(random_diagram_over_poset(
             analysis.skeleton, Random(0), shape=shape, element_of=analysis.skeleton_map
         )))
-    if isinstance(shape, FinCategory):
-        seeds = [pair for hom in shape.hom_sets.values() for pair in combinations(hom, 2)]
-        roots += [congruence_close(shape, seeds[:1]), congruence_close(shape, seeds)]
     return [r for root in roots for r in records_in(root)]
 
 
