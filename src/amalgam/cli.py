@@ -56,10 +56,11 @@ def _locale_encoding() -> str:
 
 def _emit(config: RunConfig, text: str) -> None:
     """Write text to stdout, or to the file ``--out`` names through one
-    descriptor: created or truncated as open(path, "w") does it, and the
-    text encoded as it would, in the locale's encoding, strictly.  The text
-    is encoded before the file is opened, so text that does not encode
-    leaves the file as it was and creates none."""
+    descriptor: created, or truncated when it is opened, as open(path, "w")
+    does it, so no byte of a longer old file is left and a device such as
+    /dev/null takes the text as it is.  The text is encoded as open would,
+    in the locale's encoding, strictly, and before the file is opened, so
+    text that does not encode leaves the file as it was and creates none."""
     if not config.out:
         sys.stdout.write(text)
         return
@@ -177,9 +178,7 @@ def cmd_validate(config: RunConfig) -> int:
     path = corpus.resolve(config.inputs[0])
     doc = serialize.load_document(path)
     kind = doc["type"]
-    if kind == "category" and "pinv" in doc:
-        serialize.inverse_from_doc(doc)
-    elif kind in ("category", "poset"):
+    if kind in ("category", "poset"):
         _with_named_arrows(serialize.shape_from_doc(doc))
     elif kind == "diagram":
         serialize.diagram_from_doc(doc, base_dir=os.path.dirname(path))

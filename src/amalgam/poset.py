@@ -594,7 +594,8 @@ def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:
     """Soundness check for a non-forest witness, on its masks: the pieces are
     the components of the component's meet with the up-set of x, at least
     two, the component is connected, and with x and the up-set of x it
-    spans a connected upward-closed region."""
+    spans an upward-closed region.  That region is connected: x lies below
+    all of its up-set, which meets the connected component."""
     n, up = len(poset), poset.up_masks
     x, component, pieces = witness.x, witness.component, witness.upset_components
     if not (0 <= x < n and 0 <= component < 1 << n):
@@ -606,4 +607,4 @@ def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:
     region = closure = 1 << x | component | up[x]
     for a in _sparse_bits(region):
         closure |= up[a]
-    return closure == region and len(_component_masks(poset, region)) == 1
+    return closure == region

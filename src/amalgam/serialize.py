@@ -16,7 +16,7 @@ from operator import itemgetter
 from .decide import Verdict
 from .diagram import Cocone, DiagramError, FinInjDiagram, validate_diagram
 from .fincat import CategoryError, FinCategory, clip, echo, validate_category
-from .invcat import FinInverseCategory, validate_inverse
+from .invcat import validate_inverse
 from .poset import (
     DecompositionNode,
     FinPoset,
@@ -87,15 +87,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _no_constant(name: str):
+    """``NaN``, ``Infinity`` and ``-Infinity``, which JSON does not have."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 # One decoder for every document: json.loads given a hook builds a new
 # decoder on each call, which costs more than the hook itself.
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_no_constant)
 
 
 def load_document(path: str | os.PathLike) -> dict:
     """The JSON object at path, decoded from its bytes as json.loads decodes
     bytes: ``json.detect_encoding`` tells UTF-8, UTF-16 or UTF-32 apart.
-    An object that repeats a key is refused.
+    An object that repeats a key is refused, and so are ``NaN``,
+    ``Infinity`` and an integer past CPython's digit limit.
     Errors name the path as pathlib normalises it, as they do for bytes
     that do not decode and for arrays or objects nested past the decoder's
     recursion limit."""
@@ -104,7 +110,7 @@ def load_document(path: str | os.PathLike) -> dict:
         doc = _DECODER.decode(data.decode(json.detect_encoding(data), "surrogatepass"))
     except OSError as exc:
         raise ParseError(f"{_named(path)}: {clip_paths(exc)}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, ParseError) as exc:
+    except (ValueError, RecursionError, ParseError) as exc:  # JSON and Unicode errors too
         raise ParseError(f"{_named(path)}: {exc}") from exc
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError(f"{_named(path)}: document must be an object with a 'type' field")
@@ -114,8 +120,11 @@ def load_document(path: str | os.PathLike) -> dict:
 # -- categories ------------------------------------------------------------
 
 def category_from_doc(doc: dict) -> FinCategory:
+    """The category a document describes.  A document with a ``pinv`` key
+    is an inverse category: every morphism has one pseudoinverse, and the
+    map the document declares is that one."""
     try:
-        return validate_category(
+        cat = validate_category(
             {
                 "objects": _require(doc, "objects", "category"),
                 "morphisms": doc.get("morphisms", []),
@@ -124,6 +133,20 @@ def category_from_doc(doc: dict) -> FinCategory:
         )
     except CategoryError as exc:
         raise ParseError(f"category: {exc}") from exc
+    if "pinv" not in doc:
+        return cat
+    pinv, declared = validate_inverse(cat).pinv, doc["pinv"]
+    if declared is not None:
+        if not isinstance(declared, dict):
+            raise ParseError("pinv: must be an object from morphism names to morphism names")
+        for fname, gname in declared.items():
+            if not isinstance(gname, str) or not {fname, gname} <= cat.mor_index.keys():
+                raise ParseError(f"pinv: unknown morphism in '{clip(fname)}': '{clip(gname)}'")
+            if pinv[cat.mor_index[fname]] != cat.mor_index[gname]:
+                raise ParseError(
+                    f"pinv: declared pseudoinverse of {clip(fname)} does not match"
+                )
+    return cat
 
 
 def category_to_doc(cat: FinCategory) -> dict:
@@ -213,25 +236,6 @@ def load_shape(path: str | os.PathLike) -> FinCategory | FinPoset:
     return shape_from_doc(load_document(path))
 
 
-# -- inverse categories ----------------------------------------------------
-
-def inverse_from_doc(doc: dict) -> FinInverseCategory:
-    cat = category_from_doc(doc)
-    inv = validate_inverse(cat)
-    declared = doc.get("pinv")
-    if declared is not None:
-        if not isinstance(declared, dict):
-            raise ParseError("pinv: must be an object from morphism names to morphism names")
-        for fname, gname in declared.items():
-            if not isinstance(gname, str) or not {fname, gname} <= cat.mor_index.keys():
-                raise ParseError(f"pinv: unknown morphism in '{clip(fname)}': '{clip(gname)}'")
-            if inv.pinv[cat.mor_index[fname]] != cat.mor_index[gname]:
-                raise ParseError(
-                    f"pinv: declared pseudoinverse of {clip(fname)} does not match"
-                )
-    return inv
-
-
 # -- diagrams ----------------------------------------------------------------
 
 def shape_path(shape_field: str, base_dir: str | os.PathLike | None):
@@ -259,6 +263,8 @@ def diagram_from_doc(
     """The diagram a document describes.  ``shape``, when given, is the
     already parsed shape its ``shape`` field names."""
     shape_field = _require(doc, "shape", "diagram")
+    if doc.get("type") != "diagram":
+        raise ParseError(f"expected a diagram document, got '{clip(doc.get('type'))}'")
     if shape is None:
         shape = _shape_of(shape_field, base_dir)
     carriers_field = doc.get("carriers", {})

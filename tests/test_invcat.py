@@ -20,7 +20,7 @@ def corpus_inverse_categories():
     for name in corpus_names():
         doc = serialize.load_document(corpus.resolve(name))
         if doc["type"] == "category" and "pinv" in doc:
-            out.append((name, serialize.inverse_from_doc(doc)))
+            out.append((name, validate_inverse(serialize.category_from_doc(doc))))
     return out
 
 
@@ -119,7 +119,7 @@ def test_wagner_preston_functorial_faithful_monic_on_corpus():
 
 def test_partial_injection_monoid_details():
     doc = serialize.load_document(corpus.resolve("inverse_pinj2"))
-    inv = serialize.inverse_from_doc(doc)
+    inv = validate_inverse(serialize.category_from_doc(doc))
     cat = inv.base
     assert len(cat.morphisms) == 7
     up, dn = cat.mor_index["up"], cat.mor_index["dn"]

@@ -56,6 +56,7 @@ MOVED = (
     ("gen", "all_posets"), ("gen", "_canonical"), ("gen", "_class_perms"),
     ("gen", "random_endo_word"),
     ("serialize", "inverse_to_doc"), ("serialize", "load_diagram"),
+    ("serialize", "inverse_from_doc"),
     ("pinj", "PartialInjection.defined_on"), ("pinj", "PartialInjection.domain"),
     ("pinj", "PartialInjection.image"), ("pinj", "PartialInjection.restrict"),
     ("pinj", "PartialInjection.is_total"), ("pinj", "PartialInjection.is_partial_identity"),

@@ -14,6 +14,7 @@ from amalgam.cli import main
 from amalgam.decide import decide, explain
 from amalgam.diagram import Cocone, validate_cocone
 from amalgam.fincat import PresentationError, category
+from amalgam.invcat import validate_inverse
 from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 from amalgam.serialize import ParseError
 from conftest import (
@@ -39,8 +40,8 @@ def test_corpus_round_trips():
         doc = serialize.load_document(corpus.resolve(name))
         kind = doc["type"]
         if kind == "category" and "pinv" in doc:
-            obj = serialize.inverse_from_doc(doc)
-            assert serialize.inverse_from_doc(inverse_to_doc(obj)) == obj
+            obj = validate_inverse(serialize.category_from_doc(doc))
+            assert validate_inverse(serialize.category_from_doc(inverse_to_doc(obj))) == obj
         elif kind == "category":
             obj = serialize.category_from_doc(doc)
             assert serialize.category_from_doc(serialize.category_to_doc(obj)) == obj
@@ -390,7 +391,8 @@ def test_read_and_write_errors_name_the_path_as_open_does(tmp_path, monkeypatch,
 
 def test_out_overwrites_a_file_in_place(tmp_path, capsys):
     """Writing twice gives the same bytes; a shorter output truncates a
-    longer one; the file keeps its inode, links and permissions."""
+    longer one; the file keeps its inode, links and permissions; and a
+    device, which reports no size, takes the output too."""
     out, link = tmp_path / "out.json", tmp_path / "link.json"
     assert main(["check", "span", "--out", str(out)]) == 0
     first = out.read_bytes()
@@ -404,6 +406,7 @@ def test_out_overwrites_a_file_in_place(tmp_path, capsys):
     assert main(["check", "span", "--out", str(out)]) == 0
     assert out.read_bytes() == link.read_bytes() == first
     assert out.stat().st_ino == inode and out.stat().st_mode & 0o777 == 0o600
+    assert main(["check", "span", "--out", os.devnull]) == 0
     assert capsys.readouterr() == ("", "")
 
 
@@ -1117,9 +1120,20 @@ _CATEGORY_A = {"type": "category", "objects": ["A"]}
          "pinv: must be an object from morphism names to morphism names"),
         ("validate", {**_CATEGORY_A, "pinv": {"id_A": []}},
          "pinv: unknown morphism in 'id_A': '[]'"),
+        ("check", {**_CATEGORY_A, "morphisms": [{"name": "f", "dom": "A"}]},
+         "category: morphism entries need name/dom/cod fields: {'name': 'f', 'dom': 'A'}"),
+        ("oracle", {"type": "diagram", "shape": 5},
+         "diagram: shape must be a path or an inline document"),
+        ("oracle", {"type": "diagram", "shape": {"type": "poset", "elements": ["a"]},
+                    "carriers": []},
+         "diagram: carriers must map object names to element lists"),
+        ("oracle", {"type": "diagram", "shape": {"type": "poset", "elements": ["a"]},
+                    "actions": []},
+         "diagram: actions must map morphism names to pair lists"),
     ],
     ids=["covers-5", "covers-null", "morphisms-5", "morphisms-null", "compose-7",
-         "pinv-5", "pinv-list", "pinv-list-value"],
+         "pinv-5", "pinv-list", "pinv-list-value", "morphism-without-cod", "shape-5",
+         "carriers-list", "actions-list"],
 )
 def test_malformed_container_fields_are_input_errors(tmp_path, capsys, command, doc, message):
     """A list field given as a scalar or null, or a pseudoinverse map that
@@ -1164,6 +1178,7 @@ def test_gen_names_a_size_that_is_not_an_integer(capsys):
     (["gen", "forest", "3", "--seed", "2", "4"], "gen forest expects at most 2 input argument(s)"),
     (["gen", "diagram", "span", "extra"], "gen diagram expects 2 input argument(s)"),
     (["gen", "diagram"], "gen diagram expects a shape path or corpus name"),
+    (["gen"], "gen expects a kind: poset | forest | nonforest | diagram"),
 ])
 def test_gen_rejects_a_wrong_number_of_inputs(tmp_path, capsys, argv, message):
     out = tmp_path / "out.json"
