@@ -127,7 +127,6 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
                 row[source[x]] = target[y]
         except (KeyError, TypeError, ValueError):
             _raise_row_fault(m, dict(pairs), carriers[m.dom], target)
-            raise
         images = set(row)
         if -1 in images:  # a source listed twice, another missed
             raise CarrierMismatch(
@@ -142,22 +141,18 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
 
 
 def _check_rows(shape: FinCategory, carriers, maps) -> None:
-    """The checks of ``validate_diagram`` on rows built without labels:
-    each row is total on its carrier, stays in the target and is injective,
-    every identity acts as the identity, and the rows are functorial."""
+    """The checks of ``validate_diagram`` on rows built from their carriers:
+    each row stays in the target and is injective, every identity acts as
+    the identity, and the rows are functorial."""
     for i, (m, row) in enumerate(zip(shape.morphisms, maps)):
-        _check_row(shape, i, row, len(carriers[m.dom]), len(carriers[m.cod]))
+        _check_row(shape, i, row, len(carriers[m.cod]))
     _check_laws(shape, carriers, maps, range(len(shape.objects)))
 
 
-def _check_row(shape, i: int, row, source: int, target: int) -> None:
-    """The row of morphism i is total on its carrier of ``source`` elements,
-    stays among the ``target`` positions of its target and is injective.
-    The morphism is named only in a fault."""
-    if len(row) != source:
-        raise CarrierMismatch(
-            f"action of {clip(shape.morphisms[i].name)} is not defined on exactly its carrier"
-        )
+def _check_row(shape, i: int, row, target: int) -> None:
+    """The row of morphism i, built from its source carrier, stays among the
+    ``target`` positions of its target and is injective.  The morphism is
+    named only in a fault."""
     if row and not (0 <= min(row) and max(row) < target):
         raise CarrierMismatch(
             f"action of {clip(shape.morphisms[i].name)} leaves the target carrier"
@@ -185,9 +180,9 @@ def _check_laws(shape, carriers, maps, given) -> None:
 
 
 def _raise_row_fault(m, act, source, target_index) -> None:
-    """Name why an action of its carrier's size has no row: a source label
-    it misses comes first, then an image outside the target.  An image that
-    cannot be hashed, such as a list, is no label of the target."""
+    """Raise the reason an action of its carrier's size has no row: a source
+    label it misses comes first, then an image outside the target.  An image
+    that cannot be hashed, such as a list, is no label of the target."""
 
     def in_target(image) -> bool:
         try:
@@ -671,11 +666,11 @@ def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
     at x, 2 over the two-sided part (the component and the rest of x's
     up-set) and 0 elsewhere.
 
-    The rows are checked as ``validate_diagram`` checks rows: each is total
-    on its carrier, stays in its target and is injective, and the rows
-    commute over the covers.  An arrow out of an empty carrier has the
-    empty row, which commutes with everything, so only arrows out of the
-    support are checked.  Identity rows are implicit.
+    The rows are checked as ``validate_diagram`` checks rows: each stays in
+    its target and is injective, and the rows commute over the covers.  An
+    arrow out of an empty carrier has the empty row, which commutes with
+    everything, so only arrows out of the support are checked.  Identity
+    rows are implicit.
     """
     first, arrow = poset._first_arrow, poset.arrow
     up, down, x = poset.up_masks, poset.down_masks, w.x
@@ -701,7 +696,7 @@ def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
         targets = up[a] & ~low
         for i in range(first[a], first[a] + targets.bit_count()):
             b = (targets & -targets).bit_length() - 1
-            _check_row(poset, i, rows[i], size[a], size[b])
+            _check_row(poset, i, rows[i], size[b])
             targets &= targets - 1
         rest ^= low
     for g, a, b in poset.generator_ends:

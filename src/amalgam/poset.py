@@ -30,8 +30,11 @@ class NotAPartialOrder(PosetError):
 def clip(name) -> str:
     """A name from the input, or any value, as a fault message quotes it:
     its text whole up to 80 characters, and past them its first 77
-    followed by ``...``."""
+    followed by ``...``.  A lone surrogate, which no UTF-8 output can
+    write, is backslash-escaped first."""
     text = f"{name}"
+    if not text.isascii():
+        text = text.encode("utf-8", "backslashreplace").decode("utf-8")
     return text if len(text) <= 80 else text[:77] + "..."
 
 
@@ -167,9 +170,6 @@ class FinPoset:
         rel = sorted((names[a], names[b]) for a, b in self.relation_pairs() if a != b)
         return f"FinPoset({list(self.elements)}, {rel})"
 
-    def leq(self, a: int, b: int) -> bool:
-        return bool(self.up_masks[a] >> b & 1)
-
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """Bit j of entry i is set when i and j are comparable."""
@@ -249,20 +249,9 @@ class FinPoset:
     def is_identity(self, m: int) -> bool:
         return m < len(self.elements)
 
-    def hom(self, x: int, y: int) -> tuple[int, ...]:
-        return (self.arrow(x, y),) if self.leq(x, y) else ()
-
     def compose(self, g: int, f: int) -> int:
         """Index of g∘f (f applied first): the arrow between their ends."""
         return self.arrow(self.morphisms[f].dom, self.morphisms[g].cod)
-
-    @cached_property
-    def hom_out(self) -> list[list[int]]:
-        first = self._first_arrow
-        return [
-            [a, *range(first[a], first[a] + mask.bit_count() - 1)]
-            for a, mask in enumerate(self.up_masks)
-        ]
 
     @cached_property
     def hom_in(self) -> list[list[int]]:

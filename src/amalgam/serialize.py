@@ -92,16 +92,28 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not valid JSON")
 
 
+def _integer(text: str) -> int:
+    """A JSON integer.  One past the interpreter's digit limit is refused
+    in words of this package: CPython's own message names a setting that
+    no command line reaches."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("an integer has too many digits") from None
+
+
 # One decoder for every document: json.loads given a hook builds a new
 # decoder on each call, which costs more than the hook itself.
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=_unique_keys, parse_constant=_no_constant, parse_int=_integer
+)
 
 
 def load_document(path: str | os.PathLike) -> dict:
     """The JSON object at path, decoded from its bytes as json.loads decodes
     bytes: ``json.detect_encoding`` tells UTF-8, UTF-16 or UTF-32 apart.
     An object that repeats a key is refused, and so are ``NaN``,
-    ``Infinity`` and an integer past CPython's digit limit.
+    ``Infinity`` and an integer past the interpreter's digit limit.
     Errors name the path as pathlib normalises it, as they do for bytes
     that do not decode and for arrays or objects nested past the decoder's
     recursion limit."""

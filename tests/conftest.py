@@ -467,8 +467,13 @@ def recursive_forest_like(poset: FinPoset):
     package's.
     """
 
+    up = poset.up_masks
+
+    def leq(a: int, b: int) -> bool:
+        return bool(up[a] >> b & 1)
+
     def comparable(a: int, b: int) -> bool:
-        return poset.leq(a, b) or poset.leq(b, a)
+        return leq(a, b) or leq(b, a)
 
     def parts(region) -> tuple[frozenset[int], ...]:
         out, left = [], sorted(region)
@@ -498,7 +503,7 @@ def recursive_forest_like(poset: FinPoset):
         path.reverse()
         out, directions = [path[0]], []
         for b in path[1:]:
-            direction = poset.leq(out[-1], b)
+            direction = leq(out[-1], b)
             if directions and directions[-1] == direction:
                 out[-1] = b
             else:
@@ -507,8 +512,8 @@ def recursive_forest_like(poset: FinPoset):
         return tuple(out)
 
     def decompose(region: frozenset[int]):
-        x = min(a for a in region if not any(b != a and poset.leq(b, a) for b in region))
-        up_x = frozenset(b for b in region if poset.leq(x, b))
+        x = min(a for a in region if not any(b != a and leq(b, a) for b in region))
+        up_x = frozenset(b for b in region if leq(x, b))
         children, upsets = [], []
         for part in parts(region - {x}):
             upset = part & up_x

@@ -86,7 +86,7 @@ def _component_presentation(poset: FinPoset, comp: list[int]):
     edges = [(a, b) for a in comp for b in _bits(above[a])]
     index = {e: k for k, e in enumerate(edges)}
     tree_edges = sorted(
-        (a, b) if poset.leq(a, b) else (b, a)
+        (a, b) if poset.up_masks[a] >> b & 1 else (b, a)
         for b, a in _bfs_parents(poset, region, comp[0]).items()
         if a != b
     )
@@ -513,8 +513,9 @@ def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
     index = [dict(zip(c, range(len(c)))) for c in diagram.carriers]  # label -> position
     for obj, elem in collision_zigzag(diagram, answer.colimit.collision)[0]:
         p = index[obj][elem]
-        for i in shape.hom_out[obj]:
-            keep[shape.morphisms[i].cod].add(diagram.maps[i][p])
+        for row, m in zip(diagram.maps, shape.morphisms):  # a poset has no hom_out
+            if m.dom == obj:
+                keep[m.cod].add(row[p])
     carriers = [
         tuple(e for p, e in enumerate(c) if p in keep[obj])
         for obj, c in enumerate(diagram.carriers)

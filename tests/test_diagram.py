@@ -10,6 +10,7 @@ from amalgam import corpus, serialize
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
+    Collision,
     DiagramError,
     FinInjDiagram,
     FunctorialityViolation,
@@ -196,6 +197,42 @@ def test_has_cocone_checks_the_cocone_it_returns(monkeypatch):
     monkeypatch.setattr("amalgam.diagram.validate_cocone", refuse)
     with pytest.raises(FunctorialityViolation, match="cocone refused"):
         has_cocone(d)
+
+
+def test_collision_zigzag_refuses_a_collision_the_colimit_does_not_glue():
+    d = validate_diagram(category(["A"]), [("x", "y")], [None])
+    with pytest.raises(DiagramError) as info:
+        collision_zigzag(d, Collision(0, "x", "y"))
+    assert str(info.value) == "no zigzag found for a colimit collision"
+
+
+def test_the_parallel_pair_witness_checks_its_rows_are_injective(monkeypatch):
+    """Post-composition acts injectively only once the shape is reflected to
+    a monic category: a reflection that keeps a left-zero monoid as it is
+    makes a row that the witness refuses."""
+    shape = left_zero_monoid_cat(2)
+    identity = tuple(range(len(shape.morphisms)))
+    monkeypatch.setattr("amalgam.diagram.monic_reflection", lambda cat: (cat, identity))
+    with pytest.raises(NotInjective) as info:
+        witness_no_cocone(shape)
+    assert str(info.value) == "action of z0 is not injective"
+
+
+def test_the_witness_is_checked_by_the_oracle(monkeypatch):
+    """A synthesized diagram that has a cocone is refused, not returned."""
+
+    def empty(poset, witness):
+        identities = range(len(poset))
+        actions = [None if i in identities else () for i in range(len(poset.morphisms))]
+        return validate_diagram(poset, [()] * len(poset), actions)
+
+    for shape in (boat_poset(), bowtie_cat()):
+        assert not has_cocone(witness_no_cocone(shape))
+        with monkeypatch.context() as patch:
+            patch.setattr("amalgam.diagram._poset_diagram", empty)
+            with pytest.raises(DiagramError) as info:
+                witness_no_cocone(shape)
+        assert str(info.value) == "synthesized witness unexpectedly has a cocone"
 
 
 def test_has_cocone_boat_with_empty_bottom():

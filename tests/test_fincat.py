@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from amalgam.fincat import (
     FinCategory,
     IdentityViolation,
     MissingComposite,
+    Morphism,
     NotAPreorder,
     PresentationError,
     category,
@@ -275,8 +277,9 @@ def test_skeleton_poset_bowtie():
     poset, class_of = skeleton_poset(bowtie_cat())
     assert len(poset) == 4
     c, a, b, d = (poset.elements.index(x) for x in "CABD")
-    assert poset.leq(c, a) and poset.leq(c, b)
-    assert poset.leq(d, a) and poset.leq(d, b)
+    up = poset.up_masks
+    assert up[c] >> a & 1 and up[c] >> b & 1
+    assert up[d] >> a & 1 and up[d] >> b & 1
     assert not poset.neighbour_masks[a] >> b & 1 and not poset.neighbour_masks[c] >> d & 1
     assert list(class_of) == [0, 1, 2, 3]
 
@@ -376,6 +379,46 @@ def test_every_two_arrow_monoid_table_matches_naive_oracle():
         table.update(zip([(1, 1), (1, 2), (2, 1), (2, 2)], values))
         expected = _check_outcome(naive_check_axioms, cat, table)
         assert _check_outcome(FinCategory, cat, table) == expected
+
+
+def _presentation_faults(cat):
+    """The presentation with one fault of those checked before the table's
+    composites: a repeated object or morphism name, too few morphisms, an
+    end out of range, an identity with other ends, or a table entry out of
+    range.  Each as (objects and morphisms, table)."""
+    objects, morphisms, table = cat.objects, cat.morphisms, cat.table
+    n = len(objects)
+    yield SimpleNamespace(objects=objects + objects[-1:], morphisms=morphisms), table
+    yield SimpleNamespace(objects=objects, morphisms=morphisms + morphisms[-1:]), table
+    if n:
+        yield SimpleNamespace(objects=objects, morphisms=morphisms[:n - 1]), {}
+    for stray in (Morphism("stray", 0, n), Morphism("stray", -1, 0)):
+        yield SimpleNamespace(objects=objects, morphisms=morphisms + (stray,)), table
+    if n > 1:
+        moved = (Morphism(morphisms[0].name, 0, 1),) + morphisms[1:]
+        yield SimpleNamespace(objects=objects, morphisms=moved), table
+    yield cat, {**table, (0, 0): len(morphisms)}
+    yield cat, {(-1, 0): 0, **table}
+
+
+def test_every_presentation_fault_matches_naive_oracle():
+    for cat in AXIOM_SUITE:
+        for shown, table in _presentation_faults(cat):
+            expected = _check_outcome(naive_check_axioms, shown, table)
+            assert _check_outcome(FinCategory, shown, table) == expected
+
+
+def test_each_presentation_fault_is_named():
+    assert [_check_outcome(FinCategory, *case) for case in _presentation_faults(bowtie_cat())] == [
+        (PresentationError, "object names must be distinct"),
+        (PresentationError, "morphism names must be distinct"),
+        (PresentationError, "one identity per object required"),
+        (PresentationError, "morphism stray references unknown objects"),
+        (PresentationError, "morphism stray references unknown objects"),
+        (IdentityViolation, "identity of A has endpoints A -> B"),
+        (PresentationError, "composition entry (0, 0) out of range"),
+        (PresentationError, "composition entry (-1, 0) out of range"),
+    ]
 
 
 @st.composite

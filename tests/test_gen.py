@@ -57,6 +57,12 @@ def test_random_nonforest_minimum_size():
         random_nonforest(3, random.Random(0))
 
 
+def test_random_nonforest_gives_up_after_its_attempts():
+    with pytest.raises(RuntimeError) as info:
+        random_nonforest(4, random.Random(0), attempts=0)
+    assert str(info.value) == "failed to sample a non-forest-like poset"
+
+
 def test_random_diagram_valid_and_reproducible():
     rng = random.Random(9)
     p = random_poset(5, rng)

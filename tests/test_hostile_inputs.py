@@ -177,8 +177,7 @@ def check_run(work: Path, argv: list[str], keep: bool) -> tuple[int, str]:
     if code == 2:
         assert stdout == "", argv
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr[:300])
-        # sys.stderr writes what does not encode, a lone surrogate say, escaped
-        size = len(stderr.encode("utf-8", "backslashreplace"))
+        size = len(stderr.encode())
         assert stderr.endswith("\n") and size < 300, (argv, stderr[:300])
         assert (out.read_bytes() == KEPT) if keep else not out.exists(), argv
     return code, stderr

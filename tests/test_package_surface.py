@@ -48,6 +48,7 @@ MOVED = (
     ("poset", "FinPoset.from_covers"), ("poset", "FinPoset.cover_pairs"),
     ("poset", "FinPoset._covers"), ("poset", "FinPoset.down"), ("poset", "FinPoset.identity"),
     ("poset", "_mask"), ("poset", "FinPoset.generators"), ("poset", "FinPoset.comparable"),
+    ("poset", "FinPoset.hom"), ("poset", "FinPoset.hom_out"), ("poset", "FinPoset.leq"),
     ("corpus", "names"),
     ("decide", "CertificateEvidence"), ("decide", "RefutationEvidence"), ("decide", "Verdict.usc"),
     ("diagram", "CoconeResult.exists"), ("diagram", "CoconeResult.collision"),

@@ -13,6 +13,7 @@ from amalgam.poset import (
     ForestCertificate,
     NonForestWitness,
     NotAPartialOrder,
+    PosetError,
     _component_masks,
     _members,
     is_forest_like,
@@ -63,8 +64,8 @@ def test_a_pair_list_that_is_not_transitively_closed_builds_its_closure():
 
 def test_covers_close():
     p = chain(3)
-    assert p.leq(0, 2)
-    assert p.leq(0, 0)
+    assert p.up_masks[0] >> 2 & 1
+    assert p.up_masks[0] >> 0 & 1
 
 
 def test_upward_closure_examples():
@@ -140,7 +141,7 @@ def test_witness_zigzag_stays_in_component_and_alternates():
         u, v, z, _ = witness_points(p, w)
         assert z[0] == u and z[-1] == v
         assert set(z) <= members(w.component)
-        dirs = [p.leq(a, b) for a, b in zip(z, z[1:])]
+        dirs = [p.up_masks[a] >> b & 1 for a, b in zip(z, z[1:])]
         assert all(x != y for x, y in zip(dirs, dirs[1:]))
         # endpoints in distinct pieces of the up-set
         assert not any(
@@ -272,7 +273,7 @@ def check_against_pairs(p, rel, subset):
         assert _members(p.up_masks[a]) == {b for b in range(n) if (a, b) in rel}
         assert _members(p.down_masks[a]) == {b for b in range(n) if (b, a) in rel}
         for b in range(n):
-            assert p.leq(a, b) == ((a, b) in rel)
+            assert (p.up_masks[a] >> b & 1 == 1) == ((a, b) in rel)
             assert (p.neighbour_masks[a] >> b & 1 == 1) == ((a, b) in rel or (b, a) in rel)
     assert minimal(p, subset) == sorted(
         a for a in subset if not any(b != a and (b, a) in rel for b in subset)
@@ -312,6 +313,14 @@ def _forged_bowtie():
     leaf_a, leaf_b = DecompositionNode(2, (), ()), DecompositionNode(3, (), ())
     q = DecompositionNode(1, (leaf_a, leaf_b), (mask({2}), mask({3})))
     return p, DecompositionNode(0, (q,), (mask({2, 3}),))
+
+
+def test_replaying_two_roots_that_share_a_point_is_refused():
+    leaf = DecompositionNode(1, (), ())
+    cert = ForestCertificate((DecompositionNode(0, (leaf,), (mask({1}),)), leaf))
+    with pytest.raises(PosetError) as info:
+        replay_certificate(cert)
+    assert str(info.value) == "certificate components overlap"
 
 
 def test_forged_certificates_are_rejected():
@@ -549,7 +558,11 @@ def _same_category(p: FinPoset) -> None:
     assert p == cat and cat == p
     assert (p.objects, p.morphisms) == (cat.objects, cat.morphisms)
     assert p.obj_index == cat.obj_index and p.mor_index == cat.mor_index
-    assert p.hom_out == cat.hom_out and p.hom_in == cat.hom_in
+    assert p.hom_in == cat.hom_in
+    assert cat.hom_out == [
+        sorted(p.arrow(x, y) for y in range(len(p)) if up >> y & 1)
+        for x, up in enumerate(p.up_masks)
+    ]
     assert [m for m in range(len(p.morphisms)) if p.is_identity(m)] == list(range(len(p)))
     assert list(p.composites()) == list(cat.composites())
     for f, mf in enumerate(cat.morphisms):
@@ -557,7 +570,7 @@ def _same_category(p: FinPoset) -> None:
             assert p.compose(g, f) == cat.compose(g, f)
     for x in range(len(p)):
         for y in range(len(p)):
-            assert p.hom(x, y) == cat.hom(x, y)
+            assert cat.hom(x, y) == ((p.arrow(x, y),) if p.up_masks[x] >> y & 1 else ())
 
 
 def test_poset_morphisms_are_its_category_on_all_posets_of_five():

@@ -985,13 +985,28 @@ def _unknown_name_cases(name: str):
          "diagram: carrier for unknown object '{}'"),
         ("oracle", {"type": "diagram", "shape": poset_a, "actions": {name: []}},
          "diagram: action for unknown morphism '{}'"),
+        ("check", {"type": "category", "objects": ["A"], "pinv": {"id_A": name}},
+         "pinv: unknown morphism in 'id_A': '{}'"),
     ]
 
 
-_FAULT_IDS = ["morphism", "compose", "cover", "carrier", "action"]
+_FAULT_IDS = ["morphism", "compose", "cover", "carrier", "action", "pinv"]
 
 
-@pytest.mark.parametrize("case", range(5), ids=_FAULT_IDS)
+@pytest.mark.parametrize("case", range(len(_FAULT_IDS)), ids=_FAULT_IDS)
+def test_a_fault_escapes_a_lone_surrogate_in_an_unknown_name(tmp_path, capsys, case):
+    """A name that UTF-8 cannot encode is quoted backslash-escaped, so the
+    fault line encodes strictly."""
+    command, doc, message = _unknown_name_cases("\ud800E")[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format("\\ud800E") + "\n"
+    err.encode()
+
+
+@pytest.mark.parametrize("case", range(len(_FAULT_IDS)), ids=_FAULT_IDS)
 def test_a_fault_cuts_a_long_unknown_name_short(tmp_path, capsys, case):
     """A name of 100,000 characters is quoted as its first 77 and ``...``."""
     command, doc, message = _unknown_name_cases("n" * 100_000)[case]
@@ -1004,7 +1019,7 @@ def test_a_fault_cuts_a_long_unknown_name_short(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("name", ["ghost", "g" * 80], ids=["short", "80-characters"])
-@pytest.mark.parametrize("case", range(5), ids=_FAULT_IDS)
+@pytest.mark.parametrize("case", range(len(_FAULT_IDS)), ids=_FAULT_IDS)
 def test_a_fault_quotes_an_unknown_name_of_80_characters_whole(tmp_path, capsys, case, name):
     command, doc, message = _unknown_name_cases(name)[case]
     path = tmp_path / "input.json"
@@ -1032,8 +1047,10 @@ def _declared_name_cases(name: str):
         ("check", endo, "category: no entry for ({0}, {0})"),
         ("check", {**endo, "compose": [[name, name, name], [name, name, "id_A"]]},
          "category: conflicting compose entries for ({0}, {0})"),
-        ("check", {**endo, "compose": [[name, "id_A", "id_A"]]},
-         "category: ({}, id_A, id_A) contradicts the identity law"),
+        ("check", {**endo, "compose": [[name, name, name], [name, "id_A", "id_A"]]},
+         "category: ({}, id_A, id_A) breaks the right identity law"),
+        ("check", {**endo, "compose": [[name, name, name], ["id_A", name, "id_A"]]},
+         "category: (id_A, {}, id_A) breaks the left identity law"),
         ("oracle", {"type": "diagram", "shape": arrow},
          "diagram: missing action for morphism '{}'"),
         ("oracle", {"type": "diagram", "shape": arrow,
@@ -1052,8 +1069,8 @@ def _declared_name_cases(name: str):
 
 
 _DECLARED_IDS = ["cycle", "carrier", "twin-arrows", "missing-entry", "conflict",
-                 "identity-law", "missing-action", "not-injective", "duplicate-labels",
-                 "type", "no-pseudoinverse", "pinv", "validate-type"]
+                 "identity-law", "left-identity-law", "missing-action", "not-injective",
+                 "duplicate-labels", "type", "no-pseudoinverse", "pinv", "validate-type"]
 # A declared value that is not a string is quoted as its text is, cut alike.
 _LIST_TYPE = ("validate", {"type": ["n"] * 50_000},
               "cannot validate documents of type '" + repr(["n"] * 20)[:77] + "...'")
