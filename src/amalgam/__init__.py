@@ -38,7 +38,6 @@ from .fincat import (
 )
 from .invcat import FinInverseCategory, validate_inverse
 from .poset import (
-    DecompositionNode,
     FinPoset,
     ForestCertificate,
     NonForestWitness,

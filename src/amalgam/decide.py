@@ -113,23 +113,6 @@ def decide(shape: FinCategory | FinPoset) -> Verdict:
     return Verdict(connected, analysis, diagram, tuple(trace))
 
 
-def _describe_tree(root, poset, indent: int) -> list[str]:
-    """Narrate a decomposition tree in pre-order, on an explicit stack; each
-    child carries the line that introduces its subtree."""
-    lines = []
-    stack = [(root, indent, None)]
-    while stack:
-        node, depth, header = stack.pop()
-        if header is not None:
-            lines.append(header)
-        pad = "  " * depth
-        lines.append(f"{pad}adjoin {poset.elements[node.point]}")
-        for child, upset in reversed(list(zip(node.children, node.upsets))):
-            names = ", ".join(sorted_names(poset.elements, upset))
-            stack.append((child, depth + 2, f"{pad}  below upward-closed set {{{names}}}:"))
-    return lines
-
-
 def explain(verdict: Verdict) -> str:
     """Human-readable derivation of a verdict."""
     lines = ["amalgamability report", "=" * 21, ""]
@@ -138,16 +121,26 @@ def explain(verdict: Verdict) -> str:
     analysis, diagram = verdict.analysis, verdict.diagram
     if diagram is None:
         cert, poset = analysis.forest, analysis.skeleton
-        if not cert.roots:  # one tree per component: only the empty shape has none
+        if not cert.steps:  # one tree per component: only the empty shape has none
             lines.append(
                 "The shape is empty: the empty diagram is completed by any object, "
                 "so a category needs the joint embedding property (hence an object) "
                 "but not the amalgamation property alone."
             )
         else:
+            # each step is indented two levels below its parent, and its
+            # parent's line introducing its up-set comes first
             lines.append("decomposition (innermost steps first applied):")
-            for root in cert.roots:
-                lines.extend(_describe_tree(root, poset, 1))
+            depths = []
+            for point, parent, upset in cert.steps:
+                if parent < 0:
+                    depths.append(1)
+                else:
+                    pad = "  " * depths[parent]
+                    names = ", ".join(sorted_names(poset.elements, upset))
+                    lines.append(f"{pad}  below upward-closed set {{{names}}}:")
+                    depths.append(depths[parent] + 2)
+                lines.append(f"{'  ' * depths[-1]}adjoin {poset.elements[point]}")
     else:
         if not analysis.preorder:
             f, g = analysis.parallel_pair

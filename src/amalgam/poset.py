@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import compress, count, starmap, zip_longest
-from operator import eq
+from itertools import compress, count
 
 from .record import FrozenRecord, set_field
 
@@ -345,68 +344,22 @@ def _bfs_parents(poset: FinPoset, region: int, root: int, goal=None) -> dict[int
     return parent
 
 
-def _preorder(roots):
-    """(point, up-sets, child count) of each node, in pre-order: the child
-    counts fix the shape, so two forests are equal exactly when these agree."""
-    stack = list(reversed(roots))
-    while stack:
-        node = stack.pop()
-        yield node.point, node.upsets, len(node.children)
-        stack.extend(reversed(node.children))
-
-
-def _same_forest(roots, other_roots) -> bool:
-    return all(starmap(eq, zip_longest(_preorder(roots), _preorder(other_roots))))
-
-
-class DecompositionNode(FrozenRecord):
-    """One tree-building step: ``point`` adjoined below the upsets of its
-    children, each a mask of element indices.
-
-    Equality and hashing walk the tree on an explicit stack, and the repr
-    shows this node alone, its masks in hex: a certificate may be deeper
-    than the recursion limit, and a mask longer than the digit limit of
-    int-to-decimal conversion.
+class ForestCertificate(FrozenRecord):
+    """Replayable decomposition of a forest-like poset: its build steps in
+    pre-order, one tree per component.  Step k is (point, parent, upset):
+    the point of step ``parent`` is adjoined below ``upset``, a mask of
+    element indices inside step k's subtree.  A root has parent -1 and
+    up-set 0.  Read backwards, the steps build the poset.
     """
 
-    def __init__(
-        self, point: int, children: tuple[DecompositionNode, ...], upsets: tuple[int, ...]
-    ):
-        set_field(self, "point", point)
-        set_field(self, "children", children)
-        set_field(self, "upsets", upsets)
+    _fields = ("steps",)
 
-    def __eq__(self, other):
-        if not isinstance(other, DecompositionNode):
-            return NotImplemented
-        return _same_forest((self,), (other,))
+    def __init__(self, steps: tuple[tuple[int, int, int], ...]):
+        set_field(self, "steps", steps)
 
-    def __hash__(self):
-        return hash(tuple(_preorder((self,))))
-
-    def __repr__(self):
-        upsets = ", ".join(map(hex, self.upsets))
-        return (
-            f"DecompositionNode(point={self.point}, upsets=[{upsets}], "
-            f"children={len(self.children)})"
-        )
-
-
-class ForestCertificate(FrozenRecord):
-    """Replayable decomposition of a forest-like poset, one tree per component."""
-
-    _fields = ("roots",)
-
-    def __init__(self, roots: tuple[DecompositionNode, ...]):
-        set_field(self, "roots", roots)
-
-    def __eq__(self, other):
-        if not isinstance(other, ForestCertificate):
-            return NotImplemented
-        return _same_forest(self.roots, other.roots)
-
-    def __hash__(self):
-        return hash(tuple(_preorder(self.roots)))
+    def __repr__(self):  # masks in hex: no digit limit applies
+        steps = ", ".join(f"({p}, {q}, {u:#x})" for p, q, u in self.steps)
+        return f"ForestCertificate(steps=[{steps}])"
 
 
 class NonForestWitness(FrozenRecord):
@@ -463,120 +416,99 @@ def witness_points(poset: FinPoset, w: NonForestWitness) -> tuple[int, int, tupl
     return u, v, zigzag, 1 << w.x | w.component | poset.up_masks[w.x]
 
 
-def _decompose(poset: FinPoset, region: int):
-    """Tree test on a connected region: node or witness.
-
-    Frames [x, up-set of x, parts of the region minus x, children, up-sets]
-    sit on an explicit stack; each part's up-set is checked just before its
-    subtree is walked, the order of a recursive descent.
-    """
-    up, down = poset.up_masks, poset.down_masks
-
-    def frame(region: int) -> list:
-        rest = region
-        while True:  # the least minimal element: split off the lowest bit
-            low = rest & -rest
-            x = low.bit_length() - 1
-            if down[x] & region == low:
-                return [x, up[x] & region, _component_masks(poset, region ^ low), [], []]
-            rest ^= low
-
-    stack = [frame(region)]
-    while True:
-        x, up_x, parts, children, upsets = stack[-1]
-        if len(children) == len(parts):
-            stack.pop()
-            node = DecompositionNode(x, tuple(children), tuple(upsets))
-            if not stack:
-                return node
-            stack[-1][3].append(node)
-            continue
-        part = parts[len(children)]
-        upset = part & up_x
-        upset_parts = _component_masks(poset, upset)
-        # a component of a connected region always meets the up-set of its minimum
-        assert upset_parts, (x, part)
-        if len(upset_parts) != 1:
-            return NonForestWitness(x, part, tuple(upset_parts))
-        upsets.append(upset)
-        stack.append(frame(part))
-
-
 def is_forest_like(poset: FinPoset):
     """Decide forest-likeness; returns a ForestCertificate or a NonForestWitness.
 
     Each connected component is decomposed by repeatedly removing its
     least-index minimal element and requiring the up-set of that element to
-    meet every remaining component in one connected piece.
+    meet every remaining component in one connected piece.  The parts wait
+    on a stack with the step they lie below; each part's up-set is checked
+    when its step is taken, the order of a recursive descent.
     """
-    roots = []
-    for part in _component_masks(poset, (1 << len(poset)) - 1):
-        result = _decompose(poset, part)
-        if isinstance(result, NonForestWitness):
-            return result
-        roots.append(result)
-    return ForestCertificate(tuple(roots))
+    up, down = poset.up_masks, poset.down_masks
+    steps: list[tuple[int, int, int]] = []
+    stack = [(part, -1) for part in reversed(_component_masks(poset, (1 << len(poset)) - 1))]
+    while stack:
+        region, parent = stack.pop()
+        upset = 0
+        if parent >= 0:
+            base = steps[parent][0]
+            upset = region & up[base]
+            pieces = _component_masks(poset, upset)
+            # a component of a connected region always meets the up-set of its minimum
+            assert pieces, (base, region)
+            if len(pieces) != 1:
+                return NonForestWitness(base, region, tuple(pieces))
+        rest = region
+        while True:  # the least minimal element: split off the lowest bit
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if down[x] & region == low:
+                break
+            rest ^= low
+        parts = _component_masks(poset, region ^ low)
+        stack.extend((part, len(steps)) for part in reversed(parts))
+        steps.append((x, parent, upset))
+    return ForestCertificate(tuple(steps))
 
 
 def replay_certificate(cert: ForestCertificate) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
     """Rebuild (elements, relation pairs) by replaying the decomposition rule.
 
-    Each node's point lies below itself and below every element of its
-    up-sets; a child is replayed only when it is paired with an up-set.
+    Each step's point lies below itself, and its parent's point below every
+    element of its up-set; a parent that is not an earlier step, and a
+    point met in two trees, are refused.
     """
-    elems: set[int] = set()
+    steps = cert.steps
+    tree_of: list[int] = []  # the root step of each step's tree
+    owner: dict[int, int] = {}
     pairs: set[tuple[int, int]] = set()
-    for root in cert.roots:
-        relems = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            relems.add(node.point)
-            pairs.add((node.point, node.point))
-            for child, upset in zip(node.children, node.upsets):
-                pairs.update((node.point, b) for b in _bits(upset))
-                stack.append(child)
-        if elems & relems:
+    for k, (point, parent, upset) in enumerate(steps):
+        if not -1 <= parent < k:
+            raise PosetError(f"certificate step {k} has no earlier parent")
+        tree = k if parent < 0 else tree_of[parent]
+        tree_of.append(tree)
+        if owner.setdefault(point, tree) != tree:
             raise PosetError("certificate components overlap")
-        elems |= relems
-    return frozenset(elems), frozenset(pairs)
+        pairs.add((point, point))
+        if parent >= 0:
+            pairs.update((steps[parent][0], b) for b in _bits(upset))
+    return frozenset(owner), frozenset(pairs)
 
 
 def verify_certificate(poset: FinPoset, cert: ForestCertificate) -> bool:
-    """Soundness check: every element is adjoined exactly once, every up-set
-    is connected and lies in its child, and the replayed up-set masks are
+    """Soundness check: every parent is an earlier step, every element is
+    adjoined exactly once, a root has an empty up-set and every other step
+    a connected one inside its subtree, and the replayed up-set masks are
     the poset's.
 
-    Each up-set below a point a is then up(a) restricted to its child, which
-    is upward-closed in the child.  One post-order walk on an explicit stack;
-    ``below`` holds the element mask of each finished subtree.
+    Each up-set below a point a is then up(a) restricted to the child's
+    subtree, which is upward-closed in it.  One backward pass: a step's
+    subtree and the union of its children's up-sets are complete when it
+    is reached.
     """
-    n, up = len(poset), poset.up_masks
+    n, steps = len(poset), cert.steps
     replayed = [0] * n
+    below = [0] * len(steps)  # the element mask of each step's subtree
+    above = [0] * len(steps)  # the union of the up-sets of each step's children
     seen = 0
-    below: dict[int, int] = {}
-    stack = [(root, False) for root in cert.roots]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
-            continue
-        p = node.point
-        if not 0 <= p < n or seen >> p & 1 or len(node.children) != len(node.upsets):
+    for k in range(len(steps) - 1, -1, -1):
+        point, parent, upset = steps[k]
+        if not (0 <= point < n and -1 <= parent < k) or seen >> point & 1:
             return False
-        seen |= 1 << p
-        elems = rel = 1 << p
-        for child, upset in zip(node.children, node.upsets):
-            celems = below[id(child)]
-            # a negative mask, or one with a bit past the child, leaves it
-            if upset & ~celems or len(_component_masks(poset, upset)) != 1:
+        seen |= 1 << point
+        elems = below[k] | 1 << point
+        replayed[point] = above[k] | 1 << point
+        if parent < 0:
+            if upset:
                 return False
-            rel |= upset
-            elems |= celems
-        replayed[p] = rel
-        below[id(node)] = elems
-    return replayed == list(up)  # also shows every element was adjoined
+        # a negative mask, or one with a bit past the subtree, leaves it
+        elif upset & ~elems or len(_component_masks(poset, upset)) != 1:
+            return False
+        else:
+            below[parent] |= elems
+            above[parent] |= upset
+    return replayed == list(poset.up_masks)  # also shows every element was adjoined
 
 
 def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:

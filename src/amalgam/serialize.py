@@ -18,7 +18,6 @@ from .diagram import Cocone, DiagramError, FinInjDiagram, validate_diagram
 from .fincat import CategoryError, FinCategory, clip, echo, validate_category
 from .invcat import validate_inverse
 from .poset import (
-    DecompositionNode,
     FinPoset,
     ForestCertificate,
     NonForestWitness,
@@ -393,34 +392,20 @@ def cocone_to_doc(diagram: FinInjDiagram, cocone: Cocone) -> dict:
     }
 
 
-def _node_to_doc(root: DecompositionNode, poset: FinPoset) -> dict:
-    """The nested tree document, built top-down on an explicit stack: each
-    node's document is made empty of children and filled in from below."""
-    name = poset.elements
-
-    def shell(node: DecompositionNode) -> dict:
-        return {
-            "point": name[node.point],
-            "upsets": [sorted_names(name, upset) for upset in node.upsets],
-            "children": [],
-        }
-
-    doc = shell(root)
-    stack = [(root, doc)]
-    while stack:
-        node, out = stack.pop()
-        for child in node.children:
-            child_doc = shell(child)
-            out["children"].append(child_doc)
-            stack.append((child, child_doc))
-    return doc
-
-
 def certificate_to_doc(cert: ForestCertificate, poset: FinPoset) -> dict:
-    return {
-        "type": "forest-certificate",
-        "trees": [_node_to_doc(root, poset) for root in cert.roots],
-    }
+    """The nested tree document, built in one pass over the steps: each
+    step's document is hung below its parent's, which lists its up-set."""
+    name = poset.elements
+    trees, docs = [], []
+    for point, parent, upset in cert.steps:
+        doc = {"point": name[point], "upsets": [], "children": []}
+        docs.append(doc)
+        if parent < 0:
+            trees.append(doc)
+        else:
+            docs[parent]["upsets"].append(sorted_names(name, upset))
+            docs[parent]["children"].append(doc)
+    return {"type": "forest-certificate", "trees": trees}
 
 
 def witness_to_doc(witness: NonForestWitness, poset: FinPoset) -> dict:

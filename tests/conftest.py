@@ -8,6 +8,7 @@ import io
 from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume
@@ -43,14 +44,11 @@ from amalgam.fincat import (
     is_preorder,
 )
 from amalgam.poset import (
-    DecompositionNode,
     FinPoset,
     ForestCertificate,
     NonForestWitness,
     PosetError,
     _members,
-    _preorder,
-    _same_forest,
     verify_certificate,
     witness_points,
 )
@@ -458,13 +456,40 @@ def brute_force_tree_like(poset: FinPoset, bound: int = 8) -> bool:
     return tree(frozenset(range(n)))
 
 
+class Node(NamedTuple):
+    """A nested decomposition node, as the recursive reference builds it:
+    ``point`` adjoined below ``upsets``, one up-set per child."""
+
+    point: int
+    children: tuple[Node, ...]
+    upsets: tuple
+
+
+def flatten(roots) -> tuple[tuple[int, int, int], ...]:
+    """The steps of ``ForestCertificate`` read off nested nodes whose
+    up-sets are masks: (point, parent step, up-set) in pre-order, a root
+    with parent -1 and up-set 0 (small posets only: it recurses)."""
+    steps = []
+
+    def visit(node: Node, parent: int, upset: int) -> None:
+        k = len(steps)
+        steps.append((node.point, parent, upset))
+        for child, child_upset in zip(node.children, node.upsets):
+            visit(child, k, child_upset)
+
+    for root in roots:
+        visit(root, -1, 0)
+    return tuple(steps)
+
+
 def recursive_forest_like(poset: FinPoset):
     """The forest decomposition as a recursive descent over frozensets, with
     components found by scanning ``leq``: the reference that ``is_forest_like``
-    must reproduce node for node and witness for witness, once ``as_masks``
-    has turned its sets into masks (small posets only).  A witness comes
-    paired with its (u, v, zigzag, region), as ``with_points`` pairs the
-    package's.
+    must reproduce step for step and witness for witness, once ``as_masks``
+    has turned its sets into masks and its nested nodes into steps (small
+    posets only).  A forest comes as a list of root ``Node``s; a witness
+    comes paired with its (u, v, zigzag, region), as ``with_points`` pairs
+    the package's.
     """
 
     up = poset.up_masks
@@ -523,19 +548,19 @@ def recursive_forest_like(poset: FinPoset):
                 points = (u, v, zigzag(part, u, v), frozenset({x}) | part | up_x)
                 return NonForestWitness(x, part, pieces), points
             result = decompose(part)
-            if not isinstance(result, DecompositionNode):
+            if not isinstance(result, Node):
                 return result
             children.append(result)
             upsets.append(upset)
-        return DecompositionNode(x, tuple(children), tuple(upsets))
+        return Node(x, tuple(children), tuple(upsets))
 
     roots = []
     for part in parts(range(len(poset))):
         result = decompose(part)
-        if not isinstance(result, DecompositionNode):
+        if not isinstance(result, Node):
             return result
         roots.append(result)
-    return ForestCertificate(tuple(roots))
+    return roots
 
 
 def with_points(poset: FinPoset, result):
@@ -557,19 +582,18 @@ def members(mask: int) -> frozenset[int]:
 
 
 def as_masks(result):
-    """The reference's frozenset evidence in the masks ``is_forest_like``
-    keeps: every set becomes its bitmask (small posets only)."""
-    if not isinstance(result, ForestCertificate):
+    """The reference's frozenset evidence in the records ``is_forest_like``
+    returns: every set becomes its bitmask, and the nested nodes of a forest
+    become the certificate's steps (small posets only)."""
+    if not isinstance(result, list):
         w, (u, v, zigzag, region) = result
         pieces = tuple(map(mask, w.upset_components))
         return NonForestWitness(w.x, mask(w.component), pieces), (u, v, zigzag, mask(region))
 
-    def node(n: DecompositionNode) -> DecompositionNode:
-        return DecompositionNode(
-            n.point, tuple(map(node, n.children)), tuple(map(mask, n.upsets))
-        )
+    def node(n: Node) -> Node:
+        return Node(n.point, tuple(map(node, n.children)), tuple(map(mask, n.upsets)))
 
-    return ForestCertificate(tuple(map(node, result.roots)))
+    return ForestCertificate(flatten(map(node, result)))
 
 
 class CertificateMismatch(DiagramError):
@@ -651,25 +675,30 @@ def _hom_single(shape: FinCategory, x: int, y: int) -> int:
 def build_cocone_forest(diagram: FinInjDiagram, cert: ForestCertificate) -> Cocone:
     """Constructive cocone over a certified forest-like poset shape.
 
-    The independent reference for the colimit cocone of ``has_cocone``.  Tree
-    nodes are amalgamated bottom-up: the carriers of the children's
-    cocones are glued over the carrier of the adjoined point by iterated
-    binary pushouts, then trees are combined by disjoint union.  The result
-    is validated against the diagram before it is returned.
+    The independent reference for the colimit cocone of ``has_cocone``.  The
+    steps are replayed backwards, in build order: each step's point is
+    amalgamated with its children, whose carriers' cocones are glued over
+    the carrier of the point by iterated binary pushouts, and the trees are
+    then combined by disjoint union.  The result is validated against the
+    diagram before it is returned.
     """
     shape = diagram.shape
     poset = poset_of_shape(shape)
     if not verify_certificate(poset, cert):
         raise CertificateMismatch("certificate does not replay to the shape poset")
 
-    def build(node):
-        x = node.point
+    steps = cert.steps
+    built: list[tuple[tuple[str, ...], dict[int, dict[str, str]]]] = [None] * len(steps)
+    children: list[list[int]] = [[] for _ in steps]  # each step's children, last first
+    for k in reversed(range(len(steps))):
+        x, parent, _ = steps[k]
         apex = list(diagram.carriers[x])
         anchor = PartialInjection.identity(apex)
         child_embeddings: list[PartialInjection] = []
         child_legs: list[dict[int, dict[str, str]]] = []
-        for k, (child, upset) in enumerate(zip(node.children, node.upsets)):
-            sub_apex, sub_legs = build(child)
+        for i, child in enumerate(reversed(children[k])):
+            sub_apex, sub_legs = built[child]
+            upset = steps[child][2]
             rep = (upset & -upset).bit_length() - 1  # the least member
             step = action(diagram, _hom_single(shape, x, rep))
             attach = PartialInjection(
@@ -677,7 +706,7 @@ def build_cocone_forest(diagram: FinInjDiagram, cert: ForestCertificate) -> Coco
                 sub_apex,
                 {e: sub_legs[rep][step[e]] for e in diagram.carriers[x]},
             )
-            if k == 0:
+            if i == 0:
                 apex = list(sub_apex)
                 anchor = attach
                 child_embeddings.append(PartialInjection.identity(sub_apex))
@@ -694,12 +723,15 @@ def build_cocone_forest(diagram: FinInjDiagram, cert: ForestCertificate) -> Coco
         for emb, sub_legs in zip(child_embeddings, child_legs):
             for obj, leg in sub_legs.items():
                 legs[obj] = {e: emb(v) for e, v in leg.items()}
-        return tuple(apex), legs
+        built[k] = tuple(apex), legs
+        if parent >= 0:
+            children[parent].append(k)
 
     apex_labels: list[str] = []
     legs_by_obj: dict[int, dict[str, str]] = {}
-    for t, root in enumerate(cert.roots):
-        sub_apex, sub_legs = build(root)
+    roots = [k for k, (_, parent, _) in enumerate(steps) if parent < 0]
+    for t, root in enumerate(roots):
+        sub_apex, sub_legs = built[root]
         tag = {a: f"t{t}:{a}" for a in sub_apex}
         apex_labels.extend(tag[a] for a in sub_apex)
         for obj, leg in sub_legs.items():
@@ -1257,41 +1289,14 @@ class ReferenceMorphism:
     cod: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class ReferenceDecompositionNode:
-    __qualname__ = "DecompositionNode"
-    point: int
-    children: tuple
-    upsets: tuple[int, ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, ReferenceDecompositionNode):
-            return NotImplemented
-        return _same_forest((self,), (other,))
-
-    def __hash__(self):
-        return hash(tuple(_preorder((self,))))
-
-    def __repr__(self):
-        upsets = ", ".join(map(hex, self.upsets))
-        return (
-            f"DecompositionNode(point={self.point}, upsets=[{upsets}], "
-            f"children={len(self.children)})"
-        )
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False)
 class ReferenceForestCertificate:
     __qualname__ = "ForestCertificate"
-    roots: tuple
+    steps: tuple[tuple[int, int, int], ...]
 
-    def __eq__(self, other):
-        if not isinstance(other, ReferenceForestCertificate):
-            return NotImplemented
-        return _same_forest(self.roots, other.roots)
-
-    def __hash__(self):
-        return hash(tuple(_preorder(self.roots)))
+    def __repr__(self):
+        steps = ", ".join(f"({p}, {q}, {u:#x})" for p, q, u in self.steps)
+        return f"ForestCertificate(steps=[{steps}])"
 
 
 @dataclass(frozen=True, repr=False)
@@ -1319,7 +1324,6 @@ REFERENCE_RECORDS = {
     ZigzagWord: ReferenceZigzagWord,
     ShapeAnalysis: ReferenceShapeAnalysis,
     Morphism: ReferenceMorphism,
-    DecompositionNode: ReferenceDecompositionNode,
     ForestCertificate: ReferenceForestCertificate,
     NonForestWitness: ReferenceNonForestWitness,
 }

@@ -34,7 +34,7 @@ def step_script(workflow: str, name: str) -> str:
 
 def test_the_step_extracts_whole():
     script = step_script(WORKFLOW.read_text(), STEP)
-    assert script.startswith('export PYTHONPATH="$PWD/src"\ncd "$RUNNER_TEMP"\n')
+    assert script.startswith('export PYTHONPATH="$PWD/src"\nbench="$PWD/bench"\ncd "$RUNNER_TEMP"\n')
     assert "expect 2 cocone badpinv.json pd.json\n" in script
     assert "- name:" not in script
 

@@ -50,7 +50,7 @@ def test_decide_empty_category():
     assert v.analysis.usc and not v.connected
     assert v.amalgamable_ap_jep and not v.amalgamable_ap_only
     assert v.diagram is None
-    assert v.analysis.forest.roots == ()
+    assert v.analysis.forest.steps == ()
 
 
 def test_decide_parallel_pair_routes_through_reflection():

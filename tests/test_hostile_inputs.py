@@ -13,8 +13,9 @@ The contract, for every command that reads the mutant:
 - on exit 2, stdout is empty, stderr is one ``error:`` line of under 300
   bytes, and ``--out`` is neither created nor changed;
 - ``validate`` refuses the mutant exactly when every other reader does.
-Two refusals are not reading faults: a poset whose arrow names clash is
-read by ``check`` and ``explain``, which name no arrows, and ``gen
+Two refusals are not reading faults: a forest-like poset whose arrow names
+clash is read by ``check`` and ``explain``, which name no arrows on it (a
+refuted one exits 2: its witness diagram names every arrow), and ``gen
 diagram`` refuses a valid shape whose monic reflection is not a preorder.
 
 Run with ``--wide`` for 10,000 examples.

@@ -17,7 +17,7 @@ import amalgam
 from amalgam.decide import Verdict
 from amalgam.diagram import CoconeResult, Collision, ColimitResult, ShapeAnalysis
 from amalgam.fincat import FinCategory, category
-from amalgam.poset import FinPoset, NonForestWitness
+from amalgam.poset import FinPoset, ForestCertificate, NonForestWitness
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "amalgam"
@@ -25,7 +25,7 @@ EXPORTS_MOVED = (
     "shrink_witness", "is_monic", "check_inverse_laws", "is_idempotent_category",
     "wagner_preston", "components", "simply_connected_bounded", "FunctorMap",
     "PartialInjection", "congruence_close", "connected_components",
-    "CertificateEvidence", "RefutationEvidence", "Congruence",
+    "CertificateEvidence", "RefutationEvidence", "Congruence", "DecompositionNode",
 )
 # (module, attribute path) of every definition that left the package
 MOVED = (
@@ -61,6 +61,8 @@ MOVED = (
     ("pinj", "PartialInjection.defined_on"), ("pinj", "PartialInjection.domain"),
     ("pinj", "PartialInjection.image"), ("pinj", "PartialInjection.restrict"),
     ("pinj", "PartialInjection.is_total"), ("pinj", "PartialInjection.is_partial_identity"),
+    ("poset", "DecompositionNode"), ("poset", "_preorder"), ("poset", "_same_forest"),
+    ("poset", "_decompose"), ("decide", "_describe_tree"), ("serialize", "_node_to_doc"),
 )
 # Facts each record reads off its fields instead of storing them.
 DERIVED = {
@@ -245,13 +247,16 @@ def test_each_shape_has_one_constructor():
 def test_the_result_records_hold_their_facts_and_no_forwarding_layer():
     """A verdict holds its analysis and its cocone-free diagram, a collision
     its two elements and no zigzag, an oracle answer its cocone and colimit,
-    and a non-forest witness what the decomposition found."""
+    a non-forest witness what the decomposition found, and a certificate
+    its build steps alone, compared and hashed as the plain tuple they are."""
     assert Verdict._fields == ("connected", "analysis", "diagram", "trace")
     assert Collision._fields == ("obj", "x", "y")
     assert list(inspect.signature(Collision).parameters) == ["obj", "x", "y"]
     assert CoconeResult._fields == ("cocone", "colimit")
     assert [name for name in vars(CoconeResult) if not name.startswith("_")] == []
     assert NonForestWitness._fields == ("x", "component", "upset_components")
+    assert ForestCertificate._fields == ("steps",)
+    assert {"__eq__", "__hash__"}.isdisjoint(vars(ForestCertificate))
 
 
 def test_each_shape_lists_its_generators_once():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from amalgam.fincat import PresentationError
 from amalgam.poset import (
-    DecompositionNode,
     FinPoset,
     ForestCertificate,
     NonForestWitness,
@@ -109,11 +108,10 @@ def test_span_certificate():
     p = span_poset()
     result = is_forest_like(p)
     assert isinstance(result, ForestCertificate)
-    assert len(result.roots) == 1
-    root = result.roots[0]
-    assert p.elements[root.point] == "p"
-    assert len(root.children) == 2
-    assert all(u.bit_count() == 1 for u in root.upsets)
+    root, *children = result.steps
+    assert p.elements[root[0]] == "p" and root[1:] == (-1, 0)
+    assert len(children) == 2
+    assert all(parent == 0 and u.bit_count() == 1 for _, parent, u in children)
     assert verify_certificate(p, result)
 
 
@@ -121,7 +119,7 @@ def test_empty_poset_is_forest_like():
     p = FinPoset([], [])
     result = is_forest_like(p)
     assert isinstance(result, ForestCertificate)
-    assert result.roots == ()
+    assert result.steps == ()
     assert verify_certificate(p, result)
 
 
@@ -308,44 +306,35 @@ def test_decomposition_matches_the_recursive_reference_on_all_posets_of_six():
 
 def _forged_bowtie():
     """A certificate for the bowtie p, q < a, b that replays its relation
-    exactly, though the up-set {a, b} below p is disconnected."""
+    exactly, though the up-set {a, b} below p is disconnected: p, then q
+    below {a, b}, then a and b below {a} and {b} of q."""
     p = FinPoset(["p", "q", "a", "b"], [(0, 2), (0, 3), (1, 2), (1, 3)])
-    leaf_a, leaf_b = DecompositionNode(2, (), ()), DecompositionNode(3, (), ())
-    q = DecompositionNode(1, (leaf_a, leaf_b), (mask({2}), mask({3})))
-    return p, DecompositionNode(0, (q,), (mask({2, 3}),))
+    return p, ((0, -1, 0), (1, 0, mask({2, 3})), (2, 1, mask({2})), (3, 1, mask({3})))
 
 
 def test_replaying_two_roots_that_share_a_point_is_refused():
-    leaf = DecompositionNode(1, (), ())
-    cert = ForestCertificate((DecompositionNode(0, (leaf,), (mask({1}),)), leaf))
+    cert = ForestCertificate(((0, -1, 0), (1, 0, mask({1})), (1, -1, 0)))
     with pytest.raises(PosetError) as info:
         replay_certificate(cert)
     assert str(info.value) == "certificate components overlap"
 
 
 def test_forged_certificates_are_rejected():
-    bowtie, root = _forged_bowtie()
-    cert = ForestCertificate((root,))
+    bowtie, steps = _forged_bowtie()
+    cert = ForestCertificate(steps)
     assert replay_certificate(cert)[1] == bowtie.relation_pairs()
     assert not verify_certificate(bowtie, cert)
-    # the same forgery one level down, below a new least element r
+    # the same forgery one level down, below a new least element r: every
+    # index one higher, so each mask shifts by one bit
     cone = FinPoset(["r", "p", "q", "a", "b"], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-
-    def moved(node):  # every index one higher: each mask shifts by one bit
-        return DecompositionNode(
-            node.point + 1,
-            tuple(moved(c) for c in node.children),
-            tuple(u << 1 for u in node.upsets),
-        )
-
-    cert = ForestCertificate((DecompositionNode(0, (moved(root),), (mask({1, 2, 3, 4}),)),))
+    moved = [(point + 1, parent + 1, upset << 1) for point, parent, upset in steps]
+    moved[0] = (1, 0, mask({1, 2, 3, 4}))
+    cert = ForestCertificate(((0, -1, 0), *moved))
     assert replay_certificate(cert)[1] == cone.relation_pairs()
     assert not verify_certificate(cone, cert)
-    # subtrees sharing c: the up-set {b} of the first is not upward-closed in {b, c}
+    # subtrees sharing c: c below {c} of b, and again below {c} of a
     chain3 = chain(3)
-    leaf_c = DecompositionNode(2, (), ())
-    b = DecompositionNode(1, (leaf_c,), (mask({2}),))
-    cert = ForestCertificate((DecompositionNode(0, (b, leaf_c), (mask({1}), mask({2}))),))
+    cert = ForestCertificate(((0, -1, 0), (1, 0, mask({1})), (2, 1, mask({2})), (2, 0, mask({2}))))
     assert replay_certificate(cert) == (frozenset(range(3)), chain3.relation_pairs())
     assert not verify_certificate(chain3, cert)
 
@@ -353,23 +342,25 @@ def test_forged_certificates_are_rejected():
 def test_certificates_that_adjoin_an_element_twice_are_rejected():
     span = span_poset()  # p < a, b
     p, a, b = (span.elements.index(x) for x in "pab")
-    leaf_a, leaf_b = DecompositionNode(a, (), ()), DecompositionNode(b, (), ())
-    good = DecompositionNode(p, (leaf_a, leaf_b), (mask({a}), mask({b})))
-    assert verify_certificate(span, ForestCertificate((good,)))
+    good = ((p, -1, 0), (a, 0, mask({a})), (b, 0, mask({b})))
+    assert verify_certificate(span, ForestCertificate(good))
     # a second tree repeating a
-    assert not verify_certificate(span, ForestCertificate((good, leaf_a)))
+    assert not verify_certificate(span, ForestCertificate((*good, (a, -1, 0))))
     # p adjoined again inside its own child: every up-set is connected and
-    # upward-closed in its child, and the replayed order is the poset's
-    again = DecompositionNode(p, (leaf_a,), (mask({a}),))
-    root = DecompositionNode(p, (again, leaf_b), (mask({p, a}), mask({b})))
-    assert replay_certificate(ForestCertificate((root,)))[1] == span.relation_pairs()
-    assert not verify_certificate(span, ForestCertificate((root,)))
+    # lies in its subtree, and the replayed order is the poset's
+    again = ((p, -1, 0), (p, 0, mask({p, a})), (a, 1, mask({a})), (b, 0, mask({b})))
+    assert replay_certificate(ForestCertificate(again))[1] == span.relation_pairs()
+    assert not verify_certificate(span, ForestCertificate(again))
+    # a step listed twice: the same point below the same up-set
+    twice = ((0, -1, 0), (1, 0, mask({1})), (1, 0, mask({1})))
+    assert replay_certificate(ForestCertificate(twice))[1] == chain(2).relation_pairs()
+    assert not verify_certificate(chain(2), ForestCertificate(twice))
 
 
 def test_certificates_of_another_order_are_rejected():
     antichain = FinPoset(["x", "y"], [])
-    below = ForestCertificate((DecompositionNode(0, (DecompositionNode(1, (), ()),), (mask({1}),)),))
-    apart = ForestCertificate((DecompositionNode(0, (), ()), DecompositionNode(1, (), ())))
+    below = ForestCertificate(((0, -1, 0), (1, 0, mask({1}))))
+    apart = ForestCertificate(((0, -1, 0), (1, -1, 0)))
     assert verify_certificate(chain(2), below) and verify_certificate(antichain, apart)
     assert not verify_certificate(antichain, below)
     assert not verify_certificate(chain(2), apart)
@@ -378,19 +369,55 @@ def test_certificates_of_another_order_are_rejected():
 def test_certificates_with_misplaced_upsets_are_rejected():
     span = span_poset()  # p < a, b
     p, a, b = (span.elements.index(x) for x in "pab")
-    leaf_a, leaf_b = DecompositionNode(a, (), ()), DecompositionNode(b, (), ())
-    # the up-sets swapped: each lies in the other child, and the replayed order is right
-    swapped = DecompositionNode(p, (leaf_a, leaf_b), (mask({b}), mask({a})))
-    assert replay_certificate(ForestCertificate((swapped,)))[1] == span.relation_pairs()
-    assert not verify_certificate(span, ForestCertificate((swapped,)))
-    # an up-set reaching into the other child: each meets its own child in a
-    # connected set, and the replayed order is right
-    reaching = DecompositionNode(p, (leaf_a, leaf_b), (mask({a, b}), mask({b})))
-    assert replay_certificate(ForestCertificate((reaching,)))[1] == span.relation_pairs()
-    assert not verify_certificate(span, ForestCertificate((reaching,)))
-    # one up-set more than there are children
-    extra = DecompositionNode(0, (DecompositionNode(1, (), ()),), (mask({1}), mask({1})))
-    assert not verify_certificate(chain(2), ForestCertificate((extra,)))
+    # the up-sets swapped: each lies in the other subtree, and the replayed order is right
+    swapped = ((p, -1, 0), (a, 0, mask({b})), (b, 0, mask({a})))
+    assert replay_certificate(ForestCertificate(swapped))[1] == span.relation_pairs()
+    assert not verify_certificate(span, ForestCertificate(swapped))
+    # an up-set reaching into the other subtree: each meets its own subtree
+    # in a connected set, and the replayed order is right
+    reaching = ((p, -1, 0), (a, 0, mask({a, b})), (b, 0, mask({b})))
+    assert replay_certificate(ForestCertificate(reaching))[1] == span.relation_pairs()
+    assert not verify_certificate(span, ForestCertificate(reaching))
+
+
+def test_certificates_whose_parent_is_not_an_earlier_step_are_rejected():
+    """y below x of the chain x < y, under a parent that is the step
+    itself, the later step that adjoins x, or no step at all: one past the
+    end, or -2, which as a list index wraps round to a step.  Replay
+    refuses each, naming the step."""
+    for steps, k in (
+        (((0, -1, 0), (1, 1, mask({1}))), 1),
+        (((1, 1, mask({1})), (0, -1, 0)), 0),
+        (((0, -1, 0), (1, 2, mask({1}))), 1),
+        (((0, -1, 0), (1, -2, mask({1}))), 1),
+    ):
+        assert not verify_certificate(chain(2), ForestCertificate(steps))
+        with pytest.raises(PosetError) as info:
+            replay_certificate(ForestCertificate(steps))
+        assert str(info.value) == f"certificate step {k} has no earlier parent"
+    # a second root under -2 rather than -1 would replay the antichain
+    antichain = FinPoset(["x", "y"], [])
+    assert verify_certificate(antichain, ForestCertificate(((0, -1, 0), (1, -1, 0))))
+    assert not verify_certificate(antichain, ForestCertificate(((0, -1, 0), (1, -2, 0))))
+
+
+def test_a_root_with_an_upset_is_rejected():
+    """Each replays the order: the root's up-set below no point is
+    meaningless, whether it lies in its own tree or in another."""
+    antichain = FinPoset(["x", "y"], [])
+    assert not verify_certificate(antichain, ForestCertificate(((0, -1, mask({1})), (1, -1, 0))))
+    chain2 = ((0, -1, mask({1})), (1, 0, mask({1})))
+    assert replay_certificate(ForestCertificate(chain2))[1] == chain(2).relation_pairs()
+    assert not verify_certificate(chain(2), ForestCertificate(chain2))
+
+
+def test_a_step_below_an_empty_upset_is_rejected():
+    """y adjoined in x's tree below nothing replays the antichain, but the
+    tree is not connected."""
+    antichain = FinPoset(["x", "y"], [])
+    cert = ForestCertificate(((0, -1, 0), (1, 0, 0)))
+    assert replay_certificate(cert)[1] == antichain.relation_pairs()
+    assert not verify_certificate(antichain, cert)
 
 
 @pytest.mark.parametrize("member", [-1, 2, 5])
@@ -398,15 +425,14 @@ def test_certificates_naming_unknown_elements_are_rejected(member):
     """Points outside the poset, and up-sets naming one: a bit at index n
     or beyond, or, standing in for a negative index, a negative mask, which
     has every bit past its last clear one set."""
-    leaf = DecompositionNode(1, (), ())
     if member < 0:
         upsets = (member, mask({1}) | -1 << 2, ~mask({1}))
     else:
         upsets = (1 << member, mask({1}) | 1 << member, 0b11 << member)
     for upset in upsets:
-        cert = ForestCertificate((DecompositionNode(0, (leaf,), (upset,)),))
+        cert = ForestCertificate(((0, -1, 0), (1, 0, upset)))
         assert not verify_certificate(chain(2), cert)
-    assert not verify_certificate(chain(2), ForestCertificate((DecompositionNode(member, (), ()),)))
+    assert not verify_certificate(chain(2), ForestCertificate(((member, -1, 0),)))
 
 
 def test_negative_masks_and_bits_past_the_poset_are_rejected():
@@ -414,10 +440,9 @@ def test_negative_masks_and_bits_past_the_poset_are_rejected():
     poset; only its bits past the last element differ."""
     span = span_poset()  # p < a, b
     p, a, b = (span.elements.index(x) for x in "pab")
-    leaf_a, leaf_b = DecompositionNode(a, (), ()), DecompositionNode(b, (), ())
 
     def cert(upset_a):
-        return ForestCertificate((DecompositionNode(p, (leaf_a, leaf_b), (upset_a, mask({b}))),))
+        return ForestCertificate(((p, -1, 0), (a, 0, upset_a), (b, 0, mask({b}))))
 
     assert verify_certificate(span, cert(mask({a})))
     for forged in (mask({a}) | -1 << len(span), mask({a}) | 1 << len(span), mask({a}) | 1 << 70):
@@ -473,24 +498,22 @@ def test_evidence_with_masks_past_the_decimal_digit_limit_prints():
     big = 1 << 20000
     w = NonForestWitness(0, big, (big, 2))
     assert f"component={hex(big)}" in repr(w) and f"[{hex(big)}, 0x2]" in repr(w)
-    node = DecompositionNode(0, (DecompositionNode(20000, (), ()),), (big,))
-    assert repr(node) == f"DecompositionNode(point=0, upsets=[{hex(big)}], children=1)"
+    cert = ForestCertificate(((0, -1, 0), (20000, 0, big)))
+    assert repr(cert) == f"ForestCertificate(steps=[(0, -1, 0x0), (20000, 0, {hex(big)})])"
 
 
 def test_deep_certificates_compare_hash_and_print_without_recursion():
-    n = sys.getrecursionlimit() + 100
+    n = 5000
     cert, again = is_forest_like(chain(n)), is_forest_like(chain(n))
     assert cert is not again and cert == again and hash(cert) == hash(again)
-    root = cert.roots[0]
-    assert root == again.roots[0] and hash(root) == hash(again.roots[0])
-    assert repr(root) == f"DecompositionNode(point=0, upsets=[{hex(mask(range(1, n)))}], children=1)"
-    assert repr(cert) == f"ForestCertificate(roots=({root!r},))"
-    # a fork in the last two elements: the trees differ only at their bottom
+    steps = ", ".join(f"({k}, {k - 1}, {mask(range(k, n)) if k else 0:#x})" for k in range(n))
+    assert repr(cert) == f"ForestCertificate(steps=[{steps}])"
+    # a fork in the last two elements: the certificates differ only at their end
     names = [f"c{i}" for i in range(n)]
     fork = FinPoset(names, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
     forked = is_forest_like(fork)
     assert isinstance(forked, ForestCertificate)
-    assert forked != cert and cert != forked and forked.roots[0] != root
+    assert forked != cert and cert != forked and forked.steps[:-2] == cert.steps[:-2]
     assert cert != is_forest_like(chain(n + 1))
     assert len({cert, again, forked}) == 2
 

@@ -21,7 +21,7 @@ from amalgam.diagram import (
 )
 from amalgam.fincat import FinCategory, Morphism
 from amalgam.gen import random_diagram_over_poset
-from amalgam.poset import DecompositionNode, ForestCertificate, NonForestWitness
+from amalgam.poset import ForestCertificate, NonForestWitness
 from conftest import (
     REFERENCE_RECORDS,
     as_reference,
@@ -32,9 +32,7 @@ from conftest import (
 )
 from oracles import collision_word
 
-FROZEN = {ZigzagWord, Collision, Morphism, DecompositionNode, ForestCertificate,
-          NonForestWitness}
-OWN_EQUALITY = {DecompositionNode, ForestCertificate}  # hand-written __eq__
+FROZEN = {ZigzagWord, Collision, Morphism, ForestCertificate, NonForestWitness}
 
 
 def records_in(root) -> list:
@@ -99,10 +97,9 @@ def check_record(record) -> None:
     subclass = type(cls.__name__, (cls,), {})(**kwargs)
     reference_subclass = type(cls.__name__, (type(reference),), {})(**vars(reference))
     assert (record == subclass) is (reference == reference_subclass)
-    if cls not in OWN_EQUALITY:
-        for name in kwargs:
-            changed = cls(**{**kwargs, name: object()})
-            assert (record == changed) is (reference == as_reference(changed)) is False
+    for name in kwargs:
+        changed = cls(**{**kwargs, name: object()})
+        assert (record == changed) is (reference == as_reference(changed)) is False
     if cls in FROZEN:
         assert hash(record) == hash(reference) == hash(rebuilt)
         for name in kwargs:

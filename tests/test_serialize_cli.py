@@ -15,10 +15,11 @@ from amalgam.decide import decide, explain
 from amalgam.diagram import Cocone, validate_cocone
 from amalgam.fincat import PresentationError, category
 from amalgam.invcat import validate_inverse
-from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
+from amalgam.poset import FinPoset, is_forest_like
 from amalgam.serialize import ParseError
 from conftest import (
-    category_from_poset, chain, cocone_from_labels, corpus_names, members, total_elements,
+    category_from_poset, chain, cocone_from_labels, corpus_names, recursive_forest_like,
+    total_elements,
 )
 from oracles import all_posets, inverse_to_doc, load_diagram
 
@@ -729,25 +730,27 @@ def test_deep_certificate_document_is_built_without_recursion():
 def _recursive_node_doc(node, names):
     return {
         "point": names[node.point],
-        "upsets": [sorted(names[e] for e in members(u)) for u in node.upsets],
+        "upsets": [sorted(names[e] for e in upset) for upset in node.upsets],
         "children": [_recursive_node_doc(c, names) for c in node.children],
     }
 
 
 def test_certificate_document_matches_the_recursive_layout():
+    """The writer nests the flat steps as the recursive reference nests its
+    nodes."""
     for posets in all_posets(6).values():
         for p in posets:
-            cert = is_forest_like(p)
-            if isinstance(cert, ForestCertificate):
-                trees = [_recursive_node_doc(root, p.elements) for root in cert.roots]
-                assert serialize.certificate_to_doc(cert, p)["trees"] == trees
+            roots = recursive_forest_like(p)
+            if isinstance(roots, list):
+                trees = [_recursive_node_doc(root, p.elements) for root in roots]
+                assert serialize.certificate_to_doc(is_forest_like(p), p)["trees"] == trees
 
 
 def _recursive_narrative(node, names, indent):
     pad = "  " * indent
     lines = [f"{pad}adjoin {names[node.point]}"]
     for child, upset in zip(node.children, node.upsets):
-        names_above = ", ".join(sorted(names[e] for e in members(upset)))
+        names_above = ", ".join(sorted(names[e] for e in upset))
         lines.append(f"{pad}  below upward-closed set {{{names_above}}}:")
         lines.extend(_recursive_narrative(child, names, indent + 2))
     return lines
@@ -756,10 +759,10 @@ def _recursive_narrative(node, names, indent):
 def test_explain_narrates_the_certificate_in_the_recursive_order():
     for posets in all_posets(6).values():
         for p in posets:
-            cert = is_forest_like(p)
-            if isinstance(cert, ForestCertificate) and cert.roots:
+            roots = recursive_forest_like(p)
+            if isinstance(roots, list) and roots:
                 text = explain(decide(p))
-                steps = [line for root in cert.roots
+                steps = [line for root in roots
                          for line in _recursive_narrative(root, p.elements, 1)]
                 assert "decomposition (innermost steps first applied):\n" + "\n".join(steps) in text
 
