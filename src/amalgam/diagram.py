@@ -199,8 +199,8 @@ def _raise_row_fault(m, act, source, target_index) -> None:
 
 
 def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
-    """Scan every composable pair of non-identities in the shape's table
-    order and name the first that does not commute."""
+    """Scan every composable pair of non-identities in scan order, f by
+    index, then g out of cod f, and name the first that does not commute."""
     for g, f, r in shape.composites():
         af, ag, ar = maps[f], maps[g], maps[r]
         if tuple(map(ag.__getitem__, af)) != ar:

@@ -63,18 +63,19 @@ class FinCategory:
     Every scan over composable pairs and triples runs over these lists.
     ``generator_ends`` lists a generating set of non-identities as
     (index, dom, cod), in ascending index order: every non-identity is a
-    right-nested composite g1∘(g2∘(…∘gk)) of them.  Every check reads the
-    table as rows: ``post[f][k]`` is h∘f for the k-th h in
+    right-nested composite g1∘(g2∘(…∘gk)) of them.  The composition is
+    held once, as rows: ``post[f][k]`` is h∘f for the k-th h in
     ``hom_out[cod f]``, ``place[h]`` is h's place in ``hom_out[dom h]``, so
     h∘f is ``post[f][place[h]]``, and ``pre[f][k]`` is f∘g for the k-th g
-    in ``hom_in[dom f]``.  The ``table`` dict is the presentation: faults
-    are named in its order.
+    in ``hom_in[dom f]``.  ``table`` {(g, f): g∘f} only fills the rows: an
+    entry out of range, not composable or with wrong endpoints is named in
+    its order; a missing entry, an identity law, associativity or a
+    diagram's non-commuting pair in scan order, that of ``composites``.
     """
 
     def __init__(self, objects, morphisms, table):
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
-        self.table = dict(table)
         self.obj_index = {name: i for i, name in enumerate(self.objects)}
         self.mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
         _check_presentation(self)
@@ -87,7 +88,7 @@ class FinCategory:
             self.hom_out[m.dom].append(i)
             self.hom_in[m.cod].append(i)
             self.hom_sets.setdefault((m.dom, m.cod), []).append(i)
-        _check_axioms(self)
+        _check_axioms(self, table)
 
     def compose(self, g: int, f: int) -> int:
         """Index of g∘f (f applied first), for g out of the codomain of f."""
@@ -117,11 +118,13 @@ class FinCategory:
         return tuple(self.hom_sets.get((x, y), ()))
 
     def composites(self):
-        """(g, f, g∘f) for every composable pair of non-identities, in table order."""
-        n_obj = len(self.objects)
-        for (g, f), r in self.table.items():
-            if g >= n_obj and f >= n_obj:
-                yield g, f, r
+        """(g, f, g∘f) for every composable pair of non-identities, in scan
+        order: f by index, then g in ``hom_out[cod f]``."""
+        n_obj, hom_out = len(self.objects), self.hom_out
+        for f in range(n_obj, len(self.morphisms)):
+            for g, r in zip(hom_out[self.morphisms[f].cod], self.post[f]):
+                if g >= n_obj:
+                    yield g, f, r
 
     def parallel_pairs(self):
         """All index pairs (f, g) with f < g, equal dom and equal cod,
@@ -135,14 +138,14 @@ class FinCategory:
     def __eq__(self, other):
         if isinstance(other, FinPoset):
             # A category with a poset's arrows has one choice for each
-            # composite, so its table agrees with the poset's order.
+            # composite, so its rows agree with the poset's order.
             return self.objects == other.objects and self.morphisms == other.morphisms
         if not isinstance(other, FinCategory):
             return NotImplemented
         return (
             self.objects == other.objects
             and self.morphisms == other.morphisms
-            and self.table == other.table
+            and self.post == other.post
         )
 
     def __repr__(self):
@@ -165,23 +168,23 @@ def _check_presentation(cat: FinCategory) -> None:
             raise PresentationError(f"morphism {clip(m.name)} references unknown objects")
 
 
-def _check_axioms(cat: FinCategory) -> None:
-    """Axiom check over the composable pairs, then associativity by Light's
-    test over the generators.
-
-    Pairs are visited as f, then g in hom_out[cod f]: the order of a scan
-    over all morphisms, so a table with several faults reports the same
-    first one.  Only a table that fails Light's test is scanned over all
-    its composable triples, to name its first fault.
+def _check_axioms(cat: FinCategory, table) -> None:
+    """One pass over the presentation fills the rows, naming an entry out
+    of range, not composable or with wrong endpoints in presentation order.
+    A missing entry and the identity laws are then read off the rows in
+    scan order, f, then g in hom_out[cod f], the order of ``composites``
+    and so of a diagram's first non-commuting pair.  Associativity is
+    Light's test over the generators; only a table that fails it is scanned
+    over all its composable triples, in scan order, to name its first fault.
     """
-    n_mor = len(cat.morphisms)
-    morphisms, table, hom_out = cat.morphisms, cat.table, cat.hom_out
+    n_mor, morphisms, hom_out, place = len(cat.morphisms), cat.morphisms, cat.hom_out, cat.place
     for x, m in enumerate(morphisms[:len(cat.objects)]):
         if m.dom != x or m.cod != x:
             raise IdentityViolation(
                 f"identity of {clip(cat.objects[x])} has endpoints "
                 f"{clip(cat.objects[m.dom])} -> {clip(cat.objects[m.cod])}"
             )
+    rows = [[None] * len(hom_out[m.cod]) for m in morphisms]
     for (g, f), r in table.items():
         if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= r < n_mor):
             raise PresentationError(f"composition entry ({g}, {f}) out of range")
@@ -196,16 +199,12 @@ def _check_axioms(cat: FinCategory) -> None:
                 f"({clip(mg.name)}, {clip(mf.name)}, {clip(mr.name)}): "
                 "composite endpoints do not match"
             )
-    # post[f] lists h∘f for each h in hom_out[cod f], in order, so h∘f is
-    # post[f][place[h]].
-    entry, place = table.get, cat.place
-    cat.post = post = []
-    for f, mf in enumerate(morphisms):
-        row = tuple([entry((h, f)) for h in hom_out[mf.cod]])
+        rows[f][place[g]] = r
+    for f, row in enumerate(rows):
         if None in row:
-            g = morphisms[hom_out[mf.cod][row.index(None)]]
-            raise MissingComposite(f"no entry for ({clip(g.name)}, {clip(mf.name)})")
-        post.append(row)
+            g = morphisms[hom_out[morphisms[f].cod][row.index(None)]]
+            raise MissingComposite(f"no entry for ({clip(g.name)}, {clip(morphisms[f].name)})")
+    cat.post = post = list(map(tuple, rows))
     for f, mf in enumerate(morphisms):
         left = post[f][place[mf.cod]]
         right = post[mf.dom][place[f]]

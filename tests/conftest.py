@@ -52,7 +52,7 @@ from amalgam.poset import (
     verify_certificate,
     witness_points,
 )
-from oracles import action, components, is_total, minimal
+from oracles import action, components, is_total, mask, minimal, table_of
 from pinj import PartialInjection
 
 ACCEPTANCE_LINES: list[str] = []
@@ -364,17 +364,17 @@ def partition_is_congruence(cat, blocks) -> bool:
             return False
         if len({cat.morphisms[m].cod for m in block}) != 1:
             return False
-    n = len(cat.morphisms)
+    n, table = len(cat.morphisms), table_of(cat)
     for f in range(n):
         for f2 in range(n):
             if class_of[f] != class_of[f2]:
                 continue
             for g in range(n):
                 if cat.morphisms[g].dom == cat.morphisms[f].cod:
-                    if class_of[cat.table[(g, f)]] != class_of[cat.table[(g, f2)]]:
+                    if class_of[table[(g, f)]] != class_of[table[(g, f2)]]:
                         return False
                 if cat.morphisms[g].cod == cat.morphisms[f].dom:
-                    if class_of[cat.table[(f, g)]] != class_of[cat.table[(f2, g)]]:
+                    if class_of[table[(f, g)]] != class_of[table[(f2, g)]]:
                         return False
     return True
 
@@ -385,7 +385,7 @@ def quotient_is_monic(cat, blocks) -> bool:
     for k, block in enumerate(blocks):
         for m in block:
             class_of[m] = k
-    n = len(cat.morphisms)
+    n, table = len(cat.morphisms), table_of(cat)
     for f in range(n):
         for g in range(n):
             mf, mg = cat.morphisms[f], cat.morphisms[g]
@@ -394,7 +394,7 @@ def quotient_is_monic(cat, blocks) -> bool:
             for h in range(n):
                 if cat.morphisms[h].dom != mf.cod:
                     continue
-                if class_of[cat.table[(h, f)]] == class_of[cat.table[(h, g)]]:
+                if class_of[table[(h, f)]] == class_of[table[(h, g)]]:
                     return False
     return True
 
@@ -569,11 +569,6 @@ def with_points(poset: FinPoset, result):
     if isinstance(result, NonForestWitness):
         return result, witness_points(poset, result)
     return result
-
-
-def mask(subset) -> int:
-    """The bitmask of a set of element indices."""
-    return sum(1 << i for i in set(subset))
 
 
 def members(mask: int) -> frozenset[int]:
@@ -796,7 +791,7 @@ def reference_validate_diagram(shape: FinCategory | FinPoset, carriers, actions)
             raise FunctorialityViolation(
                 f"identity of {shape.objects[x]} does not act as the identity"
             )
-    table = (category_from_poset(shape) if isinstance(shape, FinPoset) else shape).table
+    table = table_of(category_from_poset(shape) if isinstance(shape, FinPoset) else shape)
     for (g, f), r in table.items():
         af, ag, ar = actions[f], actions[g], actions[r]
         for e in carriers[shape.morphisms[f].dom]:
@@ -1069,7 +1064,7 @@ def congruence_close(cat: FinCategory, seeds) -> tuple[int, ...]:
 def reference_congruence_close(cat: FinCategory, seeds) -> list[frozenset[int]]:
     """Least congruence containing the seeds, as its classes by least
     member: union-find, each merge propagated through the table."""
-    parent = list(range(len(cat.morphisms)))
+    parent, table = list(range(len(cat.morphisms))), table_of(cat)
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -1089,9 +1084,9 @@ def reference_congruence_close(cat: FinCategory, seeds) -> list[frozenset[int]]:
     while pending:
         a, b = pending.popleft()
         for g in cat.hom_out[cat.morphisms[a].cod]:
-            union(cat.table[(g, a)], cat.table[(g, b)])
+            union(table[(g, a)], table[(g, b)])
         for g in cat.hom_in[cat.morphisms[a].dom]:
-            union(cat.table[(a, g)], cat.table[(b, g)])
+            union(table[(a, g)], table[(b, g)])
     groups: dict[int, set[int]] = {}
     for i in range(len(parent)):
         groups.setdefault(find(i), set()).add(i)
@@ -1103,7 +1098,7 @@ def reference_monic_reflection(cat: FinCategory) -> list[frozenset[int]]:
     merge the members of a hom-set that some h does not tell apart, each
     re-closed from the discrete partition."""
     pairs: list[tuple[int, int]] = []
-    classes = reference_congruence_close(cat, [])
+    classes, table = reference_congruence_close(cat, []), table_of(cat)
     while True:
         class_of = {i: k for k, cl in enumerate(classes) for i in cl}
         fresh = []
@@ -1111,7 +1106,7 @@ def reference_monic_reflection(cat: FinCategory) -> list[frozenset[int]]:
             for h in cat.hom_out[cod]:
                 leader: dict[int, int] = {}
                 for f in homs:
-                    first = leader.setdefault(class_of[cat.table[(h, f)]], f)
+                    first = leader.setdefault(class_of[table[(h, f)]], f)
                     if class_of[first] != class_of[f]:
                         fresh.append((first, f))
         if not fresh:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
-import conftest  # which imports this module: its names are read at call time
 import groups
 from amalgam import serialize
 from amalgam.diagram import (
@@ -42,6 +41,11 @@ from pinj import PartialInjection
 # -- posets -------------------------------------------------------------------
 
 
+def mask(subset) -> int:
+    """The bitmask of a set of element indices."""
+    return sum(1 << i for i in set(subset))
+
+
 def closed_masks(masks) -> list[int]:
     """Every subset, as an increasing bitmask, that contains ``masks[i]`` with
     each of its members i: up-sets give upward-closed sets, down-sets ideals."""
@@ -58,20 +62,20 @@ def restrict(poset: FinPoset, subset) -> tuple[FinPoset, dict[int, int]]:
     """Induced subposet on the given elements; returns it with the old->new index map."""
     old = sorted(set(subset))
     index = {o: i for i, o in enumerate(old)}
-    region = conftest.mask(old)
+    region = mask(old)
     pairs = [(index[a], index[b]) for a in old for b in _bits(poset.up_masks[a] & region)]
     return FinPoset([poset.elements[o] for o in old], pairs), index
 
 
 def minimal(poset: FinPoset, subset=None) -> list[int]:
     """The minimal elements of the subset (of the whole poset by default)."""
-    region = (1 << len(poset)) - 1 if subset is None else conftest.mask(subset)
+    region = (1 << len(poset)) - 1 if subset is None else mask(subset)
     return [a for a in _bits(region) if poset.down_masks[a] & region == 1 << a]
 
 
 def components(poset: FinPoset, subset) -> tuple[frozenset[int], ...]:
     """Connected components of the comparability graph induced on the subset."""
-    return tuple(_members(c) for c in _component_masks(poset, conftest.mask(subset)))
+    return tuple(_members(c) for c in _component_masks(poset, mask(subset)))
 
 
 def _component_presentation(poset: FinPoset, comp: list[int]):
@@ -81,7 +85,7 @@ def _component_presentation(poset: FinPoset, comp: list[int]):
     one per chain of three.  Returns (generator count, relator words) with a
     word encoding generator g forward as 2g and backward as 2g+1.
     """
-    region = conftest.mask(comp)
+    region = mask(comp)
     above = {a: poset.up_masks[a] & region & ~(1 << a) for a in comp}
     edges = [(a, b) for a in comp for b in _bits(above[a])]
     index = {e: k for k, e in enumerate(edges)}
@@ -205,6 +209,16 @@ def all_posets(max_size: int) -> dict[int, list[FinPoset]]:
 # -- categories ---------------------------------------------------------------
 
 
+def table_of(cat: FinCategory) -> dict[tuple[int, int], int]:
+    """The composition as a {(g, f): g∘f} dict, read off the rows in scan
+    order: f by index, then g in ``hom_out[cod f]``."""
+    return {
+        (g, f): r
+        for f, m in enumerate(cat.morphisms)
+        for g, r in zip(cat.hom_out[m.cod], cat.post[f])
+    }
+
+
 def congruence_from_parent(parent: list[int]) -> tuple[int, ...]:
     """The class map of the partition of a union-find parent array, the
     classes numbered by their least members.  The array is left as it is."""
@@ -255,7 +269,7 @@ class FunctorMap:
                 break
         else:
             return
-        for (g, f), r in src.table.items():
+        for (g, f), r in table_of(src).items():
             if tgt.compose(mor_map[g], mor_map[f]) != mor_map[r]:
                 raise AssociativityViolation(
                     f"functor breaks composition on "
@@ -317,7 +331,7 @@ def check_inverse_laws(inv: FinInverseCategory) -> list[str]:
     for f, mf in enumerate(cat.morphisms):
         if pinv[pinv[f]] != f:
             report.append(f"pseudoinverse of {mf.name} is not involutive")
-    for (g, f), r in cat.table.items():
+    for (g, f), r in table_of(cat).items():
         if cat.compose(pinv[f], pinv[g]) != pinv[r]:
             report.append(
                 f"pseudoinverse is not contravariant on "
@@ -392,7 +406,7 @@ def wagner_preston(inv: FinInverseCategory) -> PInjRepresentation:
             PartialInjection(carriers[mf.dom], carriers[mf.cod], mapping)
         )
 
-    for (g, f), r in cat.table.items():
+    for (g, f), r in table_of(cat).items():
         if maps[g].after(maps[f]) != maps[r]:
             raise InverseCategoryError(
                 f"representation is not functorial on "

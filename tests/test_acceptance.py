@@ -36,6 +36,7 @@ from oracles import (
     random_endo_word,
     restrict,
     simply_connected_bounded,
+    table_of,
     upward_closed_subsets,
     wagner_preston,
     word_pinj,
@@ -182,7 +183,7 @@ def test_criterion_7_partial_injection_representation():
         cat = inv.base
         assert len(cat.morphisms) <= 12
         rep = wagner_preston(inv)
-        for (g, f), r in cat.table.items():
+        for (g, f), r in table_of(cat).items():
             assert rep.maps[g].after(rep.maps[f]) == rep.maps[r], name
         for f, g in cat.parallel_pairs():
             assert rep.maps[f] != rep.maps[g], name

@@ -43,3 +43,14 @@ def test_import_and_check_load_no_module_they_do_not_run(tmp_path):
 
 def test_gen_loads_the_generators(tmp_path):
     assert "amalgam.gen" in modules_loaded(tmp_path, "gen", "poset", "3")
+
+
+def test_the_test_oracles_import_first_without_a_cycle(tmp_path):
+    """``oracles`` imports nothing from ``conftest``, which imports from it:
+    a fresh interpreter whose first import of the two is ``oracles`` exits
+    cleanly."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tests)]))
+    done = subprocess.run([sys.executable, "-B", "-c", "import oracles"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from types import MappingProxyType
@@ -846,6 +847,33 @@ def test_validation_reports_the_reference_first_functoriality_fault(d, rng, faul
     """Faults that keep every action injective: the identity and composite
     checks find them, at the element the reference names."""
     _check_first_fault(d, rng, faults)
+
+
+def test_the_first_non_commuting_pair_is_named_in_scan_order_for_any_presentation():
+    """Over the chain A < B < C < D, every action the identity but B->C's,
+    a swap: (B->C, A->B) and (C->D, B->C) do not commute.  The first of
+    them in scan order is named whatever the order of the compose list,
+    and over the chain as a poset."""
+    poset = FinPoset("ABCD", [(0, 1), (1, 2), (2, 3)])
+    shape = category_from_poset(poset)
+    names = [m.name for m in shape.morphisms]
+    arrows = [(m.name, *(poset.elements[x] for x in (m.dom, m.cod)))
+              for m in shape.morphisms[len(poset):]]
+    compose = [(names[g], names[f], names[r]) for g, f, r in shape.composites()]
+    carriers = [("x", "y")] * len(poset)
+    actions = [{"x": "x", "y": "y"} for _ in names]
+    actions[names.index("B->C")] = {"x": "y", "y": "x"}
+    broken = [(names[g], names[f]) for g, f, r in shape.composites()
+              if {e: actions[g][actions[f][e]] for e in "xy"} != actions[r]]
+    assert broken == [("B->C", "A->B"), ("C->D", "B->C")]
+    message = "(B->C, A->B) does not commute at element x"
+    for order in itertools.permutations(compose):
+        with pytest.raises(FunctorialityViolation) as exc:
+            validate_diagram(category(poset.elements, arrows, order), carriers, actions)
+        assert str(exc.value) == message
+    with pytest.raises(FunctorialityViolation) as exc:
+        validate_diagram(poset, carriers, actions)
+    assert str(exc.value) == message
 
 
 def _reading(shape, carriers, actions):

@@ -49,7 +49,14 @@ from conftest import (
     z2_cat,
     z3_cat,
 )
-from oracles import FunctorMap, all_posets, as_functor, components, congruence_from_parent
+from oracles import (
+    FunctorMap,
+    all_posets,
+    as_functor,
+    components,
+    congruence_from_parent,
+    table_of,
+)
 
 
 def test_validate_bowtie():
@@ -252,7 +259,7 @@ def test_monic_reflection_universal_factorization():
 
 def test_functor_that_breaks_composition_is_refused():
     """r ↦ r and r2 ↦ r on Z_3 keeps the identity and the endpoints, but
-    F(r∘r) = F(r2) = r while F(r)∘F(r) = r2.  The first pair in table order
+    F(r∘r) = F(r2) = r while F(r)∘F(r) = r2.  The first pair in scan order
     that breaks is named."""
     z3 = z3_cat()
     r, r2 = z3.mor_index["r"], z3.mor_index["r2"]
@@ -350,17 +357,17 @@ def _check_outcome(check, cat, table):
 
 def test_valid_tables_accepted_by_both_checks():
     for cat in AXIOM_SUITE:
-        assert _check_outcome(naive_check_axioms, cat, cat.table) is None
-        assert _check_outcome(FinCategory, cat, cat.table) is None
+        assert _check_outcome(naive_check_axioms, cat, table_of(cat)) is None
+        assert _check_outcome(FinCategory, cat, table_of(cat)) is None
 
 
 def test_every_single_entry_corruption_matches_naive_oracle():
     """Each entry deleted, or redirected to each other morphism, raises the
     same exception class and message as the all-morphism scan."""
     for cat in AXIOM_SUITE:
-        for key, value in cat.table.items():
+        for key, value in table_of(cat).items():
             for target in [None] + [r for r in range(len(cat.morphisms)) if r != value]:
-                table = dict(cat.table)
+                table = table_of(cat)
                 if target is None:
                     del table[key]
                 else:
@@ -375,7 +382,7 @@ def test_every_two_arrow_monoid_table_matches_naive_oracle():
     cat = category(["X"], [("a", "X", "X"), ("b", "X", "X")],
                    [(g, f, "a") for g in "ab" for f in "ab"])
     for values in itertools.product(range(3), repeat=4):
-        table = dict(cat.table)
+        table = table_of(cat)
         table.update(zip([(1, 1), (1, 2), (2, 1), (2, 2)], values))
         expected = _check_outcome(naive_check_axioms, cat, table)
         assert _check_outcome(FinCategory, cat, table) == expected
@@ -386,7 +393,7 @@ def _presentation_faults(cat):
     composites: a repeated object or morphism name, too few morphisms, an
     end out of range, an identity with other ends, or a table entry out of
     range.  Each as (objects and morphisms, table)."""
-    objects, morphisms, table = cat.objects, cat.morphisms, cat.table
+    objects, morphisms, table = cat.objects, cat.morphisms, table_of(cat)
     n = len(objects)
     yield SimpleNamespace(objects=objects + objects[-1:], morphisms=morphisms), table
     yield SimpleNamespace(objects=objects, morphisms=morphisms + morphisms[-1:]), table
@@ -424,8 +431,8 @@ def test_each_presentation_fault_is_named():
 @st.composite
 def corrupted_tables(draw):
     """A suite category with two or three table entries deleted or redirected."""
-    cat = draw(st.sampled_from([c for c in AXIOM_SUITE if c.table]))
-    table = dict(cat.table)
+    cat = draw(st.sampled_from([c for c in AXIOM_SUITE if c.morphisms]))
+    table = table_of(cat)
     keys = sorted(table)
     for _ in range(draw(st.integers(2, 3))):
         key = draw(st.sampled_from(keys))
@@ -516,17 +523,51 @@ def test_quotient_is_built_exactly_for_congruences(case):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(AXIOM_SUITE) | concrete_categories())
 def test_compose_and_the_rows_agree_with_the_table(cat):
-    """The rows are the one table the checks read: every entry of the
-    presentation is found by ``compose``, ``post`` and ``pre``, and
-    ``place`` names each arrow's place among the arrows out of its domain."""
-    hom_out, hom_in = cat.hom_out, cat.hom_in
+    """The rows are the one table the checks read: they hold one entry per
+    composable pair, a category built from them is the same category, every
+    entry is found by ``compose`` and ``pre``, and ``place`` names each
+    arrow's place among the arrows out of its domain."""
+    hom_out, hom_in, table = cat.hom_out, cat.hom_in, table_of(cat)
     assert all(hom_out[m.dom][cat.place[i]] == i for i, m in enumerate(cat.morphisms))
-    assert len(cat.table) == sum(len(hom_out[m.cod]) for m in cat.morphisms)
-    for (g, f), r in cat.table.items():
+    assert len(table) == sum(len(hom_out[m.cod]) for m in cat.morphisms)
+    assert FinCategory(cat.objects, cat.morphisms, table) == cat
+    for (g, f), r in table.items():
         assert cat.compose(g, f) == r
     for f, m in enumerate(cat.morphisms):
-        assert cat.post[f] == tuple(cat.table[(h, f)] for h in hom_out[m.cod])
-        assert cat.pre[f] == [cat.table[(f, g)] for g in hom_in[m.dom]]
+        assert cat.pre[f] == [table[(f, g)] for g in hom_in[m.dom]]
+
+
+def test_a_corpus_category_parses_alike_with_its_compose_list_reversed():
+    """The presentation's order is not kept: each corpus category, its
+    compose list reversed, parses to an equal category with the same rows,
+    generators and composites, and no category holds a ``table``."""
+    seen = 0
+    for name in corpus_names():
+        doc = serialize.load_document(corpus.resolve(name))
+        if doc["type"] != "category":
+            continue
+        cat = serialize.category_from_doc(doc)
+        turned = serialize.category_from_doc(dict(doc, compose=doc.get("compose", [])[::-1]))
+        assert turned == cat, name
+        assert turned.post == cat.post, name
+        assert turned.generator_ends == cat.generator_ends, name
+        assert list(turned.composites()) == list(cat.composites()), name
+        assert not hasattr(cat, "table"), name
+        seen += 1
+    assert seen == 5
+    assert not hasattr(FinCategory, "table")
+
+
+def test_composites_run_in_scan_order():
+    """f by index, then g in ``hom_out[cod f]``, identities left out."""
+    for cat in small_category_suite() + [cyclic_cat(4), left_zero_monoid_cat(3)]:
+        n = len(cat.objects)
+        assert list(cat.composites()) == [
+            (g, f, cat.compose(g, f))
+            for f in range(n, len(cat.morphisms))
+            for g in cat.hom_out[cat.morphisms[f].cod]
+            if g >= n
+        ]
 
 
 def _glued(cat, *pairs):
@@ -837,7 +878,7 @@ def test_three_arrow_monoid_tables_match_naive_oracle(values):
     associativity only away from the irreducibles."""
     cat = category(["X"], [(m, "X", "X") for m in "abc"],
                    [(g, f, "a") for g in "abc" for f in "abc"])
-    table = dict(cat.table)
+    table = table_of(cat)
     table.update(zip([(g, f) for g in (1, 2, 3) for f in (1, 2, 3)], values))
     expected = _check_outcome(naive_check_axioms, cat, table)
     assert _check_outcome(FinCategory, cat, table) == expected

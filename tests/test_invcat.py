@@ -11,6 +11,7 @@ from oracles import (
     is_monic_morphism,
     is_partial_identity,
     is_total,
+    table_of,
     wagner_preston,
 )
 
@@ -106,7 +107,7 @@ def test_wagner_preston_functorial_faithful_monic_on_corpus():
         cat = inv.base
         assert len(cat.morphisms) <= 12, name
         rep = wagner_preston(inv)
-        for (g, f), r in cat.table.items():
+        for (g, f), r in table_of(cat).items():
             assert rep.maps[g].after(rep.maps[f]) == rep.maps[r], name
         for f in range(len(cat.morphisms)):
             for g in range(len(cat.morphisms)):
