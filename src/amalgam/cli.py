@@ -30,15 +30,6 @@ from .serialize import ParseError
 class RunConfig(Record):
     _fields = ("command", "inputs", "out", "seed", "max_size", "format")
 
-    def __init__(self, command: str, inputs: tuple[str, ...], out: str | None,
-                 seed: int, max_size: int, format: str):
-        self.command = command
-        self.inputs = inputs
-        self.out = out
-        self.seed = seed
-        self.max_size = max_size
-        self.format = format
-
 
 def _locale_encoding() -> str:
     """``locale.getpreferredencoding(False)``, the encoding ``open(path,
@@ -88,17 +79,13 @@ def _with_named_arrows(shape):
 
 
 def cmd_check(config: RunConfig) -> int:
+    """``check`` and ``explain``: the verdict document for ``check --format
+    structured``, the text report otherwise."""
     verdict = decide(_load_shape(config.inputs[0]))
-    if config.format == "structured":
+    if config.command == "check" and config.format == "structured":
         _emit(config, serialize.dump(serialize.verdict_to_doc(verdict)))
     else:
         _emit(config, explain(verdict) + "\n")
-    return 0 if verdict.amalgamable_ap_jep else 1
-
-
-def cmd_explain(config: RunConfig) -> int:
-    verdict = decide(_load_shape(config.inputs[0]))
-    _emit(config, explain(verdict) + "\n")
     return 0 if verdict.amalgamable_ap_jep else 1
 
 
@@ -233,7 +220,7 @@ def cmd_gen(config: RunConfig) -> int:
 
 HANDLERS = {
     "check": (cmd_check, 1),
-    "explain": (cmd_explain, 1),
+    "explain": (cmd_check, 1),
     "witness": (cmd_witness, 1),
     "cocone": (cmd_cocone, 2),
     "oracle": (cmd_oracle, 1),

@@ -10,12 +10,7 @@ verdict is emitted.
 
 from __future__ import annotations
 
-from .diagram import (
-    CoconeFreeDiagram,
-    ShapeAnalysis,
-    analyze_shape,
-    witness_no_cocone,
-)
+from .diagram import analyze_shape, witness_no_cocone
 from .fincat import FinCategory
 from .poset import (
     FinPoset,
@@ -32,18 +27,6 @@ class Verdict(Record):
     a refutation's cocone-free diagram, and ``None`` beside a certificate."""
 
     _fields = ("connected", "analysis", "diagram", "trace")
-
-    def __init__(
-        self,
-        connected: bool,
-        analysis: ShapeAnalysis,
-        diagram: CoconeFreeDiagram | None,
-        trace: tuple[str, ...],
-    ):
-        self.connected = connected
-        self.analysis = analysis
-        self.diagram = diagram
-        self.trace = trace
 
     @property
     def amalgamable_ap_jep(self) -> bool:

@@ -25,7 +25,7 @@ from .poset import (
     NonForestWitness,
     is_forest_like,
 )
-from .record import FrozenRecord, Record, set_field
+from .record import FrozenRecord, Record
 
 
 class DiagramError(Exception):
@@ -52,7 +52,7 @@ class NotApplicable(DiagramError):
     pass
 
 
-class FinInjDiagram:
+class FinInjDiagram(Record):
     """A functor from a finite shape, a FinCategory or a FinPoset, into finite
     sets and injections.
 
@@ -62,19 +62,7 @@ class FinInjDiagram:
     a diagram is written out or a fault is named.
     """
 
-    def __init__(self, shape: FinCategory | FinPoset, carriers, maps):
-        self.shape = shape
-        self.carriers = carriers
-        self.maps = maps
-
-    def __eq__(self, other):
-        if not isinstance(other, FinInjDiagram):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.carriers == other.carriers
-            and self.maps == other.maps
-        )
+    _fields = ("shape", "carriers", "maps")
 
     def __repr__(self):
         sizes = ", ".join(
@@ -218,11 +206,6 @@ class Collision(FrozenRecord):
 
     _fields = ("obj", "x", "y")
 
-    def __init__(self, obj: int, x: str, y: str):
-        set_field(self, "obj", obj)
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-
 
 class ColimitClasses:
     """The classes of a colimit as frozensets of (object, label) nodes, in
@@ -262,18 +245,6 @@ class ColimitResult(Record):
     """
 
     _fields = ("diagram", "ids", "count", "collision")
-
-    def __init__(
-        self,
-        diagram: FinInjDiagram,
-        ids: tuple[tuple[int, ...], ...],
-        count: int,
-        collision: Collision | None,
-    ):
-        self.diagram = diagram
-        self.ids = ids
-        self.count = count
-        self.collision = collision
 
     @property
     def classes(self) -> ColimitClasses:
@@ -415,10 +386,6 @@ class Cocone(Record):
 
     _fields = ("apex", "legs")
 
-    def __init__(self, apex: tuple[str, ...], legs: tuple[tuple[int, ...], ...]):
-        self.apex = apex
-        self.legs = legs
-
 
 def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
     """Check that every leg is total, stays inside the apex, is injective and
@@ -460,10 +427,6 @@ class CoconeResult(Record):
 
     _fields = ("cocone", "colimit")
 
-    def __init__(self, cocone: Cocone | None, colimit: ColimitResult):
-        self.cocone = cocone
-        self.colimit = colimit
-
     def __bool__(self) -> bool:
         return self.cocone is not None
 
@@ -488,10 +451,6 @@ class ZigzagWord(FrozenRecord):
     """
 
     _fields = ("source", "steps")
-
-    def __init__(self, source: int, steps: tuple[tuple[int, bool], ...]):
-        set_field(self, "source", source)
-        set_field(self, "steps", steps)
 
     def target(self, shape: FinCategory) -> int:
         at = self.source
@@ -534,9 +493,7 @@ def zigzag_action(diagram: FinInjDiagram, word: ZigzagWord) -> dict[str, str]:
 class CoconeFreeDiagram(FinInjDiagram):
     """A diagram with no cocone, with the colimit collision that shows it."""
 
-    def __init__(self, diagram: FinInjDiagram, collision: Collision):
-        vars(self).update(vars(diagram))
-        self.collision = collision
+    _fields = FinInjDiagram._fields + ("collision",)
 
 
 class ShapeAnalysis(Record):
@@ -551,24 +508,6 @@ class ShapeAnalysis(Record):
         "shape", "reflection", "projection",
         "parallel_pair", "skeleton", "skeleton_map", "forest",
     )
-
-    def __init__(
-        self,
-        shape: FinCategory | FinPoset,
-        reflection: FinCategory | FinPoset,
-        projection: tuple[int, ...] | None,
-        parallel_pair: tuple[int, int] | None,
-        skeleton: FinPoset | None,
-        skeleton_map: tuple[int, ...] | None,
-        forest: ForestCertificate | NonForestWitness | None,
-    ):
-        self.shape = shape
-        self.reflection = reflection
-        self.projection = projection
-        self.parallel_pair = parallel_pair
-        self.skeleton = skeleton
-        self.skeleton_map = skeleton_map
-        self.forest = forest
 
     @property
     def preorder(self) -> bool:
@@ -631,7 +570,8 @@ def witness_no_cocone(
     answer = has_cocone(witness)
     if answer:
         raise DiagramError("synthesized witness unexpectedly has a cocone")
-    return CoconeFreeDiagram(witness, answer.colimit.collision)
+    return CoconeFreeDiagram(witness.shape, witness.carriers, witness.maps,
+                             answer.colimit.collision)
 
 
 def _parallel_pair_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinInjDiagram:

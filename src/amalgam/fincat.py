@@ -14,7 +14,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .poset import FinPoset, clip, lone_surrogate
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 
 class CategoryError(Exception):
@@ -47,11 +47,6 @@ class NotAPreorder(CategoryError):
 
 class Morphism(FrozenRecord):
     _fields = ("name", "dom", "cod")
-
-    def __init__(self, name: str, dom: int, cod: int):
-        set_field(self, "name", name)
-        set_field(self, "dom", dom)
-        set_field(self, "cod", cod)
 
 
 class FinCategory:

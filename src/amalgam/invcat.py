@@ -8,6 +8,7 @@ validated by finding each pseudoinverse and checking it is unique.
 from __future__ import annotations
 
 from .fincat import CategoryError, FinCategory, clip
+from .record import Record
 
 
 class InverseCategoryError(CategoryError):
@@ -22,17 +23,11 @@ class NonUniquePseudoinverse(InverseCategoryError):
     pass
 
 
-class FinInverseCategory:
-    """A validated finite category together with its pseudoinverse map."""
+class FinInverseCategory(Record):
+    """A validated finite category together with its pseudoinverse map, a
+    tuple of morphism indices."""
 
-    def __init__(self, base: FinCategory, pinv):
-        self.base = base
-        self.pinv = tuple(pinv)
-
-    def __eq__(self, other):
-        if not isinstance(other, FinInverseCategory):
-            return NotImplemented
-        return self.base == other.base and self.pinv == other.pinv
+    _fields = ("base", "pinv")
 
 
 def validate_inverse(cat: FinCategory) -> FinInverseCategory:
@@ -56,4 +51,4 @@ def validate_inverse(cat: FinCategory) -> FinInverseCategory:
                 f"{clip(mf.name)} has several pseudoinverses: {names}"
             )
         pinv.append(candidates[0])
-    return FinInverseCategory(cat, pinv)
+    return FinInverseCategory(cat, tuple(pinv))

@@ -15,7 +15,7 @@ from collections import deque
 from functools import cached_property
 from itertools import compress, count
 
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 
 class PosetError(Exception):
@@ -354,9 +354,6 @@ class ForestCertificate(FrozenRecord):
 
     _fields = ("steps",)
 
-    def __init__(self, steps: tuple[tuple[int, int, int], ...]):
-        set_field(self, "steps", steps)
-
     def __repr__(self):  # masks in hex: no digit limit applies
         steps = ", ".join(f"({p}, {q}, {u:#x})" for p, q, u in self.steps)
         return f"ForestCertificate(steps=[{steps}])"
@@ -370,11 +367,6 @@ class NonForestWitness(FrozenRecord):
     """
 
     _fields = ("x", "component", "upset_components")
-
-    def __init__(self, x: int, component: int, upset_components: tuple[int, ...]):
-        set_field(self, "x", x)
-        set_field(self, "component", component)
-        set_field(self, "upset_components", upset_components)
 
     def __repr__(self):  # masks in hex: no digit limit applies
         pieces = ", ".join(map(hex, self.upset_components))

@@ -20,6 +20,7 @@ from amalgam.decide import Verdict
 from amalgam.diagram import (
     CarrierMismatch,
     Cocone,
+    CoconeFreeDiagram,
     CoconeResult,
     ColimitResult,
     Collision,
@@ -43,6 +44,7 @@ from amalgam.fincat import (
     _Closure,
     is_preorder,
 )
+from amalgam.invcat import FinInverseCategory
 from amalgam.poset import (
     FinPoset,
     ForestCertificate,
@@ -1309,6 +1311,33 @@ class ReferenceNonForestWitness:
         )
 
 
+@dataclass(repr=False)
+class ReferenceFinInjDiagram:
+    __qualname__ = "FinInjDiagram"
+    shape: object
+    carriers: tuple[tuple[str, ...], ...]
+    maps: tuple[tuple[int, ...], ...]
+
+    def __repr__(self):
+        sizes = ", ".join(
+            f"{self.shape.objects[i]}:{len(c)}" for i, c in enumerate(self.carriers)
+        )
+        return f"FinInjDiagram({sizes})"
+
+
+@dataclass(repr=False)
+class ReferenceCoconeFreeDiagram(ReferenceFinInjDiagram):
+    __qualname__ = "CoconeFreeDiagram"
+    collision: Collision
+
+
+@dataclass
+class ReferenceFinInverseCategory:
+    __qualname__ = "FinInverseCategory"
+    base: FinCategory
+    pinv: tuple[int, ...]
+
+
 REFERENCE_RECORDS = {
     RunConfig: ReferenceRunConfig,
     Verdict: ReferenceVerdict,
@@ -1321,6 +1350,9 @@ REFERENCE_RECORDS = {
     Morphism: ReferenceMorphism,
     ForestCertificate: ReferenceForestCertificate,
     NonForestWitness: ReferenceNonForestWitness,
+    FinInjDiagram: ReferenceFinInjDiagram,
+    CoconeFreeDiagram: ReferenceCoconeFreeDiagram,
+    FinInverseCategory: ReferenceFinInverseCategory,
 }
 
 

@@ -2,8 +2,8 @@
 live in `tests/` (`oracles.py`, `groups.py`, `pinj.py`), `amalgam` exports
 none of them, every module-level definition of the package is read by the
 package, no module of the package imports from `tests/`, each shape has one
-constructor, and the decider's result records store no field that is
-derived from another."""
+constructor, every record is built by `Record`'s constructor alone, and the
+decider's result records store no field that is derived from another."""
 
 import ast
 import importlib
@@ -15,8 +15,16 @@ from pathlib import Path
 
 import amalgam
 from amalgam.decide import Verdict
-from amalgam.diagram import CoconeResult, Collision, ColimitResult, ShapeAnalysis
+from amalgam.diagram import (
+    CoconeFreeDiagram,
+    CoconeResult,
+    ColimitResult,
+    Collision,
+    FinInjDiagram,
+    ShapeAnalysis,
+)
 from amalgam.fincat import FinCategory, category
+from amalgam.invcat import FinInverseCategory
 from amalgam.poset import FinPoset, ForestCertificate, NonForestWitness
 
 TESTS = Path(__file__).resolve().parent
@@ -63,6 +71,7 @@ MOVED = (
     ("pinj", "PartialInjection.is_total"), ("pinj", "PartialInjection.is_partial_identity"),
     ("poset", "DecompositionNode"), ("poset", "_preorder"), ("poset", "_same_forest"),
     ("poset", "_decompose"), ("decide", "_describe_tree"), ("serialize", "_node_to_doc"),
+    ("record", "set_field"), ("cli", "cmd_explain"),
 )
 # Facts each record reads off its fields instead of storing them.
 DERIVED = {
@@ -251,12 +260,50 @@ def test_the_result_records_hold_their_facts_and_no_forwarding_layer():
     its build steps alone, compared and hashed as the plain tuple they are."""
     assert Verdict._fields == ("connected", "analysis", "diagram", "trace")
     assert Collision._fields == ("obj", "x", "y")
-    assert list(inspect.signature(Collision).parameters) == ["obj", "x", "y"]
+    assert vars(Collision(obj=0, x="a", y="b")) == {"obj": 0, "x": "a", "y": "b"}
     assert CoconeResult._fields == ("cocone", "colimit")
     assert [name for name in vars(CoconeResult) if not name.startswith("_")] == []
     assert NonForestWitness._fields == ("x", "component", "upset_components")
     assert ForestCertificate._fields == ("steps",)
     assert {"__eq__", "__hash__"}.isdisjoint(vars(ForestCertificate))
+
+
+def record_constructors(src: Path) -> tuple[list[str], list[str]]:
+    """``module.Class`` of each class under src that derives, directly or
+    through another class of the package, from ``Record``, and of each of
+    those that defines its own ``__init__``."""
+    classes = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                init = any(isinstance(s, ast.FunctionDef) and s.name == "__init__"
+                           for s in node.body)
+                classes[node.name] = (f"{path.stem}.{node.name}", bases, init)
+
+    def derives(name: str) -> bool:
+        return any(b == "Record" or b in classes and derives(b) for b in classes[name][1])
+
+    records = [classes[name] for name in classes if derives(name)]
+    return [r[0] for r in records], [r[0] for r in records if r[2]]
+
+
+def test_every_record_is_built_by_the_record_constructor(tmp_path):
+    """No record class writes its own ``__init__``: ``Record`` builds each
+    from its ``_fields``.  The diagrams and the inverse category are records
+    too, with the records' equality."""
+    records, with_init = record_constructors(SRC)
+    assert {"diagram.CoconeFreeDiagram", "invcat.FinInverseCategory", "cli.RunConfig"} <= set(records)
+    assert with_init == []
+    for cls in (FinInjDiagram, CoconeFreeDiagram, FinInverseCategory):
+        assert {"__init__", "__eq__"}.isdisjoint(vars(cls)), cls
+    (tmp_path / "m.py").write_text(
+        "class A(Record):\n    pass\n"
+        "class B(A):\n    def __init__(self): pass\n"
+        "class C:\n    def __init__(self): pass\n",
+        encoding="utf-8",
+    )
+    assert record_constructors(tmp_path) == (["m.A", "m.B"], ["m.B"])
 
 
 def test_each_shape_lists_its_generators_once():

@@ -1,6 +1,7 @@
 """The record classes against their dataclass references (`conftest`): the
-same constructor, repr, equality and hashing, a TypeError from hashing a
-mutable record, and an AttributeError from assigning to a frozen one."""
+same constructor, repr, equality and hashing, a TypeError from a missing,
+extra, unknown or repeated field and from hashing a mutable record, and an
+AttributeError from assigning to a frozen one."""
 
 import os
 from itertools import combinations
@@ -13,6 +14,7 @@ from amalgam import corpus, serialize
 from amalgam.cli import parse_args
 from amalgam.decide import decide
 from amalgam.diagram import (
+    CoconeFreeDiagram,
     Collision,
     FinInjDiagram,
     ZigzagWord,
@@ -21,6 +23,7 @@ from amalgam.diagram import (
 )
 from amalgam.fincat import FinCategory, Morphism
 from amalgam.gen import random_diagram_over_poset
+from amalgam.invcat import validate_inverse
 from amalgam.poset import ForestCertificate, NonForestWitness
 from conftest import (
     REFERENCE_RECORDS,
@@ -37,7 +40,7 @@ FROZEN = {ZigzagWord, Collision, Morphism, ForestCertificate, NonForestWitness}
 
 def records_in(root) -> list:
     """Every record reachable from root through records' fields, tuples,
-    lists, diagrams' shapes and categories' morphisms."""
+    lists and categories' morphisms."""
     found, seen, stack = [], set(), [root]
     while stack:
         value = stack.pop()
@@ -49,8 +52,6 @@ def records_in(root) -> list:
             stack.extend(record_fields(value).values())
         elif type(value) in (tuple, list):
             stack.extend(value)
-        elif isinstance(value, FinInjDiagram):
-            stack.append(value.shape)
         elif isinstance(value, FinCategory):
             stack.extend(value.morphisms)
     return found
@@ -73,6 +74,8 @@ def shape_records(shape) -> list:
 
 
 def corpus_records() -> list:
+    """The records of the corpus's verdicts, oracle answers and inverse
+    categories, and of one parsed command line."""
     records = [parse_args(["check", "boat", "--out", "o.json", "--seed", "3"])]
     for name in corpus_names():
         path = corpus.resolve(name)
@@ -81,8 +84,28 @@ def corpus_records() -> list:
             answer = has_cocone(serialize.diagram_from_doc(doc, os.path.dirname(path)))
             records += records_in(answer)
         else:
-            records += shape_records(serialize.shape_from_doc(doc))
+            shape = serialize.shape_from_doc(doc)
+            records += shape_records(shape)
+            if "pinv" in doc:
+                records += records_in(validate_inverse(shape))
     return records
+
+
+def check_refusals(cls, reference, kwargs: dict) -> None:
+    """A field missing, one positional value too many, an unknown keyword
+    and a field given by position and by keyword are each a TypeError, of
+    the record's constructor as of its reference's."""
+    values = list(kwargs.values())
+    calls = (
+        (values[:-1], {}),
+        ([*values, None], {}),
+        (values, {"unknown": None}),
+        (values[:1], kwargs),
+    )
+    for build in (cls, reference):
+        for args, named in calls:
+            with pytest.raises(TypeError):
+                build(*args, **named)
 
 
 def check_record(record) -> None:
@@ -92,6 +115,7 @@ def check_record(record) -> None:
     kwargs = record_fields(record)
     rebuilt = cls(**kwargs)
     assert cls(*kwargs.values()) == rebuilt
+    check_refusals(cls, type(reference), kwargs)
     assert (record == rebuilt) is (reference == as_reference(rebuilt)) is True
     assert record.__eq__(reference) is NotImplemented and record != reference
     subclass = type(cls.__name__, (cls,), {})(**kwargs)
@@ -149,3 +173,16 @@ def test_poset_records_match_their_references(drawn):
     for record in records:
         check_record(record)
     check_pairs(records)
+
+
+def test_a_cocone_free_diagram_compares_its_collision():
+    """A witness equals only a witness of the same diagram and collision:
+    another collision, or the plain diagram of its fields, is not equal."""
+    witness = decide(serialize.load_shape(corpus.resolve("bowtie"))).diagram
+    fields = record_fields(witness)
+    col = witness.collision
+    assert CoconeFreeDiagram(*fields.values()) == witness
+    swapped = CoconeFreeDiagram(**{**fields, "collision": Collision(col.obj, col.y, col.x)})
+    assert swapped != witness
+    plain = FinInjDiagram(witness.shape, witness.carriers, witness.maps)
+    assert plain != witness and witness != plain

@@ -313,9 +313,15 @@ def test_cli_names_an_action_with_an_unhashable_image(tmp_path, capsys, command,
 
 
 def test_cli_explain(capsys):
+    """``explain`` is ``check`` with the text report: ``--format
+    structured`` does not turn it into the verdict document."""
     assert main(["explain", "nonforest6"]) == 1
-    out = capsys.readouterr().out
-    assert "report" in out
+    report = capsys.readouterr()
+    assert "report" in report.out
+    assert main(["explain", "--format", "structured", "nonforest6"]) == 1
+    assert capsys.readouterr() == report
+    assert main(["check", "--format", "structured", "nonforest6"]) == 1
+    assert capsys.readouterr().out != report.out
 
 
 def test_cli_unknown_path(capsys):
