@@ -36,7 +36,7 @@ from .fincat import (
     skeleton_poset,
     validate_category,
 )
-from .invcat import FinInverseCategory, validate_inverse
+from .invcat import validate_inverse
 from .poset import (
     FinPoset,
     ForestCertificate,

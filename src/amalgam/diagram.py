@@ -505,8 +505,7 @@ class ShapeAnalysis(Record):
     """
 
     _fields = (
-        "shape", "reflection", "projection",
-        "parallel_pair", "skeleton", "skeleton_map", "forest",
+        "reflection", "projection", "parallel_pair", "skeleton", "skeleton_map", "forest",
     )
 
     @property
@@ -528,18 +527,14 @@ def analyze_shape(shape: FinCategory | FinPoset) -> ShapeAnalysis:
     """
     if isinstance(shape, FinPoset):
         identity = tuple(range(len(shape)))
-        return ShapeAnalysis(
-            shape, shape, None, None, shape, identity, is_forest_like(shape)
-        )
+        return ShapeAnalysis(shape, None, None, shape, identity, is_forest_like(shape))
     reflection, projection = monic_reflection(shape)
     if not is_preorder(reflection):
         pair = next(iter(reflection.parallel_pairs()))
-        return ShapeAnalysis(shape, reflection, projection, pair, None, None, None)
+        return ShapeAnalysis(reflection, projection, pair, None, None, None)
     skeleton, skeleton_map = skeleton_poset(reflection)
     forest = is_forest_like(skeleton)
-    return ShapeAnalysis(
-        shape, reflection, projection, None, skeleton, skeleton_map, forest
-    )
+    return ShapeAnalysis(reflection, projection, None, skeleton, skeleton_map, forest)
 
 
 def witness_no_cocone(

@@ -8,7 +8,6 @@ validated by finding each pseudoinverse and checking it is unique.
 from __future__ import annotations
 
 from .fincat import CategoryError, FinCategory, clip
-from .record import Record
 
 
 class InverseCategoryError(CategoryError):
@@ -23,15 +22,9 @@ class NonUniquePseudoinverse(InverseCategoryError):
     pass
 
 
-class FinInverseCategory(Record):
-    """A validated finite category together with its pseudoinverse map, a
-    tuple of morphism indices."""
-
-    _fields = ("base", "pinv")
-
-
-def validate_inverse(cat: FinCategory) -> FinInverseCategory:
-    """Find the pseudoinverse of every morphism by exhaustive search.
+def validate_inverse(cat: FinCategory) -> tuple[int, ...]:
+    """Find the pseudoinverse of every morphism by exhaustive search: the
+    pseudoinverse map, a tuple of morphism indices.
 
     Raises NoPseudoinverse / NonUniquePseudoinverse naming the offender.
     """
@@ -51,4 +44,4 @@ def validate_inverse(cat: FinCategory) -> FinInverseCategory:
                 f"{clip(mf.name)} has several pseudoinverses: {names}"
             )
         pinv.append(candidates[0])
-    return FinInverseCategory(cat, tuple(pinv))
+    return tuple(pinv)

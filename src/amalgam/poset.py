@@ -377,24 +377,14 @@ class NonForestWitness(FrozenRecord):
 
 
 def _zigzag_path(poset: FinPoset, region: int, u: int, v: int) -> tuple[int, ...]:
-    """Shortest comparability path u..v inside region, compressed to alternate."""
+    """Shortest comparability path u..v inside region.  It alternates
+    direction: the search marks every comparable neighbour of a node when it
+    expands the node, so no path of its tree takes two steps one way."""
     parent = _bfs_parents(poset, region, u, v)
     path = [v]
     while path[-1] != u:
         path.append(parent[path[-1]])
-    path.reverse()
-    # merge consecutive steps in the same direction (transitivity)
-    up = poset.up_masks
-    out = [path[0]]
-    directions: list[bool] = []
-    for b in path[1:]:
-        direction = up[out[-1]] >> b & 1 == 1
-        if directions and directions[-1] == direction:
-            out[-1] = b
-        else:
-            out.append(b)
-            directions.append(direction)
-    return tuple(out)
+    return tuple(reversed(path))
 
 
 def witness_points(poset: FinPoset, w: NonForestWitness) -> tuple[int, int, tuple[int, ...], int]:

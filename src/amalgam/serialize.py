@@ -146,7 +146,7 @@ def category_from_doc(doc: dict) -> FinCategory:
         raise ParseError(f"category: {exc}") from exc
     if "pinv" not in doc:
         return cat
-    pinv, declared = validate_inverse(cat).pinv, doc["pinv"]
+    pinv, declared = validate_inverse(cat), doc["pinv"]
     if declared is not None:
         if not isinstance(declared, dict):
             raise ParseError("pinv: must be an object from morphism names to morphism names")

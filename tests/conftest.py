@@ -44,7 +44,6 @@ from amalgam.fincat import (
     _Closure,
     is_preorder,
 )
-from amalgam.invcat import FinInverseCategory
 from amalgam.poset import (
     FinPoset,
     ForestCertificate,
@@ -1269,7 +1268,6 @@ class ReferenceZigzagWord:
 @dataclass
 class ReferenceShapeAnalysis:
     __qualname__ = "ShapeAnalysis"
-    shape: object
     reflection: object
     projection: object
     parallel_pair: tuple[int, int] | None
@@ -1331,13 +1329,6 @@ class ReferenceCoconeFreeDiagram(ReferenceFinInjDiagram):
     collision: Collision
 
 
-@dataclass
-class ReferenceFinInverseCategory:
-    __qualname__ = "FinInverseCategory"
-    base: FinCategory
-    pinv: tuple[int, ...]
-
-
 REFERENCE_RECORDS = {
     RunConfig: ReferenceRunConfig,
     Verdict: ReferenceVerdict,
@@ -1352,7 +1343,6 @@ REFERENCE_RECORDS = {
     NonForestWitness: ReferenceNonForestWitness,
     FinInjDiagram: ReferenceFinInjDiagram,
     CoconeFreeDiagram: ReferenceCoconeFreeDiagram,
-    FinInverseCategory: ReferenceFinInverseCategory,
 }
 
 

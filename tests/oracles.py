@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
+from typing import NamedTuple
 
 import groups
 from amalgam import serialize
@@ -34,7 +35,7 @@ from amalgam.fincat import (
     clip,
     echo,
 )
-from amalgam.invcat import FinInverseCategory, InverseCategoryError
+from amalgam.invcat import InverseCategoryError, validate_inverse
 from amalgam.poset import FinPoset, _bfs_parents, _bits, _component_masks, _members
 from pinj import PartialInjection
 
@@ -309,6 +310,17 @@ def restricted(f: PartialInjection, keys) -> PartialInjection:
     return PartialInjection(f.source, f.target, {k: v for k, v in f.mapping.items() if k in keys})
 
 
+class InverseCategory(NamedTuple):
+    """A category with the pseudoinverse map that ``validate_inverse`` finds."""
+
+    base: FinCategory
+    pinv: tuple[int, ...]
+
+
+def inverse_category(cat: FinCategory) -> InverseCategory:
+    return InverseCategory(cat, validate_inverse(cat))
+
+
 def is_monic_morphism(cat: FinCategory, f: int) -> bool:
     """Whether f∘g = f∘h forces g = h.  Such g and h lie in hom_in[dom f]
     and are parallel, since f∘g has the domain of g."""
@@ -316,7 +328,7 @@ def is_monic_morphism(cat: FinCategory, f: int) -> bool:
     return len({cat.compose(f, g) for g in into}) == len(into)
 
 
-def check_inverse_laws(inv: FinInverseCategory) -> list[str]:
+def check_inverse_laws(inv: InverseCategory) -> list[str]:
     """Verify the structural laws; returns the list of violations (empty = pass).
 
     Checked: the pseudoinverse map is an involutive contravariant functor,
@@ -360,7 +372,7 @@ def check_inverse_laws(inv: FinInverseCategory) -> list[str]:
     return report
 
 
-def is_idempotent_category(inv: FinInverseCategory) -> bool:
+def is_idempotent_category(inv: InverseCategory) -> bool:
     """True when every endomorphism squares to itself."""
     cat = inv.base
     return all(
@@ -379,7 +391,7 @@ class PInjRepresentation:
     maps: tuple[PartialInjection, ...]
 
 
-def wagner_preston(inv: FinInverseCategory) -> PInjRepresentation:
+def wagner_preston(inv: InverseCategory) -> PInjRepresentation:
     """Represent each morphism as a partial injection on hom-set carriers.
 
     The carrier of X is the disjoint union over all Z of Hom(Z, X); f acts by
@@ -604,7 +616,7 @@ def label_diagram_from_doc(doc: dict, base_dir=None, shape=None) -> FinInjDiagra
 
 
 
-def inverse_to_doc(inv: FinInverseCategory) -> dict:
+def inverse_to_doc(inv: InverseCategory) -> dict:
     """An inverse category as a category document with its ``pinv`` map."""
     doc = serialize.category_to_doc(inv.base)
     doc["pinv"] = {

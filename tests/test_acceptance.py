@@ -11,7 +11,6 @@ from amalgam.diagram import (
     witness_no_cocone,
 )
 from amalgam.fincat import monic_reflection
-from amalgam.invcat import validate_inverse
 from amalgam.gen import random_diagram_over_poset, random_forest
 from amalgam.poset import ForestCertificate, is_forest_like
 import conftest
@@ -30,6 +29,7 @@ from conftest import (
 from oracles import (
     all_posets,
     components,
+    inverse_category,
     is_monic_morphism,
     is_partial_identity,
     is_total,
@@ -179,7 +179,7 @@ def test_criterion_7_partial_injection_representation():
         doc = serialize.load_document(corpus.resolve(name))
         if doc["type"] != "category" or "pinv" not in doc:
             continue
-        inv = validate_inverse(serialize.category_from_doc(doc))
+        inv = inverse_category(serialize.category_from_doc(doc))
         cat = inv.base
         assert len(cat.morphisms) <= 12
         rep = wagner_preston(inv)

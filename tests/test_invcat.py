@@ -7,6 +7,7 @@ from conftest import corpus_names, empty_map_monoid_cat, iso_pair_cat, z2_cat
 from oracles import (
     check_inverse_laws,
     domain,
+    inverse_category,
     is_idempotent_category,
     is_monic_morphism,
     is_partial_identity,
@@ -21,19 +22,19 @@ def corpus_inverse_categories():
     for name in corpus_names():
         doc = serialize.load_document(corpus.resolve(name))
         if doc["type"] == "category" and "pinv" in doc:
-            out.append((name, validate_inverse(serialize.category_from_doc(doc))))
+            out.append((name, inverse_category(serialize.category_from_doc(doc))))
     return out
 
 
 def test_group_pseudoinverse_is_group_inverse():
-    inv = validate_inverse(z2_cat())
+    inv = inverse_category(z2_cat())
     s = inv.base.mor_index["s"]
     assert inv.pinv[s] == s
     assert inv.pinv[0] == 0  # the identity
 
 
 def test_empty_map_monoid_is_inverse():
-    inv = validate_inverse(empty_map_monoid_cat())
+    inv = inverse_category(empty_map_monoid_cat())
     z = inv.base.mor_index["z"]
     assert inv.pinv[z] == z
     assert is_idempotent_category(inv)
@@ -67,13 +68,13 @@ def test_inverse_laws_pass_on_corpus():
 
 
 def test_idempotent_category_examples():
-    assert is_idempotent_category(validate_inverse(empty_map_monoid_cat()))
-    assert not is_idempotent_category(validate_inverse(z2_cat()))
-    assert is_idempotent_category(validate_inverse(iso_pair_cat()))
+    assert is_idempotent_category(inverse_category(empty_map_monoid_cat()))
+    assert not is_idempotent_category(inverse_category(z2_cat()))
+    assert is_idempotent_category(inverse_category(iso_pair_cat()))
 
 
 def test_wagner_preston_z2_swaps():
-    inv = validate_inverse(z2_cat())
+    inv = inverse_category(z2_cat())
     rep = wagner_preston(inv)
     carrier = rep.carriers[0]
     assert len(carrier) == 2
@@ -86,14 +87,14 @@ def test_wagner_preston_z2_swaps():
 
 
 def test_wagner_preston_identity_total():
-    inv = validate_inverse(z2_cat())
+    inv = inverse_category(z2_cat())
     rep = wagner_preston(inv)
     ident = rep.maps[0]  # the identity
     assert is_partial_identity(ident) and is_total(ident)
 
 
 def test_wagner_preston_empty_map_domain():
-    inv = validate_inverse(empty_map_monoid_cat())
+    inv = inverse_category(empty_map_monoid_cat())
     rep = wagner_preston(inv)
     z = inv.base.mor_index["z"]
     action = rep.maps[z]
@@ -120,7 +121,7 @@ def test_wagner_preston_functorial_faithful_monic_on_corpus():
 
 def test_partial_injection_monoid_details():
     doc = serialize.load_document(corpus.resolve("inverse_pinj2"))
-    inv = validate_inverse(serialize.category_from_doc(doc))
+    inv = inverse_category(serialize.category_from_doc(doc))
     cat = inv.base
     assert len(cat.morphisms) == 7
     up, dn = cat.mor_index["up"], cat.mor_index["dn"]

@@ -24,7 +24,7 @@ from amalgam.diagram import (
     ShapeAnalysis,
 )
 from amalgam.fincat import FinCategory, category
-from amalgam.invcat import FinInverseCategory
+from amalgam.invcat import validate_inverse
 from amalgam.poset import FinPoset, ForestCertificate, NonForestWitness
 
 TESTS = Path(__file__).resolve().parent
@@ -34,6 +34,7 @@ EXPORTS_MOVED = (
     "wagner_preston", "components", "simply_connected_bounded", "FunctorMap",
     "PartialInjection", "congruence_close", "connected_components",
     "CertificateEvidence", "RefutationEvidence", "Congruence", "DecompositionNode",
+    "FinInverseCategory",
 )
 # (module, attribute path) of every definition that left the package
 MOVED = (
@@ -71,7 +72,7 @@ MOVED = (
     ("pinj", "PartialInjection.is_total"), ("pinj", "PartialInjection.is_partial_identity"),
     ("poset", "DecompositionNode"), ("poset", "_preorder"), ("poset", "_same_forest"),
     ("poset", "_decompose"), ("decide", "_describe_tree"), ("serialize", "_node_to_doc"),
-    ("record", "set_field"), ("cli", "cmd_explain"),
+    ("record", "set_field"), ("cli", "cmd_explain"), ("invcat", "FinInverseCategory"),
 )
 # Facts each record reads off its fields instead of storing them.
 DERIVED = {
@@ -254,11 +255,15 @@ def test_each_shape_has_one_constructor():
 
 
 def test_the_result_records_hold_their_facts_and_no_forwarding_layer():
-    """A verdict holds its analysis and its cocone-free diagram, a collision
-    its two elements and no zigzag, an oracle answer its cocone and colimit,
-    a non-forest witness what the decomposition found, and a certificate
-    its build steps alone, compared and hashed as the plain tuple they are."""
+    """A verdict holds its analysis and its cocone-free diagram, an analysis
+    what it learnt and not the shape its caller holds, a collision its two
+    elements and no zigzag, an oracle answer its cocone and colimit, a
+    non-forest witness what the decomposition found, and a certificate its
+    build steps alone, compared and hashed as the plain tuple they are."""
     assert Verdict._fields == ("connected", "analysis", "diagram", "trace")
+    assert ShapeAnalysis._fields == (
+        "reflection", "projection", "parallel_pair", "skeleton", "skeleton_map", "forest",
+    )
     assert Collision._fields == ("obj", "x", "y")
     assert vars(Collision(obj=0, x="a", y="b")) == {"obj": 0, "x": "a", "y": "b"}
     assert CoconeResult._fields == ("cocone", "colimit")
@@ -290,12 +295,12 @@ def record_constructors(src: Path) -> tuple[list[str], list[str]]:
 
 def test_every_record_is_built_by_the_record_constructor(tmp_path):
     """No record class writes its own ``__init__``: ``Record`` builds each
-    from its ``_fields``.  The diagrams and the inverse category are records
-    too, with the records' equality."""
+    from its ``_fields``.  The diagrams are records too, with the records'
+    equality."""
     records, with_init = record_constructors(SRC)
-    assert {"diagram.CoconeFreeDiagram", "invcat.FinInverseCategory", "cli.RunConfig"} <= set(records)
+    assert {"diagram.CoconeFreeDiagram", "cli.RunConfig"} <= set(records)
     assert with_init == []
-    for cls in (FinInjDiagram, CoconeFreeDiagram, FinInverseCategory):
+    for cls in (FinInjDiagram, CoconeFreeDiagram):
         assert {"__init__", "__eq__"}.isdisjoint(vars(cls)), cls
     (tmp_path / "m.py").write_text(
         "class A(Record):\n    pass\n"
@@ -304,6 +309,13 @@ def test_every_record_is_built_by_the_record_constructor(tmp_path):
         encoding="utf-8",
     )
     assert record_constructors(tmp_path) == (["m.A", "m.B"], ["m.B"])
+
+
+def test_the_pseudoinverse_map_is_a_plain_tuple():
+    """``validate_inverse`` hands back the map alone: its caller holds the
+    category."""
+    z2 = category(["X"], [("s", "X", "X")], [("s", "s", "id_X")])
+    assert type(validate_inverse(z2)) is tuple and validate_inverse(z2) == (0, 1)
 
 
 def test_each_shape_lists_its_generators_once():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgam.fincat import PresentationError
+from amalgam.gen import random_poset
 from amalgam.poset import (
     FinPoset,
     ForestCertificate,
@@ -132,19 +133,48 @@ def test_certificate_replay_reconstructs():
             assert pairs == p.relation_pairs()
 
 
+def check_zigzag(p: FinPoset, w: NonForestWitness) -> None:
+    """The zigzag of a witness runs from u to v inside its component, each
+    step between comparable elements and the other way from the step
+    before, and u and v lie in distinct pieces of the up-set."""
+    u, v, z, _ = witness_points(p, w)
+    assert z[0] == u and z[-1] == v
+    assert set(z) <= members(w.component)
+    assert all(p.neighbour_masks[a] >> b & 1 for a, b in zip(z, z[1:]))
+    dirs = [p.up_masks[a] >> b & 1 for a, b in zip(z, z[1:])]
+    assert all(x != y for x, y in zip(dirs, dirs[1:])), p
+    assert not any({u, v} <= members(part) for part in w.upset_components)
+
+
 def test_witness_zigzag_stays_in_component_and_alternates():
+    """On the bowtie, the crown and every refuted poset of at most six
+    elements, the search path is the zigzag as found."""
     for p in (bowtie_poset(), crown_poset()):
         w = is_forest_like(p)
         assert isinstance(w, NonForestWitness)
-        u, v, z, _ = witness_points(p, w)
-        assert z[0] == u and z[-1] == v
-        assert set(z) <= members(w.component)
-        dirs = [p.up_masks[a] >> b & 1 for a, b in zip(z, z[1:])]
-        assert all(x != y for x, y in zip(dirs, dirs[1:]))
-        # endpoints in distinct pieces of the up-set
-        assert not any(
-            {u, v} <= members(part) for part in w.upset_components
-        )
+        check_zigzag(p, w)
+    refuted = 0
+    for posets in all_posets(6).values():
+        for p in posets:
+            w = is_forest_like(p)
+            if isinstance(w, NonForestWitness):
+                check_zigzag(p, w)
+                refuted += 1
+    assert refuted > 0
+
+
+def test_witness_zigzag_alternates_on_random_posets():
+    """On seeded random posets of 6 to 14 elements, a third of them refuted.
+    (The ``dags`` strategy draws almost no refuted poset.)"""
+    rng = random.Random(0)
+    refuted = 0
+    for _ in range(300):
+        p = random_poset(rng.randint(6, 14), rng, density=rng.uniform(0.2, 0.6))
+        w = is_forest_like(p)
+        if isinstance(w, NonForestWitness):
+            check_zigzag(p, w)
+            refuted += 1
+    assert refuted >= 100
 
 
 def test_brute_force_examples():
@@ -474,6 +504,9 @@ def test_forged_witnesses_are_rejected():
     span = span_poset()
     p, a, b = (span.elements.index(x) for x in "pab")
     assert not verify_witness(span, NonForestWitness(p, mask({a, b}), (mask({a}), mask({b}))))
+    # the component {a} below p meets the up-set {a, b} of p in one piece
+    # alone, and spans the upward-closed region {p, a, b}
+    assert not verify_witness(span, NonForestWitness(p, mask({a}), (mask({a}),)))
     # x < a, b and e < a, b, f: the component {a, b, e} below x is
     # connected and splits into {a} and {b}, but the region {x, a, b, e}
     # misses f above e

@@ -23,7 +23,6 @@ from amalgam.diagram import (
 )
 from amalgam.fincat import FinCategory, Morphism
 from amalgam.gen import random_diagram_over_poset
-from amalgam.invcat import validate_inverse
 from amalgam.poset import ForestCertificate, NonForestWitness
 from conftest import (
     REFERENCE_RECORDS,
@@ -74,8 +73,8 @@ def shape_records(shape) -> list:
 
 
 def corpus_records() -> list:
-    """The records of the corpus's verdicts, oracle answers and inverse
-    categories, and of one parsed command line."""
+    """The records of the corpus's verdicts and oracle answers, and of one
+    parsed command line."""
     records = [parse_args(["check", "boat", "--out", "o.json", "--seed", "3"])]
     for name in corpus_names():
         path = corpus.resolve(name)
@@ -84,10 +83,7 @@ def corpus_records() -> list:
             answer = has_cocone(serialize.diagram_from_doc(doc, os.path.dirname(path)))
             records += records_in(answer)
         else:
-            shape = serialize.shape_from_doc(doc)
-            records += shape_records(shape)
-            if "pinv" in doc:
-                records += records_in(validate_inverse(shape))
+            records += shape_records(serialize.shape_from_doc(doc))
     return records
 
 

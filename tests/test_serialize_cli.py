@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -14,14 +15,13 @@ from amalgam.cli import main
 from amalgam.decide import decide, explain
 from amalgam.diagram import Cocone, validate_cocone
 from amalgam.fincat import PresentationError, category
-from amalgam.invcat import validate_inverse
 from amalgam.poset import FinPoset, is_forest_like
 from amalgam.serialize import ParseError
 from conftest import (
     category_from_poset, chain, cocone_from_labels, corpus_names, recursive_forest_like,
     total_elements,
 )
-from oracles import all_posets, inverse_to_doc, load_diagram
+from oracles import all_posets, inverse_category, inverse_to_doc, load_diagram
 
 # corpus shapes that `check` accepts, posets and inverse categories alike
 AMALGAMABLE = (
@@ -41,8 +41,8 @@ def test_corpus_round_trips():
         doc = serialize.load_document(corpus.resolve(name))
         kind = doc["type"]
         if kind == "category" and "pinv" in doc:
-            obj = validate_inverse(serialize.category_from_doc(doc))
-            assert validate_inverse(serialize.category_from_doc(inverse_to_doc(obj))) == obj
+            obj = inverse_category(serialize.category_from_doc(doc))
+            assert inverse_category(serialize.category_from_doc(inverse_to_doc(obj))) == obj
         elif kind == "category":
             obj = serialize.category_from_doc(doc)
             assert serialize.category_from_doc(serialize.category_to_doc(obj)) == obj
@@ -449,6 +449,38 @@ def test_out_is_encoded_in_the_locale_encoding_strictly(tmp_path, monkeypatch, c
     assert main(["check", str(path), "--out", str(out)]) == 2
     assert "'ascii' codec can't encode character '\\xe9'" in capsys.readouterr().err
     assert out.read_bytes() == text.encode(locale.getpreferredencoding(False))
+
+
+def test_out_is_encoded_in_the_locale_encoding_outside_utf8_mode(tmp_path):
+    """Outside Python's UTF-8 mode the encoding is read off the locale: it
+    agrees with ``locale``, and in the C locale an ``explain`` that does not
+    encode in ASCII exits 2 and creates no ``--out`` file, while a
+    structured verdict, whose JSON escapes every non-ASCII character, is
+    written."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import locale; from amalgam import cli; "
+             "print(cli._locale_encoding() == locale.getpreferredencoding(False))")
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", probe],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "True\n"
+    (tmp_path / "poset.json").write_text(
+        json.dumps({"type": "poset", "elements": ["é", "b"], "covers": [["é", "b"]]})
+    )
+    c_locale = dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+
+    def amalgam(*argv):
+        return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "amalgam.cli", *argv],
+                              cwd=tmp_path, env=c_locale, capture_output=True, text=True)
+
+    done = amalgam("explain", "poset.json", "--out", "explained.txt")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+    assert not (tmp_path / "explained.txt").exists()
+    done = amalgam("check", "--format", "structured", "poset.json", "--out", "verdict.json")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    data = (tmp_path / "verdict.json").read_bytes()
+    assert data.isascii() and b'"point":"\\u00e9"' in data
 
 
 SURROGATE = '{"type":"poset","elements":["a","\\ud800"],"covers":[["a","\\ud800"]]}'
@@ -892,8 +924,11 @@ _LONG = list(range(100_000))
           "compose": [[_LONG, "f", "f"]]},
          "category: compose entries must be triples of morphism names: "
          "[[0, 1, 2, 3, 4, 5, 6, 7, ...], 'f', 'f']"),
+        ({"type": "category", "objects": ["X"], "compose": [{"k": {"k": {"k": {"k": 1}}}}]},
+         "category: compose entries must be [g, f, result] triples: {'k': {'k': {'k': {...}}}}"),
     ],
-    ids=["cover-nested-500-deep", "morphism-holding-a-long-list", "triple-holding-a-long-list"],
+    ids=["cover-nested-500-deep", "morphism-holding-a-long-list", "triple-holding-a-long-list",
+         "compose-object-nested-4-deep"],
 )
 def test_a_fault_quotes_a_large_entry_cut_short(tmp_path, capsys, doc, message):
     """A malformed entry nested deep or holding a long list is quoted in a
