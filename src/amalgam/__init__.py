@@ -28,7 +28,6 @@ from .diagram import (
 )
 from .fincat import (
     FinCategory,
-    Morphism,
     category,
     is_preorder,
     monic_reflection,

@@ -22,7 +22,7 @@ from .diagram import (
     witness_no_cocone,
 )
 from .fincat import CategoryError
-from .poset import FinPoset, ForestCertificate, PosetError, clip, is_forest_like
+from .poset import ForestCertificate, PosetError, clip, is_forest_like
 from .record import Record
 from .serialize import ParseError
 
@@ -69,12 +69,11 @@ def _load_shape(ref: str):
     return serialize.load_shape(corpus.resolve(ref))
 
 
-def _with_named_arrows(shape):
+def _with_arrow_names(shape):
     """The shape, once its morphism names are known to be distinct: a poset
     names its arrows on first use, and two arrows of one name are an input
     error wherever arrows are named."""
-    if isinstance(shape, FinPoset):
-        shape.arrow_names
+    shape.mor_index
     return shape
 
 
@@ -90,7 +89,7 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_witness(config: RunConfig) -> int:
-    shape = _with_named_arrows(_load_shape(config.inputs[0]))
+    shape = _with_arrow_names(_load_shape(config.inputs[0]))
     try:
         diagram = witness_no_cocone(shape)
     except NotApplicable as exc:
@@ -166,7 +165,7 @@ def cmd_validate(config: RunConfig) -> int:
     doc = serialize.load_document(path)
     kind = doc["type"]
     if kind in ("category", "poset"):
-        _with_named_arrows(serialize.shape_from_doc(doc))
+        _with_arrow_names(serialize.shape_from_doc(doc))
     elif kind == "diagram":
         serialize.diagram_from_doc(doc, base_dir=os.path.dirname(path))
     else:

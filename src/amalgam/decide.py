@@ -83,8 +83,8 @@ def decide(shape: FinCategory | FinPoset) -> Verdict:
         f, g = analysis.parallel_pair
         trace.append(
             "reflection is not a preorder: parallel pair "
-            f"{analysis.reflection.morphisms[f].name}, "
-            f"{analysis.reflection.morphisms[g].name}"
+            f"{analysis.reflection.arrow_names[f]}, "
+            f"{analysis.reflection.arrow_names[g]}"
         )
 
     if analysis.usc:
@@ -130,7 +130,7 @@ def explain(verdict: Verdict) -> str:
             refl = analysis.reflection
             lines.append(
                 "The monic reflection keeps the distinct parallel morphisms "
-                f"{refl.morphisms[f].name} and {refl.morphisms[g].name}; the "
+                f"{refl.arrow_names[f]} and {refl.arrow_names[g]}; the "
                 "attached diagram glues them in its colimit."
             )
         else:

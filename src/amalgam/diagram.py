@@ -98,30 +98,30 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
             raise CarrierMismatch(
                 f"carrier of {clip(shape.objects[i])} has duplicate labels"
             )
-    maps = []
-    for i, (m, act) in enumerate(zip(shape.morphisms, actions)):
-        n = len(carriers[m.dom])
+    maps, names = [], shape.arrow_names
+    for i, ((dom, cod), act) in enumerate(zip(shape.morphisms, actions)):
+        n = len(carriers[dom])
         if act is None and shape.is_identity(i):
             maps.append(tuple(range(n)))
             continue
         if act is None or len(act) != n:
             raise CarrierMismatch(
-                f"action of {clip(m.name)} is not defined on exactly its carrier"
+                f"action of {clip(names[i])} is not defined on exactly its carrier"
             )
-        source, target, row = index[m.dom], index[m.cod], [-1] * n
+        source, target, row = index[dom], index[cod], [-1] * n
         pairs = act.items() if isinstance(act, Mapping) else act
         try:
             for x, y in pairs:
                 row[source[x]] = target[y]
         except (KeyError, TypeError, ValueError):
-            _raise_row_fault(m, dict(pairs), carriers[m.dom], target)
+            _raise_row_fault(names[i], dict(pairs), carriers[dom], target)
         images = set(row)
         if -1 in images:  # a source listed twice, another missed
             raise CarrierMismatch(
-                f"action of {clip(m.name)} is not defined on exactly its carrier"
+                f"action of {clip(names[i])} is not defined on exactly its carrier"
             )
         if len(images) != n:
-            raise NotInjective(f"action of {clip(m.name)} is not injective")
+            raise NotInjective(f"action of {clip(names[i])} is not injective")
         maps.append(tuple(row))
     given = [x for x in range(len(shape.objects)) if actions[x] is not None]
     _check_laws(shape, carriers, maps, given)
@@ -132,8 +132,8 @@ def _check_rows(shape: FinCategory, carriers, maps) -> None:
     """The checks of ``validate_diagram`` on rows built from their carriers:
     each row stays in the target and is injective, every identity acts as
     the identity, and the rows are functorial."""
-    for i, (m, row) in enumerate(zip(shape.morphisms, maps)):
-        _check_row(shape, i, row, len(carriers[m.cod]))
+    for i, ((_, cod), row) in enumerate(zip(shape.morphisms, maps)):
+        _check_row(shape, i, row, len(carriers[cod]))
     _check_laws(shape, carriers, maps, range(len(shape.objects)))
 
 
@@ -143,10 +143,10 @@ def _check_row(shape, i: int, row, target: int) -> None:
     named only in a fault."""
     if row and not (0 <= min(row) and max(row) < target):
         raise CarrierMismatch(
-            f"action of {clip(shape.morphisms[i].name)} leaves the target carrier"
+            f"action of {clip(shape.arrow_names[i])} leaves the target carrier"
         )
     if len(set(row)) != len(row):
-        raise NotInjective(f"action of {clip(shape.morphisms[i].name)} is not injective")
+        raise NotInjective(f"action of {clip(shape.arrow_names[i])} is not injective")
 
 
 def _check_laws(shape, carriers, maps, given) -> None:
@@ -167,7 +167,7 @@ def _check_laws(shape, carriers, maps, given) -> None:
                 _raise_first_functoriality_fault(shape, carriers, maps)
 
 
-def _raise_row_fault(m, act, source, target_index) -> None:
+def _raise_row_fault(name, act, source, target_index) -> None:
     """Raise the reason an action of its carrier's size has no row: a source
     label it misses comes first, then an image outside the target.  An image
     that cannot be hashed, such as a list, is no label of the target."""
@@ -180,22 +180,23 @@ def _raise_row_fault(m, act, source, target_index) -> None:
 
     if not all(map(act.__contains__, source)):
         raise CarrierMismatch(
-            f"action of {clip(m.name)} is not defined on exactly its carrier"
+            f"action of {clip(name)} is not defined on exactly its carrier"
         )
     if not all(map(in_target, map(act.__getitem__, source))):
-        raise CarrierMismatch(f"action of {clip(m.name)} leaves the target carrier")
+        raise CarrierMismatch(f"action of {clip(name)} leaves the target carrier")
 
 
 def _raise_first_functoriality_fault(shape, carriers, maps) -> None:
     """Scan every composable pair of non-identities in scan order, f by
     index, then g out of cod f, and name the first that does not commute."""
+    names = shape.arrow_names
     for g, f, r in shape.composites():
         af, ag, ar = maps[f], maps[g], maps[r]
         if tuple(map(ag.__getitem__, af)) != ar:
             p = next(p for p, q in enumerate(af) if ag[q] != ar[p])
             raise FunctorialityViolation(
-                f"({clip(shape.morphisms[g].name)}, {clip(shape.morphisms[f].name)}) "
-                f"does not commute at element {clip(carriers[shape.morphisms[f].dom][p])}"
+                f"({clip(names[g])}, {clip(names[f])}) "
+                f"does not commute at element {clip(carriers[shape.morphisms[f][0]][p])}"
             )
 
 
@@ -326,8 +327,7 @@ def collision_zigzag(
     # each arrow at o whose action is not empty; kind 0 leaves o, kind 1
     # enters it, kind 2 does both.
     at: list[list[tuple]] = [[] for _ in shape.objects]
-    for i, (m, row) in enumerate(zip(shape.morphisms, maps)):
-        dom, cod = m.dom, m.cod
+    for i, ((dom, cod), row) in enumerate(zip(shape.morphisms, maps)):
         if row and not shape.is_identity(i):
             if dom == cod:
                 at[dom].append((i, dom, row, offsets[dom], 2))
@@ -411,14 +411,14 @@ def validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
 
     if all(starmap(commutes, shape.generator_ends)):
         return
-    for i, m in enumerate(shape.morphisms):
-        if shape.is_identity(i) or commutes(i, m.dom, m.cod):
+    for i, (dom, cod) in enumerate(shape.morphisms):
+        if shape.is_identity(i) or commutes(i, dom, cod):
             continue
-        row, source, target = diagram.maps[i], tuple(legs[m.dom]), legs[m.cod]
+        row, source, target = diagram.maps[i], tuple(legs[dom]), legs[cod]
         p = next(p for p, q in enumerate(row) if target[q] != source[p])
         raise FunctorialityViolation(
-            f"leg does not commute with {clip(m.name)} at element "
-            f"{clip(diagram.carriers[m.dom][p])}"
+            f"leg does not commute with {clip(shape.arrow_names[i])} at element "
+            f"{clip(diagram.carriers[dom][p])}"
         )
 
 
@@ -453,21 +453,21 @@ class ZigzagWord(FrozenRecord):
     _fields = ("source", "steps")
 
     def target(self, shape: FinCategory) -> int:
-        at = self.source
+        at, names = self.source, shape.arrow_names
         for mor, forward in self.steps:
-            m = shape.morphisms[mor]
+            dom, cod = shape.morphisms[mor]
             if forward:
-                if m.dom != at:
+                if dom != at:
                     raise IllFormedWord(
-                        f"step {clip(m.name)} does not start at {clip(shape.objects[at])}"
+                        f"step {clip(names[mor])} does not start at {clip(shape.objects[at])}"
                     )
-                at = m.cod
+                at = cod
             else:
-                if m.cod != at:
+                if cod != at:
                     raise IllFormedWord(
-                        f"reversed step {clip(m.name)} does not start at {clip(shape.objects[at])}"
+                        f"reversed step {clip(names[mor])} does not start at {clip(shape.objects[at])}"
                     )
-                at = m.dom
+                at = dom
         return at
 
 
@@ -574,19 +574,18 @@ def _parallel_pair_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinIn
     The action of f: x -> y sends g to F(f)∘g, read off the row of
     composites after g at the place of F(f) in hom_out[x]."""
     refl, mor_map = analysis.reflection, analysis.projection
-    a = refl.morphisms[analysis.parallel_pair[0]].dom
+    a = refl.morphisms[analysis.parallel_pair[0]][0]
     homs = [refl.hom(a, x) for x in range(len(refl.objects))]
     place = [0] * len(refl.morphisms)  # each arrow out of A's place in its hom-set
     for h in homs:
         for k, g in enumerate(h):
             place[g] = k
-    names = [m.name for m in refl.morphisms]
-    carriers = [tuple(map(names.__getitem__, h)) for h in homs]
+    carriers = [tuple(map(refl.arrow_names.__getitem__, h)) for h in homs]
     post, at = refl.post, place.__getitem__
     maps = []
-    for i, m in enumerate(shape.morphisms):
+    for i, (dom, _) in enumerate(shape.morphisms):
         after = itemgetter(refl.place[mor_map[i]])
-        maps.append(tuple(map(at, map(after, map(post.__getitem__, homs[m.dom])))))
+        maps.append(tuple(map(at, map(after, map(post.__getitem__, homs[dom])))))
     _check_rows(shape, carriers, maps)
     return FinInjDiagram(shape, tuple(carriers), tuple(maps))
 
@@ -647,15 +646,15 @@ def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
 
 def _pull_back(diagram: FinInjDiagram, shape, smap: tuple[int, ...]) -> FinInjDiagram:
     """The diagram over a skeleton precomposed with the functor from the
-    shape to it: object o carries the carrier of ``smap[o]``, and morphism m
-    acts as the arrow ``smap[m.dom] -> smap[m.cod]``.  A poset, its own
+    shape to it: object o carries the carrier of ``smap[o]``, and a morphism
+    dom -> cod acts as the arrow ``smap[dom] -> smap[cod]``.  A poset, its own
     skeleton, carries the diagram itself and names its arrows, as wherever
     arrows are named; a category's skeleton names them only in a fault."""
     if diagram.shape is shape:
         shape.arrow_names
         return diagram
     rows, arrow = diagram.maps, diagram.shape.arrow
-    maps = tuple(rows[arrow(smap[m.dom], smap[m.cod])] for m in shape.morphisms)
+    maps = tuple(rows[arrow(smap[dom], smap[cod])] for dom, cod in shape.morphisms)
     carriers = tuple(map(diagram.carriers.__getitem__, smap))
     _check_rows(shape, carriers, maps)
     return FinInjDiagram(shape, carriers, maps)

@@ -1,10 +1,11 @@
 """Finite categories presented by a full composition table.
 
 Objects and morphisms are indexed; identities occupy the first object-many
-morphism slots.  All category axioms are checked at construction time, so
-every FinCategory in circulation is valid.  Associativity is checked through
-a generating set of arrows (Light's test), with the exhaustive scan kept to
-name the first fault of a table that fails it.
+morphism slots, and morphism i is the pair ``morphisms[i]`` of its ends
+named ``arrow_names[i]``.  All category axioms are checked at construction
+time, so every FinCategory in circulation is valid.  Associativity is
+checked through a generating set of arrows (Light's test), with the
+exhaustive scan kept to name the first fault of a table that fails it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from itertools import islice
 from operator import itemgetter
 
 from .poset import FinPoset, clip, lone_surrogate
-from .record import FrozenRecord
 
 
 class CategoryError(Exception):
@@ -45,13 +45,11 @@ class NotAPreorder(CategoryError):
     pass
 
 
-class Morphism(FrozenRecord):
-    _fields = ("name", "dom", "cod")
-
-
 class FinCategory:
     """Validated finite category: objects, morphisms, identities, composition table.
 
+    ``arrows`` presents the morphisms as (name, dom, cod) triples, kept as
+    two tuples: ``morphisms`` of (dom, cod) pairs and ``arrow_names``.
     Indexed once, after the endpoint check: ``hom_out[x]`` and ``hom_in[x]``
     list the morphisms out of and into object x, and ``hom_sets`` maps each
     non-empty (dom, cod) to its morphisms, all in ascending index order.
@@ -68,21 +66,22 @@ class FinCategory:
     diagram's non-commuting pair in scan order, that of ``composites``.
     """
 
-    def __init__(self, objects, morphisms, table):
+    def __init__(self, objects, arrows, table):
         self.objects = tuple(objects)
-        self.morphisms = tuple(morphisms)
+        self.arrow_names = tuple(name for name, _, _ in arrows)
+        self.morphisms = tuple((dom, cod) for _, dom, cod in arrows)
         self.obj_index = {name: i for i, name in enumerate(self.objects)}
-        self.mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
+        self.mor_index = {name: i for i, name in enumerate(self.arrow_names)}
         _check_presentation(self)
         self.hom_out: list[list[int]] = [[] for _ in self.objects]
         self.hom_in: list[list[int]] = [[] for _ in self.objects]
         self.hom_sets: dict[tuple[int, int], list[int]] = {}
         self.place = [0] * len(self.morphisms)
-        for i, m in enumerate(self.morphisms):
-            self.place[i] = len(self.hom_out[m.dom])
-            self.hom_out[m.dom].append(i)
-            self.hom_in[m.cod].append(i)
-            self.hom_sets.setdefault((m.dom, m.cod), []).append(i)
+        for i, (dom, cod) in enumerate(self.morphisms):
+            self.place[i] = len(self.hom_out[dom])
+            self.hom_out[dom].append(i)
+            self.hom_in[cod].append(i)
+            self.hom_sets.setdefault((dom, cod), []).append(i)
         _check_axioms(self, table)
 
     def compose(self, g: int, f: int) -> int:
@@ -96,8 +95,8 @@ class FinCategory:
     def pre(self) -> list[list[int]]:
         post, hom_in = self.post, self.hom_in
         return [
-            list(map(itemgetter(k), map(post.__getitem__, hom_in[m.dom])))
-            for k, m in zip(self.place, self.morphisms)
+            list(map(itemgetter(k), map(post.__getitem__, hom_in[dom])))
+            for k, (dom, _) in zip(self.place, self.morphisms)
         ]
 
     @cached_property
@@ -116,31 +115,31 @@ class FinCategory:
         """(g, f, g∘f) for every composable pair of non-identities, in scan
         order: f by index, then g in ``hom_out[cod f]``."""
         n_obj, hom_out = len(self.objects), self.hom_out
-        for f in range(n_obj, len(self.morphisms)):
-            for g, r in zip(hom_out[self.morphisms[f].cod], self.post[f]):
+        for f, (_, cod) in enumerate(self.morphisms[n_obj:], n_obj):
+            for g, r in zip(hom_out[cod], self.post[f]):
                 if g >= n_obj:
                     yield g, f, r
 
     def parallel_pairs(self):
         """All index pairs (f, g) with f < g, equal dom and equal cod,
         by ascending g, then ascending f."""
-        for g, mg in enumerate(self.morphisms):
-            for f in self.hom_sets[(mg.dom, mg.cod)]:
+        for g, ends in enumerate(self.morphisms):
+            for f in self.hom_sets[ends]:
                 if f == g:
                     break
                 yield f, g
 
     def __eq__(self, other):
-        if isinstance(other, FinPoset):
-            # A category with a poset's arrows has one choice for each
-            # composite, so its rows agree with the poset's order.
-            return self.objects == other.objects and self.morphisms == other.morphisms
-        if not isinstance(other, FinCategory):
+        poset = isinstance(other, FinPoset)
+        if not (poset or isinstance(other, FinCategory)):
             return NotImplemented
+        # A category with a poset's arrows has one choice for each
+        # composite, so its rows agree with the poset's order.
         return (
             self.objects == other.objects
             and self.morphisms == other.morphisms
-            and self.post == other.post
+            and self.arrow_names == other.arrow_names
+            and (poset or self.post == other.post)
         )
 
     def __repr__(self):
@@ -158,9 +157,9 @@ def _check_presentation(cat: FinCategory) -> None:
         raise PresentationError("morphism names must be distinct")
     if len(cat.morphisms) < n_obj:
         raise PresentationError("one identity per object required")
-    for m in cat.morphisms:
-        if not (0 <= m.dom < n_obj and 0 <= m.cod < n_obj):
-            raise PresentationError(f"morphism {clip(m.name)} references unknown objects")
+    for name, (dom, cod) in zip(cat.arrow_names, cat.morphisms):
+        if not (0 <= dom < n_obj and 0 <= cod < n_obj):
+            raise PresentationError(f"morphism {clip(name)} references unknown objects")
 
 
 def _check_axioms(cat: FinCategory, table) -> None:
@@ -172,46 +171,47 @@ def _check_axioms(cat: FinCategory, table) -> None:
     Light's test over the generators; only a table that fails it is scanned
     over all its composable triples, in scan order, to name its first fault.
     """
-    n_mor, morphisms, hom_out, place = len(cat.morphisms), cat.morphisms, cat.hom_out, cat.place
-    for x, m in enumerate(morphisms[:len(cat.objects)]):
-        if m.dom != x or m.cod != x:
+    morphisms, names, objects = cat.morphisms, cat.arrow_names, cat.objects
+    n_mor, hom_out, place = len(morphisms), cat.hom_out, cat.place
+    for x, (dom, cod) in enumerate(morphisms[:len(objects)]):
+        if dom != x or cod != x:
             raise IdentityViolation(
-                f"identity of {clip(cat.objects[x])} has endpoints "
-                f"{clip(cat.objects[m.dom])} -> {clip(cat.objects[m.cod])}"
+                f"identity of {clip(objects[x])} has endpoints "
+                f"{clip(objects[dom])} -> {clip(objects[cod])}"
             )
-    rows = [[None] * len(hom_out[m.cod]) for m in morphisms]
+    rows = [[None] * len(hom_out[cod]) for _, cod in morphisms]
     for (g, f), r in table.items():
         if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= r < n_mor):
             raise PresentationError(f"composition entry ({g}, {f}) out of range")
-        mg, mf, mr = morphisms[g], morphisms[f], morphisms[r]
-        if mf.cod != mg.dom:
+        (g_dom, g_cod), (f_dom, f_cod) = morphisms[g], morphisms[f]
+        if f_cod != g_dom:
             raise DomCodMismatch(
-                f"({clip(mg.name)}, {clip(mf.name)}) is not composable: "
-                f"cod {clip(cat.objects[mf.cod])} != dom {clip(cat.objects[mg.dom])}"
+                f"({clip(names[g])}, {clip(names[f])}) is not composable: "
+                f"cod {clip(objects[f_cod])} != dom {clip(objects[g_dom])}"
             )
-        if mr.dom != mf.dom or mr.cod != mg.cod:
+        if morphisms[r] != (f_dom, g_cod):
             raise DomCodMismatch(
-                f"({clip(mg.name)}, {clip(mf.name)}, {clip(mr.name)}): "
+                f"({clip(names[g])}, {clip(names[f])}, {clip(names[r])}): "
                 "composite endpoints do not match"
             )
         rows[f][place[g]] = r
     for f, row in enumerate(rows):
         if None in row:
-            g = morphisms[hom_out[morphisms[f].cod][row.index(None)]]
-            raise MissingComposite(f"no entry for ({clip(g.name)}, {clip(morphisms[f].name)})")
+            g = hom_out[morphisms[f][1]][row.index(None)]
+            raise MissingComposite(f"no entry for ({clip(names[g])}, {clip(names[f])})")
     cat.post = post = list(map(tuple, rows))
-    for f, mf in enumerate(morphisms):
-        left = post[f][place[mf.cod]]
-        right = post[mf.dom][place[f]]
+    for f, (dom, cod) in enumerate(morphisms):
+        left = post[f][place[cod]]
+        right = post[dom][place[f]]
         if left != f:
             raise IdentityViolation(
-                f"(id_{clip(cat.objects[mf.cod])}, {clip(mf.name)}, "
-                f"{clip(morphisms[left].name)}) breaks the left identity law"
+                f"(id_{clip(objects[cod])}, {clip(names[f])}, "
+                f"{clip(names[left])}) breaks the left identity law"
             )
         if right != f:
             raise IdentityViolation(
-                f"({clip(mf.name)}, id_{clip(cat.objects[mf.dom])}, "
-                f"{clip(morphisms[right].name)}) breaks the right identity law"
+                f"({clip(names[f])}, id_{clip(objects[dom])}, "
+                f"{clip(names[right])}) breaks the right identity law"
             )
     cat.generator_ends = _generators(cat, post, place)
     if not _associative_at_generators(cat, post, place):
@@ -227,14 +227,14 @@ def _generators(cat: FinCategory, post, place) -> tuple[tuple[int, int, int], ..
     morphisms, hom_out = cat.morphisms, cat.hom_out
     n_obj = len(cat.objects)  # the identities are the first n_obj morphisms
     reducible = set()
-    for f in range(n_obj, len(morphisms)):
-        for g, r in zip(hom_out[morphisms[f].cod], post[f]):
+    for f, (_, cod) in enumerate(morphisms[n_obj:], n_obj):
+        for g, r in zip(hom_out[cod], post[f]):
             if r != g and r != f and g >= n_obj:
                 reducible.add(r)
     chosen = [m for m in range(n_obj, len(morphisms)) if m not in reducible]
     out_of: list[list[int]] = [[] for _ in cat.objects]  # generators' places, by domain
     for g in chosen:
-        out_of[morphisms[g].dom].append(place[g])
+        out_of[morphisms[g][0]].append(place[g])
     reached: set[int] = set()
 
     def reach(fresh: list[int]) -> None:
@@ -243,18 +243,18 @@ def _generators(cat: FinCategory, post, place) -> tuple[tuple[int, int, int], ..
             x = fresh.pop()
             if x not in reached:
                 reached.add(x)
-                fresh.extend(map(post[x].__getitem__, out_of[morphisms[x].cod]))
+                fresh.extend(map(post[x].__getitem__, out_of[morphisms[x][1]]))
 
     reach(list(chosen))
     for m in range(n_obj, len(morphisms)):
         if m in reached:
             continue
-        mm = morphisms[m]
+        dom = morphisms[m][0]
         chosen.append(m)
         k = place[m]
-        out_of[mm.dom].append(k)
-        reach([m] + [post[x][k] for x in cat.hom_in[mm.dom] if x in reached])
-    return tuple((g, morphisms[g].dom, morphisms[g].cod) for g in sorted(chosen))
+        out_of[dom].append(k)
+        reach([m] + [post[x][k] for x in cat.hom_in[dom] if x in reached])
+    return tuple((g, *morphisms[g]) for g in sorted(chosen))
 
 
 def _associative_at_generators(cat: FinCategory, post, place) -> bool:
@@ -287,35 +287,35 @@ def _associative_at_generators(cat: FinCategory, post, place) -> bool:
 def _raise_first_associativity_fault(cat: FinCategory, post, place) -> None:
     """The exhaustive scan over composable triples, in the order of a scan
     over all morphisms: raises the first fault a full check would report."""
-    morphisms, hom_out = cat.morphisms, cat.hom_out
+    morphisms, names, hom_out = cat.morphisms, cat.arrow_names, cat.hom_out
     # Since cod(g∘f) = cod g, the triple (h, g, f) compares post[g∘f][k]
     # with post[g][k]∘f.
-    for f, mf in enumerate(morphisms):
-        for g, gf in zip(hom_out[mf.cod], post[f]):
-            for h, hgf, hg in zip(hom_out[morphisms[g].cod], post[gf], post[g]):
+    for f, (_, cod) in enumerate(morphisms):
+        for g, gf in zip(hom_out[cod], post[f]):
+            for h, hgf, hg in zip(hom_out[morphisms[g][1]], post[gf], post[g]):
                 if hgf != post[f][place[hg]]:
                     raise AssociativityViolation(
-                        f"({clip(morphisms[h].name)}, {clip(morphisms[g].name)}, "
-                        f"{clip(mf.name)}) is not associative"
+                        f"({clip(names[h])}, {clip(names[g])}, "
+                        f"{clip(names[f])}) is not associative"
                     )
 
 
 def _describe(objects, morphisms, i: int) -> str:
-    m = morphisms[i]
+    dom, cod = morphisms[i]
     if i < len(objects):
-        return f"the identity of '{clip(objects[m.dom])}'"
-    return f"the arrow '{clip(objects[m.dom])}' -> '{clip(objects[m.cod])}'"
+        return f"the identity of '{clip(objects[dom])}'"
+    return f"the arrow '{clip(objects[dom])}' -> '{clip(objects[cod])}'"
 
 
-def name_index(objects, morphisms) -> dict[str, int]:
+def name_index(objects, names, morphisms) -> dict[str, int]:
     """Each morphism name's index; the identities come first.  A name given
-    twice raises PresentationError naming both morphisms."""
+    twice raises PresentationError naming both morphisms by their ends."""
     mor_index: dict[str, int] = {}
-    for i, m in enumerate(morphisms):
-        first = mor_index.setdefault(m.name, i)
+    for i, name in enumerate(names):
+        first = mor_index.setdefault(name, i)
         if first != i:
             raise PresentationError(
-                f"morphism name '{clip(m.name)}' is given to both "
+                f"morphism name '{clip(name)}' is given to both "
                 f"{_describe(objects, morphisms, first)} and "
                 f"{_describe(objects, morphisms, i)}"
                 + (" (id_<object> names the identities)" if first < len(objects) else "")
@@ -365,7 +365,7 @@ def validate_category(raw: dict) -> FinCategory:
     if lone is not None:
         raise PresentationError(f"objects may not hold a lone surrogate: '{lone}'")
     objects = list(objects)
-    morphisms = [Morphism(f"id_{name}", i, i) for i, name in enumerate(objects)]
+    arrows = [(f"id_{name}", i, i) for i, name in enumerate(objects)]
     obj_index = {name: i for i, name in enumerate(objects)}
     if len(obj_index) != len(objects):
         raise PresentationError("object names must be distinct")
@@ -385,11 +385,12 @@ def validate_category(raw: dict) -> FinCategory:
             )
         if dom not in obj_index or cod not in obj_index:
             raise PresentationError(f"morphism {clip(name)} references unknown objects")
-        morphisms.append(Morphism(name, obj_index[dom], obj_index[cod]))
-    lone = lone_surrogate([m.name for m in morphisms])
+        arrows.append((name, obj_index[dom], obj_index[cod]))
+    names = [name for name, _, _ in arrows]
+    lone = lone_surrogate(names)
     if lone is not None:
         raise PresentationError(f"morphism names may not hold a lone surrogate: '{lone}'")
-    mor_index = name_index(objects, morphisms)
+    mor_index = name_index(objects, names, [(dom, cod) for _, dom, cod in arrows])
 
     table: dict[tuple[int, int], int] = {}
     triples = raw.get("compose", [])
@@ -421,10 +422,10 @@ def validate_category(raw: dict) -> FinCategory:
             raise PresentationError(
                 f"conflicting compose entries for ({clip(gname)}, {clip(fname)})"
             )
-    for f, mf in enumerate(morphisms):
-        table.setdefault((mf.cod, f), f)
-        table.setdefault((f, mf.dom), f)
-    return FinCategory(objects, morphisms, table)
+    for f, (_, dom, cod) in enumerate(arrows):
+        table.setdefault((cod, f), f)
+        table.setdefault((f, dom), f)
+    return FinCategory(objects, arrows, table)
 
 
 def category(objects, arrows=(), compose=()) -> FinCategory:
@@ -513,8 +514,7 @@ def is_congruence(cat: FinCategory, class_of: tuple[int, ...]) -> bool:
 
     @cache
     def reads(f: int) -> tuple:
-        m = morphisms[f]
-        return m.dom, m.cod, list(map(of, post[f])), list(map(of, pre[f]))
+        return morphisms[f], list(map(of, post[f])), list(map(of, pre[f]))
 
     return all(reads(f) == reads(reps[k]) for f, k in enumerate(class_of) if f != reps[k])
 
@@ -546,14 +546,14 @@ def quotient_category(
     if class_of[:n] != identity[:n]:
         raise PresentationError("class x of a congruence must hold identity x")
     reps = _least_members(cat, class_of)
-    morphisms = list(map(cat.morphisms.__getitem__, reps))
+    arrows = [(cat.arrow_names[r], *cat.morphisms[r]) for r in reps]
     table = {}
     for gi, g in enumerate(reps):
-        for f, gf in zip(cat.hom_in[cat.morphisms[g].dom], pre[g]):
+        for f, gf in zip(cat.hom_in[cat.morphisms[g][0]], pre[g]):
             fi = class_of[f]
             if reps[fi] == f:
                 table[(gi, fi)] = class_of[gf]
-    return FinCategory(cat.objects, morphisms, table), class_of
+    return FinCategory(cat.objects, arrows, table), class_of
 
 
 def monic_reflection(cat: FinCategory) -> tuple[FinCategory, tuple[int, ...]]:
@@ -609,8 +609,7 @@ def skeleton_poset(cat: FinCategory) -> tuple[FinPoset, tuple[int, ...]]:
     for x in range(len(cat.objects)):
         if class_of[x] >= 0:
             continue
-        for i in cat.hom_out[x]:
-            y = cat.morphisms[i].cod
+        for _, y in map(cat.morphisms.__getitem__, cat.hom_out[x]):
             if (y, x) in cat.hom_sets:
                 class_of[y] = len(elements)
         elements.append(cat.objects[x])

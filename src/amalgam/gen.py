@@ -117,10 +117,10 @@ def random_diagram_over_poset(
         tuple(sorted(r.values())) for r in relabel
     ]
     actions = []
-    for i, m in enumerate(shape.morphisms):
+    for i, (dom, cod) in enumerate(shape.morphisms):
         actions.append(
             None
             if shape.is_identity(i)
-            else {relabel[m.dom][u]: relabel[m.cod][u] for u in relabel[m.dom]}
+            else {relabel[dom][u]: relabel[cod][u] for u in relabel[dom]}
         )
     return validate_diagram(shape, carriers, actions)

@@ -28,20 +28,20 @@ def validate_inverse(cat: FinCategory) -> tuple[int, ...]:
 
     Raises NoPseudoinverse / NonUniquePseudoinverse naming the offender.
     """
-    pinv = []
-    for f, mf in enumerate(cat.morphisms):
+    pinv, names = [], cat.arrow_names
+    for f, (dom, cod) in enumerate(cat.morphisms):
         candidates = [
             g
-            for g in cat.hom(mf.cod, mf.dom)
+            for g in cat.hom(cod, dom)
             if cat.compose(f, cat.compose(g, f)) == f
             and cat.compose(g, cat.compose(f, g)) == g
         ]
         if not candidates:
-            raise NoPseudoinverse(f"{clip(mf.name)} has no pseudoinverse")
+            raise NoPseudoinverse(f"{clip(names[f])} has no pseudoinverse")
         if len(candidates) > 1:
-            names = ", ".join(clip(cat.morphisms[g].name) for g in candidates)
+            listed = ", ".join(clip(names[g]) for g in candidates)
             raise NonUniquePseudoinverse(
-                f"{clip(mf.name)} has several pseudoinverses: {names}"
+                f"{clip(names[f])} has several pseudoinverses: {listed}"
             )
         pinv.append(candidates[0])
     return tuple(pinv)

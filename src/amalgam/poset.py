@@ -133,9 +133,10 @@ class FinPoset:
     antisymmetry) and a repeated name.
 
     A FinPoset is also a shape: the category with one morphism per related
-    pair.  Its morphisms are the identities, then the pairs a < b in
-    increasing order, named ``a->b``; they are built on first use, and every
-    index and composite is read off the masks.  The covers generate them.
+    pair.  Its morphisms, the (dom, cod) pairs of ``morphisms``, are the
+    identities, then the pairs a < b in increasing order, named ``a->b`` in
+    ``arrow_names``; both are built on first use, and every index and
+    composite is read off the masks.  The covers generate them.
     """
 
     def __init__(self, elements, covers):
@@ -188,7 +189,7 @@ class FinPoset:
         return {name: i for i, name in enumerate(self.elements)}
 
     @cached_property
-    def arrow_ends(self) -> tuple[tuple[int, int], ...]:
+    def morphisms(self) -> tuple[tuple[int, int], ...]:
         """(dom, cod) of each morphism, by index."""
         ends = [(a, a) for a in range(len(self))]
         for a, mask in enumerate(self.up_masks):
@@ -205,29 +206,16 @@ class FinPoset:
         PresentationError naming both morphisms."""
         names = self.elements
         out = [f"id_{e}" for e in names]
-        out.extend(f"{names[a]}->{names[b]}" for a, b in self.arrow_ends[len(names):])
+        out.extend(f"{names[a]}->{names[b]}" for a, b in self.morphisms[len(names):])
         if len(set(out)) != len(out):
-            from .fincat import Morphism, name_index  # fincat builds on this module
+            from .fincat import name_index  # fincat builds on this module
 
-            name_index(names, [Morphism(m, a, b) for m, (a, b) in zip(out, self.arrow_ends)])
+            name_index(names, out, self.morphisms)
         return tuple(out)
 
     @cached_property
-    def _arrows(self):
-        """The morphisms and their name index."""
-        from .fincat import Morphism
-
-        names = self.arrow_names
-        morphisms = tuple(Morphism(m, a, b) for m, (a, b) in zip(names, self.arrow_ends))
-        return morphisms, dict(zip(names, count()))
-
-    @cached_property
-    def morphisms(self) -> tuple:
-        return self._arrows[0]
-
-    @cached_property
     def mor_index(self) -> dict[str, int]:
-        return self._arrows[1]
+        return dict(zip(self.arrow_names, count()))
 
     @cached_property
     def _first_arrow(self) -> tuple[int, ...]:
@@ -250,7 +238,7 @@ class FinPoset:
 
     def compose(self, g: int, f: int) -> int:
         """Index of g∘f (f applied first): the arrow between their ends."""
-        return self.arrow(self.morphisms[f].dom, self.morphisms[g].cod)
+        return self.arrow(self.morphisms[f][0], self.morphisms[g][1])
 
     @cached_property
     def hom_in(self) -> list[list[int]]:

@@ -164,26 +164,24 @@ def category_to_doc(cat: FinCategory) -> dict:
     """A category document.  The compose triples come in name order, g by
     name and then f by name among the arrows into dom g, so no triple is
     sorted; g∘f is read off f's row of composites, ``post[f][place[g]]``."""
-    morphisms, objects, post = cat.morphisms, cat.objects, cat.post
-    names = [m.name for m in morphisms]
-    arrows = [i for i in sorted(range(len(names)), key=names.__getitem__)
-              if not cat.is_identity(i)]
+    morphisms, names, objects, post = cat.morphisms, cat.arrow_names, cat.objects, cat.post
+    n = len(objects)  # the identities come first
+    arrows = [i for i in sorted(range(len(names)), key=names.__getitem__) if i >= n]
     into: list[list[int]] = [[] for _ in objects]  # by name
     for f in arrows:
-        into[morphisms[f].cod].append(f)
+        into[morphisms[f][1]].append(f)
     name = names.__getitem__
     compose = []
     for g in arrows:
-        fs = into[morphisms[g].dom]
+        fs = into[morphisms[g][0]]
         composites = map(itemgetter(cat.place[g]), map(post.__getitem__, fs))
         compose.extend(zip(repeat(names[g]), map(name, fs), map(name, composites)))
     return {
         "type": "category",
         "objects": list(objects),
         "morphisms": [
-            {"name": names[i], "dom": objects[m.dom], "cod": objects[m.cod]}
-            for i, m in enumerate(morphisms)
-            if not cat.is_identity(i)
+            {"name": nm, "dom": objects[dom], "cod": objects[cod]}
+            for nm, (dom, cod) in zip(names[n:], morphisms[n:])
         ],
         "compose": compose,
     }
@@ -303,7 +301,7 @@ def diagram_from_doc(
     for name in actions_field:
         if name not in shape.mor_index:
             raise ParseError(f"diagram: action for unknown morphism '{clip(name)}'")
-    actions = [actions_field.get(m.name) for m in shape.morphisms]
+    actions = list(map(actions_field.get, shape.arrow_names))
     try:
         if not all(a is None or _is_pair_list(a) for a in actions):
             raise TypeError("an action is not a list of pairs")
@@ -324,13 +322,13 @@ def _raise_first_format_fault(shape: FinCategory | FinPoset, actions_field: dict
     a list of [x, y] pairs listing each source once.  Reached only when
     the actions do not read into a diagram, so a ParseError outranks every
     DiagramError."""
-    for i, m in enumerate(shape.morphisms):
-        pairs = actions_field.get(m.name)
+    for i, name in enumerate(shape.arrow_names):
+        pairs = actions_field.get(name)
         if pairs is None and shape.is_identity(i):
             continue
-        if m.name not in actions_field:
-            raise ParseError(f"diagram: missing action for morphism '{clip(m.name)}'")
-        malformed = f"diagram: action of '{clip(m.name)}' must be a list of [x, y] pairs"
+        if name not in actions_field:
+            raise ParseError(f"diagram: missing action for morphism '{clip(name)}'")
+        malformed = f"diagram: action of '{clip(name)}' must be a list of [x, y] pairs"
         if not _is_pair_list(pairs):
             raise ParseError(malformed)
         try:
@@ -342,26 +340,19 @@ def _raise_first_format_fault(shape: FinCategory | FinPoset, actions_field: dict
             for x, _ in pairs:
                 if x in seen:
                     raise ParseError(
-                        f"diagram: action of '{clip(m.name)}' lists source {echo(x)} twice"
+                        f"diagram: action of '{clip(name)}' lists source {echo(x)} twice"
                     )
                 seen.add(x)
 
 
 def diagram_to_doc(diagram: FinInjDiagram) -> dict:
-    """Each action as its sorted [element, image] pairs, read off its row.
-    A poset's arrows are named off its masks."""
+    """Each action but the identities' as its sorted [element, image]
+    pairs, read off its row.  Only the shape document depends on the
+    shape's type."""
     shape, carriers, maps = diagram.shape, diagram.carriers, diagram.maps
-    if isinstance(shape, FinPoset):
-        n = len(shape)  # the identities come first
-        shape_doc = poset_to_doc(shape)
-        arrows = zip(shape.arrow_names[n:], shape.arrow_ends[n:], maps[n:])
-    else:
-        shape_doc = category_to_doc(shape)
-        arrows = (
-            (m.name, (m.dom, m.cod), row)
-            for i, (m, row) in enumerate(zip(shape.morphisms, maps))
-            if not shape.is_identity(i)
-        )
+    shape_doc = poset_to_doc(shape) if isinstance(shape, FinPoset) else category_to_doc(shape)
+    n = len(shape.objects)  # the identities come first
+    arrows = zip(shape.arrow_names[n:], shape.morphisms[n:], maps[n:])
     return {
         "type": "diagram",
         "shape": shape_doc,
@@ -451,7 +442,7 @@ def verdict_to_doc(verdict: Verdict) -> dict:
         evidence["witness"] = witness_to_doc(analysis.forest, analysis.skeleton)
     else:
         refl = analysis.reflection
-        evidence["parallel_pair"] = [refl.morphisms[i].name for i in analysis.parallel_pair]
+        evidence["parallel_pair"] = [refl.arrow_names[i] for i in analysis.parallel_pair]
     doc["evidence"] = evidence
     return doc
 

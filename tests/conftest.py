@@ -39,7 +39,6 @@ from amalgam.fincat import (
     FinCategory,
     IdentityViolation,
     MissingComposite,
-    Morphism,
     PresentationError,
     _Closure,
     is_preorder,
@@ -131,11 +130,16 @@ def chain(n):
 
 @st.composite
 def dags(draw, max_size=12):
-    """(poset, covers, subset): a random DAG whose index order is shuffled."""
+    """(poset, covers, subset): a random DAG whose index order is shuffled,
+    each pair a < b an edge by its own draw, one time in three, so that a
+    fair share of the posets are not forest-like (a denser draw tends to a
+    chain, a sparser one to a forest)."""
     n = draw(st.integers(0, max_size))
     order = draw(st.permutations(range(n)))
-    edges = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3 * n))
-    covers = [(order[a], order[b]) for a, b in edges if a < b < n]
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    edge = st.sampled_from((False, False, True))
+    kept = draw(st.lists(edge, min_size=len(pairs), max_size=len(pairs)))
+    covers = [(order[a], order[b]) for (a, b), keep in zip(pairs, kept) if keep]
     subset = draw(st.frozensets(st.integers(0, n - 1), max_size=n)) if n else frozenset()
     return FinPoset([f"e{i}" for i in range(n)], covers), covers, subset
 
@@ -251,6 +255,20 @@ def small_category_suite():
 
 # -- independent oracles -----------------------------------------------------
 
+class Arrow(NamedTuple):
+    """A morphism as the reference checks read it: its name and its ends."""
+
+    name: str
+    dom: int
+    cod: int
+
+
+def arrows_of(shape) -> list[Arrow]:
+    """A shape's morphisms by index, each its name beside its (dom, cod)
+    pair: the (name, dom, cod) presentation ``FinCategory`` takes."""
+    return [Arrow(name, *ends) for name, ends in zip(shape.arrow_names, shape.morphisms)]
+
+
 def category_from_poset(poset: FinPoset) -> FinCategory:
     """The poset as a category built from a full composition table: one
     morphism a->b per related pair a <= b, named and ordered as the poset
@@ -285,13 +303,14 @@ def set_partitions(items):
         yield [[head]] + partition
 
 
-def naive_check_axioms(objects, morphisms, table) -> None:
+def naive_check_axioms(objects, arrows, table) -> None:
     """Reference category check: every loop runs over all morphisms, and the
     identity of object x is morphism x.
 
     Raises the exception the library's indexed check must raise, with the
-    same message, on the same presentation.
+    same message, on the same presentation of (name, dom, cod) arrows.
     """
+    morphisms = [Arrow(*a) for a in arrows]
     n_obj = len(objects)
     n_mor = len(morphisms)
     if len(set(objects)) != n_obj:
@@ -361,9 +380,7 @@ def partition_is_congruence(cat, blocks) -> bool:
         for m in block:
             class_of[m] = k
     for block in blocks:
-        if len({cat.morphisms[m].dom for m in block}) != 1:
-            return False
-        if len({cat.morphisms[m].cod for m in block}) != 1:
+        if len({cat.morphisms[m] for m in block}) != 1:
             return False
     n, table = len(cat.morphisms), table_of(cat)
     for f in range(n):
@@ -371,10 +388,10 @@ def partition_is_congruence(cat, blocks) -> bool:
             if class_of[f] != class_of[f2]:
                 continue
             for g in range(n):
-                if cat.morphisms[g].dom == cat.morphisms[f].cod:
+                if cat.morphisms[g][0] == cat.morphisms[f][1]:
                     if class_of[table[(g, f)]] != class_of[table[(g, f2)]]:
                         return False
-                if cat.morphisms[g].cod == cat.morphisms[f].dom:
+                if cat.morphisms[g][1] == cat.morphisms[f][0]:
                     if class_of[table[(f, g)]] != class_of[table[(f2, g)]]:
                         return False
     return True
@@ -389,11 +406,10 @@ def quotient_is_monic(cat, blocks) -> bool:
     n, table = len(cat.morphisms), table_of(cat)
     for f in range(n):
         for g in range(n):
-            mf, mg = cat.morphisms[f], cat.morphisms[g]
-            if mf.dom != mg.dom or mf.cod != mg.cod or class_of[f] == class_of[g]:
+            if cat.morphisms[f] != cat.morphisms[g] or class_of[f] == class_of[g]:
                 continue
             for h in range(n):
-                if cat.morphisms[h].dom != mf.cod:
+                if cat.morphisms[h][0] != cat.morphisms[f][1]:
                     continue
                 if class_of[table[(h, f)]] == class_of[table[(h, g)]]:
                     return False
@@ -409,9 +425,9 @@ def reachable_pairs(cat):
     """Object reachability by zigzags, via boolean-matrix closure (no search)."""
     n = len(cat.objects)
     adj = [[i == j for j in range(n)] for i in range(n)]
-    for m in cat.morphisms:
-        adj[m.dom][m.cod] = True
-        adj[m.cod][m.dom] = True
+    for dom, cod in cat.morphisms:
+        adj[dom][cod] = True
+        adj[cod][dom] = True
     for _ in range(n):
         adj = [
             [any(adj[i][k] and adj[k][j] for k in range(n)) for j in range(n)]
@@ -652,9 +668,8 @@ def poset_of_shape(shape: FinCategory) -> FinPoset:
     """Interpret a poset-shaped category as a FinPoset over its objects."""
     if not is_preorder(shape):
         raise CertificateMismatch("shape has parallel morphisms")
-    pairs = [(m.dom, m.cod) for m in shape.morphisms]
     try:
-        return FinPoset(shape.objects, pairs)
+        return FinPoset(shape.objects, shape.morphisms)
     except Exception as exc:
         raise CertificateMismatch(f"shape is not a poset: {exc}") from exc
 
@@ -778,7 +793,7 @@ def reference_validate_diagram(shape: FinCategory | FinPoset, carriers, actions)
     for x, c in enumerate(carriers):
         if actions[x] is None:
             actions[x] = {e: e for e in c}
-    for i, m in enumerate(shape.morphisms):
+    for i, m in enumerate(arrows_of(shape)):
         act = actions[i]
         dom, cod = set(carriers[m.dom]), set(carriers[m.cod])
         if act is None or set(act) != dom:
@@ -795,10 +810,10 @@ def reference_validate_diagram(shape: FinCategory | FinPoset, carriers, actions)
     table = table_of(category_from_poset(shape) if isinstance(shape, FinPoset) else shape)
     for (g, f), r in table.items():
         af, ag, ar = actions[f], actions[g], actions[r]
-        for e in carriers[shape.morphisms[f].dom]:
+        for e in carriers[shape.morphisms[f][0]]:
             if ag[af[e]] != ar[e]:
                 raise FunctorialityViolation(
-                    f"({shape.morphisms[g].name}, {shape.morphisms[f].name}) "
+                    f"({shape.arrow_names[g]}, {shape.arrow_names[f]}) "
                     f"does not commute at element {e}"
                 )
 
@@ -817,14 +832,14 @@ def reference_validate_cocone(diagram: FinInjDiagram, cocone: Cocone) -> None:
             raise CarrierMismatch(f"leg of {shape.objects[obj]} leaves the apex")
         if len(set(leg)) != len(leg):
             raise NotInjective(f"leg of {shape.objects[obj]} is not injective")
-    for i, m in enumerate(shape.morphisms):
+    for i, (dom, cod) in enumerate(shape.morphisms):
         if shape.is_identity(i):
             continue
         for p, q in enumerate(diagram.maps[i]):
-            if legs[m.cod][q] != legs[m.dom][p]:
+            if legs[cod][q] != legs[dom][p]:
                 raise FunctorialityViolation(
-                    f"leg does not commute with {m.name} at element "
-                    f"{diagram.carriers[m.dom][p]}"
+                    f"leg does not commute with {shape.arrow_names[i]} at element "
+                    f"{diagram.carriers[dom][p]}"
                 )
 
 
@@ -855,13 +870,13 @@ def reference_colimit(diagram: FinInjDiagram) -> ReferenceColimit:
             a = parent[a]
         return a
 
-    for i, m in enumerate(shape.morphisms):
+    for i, (dom, cod) in enumerate(shape.morphisms):
         if shape.is_identity(i):
             continue
         act = action(diagram, i)
-        for e in diagram.carriers[m.dom]:
-            a = find(index[(m.dom, e)])
-            b = find(index[(m.cod, act[e])])
+        for e in diagram.carriers[dom]:
+            a = find(index[(dom, e)])
+            b = find(index[(cod, act[e])])
             if a != b:
                 parent[max(a, b)] = min(a, b)
 
@@ -901,13 +916,13 @@ def reference_zigzag(diagram: FinInjDiagram, start, goal):
     neighbours visited in the order of their string form."""
     shape = diagram.shape
     adj: dict[tuple[int, str], list] = {}
-    for i, m in enumerate(shape.morphisms):
+    for i, (dom, cod) in enumerate(shape.morphisms):
         if shape.is_identity(i):
             continue
         act = action(diagram, i)
-        for e in diagram.carriers[m.dom]:
-            a = (m.dom, e)
-            b = (m.cod, act[e])
+        for e in diagram.carriers[dom]:
+            a = (dom, e)
+            b = (cod, act[e])
             adj.setdefault(a, []).append((b, (i, True)))
             adj.setdefault(b, []).append((a, (i, False)))
     prev: dict = {start: None}
@@ -940,11 +955,11 @@ def reference_element_zigzag(diagram, offsets, class_ids, obj, start, goal):
     shape, maps = diagram.shape, diagram.maps
     target = class_ids[start]
     adj: dict[int, list[tuple[int, int, bool]]] = {}
-    for i, m in enumerate(shape.morphisms):
+    for i, (dom, cod) in enumerate(shape.morphisms):
         if shape.is_identity(i):
             continue
-        base = offsets[m.cod]
-        for a, q in enumerate(maps[i], offsets[m.dom]):
+        base = offsets[cod]
+        for a, q in enumerate(maps[i], offsets[dom]):
             if class_ids[a] == target:
                 adj.setdefault(a, []).append((base + q, i, True))
                 adj.setdefault(base + q, []).append((a, i, False))
@@ -965,8 +980,8 @@ def reference_element_zigzag(diagram, offsets, class_ids, obj, start, goal):
     steps.reverse()
     objs = [obj]
     for i, forward in steps:
-        m = shape.morphisms[i]
-        objs.append(m.cod if forward else m.dom)
+        dom, cod = shape.morphisms[i]
+        objs.append(cod if forward else dom)
     nodes = [(o, diagram.carriers[o][k - offsets[o]]) for o, k in zip(objs, path)]
     return tuple(nodes), tuple(steps)
 
@@ -986,9 +1001,9 @@ def reference_collision(diagram: FinInjDiagram) -> tuple[Collision, tuple] | Non
             a = parent[a]
         return a
 
-    for i, m in enumerate(shape.morphisms):
-        for a, q in enumerate(diagram.maps[i], offsets[m.dom]):
-            ra, rb = find(a), find(offsets[m.cod] + q)
+    for i, (dom, cod) in enumerate(shape.morphisms):
+        for a, q in enumerate(diagram.maps[i], offsets[dom]):
+            ra, rb = find(a), find(offsets[cod] + q)
             parent[max(ra, rb)] = min(ra, rb)
     class_ids = [find(k) for k in range(len(parent))]
     for obj, c in enumerate(carriers):
@@ -1009,20 +1024,18 @@ def reference_witness(shape, analysis):
     if not analysis.preorder:
         refl = analysis.reflection
         proj = analysis.projection
-        a = refl.morphisms[analysis.parallel_pair[0]].dom
+        a = refl.morphisms[analysis.parallel_pair[0]][0]
         hom_from_a = [refl.hom(a, x) for x in range(len(refl.objects))]
+        names = refl.arrow_names
         carriers = [
-            tuple(refl.morphisms[g].name for g in hom_from_a[x])
+            tuple(names[g] for g in hom_from_a[x])
             for x in range(len(refl.objects))
         ]
         actions = []
-        for i, m in enumerate(shape.morphisms):
+        for i, (dom, _) in enumerate(shape.morphisms):
             mi = proj[i]
             actions.append(
-                {
-                    refl.morphisms[g].name: refl.morphisms[refl.compose(mi, g)].name
-                    for g in hom_from_a[m.dom]
-                }
+                {names[g]: names[refl.compose(mi, g)] for g in hom_from_a[dom]}
             )
     else:
         poset, smap, w = analysis.skeleton, analysis.skeleton_map, analysis.forest
@@ -1037,8 +1050,8 @@ def reference_witness(shape, analysis):
 
         carriers = [carrier_for(smap[obj]) for obj in range(len(shape.objects))]
         actions = []
-        for i, m in enumerate(shape.morphisms):
-            vx, vy = smap[m.dom], smap[m.cod]
+        for i, (dom, cod) in enumerate(shape.morphisms):
+            vx, vy = smap[dom], smap[cod]
             if shape.is_identity(i):
                 actions.append(None)
             elif vx == vy:
@@ -1084,9 +1097,10 @@ def reference_congruence_close(cat: FinCategory, seeds) -> list[frozenset[int]]:
         union(a, b)
     while pending:
         a, b = pending.popleft()
-        for g in cat.hom_out[cat.morphisms[a].cod]:
+        dom, cod = cat.morphisms[a]
+        for g in cat.hom_out[cod]:
             union(table[(g, a)], table[(g, b)])
-        for g in cat.hom_in[cat.morphisms[a].dom]:
+        for g in cat.hom_in[dom]:
             union(table[(a, g)], table[(b, g)])
     groups: dict[int, set[int]] = {}
     for i in range(len(parent)):
@@ -1276,14 +1290,6 @@ class ReferenceShapeAnalysis:
     forest: object
 
 
-@dataclass(frozen=True)
-class ReferenceMorphism:
-    __qualname__ = "Morphism"
-    name: str
-    dom: int
-    cod: int
-
-
 @dataclass(frozen=True, repr=False)
 class ReferenceForestCertificate:
     __qualname__ = "ForestCertificate"
@@ -1338,7 +1344,6 @@ REFERENCE_RECORDS = {
     CoconeResult: ReferenceCoconeResult,
     ZigzagWord: ReferenceZigzagWord,
     ShapeAnalysis: ReferenceShapeAnalysis,
-    Morphism: ReferenceMorphism,
     ForestCertificate: ReferenceForestCertificate,
     NonForestWitness: ReferenceNonForestWitness,
     FinInjDiagram: ReferenceFinInjDiagram,

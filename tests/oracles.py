@@ -215,8 +215,8 @@ def table_of(cat: FinCategory) -> dict[tuple[int, int], int]:
     order: f by index, then g in ``hom_out[cod f]``."""
     return {
         (g, f): r
-        for f, m in enumerate(cat.morphisms)
-        for g, r in zip(cat.hom_out[m.cod], cat.post[f])
+        for f, (_, cod) in enumerate(cat.morphisms)
+        for g, r in zip(cat.hom_out[cod], cat.post[f])
     }
 
 
@@ -253,19 +253,18 @@ class FunctorMap:
                 raise IdentityViolation(
                     f"functor does not preserve the identity of {clip(src.objects[x])}"
                 )
-        for f, mf in enumerate(src.morphisms):
-            image = tgt.morphisms[self.mor_map[f]]
-            if image.dom != self.obj_map[mf.dom] or image.cod != self.obj_map[mf.cod]:
+        for f, (dom, cod) in enumerate(src.morphisms):
+            if tgt.morphisms[self.mor_map[f]] != (self.obj_map[dom], self.obj_map[cod]):
                 raise DomCodMismatch(
-                    f"functor breaks endpoints of {clip(mf.name)}"
+                    f"functor breaks endpoints of {clip(src.arrow_names[f])}"
                 )
         # F(h∘f) = F(h)∘F(f) for every h after f, row by row; the table is
         # scanned only to name the first pair that breaks it.
         mor_map, place = self.mor_map, tgt.place
         image = mor_map.__getitem__
-        for f, mf in enumerate(src.morphisms):
+        for f, (_, cod) in enumerate(src.morphisms):
             row = tgt.post[mor_map[f]]
-            after = [row[place[image(h)]] for h in src.hom_out[mf.cod]]
+            after = [row[place[image(h)]] for h in src.hom_out[cod]]
             if after != list(map(image, src.post[f])):
                 break
         else:
@@ -274,7 +273,7 @@ class FunctorMap:
             if tgt.compose(mor_map[g], mor_map[f]) != mor_map[r]:
                 raise AssociativityViolation(
                     f"functor breaks composition on "
-                    f"({clip(src.morphisms[g].name)}, {clip(src.morphisms[f].name)})"
+                    f"({clip(src.arrow_names[g])}, {clip(src.arrow_names[f])})"
                 )
 
 
@@ -324,7 +323,7 @@ def inverse_category(cat: FinCategory) -> InverseCategory:
 def is_monic_morphism(cat: FinCategory, f: int) -> bool:
     """Whether f∘g = f∘h forces g = h.  Such g and h lie in hom_in[dom f]
     and are parallel, since f∘g has the domain of g."""
-    into = cat.hom_in[cat.morphisms[f].dom]
+    into = cat.hom_in[cat.morphisms[f][0]]
     return len({cat.compose(f, g) for g in into}) == len(into)
 
 
@@ -336,38 +335,39 @@ def check_inverse_laws(inv: InverseCategory) -> list[str]:
     when its pseudoinverse is a left inverse.
     """
     cat, pinv = inv.base, inv.pinv
+    names = cat.arrow_names
     report = []
     for x in range(len(cat.objects)):
         if pinv[x] != x:
             report.append(f"pseudoinverse of id_{cat.objects[x]} is not itself")
-    for f, mf in enumerate(cat.morphisms):
+    for f in range(len(cat.morphisms)):
         if pinv[pinv[f]] != f:
-            report.append(f"pseudoinverse of {mf.name} is not involutive")
+            report.append(f"pseudoinverse of {names[f]} is not involutive")
     for (g, f), r in table_of(cat).items():
         if cat.compose(pinv[f], pinv[g]) != pinv[r]:
             report.append(
                 f"pseudoinverse is not contravariant on "
-                f"({cat.morphisms[g].name}, {cat.morphisms[f].name})"
+                f"({names[g]}, {names[f]})"
             )
     idempotents = [
         e
-        for e, me in enumerate(cat.morphisms)
-        if me.dom == me.cod and cat.compose(e, e) == e
+        for e, (dom, cod) in enumerate(cat.morphisms)
+        if dom == cod and cat.compose(e, e) == e
     ]
     for e in idempotents:
         for e2 in idempotents:
-            if cat.morphisms[e].dom != cat.morphisms[e2].dom:
+            if cat.morphisms[e] != cat.morphisms[e2]:
                 continue
             if cat.compose(e, e2) != cat.compose(e2, e):
                 report.append(
-                    f"idempotents {cat.morphisms[e].name} and "
-                    f"{cat.morphisms[e2].name} do not commute"
+                    f"idempotents {names[e]} and "
+                    f"{names[e2]} do not commute"
                 )
-    for f, mf in enumerate(cat.morphisms):
-        split = cat.compose(pinv[f], f) == mf.dom
+    for f, (dom, _) in enumerate(cat.morphisms):
+        split = cat.compose(pinv[f], f) == dom
         if is_monic_morphism(cat, f) != split:
             report.append(
-                f"{mf.name}: monic and split-monic characterizations disagree"
+                f"{names[f]}: monic and split-monic characterizations disagree"
             )
     return report
 
@@ -377,8 +377,8 @@ def is_idempotent_category(inv: InverseCategory) -> bool:
     cat = inv.base
     return all(
         cat.compose(f, f) == f
-        for f, mf in enumerate(cat.morphisms)
-        if mf.dom == mf.cod
+        for f, (dom, cod) in enumerate(cat.morphisms)
+        if dom == cod
     )
 
 
@@ -399,41 +399,42 @@ def wagner_preston(inv: InverseCategory) -> PInjRepresentation:
     functorial and faithful, with monics acting totally.
     """
     cat, pinv = inv.base, inv.pinv
+    names = cat.arrow_names
 
     def label(g: int) -> str:
-        return f"{cat.objects[cat.morphisms[g].dom]}:{cat.morphisms[g].name}"
+        return f"{cat.objects[cat.morphisms[g][0]]}:{names[g]}"
 
     carriers = tuple(
         tuple(label(g) for g in cat.hom_in[x]) for x in range(len(cat.objects))
     )
     maps = []
-    for f, mf in enumerate(cat.morphisms):
+    for f, (dom, cod) in enumerate(cat.morphisms):
         fixer = cat.compose(pinv[f], f)
         mapping = {
             label(g): label(cat.compose(f, g))
-            for g in cat.hom_in[mf.dom]
+            for g in cat.hom_in[dom]
             if cat.compose(fixer, g) == g
         }
         maps.append(
-            PartialInjection(carriers[mf.dom], carriers[mf.cod], mapping)
+            PartialInjection(carriers[dom], carriers[cod], mapping)
         )
 
     for (g, f), r in table_of(cat).items():
         if maps[g].after(maps[f]) != maps[r]:
             raise InverseCategoryError(
                 f"representation is not functorial on "
-                f"({cat.morphisms[g].name}, {cat.morphisms[f].name})"
+                f"({names[g]}, {names[f]})"
             )
     for f, g in cat.parallel_pairs():
         if maps[f] == maps[g]:
             raise InverseCategoryError(
-                f"representation identifies {cat.morphisms[f].name} "
-                f"and {cat.morphisms[g].name}"
+                f"representation identifies {names[f]} "
+                f"and {names[g]}"
             )
     for f in range(len(cat.morphisms)):
         if is_monic_morphism(cat, f) != is_total(maps[f]):
             raise InverseCategoryError(
-                f"{cat.morphisms[f].name}: monic does not match totality"
+                f"{names[f]}: monic does not match totality"
             )
     return PInjRepresentation(carriers, tuple(maps))
 
@@ -447,15 +448,15 @@ class HasCocone(DiagramError):
 
 def action(diagram: FinInjDiagram, mor: int) -> dict[str, str]:
     """The action of a morphism as a label dict, read off its row."""
-    m = diagram.shape.morphisms[mor]
-    target = diagram.carriers[m.cod]
-    return dict(zip(diagram.carriers[m.dom], map(target.__getitem__, diagram.maps[mor])))
+    dom, cod = diagram.shape.morphisms[mor]
+    target = diagram.carriers[cod]
+    return dict(zip(diagram.carriers[dom], map(target.__getitem__, diagram.maps[mor])))
 
 
 def as_pinj(diagram: FinInjDiagram, mor: int) -> PartialInjection:
-    m = diagram.shape.morphisms[mor]
+    dom, cod = diagram.shape.morphisms[mor]
     return PartialInjection(
-        diagram.carriers[m.dom], diagram.carriers[m.cod], action(diagram, mor)
+        diagram.carriers[dom], diagram.carriers[cod], action(diagram, mor)
     )
 
 
@@ -500,17 +501,17 @@ def random_endo_word(shape, rng, max_len: int = 8) -> ZigzagWord:
     at = source
     for _ in range(rng.randint(1, max_len)):
         options = []
-        for i, m in enumerate(shape.morphisms):
-            if m.dom == at:
+        for i, (dom, cod) in enumerate(shape.morphisms):
+            if dom == at:
                 options.append((i, True))
-            if m.cod == at:
+            if cod == at:
                 options.append((i, False))
         if not options:
             break
         step = rng.choice(options)
         steps.append(step)
-        m = shape.morphisms[step[0]]
-        at = m.cod if step[1] else m.dom
+        dom, cod = shape.morphisms[step[0]]
+        at = cod if step[1] else dom
         if at == source and rng.random() < 0.5:
             break
     if at != source:
@@ -539,20 +540,20 @@ def shrink_witness(diagram: FinInjDiagram) -> FinInjDiagram:
     index = [dict(zip(c, range(len(c)))) for c in diagram.carriers]  # label -> position
     for obj, elem in collision_zigzag(diagram, answer.colimit.collision)[0]:
         p = index[obj][elem]
-        for row, m in zip(diagram.maps, shape.morphisms):  # a poset has no hom_out
-            if m.dom == obj:
-                keep[m.cod].add(row[p])
+        for row, (dom, cod) in zip(diagram.maps, shape.morphisms):  # a poset has no hom_out
+            if dom == obj:
+                keep[cod].add(row[p])
     carriers = [
         tuple(e for p, e in enumerate(c) if p in keep[obj])
         for obj, c in enumerate(diagram.carriers)
     ]
     acts = []
-    for i, (m, row) in enumerate(zip(shape.morphisms, diagram.maps)):
+    for i, ((dom, cod), row) in enumerate(zip(shape.morphisms, diagram.maps)):
         if shape.is_identity(i):
             acts.append(None)
             continue
-        source, target = diagram.carriers[m.dom], diagram.carriers[m.cod]
-        acts.append({source[p]: target[row[p]] for p in keep[m.dom]})
+        source, target = diagram.carriers[dom], diagram.carriers[cod]
+        acts.append({source[p]: target[row[p]] for p in keep[dom]})
     shrunk = validate_diagram(shape, carriers, acts)
     if has_cocone(shrunk):
         raise DiagramError("shrunk witness unexpectedly has a cocone")
@@ -604,14 +605,14 @@ def label_diagram_from_doc(doc: dict, base_dir=None, shape=None) -> FinInjDiagra
         return action
 
     actions = []
-    for i, m in enumerate(shape.morphisms):
+    for i, name in enumerate(shape.arrow_names):
         if shape.is_identity(i):
-            pairs = actions_field.get(m.name)
-            actions.append(None if pairs is None else as_mapping(m.name, pairs))
-        elif m.name not in actions_field:
-            raise ParseError(f"diagram: missing action for morphism '{m.name}'")
+            pairs = actions_field.get(name)
+            actions.append(None if pairs is None else as_mapping(name, pairs))
+        elif name not in actions_field:
+            raise ParseError(f"diagram: missing action for morphism '{name}'")
         else:
-            actions.append(as_mapping(m.name, actions_field[m.name]))
+            actions.append(as_mapping(name, actions_field[name]))
     return validate_diagram(shape, carriers, actions)
 
 
@@ -619,9 +620,10 @@ def label_diagram_from_doc(doc: dict, base_dir=None, shape=None) -> FinInjDiagra
 def inverse_to_doc(inv: InverseCategory) -> dict:
     """An inverse category as a category document with its ``pinv`` map."""
     doc = serialize.category_to_doc(inv.base)
+    names = inv.base.arrow_names
     doc["pinv"] = {
-        m.name: inv.base.morphisms[inv.pinv[i]].name
-        for i, m in enumerate(inv.base.morphisms)
+        name: names[inv.pinv[i]]
+        for i, name in enumerate(names)
         if not inv.base.is_identity(i)
     }
     return doc

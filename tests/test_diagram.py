@@ -32,6 +32,7 @@ from amalgam.fincat import category, monic_reflection
 from amalgam.gen import random_diagram_over_poset, random_nonforest
 from amalgam.poset import FinPoset, ForestCertificate, is_forest_like
 from conftest import (
+    arrows_of,
     category_from_poset,
     CertificateMismatch,
     concrete_categories,
@@ -85,8 +86,8 @@ def bowtie_diagram(h_target="0", k_target="1"):
         shape,
         [carriers[name] for name in shape.objects],
         [
-            actions.get(m.name, {e: e for e in carriers[shape.objects[m.dom]]})
-            for m in shape.morphisms
+            actions.get(name, {e: e for e in carriers[shape.objects[dom]]})
+            for name, (dom, _) in zip(shape.arrow_names, shape.morphisms)
         ],
     )
 
@@ -126,10 +127,10 @@ def test_validate_rejects_non_injective():
 
 def test_validate_rejects_functoriality_break():
     shape = chain_shape(3)
-    by_name = {shape.morphisms[i].name: i for i in range(len(shape.morphisms))}
+    by_name = shape.mor_index
     actions = [None] * len(shape.morphisms)
     carriers = [("a", "b"), ("a", "b"), ("a", "b")]
-    for i, m in enumerate(shape.morphisms):
+    for i in range(len(shape.morphisms)):
         actions[i] = {"a": "a", "b": "b"}
     actions[by_name["c0->c2"]] = {"a": "b", "b": "a"}  # disagrees with the composite
     with pytest.raises(FunctorialityViolation):
@@ -241,9 +242,8 @@ def test_has_cocone_boat_with_empty_bottom():
     shape = category_from_poset(poset)
     carriers = {"A": ("*",), "B": ("0", "1"), "C": ("*",), "D": ("*",), "E": ()}
     actions = []
-    for m in shape.morphisms:
-        dom = shape.objects[m.dom]
-        cod = shape.objects[m.cod]
+    for dom, cod in shape.morphisms:
+        dom, cod = shape.objects[dom], shape.objects[cod]
         if dom == "E":
             actions.append({})
         elif dom == cod:
@@ -260,11 +260,11 @@ def test_has_cocone_boat_with_empty_bottom():
 
 def _actions_by_name(shape, carriers, named):
     out = []
-    for i, m in enumerate(shape.morphisms):
-        if m.name in named:
-            out.append(named[m.name])
+    for name, (dom, _) in zip(shape.arrow_names, shape.morphisms):
+        if name in named:
+            out.append(named[name])
         else:
-            out.append({e: e for e in carriers[m.dom]})
+            out.append({e: e for e in carriers[dom]})
     return out
 
 
@@ -508,11 +508,11 @@ def test_shrink_removes_padding():
     # pad every carrier with junk not reachable from the collision zigzag
     carriers = [c + (f"junk{i}",) for i, c in enumerate(d.carriers)]
     actions = []
-    for i, m in enumerate(d.shape.morphisms):
+    for i, (dom, cod) in enumerate(d.shape.morphisms):
         act = action(d, i)
-        act[f"junk{m.dom}"] = f"junk{m.cod}"
-        if m.dom == m.cod:
-            act[f"junk{m.dom}"] = f"junk{m.dom}"
+        act[f"junk{dom}"] = f"junk{cod}"
+        if dom == cod:
+            act[f"junk{dom}"] = f"junk{dom}"
         actions.append(act)
     padded = validate_diagram(d.shape, carriers, actions)
     assert not has_cocone(padded)
@@ -577,9 +577,8 @@ def test_skeleton_preserves_cocone_existence():
     skel_shape = category_from_poset(poset)
     skel_carriers = [d.carriers[reps[v]] for v in range(len(poset))]
     skel_actions = []
-    for m in skel_shape.morphisms:
-        src = reps[m.dom]
-        arrow = loop.hom(src, reps[m.cod])[0]
+    for dom, cod in skel_shape.morphisms:
+        arrow = loop.hom(reps[dom], reps[cod])[0]
         skel_actions.append(dict(action(d, arrow)))
     skel = validate_diagram(skel_shape, skel_carriers, skel_actions)
     assert bool(has_cocone(d)) == bool(has_cocone(skel)) == True  # noqa: E712
@@ -610,8 +609,8 @@ def _relabeled(d, rng, prefix):
     shape = d.shape
     carriers = [tuple(rename[obj][e] for e in c) for obj, c in enumerate(d.carriers)]
     actions = [
-        {rename[m.dom][x]: rename[m.cod][y] for x, y in action(d, i).items()}
-        for i, m in enumerate(shape.morphisms)
+        {rename[dom][x]: rename[cod][y] for x, y in action(d, i).items()}
+        for i, (dom, cod) in enumerate(shape.morphisms)
     ]
     return validate_diagram(shape, carriers, actions), rename
 
@@ -633,9 +632,9 @@ def _padded(d, rng):
         at = rng.randint(0, len(c))
         carriers.append(c[:at] + (f"junk{obj}",) + c[at:])
     actions = []
-    for i, m in enumerate(shape.morphisms):
+    for i, (dom, cod) in enumerate(shape.morphisms):
         act = action(d, i)
-        act[f"junk{m.dom}"] = f"junk{m.cod}"
+        act[f"junk{dom}"] = f"junk{cod}"
         actions.append(act)
     return validate_diagram(shape, carriers, actions)
 
@@ -685,11 +684,11 @@ def _check_zigzag(d, col):
     nodes, steps = collision_zigzag(d, col)
     assert nodes[0] == (col.obj, col.x) and nodes[-1] == (col.obj, col.y)
     for (a, x), (b, y), (i, forward) in zip(nodes, nodes[1:], steps):
-        m = d.shape.morphisms[i]
+        dom, cod = d.shape.morphisms[i]
         if forward:
-            assert (m.dom, m.cod) == (a, b) and action(d, i)[x] == y
+            assert (dom, cod) == (a, b) and action(d, i)[x] == y
         else:
-            assert (m.cod, m.dom) == (a, b) and action(d, i)[y] == x
+            assert (cod, dom) == (a, b) and action(d, i)[y] == x
     assert zigzag_action(d, ZigzagWord(col.obj, steps)).get(col.x) == col.y
 
 
@@ -756,20 +755,20 @@ def _corrupt(shape, carriers, actions, rng, kind):
         i = rng.choice(arrows)
     else:
         i = rng.randrange(len(actions))
-    m = shape.morphisms[i]
+    dom, cod = shape.morphisms[i]
     if actions[i] is None and kind != "count":
-        actions[i] = {e: e for e in carriers[m.dom]}
+        actions[i] = {e: e for e in carriers[dom]}
     act = actions[i]
-    if kind == "repeat" and carriers[m.dom]:
-        carriers[m.dom].append(rng.choice(carriers[m.dom]))
+    if kind == "repeat" and carriers[dom]:
+        carriers[dom].append(rng.choice(carriers[dom]))
     elif kind == "drop" and act:
         del act[rng.choice(sorted(act))]
     elif kind == "extra":
-        act["extra"] = rng.choice(carriers[m.cod] or ["extra"])
+        act["extra"] = rng.choice(carriers[cod] or ["extra"])
     elif kind == "escape" and act:
         act[rng.choice(sorted(act))] = "escaped"
     elif kind == "stray" and act:
-        elsewhere = sorted(set().union(*carriers) - set(carriers[m.cod]))
+        elsewhere = sorted(set().union(*carriers) - set(carriers[cod]))
         act[rng.choice(sorted(act))] = rng.choice(elsewhere or ["stray"])
     elif kind == "rename" and act:
         x = rng.choice(sorted(act))
@@ -783,7 +782,7 @@ def _corrupt(shape, carriers, actions, rng, kind):
         x, y = rng.sample(sorted(act), 2)
         act[x], act[y] = act[y], act[x]
     elif kind == "move" and act:
-        free = sorted(set(carriers[m.cod]) - set(act.values()))
+        free = sorted(set(carriers[cod]) - set(act.values()))
         if free:
             act[rng.choice(sorted(act))] = rng.choice(free)
     elif kind == "count":
@@ -856,9 +855,9 @@ def test_the_first_non_commuting_pair_is_named_in_scan_order_for_any_presentatio
     and over the chain as a poset."""
     poset = FinPoset("ABCD", [(0, 1), (1, 2), (2, 3)])
     shape = category_from_poset(poset)
-    names = [m.name for m in shape.morphisms]
-    arrows = [(m.name, *(poset.elements[x] for x in (m.dom, m.cod)))
-              for m in shape.morphisms[len(poset):]]
+    names = list(shape.arrow_names)
+    arrows = [(m.name, poset.elements[m.dom], poset.elements[m.cod])
+              for m in arrows_of(shape)[len(poset):]]
     compose = [(names[g], names[f], names[r]) for g, f, r in shape.composites()]
     carriers = [("x", "y")] * len(poset)
     actions = [{"x": "x", "y": "y"} for _ in names]
@@ -985,8 +984,8 @@ def _represented(shape, a: int, tag: str):
     refl, proj = monic_reflection(shape)
     carriers = [tuple(f"{tag}{g}" for g in refl.hom(a, x)) for x in range(len(refl.objects))]
     actions = [
-        {f"{tag}{g}": f"{tag}{refl.compose(proj[i], g)}" for g in refl.hom(a, m.dom)}
-        for i, m in enumerate(shape.morphisms)
+        {f"{tag}{g}": f"{tag}{refl.compose(proj[i], g)}" for g in refl.hom(a, dom)}
+        for i, (dom, _) in enumerate(shape.morphisms)
     ]
     return validate_diagram(shape, carriers, actions)
 
@@ -1086,14 +1085,14 @@ def test_a_document_parses_alike_with_its_identity_actions_omitted_or_listed(d, 
     listed = dict(doc, actions=dict(doc["actions"]))
     for x in range(len(shape.objects)):
         if rng.random() < 0.5:
-            listed["actions"][shape.morphisms[x].name] = [[e, e] for e in d.carriers[x]]
+            listed["actions"][shape.arrow_names[x]] = [[e, e] for e in d.carriers[x]]
     assert serialize.diagram_from_doc(listed, shape=shape) == d
     wide = [x for x, c in enumerate(d.carriers) if len(c) > 1]
     if wide:
         x = rng.choice(wide)
         c = d.carriers[x]
         images = (c[1], c[0]) + c[2:]
-        listed["actions"][shape.morphisms[x].name] = list(
+        listed["actions"][shape.arrow_names[x]] = list(
             map(list, zip(c, images))
         )
         with pytest.raises(FunctorialityViolation) as exc:
@@ -1112,8 +1111,8 @@ def test_writers_give_the_bytes_of_label_pair_lists(d):
     shape = d.shape
     doc = serialize.diagram_to_doc(d)
     actions = {
-        m.name: sorted(map(list, action(d, i).items()))
-        for i, m in enumerate(shape.morphisms)
+        name: sorted(map(list, action(d, i).items()))
+        for i, name in enumerate(shape.arrow_names)
         if not shape.is_identity(i)
     }
     assert serialize.dump(doc) == serialize.dump(dict(doc, actions=actions))

@@ -51,7 +51,7 @@ def _as_doc(diagram, rng: random.Random) -> dict:
     shape = diagram.shape
     for x, carrier in enumerate(diagram.carriers):
         if rng.random() < 0.3:
-            doc["actions"][shape.morphisms[x].name] = [[e, e] for e in carrier]
+            doc["actions"][shape.arrow_names[x]] = [[e, e] for e in carrier]
     return doc
 
 
@@ -178,6 +178,6 @@ def test_a_valid_document_is_read_without_label_dicts(drawn):
         assert serialize.diagram_from_doc(doc) == expected
     assert read.call_count == 1
     shape, _, actions = read.call_args.args
-    listed = [doc["actions"].get(m.name) for m in shape.morphisms]
+    listed = [doc["actions"].get(name) for name in shape.arrow_names]
     assert all(map(operator.is_, actions, listed))
     _both(doc)

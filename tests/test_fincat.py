@@ -13,7 +13,6 @@ from amalgam.fincat import (
     FinCategory,
     IdentityViolation,
     MissingComposite,
-    Morphism,
     NotAPreorder,
     PresentationError,
     category,
@@ -26,6 +25,7 @@ from amalgam.fincat import (
 )
 from amalgam.poset import FinPoset
 from conftest import (
+    arrows_of,
     bowtie_cat,
     category_from_poset,
     classes_of,
@@ -242,8 +242,8 @@ def test_monic_reflection_universal_factorization():
     )
     obj_map = [chain.obj_index[name] for name in cat.objects]
     mor_map = []
-    for m in cat.morphisms:
-        mor_map.append(chain.hom(obj_map[m.dom], obj_map[m.cod])[0])
+    for dom, cod in cat.morphisms:
+        mor_map.append(chain.hom(obj_map[dom], obj_map[cod])[0])
     functor = FunctorMap(cat, chain, obj_map, mor_map)
     functor.validate()
     # exhibit H with H∘proj = functor
@@ -334,7 +334,7 @@ def test_validate_category_raw_roundtrip():
         "compose": [],
     }
     cat = validate_category(raw)
-    assert cat.morphisms[cat.mor_index["a"]].dom == cat.obj_index["A"]
+    assert cat.morphisms[cat.mor_index["a"]][0] == cat.obj_index["A"]
 
 
 # -- the indexed core against its naive references -----------------------------
@@ -349,7 +349,7 @@ AXIOM_SUITE = (
 
 def _check_outcome(check, cat, table):
     try:
-        check(cat.objects, cat.morphisms, table)
+        check(cat.objects, arrows_of(cat), table)
     except CategoryError as exc:
         return type(exc), str(exc)
     return None
@@ -392,19 +392,23 @@ def _presentation_faults(cat):
     """The presentation with one fault of those checked before the table's
     composites: a repeated object or morphism name, too few morphisms, an
     end out of range, an identity with other ends, or a table entry out of
-    range.  Each as (objects and morphisms, table)."""
-    objects, morphisms, table = cat.objects, cat.morphisms, table_of(cat)
+    range.  Each as (objects, names and ends, table)."""
+    objects, arrows, table = cat.objects, arrows_of(cat), table_of(cat)
     n = len(objects)
-    yield SimpleNamespace(objects=objects + objects[-1:], morphisms=morphisms), table
-    yield SimpleNamespace(objects=objects, morphisms=morphisms + morphisms[-1:]), table
+
+    def shown(objects, arrows):
+        return SimpleNamespace(objects=objects, arrow_names=[a[0] for a in arrows],
+                               morphisms=[a[1:] for a in arrows])
+
+    yield shown(objects + objects[-1:], arrows), table
+    yield shown(objects, arrows + arrows[-1:]), table
     if n:
-        yield SimpleNamespace(objects=objects, morphisms=morphisms[:n - 1]), {}
-    for stray in (Morphism("stray", 0, n), Morphism("stray", -1, 0)):
-        yield SimpleNamespace(objects=objects, morphisms=morphisms + (stray,)), table
+        yield shown(objects, arrows[:n - 1]), {}
+    for stray in (("stray", 0, n), ("stray", -1, 0)):
+        yield shown(objects, arrows + [stray]), table
     if n > 1:
-        moved = (Morphism(morphisms[0].name, 0, 1),) + morphisms[1:]
-        yield SimpleNamespace(objects=objects, morphisms=moved), table
-    yield cat, {**table, (0, 0): len(morphisms)}
+        yield shown(objects, [(arrows[0].name, 0, 1)] + arrows[1:]), table
+    yield cat, {**table, (0, 0): len(arrows)}
     yield cat, {(-1, 0): 0, **table}
 
 
@@ -461,7 +465,7 @@ def labelled_partitions(draw):
     labels = draw(st.lists(st.integers(0, 2), min_size=len(cat.morphisms),
                            max_size=len(cat.morphisms)))
     if draw(st.booleans()):
-        labels = [(m.dom, m.cod, k) for m, k in zip(cat.morphisms, labels)]
+        labels = [(*ends, k) for ends, k in zip(cat.morphisms, labels)]
     blocks: dict = {}
     for i, k in enumerate(labels):
         blocks.setdefault(k, []).append(i)
@@ -528,13 +532,13 @@ def test_compose_and_the_rows_agree_with_the_table(cat):
     entry is found by ``compose`` and ``pre``, and ``place`` names each
     arrow's place among the arrows out of its domain."""
     hom_out, hom_in, table = cat.hom_out, cat.hom_in, table_of(cat)
-    assert all(hom_out[m.dom][cat.place[i]] == i for i, m in enumerate(cat.morphisms))
-    assert len(table) == sum(len(hom_out[m.cod]) for m in cat.morphisms)
-    assert FinCategory(cat.objects, cat.morphisms, table) == cat
+    assert all(hom_out[dom][cat.place[i]] == i for i, (dom, _) in enumerate(cat.morphisms))
+    assert len(table) == sum(len(hom_out[cod]) for _, cod in cat.morphisms)
+    assert FinCategory(cat.objects, arrows_of(cat), table) == cat
     for (g, f), r in table.items():
         assert cat.compose(g, f) == r
-    for f, m in enumerate(cat.morphisms):
-        assert cat.pre[f] == [table[(f, g)] for g in hom_in[m.dom]]
+    for f, (dom, _) in enumerate(cat.morphisms):
+        assert cat.pre[f] == [table[(f, g)] for g in hom_in[dom]]
 
 
 def test_a_corpus_category_parses_alike_with_its_compose_list_reversed():
@@ -565,7 +569,7 @@ def test_composites_run_in_scan_order():
         assert list(cat.composites()) == [
             (g, f, cat.compose(g, f))
             for f in range(n, len(cat.morphisms))
-            for g in cat.hom_out[cat.morphisms[f].cod]
+            for g in cat.hom_out[cat.morphisms[f][1]]
             if g >= n
         ]
 
@@ -621,12 +625,12 @@ def test_a_quotient_reads_the_class_map_it_is_given():
     z4 = cyclic_cat(4)
     assert quotient_category(z4, (0, 1, 2, 3))[0] is z4
     quotient, projection = quotient_category(z4, (0, 1, 3, 2))
-    assert [m.name for m in quotient.morphisms] == ["id_X", "r1", "r3", "r2"]
+    assert quotient.arrow_names == ("id_X", "r1", "r3", "r2")
     assert projection == (0, 1, 3, 2)
     quotient, projection = quotient_category(z4, (0, 0, 0, 0))
-    assert [m.name for m in quotient.morphisms] == ["id_X"] and projection == (0, 0, 0, 0)
+    assert quotient.arrow_names == ("id_X",) and projection == (0, 0, 0, 0)
     quotient, projection = quotient_category(z4, (0, 1, 0, 1))
-    assert [m.name for m in quotient.morphisms] == ["id_X", "r1"] and projection == (0, 1, 0, 1)
+    assert quotient.arrow_names == ("id_X", "r1") and projection == (0, 1, 0, 1)
     as_functor(z4, quotient, projection).validate()
     for bad in ((0, 1, 2), (0, 2, 2, 2)):
         for reader in (quotient_category, is_congruence):
@@ -707,7 +711,7 @@ def test_parallel_pairs_match_double_loop():
             (f, g)
             for g in range(len(ms))
             for f in range(g)
-            if (ms[f].dom, ms[f].cod) == (ms[g].dom, ms[g].cod)
+            if ms[f] == ms[g]
         ]
         assert list(cat.parallel_pairs()) == expected
 
@@ -717,23 +721,23 @@ def test_hom_and_is_monic_match_scans():
         for x in range(len(cat.objects)):
             for y in range(len(cat.objects)):
                 assert cat.hom(x, y) == tuple(
-                    i for i, m in enumerate(cat.morphisms) if (m.dom, m.cod) == (x, y)
+                    i for i, ends in enumerate(cat.morphisms) if ends == (x, y)
                 )
         ms = cat.morphisms
         monic = all(
             cat.compose(h, f) != cat.compose(h, g)
             for g in range(len(ms))
             for f in range(g)
-            if (ms[f].dom, ms[f].cod) == (ms[g].dom, ms[g].cod)
+            if ms[f] == ms[g]
             for h in range(len(ms))
-            if ms[h].dom == ms[f].cod
+            if ms[h][0] == ms[f][1]
         )
         assert is_monic(cat) == monic
 
 
 def _reference_skeleton(cat):
     """Skeleton from the reachability relation, class by least object."""
-    reach = {(m.dom, m.cod) for m in cat.morphisms}
+    reach = set(cat.morphisms)
     reps, class_of = [], []
     for x in range(len(cat.objects)):
         rep = next(r for r in range(x + 1) if (r, x) in reach and (x, r) in reach)
@@ -765,7 +769,7 @@ def _skeletons_agree_on_all_morphism_ends(cat) -> int:
     for c in (cat, monic_reflection(cat)[0]):
         if is_preorder(c):
             poset, class_of = skeleton_poset(c)
-            ends = [(class_of[m.dom], class_of[m.cod]) for m in c.morphisms]
+            ends = [(class_of[dom], class_of[cod]) for dom, cod in c.morphisms]
             assert poset == FinPoset(poset.elements, ends), c
             compared += 1
     return compared
@@ -798,7 +802,7 @@ def _right_nested_composites(cat, generators) -> set[int]:
             cat.compose(g, x)
             for g in generators
             for x in reached
-            if cat.morphisms[x].cod == cat.morphisms[g].dom
+            if cat.morphisms[x][1] == cat.morphisms[g][0]
         } - reached
         if not fresh:
             return reached
@@ -820,7 +824,7 @@ def generators(shape) -> tuple[int, ...]:
 def test_generators_reach_every_non_identity():
     for cat in GENERATED:
         gens = generators(cat)
-        assert [(g, cat.morphisms[g].dom, cat.morphisms[g].cod) for g in gens] == list(
+        assert [(g, *cat.morphisms[g]) for g in gens] == list(
             cat.generator_ends
         )
         assert list(gens) == sorted(set(gens))
@@ -836,7 +840,7 @@ def test_every_generator_is_needed_or_irreducible():
             irreducible = not any(
                 cat.compose(a, b) == g and g not in (a, b)
                 for b in range(len(cat.morphisms))
-                for a in cat.hom_out[cat.morphisms[b].cod]
+                for a in cat.hom_out[cat.morphisms[b][1]]
                 if not (cat.is_identity(a) or cat.is_identity(b))
             )
             earlier = generators(cat)[:k]

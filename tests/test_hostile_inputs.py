@@ -163,7 +163,7 @@ def arrow_actions(path: Path) -> dict:
     if run(["validate", str(path)])[0] != 0:
         return {}
     shape = serialize.load_shape(path)
-    return {m.name: [] for i, m in enumerate(shape.morphisms) if not shape.is_identity(i)}
+    return {name: [] for i, name in enumerate(shape.arrow_names) if not shape.is_identity(i)}
 
 
 def check_run(work: Path, argv: list[str], keep: bool) -> tuple[int, str]:

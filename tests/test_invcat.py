@@ -112,8 +112,7 @@ def test_wagner_preston_functorial_faithful_monic_on_corpus():
             assert rep.maps[g].after(rep.maps[f]) == rep.maps[r], name
         for f in range(len(cat.morphisms)):
             for g in range(len(cat.morphisms)):
-                if f != g and cat.morphisms[f].dom == cat.morphisms[g].dom \
-                        and cat.morphisms[f].cod == cat.morphisms[g].cod:
+                if f != g and cat.morphisms[f] == cat.morphisms[g]:
                     assert rep.maps[f] != rep.maps[g], name
         for f in range(len(cat.morphisms)):
             assert is_total(rep.maps[f]) == is_monic_morphism(cat, f), name

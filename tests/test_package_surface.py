@@ -23,9 +23,12 @@ from amalgam.diagram import (
     FinInjDiagram,
     ShapeAnalysis,
 )
+from amalgam import corpus, serialize
 from amalgam.fincat import FinCategory, category
 from amalgam.invcat import validate_inverse
 from amalgam.poset import FinPoset, ForestCertificate, NonForestWitness
+from conftest import category_from_poset
+from oracles import all_posets
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "amalgam"
@@ -34,7 +37,7 @@ EXPORTS_MOVED = (
     "wagner_preston", "components", "simply_connected_bounded", "FunctorMap",
     "PartialInjection", "congruence_close", "connected_components",
     "CertificateEvidence", "RefutationEvidence", "Congruence", "DecompositionNode",
-    "FinInverseCategory",
+    "FinInverseCategory", "Morphism",
 )
 # (module, attribute path) of every definition that left the package
 MOVED = (
@@ -73,6 +76,7 @@ MOVED = (
     ("poset", "DecompositionNode"), ("poset", "_preorder"), ("poset", "_same_forest"),
     ("poset", "_decompose"), ("decide", "_describe_tree"), ("serialize", "_node_to_doc"),
     ("record", "set_field"), ("cli", "cmd_explain"), ("invcat", "FinInverseCategory"),
+    ("fincat", "Morphism"), ("poset", "FinPoset.arrow_ends"), ("poset", "FinPoset._arrows"),
 )
 # Facts each record reads off its fields instead of storing them.
 DERIVED = {
@@ -247,11 +251,28 @@ def reader(elsewhere) -> hint:
 
 
 def test_each_shape_has_one_constructor():
-    """A poset is built from its covers alone, and a category's identities
-    are its first ``len(objects)`` morphisms."""
+    """A poset is built from its covers alone, and a category from its
+    (name, dom, cod) arrows, whose first ``len(objects)`` are the identities."""
     assert list(inspect.signature(FinPoset).parameters) == ["elements", "covers"]
-    assert list(inspect.signature(FinCategory).parameters) == ["objects", "morphisms", "table"]
+    assert list(inspect.signature(FinCategory).parameters) == ["objects", "arrows", "table"]
     assert [name for name, value in vars(FinPoset).items() if isinstance(value, classmethod)] == []
+
+
+def test_a_morphism_is_its_ends_beside_its_name():
+    """Both shapes hold each morphism as a plain (dom, cod) pair of ints and
+    its name, a str, at the same index of ``arrow_names``; a poset's pairs
+    and names are those of its category, index for index."""
+    for name in ("bowtie", "boat"):
+        shape = serialize.load_shape(corpus.resolve(name))
+        assert shape.morphisms and len(shape.arrow_names) == len(shape.morphisms)
+        for ends in shape.morphisms:
+            assert type(ends) is tuple and list(map(type, ends)) == [int, int], (name, ends)
+        assert all(type(arrow) is str for arrow in shape.arrow_names), name
+        assert shape.mor_index == {arrow: i for i, arrow in enumerate(shape.arrow_names)}
+    for posets in all_posets(5).values():
+        for p in posets:
+            cat = category_from_poset(p)
+            assert (p.morphisms, p.arrow_names) == (cat.morphisms, cat.arrow_names), p
 
 
 def test_the_result_records_hold_their_facts_and_no_forwarding_layer():

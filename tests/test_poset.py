@@ -328,6 +328,20 @@ def test_mask_queries_match_the_pair_set(case):
     assert with_points(p, is_forest_like(p)) == as_masks(recursive_forest_like(p))
 
 
+def test_dags_draw_a_fair_share_of_refuted_posets():
+    """The property tests over ``dags`` reach the refutation path: at least
+    a fifth of 300 seeded examples are not forest-like."""
+    refuted = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(dags())
+    def draw(case):
+        refuted.append(isinstance(is_forest_like(case[0]), NonForestWitness))
+
+    draw()
+    assert len(refuted) >= 300 and sum(refuted) * 5 >= len(refuted), (sum(refuted), len(refuted))
+
+
 def test_decomposition_matches_the_recursive_reference_on_all_posets_of_six():
     for posets in all_posets(6).values():
         for p in posets:
@@ -612,7 +626,7 @@ def _same_category(p: FinPoset) -> None:
     """The poset's morphism view is the category of the poset, index for index."""
     cat = category_from_poset(p)
     assert p == cat and cat == p
-    assert (p.objects, p.morphisms) == (cat.objects, cat.morphisms)
+    assert (p.objects, p.morphisms, p.arrow_names) == (cat.objects, cat.morphisms, cat.arrow_names)
     assert p.obj_index == cat.obj_index and p.mor_index == cat.mor_index
     assert p.hom_in == cat.hom_in
     assert cat.hom_out == [
@@ -621,8 +635,8 @@ def _same_category(p: FinPoset) -> None:
     ]
     assert [m for m in range(len(p.morphisms)) if p.is_identity(m)] == list(range(len(p)))
     assert list(p.composites()) == list(cat.composites())
-    for f, mf in enumerate(cat.morphisms):
-        for g in cat.hom_out[mf.cod]:
+    for f, (_, cod) in enumerate(cat.morphisms):
+        for g in cat.hom_out[cod]:
             assert p.compose(g, f) == cat.compose(g, f)
     for x in range(len(p)):
         for y in range(len(p)):
@@ -643,13 +657,19 @@ def test_poset_morphisms_are_its_category(case):
 
 def test_poset_arrows_are_built_on_first_use():
     p = boat_poset()
-    assert "_arrows" not in vars(p)
-    assert p.generator_ends and "_arrows" not in vars(p)
+    built = {"morphisms", "arrow_names"}
+    assert not built & vars(p).keys()
+    assert p.generator_ends and not built & vars(p).keys()
     p.compose(p.arrow(2, 0), p.arrow(4, 2))
-    assert "_arrows" in vars(p)
+    assert "morphisms" in vars(p) and "arrow_names" not in vars(p)
+    p.mor_index
+    assert built <= vars(p).keys()
 
 
 def test_poset_arrow_name_clash_names_both_morphisms():
+    """The ends hold no name, so only reading the names meets the clash."""
     p = FinPoset(["p->q", "id_p", "q"], [(1, 2)])
-    with pytest.raises(PresentationError, match="given to both the identity of 'p->q'"):
-        p.morphisms
+    assert p.morphisms == ((0, 0), (1, 1), (2, 2), (1, 2))
+    for names in ("arrow_names", "mor_index"):
+        with pytest.raises(PresentationError, match="given to both the identity of 'p->q'"):
+            getattr(p, names)

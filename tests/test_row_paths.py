@@ -116,8 +116,8 @@ def shift_diagram(m: int):
     cat = parallel_pair_cat()
     carriers = [[f"c{i}" for i in range(m)], [f"b{i}" for i in range(m + 1)]]
     actions = [None, None]
-    for arrow in cat.morphisms[2:]:
-        shift = arrow.name == "v"
+    for name in cat.arrow_names[2:]:
+        shift = name == "v"
         actions.append({f"c{i}": f"b{i + shift}" for i in range(m)})
     return validate_diagram(cat, carriers, actions)
 

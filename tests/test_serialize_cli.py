@@ -15,7 +15,7 @@ from amalgam.cli import main
 from amalgam.decide import decide, explain
 from amalgam.diagram import Cocone, validate_cocone
 from amalgam.fincat import PresentationError, category
-from amalgam.poset import FinPoset, is_forest_like
+from amalgam.poset import FinPoset, clip, is_forest_like
 from amalgam.serialize import ParseError
 from conftest import (
     category_from_poset, chain, cocone_from_labels, corpus_names, recursive_forest_like,
@@ -373,8 +373,12 @@ def test_documents_are_read_to_their_end_from_a_pipe(tmp_path):
 
 def test_read_and_write_errors_name_the_path_as_open_does(tmp_path, monkeypatch, capsys):
     """A missing shape file, a directory given as a diagram's shape (opened
-    fine, refused by its first read) and ``--out`` into a missing directory."""
+    fine, refused by its first read) and ``--out`` into a missing directory.
+    An absolute path is quoted as every fault quotes a path, whole up to 80
+    characters, so the line holds under a temporary directory of any
+    length."""
     monkeypatch.chdir(tmp_path)
+    shapedir = clip(tmp_path / "shapedir")
     (tmp_path / "shapedir").mkdir()
     for name, shape in (("dir.json", "shapedir"), ("gone.json", "missing.json")):
         doc = {"type": "diagram", "shape": shape, "carriers": {}, "actions": {}}
@@ -386,7 +390,7 @@ def test_read_and_write_errors_name_the_path_as_open_does(tmp_path, monkeypatch,
         (["validate", "dir.json"], "shapedir: [Errno 21] Is a directory: 'shapedir'"),
         (["cocone", "span", "dir.json"], "shapedir: [Errno 21] Is a directory: 'shapedir'"),
         (["oracle", str(tmp_path / "dir.json")],
-         f"{tmp_path}/shapedir: [Errno 21] Is a directory: '{tmp_path}/shapedir'"),
+         f"{shapedir}: [Errno 21] Is a directory: '{shapedir}'"),
         (["check", "span", "--out", "missing/out.json"],
          "[Errno 2] No such file or directory: 'missing/out.json'"),
     ]
@@ -602,7 +606,7 @@ def test_an_object_that_repeats_a_key_is_refused(tmp_path, capsys, case):
     path.write_text(text)
     assert main([command, str(path)]) == 2
     assert capsys.readouterr() == (
-        "", f"error: {path}: an object repeats the key '{key}'\n"
+        "", f"error: {clip(path)}: an object repeats the key '{key}'\n"
     )
 
 
@@ -612,7 +616,7 @@ def test_a_repeated_key_is_named_clipped(tmp_path):
     path.write_text(f'{{"type": "poset", "{key}": 1, "{key}": 2}}')
     with pytest.raises(ParseError) as caught:
         serialize.load_document(path)
-    assert str(caught.value) == f"{path}: an object repeats the key '{'k' * 77}...'"
+    assert str(caught.value) == f"{clip(path)}: an object repeats the key '{'k' * 77}...'"
 
 
 def test_readme_library_example_runs(capsys):
@@ -656,7 +660,8 @@ def test_positive_check_never_names_a_posets_arrows(monkeypatch, tmp_path):
     def refuse(self):
         raise AssertionError("the arrows of a positive poset were built")
 
-    monkeypatch.setattr(FinPoset, "_arrows", property(refuse))
+    monkeypatch.setattr(FinPoset, "morphisms", property(refuse))
+    monkeypatch.setattr(FinPoset, "arrow_names", property(refuse))
     out = str(tmp_path / "out")
     for name in ("span", "chain5", "fan", "cospan"):
         assert main(["check", name, "--format", "structured", "--out", out]) == 0
@@ -664,17 +669,19 @@ def test_positive_check_never_names_a_posets_arrows(monkeypatch, tmp_path):
 
 def test_refuting_a_poset_builds_no_morphism_objects(monkeypatch, tmp_path):
     """The witness of a refuted poset is built, checked and run through the
-    oracle on its masks and rows; only its arrow names are made, for the
-    writer."""
+    oracle on its masks and rows; only its arrow names and ends are made,
+    for the writer, and each morphism is a plain (dom, cod) pair."""
     def refuse(self):
-        raise AssertionError("a refuted poset built its morphisms or hom_in lists")
+        raise AssertionError("a refuted poset built its hom_in lists")
 
-    monkeypatch.setattr(FinPoset, "_arrows", property(refuse))
     monkeypatch.setattr(FinPoset, "hom_in", property(refuse))
     out = str(tmp_path / "out")
     for name in ("boat", "nonforest6"):
         for argv in (["check"], ["check", "--format", "structured"], ["witness"]):
             assert main([*argv, name, "--out", out]) == (0 if argv == ["witness"] else 1)
+        poset = serialize.load_shape(corpus.resolve(name))
+        assert decide(poset).diagram.shape is poset and "morphisms" in vars(poset)
+        assert all(type(ends) is tuple and len(ends) == 2 for ends in poset.morphisms)
 
 
 def test_no_command_on_a_poset_document_builds_a_category(built_categories, tmp_path):
@@ -1222,10 +1229,10 @@ def test_load_document_names_the_path_of_bytes_that_do_not_decode(
     path.write_bytes(data)
     with pytest.raises(ParseError) as caught:
         serialize.load_document(path)
-    assert str(caught.value).startswith(f"{path}: ") and message in str(caught.value)
+    assert str(caught.value).startswith(f"{clip(path)}: ") and message in str(caught.value)
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and message in err
+    assert err.startswith(f"error: {clip(path)}: ") and message in err
 
 
 def test_gen_names_a_size_that_is_not_an_integer(capsys):
