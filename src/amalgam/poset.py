@@ -53,8 +53,11 @@ def lone_surrogate(names) -> str | None:
 
 
 def _bits(mask: int):
-    """Indices of the set bits of mask, ascending, read off its binary digits."""
-    return compress(count(), map("1".__eq__, bin(mask)[:1:-1]))
+    """Indices of the set bits of mask, ascending, split off one at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _members(mask: int) -> frozenset[int]:
@@ -74,15 +77,6 @@ def sorted_names(names, mask: int) -> list:
             mask ^= low
     out.sort()
     return out
-
-
-def _sparse_bits(mask: int):
-    """Indices of the set bits of mask, ascending, split off one at a time:
-    cheaper than ``_bits`` on a long mask with few bits set."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _closure(succ: list[int], elements) -> tuple[int, ...]:
@@ -243,7 +237,7 @@ class FinPoset:
     @cached_property
     def hom_in(self) -> list[list[int]]:
         return [
-            [b, *(self.arrow(a, b) for a in _sparse_bits(mask & ~(1 << b)))]
+            [b, *(self.arrow(a, b) for a in _bits(mask & ~(1 << b)))]
             for b, mask in enumerate(self.down_masks)
         ]
 
@@ -274,9 +268,9 @@ class FinPoset:
         by increasing (a, b), then g = b -> c by increasing c."""
         arrow, up = self.arrow, self.up_masks
         for a, mask in enumerate(up):
-            for b in _sparse_bits(mask & ~(1 << a)):
+            for b in _bits(mask & ~(1 << a)):
                 ab = arrow(a, b)
-                for c in _sparse_bits(up[b] & ~(1 << b)):
+                for c in _bits(up[b] & ~(1 << b)):
                     yield arrow(b, c), ab, arrow(a, c)
 
 
@@ -496,6 +490,6 @@ def verify_witness(poset: FinPoset, witness: NonForestWitness) -> bool:
     if len(_component_masks(poset, component)) != 1:
         return False
     region = closure = 1 << x | component | up[x]
-    for a in _sparse_bits(region):
+    for a in _bits(region):
         closure |= up[a]
     return closure == region

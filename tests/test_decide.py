@@ -1,10 +1,12 @@
+import random
+
 from hypothesis import given, settings
 
 from amalgam import corpus, diagram, serialize
 from amalgam.decide import decide, explain
 from amalgam.diagram import ZigzagWord, collision_zigzag, has_cocone, zigzag_action
 from amalgam.fincat import category
-from amalgam.poset import verify_certificate
+from amalgam.poset import FinPoset, verify_certificate, verify_witness
 from conftest import (
     boat_poset,
     bowtie_cat,
@@ -202,3 +204,87 @@ def test_a_verdict_holds_a_diagram_exactly_on_refutations():
 @given(concrete_categories())
 def test_a_verdict_holds_a_diagram_exactly_on_refutations_of_concrete_categories(cat):
     _check_diagram_exactly_on_refutations(cat)
+
+
+def _fresh_names(rng, prefix, count):
+    return [f"{prefix}{k}" for k in rng.sample(range(10 * count + 10), count)]
+
+
+def _relabelled(p, rng):
+    """p with its indices permuted and every element renamed, its whole
+    relation given as covers in a shuffled order, so redundant covers occur."""
+    place = list(range(len(p)))
+    rng.shuffle(place)
+    names = _fresh_names(rng, "v", len(p))
+    elements = [None] * len(p)
+    for old, new in enumerate(place):
+        elements[new] = names[old]
+    covers = [(place[a], place[b]) for a, b in sorted(p.relation_pairs())]
+    rng.shuffle(covers)
+    return FinPoset(elements, covers)
+
+
+def _shuffled(doc, rng):
+    """A category document with its objects and morphisms renamed, and its
+    objects, morphisms and compose entries shuffled."""
+    objects = dict(zip(doc["objects"], _fresh_names(rng, "o", len(doc["objects"]))))
+    named = [m["name"] for m in doc.get("morphisms", [])]
+    arrows = {f"id_{o}": f"id_{new}" for o, new in objects.items()}
+    arrows.update(zip(named, _fresh_names(rng, "m", len(named))))
+    out = {
+        "type": "category",
+        "objects": list(objects.values()),
+        "morphisms": [{"name": arrows[m["name"]], "dom": objects[m["dom"]],
+                       "cod": objects[m["cod"]]} for m in doc.get("morphisms", [])],
+        "compose": [[arrows[name] for name in entry] for entry in doc.get("compose", [])],
+    }
+    for key in ("objects", "morphisms", "compose"):
+        rng.shuffle(out[key])
+    if "pinv" in doc:
+        out["pinv"] = {arrows[f]: arrows[g] for f, g in doc["pinv"].items()}
+    return out
+
+
+def _flags(v):
+    return v.analysis.usc, v.connected, v.amalgamable_ap_jep, v.amalgamable_ap_only
+
+
+def _evidence_checks(v):
+    """The certificate replays on the skeleton, or the witness verifies on
+    it and the verdict's diagram has no cocone."""
+    a = v.analysis
+    if a.usc:
+        assert verify_certificate(a.skeleton, a.forest)
+        return
+    if a.preorder:
+        assert verify_witness(a.skeleton, a.forest)
+    assert not has_cocone(v.diagram)
+
+
+def test_a_verdict_does_not_depend_on_names_or_order():
+    """Every poset of at most six elements under three relabellings, and the
+    first relabelling beside its category presentation, whose trace is the
+    same; the corpus categories renamed and shuffled twenty times each.
+    The evidence may change, since ties are broken by index, but it checks."""
+    presented = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        for p in (p for ps in all_posets(6).values() for p in ps):
+            v, q = decide(p), _relabelled(p, rng)
+            w = decide(q)
+            assert _flags(w) == _flags(v), (p, q)
+            _evidence_checks(w)
+            if seed == 0:
+                c = decide(category_from_poset(q))
+                assert _flags(c) == _flags(w) and c.trace == w.trace, q
+                presented += 1
+    assert presented == 406
+    docs = [serialize.load_document(corpus.resolve(name)) for name in corpus_names()]
+    categories = [doc for doc in docs if doc["type"] == "category"]
+    assert len(categories) == 5
+    for doc in categories:
+        v = decide(serialize.category_from_doc(doc))
+        for seed in range(20):
+            w = decide(serialize.category_from_doc(_shuffled(doc, random.Random(seed))))
+            assert _flags(w) == _flags(v), (doc, seed)
+            _evidence_checks(w)

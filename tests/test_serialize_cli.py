@@ -289,12 +289,16 @@ def _bowtie_diagram_with(tmp_path, edit):
          "action of 'f' must be a list of [x, y] pairs"),
         (lambda d: d["actions"].update(f=[[["*"], "*"]]),
          "action of 'f' must be a list of [x, y] pairs"),
+        (lambda d: d["actions"].update(f={"*": "*"}),
+         "action of 'f' must be a list of [x, y] pairs"),
+        (lambda d: d["actions"].pop("f"), "missing action for morphism 'f'"),
     ],
 )
 def test_cli_rejects_malformed_diagram_fields(tmp_path, capsys, command, edit, message):
     """A source listed twice, a carrier that is a string or holds a
-    non-string label, and a pair that is not a list: each exits 2 and names
-    the object or morphism at fault."""
+    non-string label, a pair that is not a list, and an action that is an
+    object or is missing: each exits 2 and names the object or morphism at
+    fault."""
     path = _bowtie_diagram_with(tmp_path, edit)
     assert main([command, path]) == 2
     err = capsys.readouterr().err
