@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate, compress, repeat, starmap
 from operator import itemgetter
 
 from .fincat import FinCategory, clip, is_preorder, monic_reflection, skeleton_poset
@@ -128,42 +128,47 @@ def validate_diagram(shape: FinCategory | FinPoset, carriers, actions) -> FinInj
     return FinInjDiagram(shape, carriers, tuple(maps))
 
 
-def _check_rows(shape: FinCategory, carriers, maps) -> None:
+def _check_rows(shape: FinCategory | FinPoset, carriers, maps) -> None:
     """The checks of ``validate_diagram`` on rows built from their carriers:
-    each row stays in the target and is injective, every identity acts as
-    the identity, and the rows are functorial."""
-    for i, ((_, cod), row) in enumerate(zip(shape.morphisms, maps)):
-        _check_row(shape, i, row, len(carriers[cod]))
+    each row has its source carrier's length, stays in the target and is
+    injective, every identity acts as the identity, and the rows are
+    functorial.  The arrow names are read first, so a shape whose names
+    clash is refused before any row is read; a name is quoted only in a
+    fault.  An empty row stays in its target and is injective."""
+    names, ends = shape.arrow_names, shape.morphisms
+    for i, ((dom, _), row) in enumerate(zip(ends, maps)):
+        if len(row) != len(carriers[dom]):
+            raise CarrierMismatch(
+                f"action of {clip(names[i])} is not defined on exactly its carrier"
+            )
+    for i in compress(range(len(maps)), maps):
+        row = maps[i]
+        if not (0 <= min(row) and max(row) < len(carriers[ends[i][1]])):
+            raise CarrierMismatch(f"action of {clip(names[i])} leaves the target carrier")
+        if len(set(row)) != len(row):
+            raise NotInjective(f"action of {clip(names[i])} is not injective")
     _check_laws(shape, carriers, maps, range(len(shape.objects)))
-
-
-def _check_row(shape, i: int, row, target: int) -> None:
-    """The row of morphism i, built from its source carrier, stays among the
-    ``target`` positions of its target and is injective.  The morphism is
-    named only in a fault."""
-    if row and not (0 <= min(row) and max(row) < target):
-        raise CarrierMismatch(
-            f"action of {clip(shape.arrow_names[i])} leaves the target carrier"
-        )
-    if len(set(row)) != len(row):
-        raise NotInjective(f"action of {clip(shape.arrow_names[i])} is not injective")
 
 
 def _check_laws(shape, carriers, maps, given) -> None:
     """The identities of the objects in ``given`` act as identities, and
-    F(g∘f) = F(g)F(f) for every generator g.  Composites with an identity
-    commute once the identities act as such."""
+    F(g∘f) = F(g)F(f) for every non-identity f and every generator g out of
+    cod f.  Composites with an identity commute once the identities act as
+    such, and an f with the empty row commutes with every g once each row
+    has its source carrier's length."""
     for x in given:
         if maps[x] != tuple(range(len(carriers[x]))):
             raise FunctorialityViolation(
                 f"identity of {clip(shape.objects[x])} does not act as the identity"
             )
-    for g, x, _ in shape.generator_ends:
-        ag = maps[g]
-        for f in shape.hom_in[x]:
-            if f != x and (
-                tuple(map(ag.__getitem__, maps[f])) != maps[shape.compose(g, f)]
-            ):
+    out: list[list[int]] = [[] for _ in carriers]
+    for g, dom, _ in shape.generator_ends:
+        out[dom].append(g)
+    n_obj, ends, compose = len(carriers), shape.morphisms, shape.compose
+    for f in compress(range(n_obj, len(maps)), maps[n_obj:]):
+        af = maps[f]
+        for g in out[ends[f][1]]:
+            if tuple(map(maps[g].__getitem__, af)) != maps[compose(g, f)]:
                 _raise_first_functoriality_fault(shape, carriers, maps)
 
 
@@ -550,8 +555,10 @@ def witness_no_cocone(
     of K's up-set and to 1 over the others, K and the rest of the up-set
     carry {0, 1} with identity actions, everything else is empty.  That
     diagram is built over the skeleton on its masks and pulled back to the
-    shape along the skeleton map.  The output is re-verified to be
-    cocone-free before being returned, together with the oracle's collision.
+    shape along the skeleton map.  The witness is built unchecked: its rows
+    over the shape are checked here, once, as ``validate_diagram`` checks rows,
+    and the oracle then re-verifies that the diagram is cocone-free; it is
+    returned together with the oracle's collision.
     """
     if analysis is None:
         analysis = analyze_shape(shape)
@@ -562,6 +569,7 @@ def witness_no_cocone(
     else:
         skeleton_witness = _poset_diagram(analysis.skeleton, analysis.forest)
         witness = _pull_back(skeleton_witness, shape, analysis.skeleton_map)
+    _check_rows(shape, witness.carriers, witness.maps)
     answer = has_cocone(witness)
     if answer:
         raise DiagramError("synthesized witness unexpectedly has a cocone")
@@ -586,7 +594,6 @@ def _parallel_pair_diagram(shape: FinCategory, analysis: ShapeAnalysis) -> FinIn
     for i, (dom, _) in enumerate(shape.morphisms):
         after = itemgetter(refl.place[mor_map[i]])
         maps.append(tuple(map(at, map(after, map(post.__getitem__, homs[dom])))))
-    _check_rows(shape, carriers, maps)
     return FinInjDiagram(shape, tuple(carriers), tuple(maps))
 
 
@@ -598,16 +605,8 @@ def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
     """The witness diagram over the poset, built from the witness's masks:
     one row per arrow, by index, and no label dict.  A carrier has size 1
     at x, 2 over the two-sided part (the component and the rest of x's
-    up-set) and 0 elsewhere.
-
-    The rows are checked as ``validate_diagram`` checks rows: each stays in
-    its target and is injective, and the rows commute over the covers.  An
-    arrow out of an empty carrier has the empty row, which commutes with
-    everything, so only arrows out of the support are checked.  Identity
-    rows are implicit.
-    """
-    first, arrow = poset._first_arrow, poset.arrow
-    up, down, x = poset.up_masks, poset.down_masks, w.x
+    up-set) and 0 elsewhere."""
+    up, x = poset.up_masks, w.x
     support = w.component | up[x]
     size = [2 if support >> v & 1 else 0 for v in range(len(poset))]
     size[x] = 1
@@ -623,24 +622,6 @@ def _poset_diagram(poset: FinPoset, w: NonForestWitness) -> FinInjDiagram:
             rows.append((0,) if zero_side & low else (1,))
             strict ^= low
     carriers = tuple(map(_CARRIERS.__getitem__, size))
-    rest = support
-    while rest:
-        low = rest & -rest
-        a = low.bit_length() - 1
-        targets = up[a] & ~low
-        for i in range(first[a], first[a] + targets.bit_count()):
-            b = (targets & -targets).bit_length() - 1
-            _check_row(poset, i, rows[i], size[b])
-            targets &= targets - 1
-        rest ^= low
-    for g, a, b in poset.generator_ends:
-        ag, below = rows[g], down[a] & support & ~(1 << a)
-        while below:
-            low = below & -below
-            c = low.bit_length() - 1
-            if tuple(map(ag.__getitem__, rows[arrow(c, a)])) != rows[arrow(c, b)]:
-                _raise_first_functoriality_fault(poset, carriers, rows)
-            below ^= low
     return FinInjDiagram(poset, carriers, tuple(rows))
 
 
@@ -648,13 +629,10 @@ def _pull_back(diagram: FinInjDiagram, shape, smap: tuple[int, ...]) -> FinInjDi
     """The diagram over a skeleton precomposed with the functor from the
     shape to it: object o carries the carrier of ``smap[o]``, and a morphism
     dom -> cod acts as the arrow ``smap[dom] -> smap[cod]``.  A poset, its own
-    skeleton, carries the diagram itself and names its arrows, as wherever
-    arrows are named; a category's skeleton names them only in a fault."""
+    skeleton, carries the diagram itself."""
     if diagram.shape is shape:
-        shape.arrow_names
         return diagram
     rows, arrow = diagram.maps, diagram.shape.arrow
     maps = tuple(rows[arrow(smap[dom], smap[cod])] for dom, cod in shape.morphisms)
     carriers = tuple(map(diagram.carriers.__getitem__, smap))
-    _check_rows(shape, carriers, maps)
     return FinInjDiagram(shape, carriers, maps)

@@ -235,13 +235,6 @@ class FinPoset:
         return self.arrow(self.morphisms[f][0], self.morphisms[g][1])
 
     @cached_property
-    def hom_in(self) -> list[list[int]]:
-        return [
-            [b, *(self.arrow(a, b) for a in _bits(mask & ~(1 << b)))]
-            for b, mask in enumerate(self.down_masks)
-        ]
-
-    @cached_property
     def generator_ends(self) -> tuple[tuple[int, int, int], ...]:
         """(index, dom, cod) of each cover's arrow, in increasing order,
         computed once per poset.  The covers of a are its strict up-set less

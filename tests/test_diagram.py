@@ -19,6 +19,7 @@ from amalgam.diagram import (
     NotApplicable,
     NotInjective,
     ZigzagWord,
+    _check_rows,
     analyze_shape,
     colimit_set,
     collision_zigzag,
@@ -218,6 +219,31 @@ def test_the_parallel_pair_witness_checks_its_rows_are_injective(monkeypatch):
     with pytest.raises(NotInjective) as info:
         witness_no_cocone(shape)
     assert str(info.value) == "action of z0 is not injective"
+
+
+@pytest.mark.parametrize("present", [FinPoset, lambda *a: category_from_poset(FinPoset(*a))],
+                         ids=["poset", "category"])
+@pytest.mark.parametrize("size, rows, fault, message", [
+    (2, ((0, 1), (0, 1), (0, 1, 1)), CarrierMismatch,
+     "action of a->b is not defined on exactly its carrier"),
+    (2, ((0, 1), (0, 1), (0,)), CarrierMismatch,
+     "action of a->b is not defined on exactly its carrier"),
+    (0, ((), (0, 1), (0,)), CarrierMismatch,
+     "action of a->b is not defined on exactly its carrier"),
+    (2, ((0, 1), (0, 1), (0, 2)), CarrierMismatch, "action of a->b leaves the target carrier"),
+    (2, ((0, 1), (0, 1), (1, 1)), NotInjective, "action of a->b is not injective"),
+    (2, ((0, 1), (1, 0), (0, 1)), FunctorialityViolation,
+     "identity of b does not act as the identity"),
+], ids=["longer", "shorter", "out-of-an-empty-carrier", "leaves-its-target", "not-injective",
+        "last-identity"])
+def test_the_witness_check_refuses_a_row_naming_its_arrow(present, size, rows, fault, message):
+    """The one check of a synthesized witness, on a < b with b carrying
+    two points and a ``size`` of them, refuses forged rows (id_a, id_b,
+    a -> b)."""
+    shape = present(["a", "b"], [(0, 1)])
+    with pytest.raises(fault) as info:
+        _check_rows(shape, (("0", "1")[:size], ("0", "1")), rows)
+    assert str(info.value) == message
 
 
 def test_the_witness_is_checked_by_the_oracle(monkeypatch):

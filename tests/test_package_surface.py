@@ -77,7 +77,7 @@ MOVED = (
     ("poset", "_decompose"), ("decide", "_describe_tree"), ("serialize", "_node_to_doc"),
     ("record", "set_field"), ("cli", "cmd_explain"), ("invcat", "FinInverseCategory"),
     ("fincat", "Morphism"), ("poset", "FinPoset.arrow_ends"), ("poset", "FinPoset._arrows"),
-    ("poset", "_sparse_bits"),
+    ("poset", "_sparse_bits"), ("poset", "FinPoset.hom_in"), ("diagram", "_check_row"),
 )
 # Facts each record reads off its fields instead of storing them.
 DERIVED = {

@@ -20,7 +20,7 @@ from amalgam.diagram import (
     CarrierMismatch,
     Collision,
     FunctorialityViolation,
-    _poset_diagram,
+    ShapeAnalysis,
     analyze_shape,
     colimit_set,
     collision_zigzag,
@@ -270,15 +270,22 @@ def test_closures_of_random_seeds_match_the_reference(cat, rng):
     assert list(classes_of(congruence_close(cat, seeds))) == reference_congruence_close(cat, seeds)
 
 
+def forged_analysis(p: FinPoset, forged: NonForestWitness) -> ShapeAnalysis:
+    """The analysis of a poset, its own reflection and skeleton, with a
+    forged non-forest witness in place of its decomposition."""
+    return ShapeAnalysis(p, None, None, p, tuple(range(len(p))), forged)
+
+
 def test_a_poset_witness_whose_rows_do_not_commute_is_refused():
     """x < a < b and x < c.  A forged witness puts a alone on the zero
     side, so x's point goes to 0 over a and to 1 over b, while a -> b
-    keeps 0 at 0: the rows do not commute over the cover a -> b."""
+    keeps 0 at 0: the rows do not commute over the cover a -> b.  The rows
+    are built unchecked and refused by the one check of the witness."""
     p = FinPoset(["x", "a", "b", "c"], [(0, 1), (1, 2), (0, 3)])
     forged = NonForestWitness(x=0, component=0b1110, upset_components=(0b0010, 0b1100))
     fault = r"\(a->b, x->a\) does not commute at element \*"
     with pytest.raises(FunctorialityViolation, match=fault):
-        _poset_diagram(p, forged)
+        witness_no_cocone(p, forged_analysis(p, forged))
 
 
 def test_a_poset_witness_whose_rows_leave_their_targets_is_refused():
@@ -287,4 +294,4 @@ def test_a_poset_witness_whose_rows_leave_their_targets_is_refused():
     p = FinPoset(["x", "a", "y", "z"], [(0, 1), (2, 3)])
     forged = NonForestWitness(x=0, component=0b0110, upset_components=(0b0010, 0b0100))
     with pytest.raises(CarrierMismatch, match="action of y->z leaves the target carrier"):
-        _poset_diagram(p, forged)
+        witness_no_cocone(p, forged_analysis(p, forged))

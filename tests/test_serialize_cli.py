@@ -674,11 +674,12 @@ def test_positive_check_never_names_a_posets_arrows(monkeypatch, tmp_path):
 def test_refuting_a_poset_builds_no_morphism_objects(monkeypatch, tmp_path):
     """The witness of a refuted poset is built, checked and run through the
     oracle on its masks and rows; only its arrow names and ends are made,
-    for the writer, and each morphism is a plain (dom, cod) pair."""
+    for the writer, and each morphism is a plain (dom, cod) pair.  Its rows
+    commute, so the fault rescan over every composable pair never runs."""
     def refuse(self):
-        raise AssertionError("a refuted poset built its hom_in lists")
+        raise AssertionError("a refuted poset rescanned its composable pairs")
 
-    monkeypatch.setattr(FinPoset, "hom_in", property(refuse))
+    monkeypatch.setattr(FinPoset, "composites", refuse)
     out = str(tmp_path / "out")
     for name in ("boat", "nonforest6"):
         for argv in (["check"], ["check", "--format", "structured"], ["witness"]):
